@@ -9,11 +9,11 @@ identities on any admissible curve.
 
 from .curve import (AdmissiblePolynomial, CurvePoint, Divisor, F_eval,
                     branch_points, involution, is_special, on_curve,
-                    root_scale, validate_polynomial, xi_eval)
+                    validate_polynomial, xi_eval)
 from .errors import (ConvergenceError, DegenerateGeometryError, DegreeError,
                      DeltaAmbiguityError, DiagonalError,
                      IllConditionedLatticeError, InfinitePointError,
-                     KleinianError, NewtonDivergence, NormalizationError,
+                     KleinianError, NormalizationError,
                      NotWeierstrassFormError, OnSigmaDivisorError,
                      OnThetaDivisorError, QuadratureError,
                      RepeatedRootError, RiemannMatrixError,
@@ -26,11 +26,9 @@ from .kleinian import (EvalBundle, KleinianContext, S_eval, S_grad,
                        log_S_hessian, make_context, quartic_matrix,
                        quartic_residual, rho_lambda_eval, sigma_eval,
                        sigma_jets, sigma_log_derivs, wp_eval)
-from .periods import (BranchSegment, CycleSet, LatticeReduction, PeriodData,
-                      build_cycles, compute_period_data, eta_of_lattice,
-                      integrate_differential, is_lattice, lattice_reduce,
-                      lattice_vector, nearest_lattice_residual,
-                      riemann_constant)
+from .periods import (CycleSet, PeriodData, build_cycles,
+                      compute_period_data, eta_of_lattice, lattice_vector,
+                      nearest_lattice_residual, riemann_constant)
 from .theta import ThetaParams, theta_deriv, theta_eval, theta_jet
 from .verify import (CHECK_NAMES, VerificationReport, measure_taylor_jets,
                      run_suite)
@@ -39,12 +37,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdmissiblePolynomial", "CurvePoint", "Divisor", "F_eval",
-    "branch_points", "involution", "is_special", "on_curve", "root_scale",
+    "branch_points", "involution", "is_special", "on_curve",
     "validate_polynomial", "xi_eval",
     "KleinianError", "DegreeError", "RepeatedRootError", "ConvergenceError",
     "SpecialDivisorError", "InfinitePointError", "DiagonalError",
     "DegenerateGeometryError", "QuadratureError", "SheetTrackingError",
-    "RiemannMatrixError", "DeltaAmbiguityError", "NewtonDivergence",
+    "RiemannMatrixError", "DeltaAmbiguityError",
     "IllConditionedLatticeError", "TruncationRadiusError",
     "NormalizationError", "OnThetaDivisorError", "RootSelectionAmbiguity",
     "OnSigmaDivisorError", "NotWeierstrassFormError", "SignResolutionError",
@@ -53,10 +51,9 @@ __all__ = [
     "log_S_gradient", "log_S_hessian", "make_context", "quartic_matrix",
     "quartic_residual", "rho_lambda_eval", "sigma_eval", "sigma_jets",
     "sigma_log_derivs", "wp_eval",
-    "BranchSegment", "CycleSet", "LatticeReduction", "PeriodData",
-    "build_cycles", "compute_period_data", "eta_of_lattice",
-    "integrate_differential", "is_lattice", "lattice_reduce",
-    "lattice_vector", "nearest_lattice_residual", "riemann_constant",
+    "CycleSet", "PeriodData", "build_cycles", "compute_period_data",
+    "eta_of_lattice", "lattice_vector", "nearest_lattice_residual",
+    "riemann_constant",
     "ThetaParams", "theta_deriv", "theta_eval", "theta_jet",
     "CHECK_NAMES", "VerificationReport", "measure_taylor_jets", "run_suite",
     "__version__",

@@ -150,10 +150,6 @@ def branch_points(f):
     return [complex(r) for r in roots[order]]
 
 
-def root_scale(f):
-    return max(1.0, max(abs(r) for r in branch_points(f)))
-
-
 def on_curve(f, P, eps=EPS_ON_CURVE):
     if not P.is_affine:
         return True

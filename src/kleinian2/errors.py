@@ -59,10 +59,6 @@ class DeltaAmbiguityError(KleinianError):
     """Zero or several candidates passed the vanishing certificate."""
 
 
-class NewtonDivergence(KleinianError):
-    """Newton refinement left the basin of every seed."""
-
-
 class IllConditionedLatticeError(KleinianError):
     """Lattice generator Gram matrix is numerically singular."""
 

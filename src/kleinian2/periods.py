@@ -8,6 +8,12 @@ fixed combinatorially from segment data alone, so the assembly searches the
 sign patterns (and the a/b swap) and accepts the variant that passes the
 Riemann-matrix and Legendre certificates; any variant that passes those is
 a genuine symplectic basis, which is all downstream code relies on.
+
+The base-point constant Delta comes in closed form, not from a search: it
+is one of 16 candidates, a half-period plus (1/2) A^{-1} z_star on degree 6
+(plus nothing on degree 5, where infinity is a Weierstrass point), and the
+theta-vanishing certificate on a fan of Abel images must accept exactly
+one of them.
 """
 
 from dataclasses import dataclass
@@ -18,16 +24,13 @@ import numpy as np
 
 from .curve import branch_points
 from .errors import (DegenerateGeometryError, DeltaAmbiguityError,
-                     IllConditionedLatticeError, NewtonDivergence,
-                     RiemannMatrixError)
-from .integration import (SheetPath, all_numerators, infinity_to_infinity,
-                          integrate_forms, point_infinity_integrals,
+                     IllConditionedLatticeError, RiemannMatrixError)
+from .integration import (infinity_to_infinity, point_infinity_integrals,
                           segment_period_integrals)
-from .theta import ThetaParams, theta_eval, theta_jet
+from .theta import ThetaParams, theta_eval
 
 TOL_SYM = 1e-8
 TOL_LEG = 1e-8
-TOL_LAT = 1e-8
 COND_CAP = 1e12
 SCALE_BAND = (0.1, 10.0)
 
@@ -148,8 +151,12 @@ class PeriodData:
     Columns of A, B hold integrals of (dx/y, x dx/y) over the a- and
     b-cycles; etaA, etaB hold minus the integrals of (r1, r2).  Delta is
     the base-point constant making theta vanish on the Abel image of the
-    curve; for degree-5 curves delta_char stores its half-integer
-    characteristic (n0, m0).  z_star is the between-infinities integral
+    curve, the one of 16 closed-form candidates (a half-period, plus
+    (1/2) A^{-1} z_star on degree 6) that passes the vanishing
+    certificate; for degree-5 curves delta_char stores its half-integer
+    characteristic (n0, m0).  On degree 6 the parity of the half-period
+    depends on the lattice representative of z_star, so delta_char is
+    None.  z_star is the between-infinities integral
     (degree 6), used by the Abel map; cycles records the branch-point
     pairing the basis was built from.
     """
@@ -256,34 +263,7 @@ def compute_period_data(f, ordering=None, tol=1e-12):
                       roots=tuple(roots), scale=scale, z_star=z_star)
 
 
-# -- public single-form integration ------------------------------------------
-
-_FORM_INDEX = {"omega1": 0, "omega2": 1, "r1": 2, "r2": 3}
-
-
-@dataclass(frozen=True)
-class BranchSegment:
-    """Straight path between two branch points, by index into the canonical
-    root order; integration handles the inverse-square-root endpoints."""
-    i: int
-    j: int
-
-
-def integrate_differential(f, path, kind, tol=1e-12):
-    """Integral of one named form (omega1|omega2|r1|r2) along a path.
-
-    path is either a SheetPath (generic, endpoints off the branch locus)
-    or a BranchSegment (endpoints at branch points, factored quadrature).
-    """
-    k = _FORM_INDEX[kind]
-    if isinstance(path, BranchSegment):
-        roots = branch_points(f)
-        return complex(
-            segment_period_integrals(f, roots, path.i, path.j, tol=tol)[k])
-    return complex(integrate_forms(path, [all_numerators(f)[k]], tol=tol)[0])
-
-
-# -- eta homomorphism and lattice reduction ----------------------------------
+# -- eta homomorphism and lattice coordinates ---------------------------------
 
 def eta_of_lattice(pd, m, n=None):
     """eta of the lattice vector w = A m + B n, from the period columns."""
@@ -309,36 +289,6 @@ def _generator_matrix(pd):
         raise IllConditionedLatticeError(
             "period generators are numerically dependent")
     return G
-
-
-@dataclass(frozen=True)
-class LatticeReduction:
-    z0: np.ndarray
-    m: np.ndarray
-    n: np.ndarray
-    coords: np.ndarray
-
-
-def lattice_reduce(pd, z):
-    """z = z0 + A m + B n with fractional generator coordinates in [0, 1)
-    (up to a snap tolerance at the upper edge)."""
-    z = np.asarray(z, dtype=complex).reshape(2)
-    G = _generator_matrix(pd)
-    c = np.linalg.solve(G, np.concatenate([z.real, z.imag]))
-    k = np.floor(c + 1e-9).astype(int)
-    z0 = z - lattice_vector(pd, k[:2], k[2:])
-    return LatticeReduction(z0=z0, m=k[:2], n=k[2:], coords=c - k)
-
-
-def is_lattice(pd, z, tol=TOL_LAT):
-    """Whether z is a period, measured by the nearest-lattice residual."""
-    z = np.asarray(z, dtype=complex).reshape(2)
-    G = _generator_matrix(pd)
-    c = np.linalg.solve(G, np.concatenate([z.real, z.imag]))
-    k = np.round(c)
-    resid = G @ (c - k)
-    return float(np.linalg.norm(resid)) <= tol * max(
-        1.0, float(np.linalg.norm(G)))
 
 
 def nearest_lattice_residual(pd, z):
@@ -381,118 +331,32 @@ def riemann_constant(f, pd):
 
 
 def _riemann_constant(f, A, Omega, roots, scale, z_star, tol=1e-12):
+    """Delta from the closed-form candidate set, certified by vanishing.
+
+    At a Weierstrass base point the Riemann constant is a half-period
+    (Mumford, Tata Lectures on Theta II, ch. IIIa); moving the base point to infinity shifts it by one Abel integral.  On
+    degree 5 infinity is a Weierstrass point and the shift is zero.  On
+    degree 6, div(x - e) = 2e - inf_1 - inf_2 makes that integral
+    (1/2) A^{-1} z_star modulo half-periods.  z_star is only defined modulo
+    the lattice, so the parity of the half-period part is not intrinsic
+    and all 16 half-periods are tried; they are distinct modulo the
+    lattice, so exactly one must make theta vanish on every Abel sample.
+    """
     tp = ThetaParams.build(Omega)
     us = _abel_samples(f, A, roots, scale, z_star, tol=tol)
     theta_ref = max(abs(theta_eval(tp, np.zeros(2))),
                     max(abs(theta_eval(tp, u)) for u in us))
-
-    if f.degree == 5:
-        hits = []
-        for n0 in product((0, 1), (0, 1)):
-            for m0 in product((0, 1), (0, 1)):
-                if (n0[0] * m0[0] + n0[1] * m0[1]) % 2 == 0:
-                    continue
-                D = _half_period(Omega, n0, m0)
-                resid = max(abs(theta_eval(tp, u - D)) for u in us)
-                if resid < 1e-8 * theta_ref:
-                    hits.append((D, (n0, m0)))
-        if len(hits) != 1:
-            raise DeltaAmbiguityError(
-                f"{len(hits)} odd half-periods pass the vanishing "
-                "certificate (expected exactly one)")
-        return hits[0]
-
-    sols = _newton_delta_seeds(tp, us, Omega, theta_ref)
-    if not sols:
-        D = _coarse_delta(tp, us, Omega, theta_ref)
-        if D is None:
-            raise DeltaAmbiguityError(
-                "no vanishing-certificate solution for the base-point "
-                "constant")
-        sols = [D]
-    uniq = [sols[0]]
-    for D in sols[1:]:
-        if all(not _u_lattice_close(Omega, D - E) for E in uniq):
-            uniq.append(D)
-    if len(uniq) > 1:
-        raise DeltaAmbiguityError(
-            f"{len(uniq)} distinct base-point constants pass the "
-            "vanishing certificate")
-    return uniq[0], None
-
-
-def _u_lattice_close(Omega, d, tol=1e-6):
-    G = np.zeros((4, 4))
-    gens = np.hstack([np.eye(2), Omega])
-    G[:2] = gens.real
-    G[2:] = gens.imag
-    c = np.linalg.solve(G, np.concatenate([d.real, d.imag]))
-    return bool(np.linalg.norm(G @ (c - np.round(c))) < tol)
-
-
-def _newton_delta_seeds(tp, us, Omega, theta_ref):
-    sols = []
-    converged_any = False
+    shift = 0.0 if z_star is None else 0.5 * np.linalg.solve(A, z_star)
+    hits = []
     for n0 in product((0, 1), (0, 1)):
         for m0 in product((0, 1), (0, 1)):
-            D = _half_period(Omega, n0, m0).astype(complex)
-            ok = False
-            for _ in range(50):
-                G = np.array([theta_eval(tp, us[0] - D),
-                              theta_eval(tp, us[1] - D)])
-                if max(abs(G)) < 1e-12 * theta_ref:
-                    ok = True
-                    break
-                J = np.zeros((2, 2), dtype=complex)
-                for a in (0, 1):
-                    jet = theta_jet(tp, us[a] - D, 1)
-                    J[a, 0] = -jet[1, 0]
-                    J[a, 1] = -jet[0, 1]
-                try:
-                    step = np.linalg.solve(J, G)
-                except np.linalg.LinAlgError:
-                    break
-                if np.linalg.norm(step) > 4.0:
-                    break
-                D = D - step
-            if not ok:
-                continue
-            converged_any = True
-            resid = max(abs(theta_eval(tp, u - D)) for u in us[2:])
-            if resid < 1e-8 * theta_ref:
-                sols.append(D)
-    if not sols and not converged_any:
-        raise NewtonDivergence(
-            "no half-period seed converged for the base-point constant")
-    return sols
-
-
-def _coarse_delta(tp, us, Omega, theta_ref):
-    best, best_resid = None, np.inf
-    grid = np.arange(0.0, 1.0, 0.1)
-    for s1 in grid:
-        for s2 in grid:
-            for t1 in grid:
-                for t2 in grid:
-                    D = np.array([s1, s2]) + Omega @ np.array([t1, t2])
-                    resid = max(abs(theta_eval(tp, u - D)) for u in us[:3])
-                    if resid < best_resid:
-                        best, best_resid = D, resid
-    if best is None:
-        return None
-    D = best.astype(complex)
-    for _ in range(80):
-        G = np.array([theta_eval(tp, us[0] - D), theta_eval(tp, us[1] - D)])
-        if max(abs(G)) < 1e-12 * theta_ref:
-            break
-        J = np.zeros((2, 2), dtype=complex)
-        for a in (0, 1):
-            jet = theta_jet(tp, us[a] - D, 1)
-            J[a, 0] = -jet[1, 0]
-            J[a, 1] = -jet[0, 1]
-        try:
-            D = D - np.linalg.solve(J, G)
-        except np.linalg.LinAlgError:
-            return None
-    resid = max(abs(theta_eval(tp, u - D)) for u in us[2:])
-    return D if resid < 1e-8 * theta_ref else None
+            D = _half_period(Omega, n0, m0) + shift
+            if all(abs(theta_eval(tp, u - D)) < 1e-8 * theta_ref
+                   for u in us):
+                hits.append((D, (n0, m0)))
+    if len(hits) != 1:
+        raise DeltaAmbiguityError(
+            f"{len(hits)} of 16 candidates pass the vanishing certificate "
+            "for the base-point constant (expected exactly one)")
+    D, char = hits[0]
+    return D, (char if f.degree == 5 else None)

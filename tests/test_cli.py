@@ -8,12 +8,18 @@ import sys
 import numpy as np
 import pytest
 
+import kleinian2
 from conftest import G6_COEFFS, W5_COEFFS
+
+# the subprocess imports the same package as this process, installed or not
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(kleinian2.__file__))
 
 
 def run_cli(*args, env_extra=None):
     env = dict(os.environ)
     env.pop("KLEINIAN2_TOL", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(

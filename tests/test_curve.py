@@ -60,12 +60,6 @@ def test_branch_points_deterministic_and_accurate():
     assert np.array_equal(np.asarray(roots), np.asarray(again))
 
 
-def test_root_scale():
-    assert k2.root_scale(k2.validate_polynomial(W5_COEFFS)) == 1.0
-    f = k2.validate_polynomial([0, -4 * 3 ** 4, 0, 0, 0, 4])
-    assert k2.root_scale(f) == pytest.approx(3.0, rel=1e-12)
-
-
 def test_involution_flips_y_and_infinity_label():
     P = k2.CurvePoint(0.5 + 0.1j, 0.3 - 0.2j)
     J = k2.involution(P)
