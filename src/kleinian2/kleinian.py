@@ -67,8 +67,7 @@ def make_context(f, pd=None, tol=1e-12):
     C = 0.5 * (C + C.T)
 
     theta_ref = abs(theta_eval(tp, np.zeros(2)))
-    jm = theta_jet(tp, -pd.Delta, 1)
-    jp = theta_jet(tp, pd.Delta, 1)
+    jm, jp = theta_jet(tp, np.stack([-pd.Delta, pd.Delta]), 1)
     # Gate the vanishing against the local gradient as well as the global
     # reference: a lattice translate of Delta scales theta and its gradient
     # by the same quasi-periodicity factor, which can dwarf theta_ref.
@@ -115,30 +114,62 @@ def make_context(f, pd=None, tol=1e-12):
 # -- scalar evaluation --------------------------------------------------------
 
 def _as_z(z):
-    return np.asarray(z, dtype=complex).reshape(2)
+    z = np.asarray(z, dtype=complex)
+    # no new view when z is already a complex 2-vector: EvalBundle keeps z
+    return z if z.shape == (2,) else z.reshape(2)
 
 
 def _theta_pair(ctx, z, order=0):
+    """u = A^-1 z and the theta jets at u - Delta and u + Delta, from one
+    batched kernel call."""
     u = ctx.Ainv @ z
-    jm = theta_jet(ctx.tp, u - ctx.pd.Delta, order)
-    jp = theta_jet(ctx.tp, u + ctx.pd.Delta, order)
+    jm, jp = theta_jet(ctx.tp, np.stack([u - ctx.pd.Delta, u + ctx.pd.Delta]),
+                       order)
     return u, jm, jp
+
+
+def _pullback_jets(ctx, jet, order):
+    """Theta-factor derivative tensors in z coordinates."""
+    Ai = ctx.Ainv
+    d1 = d2 = d3 = None
+    if order >= 1:
+        gu = np.array([jet[1, 0], jet[0, 1]])
+        d1 = Ai.T @ gu
+    if order >= 2:
+        Hu = np.array([[jet[2, 0], jet[1, 1]], [jet[1, 1], jet[0, 2]]])
+        d2 = Ai.T @ Hu @ Ai
+    if order >= 3:
+        Tu = np.zeros((2, 2, 2), dtype=complex)
+        for a in (0, 1):
+            for b in (0, 1):
+                for c in (0, 1):
+                    k2 = a + b + c
+                    Tu[a, b, c] = jet[3 - k2, k2]
+        d3 = np.einsum("abc,aj,bk,cl->jkl", Tu, Ai, Ai, Ai)
+    return d1, d2, d3
+
+
+def _clearance(ctx, jm, jp):
+    return min(abs(jm[0, 0]), abs(jp[0, 0])) / ctx.theta_ref
 
 
 def divisor_clearance(ctx, z):
     """min(|theta(u - Delta)|, |theta(u + Delta)|) over the theta scale;
     small values mean z sits near the zero set of S."""
     _, jm, jp = _theta_pair(ctx, _as_z(z), 0)
-    return min(abs(jm[0, 0]), abs(jp[0, 0])) / ctx.theta_ref
+    return _clearance(ctx, jm, jp)
+
+
+def _S_from_pair(ctx, z, jm, jp):
+    return ctx.c_S * np.exp(z @ ctx.C @ z) * jm[0, 0] * jp[0, 0]
 
 
 def S_eval(ctx, z):
     """The entire function S; zero exactly on the Abel image of the curve
     shifted by the base-point constant (and its reflection)."""
     z = _as_z(z)
-    u, jm, jp = _theta_pair(ctx, z, 0)
-    quad = z @ ctx.C @ z
-    return ctx.c_S * np.exp(quad) * jm[0, 0] * jp[0, 0]
+    _, jm, jp = _theta_pair(ctx, z, 0)
+    return _S_from_pair(ctx, z, jm, jp)
 
 
 def S_grad(ctx, z):
@@ -146,42 +177,44 @@ def S_grad(ctx, z):
     z = _as_z(z)
     u, jm, jp = _theta_pair(ctx, z, 1)
     p, q = jm[0, 0], jp[0, 0]
-    gp = ctx.Ainv.T @ np.array([jm[1, 0], jm[0, 1]])
-    gq = ctx.Ainv.T @ np.array([jp[1, 0], jp[0, 1]])
+    gp = _pullback_jets(ctx, jm, 1)[0]
+    gq = _pullback_jets(ctx, jp, 1)[0]
     e = ctx.c_S * np.exp(z @ ctx.C @ z)
     return e * (2.0 * (ctx.C @ z) * p * q + gp * q + p * gq)
 
 
-def _pullback_log_hessian(ctx, jet):
-    """z-space Hessian of log of one theta factor, from its order-2 jet."""
-    p = jet[0, 0]
-    g = np.array([jet[1, 0], jet[0, 1]])
-    H = np.array([[jet[2, 0], jet[1, 1]], [jet[1, 1], jet[0, 2]]])
-    hu = H / p - np.outer(g, g) / p ** 2
-    return ctx.Ainv.T @ hu @ ctx.Ainv
+def _require_off_divisor(ctx, jm, jp):
+    if _clearance(ctx, jm, jp) < ZERO_FACTOR:
+        raise OnThetaDivisorError(
+            "z lies on (or too near) the zero set of S")
+
+
+def _log_hessian_from_pair(ctx, jm, jp):
+    """L = 2C + the z-space Hessians of log theta at u -+ Delta, from the
+    order-2 jets."""
+    _require_off_divisor(ctx, jm, jp)
+    L = 2.0 * ctx.C
+    for jet in (jm, jp):
+        p = jet[0, 0]
+        d1, d2, _ = _pullback_jets(ctx, jet, 2)
+        L = L + (d2 / p - np.outer(d1, d1) / p ** 2)
+    return L
 
 
 def log_S_hessian(ctx, z):
     """Second logarithmic derivatives of S (matrix L with L_jk =
     d^2 log S / dz_j dz_k), the raw material for the wp functions."""
-    z = _as_z(z)
-    u, jm, jp = _theta_pair(ctx, z, 2)
-    if min(abs(jm[0, 0]), abs(jp[0, 0])) < ZERO_FACTOR * ctx.theta_ref:
-        raise OnThetaDivisorError(
-            "z lies on (or too near) the zero set of S")
-    return (2.0 * ctx.C + _pullback_log_hessian(ctx, jm)
-            + _pullback_log_hessian(ctx, jp))
+    _, jm, jp = _theta_pair(ctx, _as_z(z), 2)
+    return _log_hessian_from_pair(ctx, jm, jp)
 
 
 def log_S_gradient(ctx, z):
     """First logarithmic derivatives of S."""
     z = _as_z(z)
     u, jm, jp = _theta_pair(ctx, z, 1)
-    if min(abs(jm[0, 0]), abs(jp[0, 0])) < ZERO_FACTOR * ctx.theta_ref:
-        raise OnThetaDivisorError(
-            "z lies on (or too near) the zero set of S")
-    gp = ctx.Ainv.T @ np.array([jm[1, 0], jm[0, 1]]) / jm[0, 0]
-    gq = ctx.Ainv.T @ np.array([jp[1, 0], jp[0, 1]]) / jp[0, 0]
+    _require_off_divisor(ctx, jm, jp)
+    gp = _pullback_jets(ctx, jm, 1)[0] / jm[0, 0]
+    gq = _pullback_jets(ctx, jp, 1)[0] / jp[0, 0]
     return 2.0 * (ctx.C @ z) + gp + gq
 
 
@@ -230,7 +263,11 @@ def wp_eval(ctx, z, _depth=4):
     walk toward a nearby point if more than one root passes.
     """
     z = _as_z(z)
-    L = log_S_hessian(ctx, z)
+    return _wp_from_hessian(ctx, z, log_S_hessian(ctx, z), _depth)
+
+
+def _wp_from_hessian(ctx, z, L, depth=4):
+    """The wp triple at z from L = the log Hessian of S there."""
     c = ctx.f.coeffs
     f5, f6 = c[5], c[6]
     if f6 == 0:
@@ -256,7 +293,7 @@ def wp_eval(ctx, z, _depth=4):
         # fall back to the best candidate; the verify suite will flag a
         # genuine failure through the quartic-determinant check
         return cands[0][0]
-    return _resolve_root(ctx, z, [c0[0] for c0 in passing], _depth)
+    return _resolve_root(ctx, z, [c0[0] for c0 in passing], depth)
 
 
 def _resolve_root(ctx, z, cands, depth):
@@ -289,14 +326,10 @@ def _sigma_twist(ctx, z, u):
     return 0.5 * (z @ ctx.C @ z) + lin
 
 
-def _sjk_degree5(ctx, z):
-    z = _as_z(z)
-    u = ctx.Ainv @ z
-    jm = theta_jet(ctx.tp, u - ctx.pd.Delta, 2)
+def _sjk_degree5(ctx, z, u, jm):
+    """(S11, S12, S22) on degree 5 from the jet at u - Delta (order >= 2)."""
     p = jm[0, 0]
-    gz = ctx.Ainv.T @ np.array([jm[1, 0], jm[0, 1]])
-    Hu = np.array([[jm[2, 0], jm[1, 1]], [jm[1, 1], jm[0, 2]]])
-    Hz = ctx.Ainv.T @ Hu @ ctx.Ainv
+    gz, Hz, _ = _pullback_jets(ctx, jm, 2)
     e2g = np.exp(2.0 * _sigma_twist(ctx, z, u))
     G = e2g * (p * Hz - np.outer(gz, gz) + ctx.C * p ** 2)
     f5 = ctx.f.coeffs[5]
@@ -305,10 +338,10 @@ def _sjk_degree5(ctx, z):
                      (4.0 * ctx.c_S / f5) * G[1, 1]])
 
 
-def _sjk_direct(ctx, z):
-    S = S_eval(ctx, z)
-    p11, p12, p22 = wp_eval(ctx, z)
-    return np.array([p11 * S, p12 * S, p22 * S])
+def _sjk_direct(ctx, z, jm, jp):
+    """wp * S from the theta pair at z (order >= 2)."""
+    L = _log_hessian_from_pair(ctx, jm, jp)
+    return _S_from_pair(ctx, z, jm, jp) * np.array(_wp_from_hessian(ctx, z, L))
 
 
 _EX_WEIGHTS = (1.5, -0.6, 0.1)
@@ -339,10 +372,15 @@ def _sjk_extrapolated(ctx, z):
             break
     if chosen is None:
         chosen = best
+
+    def direct(w):
+        _, jm, jp = _theta_pair(ctx, w, 2)
+        return _sjk_direct(ctx, w, jm, jp)
+
     out = np.zeros(3, dtype=complex)
     for k, wk in enumerate(_EX_WEIGHTS, start=1):
-        out += 0.5 * wk * (_sjk_direct(ctx, z + k * h * chosen)
-                           + _sjk_direct(ctx, z - k * h * chosen))
+        out += 0.5 * wk * (direct(z + k * h * chosen)
+                           + direct(z - k * h * chosen))
     return out
 
 
@@ -354,11 +392,12 @@ def S_jk_eval(ctx, z):
     switch to even extrapolation when z is too close to that zero set.
     """
     z = _as_z(z)
+    u, jm, jp = _theta_pair(ctx, z, 2)
     if ctx.f.coeffs[6] == 0:
-        return _sjk_degree5(ctx, z)
-    if divisor_clearance(ctx, z) < NEAR_FACTOR:
+        return _sjk_degree5(ctx, z, u, jm)
+    if _clearance(ctx, jm, jp) < NEAR_FACTOR:
         return _sjk_extrapolated(ctx, z)
-    return _sjk_direct(ctx, z)
+    return _sjk_direct(ctx, z, jm, jp)
 
 
 # -- sigma family (degree 5, Weierstrass form) --------------------------------
@@ -375,8 +414,11 @@ def sigma_eval(ctx, z):
     _require_weierstrass(ctx)
     z = _as_z(z)
     u = ctx.Ainv @ z
-    p = theta_eval(ctx.tp, u - ctx.pd.Delta)
-    return ctx.c_sigma * np.exp(_sigma_twist(ctx, z, u)) * p
+    return _sigma_from_jet(ctx, z, u, theta_jet(ctx.tp, u - ctx.pd.Delta, 0))
+
+
+def _sigma_from_jet(ctx, z, u, jm):
+    return ctx.c_sigma * np.exp(_sigma_twist(ctx, z, u)) * jm[0, 0]
 
 
 def sigma_jets(ctx, z, order=2):
@@ -414,27 +456,6 @@ def sigma_jets(ctx, z, order=2):
     return out
 
 
-def _pullback_jets(ctx, jet, order):
-    """Theta-factor derivative tensors in z coordinates."""
-    Ai = ctx.Ainv
-    d1 = d2 = d3 = None
-    if order >= 1:
-        gu = np.array([jet[1, 0], jet[0, 1]])
-        d1 = Ai.T @ gu
-    if order >= 2:
-        Hu = np.array([[jet[2, 0], jet[1, 1]], [jet[1, 1], jet[0, 2]]])
-        d2 = Ai.T @ Hu @ Ai
-    if order >= 3:
-        Tu = np.zeros((2, 2, 2), dtype=complex)
-        for a in (0, 1):
-            for b in (0, 1):
-                for c in (0, 1):
-                    k2 = a + b + c
-                    Tu[a, b, c] = jet[3 - k2, k2]
-        d3 = np.einsum("abc,aj,bk,cl->jkl", Tu, Ai, Ai, Ai)
-    return d1, d2, d3
-
-
 def sigma_log_derivs(ctx, z):
     """(zeta1, zeta2, wp111, wp112, wp122, wp222) at z.
 
@@ -443,8 +464,12 @@ def sigma_log_derivs(ctx, z):
     """
     _require_weierstrass(ctx)
     z = _as_z(z)
-    u = ctx.Ainv @ z
-    jm = theta_jet(ctx.tp, u - ctx.pd.Delta, 3)
+    jm = theta_jet(ctx.tp, ctx.Ainv @ z - ctx.pd.Delta, 3)
+    return _sigma_log_derivs_from_jet(ctx, z, jm)
+
+
+def _sigma_log_derivs_from_jet(ctx, z, jm):
+    """sigma_log_derivs from the order-3 jet at u - Delta."""
     p = jm[0, 0]
     if abs(p) < ZERO_FACTOR * ctx.theta_ref:
         raise OnSigmaDivisorError(
@@ -557,7 +582,7 @@ def rho_lambda_eval(ctx, D):
 
 # -- bundled evaluation -------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvalBundle:
     """One-point evaluation record; wp fields are None on the zero set of
     S, sigma fields are None unless requested on a Weierstrass curve."""
@@ -579,20 +604,33 @@ class EvalBundle:
 
 
 def evaluate_bundle(ctx, z, want_sigma=False):
+    """Every field at z from one theta pair at u -+ Delta, of order 3 with
+    sigma and 2 without; only the degree-6 extrapolation near the zero set
+    of S and the root-selection walk evaluate theta elsewhere."""
     z = _as_z(z)
-    S = S_eval(ctx, z)
-    s11, s12, s22 = S_jk_eval(ctx, z)
-    fields = dict(z=z, S=S, S11=s11, S12=s12, S22=s22)
-    try:
-        p11, p12, p22 = wp_eval(ctx, z)
-        fields.update(p11=p11, p12=p12, p22=p22)
-    except OnThetaDivisorError:
-        pass
     if want_sigma:
         _require_weierstrass(ctx)
-        fields["sigma"] = sigma_eval(ctx, z)
+    u, jm, jp = _theta_pair(ctx, z, 3 if want_sigma else 2)
+    S = _S_from_pair(ctx, z, jm, jp)
+    fields = dict(z=z, S=S)
+    try:
+        L = _log_hessian_from_pair(ctx, jm, jp)
+    except OnThetaDivisorError:
+        wp = None
+    else:
+        wp = _wp_from_hessian(ctx, z, L)
+        fields.update(p11=wp[0], p12=wp[1], p22=wp[2])
+    if ctx.f.coeffs[6] == 0:
+        sjk = _sjk_degree5(ctx, z, u, jm)
+    elif _clearance(ctx, jm, jp) < NEAR_FACTOR:
+        sjk = _sjk_extrapolated(ctx, z)
+    else:
+        sjk = S * np.array(wp)
+    fields.update(S11=sjk[0], S12=sjk[1], S22=sjk[2])
+    if want_sigma:
+        fields["sigma"] = _sigma_from_jet(ctx, z, u, jm)
         try:
-            ld = sigma_log_derivs(ctx, z)
+            ld = _sigma_log_derivs_from_jet(ctx, z, jm)
             fields.update(zeta1=ld[0], zeta2=ld[1], p111=ld[2],
                           p112=ld[3], p122=ld[4], p222=ld[5])
         except OnSigmaDivisorError:

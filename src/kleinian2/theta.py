@@ -5,12 +5,19 @@ theta(z; Omega) = sum over n in Z^2 of exp(i pi n.Omega.n + 2 pi i n.z).
 Evaluation strategy: reduce z by integer and Omega-integer shifts so the
 imaginary part is small, sum the series over a box whose radius comes from
 a provable tail bound, then push the quasi-periodicity prefactor through
-the requested derivatives with the Leibniz rule.  Everything is
-deterministic; there is no cross-call caching beyond the parameter object.
+the requested derivatives with the Leibniz rule.  `theta_jet` takes one
+point, shape (2,), or a batch, shape (N, 2): a batch is summed over one
+box whose radius is the largest of the rows' own tail-bound radii, as one
+matrix product.  The tables the sum needs (the box, the quadratic
+monomials n1^2, 2 n1 n2, n2^2 and the derivative monomials (2 pi i n)^k)
+do not depend on Omega, so one read-only copy per radius serves every
+order and every ThetaParams.  A ThetaParams carries no tables of its
+own, and nothing cached can be paired with the wrong Omega.
 """
 
+import math
 from dataclasses import dataclass
-from math import comb
+from functools import lru_cache
 
 import numpy as np
 
@@ -18,6 +25,11 @@ from .errors import RiemannMatrixError, TruncationRadiusError
 
 TAIL_MARGIN = 100.0   # constant C in the tail bound ln(C/eps)
 RADIUS_CAP = 60
+
+_BINOM = np.array([[math.comb(a, c) for c in range(4)] for a in range(4)],
+                  dtype=float)
+# the power a - c of mu in L[a, c] of _leibniz (0 above the diagonal)
+_DROP = np.maximum(np.subtract.outer(range(4), range(4)), 0)
 
 
 @dataclass(frozen=True)
@@ -47,13 +59,14 @@ class ThetaParams:
 
 def _radius(tp, b, order):
     """Smallest R with pi*lam*R^2 - 2 pi b R - order*ln(2 pi R) >= ln(C/eps)."""
-    target = np.log(TAIL_MARGIN / tp.eps_target)
+    target = math.log(TAIL_MARGIN / tp.eps_target)
     lam = tp.lam_min
     R = 3.0
     for _ in range(12):
-        R = np.sqrt((target + 2 * np.pi * b * R
-                     + order * np.log(max(2 * np.pi * R, 3.0))) / (np.pi * lam))
-    R = int(np.ceil(R)) + 1
+        R = math.sqrt((target + 2 * math.pi * b * R
+                       + order * math.log(max(2 * math.pi * R, 3.0)))
+                      / (math.pi * lam))
+    R = math.ceil(R) + 1
     if R > RADIUS_CAP:
         raise TruncationRadiusError(
             f"summation radius {R} exceeds cap {RADIUS_CAP}; "
@@ -61,60 +74,90 @@ def _radius(tp, b, order):
     return R
 
 
+def _multi_indices(order):
+    """(k1, k2) with k1 + k2 <= order, by total order, so that the list for
+    a lower order is a prefix of the list for a higher one."""
+    return [(t - k2, k2) for t in range(order + 1) for k2 in range(t + 1)]
+
+
+@lru_cache(maxsize=None)     # at most RADIUS_CAP keys
+def _tables(R):
+    """Over the box [-R, R]^2: the rows (n1^2, 2 n1 n2, n2^2, n1, n2), so
+    that a product with (i pi Omega11, i pi Omega12, i pi Omega22,
+    2 pi i z0) gives the exponents of the series, and the monomials whose
+    row for the i-th of _multi_indices(3), (k1, k2), is
+    (2 pi i n1)^k1 (2 pi i n2)^k2."""
+    rng = np.arange(-R, R + 1, dtype=float)
+    n1, n2 = (a.ravel() for a in np.meshgrid(rng, rng, indexing="ij"))
+    basis = np.stack([n1 * n1, 2 * n1 * n2, n2 * n2, n1, n2], axis=1)
+    p1 = (2j * np.pi * n1) ** np.arange(4)[:, None]
+    p2 = (2j * np.pi * n2) ** np.arange(4)[:, None]
+    mono = np.array([p1[k1] * p2[k2] for k1, k2 in _multi_indices(3)])
+    for a in (basis, mono):
+        a.setflags(write=False)
+    return basis, mono
+
+
 def theta_jet(tp, z, order):
     """All partial derivatives of theta at z up to total order `order`.
 
-    Returns a complex array J of shape (order+1, order+1) where J[k1, k2] =
-    d^(k1+k2) theta / dz1^k1 dz2^k2, valid for k1 + k2 <= order.
+    z has shape (2,) or (N, 2).  Returns a complex array J of shape
+    (order+1, order+1), or (N, order+1, order+1) for a batch, where
+    J[..., k1, k2] = d^(k1+k2) theta / dz1^k1 dz2^k2, valid for
+    k1 + k2 <= order and zero elsewhere.
     """
     if order > 3:
         raise ValueError("jets implemented up to order 3")
-    z = np.asarray(z, dtype=complex).reshape(2)
+    z = np.asarray(z, dtype=complex)
+    batch = z.ndim == 2
+    Z = z.reshape(-1, 2)
     Om = tp.Omega
     # range reduction z = z0 + n + Omega m, with m, n integer vectors
-    m = np.round(np.linalg.solve(Om.imag, z.imag))
-    zm = z - Om @ m
-    n = np.round(zm.real)
-    z0 = zm - n
-    b = float(np.linalg.norm(z0.imag))
-    R = _radius(tp, b, order)
+    m = np.round(np.linalg.solve(Om.imag, Z.imag.T)).T
+    zm = Z - m @ Om
+    z0 = zm - np.round(zm.real)
+    # _radius increases with b, so this is the largest of the rows' radii
+    R = _radius(tp, float(np.max(np.linalg.norm(z0.imag, axis=1))), order)
+    basis, mono = _tables(R)
+    index = _multi_indices(order)
+    coef = np.empty((5, len(Z)), dtype=complex)
+    coef[:3] = 1j * np.pi * np.array([Om[0, 0], Om[0, 1], Om[1, 1]])[:, None]
+    coef[3:] = 2j * np.pi * z0.T
+    # exp of the real and imaginary parts apart: numpy's complex exp is
+    # several times slower than its real exp, cos and sin together
+    modulus = np.exp(basis @ coef.real)
+    phase = basis @ coef.imag
+    terms = np.empty(phase.shape, dtype=complex)
+    terms.real = modulus * np.cos(phase)
+    terms.imag = modulus * np.sin(phase)
+    sums = mono[:len(index)] @ terms     # (K, N)
 
-    rng = np.arange(-R, R + 1)
-    n1, n2 = np.meshgrid(rng, rng, indexing="ij")
-    nn = np.stack([n1.ravel(), n2.ravel()], axis=1).astype(float)
-    quad = np.einsum("ki,ij,kj->k", nn, Om, nn)
-    expo = 1j * np.pi * quad + 2j * np.pi * (nn @ z0)
-    w = np.exp(expo)
+    J = np.zeros((len(Z), order + 1, order + 1), dtype=complex)
+    flat = [k1 * (order + 1) + k2 for k1, k2 in index]
+    J.reshape(len(Z), -1)[:, flat] = sums.T
+    shifted = np.flatnonzero(np.any(m != 0, axis=1))
+    if len(shifted):
+        J[shifted] = _leibniz(Om, m[shifted], z0[shifted], J[shifted], order)
+    return J if batch else J[0]
 
-    two_pi_i = 2j * np.pi
-    p1 = np.ones((len(nn), order + 1), dtype=complex)
-    p2 = np.ones((len(nn), order + 1), dtype=complex)
-    for k in range(1, order + 1):
-        p1[:, k] = p1[:, k - 1] * (two_pi_i * nn[:, 0])
-        p2[:, k] = p2[:, k - 1] * (two_pi_i * nn[:, 1])
 
-    J0 = np.zeros((order + 1, order + 1), dtype=complex)
-    for k1 in range(order + 1):
-        for k2 in range(order + 1 - k1):
-            J0[k1, k2] = np.sum(w * p1[:, k1] * p2[:, k2])
-
-    if not np.any(m):
-        return J0
-    # theta(z) = e(z0) theta(z0) with e = exp(-i pi m.Om.m - 2 pi i m.z0);
-    # d/dz e = (-2 pi i m) e, so derivatives mix by the Leibniz rule.
-    e = np.exp(-1j * np.pi * (m @ Om @ m) - two_pi_i * (m @ z0))
-    mu = -two_pi_i * m
-    J = np.zeros_like(J0)
-    for k1 in range(order + 1):
-        for k2 in range(order + 1 - k1):
-            acc = 0j
-            for b1 in range(k1 + 1):
-                for b2 in range(k2 + 1):
-                    acc += (comb(k1, b1) * comb(k2, b2)
-                            * mu[0] ** b1 * mu[1] ** b2
-                            * J0[k1 - b1, k2 - b2])
-            J[k1, k2] = e * acc
-    return J
+def _leibniz(Om, m, z0, J0, order):
+    """Jets of theta(z) = e(z0) theta(z0), e = exp(-i pi m.Om.m - 2 pi i
+    m.z0), per row.  d/dz e = mu e with mu = -2 pi i m, so
+    J[k1, k2] = e sum C(k1, b1) C(k2, b2) mu1^b1 mu2^b2 J0[k1-b1, k2-b2],
+    which is e * L1 @ J0 @ L2^T with L[k, j] = C(k, j) mu^(k-j)."""
+    e = np.exp(-1j * np.pi * np.einsum("ri,ij,rj->r", m, Om, m)
+               - 2j * np.pi * np.einsum("ri,ri->r", m, z0))
+    k = order + 1
+    powers = np.ones((k, len(m), 2), dtype=complex)
+    for p in range(1, k):
+        powers[p] = powers[p - 1] * (-2j * np.pi * m)
+    # L[a, c, row, i] = C(a, c) mu_i^(a-c), zero above the diagonal
+    L = _BINOM[:k, :k, None, None] * powers[_DROP[:k, :k]]
+    L1, L2 = L[..., 0].transpose(2, 0, 1), L[..., 1].transpose(2, 0, 1)
+    J = e[:, None, None] * (L1 @ J0 @ L2.transpose(0, 2, 1))
+    # the products also fill k1 + k2 > order; keep those entries zero
+    return np.where(np.add.outer(range(k), range(k)) <= order, J, 0)
 
 
 def theta_eval(tp, z):

@@ -284,3 +284,69 @@ def test_evaluate_bundle_sigma_gate(w5_ctx, g6_ctx):
     assert abs(b.sigma ** 2 - b.S) < 1e-8 * max(1.0, abs(b.S))
     with pytest.raises(k2.NotWeierstrassFormError):
         k2.evaluate_bundle(g6_ctx, np.array([0.3, 0.2]), want_sigma=True)
+
+
+@pytest.fixture(scope="module")
+def g5_ctx():
+    """A quintic not in Weierstrass form: random-looking roots and a
+    complex leading coefficient."""
+    roots = [0.92, -0.41 + 0.83j, -0.63 - 0.52j, 0.21 - 1.07j, 1.12 + 0.61j]
+    coeffs = (1.3 - 0.4j) * np.poly(roots)[::-1]
+    return k2.make_context(k2.validate_polynomial(list(coeffs) + [0.0]))
+
+
+def _close(got, want, rel=1e-12):
+    return abs(got - want) <= rel * max(abs(got), abs(want))
+
+
+@pytest.mark.parametrize("name", ["w5", "g5", "g6"])
+def test_bundle_matches_scalar_functions(name, w5_ctx, g5_ctx, g6_ctx):
+    """Every bundle field, computed from one theta pair, equals the public
+    scalar function that computes it alone."""
+    ctx = {"w5": w5_ctx, "g5": g5_ctx, "g6": g6_ctx}[name]
+    sigma = name == "w5"
+    rng = np.random.default_rng(55)
+    for _ in range(6):
+        z = sample_z(ctx, rng)
+        b = k2.evaluate_bundle(ctx, z, want_sigma=sigma)
+        assert _close(b.S, k2.S_eval(ctx, z))
+        for got, want in zip((b.S11, b.S12, b.S22), k2.S_jk_eval(ctx, z)):
+            assert _close(got, want)
+        for got, want in zip((b.p11, b.p12, b.p22), k2.wp_eval(ctx, z)):
+            assert _close(got, want)
+        if sigma:
+            assert _close(b.sigma, k2.sigma_eval(ctx, z))
+            fields = (b.zeta1, b.zeta2, b.p111, b.p112, b.p122, b.p222)
+            for got, want in zip(fields, k2.sigma_log_derivs(ctx, z)):
+                assert _close(got, want)
+        else:
+            assert b.sigma is None and b.zeta1 is None
+
+
+def test_bundle_on_divisor_extrapolates_sjk(g6_ctx):
+    """At z = 0 on a sextic S vanishes: no wp, and S_jk comes from the
+    extrapolated branch, as in S_jk_eval."""
+    z = np.zeros(2)
+    b = k2.evaluate_bundle(g6_ctx, z)
+    assert b.p11 is None
+    scale = abs(g6_ctx.c_S) * g6_ctx.theta_ref ** 2
+    assert abs(b.S - k2.S_eval(g6_ctx, z)) <= 1e-12 * scale
+    for got, want in zip((b.S11, b.S12, b.S22), k2.S_jk_eval(g6_ctx, z)):
+        assert _close(got, want)
+
+
+def test_bundle_makes_one_kernel_call(monkeypatch, w5_ctx, g5_ctx, g6_ctx):
+    calls = []
+    kernel = k2.kleinian.theta_jet
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(k2.kleinian, "theta_jet", counted)
+    rng = np.random.default_rng(56)
+    for ctx, sigma in ((w5_ctx, True), (g5_ctx, False), (g6_ctx, False)):
+        z = sample_z(ctx, rng)
+        calls.clear()
+        k2.evaluate_bundle(ctx, z, want_sigma=sigma)
+        assert calls == [3 if sigma else 2]

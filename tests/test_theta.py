@@ -112,3 +112,68 @@ def test_order_cap():
     tp = k2.ThetaParams.build(1j * np.eye(2))
     with pytest.raises(ValueError):
         k2.theta_deriv(tp, np.zeros(2), (4, 0))
+
+
+def _brute_jet(Omega, z, order, N=25):
+    """Every jet entry as a direct lattice sum over [-N, N]^2."""
+    rng = np.arange(-N, N + 1)
+    n = np.stack(np.meshgrid(rng, rng, indexing="ij"), -1).reshape(-1, 2)
+    w = np.exp(1j * np.pi * np.einsum("ki,ij,kj->k", n, Omega, n)
+               + 2j * np.pi * n @ z)
+    J = np.zeros((order + 1, order + 1), dtype=complex)
+    for a in range(order + 1):
+        for b in range(order + 1 - a):
+            J[a, b] = np.sum(w * (2j * np.pi * n[:, 0]) ** a
+                             * (2j * np.pi * n[:, 1]) ** b)
+    return J
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_batched_jet_matches_rows(g6_ctx, order):
+    """One batched call equals per-row calls, for rows whose range
+    reduction shifts both coordinates by Omega and whose |Im z0| differ,
+    so each row alone would be summed over a box of its own radius."""
+    Omega = g6_ctx.pd.Omega
+    tp = k2.ThetaParams.build(Omega)
+    z0 = np.array([[0.11 + 0.02j, -0.23 + 0.01j],
+                   [-0.31 + 0.25j, 0.07 - 0.20j],
+                   [0.27 - 0.12j, 0.36 + 0.31j],
+                   [-0.08 + 0.40j, -0.41 - 0.38j],
+                   [0.19 - 0.33j, 0.02 + 0.05j]])
+    m = np.array([[1, -1], [2, 1], [-1, 2], [1, 1], [-2, -1]])
+    n = np.array([[1, 0], [-2, 3], [0, 1], [4, -1], [-1, -2]])
+    Z = z0 + n + m @ Omega
+    b = np.linalg.norm(z0.imag, axis=1)
+    radii = {k2.theta._radius(tp, float(bi), order) for bi in b}
+    assert len(radii) > 1
+    # the reduction recovers the intended shifts, so all rows are shifted
+    m_red = np.round(np.linalg.solve(Omega.imag, Z.imag.T)).T
+    assert np.array_equal(m_red, m)
+
+    J = k2.theta_jet(tp, Z, order)
+    assert J.shape == (len(Z), order + 1, order + 1)
+    valid = np.add.outer(range(order + 1), range(order + 1)) <= order
+    for row, z in zip(J, Z):
+        one = k2.theta_jet(tp, z, order)
+        assert np.all(row[~valid] == 0)
+        assert np.all(np.abs(row - one)[valid]
+                      <= 1e-14 * np.abs(one)[valid])
+
+    far = int(np.argmax(b))
+    ref = _brute_jet(Omega, Z[far], order)
+    assert np.all(np.abs(J[far] - ref)[valid]
+                  <= 1e-11 * np.maximum(1.0, np.abs(ref))[valid])
+
+
+def test_tables_do_not_leak_between_matrices():
+    """Tables built for one Riemann matrix are never used for another, even
+    when the first ThetaParams is gone and its memory reused."""
+    z = np.array([0.17 - 0.05j, -0.29 + 0.08j])
+    for k in range(8):
+        Omega = np.array([[0.1 * k + 1.1j, 0.3 - 0.05 * k + 0.2j],
+                          [0.3 - 0.05 * k + 0.2j, -0.2 + 0.04 * k + 1.3j]])
+        tp = k2.ThetaParams.build(Omega)
+        got = k2.theta_eval(tp, z)
+        ref = _brute_theta(Omega, z)
+        assert abs(got - ref) < 1e-11 * max(1.0, abs(ref))
+        del tp
