@@ -5,7 +5,9 @@ parametrized over u in [0, 1].  The sheet is fixed by analytic continuation
 of y = sqrt(f(x)): along every piece we build a table of (u, y) pairs dense
 enough that consecutive f-values differ by less than about half a turn in
 argument and a factor 3 in modulus, which pins the square-root branch at
-every quadrature node without ambiguity.
+every quadrature node without ambiguity.  The table is refined level by
+level: f is evaluated on arrays of parameters, once for the base grid and
+once per refinement level, never one node at a time.
 
 The same continuation engine drives the factored branch-point segments used
 for period integrals, where y = s(u) sqrt(u (1-u)) with s a continuous root
@@ -58,20 +60,25 @@ class Arc:
 
 
 def _step_ok(h0, h1):
-    if h0 == 0 or h1 == 0:
-        return False
-    r = h1 / h0
-    m = abs(r)
-    return 1.0 / RATIO_STEP <= m <= RATIO_STEP and abs(np.angle(r)) <= ARG_STEP
+    """Elementwise: is each step h0 -> h1 short enough to pin the branch?"""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = h1 / h0
+    m = np.abs(r)
+    return ((h0 != 0) & (h1 != 0) & (m >= 1.0 / RATIO_STEP)
+            & (m <= RATIO_STEP) & (np.abs(np.angle(r)) <= ARG_STEP))
 
 
 def continue_sqrt(h, seed=None):
     """Continuous branch of sqrt(h(u)) on u in [0, 1].
 
-    h maps a scalar parameter to a nonzero complex value.  The grid is
-    refined until consecutive h-values are close in argument and modulus,
-    after which the nearer of +-sqrt(h) is provably the analytic
-    continuation.  Returns (us, ss): node parameters and branch values.
+    h maps an array of parameters to nonzero complex values.  It is called
+    once on a uniform base grid and then once per refinement level, on the
+    midpoints of every interval whose end values are not yet close in
+    argument and modulus; refinement stops when all are, after which the
+    nearer of +-sqrt(h) is provably the analytic continuation.  Each
+    interval's fate depends only on its two end values, so the node set
+    is the one bisecting interval by interval would give.  Returns
+    (us, ss): node parameters in increasing order and branch values.
     If seed is given it must square to h(0) and fixes the branch;
     otherwise the principal root at u = 0 is used.
     """
@@ -79,29 +86,34 @@ def continue_sqrt(h, seed=None):
     # endpoint test; a uniform starting grid below the winding scale of
     # any single piece makes the refinement criterion sound
     u_init = np.linspace(0.0, 1.0, BASE_GRID + 1)
-    h_init = [complex(h(u)) for u in u_init]
-    h0 = h_init[0]
-    us = [0.0]
-    hs = [h0]
-
-    def refine(u0, v0, u1, v1, depth):
-        if _step_ok(v0, v1):
-            us.append(u1)
-            hs.append(v1)
-            return
-        if depth >= MAX_DEPTH or len(us) > MAX_NODES:
+    h_init = np.asarray(h(u_init), dtype=complex)
+    h0 = complex(h_init[0])
+    # pending intervals as end parameters and end values; an accepted
+    # interval contributes its right end
+    u_a, h_a, u_b, h_b = u_init[:-1], h_init[:-1], u_init[1:], h_init[1:]
+    us, hs = [u_init[:1]], [h_init[:1]]
+    n_nodes = 1
+    for depth in range(MAX_DEPTH + 1):
+        ok = _step_ok(h_a, h_b)
+        us.append(u_b[ok])
+        hs.append(h_b[ok])
+        n_nodes += int(np.count_nonzero(ok))
+        bad = ~ok
+        if not bad.any():
+            break
+        u_a, h_a, u_b, h_b = u_a[bad], h_a[bad], u_b[bad], h_b[bad]
+        if depth >= MAX_DEPTH or n_nodes + len(u_a) > MAX_NODES:
             raise SheetTrackingError(
                 "analytic continuation did not stabilize; path passes too "
                 "close to a zero of f")
-        um = 0.5 * (u0 + u1)
-        vm = complex(h(um))
-        refine(u0, v0, um, vm, depth + 1)
-        refine(um, vm, u1, v1, depth + 1)
-
-    for k in range(BASE_GRID):
-        refine(u_init[k], h_init[k], u_init[k + 1], h_init[k + 1], 0)
-    us = np.array(us)
-    hs = np.array(hs)
+        u_m = 0.5 * (u_a + u_b)
+        h_m = np.asarray(h(u_m), dtype=complex)
+        u_a, u_b = np.concatenate([u_a, u_m]), np.concatenate([u_m, u_b])
+        h_a, h_b = np.concatenate([h_a, h_m]), np.concatenate([h_m, h_b])
+    us = np.concatenate(us)
+    order = np.argsort(us)
+    us = us[order]
+    hs = np.concatenate(hs)[order]
 
     if seed is None:
         s0 = np.sqrt(h0)
@@ -110,12 +122,15 @@ def continue_sqrt(h, seed=None):
         if abs(s0 * s0 - h0) > 1e-8 * max(abs(h0), abs(s0) ** 2):
             raise SheetTrackingError(
                 f"seed^2 = {s0 * s0:.6g} does not match h(0) = {h0:.6g}")
+    # the nearer of +-root to the previous branch value: each step's sign
+    # flip against the previous principal root, accumulated; no step can
+    # tie, since consecutive values are within ARG_STEP in argument
+    roots = np.sqrt(hs)
+    prev = np.concatenate([[s0], roots[1:-1]])
+    flip = np.abs(roots[1:] - prev) > np.abs(roots[1:] + prev)
     ss = np.empty_like(hs)
     ss[0] = s0
-    roots = np.sqrt(hs)
-    for k in range(1, len(hs)):
-        s = roots[k]
-        ss[k] = s if abs(s - ss[k - 1]) <= abs(s + ss[k - 1]) else -s
+    ss[1:] = np.where(np.logical_xor.accumulate(flip), -roots[1:], roots[1:])
     return us, ss
 
 
@@ -140,15 +155,19 @@ class SheetPath:
 
     @classmethod
     def build(cls, f, pieces, y_start):
-        path = cls(f=f, pieces=list(pieces), y_start=complex(y_start),
+        path = cls(f=f, pieces=[], y_start=complex(y_start),
                    y_end=complex(y_start))
-        y = complex(y_start)
-        for pc in path.pieces:
-            us, ss = continue_sqrt(lambda u, pc=pc: f(pc.x_of(u)), seed=y)
-            path.tables.append((us, ss))
-            y = complex(ss[-1])
-        path.y_end = y
+        path.extend(pieces)
         return path
+
+    def extend(self, pieces):
+        """Continue the path along further pieces from its current end."""
+        for pc in pieces:
+            us, ss = continue_sqrt(lambda u, pc=pc: self.f(pc.x_of(u)),
+                                   seed=self.y_end)
+            self.pieces.append(pc)
+            self.tables.append((us, ss))
+            self.y_end = complex(ss[-1])
 
     def y_at(self, i, u, x):
         us, ss = self.tables[i]
@@ -236,13 +255,18 @@ def line_with_detours(roots, x0, x1):
     for t_in, t_out, r, rho in events:
         x_in = x0 + t_in * d
         x_out = x0 + t_out * d
-        if abs(x_in - cur) > tiny:
-            pieces.append(Line(cur, x_in))
         phi_in = float(np.angle(x_in - r))
         dphi = float(np.angle((x_out - r) / (x_in - r)))
         if abs(abs(dphi) - np.pi) < 1e-12:
             dphi = np.pi
-        pieces.append(Arc(r, rho, phi_in, phi_in + dphi))
+        arc = Arc(r, rho, phi_in, phi_in + dphi)
+        # the lines meet the arc at its own end points: x0 + t_in d lies
+        # off the circle by the rounding of t_in (1e-11 was seen), which
+        # is large against a small detour radius, where |f| is small
+        x_in, x_out = complex(arc.x_of(0.0)), complex(arc.x_of(1.0))
+        if abs(x_in - cur) > tiny:
+            pieces.append(Line(cur, x_in))
+        pieces.append(arc)
         cur = x_out
     if abs(x1 - cur) > tiny:
         pieces.append(Line(cur, x1))
@@ -261,21 +285,19 @@ def flip_loop_pieces(roots, x_at):
     clear = _clearances(roots)[k]
     rho = min(DETOUR_FACTOR * clear, 0.6 * abs(x_at - r))
     phi = float(np.angle(x_at - r))
-    pc = r + rho * np.exp(1j * phi)
-    return (line_with_detours(roots, x_at, pc)
-            + [Arc(r, rho, phi, phi + 2 * np.pi)]
-            + line_with_detours(roots, pc, x_at))
+    arc = Arc(r, rho, phi, phi + 2 * np.pi)
+    return (line_with_detours(roots, x_at, complex(arc.x_of(0.0)))
+            + [arc]
+            + line_with_detours(roots, complex(arc.x_of(1.0)), x_at))
 
 
 def path_between(f, roots, P0, P1, tol_end=1e-6):
     """SheetPath from affine point P0 to affine point P1, inserting a
     sheet-flip loop when the straight continuation lands on -y1."""
-    pieces = line_with_detours(roots, P0.x, P1.x)
-    path = SheetPath.build(f, pieces, P0.y)
+    path = SheetPath.build(f, line_with_detours(roots, P0.x, P1.x), P0.y)
     ref = max(abs(path.y_end), abs(P1.y), 1e-300)
     if abs(path.y_end - P1.y) > abs(path.y_end + P1.y):
-        pieces = pieces + flip_loop_pieces(roots, P1.x)
-        path = SheetPath.build(f, pieces, P0.y)
+        path.extend(flip_loop_pieces(roots, P1.x))
     if abs(path.y_end - P1.y) > tol_end * ref:
         raise SheetTrackingError(
             f"continued y = {path.y_end:.6g} does not match target "
@@ -312,7 +334,7 @@ def segment_period_integrals(f, roots, i, j, tol=1e-12):
     ref = d * f.deriv(bi)
     if abs(g0 - ref) > 1e-8 * max(abs(g0), abs(ref)):
         raise SheetTrackingError("factored cofactor fails the endpoint check")
-    us, ss = continue_sqrt(lambda u: complex(G(u)))
+    us, ss = continue_sqrt(G)
     nums = all_numerators(f)
 
     def g(u, d0, d1):

@@ -535,10 +535,12 @@ def jacobi_invert(ctx, z):
     round trip.
     """
     z = _as_z(z)
-    if divisor_clearance(ctx, z) < ZERO_FACTOR:
+    _, jm, jp = _theta_pair(ctx, z, 2)
+    if _clearance(ctx, jm, jp) < ZERO_FACTOR:
         raise OnThetaDivisorError(
             "z lies on the zero set of S; the divisor degenerates")
-    p11, p12, p22 = wp_eval(ctx, z)
+    L = _log_hessian_from_pair(ctx, jm, jp)
+    p11, p12, p22 = _wp_from_hessian(ctx, z, L)
     disc = np.sqrt(p22 ** 2 + 4.0 * p12)
     x1 = (p22 + disc) / 2.0
     x2 = (p22 - disc) / 2.0

@@ -350,3 +350,17 @@ def test_bundle_makes_one_kernel_call(monkeypatch, w5_ctx, g5_ctx, g6_ctx):
         calls.clear()
         k2.evaluate_bundle(ctx, z, want_sigma=sigma)
         assert calls == [3 if sigma else 2]
+
+
+def test_jacobi_invert_makes_one_kernel_call(monkeypatch, any_ctx):
+    calls = []
+    kernel = k2.kleinian.theta_jet
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return kernel(*args, **kwargs)
+
+    z = sample_z(any_ctx, np.random.default_rng(57))
+    monkeypatch.setattr(k2.kleinian, "theta_jet", counted)
+    k2.jacobi_invert(any_ctx, z)
+    assert calls == [2]

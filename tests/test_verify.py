@@ -109,3 +109,18 @@ def test_measured_jets_shape(any_ctx):
     assert abs(jets["S11"]["00"] - 1.0) < 1e-6
     assert abs(jets["S22"]["11"] - 2.0) < 1e-6
     assert abs(jets["S12"]["02"] + 2.0) < 1e-6
+
+
+@pytest.mark.parametrize("roots", [
+    [0, 1e-3, 2j, -1 + 1j, 3],
+    [-0.682 - 0.545j, -0.603 + 0.849j, 0.317 + 0.734j, 0.436 - 0.654j,
+     0.759 + 0.158j],
+], ids=["clustered_quintic", "ring_quintic"])
+def test_round_trip_through_small_detours(roots):
+    """Inverted points land near a branch point, so the Abel paths take
+    detours where |f| is small (about 1.5e-5 and 1.1e-3 at the junction);
+    a line that stopped short of its arc failed the seed check there."""
+    coeffs = 4.0 * np.poly(roots)[::-1]
+    ctx = k2.make_context(k2.validate_polynomial(coeffs))
+    rep = k2.run_suite(ctx, seed=1, checks=["inversion_round_trip"])
+    assert rep.checks[0]["pass"] is True, rep.checks[0]
