@@ -15,6 +15,7 @@ from .errors import (ConvergenceError, DegreeError, InfinitePointError,
 SEP_FACTOR = 1e-8       # root separation threshold, relative to root scale
 DIAG_FACTOR = 1e-4      # |x1 - x2| below this (times scale): series branch
 EPS_ON_CURVE = 1e-8
+SPECIAL_TOL = 1e-9      # is_special: x and y mismatch, relative
 
 
 def poly_eval(coeffs, x):
@@ -96,12 +97,12 @@ class Divisor:
     q: CurvePoint
 
 
-def validate_polynomial(coeffs, eps_sep=None):
+def validate_polynomial(coeffs):
     """Check degree and root simplicity; returns the validated polynomial.
 
     Raises DegreeError when f5 = f6 = 0 and RepeatedRootError when the
-    minimal pairwise root distance falls below eps_sep (default
-    1e-8 * max(1, root scale)).
+    minimal pairwise root distance falls below SEP_FACTOR * max(1, root
+    scale).
     """
     c = [complex(v) for v in coeffs]
     if len(c) > 7:
@@ -117,14 +118,13 @@ def validate_polynomial(coeffs, eps_sep=None):
     f = AdmissiblePolynomial(tuple(c), degree, wform)
     roots = branch_points(f)
     scale = max(1.0, max(abs(r) for r in roots))
-    if eps_sep is None:
-        eps_sep = SEP_FACTOR * scale
+    min_sep = SEP_FACTOR * scale
     for i in range(len(roots)):
         for j in range(i + 1, len(roots)):
-            if abs(roots[i] - roots[j]) <= eps_sep:
+            if abs(roots[i] - roots[j]) <= min_sep:
                 raise RepeatedRootError(
                     f"roots {roots[i]:.6g} and {roots[j]:.6g} closer "
-                    f"than {eps_sep:.3g}")
+                    f"than {min_sep:.3g}")
     return f
 
 
@@ -157,7 +157,7 @@ def on_curve(f, P, eps=EPS_ON_CURVE):
     return abs(P.y ** 2 - fx) <= eps * (1.0 + abs(fx))
 
 
-def is_special(f, D, tol=1e-9):
+def is_special(f, D):
     """(P) + (JP): both points share x with opposite y, or the two infinite
     points pair up (deg 6), or the doubled infinite point (deg 5)."""
     p, q = D.p, D.q
@@ -169,7 +169,8 @@ def is_special(f, D, tol=1e-9):
         return p.infinity != q.infinity
     scale = max(1.0, abs(p.x), abs(q.x))
     ys = max(1.0, abs(p.y), abs(q.y))
-    return abs(p.x - q.x) <= tol * scale and abs(p.y + q.y) <= tol * ys
+    return (abs(p.x - q.x) <= SPECIAL_TOL * scale
+            and abs(p.y + q.y) <= SPECIAL_TOL * ys)
 
 
 def F_eval(f, a, b):

@@ -30,6 +30,7 @@ MAX_NODES = 60000
 BASE_GRID = 32           # minimum continuation nodes per path piece
 DETOUR_FACTOR = 0.45     # detour radius as a fraction of root clearance
 FAR_FACTOR = 12.0        # far-point radius for infinity tails, times scale
+TOL_END = 1e-6           # relative miss of a path's end y against its target
 
 
 @dataclass(frozen=True)
@@ -174,7 +175,7 @@ class SheetPath:
         return lookup_sqrt(us, ss, u, self.f(x))
 
 
-def integrate_forms(path, numerators, tol=1e-12):
+def integrate_forms(path, numerators):
     """Integrals of n_k(x)/y dx along a SheetPath, one per numerator."""
     total = np.zeros(len(numerators), dtype=complex)
     for i, pc in enumerate(path.pieces):
@@ -183,7 +184,7 @@ def integrate_forms(path, numerators, tol=1e-12):
             dx = pc.dx_of(u)
             y = path.y_at(i, u, x)
             return np.stack([nf(x) * dx / y for nf in numerators], axis=1)
-        val, _ = integrate_01(g, tol=tol)
+        val, _ = integrate_01(g)
         total += val
     return total
 
@@ -291,14 +292,14 @@ def flip_loop_pieces(roots, x_at):
             + line_with_detours(roots, complex(arc.x_of(1.0)), x_at))
 
 
-def path_between(f, roots, P0, P1, tol_end=1e-6):
+def path_between(f, roots, P0, P1):
     """SheetPath from affine point P0 to affine point P1, inserting a
     sheet-flip loop when the straight continuation lands on -y1."""
     path = SheetPath.build(f, line_with_detours(roots, P0.x, P1.x), P0.y)
     ref = max(abs(path.y_end), abs(P1.y), 1e-300)
     if abs(path.y_end - P1.y) > abs(path.y_end + P1.y):
         path.extend(flip_loop_pieces(roots, P1.x))
-    if abs(path.y_end - P1.y) > tol_end * ref:
+    if abs(path.y_end - P1.y) > TOL_END * ref:
         raise SheetTrackingError(
             f"continued y = {path.y_end:.6g} does not match target "
             f"{P1.y:.6g}")
@@ -307,7 +308,7 @@ def path_between(f, roots, P0, P1, tol_end=1e-6):
 
 # -- factored branch-point segments -----------------------------------------
 
-def segment_period_integrals(f, roots, i, j, tol=1e-12):
+def segment_period_integrals(f, roots, i, j):
     """Integrals of (dx/y, x dx/y, r1, r2) over the straight segment from
     roots[i] to roots[j], on the sheet fixed by the principal cofactor root.
 
@@ -342,7 +343,7 @@ def segment_period_integrals(f, roots, i, j, tol=1e-12):
         y = lookup_sqrt(us, ss, u, G(u)) * np.sqrt(d0 * d1)
         return np.stack([nf(x) * d / y for nf in nums], axis=1)
 
-    val, _ = integrate_01(g, tol=tol)
+    val, _ = integrate_01(g)
     return val
 
 
@@ -367,7 +368,7 @@ def pair_loop_pieces(roots, i, j):
 
 # -- tails to infinity --------------------------------------------------------
 
-def tail_integrals(f, x_far, y_far, tol=1e-12):
+def tail_integrals(f, x_far, y_far):
     """Integrals of (dx/y, x dx/y) from the far point out to infinity.
 
     Returns (T, landed_plus): T the two integrals along the ray to
@@ -391,7 +392,7 @@ def tail_integrals(f, x_far, y_far, tol=1e-12):
             s = lookup_sqrt(us, ss, tau, h(tau))
             return np.stack([t1 ** 2 * (1.0 - tau) / s, t1 / s], axis=1)
 
-        val, _ = integrate_01(g, tol=tol)
+        val, _ = integrate_01(g)
         s_end = ss[-1]
         pr = np.sqrt(complex(f.coeffs[6]))
         landed_plus = abs(s_end - pr) <= abs(s_end + pr)
@@ -411,11 +412,11 @@ def tail_integrals(f, x_far, y_far, tol=1e-12):
         return np.stack([2 * t1 ** 3 * (1.0 - tau) ** 2 / s,
                          2 * t1 / s], axis=1)
 
-    val, _ = integrate_01(g, tol=tol)
+    val, _ = integrate_01(g)
     return val, True
 
 
-def point_infinity_integrals(f, roots, P, scale, tol=1e-12):
+def point_infinity_integrals(f, roots, P, scale):
     """Holomorphic integrals from a point at infinity to the affine point P
     along a concrete path (tail, then a radial run with detours).
 
@@ -427,25 +428,25 @@ def point_infinity_integrals(f, roots, P, scale, tol=1e-12):
     x_far = R * np.exp(1j * phi)
     pieces = line_with_detours(roots, P.x, x_far)
     path = SheetPath.build(f, pieces, P.y)
-    I_aff = integrate_forms(path, holomorphic_numerators(), tol=tol)
-    T, landed_plus = tail_integrals(f, x_far, path.y_end, tol=tol)
+    I_aff = integrate_forms(path, holomorphic_numerators())
+    T, landed_plus = tail_integrals(f, x_far, path.y_end)
     return -T - I_aff, landed_plus
 
 
-def infinity_to_infinity(f, roots, scale, tol=1e-12):
+def infinity_to_infinity(f, roots, scale):
     """Holomorphic integrals from the infinite point labelled 2 to the one
     labelled 1, routed through a far point and a sheet-flip loop.
     Degree-6 curves only."""
     x_far = FAR_FACTOR * scale * np.exp(0.7310j)
     y_far = complex(np.sqrt(f(x_far)))
-    T, landed_plus = tail_integrals(f, x_far, y_far, tol=tol)
+    T, landed_plus = tail_integrals(f, x_far, y_far)
     if landed_plus:
         y_far = -y_far
         T = -T
     # now the tail from x_far with seed y_far lands on label 2
     loop = SheetPath.build(f, flip_loop_pieces(roots, x_far), y_far)
-    I_loop = integrate_forms(loop, holomorphic_numerators(), tol=tol)
-    T_out, landed_plus = tail_integrals(f, x_far, loop.y_end, tol=tol)
+    I_loop = integrate_forms(loop, holomorphic_numerators())
+    T_out, landed_plus = tail_integrals(f, x_far, loop.y_end)
     if not landed_plus:
         raise SheetTrackingError("flip loop failed to change sheets")
     return -T + I_loop + T_out

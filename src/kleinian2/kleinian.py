@@ -52,7 +52,7 @@ class KleinianContext:
     jet_scale: float
 
 
-def make_context(f, pd=None, tol=1e-12):
+def make_context(f, pd=None):
     """Build the evaluation context, certifying the normalization.
 
     The second z-jet of exp(z^T C z) * theta(u - Delta) * theta(u + Delta)
@@ -60,7 +60,7 @@ def make_context(f, pd=None, tol=1e-12):
     the base-point constant is wrong and evaluation would be meaningless.
     """
     if pd is None:
-        pd = compute_period_data(f, tol=tol)
+        pd = compute_period_data(f)
     tp = ThetaParams.build(pd.Omega)
     Ainv = np.linalg.inv(pd.A)
     C = pd.etaA @ Ainv
@@ -532,7 +532,9 @@ def jacobi_invert(ctx, z):
     x-coordinates come from the quadratic with elementary symmetric
     functions wp22 and -wp12; the y product is fixed by wp11 through the
     two-point function of the curve, and the global sign by an Abel
-    round trip.
+    round trip.  One path serves both signs: negating both y values
+    negates y along the same x-path, and both forms are odd, so the
+    flipped divisor's Abel image is exactly minus this one's.
     """
     z = _as_z(z)
     _, jm, jp = _theta_pair(ctx, z, 2)
@@ -549,13 +551,13 @@ def jacobi_invert(ctx, z):
     target = (F_eval(ctx.f, x1, x2) - 4.0 * p11 * (x1 - x2) ** 2) / 2.0
     if abs(y1 * y2) > 0 and abs(target + y1 * y2) < abs(target - y1 * y2):
         y2 = -y2
+    za = abel_forward(ctx, Divisor(CurvePoint.affine(x1, y1),
+                                   CurvePoint.affine(x2, y2)))
     for s in (1.0, -1.0):
-        D = Divisor(CurvePoint.affine(x1, s * y1),
-                    CurvePoint.affine(x2, s * y2))
-        za = abel_forward(ctx, D)
-        resid = nearest_lattice_residual(ctx.pd, za - z)
+        resid = nearest_lattice_residual(ctx.pd, s * za - z)
         if resid <= TOL_RT * max(1.0, float(np.linalg.norm(z))):
-            return D
+            return Divisor(CurvePoint.affine(x1, s * y1),
+                           CurvePoint.affine(x2, s * y2))
     raise SignResolutionError(
         "no sheet assignment of the inverted divisor reproduces z")
 

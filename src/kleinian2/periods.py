@@ -2,12 +2,13 @@
 
 The homology layout is elementary: four loops, each encircling a consecutive
 pair of branch points in a canonical ordering.  Adjacent loops intersect
-once, so an integer symplectic change of basis turns them into a standard
-(a1, a2, b1, b2) frame.  Orientations of the elementary loops cannot be
-fixed combinatorially from segment data alone, so the assembly searches the
-sign patterns (and the a/b swap) and accepts the variant that passes the
-Riemann-matrix and Legendre certificates; any variant that passes those is
-a genuine symplectic basis, which is all downstream code relies on.
+once, the same chain on every curve, so one constant integer change of
+basis turns them into a standard (a1, a2, b1, b2) frame.  Orientations of
+the elementary loops cannot be fixed combinatorially from segment data
+alone, so the assembly searches the sign patterns (and the a/b swap) and
+accepts the variant that passes the Riemann-matrix and Legendre
+certificates; any variant that passes those is a genuine symplectic
+basis, which is all downstream code relies on.
 
 The base-point constant Delta comes in closed form, not from a search: it
 is one of 16 candidates, a half-period plus (1/2) A^{-1} z_star on degree 6
@@ -33,12 +34,24 @@ TOL_SYM = 1e-8
 TOL_LEG = 1e-8
 COND_CAP = 1e12
 SCALE_BAND = (0.1, 10.0)
+ABEL_SAMPLES = 8        # fan of Abel images certifying Delta
 
 # rows (a1, a2, b1, b2) -> (b1, b2, -a1, -a2), the standard J matrix
 _SWAP = np.array([[0, 0, 1, 0],
                   [0, 0, 0, 1],
                   [-1, 0, 0, 0],
                   [0, -1, 0, 0]], dtype=int)
+# The loops around consecutive branch-point pairs form a chain: adjacent
+# loops share one branch point and meet once, others not at all.  With the
+# +1 pattern claimed (signs are certified downstream) the chain's pairing
+# is the same for every curve, and these integer rows, (a1, a2, b1, b2) in
+# loop coordinates, take it to the standard form _SWAP.
+_FRAME = np.array([[1, 0, 0, 0],
+                   [1, 0, 1, 0],
+                   [0, 1, 0, 0],
+                   [0, 0, 0, 1]], dtype=int)
+_SWAP.setflags(write=False)
+_FRAME.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -52,42 +65,8 @@ class CycleSet:
     intersection is the pairing matrix of the transformed frame.
     """
     pairs: tuple
-    cycles: tuple
     intersection: np.ndarray
     transform: np.ndarray
-    labels: tuple = ("a1", "a2", "b1", "b2")
-
-
-def _pairing(M, u, v):
-    return int(u @ M @ v)
-
-
-def _symplectic_gram_schmidt(M):
-    """Integer rows (a1, a2, b1, b2) with T M T^T equal to the standard
-    symplectic form, for an antisymmetric integer M with unit pairings."""
-    vecs = [np.eye(4, dtype=int)[k] for k in range(4)]
-    a_rows, b_rows = [], []
-    for _ in range(2):
-        found = None
-        for i in range(len(vecs)):
-            for j in range(len(vecs)):
-                if abs(_pairing(M, vecs[i], vecs[j])) == 1:
-                    found = (i, j)
-                    break
-            if found:
-                break
-        if found is None:
-            raise RiemannMatrixError("no unimodular pair in intersection form")
-        a = vecs[found[0]]
-        b = vecs[found[1]]
-        if _pairing(M, a, b) == -1:
-            b = -b
-        rest = [v for k, v in enumerate(vecs) if k not in found]
-        vecs = [v - _pairing(M, v, b) * a + _pairing(M, v, a) * b
-                for v in rest]
-        a_rows.append(a)
-        b_rows.append(b)
-    return np.array(a_rows + b_rows, dtype=int)
 
 
 def _segment_distance(p, a, b):
@@ -131,17 +110,7 @@ def build_cycles(f, ordering=None):
     scale = max(1.0, max(abs(r) for r in roots))
     pairs = tuple((i, i + 1) for i in range(4))
     _check_geometry(roots, pairs, scale)
-    cycles = tuple(((i, j, +1), (j, i, -1)) for i, j in pairs)
-    # adjacent loops share one branch point and meet once; the signs are
-    # certified downstream, so claim the +1 pattern here
-    M = np.zeros((4, 4), dtype=int)
-    for i in range(3):
-        M[i, i + 1] = 1
-        M[i + 1, i] = -1
-    T = _symplectic_gram_schmidt(M)
-    inter = T @ M @ T.T
-    return CycleSet(pairs=pairs, cycles=cycles, intersection=inter,
-                    transform=T)
+    return CycleSet(pairs=pairs, intersection=_SWAP, transform=_FRAME)
 
 
 @dataclass(frozen=True)
@@ -174,13 +143,13 @@ class PeriodData:
     z_star: np.ndarray
 
 
-def elementary_cycle_integrals(f, roots, pairs, tol=1e-12):
+def elementary_cycle_integrals(f, roots, pairs):
     """Row k holds the integrals of (omega1, omega2, r1, r2) over loop k;
     a loop doubles its segment integral (out on one sheet, back on the
     other, where dx/y picks up the same value)."""
     W = np.zeros((4, 4), dtype=complex)
     for k, (i, j) in enumerate(pairs):
-        W[k] = 2.0 * segment_period_integrals(f, roots, i, j, tol=tol)
+        W[k] = 2.0 * segment_period_integrals(f, roots, i, j)
     return W
 
 
@@ -209,7 +178,7 @@ def _certified(r):
             and max(r["sym_ab"], r["sym_a"], r["sym_b"]) <= TOL_LEG)
 
 
-def compute_period_data(f, ordering=None, tol=1e-12):
+def compute_period_data(f, ordering=None):
     """Full period data for the curve, certified before return.
 
     ordering optionally permutes the canonical branch-point order, which
@@ -224,7 +193,7 @@ def compute_period_data(f, ordering=None, tol=1e-12):
         warnings.warn("branch points far outside unit scale; double "
                       "precision certificates may degrade", stacklevel=2)
     cs = build_cycles(f, ordering=ordering)
-    W = elementary_cycle_integrals(f, roots, cs.pairs, tol=tol)
+    W = elementary_cycle_integrals(f, roots, cs.pairs)
 
     best = None
     for signs in product([1], [1, -1], [1, -1], [1, -1]):
@@ -248,14 +217,12 @@ def compute_period_data(f, ordering=None, tol=1e-12):
             "no loop orientation yields a certified Riemann matrix; "
             "cycle construction is inconsistent for this curve")
     A, B, etaA, etaB, Omega, T = best
-    cs = CycleSet(pairs=cs.pairs, cycles=cs.cycles,
-                  intersection=cs.intersection, transform=T)
+    cs = CycleSet(pairs=cs.pairs, intersection=cs.intersection, transform=T)
 
     z_star = None
     if f.degree == 6:
-        z_star = infinity_to_infinity(f, roots, scale, tol=tol)
-    Delta, char = _riemann_constant(f, A, Omega, roots, scale, z_star,
-                                    tol=tol)
+        z_star = infinity_to_infinity(f, roots, scale)
+    Delta, char = _riemann_constant(f, A, Omega, roots, scale, z_star)
     for arr in (A, B, etaA, etaB, Omega, Delta):
         arr.setflags(write=False)
     return PeriodData(A=A, B=B, etaA=etaA, etaB=etaB, Omega=Omega,
@@ -302,15 +269,15 @@ def nearest_lattice_residual(pd, z):
 
 # -- Riemann constant ---------------------------------------------------------
 
-def _abel_samples(f, A, roots, scale, z_star, count=8, tol=1e-12):
+def _abel_samples(f, A, roots, scale, z_star):
     """Normalized Abel images u = A^{-1} * integral from J(inf_1) to P for
     a deterministic fan of sample points P."""
     from .curve import CurvePoint
     us = []
-    for k in range(count):
+    for k in range(ABEL_SAMPLES):
         x = 1.7 * scale * np.exp(2j * np.pi * (0.137 + 0.618034 * k))
         P = CurvePoint.affine(x, np.sqrt(complex(f(x))))
-        J, landed_plus = point_infinity_integrals(f, roots, P, scale, tol=tol)
+        J, landed_plus = point_infinity_integrals(f, roots, P, scale)
         z = J
         if f.degree == 6 and landed_plus:
             z = z + z_star
@@ -330,7 +297,7 @@ def riemann_constant(f, pd):
     return Delta
 
 
-def _riemann_constant(f, A, Omega, roots, scale, z_star, tol=1e-12):
+def _riemann_constant(f, A, Omega, roots, scale, z_star):
     """Delta from the closed-form candidate set, certified by vanishing.
 
     At a Weierstrass base point the Riemann constant is a half-period
@@ -343,7 +310,7 @@ def _riemann_constant(f, A, Omega, roots, scale, z_star, tol=1e-12):
     lattice, so exactly one must make theta vanish on every Abel sample.
     """
     tp = ThetaParams.build(Omega)
-    us = _abel_samples(f, A, roots, scale, z_star, tol=tol)
+    us = _abel_samples(f, A, roots, scale, z_star)
     theta_ref = max(abs(theta_eval(tp, np.zeros(2))),
                     max(abs(theta_eval(tp, u)) for u in us))
     shift = 0.0 if z_star is None else 0.5 * np.linalg.solve(A, z_star)

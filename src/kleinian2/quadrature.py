@@ -20,6 +20,8 @@ from .errors import QuadratureError
 T_MAX = 4.5
 BASE_LEVEL = 3
 MAX_LEVEL = 12
+# relative tolerance on the max-norm of every integral the package takes
+TOL = 1e-12
 
 _node_cache = {}
 
@@ -46,16 +48,15 @@ def _nodes(level):
     return _node_cache[level]
 
 
-def integrate_01(g, tol=1e-12, max_level=MAX_LEVEL):
-    """Integrate a vector-valued integrand over (0, 1).
+def integrate_01(g):
+    """Integrate a vector-valued integrand over (0, 1) to relative
+    tolerance TOL on the max-norm of the result.
 
     Parameters
     ----------
     g : callable
         g(u, d0, d1) -> complex array of shape (len(u), k).  d0 and d1 are
         the distances to 0 and 1 (d0 == u; d1 is 1-u computed stably).
-    tol : float
-        Relative tolerance on the max-norm of the result.
 
     Returns
     -------
@@ -67,15 +68,15 @@ def integrate_01(g, tol=1e-12, max_level=MAX_LEVEL):
     acc = w @ g(u, d0, d1)
     est = 2.0 ** (-BASE_LEVEL) * acc
     err = np.inf
-    for level in range(BASE_LEVEL + 1, max_level + 1):
+    for level in range(BASE_LEVEL + 1, MAX_LEVEL + 1):
         u, d0, d1, w = _nodes(level)
         acc = acc + w @ g(u, d0, d1)
         new = 2.0 ** (-level) * acc
         scale = max(np.max(np.abs(new)), 1e-300)
         err = np.max(np.abs(new - est)) / scale
         est = new
-        if err < tol:
+        if err < TOL:
             return est, err
     raise QuadratureError(
-        f"tanh-sinh did not reach rel. tol {tol:g} by level {max_level} "
+        f"tanh-sinh did not reach rel. tol {TOL:g} by level {MAX_LEVEL} "
         f"(last change {err:.2e})")

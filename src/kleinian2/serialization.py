@@ -11,7 +11,8 @@ import json
 import numpy as np
 
 from .curve import CurvePoint, Divisor, validate_polynomial
-from .periods import CycleSet, PeriodData
+from .periods import TOL_LEG, TOL_SYM, CycleSet, PeriodData
+from .theta import EPS_TARGET
 
 
 def cnum(z):
@@ -124,17 +125,15 @@ def period_data_to_json(pd):
                              [int(t) for t in pd.delta_char[1]]]
     if pd.z_star is not None:
         out["z_star"] = cvec(pd.z_star)
-    out["tolerances"] = {"tol_sym": 1e-8, "tol_leg": 1e-8,
-                         "eps_target": 1e-12}
+    out["tolerances"] = {"tol_sym": TOL_SYM, "tol_leg": TOL_LEG,
+                         "eps_target": EPS_TARGET}
     return out
 
 
 def period_data_from_json(obj):
     f = curve_from_json({"coeffs": obj["curve"]})
-    pairs = tuple(tuple(p) for p in obj["pairs"])
     cycles = CycleSet(
-        pairs=pairs,
-        cycles=tuple(((i, j, +1), (j, i, -1)) for i, j in pairs),
+        pairs=tuple(tuple(p) for p in obj["pairs"]),
         intersection=np.array(obj["intersection"], dtype=int),
         transform=np.array(obj["transform"], dtype=int))
     char = None

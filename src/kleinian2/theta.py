@@ -25,6 +25,8 @@ from .errors import RiemannMatrixError, TruncationRadiusError
 
 TAIL_MARGIN = 100.0   # constant C in the tail bound ln(C/eps)
 RADIUS_CAP = 60
+EPS_TARGET = 1e-12    # truncation error eps of every theta sum
+TOL_SYM = 1e-8        # |Omega - Omega^T| accepted, relative to |Omega|
 
 _BINOM = np.array([[math.comb(a, c) for c in range(4)] for a in range(4)],
                   dtype=float)
@@ -36,16 +38,15 @@ _DROP = np.maximum(np.subtract.outer(range(4), range(4)), 0)
 class ThetaParams:
     """Riemann matrix plus the derived quantities the series needs."""
     Omega: np.ndarray
-    eps_target: float
     lam_min: float
 
     @classmethod
-    def build(cls, Omega, eps_target=1e-12, tol_sym=1e-8):
+    def build(cls, Omega):
         Om = np.array(Omega, dtype=complex)
         if Om.shape != (2, 2):
             raise ValueError("Omega must be 2x2")
         asym = np.max(np.abs(Om - Om.T))
-        if asym > tol_sym * max(1.0, np.max(np.abs(Om))):
+        if asym > TOL_SYM * max(1.0, np.max(np.abs(Om))):
             raise RiemannMatrixError(
                 f"Omega not symmetric: |Om - Om^T| = {asym:.2e}")
         Om = 0.5 * (Om + Om.T)
@@ -54,12 +55,12 @@ class ThetaParams:
             raise RiemannMatrixError(
                 f"Im Omega not positive definite (lam_min={lam:.2e})")
         Om.setflags(write=False)
-        return cls(Omega=Om, eps_target=float(eps_target), lam_min=lam)
+        return cls(Omega=Om, lam_min=lam)
 
 
 def _radius(tp, b, order):
     """Smallest R with pi*lam*R^2 - 2 pi b R - order*ln(2 pi R) >= ln(C/eps)."""
-    target = math.log(TAIL_MARGIN / tp.eps_target)
+    target = math.log(TAIL_MARGIN / EPS_TARGET)
     lam = tp.lam_min
     R = 3.0
     for _ in range(12):
@@ -161,7 +162,7 @@ def _leibniz(Om, m, z0, J0, order):
 
 
 def theta_eval(tp, z):
-    """theta(z; Omega), truncation error below tp.eps_target."""
+    """theta(z; Omega), truncation error below EPS_TARGET."""
     return theta_jet(tp, z, 0)[0, 0]
 
 

@@ -23,6 +23,10 @@ from .periods import (compute_period_data, eta_of_lattice, lattice_vector,
                       nearest_lattice_residual)
 
 TINY = 1e-300
+SAMPLE_TRIES = 300      # draws before a sampler gives up
+JET_RADIUS = 0.25       # Taylor-jet circle radius, times jet_scale
+JET_NODES = 32          # trapezoid nodes on the Taylor-jet circle
+FD_NODES = 16           # nodes on each circle of _fd_log_hessian
 
 
 # -- samplers -----------------------------------------------------------------
@@ -31,9 +35,9 @@ def _rng(seed, index):
     return np.random.default_rng(seed * 1000 + index)
 
 
-def _sample_z(ctx, rng, clearance=1e-3, tries=300):
+def _sample_z(ctx, rng, clearance=1e-3):
     pd = ctx.pd
-    for _ in range(tries):
+    for _ in range(SAMPLE_TRIES):
         t = rng.random(4)
         z = pd.A @ t[:2] + pd.B @ t[2:]
         if divisor_clearance(ctx, z) >= clearance:
@@ -48,10 +52,10 @@ def _sample_lattice(rng):
             return k[:2], k[2:]
 
 
-def _sample_divisor(ctx, rng, tries=300):
+def _sample_divisor(ctx, rng):
     f, scale = ctx.f, ctx.pd.scale
     roots = ctx.pd.roots
-    for _ in range(tries):
+    for _ in range(SAMPLE_TRIES):
         xs = []
         for _ in range(2):
             r = scale * (0.3 + 1.2 * rng.random())
@@ -73,7 +77,7 @@ def _rel(diff, *refs):
 
 # -- finite-difference jets ---------------------------------------------------
 
-def measure_taylor_jets(ctx, radius=None, nodes=32):
+def measure_taylor_jets(ctx):
     """Order-2 jets of S, S11, S12, S22 at the origin, measured by Cauchy
     circle quadrature along three directions.
 
@@ -83,18 +87,17 @@ def measure_taylor_jets(ctx, radius=None, nodes=32):
     amplification of evaluation noise).  Returns a dict mapping function
     name to {"00", "10", "01", "20", "11", "02"} derivative values.
     """
-    if radius is None:
-        radius = 0.25 * ctx.jet_scale
+    radius = JET_RADIUS * ctx.jet_scale
     names = ("S", "S11", "S12", "S22")
     s = 1.0 / np.sqrt(2.0)
     dirs = {"e1": np.array([1.0, 0]), "e2": np.array([0, 1.0]),
             "diag": np.array([s, s])}
-    phases = np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    phases = np.exp(2j * np.pi * np.arange(JET_NODES) / JET_NODES)
 
     # b[d][name][m] = sum over j+k = m of c_jk d1^j d2^k, m = 0, 1, 2
     b = {}
     for dname, d in dirs.items():
-        samples = {name: np.zeros(nodes, dtype=complex) for name in names}
+        samples = {name: np.zeros(JET_NODES, dtype=complex) for name in names}
         for i, ph in enumerate(phases):
             z = radius * ph * d
             samples["S"][i] = S_eval(ctx, z)
@@ -121,12 +124,12 @@ def measure_taylor_jets(ctx, radius=None, nodes=32):
     return out
 
 
-def _fd_log_hessian(ctx, z, h, nodes=16):
+def _fd_log_hessian(ctx, z, h):
     """Hessian of log S, measured by differentiating the analytic gradient
     around a circle of radius h (spectrally accurate for the meromorphic
     gradient, unlike a central difference whose truncation error grows with
     the local curvature)."""
-    phases = np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    phases = np.exp(2j * np.pi * np.arange(FD_NODES) / FD_NODES)
     L = np.zeros((2, 2), dtype=complex)
     for k, e in enumerate((np.array([1.0, 0]), np.array([0, 1.0]))):
         vals = np.array([log_S_gradient(ctx, z + h * ph * e)

@@ -28,7 +28,7 @@ def test_segment_integrals_match_mpmath_oracle():
     # come back
     numerators = (lambda x: 1, lambda x: x, lambda x: 3 * x ** 3,
                   lambda x: x ** 2)
-    integrals = segment_period_integrals(f, roots, i0, i1, tol=1e-12)
+    integrals = segment_period_integrals(f, roots, i0, i1)
     with mpmath.workdps(30):
         for num, got in zip(numerators, integrals):
             got = complex(got)

@@ -66,7 +66,7 @@ def test_unreachable_tolerance_raises():
         return noise[idx][:, None] + 0j
 
     with pytest.raises(k2.QuadratureError):
-        integrate_01(g, tol=1e-13)
+        integrate_01(g)
 
 
 def test_continue_sqrt_closed_loop_winding():

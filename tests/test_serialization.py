@@ -71,6 +71,13 @@ def test_period_data_round_trip_exact(g6_ctx):
     assert [complex(c) for c in pd2.f.coeffs] == [complex(c) for c in pd.f.coeffs]
 
 
+
+def test_tolerances_block_reads_the_module_constants(g6_ctx):
+    block = ser.period_data_to_json(g6_ctx.pd)["tolerances"]
+    assert block == {"tol_sym": k2.periods.TOL_SYM,
+                     "tol_leg": k2.periods.TOL_LEG,
+                     "eps_target": k2.theta.EPS_TARGET}
+
 def test_period_data_round_trip_weierstrass(w5_ctx):
     pd = w5_ctx.pd
     pd2 = ser.period_data_from_json(ser.period_data_to_json(pd))
