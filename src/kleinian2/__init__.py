@@ -26,9 +26,9 @@ from .kleinian import (EvalBundle, KleinianContext, S_eval, S_grad,
                        log_S_hessian, make_context, quartic_matrix,
                        quartic_residual, rho_lambda_eval, sigma_eval,
                        sigma_jets, sigma_log_derivs, wp_eval)
-from .periods import (CycleSet, PeriodData, build_cycles,
-                      compute_period_data, eta_of_lattice, lattice_vector,
-                      nearest_lattice_residual, riemann_constant)
+from .periods import (PeriodData, compute_period_data, eta_of_lattice,
+                      lattice_vector, nearest_lattice_residual,
+                      riemann_constant)
 from .theta import ThetaParams, theta_deriv, theta_eval, theta_jet
 from .verify import (CHECK_NAMES, VerificationReport, measure_taylor_jets,
                      run_suite)
@@ -51,7 +51,7 @@ __all__ = [
     "log_S_gradient", "log_S_hessian", "make_context", "quartic_matrix",
     "quartic_residual", "rho_lambda_eval", "sigma_eval", "sigma_jets",
     "sigma_log_derivs", "wp_eval",
-    "CycleSet", "PeriodData", "build_cycles", "compute_period_data",
+    "PeriodData", "compute_period_data",
     "eta_of_lattice", "lattice_vector", "nearest_lattice_residual",
     "riemann_constant",
     "ThetaParams", "theta_deriv", "theta_eval", "theta_jet",

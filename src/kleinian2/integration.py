@@ -347,25 +347,6 @@ def segment_period_integrals(f, roots, i, j):
     return val
 
 
-def pair_loop_pieces(roots, i, j):
-    """Dumbbell loop homologous to the elementary cycle around roots i, j:
-    along the corridor, once around j, back, once around i."""
-    bi = complex(roots[i])
-    bj = complex(roots[j])
-    u = (bj - bi) / abs(bj - bi)
-    clear = _clearances(roots)
-    rho_i = DETOUR_FACTOR * clear[i]
-    rho_j = DETOUR_FACTOR * clear[j]
-    a = bi + rho_i * u
-    b = bj - rho_j * u
-    phi_a = float(np.angle(u))
-    phi_b = float(np.angle(-u))
-    return (line_with_detours(roots, a, b)
-            + [Arc(bj, rho_j, phi_b, phi_b + 2 * np.pi)]
-            + line_with_detours(roots, b, a)
-            + [Arc(bi, rho_i, phi_a, phi_a + 2 * np.pi)])
-
-
 # -- tails to infinity --------------------------------------------------------
 
 def tail_integrals(f, x_far, y_far):

@@ -3,12 +3,14 @@
 The homology layout is elementary: four loops, each encircling a consecutive
 pair of branch points in a canonical ordering.  Adjacent loops intersect
 once, the same chain on every curve, so one constant integer change of
-basis turns them into a standard (a1, a2, b1, b2) frame.  Orientations of
-the elementary loops cannot be fixed combinatorially from segment data
-alone, so the assembly searches the sign patterns (and the a/b swap) and
-accepts the variant that passes the Riemann-matrix and Legendre
-certificates; any variant that passes those is a genuine symplectic
-basis, which is all downstream code relies on.
+basis turns them into a standard (a1, a2, b1, b2) frame.  The loops'
+orientations are read off their own integrals: the generalized Legendre
+relation makes (eta(g).omega(h) - omega(g).eta(h)) / (2 pi i) the
+intersection number of loops g and h (Buchstaber, Enolski, Leykin,
+Kleinian functions, hyperelliptic Jacobians and applications, 1997), so
+the signs of adjacent-loop pairings fix every orientation relative to
+the first loop.  The frame is then certified once by the Riemann-matrix
+and Legendre checks.
 
 The base-point constant Delta comes in closed form, not from a search: it
 is one of 16 candidates, a half-period plus (1/2) A^{-1} z_star on degree 6
@@ -36,37 +38,25 @@ COND_CAP = 1e12
 SCALE_BAND = (0.1, 10.0)
 ABEL_SAMPLES = 8        # fan of Abel images certifying Delta
 
-# rows (a1, a2, b1, b2) -> (b1, b2, -a1, -a2), the standard J matrix
-_SWAP = np.array([[0, 0, 1, 0],
-                  [0, 0, 0, 1],
-                  [-1, 0, 0, 0],
-                  [0, -1, 0, 0]], dtype=int)
+# the standard symplectic form: a_i . b_j = delta_ij, in (a1, a2, b1, b2)
+J = np.array([[0, 0, 1, 0],
+              [0, 0, 0, 1],
+              [-1, 0, 0, 0],
+              [0, -1, 0, 0]], dtype=int)
+# loop k encircles branch points LOOP_PAIRS[k]; its encoding as segments is
+# (i -> j on the tracked sheet, j -> i on the other)
+LOOP_PAIRS = ((0, 1), (1, 2), (2, 3), (3, 4))
 # The loops around consecutive branch-point pairs form a chain: adjacent
-# loops share one branch point and meet once, others not at all.  With the
-# +1 pattern claimed (signs are certified downstream) the chain's pairing
-# is the same for every curve, and these integer rows, (a1, a2, b1, b2) in
-# loop coordinates, take it to the standard form _SWAP.
+# loops share one branch point and meet once, others not at all.  Oriented
+# so that each loop meets the next with pairing +1, the chain's pairing is
+# the same for every curve, and these integer rows, (a1, a2, b1, b2) in
+# loop coordinates, take it to J.
 _FRAME = np.array([[1, 0, 0, 0],
                    [1, 0, 1, 0],
                    [0, 1, 0, 0],
                    [0, 0, 0, 1]], dtype=int)
-_SWAP.setflags(write=False)
+J.setflags(write=False)
 _FRAME.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class CycleSet:
-    """Homology data: elementary branch-pair loops plus the integer
-    change of basis to a symplectic frame.
-
-    pairs[k] = (i, j) means loop k encircles branch points i and j; its
-    encoding as segments is (i -> j on the tracked sheet, j -> i on the
-    other).  transform rows give (a1, a2, b1, b2) in loop coordinates and
-    intersection is the pairing matrix of the transformed frame.
-    """
-    pairs: tuple
-    intersection: np.ndarray
-    transform: np.ndarray
 
 
 def _segment_distance(p, a, b):
@@ -83,9 +73,9 @@ def _segments_cross(a, b, c, d):
             and orient(c, d, a) * orient(c, d, b) < 0)
 
 
-def _check_geometry(roots, pairs, scale):
-    segs = [(roots[i], roots[j]) for i, j in pairs]
-    for k, (i, j) in enumerate(pairs):
+def _check_geometry(roots, scale):
+    segs = [(roots[i], roots[j]) for i, j in LOOP_PAIRS]
+    for k, (i, j) in enumerate(LOOP_PAIRS):
         for m, r in enumerate(roots):
             if m in (i, j):
                 continue
@@ -93,24 +83,11 @@ def _check_geometry(roots, pairs, scale):
                 raise DegenerateGeometryError(
                     "a branch point lies on another pair's segment")
     for k in range(len(segs)):
+        # loops further apart than neighbours share no branch point
         for m in range(k + 2, len(segs)):
-            if set(pairs[k]) & set(pairs[m]):
-                continue
             if _segments_cross(*segs[k], *segs[m]):
                 raise DegenerateGeometryError(
                     "branch-pair segments cross; no planar loop layout")
-
-
-def build_cycles(f, ordering=None):
-    """Four elementary loops around consecutive branch-point pairs, with
-    the integer symplectic change of basis for the standard pairing."""
-    roots = branch_points(f)
-    if ordering is not None:
-        roots = [roots[k] for k in ordering]
-    scale = max(1.0, max(abs(r) for r in roots))
-    pairs = tuple((i, i + 1) for i in range(4))
-    _check_geometry(roots, pairs, scale)
-    return CycleSet(pairs=pairs, intersection=_SWAP, transform=_FRAME)
 
 
 @dataclass(frozen=True)
@@ -126,8 +103,8 @@ class PeriodData:
     characteristic (n0, m0).  On degree 6 the parity of the half-period
     depends on the lattice representative of z_star, so delta_char is
     None.  z_star is the between-infinities integral
-    (degree 6), used by the Abel map; cycles records the branch-point
-    pairing the basis was built from.
+    (degree 6), used by the Abel map.  transform holds the integer rows
+    (a1, a2, b1, b2) in the coordinates of the LOOP_PAIRS loops.
     """
     A: np.ndarray
     B: np.ndarray
@@ -136,19 +113,19 @@ class PeriodData:
     Omega: np.ndarray
     Delta: np.ndarray
     delta_char: tuple
-    cycles: CycleSet
+    transform: np.ndarray
     f: object
     roots: tuple
     scale: float
     z_star: np.ndarray
 
 
-def elementary_cycle_integrals(f, roots, pairs):
+def elementary_cycle_integrals(f, roots):
     """Row k holds the integrals of (omega1, omega2, r1, r2) over loop k;
     a loop doubles its segment integral (out on one sheet, back on the
     other, where dx/y picks up the same value)."""
     W = np.zeros((4, 4), dtype=complex)
-    for k, (i, j) in enumerate(pairs):
+    for k, (i, j) in enumerate(LOOP_PAIRS):
         W[k] = 2.0 * segment_period_integrals(f, roots, i, j)
     return W
 
@@ -178,6 +155,19 @@ def _certified(r):
             and max(r["sym_ab"], r["sym_a"], r["sym_b"]) <= TOL_LEG)
 
 
+def _loop_signs(W):
+    """Orientation of each loop relative to loop 0, from the Legendre
+    pairing I = (e w^T - w e^T) / (2 pi i) of the loop integrals W, where
+    w, e are the first- and second-kind (eta = -r) parts.  Flipping loop k
+    flips the sign of I[k, k+1] and I[k-1, k], so the cumulative product of
+    the rounded adjacent pairings orients every loop to meet its successor
+    with +1, the chain _FRAME takes to J."""
+    w, e = W[:, :2], -W[:, 2:]
+    pairing = (e @ w.T - w @ e.T) / (2j * np.pi)
+    adjacent = np.rint(np.diagonal(pairing, 1).real).astype(int)
+    return np.cumprod(np.concatenate([[1], adjacent]))
+
+
 def compute_period_data(f, ordering=None):
     """Full period data for the curve, certified before return.
 
@@ -192,41 +182,28 @@ def compute_period_data(f, ordering=None):
     if not SCALE_BAND[0] <= max(abs(r) for r in roots) <= SCALE_BAND[1]:
         warnings.warn("branch points far outside unit scale; double "
                       "precision certificates may degrade", stacklevel=2)
-    cs = build_cycles(f, ordering=ordering)
-    W = elementary_cycle_integrals(f, roots, cs.pairs)
-
-    best = None
-    for signs in product([1], [1, -1], [1, -1], [1, -1]):
-        for swap in (False, True):
-            T = cs.transform @ np.diag(signs)
-            if swap:
-                T = _SWAP @ T
-            P = T @ W
-            A = P[:2, :2].T.copy()
-            B = P[2:, :2].T.copy()
-            etaA = -P[:2, 2:].T.copy()
-            etaB = -P[2:, 2:].T.copy()
-            Omega, r = _residuals(A, B, etaA, etaB)
-            if _certified(r):
-                best = (A, B, etaA, etaB, Omega, T)
-                break
-        if best:
-            break
-    if best is None:
+    _check_geometry(roots, scale)
+    W = elementary_cycle_integrals(f, roots)
+    T = _FRAME @ np.diag(_loop_signs(W))
+    P = T @ W
+    A = P[:2, :2].T.copy()
+    B = P[2:, :2].T.copy()
+    etaA = -P[:2, 2:].T.copy()
+    etaB = -P[2:, 2:].T.copy()
+    Omega, r = _residuals(A, B, etaA, etaB)
+    if not _certified(r):
         raise RiemannMatrixError(
-            "no loop orientation yields a certified Riemann matrix; "
-            "cycle construction is inconsistent for this curve")
-    A, B, etaA, etaB, Omega, T = best
-    cs = CycleSet(pairs=cs.pairs, intersection=cs.intersection, transform=T)
+            "the loop orientations read off the Legendre pairing do not "
+            "yield a certified Riemann matrix for this curve")
 
     z_star = None
     if f.degree == 6:
         z_star = infinity_to_infinity(f, roots, scale)
     Delta, char = _riemann_constant(f, A, Omega, roots, scale, z_star)
-    for arr in (A, B, etaA, etaB, Omega, Delta):
+    for arr in (A, B, etaA, etaB, Omega, Delta, T):
         arr.setflags(write=False)
     return PeriodData(A=A, B=B, etaA=etaA, etaB=etaB, Omega=Omega,
-                      Delta=Delta, delta_char=char, cycles=cs, f=f,
+                      Delta=Delta, delta_char=char, transform=T, f=f,
                       roots=tuple(roots), scale=scale, z_star=z_star)
 
 

@@ -11,7 +11,7 @@ import json
 import numpy as np
 
 from .curve import CurvePoint, Divisor, validate_polynomial
-from .periods import TOL_LEG, TOL_SYM, CycleSet, PeriodData
+from .periods import J, LOOP_PAIRS, TOL_LEG, TOL_SYM, PeriodData
 from .theta import EPS_TARGET
 
 
@@ -109,10 +109,9 @@ def period_data_to_json(pd):
         "curve": [cnum(c) for c in pd.f.coeffs],
         "roots": cvec(pd.roots),
         "scale": pd.scale,
-        "pairs": [list(p) for p in pd.cycles.pairs],
-        "transform": [[int(t) for t in row] for row in pd.cycles.transform],
-        "intersection": [[int(t) for t in row]
-                         for row in pd.cycles.intersection],
+        "pairs": [list(p) for p in LOOP_PAIRS],
+        "transform": [[int(t) for t in row] for row in pd.transform],
+        "intersection": [[int(t) for t in row] for row in J],
         "A": cmat(pd.A),
         "B": cmat(pd.B),
         "etaA": cmat(pd.etaA),
@@ -132,10 +131,6 @@ def period_data_to_json(pd):
 
 def period_data_from_json(obj):
     f = curve_from_json({"coeffs": obj["curve"]})
-    cycles = CycleSet(
-        pairs=tuple(tuple(p) for p in obj["pairs"]),
-        intersection=np.array(obj["intersection"], dtype=int),
-        transform=np.array(obj["transform"], dtype=int))
     char = None
     if "delta_char" in obj:
         char = (tuple(int(t) for t in obj["delta_char"][0]),
@@ -149,7 +144,7 @@ def period_data_from_json(obj):
         Omega=parse_cmat(obj["Omega"], (2, 2)),
         Delta=parse_cvec(obj["Delta"], 2),
         delta_char=char,
-        cycles=cycles,
+        transform=np.array(obj["transform"], dtype=int),
         f=f,
         roots=tuple(parse_cvec(obj["roots"], len(obj["roots"]))),
         scale=float(obj["scale"]),

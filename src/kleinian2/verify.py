@@ -42,7 +42,7 @@ def _sample_z(ctx, rng, clearance=1e-3):
         z = pd.A @ t[:2] + pd.B @ t[2:]
         if divisor_clearance(ctx, z) >= clearance:
             return z
-    return z
+    raise KleinianError("could not sample a point clear of the divisor")
 
 
 def _sample_lattice(rng):

@@ -3,12 +3,14 @@ lattice arithmetic, invariance under re-orderings of the branch points, and
 the closed-form base-point constant."""
 
 from dataclasses import replace
+import itertools
 
 import mpmath
 import numpy as np
 import pytest
 
 import kleinian2 as k2
+from kleinian2 import periods
 from kleinian2.integration import segment_period_integrals
 
 from conftest import G6_COEFFS, W5_COEFFS
@@ -121,23 +123,124 @@ def test_eta_is_additive(w5_ctx):
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1.0, np.max(np.abs(rhs)))
 
 
-# -- cycle construction ---------------------------------------------------------
+# -- symplectic frame ----------------------------------------------------------
 
-def test_build_cycles_default():
-    f = k2.validate_polynomial(W5_COEFFS)
-    cs = k2.build_cycles(f)
-    assert cs.pairs == ((0, 1), (1, 2), (2, 3), (3, 4))
-    J = cs.intersection
+def _loop_pairing(W):
+    """(eta(g).omega(h) - omega(g).eta(h)) / (2 pi i) over the loop rows."""
+    w, e = W[:, :2], -W[:, 2:]
+    return (e @ w.T - w @ e.T) / (2j * np.pi)
+
+
+def test_transform_takes_loop_pairing_to_standard_form(w5_ctx, g6_ctx):
+    for ctx in (w5_ctx, g6_ctx):
+        pd = ctx.pd
+        W = periods.elementary_cycle_integrals(ctx.f, pd.roots)
+        T = pd.transform
+        assert np.max(np.abs(T @ _loop_pairing(W) @ T.T - periods.J)) < 1e-8
     want = np.block([[np.zeros((2, 2)), np.eye(2)],
                      [-np.eye(2), np.zeros((2, 2))]])
-    assert np.array_equal(J, want.astype(int))
+    assert np.array_equal(periods.J, want.astype(int))
 
 
-def test_build_cycles_rejects_root_on_segment():
+def test_period_data_rejects_root_on_segment():
     # ordering that joins i to -i straight through the root at 0
     f = k2.validate_polynomial(W5_COEFFS)
     with pytest.raises(k2.DegenerateGeometryError):
-        k2.build_cycles(f, ordering=(0, 3, 1, 4, 2))
+        k2.compute_period_data(f, ordering=(0, 3, 1, 4, 2))
+
+
+def _searched_transform(f, ordering):
+    """Oracle: the first of 16 variants of the constant frame (8 sign
+    patterns with loop 0 fixed, each without and with the a/b swap) whose
+    periods pass the certificate."""
+    roots = k2.branch_points(f)
+    if ordering is not None:
+        roots = [roots[k] for k in ordering]
+    W = periods.elementary_cycle_integrals(f, roots)
+    for signs in itertools.product([1], [1, -1], [1, -1], [1, -1]):
+        for swap in (False, True):
+            T = periods._FRAME @ np.diag(signs)
+            if swap:
+                T = periods.J @ T
+            P = T @ W
+            _, r = periods._residuals(P[:2, :2].T, P[2:, :2].T,
+                                      -P[:2, 2:].T, -P[2:, 2:].T)
+            if periods._certified(r):
+                return T
+    return None
+
+
+def _ring_curve(rng, n, lead):
+    """n roots near the unit circle, adjacent ones about 0.3 apart."""
+    radii = 0.75 + 0.5 * rng.random(n)
+    jitter = 0.3 * (2 * rng.random(n) - 1)
+    angles = 2 * np.pi * (np.arange(n) + jitter) / n + 2 * np.pi * rng.random()
+    return list(lead * np.poly(radii * np.exp(1j * angles))[::-1])
+
+
+def _panel_curve(s, degree):
+    """Roots s * {0, 1, 2i, -1+i, 3, -2-i}; degree 5 drops -2-i and has
+    leading coefficient 4."""
+    roots = s * np.array([0, 1, 2j, -1 + 1j, 3, -2 - 1j])
+    if degree == 5:
+        return list(4.0 * np.poly(roots[:5])[::-1]) + [0.0]
+    return list(np.poly(roots)[::-1])
+
+
+def _frame_curves():
+    rng = np.random.default_rng(77)
+    curves = [("w5", W5_COEFFS), ("g6", G6_COEFFS)]
+    for k in range(2):
+        curves.append((f"ring_wq{k}", _ring_curve(rng, 5, 4.0) + [0.0]))
+        lead = (0.5 + rng.random()) * np.exp(2j * np.pi * rng.random())
+        curves.append((f"ring_q{k}", _ring_curve(rng, 5, lead) + [0.0]))
+        lead = (0.5 + rng.random()) * np.exp(2j * np.pi * rng.random())
+        curves.append((f"ring_s{k}", _ring_curve(rng, 6, lead)))
+    for s in (0.01, 100):
+        for degree in (5, 6):
+            curves.append((f"panel{degree}_s{s}", _panel_curve(s, degree)))
+    return curves
+
+
+FRAME_CURVES = _frame_curves()
+
+
+@pytest.mark.filterwarnings("ignore:branch points far outside unit scale")
+@pytest.mark.parametrize("coeffs", [c for _, c in FRAME_CURVES],
+                         ids=[name for name, _ in FRAME_CURVES])
+def test_transform_matches_orientation_search(coeffs):
+    """The orientations read off the pairing are the ones the certificate
+    search over all 16 variants accepts, in the canonical ordering and in
+    both re-orderings basis_independence uses (where their geometry is
+    admissible)."""
+    f = k2.validate_polynomial(coeffs)
+    n = f.degree
+    built = 0
+    for ordering in (None, (1, 0, 2, 4, 3) + ((5,) if n == 6 else ()),
+                     tuple(range(n - 1, -1, -1))):
+        try:
+            pd = k2.compute_period_data(f, ordering=ordering)
+        except k2.DegenerateGeometryError:
+            assert ordering is not None
+            continue
+        assert np.array_equal(pd.transform, _searched_transform(f, ordering))
+        built += 1
+    assert built >= 2
+
+
+def test_inconsistent_loop_orientation_raises(monkeypatch):
+    """A second-kind part that contradicts the pairing of the first-kind
+    part leaves no certified frame, and no period data is returned."""
+    exact = periods.elementary_cycle_integrals
+
+    def flipped(*args):
+        W = exact(*args)
+        W[1, 2:] *= -1
+        return W
+
+    monkeypatch.setattr(periods, "elementary_cycle_integrals", flipped)
+    with pytest.raises(k2.RiemannMatrixError):
+        k2.compute_period_data(k2.validate_polynomial(W5_COEFFS))
 
 
 def test_scale_band_warning():

@@ -66,8 +66,7 @@ def test_period_data_round_trip_exact(g6_ctx):
     for name in ("A", "B", "etaA", "etaB", "Omega", "Delta"):
         assert np.array_equal(getattr(pd2, name), getattr(pd, name)), name
     assert np.array_equal(pd2.z_star, pd.z_star)
-    assert pd2.cycles.pairs == pd.cycles.pairs
-    assert np.array_equal(pd2.cycles.intersection, pd.cycles.intersection)
+    assert np.array_equal(pd2.transform, pd.transform)
     assert [complex(c) for c in pd2.f.coeffs] == [complex(c) for c in pd.f.coeffs]
 
 
@@ -89,6 +88,20 @@ def test_period_data_round_trip_weierstrass(w5_ctx):
     ctx2 = k2.make_context(pd.f, pd=pd2)
     z = np.array([0.21 + 0.04j, -0.12 + 0.3j])
     assert k2.S_eval(ctx2, z) == k2.S_eval(k2.make_context(pd.f, pd=pd), z)
+
+
+def test_period_json_keys_unchanged(g6_ctx, w5_ctx):
+    """Saved period files keep their schema: the loop pairs and the
+    intersection form are still written, with their constant values."""
+    head = ["curve", "roots", "scale", "pairs", "transform", "intersection",
+            "A", "B", "etaA", "etaB", "Omega", "Delta"]
+    obj = ser.period_data_to_json(g6_ctx.pd)
+    assert list(obj.keys()) == head + ["z_star", "tolerances"]
+    obj = ser.period_data_to_json(w5_ctx.pd)
+    assert list(obj.keys()) == head + ["delta_char", "tolerances"]
+    assert obj["pairs"] == [[0, 1], [1, 2], [2, 3], [3, 4]]
+    assert obj["intersection"] == [[0, 0, 1, 0], [0, 0, 0, 1],
+                                   [-1, 0, 0, 0], [0, -1, 0, 0]]
 
 
 def test_period_json_field_order(w5_ctx):

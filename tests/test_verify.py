@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import kleinian2 as k2
+from kleinian2 import verify
 from kleinian2.serialization import dumps, report_to_json
 
 W5_ONLY = {"log_der_p", "addition_formula", "duplication",
@@ -124,3 +125,14 @@ def test_round_trip_through_small_detours(roots):
     ctx = k2.make_context(k2.validate_polynomial(coeffs))
     rep = k2.run_suite(ctx, seed=1, checks=["inversion_round_trip"])
     assert rep.checks[0]["pass"] is True, rep.checks[0]
+
+
+def test_sampler_that_finds_no_clear_point_reports_an_error(monkeypatch,
+                                                            w5_ctx):
+    """A sampler that never gets clear of the divisor raises instead of
+    handing back an uncertified point; the suite reports it as an error."""
+    monkeypatch.setattr(verify, "divisor_clearance", lambda ctx, z: 0.0)
+    rep = k2.run_suite(w5_ctx, checks=["evenness"])
+    (entry,) = rep.checks
+    assert entry["pass"] is False
+    assert entry["error"].startswith("KleinianError:")
