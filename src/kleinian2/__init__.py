@@ -20,12 +20,12 @@ from .errors import (ConvergenceError, DegenerateGeometryError, DegreeError,
                      RootSelectionAmbiguity, SheetTrackingError,
                      SignResolutionError, SpecialDivisorError,
                      TruncationRadiusError)
-from .kleinian import (EvalBundle, KleinianContext, S_eval, S_grad,
-                       S_jk_eval, abel_forward, divisor_clearance,
-                       evaluate_bundle, jacobi_invert, log_S_gradient,
-                       log_S_hessian, make_context, quartic_matrix,
-                       quartic_residual, rho_lambda_eval, sigma_eval,
-                       sigma_jets, sigma_log_derivs, wp_eval)
+from .kleinian import (EvalBundle, KleinianContext, S_eval, S_jk_eval,
+                       abel_forward, divisor_clearance, evaluate_bundle,
+                       jacobi_invert, log_S_gradient, log_S_hessian,
+                       make_context, quartic_matrix, quartic_residual,
+                       rho_lambda_eval, sigma_eval, sigma_jets,
+                       sigma_log_derivs, wp_eval)
 from .periods import (PeriodData, compute_period_data, eta_of_lattice,
                       lattice_vector, nearest_lattice_residual,
                       riemann_constant)
@@ -46,7 +46,7 @@ __all__ = [
     "IllConditionedLatticeError", "TruncationRadiusError",
     "NormalizationError", "OnThetaDivisorError", "RootSelectionAmbiguity",
     "OnSigmaDivisorError", "NotWeierstrassFormError", "SignResolutionError",
-    "EvalBundle", "KleinianContext", "S_eval", "S_grad", "S_jk_eval",
+    "EvalBundle", "KleinianContext", "S_eval", "S_jk_eval",
     "abel_forward", "divisor_clearance", "evaluate_bundle", "jacobi_invert",
     "log_S_gradient", "log_S_hessian", "make_context", "quartic_matrix",
     "quartic_residual", "rho_lambda_eval", "sigma_eval", "sigma_jets",

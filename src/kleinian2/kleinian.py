@@ -6,6 +6,12 @@ companions with S_jk = wp_jk * S away from the zero set of S.  For
 degree-5 curves the sigma function and its logarithmic derivatives
 (zeta_j, wp_jkl) are available as well.  Everything reduces to theta
 jets on the Jacobian plus an exponential quadratic-form factor.
+
+S = c_S exp(z^T C z) p q, p = theta(u - Delta), q = theta(u + Delta),
+u = A^-1 z.  S, S11, S12, S22 span the weight-2 theta functions, and by
+the addition formula so do pq and E = q p'' + p q'' - p' q'^T - q' p'^T
+(u-derivatives).  So each S_jk is exp(z^T C z) times a fixed combination
+of (pq, E11, E12, E22), found once per curve by make_context.
 """
 
 from dataclasses import dataclass
@@ -25,7 +31,6 @@ from .periods import compute_period_data, nearest_lattice_residual
 from .theta import ThetaParams, theta_eval, theta_jet
 
 ZERO_FACTOR = 1e-6     # on-divisor guard, relative to the theta scale
-NEAR_FACTOR = 1e-4     # degree-6 S_jk switches to extrapolation below this
 TOL_JET = 1e-7
 TOL_RT = 1e-7
 TOL_ID = 1e-7
@@ -40,7 +45,8 @@ class KleinianContext:
     Weierstrass form only, else None) normalizes sigma to d(sigma)/dz1 = 1
     at the origin.  Ainv and C = etaA @ Ainv are cached for the theta
     pullbacks; theta_ref sets the scale for on-divisor guards; jet_scale
-    is a safe step size for finite differences in z."""
+    is a safe step size for finite differences in z; (S11, S12, S22) =
+    exp(z^T C z) sjk_coeffs @ (pq, E11, E12, E22)."""
     f: object
     pd: object
     tp: ThetaParams
@@ -50,6 +56,55 @@ class KleinianContext:
     C: np.ndarray
     theta_ref: float
     jet_scale: float
+    sjk_coeffs: np.ndarray
+
+
+# The paper's jets of S, S11, S12, S22 at z = 0, keyed "k1k2" by the
+# derivative orders; they fix S_jk among the weight-2 theta functions.
+JET_TARGETS = {
+    "S": {"00": 0, "10": 0, "01": 0, "20": 2, "11": 0, "02": 0},
+    "S11": {"00": 1, "10": 0, "01": 0, "20": 0, "11": 0, "02": 0},
+    "S12": {"00": 0, "10": 0, "01": 0, "20": 0, "11": 0, "02": -2},
+    "S22": {"00": 0, "10": 0, "01": 0, "20": 0, "11": 2, "02": 0},
+}
+# the even jets (value, d11, d12, d22) that determine an even function
+_EVEN_JETS = ("00", "20", "11", "02")
+_HESS_ENTRIES = ((0, 0), (0, 1), (1, 1))
+
+
+def _weight2_basis(pd, Ainv, C):
+    """Jets of the basis Theta[eps](w) = exp(i pi eps.Omega.eps / 2 +
+    i pi eps.w) theta(w + Omega eps; 2 Omega), eps in {0, 1}^2.
+
+    B[eps] holds the z = 0 jets (value, d11, d12, d22) of exp(z^T C z)
+    Theta[eps](2 A^-1 z).  The rows of M are the Theta-coefficients of pq,
+    E11, E12, E22 in u: by theta(u + v) theta(u - v) = sum_eps
+    Theta[eps](2u) Theta[eps](2v) (Mumford, Tata Lectures on Theta I,
+    ch. II 6) at v = Delta, and its second v-derivatives there."""
+    Om = pd.Omega
+    # rows 0-3 at w = 0 and rows 4-7 at w = 2 Delta, eps in the same order
+    eps = np.tile([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], (2, 1))
+    w = np.zeros((8, 2), dtype=complex)
+    w[4:] = 2.0 * pd.Delta
+    jet = theta_jet(ThetaParams.build(2.0 * Om), w + eps @ Om, 2)
+    mu = 1j * np.pi * eps
+    fac = np.exp(0.5j * np.pi * np.einsum("ri,ij,rj->r", eps, Om, eps)
+                 + np.einsum("ri,ri->r", mu, w))
+    val = jet[:, 0, 0]
+    grad = np.stack([jet[:, 1, 0], jet[:, 0, 1]], axis=1)
+    hess = np.stack([jet[:, 2, 0], jet[:, 1, 1],
+                     jet[:, 1, 1], jet[:, 0, 2]], axis=1).reshape(8, 2, 2)
+    mg = mu[:, :, None] * grad[:, None, :]
+    theta = fac * val
+    hess = fac[:, None, None] * (hess + mg + mg.transpose(0, 2, 1)
+                                 + mu[:, :, None] * mu[:, None, :]
+                                 * val[:, None, None])
+    hz = 2.0 * C * theta[:4, None, None] + 4.0 * Ainv.T @ hess[:4] @ Ainv
+    B = np.column_stack([theta[:4]]
+                        + [hz[:, j, k] for j, k in _HESS_ENTRIES])
+    M = np.array([theta[4:]] + [4.0 * hess[4:, j, k]
+                                for j, k in _HESS_ENTRIES])
+    return B, M
 
 
 def make_context(f, pd=None):
@@ -58,6 +113,8 @@ def make_context(f, pd=None):
     The second z-jet of exp(z^T C z) * theta(u - Delta) * theta(u + Delta)
     at 0 must be a rank-one symmetric pair with no z2 component; if not,
     the base-point constant is wrong and evaluation would be meaningless.
+    The rows R = T B^-1 M^-1 (T from JET_TARGETS) give S, S11, S12, S22
+    from (pq, E); R's S row must be (c_S, 0, 0, 0).
     """
     if pd is None:
         pd = compute_period_data(f)
@@ -103,12 +160,26 @@ def make_context(f, pd=None):
                 "sigma normalization does not square to the S "
                 "normalization")
 
+    T = np.array([[want[key] for key in _EVEN_JETS]
+                  for want in JET_TARGETS.values()], dtype=complex)
+    B, M = _weight2_basis(pd, Ainv, C)
+    try:
+        R = np.linalg.solve(M.T, np.linalg.solve(B.T, T.T)).T
+    except np.linalg.LinAlgError:
+        raise NormalizationError(
+            "the weight-2 theta jets are singular") from None
+    if np.max(np.abs(R[0] / c_S - [1.0, 0.0, 0.0, 0.0])) > TOL_JET:
+        raise NormalizationError(
+            "the weight-2 coefficients do not reproduce S; the jet table, "
+            "the theta basis and the S normalization are inconsistent")
+    sjk_coeffs = R[1:]
+
     jet_scale = 0.5 * float(np.linalg.svd(pd.A, compute_uv=False)[-1])
-    for arr in (Ainv, C):
+    for arr in (Ainv, C, sjk_coeffs):
         arr.setflags(write=False)
     return KleinianContext(f=f, pd=pd, tp=tp, c_S=c_S, c_sigma=c_sigma,
                            Ainv=Ainv, C=C, theta_ref=theta_ref,
-                           jet_scale=jet_scale)
+                           jet_scale=jet_scale, sjk_coeffs=sjk_coeffs)
 
 
 # -- scalar evaluation --------------------------------------------------------
@@ -170,17 +241,6 @@ def S_eval(ctx, z):
     z = _as_z(z)
     _, jm, jp = _theta_pair(ctx, z, 0)
     return _S_from_pair(ctx, z, jm, jp)
-
-
-def S_grad(ctx, z):
-    """Analytic gradient of S."""
-    z = _as_z(z)
-    u, jm, jp = _theta_pair(ctx, z, 1)
-    p, q = jm[0, 0], jp[0, 0]
-    gp = _pullback_jets(ctx, jm, 1)[0]
-    gq = _pullback_jets(ctx, jp, 1)[0]
-    e = ctx.c_S * np.exp(z @ ctx.C @ z)
-    return e * (2.0 * (ctx.C @ z) * p * q + gp * q + p * gq)
 
 
 def _require_off_divisor(ctx, jm, jp):
@@ -316,88 +376,27 @@ def _resolve_root(ctx, z, cands, depth):
         "nearby reference point resolves them")
 
 
-# -- the weight-2 quota S11, S12, S22 ----------------------------------------
+# -- the weight-2 companions S11, S12, S22 ---------------------------------
 
-def _sigma_twist(ctx, z, u):
-    """Quadratic + characteristic-linear exponent for the single-theta
-    representation (degree 5)."""
-    n0, m0 = ctx.pd.delta_char
-    lin = -1j * np.pi * (np.asarray(m0) @ u)
-    return 0.5 * (z @ ctx.C @ z) + lin
-
-
-def _sjk_degree5(ctx, z, u, jm):
-    """(S11, S12, S22) on degree 5 from the jet at u - Delta (order >= 2)."""
-    p = jm[0, 0]
-    gz, Hz, _ = _pullback_jets(ctx, jm, 2)
-    e2g = np.exp(2.0 * _sigma_twist(ctx, z, u))
-    G = e2g * (p * Hz - np.outer(gz, gz) + ctx.C * p ** 2)
-    f5 = ctx.f.coeffs[5]
-    return np.array([ctx.c_S * G[0, 0],
-                     (4.0 * ctx.c_S / f5) * G[0, 1],
-                     (4.0 * ctx.c_S / f5) * G[1, 1]])
-
-
-def _sjk_direct(ctx, z, jm, jp):
-    """wp * S from the theta pair at z (order >= 2)."""
-    L = _log_hessian_from_pair(ctx, jm, jp)
-    return _S_from_pair(ctx, z, jm, jp) * np.array(_wp_from_hessian(ctx, z, L))
-
-
-_EX_WEIGHTS = (1.5, -0.6, 0.1)
-
-
-def _sjk_extrapolated(ctx, z):
-    """Even 6-node extrapolation through off-divisor points; S_jk is
-    entire, so the poles of wp against the zero of S cancel and nearby
-    values extrapolate cleanly."""
-    z = _as_z(z)
-    h = 0.02 * ctx.jet_scale
-    dirs = []
-    g = S_grad(ctx, z)
-    gn = np.linalg.norm(g)
-    if gn > 0:
-        dirs.append(g / gn)
-    s = 1.0 / np.sqrt(2.0)
-    dirs += [np.array([1.0, 0]), np.array([0, 1.0]),
-             np.array([s, s]), np.array([s, -s])]
-    chosen, best, best_clear = None, None, -1.0
-    for d in dirs:
-        clear = min(divisor_clearance(ctx, z + k * h * d)
-                    for k in (-3, -2, -1, 1, 2, 3))
-        if clear > best_clear:
-            best, best_clear = d, clear
-        if clear >= 0.3 * NEAR_FACTOR:
-            chosen = d
-            break
-    if chosen is None:
-        chosen = best
-
-    def direct(w):
-        _, jm, jp = _theta_pair(ctx, w, 2)
-        return _sjk_direct(ctx, w, jm, jp)
-
-    out = np.zeros(3, dtype=complex)
-    for k, wk in enumerate(_EX_WEIGHTS, start=1):
-        out += 0.5 * wk * (direct(z + k * h * chosen)
-                           + direct(z - k * h * chosen))
-    return out
+def _sjk_from_pair(ctx, z, jm, jp):
+    """(S11, S12, S22) at z from the order-2 jets p at u - Delta and q at
+    u + Delta: exp(z^T C z) times the fixed rows sjk_coeffs applied to
+    (pq, E11, E12, E22), E = q p'' + p q'' - p' q'^T - q' p'^T."""
+    p, q = jm[0, 0], jp[0, 0]
+    e = np.array([p * q,
+                  q * jm[2, 0] + p * jp[2, 0] - 2.0 * jm[1, 0] * jp[1, 0],
+                  q * jm[1, 1] + p * jp[1, 1] - jm[1, 0] * jp[0, 1]
+                  - jm[0, 1] * jp[1, 0],
+                  q * jm[0, 2] + p * jp[0, 2] - 2.0 * jm[0, 1] * jp[0, 1]])
+    return np.exp(z @ ctx.C @ z) * (ctx.sjk_coeffs @ e)
 
 
 def S_jk_eval(ctx, z):
-    """(S11, S12, S22) at z; entire, no excluded points.
-
-    Degree-5 curves use an exact single-theta product form that stays
-    stable on the zero set of S; degree-6 curves use wp * S directly and
-    switch to even extrapolation when z is too close to that zero set.
-    """
+    """(S11, S12, S22) at z; entire, no excluded points.  One exact
+    formula on both degrees, on and off the zero set of S."""
     z = _as_z(z)
-    u, jm, jp = _theta_pair(ctx, z, 2)
-    if ctx.f.coeffs[6] == 0:
-        return _sjk_degree5(ctx, z, u, jm)
-    if _clearance(ctx, jm, jp) < NEAR_FACTOR:
-        return _sjk_extrapolated(ctx, z)
-    return _sjk_direct(ctx, z, jm, jp)
+    _, jm, jp = _theta_pair(ctx, z, 2)
+    return _sjk_from_pair(ctx, z, jm, jp)
 
 
 # -- sigma family (degree 5, Weierstrass form) --------------------------------
@@ -407,6 +406,14 @@ def _require_weierstrass(ctx):
         raise NotWeierstrassFormError(
             "sigma functions require a degree-5 curve in Weierstrass "
             "form (f6 = 0, f5 = 4)")
+
+
+def _sigma_twist(ctx, z, u):
+    """Quadratic + characteristic-linear exponent of the single-theta
+    representation of sigma."""
+    n0, m0 = ctx.pd.delta_char
+    lin = -1j * np.pi * (np.asarray(m0) @ u)
+    return 0.5 * (z @ ctx.C @ z) + lin
 
 
 def sigma_eval(ctx, z):
@@ -609,28 +616,22 @@ class EvalBundle:
 
 def evaluate_bundle(ctx, z, want_sigma=False):
     """Every field at z from one theta pair at u -+ Delta, of order 3 with
-    sigma and 2 without; only the degree-6 extrapolation near the zero set
-    of S and the root-selection walk evaluate theta elsewhere."""
+    sigma and 2 without; only the root-selection walk evaluates theta
+    elsewhere."""
     z = _as_z(z)
     if want_sigma:
         _require_weierstrass(ctx)
     u, jm, jp = _theta_pair(ctx, z, 3 if want_sigma else 2)
-    S = _S_from_pair(ctx, z, jm, jp)
-    fields = dict(z=z, S=S)
+    sjk = _sjk_from_pair(ctx, z, jm, jp)
+    fields = dict(z=z, S=_S_from_pair(ctx, z, jm, jp), S11=sjk[0],
+                  S12=sjk[1], S22=sjk[2])
     try:
         L = _log_hessian_from_pair(ctx, jm, jp)
     except OnThetaDivisorError:
-        wp = None
+        pass
     else:
         wp = _wp_from_hessian(ctx, z, L)
         fields.update(p11=wp[0], p12=wp[1], p22=wp[2])
-    if ctx.f.coeffs[6] == 0:
-        sjk = _sjk_degree5(ctx, z, u, jm)
-    elif _clearance(ctx, jm, jp) < NEAR_FACTOR:
-        sjk = _sjk_extrapolated(ctx, z)
-    else:
-        sjk = S * np.array(wp)
-    fields.update(S11=sjk[0], S12=sjk[1], S22=sjk[2])
     if want_sigma:
         fields["sigma"] = _sigma_from_jet(ctx, z, u, jm)
         try:

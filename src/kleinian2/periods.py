@@ -19,7 +19,7 @@ theta-vanishing certificate on a fan of Abel images must accept exactly
 one of them.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 import warnings
 
@@ -104,7 +104,8 @@ class PeriodData:
     depends on the lattice representative of z_star, so delta_char is
     None.  z_star is the between-infinities integral
     (degree 6), used by the Abel map.  transform holds the integer rows
-    (a1, a2, b1, b2) in the coordinates of the LOOP_PAIRS loops.
+    (a1, a2, b1, b2) in the coordinates of the LOOP_PAIRS loops.  Array
+    fields are stored as read-only copies, however the data was made.
     """
     A: np.ndarray
     B: np.ndarray
@@ -118,6 +119,14 @@ class PeriodData:
     roots: tuple
     scale: float
     z_star: np.ndarray
+
+    def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if field.type is np.ndarray and value is not None:
+                value = np.array(value)
+                value.setflags(write=False)
+                object.__setattr__(self, field.name, value)
 
 
 def elementary_cycle_integrals(f, roots):
@@ -186,10 +195,10 @@ def compute_period_data(f, ordering=None):
     W = elementary_cycle_integrals(f, roots)
     T = _FRAME @ np.diag(_loop_signs(W))
     P = T @ W
-    A = P[:2, :2].T.copy()
-    B = P[2:, :2].T.copy()
-    etaA = -P[:2, 2:].T.copy()
-    etaB = -P[2:, 2:].T.copy()
+    A = P[:2, :2].T
+    B = P[2:, :2].T
+    etaA = -P[:2, 2:].T
+    etaB = -P[2:, 2:].T
     Omega, r = _residuals(A, B, etaA, etaB)
     if not _certified(r):
         raise RiemannMatrixError(
@@ -200,8 +209,6 @@ def compute_period_data(f, ordering=None):
     if f.degree == 6:
         z_star = infinity_to_infinity(f, roots, scale)
     Delta, char = _riemann_constant(f, A, Omega, roots, scale, z_star)
-    for arr in (A, B, etaA, etaB, Omega, Delta, T):
-        arr.setflags(write=False)
     return PeriodData(A=A, B=B, etaA=etaA, etaB=etaB, Omega=Omega,
                       Delta=Delta, delta_char=char, transform=T, f=f,
                       roots=tuple(roots), scale=scale, z_star=z_star)

@@ -15,12 +15,13 @@ import numpy as np
 
 from .curve import CurvePoint, Divisor, xi_eval
 from .errors import DegenerateGeometryError, KleinianError
-from .kleinian import (DIAG_FACTOR, S_eval, S_jk_eval, TOL_ID,
-                       divisor_clearance, log_S_gradient, make_context,
-                       quartic_residual, rho_lambda_eval, sigma_eval,
-                       sigma_jets, jacobi_invert, abel_forward, wp_eval)
-from .periods import (compute_period_data, eta_of_lattice, lattice_vector,
-                      nearest_lattice_residual)
+from .kleinian import (DIAG_FACTOR, JET_TARGETS, S_eval, S_jk_eval,
+                       TOL_ID, divisor_clearance, log_S_gradient,
+                       make_context, quartic_residual, rho_lambda_eval,
+                       sigma_eval, sigma_jets, jacobi_invert, abel_forward,
+                       wp_eval)
+from .periods import (_residuals, compute_period_data, eta_of_lattice,
+                      lattice_vector, nearest_lattice_residual)
 
 TINY = 1e-300
 SAMPLE_TRIES = 300      # draws before a sampler gives up
@@ -142,13 +143,8 @@ def _fd_log_hessian(ctx, z, h):
 
 def _check_legendre(ctx, rng, tol):
     pd = ctx.pd
-    eye = 2j * np.pi * np.eye(2)
-    res = [np.max(np.abs(pd.etaA.T @ pd.B - pd.A.T @ pd.etaB - eye)),
-           np.max(np.abs(pd.B @ pd.etaA.T - pd.A @ pd.etaB.T - eye)),
-           np.max(np.abs(pd.etaA @ pd.etaB.T - (pd.etaA @ pd.etaB.T).T)),
-           np.max(np.abs(pd.etaA.T @ pd.A - (pd.etaA.T @ pd.A).T)),
-           np.max(np.abs(pd.etaB.T @ pd.B - (pd.etaB.T @ pd.B).T))]
-    worst = float(max(res))
+    r = _residuals(pd.A, pd.B, pd.etaA, pd.etaB)[1]
+    worst = max(r["leg1"], r["leg2"], r["sym_ab"], r["sym_a"], r["sym_b"])
     return 1, worst, worst <= tol
 
 
@@ -168,10 +164,9 @@ def _check_eta_integrality(ctx, rng, tol):
 
 
 def _check_riemann_matrix(ctx, rng, tol):
-    Om = ctx.pd.Omega
-    sym = float(np.max(np.abs(Om - Om.T)))
-    lam = float(np.min(np.linalg.eigvalsh(0.5 * (Om + Om.T).imag)))
-    return 1, sym, sym <= tol and lam > 0
+    pd = ctx.pd
+    r = _residuals(pd.A, pd.B, pd.etaA, pd.etaB)[1]
+    return 1, r["sym"], r["sym"] <= tol and r["lam_min"] > 0
 
 
 def _check_quasi_periodicity(ctx, rng, tol):
@@ -268,18 +263,10 @@ def _check_round_trip(ctx, rng, tol):
     return 20, float(worst), worst <= tol
 
 
-_JET_TARGETS = {
-    "S": {"00": 0, "10": 0, "01": 0, "20": 2, "11": 0, "02": 0},
-    "S11": {"00": 1, "10": 0, "01": 0, "20": 0, "11": 0, "02": 0},
-    "S12": {"00": 0, "10": 0, "01": 0, "20": 0, "11": 0, "02": -2},
-    "S22": {"00": 0, "10": 0, "01": 0, "20": 0, "11": 2, "02": 0},
-}
-
-
 def _check_taylor_jets(ctx, rng, tol):
     jets = measure_taylor_jets(ctx)
     worst = 0.0
-    for name, want in _JET_TARGETS.items():
+    for name, want in JET_TARGETS.items():
         for key, target in want.items():
             worst = max(worst, abs(jets[name][key] - target))
     return 24, float(worst), worst <= tol

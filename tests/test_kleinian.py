@@ -5,7 +5,7 @@ import pytest
 
 import kleinian2 as k2
 
-from conftest import sample_divisor, sample_z
+from conftest import G6_COEFFS, sample_divisor, sample_z
 
 
 def test_context_certificates(w5_ctx, g6_ctx):
@@ -40,20 +40,6 @@ def test_S_quasi_periodicity_exact_factor(any_ctx):
         lhs = k2.S_eval(ctx, z + w)
         rhs = factor * k2.S_eval(ctx, z)
         assert abs(lhs - rhs) < 1e-8 * max(abs(lhs), abs(rhs))
-
-
-def test_S_grad_matches_circle_quadrature(any_ctx):
-    ctx = any_ctx
-    rng = np.random.default_rng(43)
-    r = 0.05 * ctx.jet_scale
-    phases = np.exp(2j * np.pi * np.arange(16) / 16)
-    for _ in range(5):
-        z = sample_z(ctx, rng)
-        got = k2.S_grad(ctx, z)
-        for j, e in enumerate(np.eye(2)):
-            vals = np.array([k2.S_eval(ctx, z + r * ph * e) for ph in phases])
-            want = np.mean(vals / phases) / r
-            assert abs(got[j] - want) < 1e-9 * max(1.0, abs(want))
 
 
 def test_log_hessian_on_divisor_raises(any_ctx):
@@ -182,7 +168,7 @@ def test_sjk_equals_wp_times_S(any_ctx):
 
 def test_sjk_continuous_into_divisor(g6_ctx):
     """S_jk is entire: walking into the zero set of S (where wp blows up)
-    must stay smooth across the switch to the extrapolated branch."""
+    it must stay smooth."""
     ctx = g6_ctx
     rng = np.random.default_rng(49)
     z0 = sample_z(ctx, rng, clearance=0.2)
@@ -203,6 +189,51 @@ def test_sjk_continuous_into_divisor(g6_ctx):
     steps = np.abs(np.diff(vals, axis=0))
     scale = max(1.0, float(np.max(np.abs(vals))))
     assert float(np.max(steps)) < 0.2 * scale
+
+
+WIDE_SEXTIC_ROOTS = np.array([0, 1, 2j, -1 + 1j, 3, -2 - 1j])
+
+
+@pytest.mark.parametrize("s", [0.01, 30.0])
+def test_sjk_at_abel_images_on_wide_sextics(s):
+    """S_jk = xi_jk(D) S at the Abel image of a divisor D, on sextics
+    whose roots s {0, 1, 2i, -1+i, 3, -2-i} leave the wp root selection
+    ambiguous: S_jk needs no wp."""
+    f = k2.validate_polynomial(list(np.poly(s * WIDE_SEXTIC_ROOTS)[::-1]))
+    with pytest.warns(UserWarning, match="unit scale"):
+        ctx = k2.make_context(f)
+    rng = np.random.default_rng(59)
+    done = 0
+    while done < 4:
+        xs = s * (0.5 + 3.0 * rng.random(2)) * np.exp(
+            2j * np.pi * rng.random(2))
+        if (abs(xs[0] - xs[1]) < 0.1 * s
+                or min(abs(x - r) for x in xs
+                       for r in s * WIDE_SEXTIC_ROOTS) < 0.1 * s):
+            continue
+        D = k2.Divisor(*(k2.CurvePoint.affine(x, rng.choice([-1, 1])
+                                              * np.sqrt(f(x))) for x in xs))
+        z = k2.abel_forward(ctx, D)
+        got = np.array(k2.S_jk_eval(ctx, z))
+        want = np.array(k2.xi_eval(f, D)) * k2.S_eval(ctx, z)
+        assert np.max(np.abs(got - want)) < 1e-8 * np.max(np.abs(want))
+        done += 1
+
+
+def test_corrupt_weight2_basis_fails_certificate(monkeypatch):
+    """A wrong Theta-basis row for pq breaks the S row of the S_jk
+    coefficients, and make_context refuses the context."""
+    basis = k2.kleinian._weight2_basis
+
+    def corrupted(*args):
+        B, M = basis(*args)
+        M = M.copy()
+        M[0, 1] *= 1.0 + 1e-4
+        return B, M
+
+    monkeypatch.setattr(k2.kleinian, "_weight2_basis", corrupted)
+    with pytest.raises(k2.NormalizationError, match="weight-2"):
+        k2.make_context(k2.validate_polynomial(G6_COEFFS))
 
 
 def test_taylor_z2_quartic_coefficient(g6_ctx):
@@ -341,19 +372,9 @@ def test_bundle_matches_scalar_functions(name, w5_ctx, g5_ctx, g6_ctx):
             assert b.sigma is None and b.zeta1 is None
 
 
-def test_bundle_on_divisor_extrapolates_sjk(g6_ctx):
-    """At z = 0 on a sextic S vanishes: no wp, and S_jk comes from the
-    extrapolated branch, as in S_jk_eval."""
-    z = np.zeros(2)
-    b = k2.evaluate_bundle(g6_ctx, z)
-    assert b.p11 is None
-    scale = abs(g6_ctx.c_S) * g6_ctx.theta_ref ** 2
-    assert abs(b.S - k2.S_eval(g6_ctx, z)) <= 1e-12 * scale
-    for got, want in zip((b.S11, b.S12, b.S22), k2.S_jk_eval(g6_ctx, z)):
-        assert _close(got, want)
-
-
-def test_bundle_makes_one_kernel_call(monkeypatch, w5_ctx, g5_ctx, g6_ctx):
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The orders of the theta_jet calls kleinian makes from here on."""
     calls = []
     kernel = k2.kleinian.theta_jet
 
@@ -362,26 +383,35 @@ def test_bundle_makes_one_kernel_call(monkeypatch, w5_ctx, g5_ctx, g6_ctx):
         return kernel(*args, **kwargs)
 
     monkeypatch.setattr(k2.kleinian, "theta_jet", counted)
+    return calls
+
+
+def test_bundle_sjk_at_origin(kernel_calls, w5_ctx, g5_ctx, g6_ctx):
+    """At z = 0, on the zero set of S, the bundle gives no wp and S_jk =
+    (1, 0, 0), the jets of the paper's table, from one kernel call."""
+    for ctx in (w5_ctx, g5_ctx, g6_ctx):
+        kernel_calls.clear()
+        b = k2.evaluate_bundle(ctx, np.zeros(2))
+        assert kernel_calls == [2]
+        assert b.p11 is None
+        got = np.array([b.S11, b.S12, b.S22])
+        assert np.max(np.abs(got - [1.0, 0.0, 0.0])) < 1e-12
+
+
+def test_bundle_makes_one_kernel_call(kernel_calls, w5_ctx, g5_ctx, g6_ctx):
     rng = np.random.default_rng(56)
     for ctx, sigma in ((w5_ctx, True), (g5_ctx, False), (g6_ctx, False)):
         z = sample_z(ctx, rng)
-        calls.clear()
+        kernel_calls.clear()
         k2.evaluate_bundle(ctx, z, want_sigma=sigma)
-        assert calls == [3 if sigma else 2]
+        assert kernel_calls == [3 if sigma else 2]
 
 
-def test_jacobi_invert_makes_one_kernel_call(monkeypatch, any_ctx):
-    calls = []
-    kernel = k2.kleinian.theta_jet
-
-    def counted(*args, **kwargs):
-        calls.append(args[2])
-        return kernel(*args, **kwargs)
-
+def test_jacobi_invert_makes_one_kernel_call(kernel_calls, any_ctx):
     z = sample_z(any_ctx, np.random.default_rng(57))
-    monkeypatch.setattr(k2.kleinian, "theta_jet", counted)
+    kernel_calls.clear()
     k2.jacobi_invert(any_ctx, z)
-    assert calls == [2]
+    assert kernel_calls == [2]
 
 
 def test_jacobi_invert_makes_one_abel_path(monkeypatch, any_ctx):

@@ -11,6 +11,7 @@ import pytest
 
 import kleinian2 as k2
 from kleinian2 import periods
+from kleinian2 import serialization as ser
 from kleinian2.integration import segment_period_integrals
 
 from conftest import G6_COEFFS, W5_COEFFS
@@ -89,10 +90,18 @@ def test_eta_integrality(any_ctx):
         assert abs(q - round(q.real)) < 1e-8
 
 
-def test_period_data_is_frozen(w5_ctx):
-    pd = w5_ctx.pd
-    with pytest.raises(ValueError):
-        pd.A[0, 0] = 0
+def test_period_data_is_frozen(w5_ctx, g6_ctx):
+    """Every array field is read-only, on computed and JSON-loaded period
+    data alike."""
+    loaded = ser.period_data_from_json(ser.period_data_to_json(g6_ctx.pd))
+    for pd in (w5_ctx.pd, g6_ctx.pd, loaded):
+        for name in ("A", "B", "etaA", "etaB", "Omega", "Delta",
+                     "transform", "z_star"):
+            arr = getattr(pd, name)
+            if arr is None:
+                continue
+            with pytest.raises(ValueError):
+                arr.flat[0] = 0
 
 
 # -- lattice arithmetic ---------------------------------------------------------
