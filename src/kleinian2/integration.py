@@ -13,13 +13,18 @@ The same continuation engine drives the factored branch-point segments used
 for period integrals, where y = s(u) sqrt(u (1-u)) with s a continuous root
 of the nonvanishing cofactor, and the chart at infinity used by Abel-map
 tails.
+
+Continuations stay one per piece, but the quadratures do not: all pieces
+of a path, all segments of the period loops, and a fan of radial runs or
+of tails each go through one stacked integrate_01 call, which looks the
+branch up in the pieces' tables joined into one.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curve import poly_eval
+from .curve import CurvePoint, poly_eval
 from .errors import DegenerateGeometryError, SheetTrackingError
 from .quadrature import integrate_01
 
@@ -175,18 +180,41 @@ class SheetPath:
         return lookup_sqrt(us, ss, u, self.f(x))
 
 
+def _joined_lookup(tables):
+    """lookup_sqrt over several continuation tables at once: the returned
+    function takes parameters u of shape (n,) and values of shape (n, P),
+    column p resolved in tables[p].  Table p is stored offset by 2p; the
+    unit gap between tables keeps the node nearest to any u + 2p,
+    rounding included, in table p."""
+    offset = 2.0 * np.arange(len(tables))
+    us = np.concatenate([t[0] + c for t, c in zip(tables, offset)])
+    ss = np.concatenate([t[1] for t in tables])
+    return lambda u, hvals: lookup_sqrt(us, ss, u[:, None] + offset, hvals)
+
+
+def _path_integrals(paths, numerators):
+    """Integrals of n_k(x)/y dx along each SheetPath, one row per path;
+    the pieces of all paths share one quadrature."""
+    pieces = [pc for path in paths for pc in path.pieces]
+    val = np.zeros((0, len(numerators)), dtype=complex)
+    if pieces:
+        f = paths[0].f
+        branch = _joined_lookup([t for path in paths for t in path.tables])
+
+        def g(u, d0, d1):
+            x = np.stack([pc.x_of(u) for pc in pieces], axis=1)
+            dx = np.stack([pc.dx_of(u) for pc in pieces], axis=1)
+            y = branch(u, f(x))
+            return np.stack([nf(x) * dx / y for nf in numerators], axis=2)
+
+        val, _ = integrate_01(g)
+    ends = np.cumsum([len(path.pieces) for path in paths])[:-1]
+    return np.array([v.sum(axis=0) for v in np.split(val, ends)])
+
+
 def integrate_forms(path, numerators):
     """Integrals of n_k(x)/y dx along a SheetPath, one per numerator."""
-    total = np.zeros(len(numerators), dtype=complex)
-    for i, pc in enumerate(path.pieces):
-        def g(u, d0, d1, i=i, pc=pc):
-            x = pc.x_of(u)
-            dx = pc.dx_of(u)
-            y = path.y_at(i, u, x)
-            return np.stack([nf(x) * dx / y for nf in numerators], axis=1)
-        val, _ = integrate_01(g)
-        total += val
-    return total
+    return _path_integrals([path], numerators)[0]
 
 
 def holomorphic_numerators():
@@ -308,9 +336,11 @@ def path_between(f, roots, P0, P1):
 
 # -- factored branch-point segments -----------------------------------------
 
-def segment_period_integrals(f, roots, i, j):
-    """Integrals of (dx/y, x dx/y, r1, r2) over the straight segment from
-    roots[i] to roots[j], on the sheet fixed by the principal cofactor root.
+def segment_period_integrals(f, roots, pairs):
+    """Row p holds the integrals of (dx/y, x dx/y, r1, r2) over the
+    straight segment from roots[i] to roots[j], (i, j) = pairs[p], on the
+    sheet fixed by the principal cofactor root; all segments share one
+    quadrature.
 
     With x(u) = b_i + u (b_j - b_i) the polynomial factors through
     y = s(u) sqrt(u (1-u)), where s^2 = G(u) = -lc d^2 prod(x(u) - r_k)
@@ -318,30 +348,37 @@ def segment_period_integrals(f, roots, i, j):
     so s is a plain analytic continuation and the endpoint singularity is
     integrable by the doubly exponential rule.
     """
-    bi = complex(roots[i])
-    bj = complex(roots[j])
-    d = bj - bi
-    others = [complex(r) for k, r in enumerate(roots) if k not in (i, j)]
+    roots = np.asarray(roots, dtype=complex)
+    bi = np.array([roots[i] for i, _ in pairs])
+    d = np.array([roots[j] for _, j in pairs]) - bi
+    # others[p]: the roots off segment p, one row per segment
+    others = np.array([np.delete(roots, [i, j]) for i, j in pairs])
     lead = f.leading
 
-    def G(u):
-        x = bi + np.asarray(u) * d
-        acc = np.full_like(np.asarray(x, dtype=complex), -lead * d * d)
-        for r in others:
+    def G(u, p=slice(None)):
+        """Cofactor of segment p at parameters u; by default of every
+        segment, along a new last axis."""
+        x = bi[p] + np.multiply.outer(u, d[p])
+        acc = np.broadcast_to(-lead * d[p] * d[p], np.shape(x))
+        for r in others[p].T:
             acc = acc * (x - r)
         return acc
 
-    g0 = complex(G(0.0))
-    ref = d * f.deriv(bi)
-    if abs(g0 - ref) > 1e-8 * max(abs(g0), abs(ref)):
-        raise SheetTrackingError("factored cofactor fails the endpoint check")
-    us, ss = continue_sqrt(G)
+    tables = []
+    for p in range(len(pairs)):
+        g0 = complex(G(0.0, p))
+        ref = d[p] * f.deriv(bi[p])
+        if abs(g0 - ref) > 1e-8 * max(abs(g0), abs(ref)):
+            raise SheetTrackingError(
+                "factored cofactor fails the endpoint check")
+        tables.append(continue_sqrt(lambda u, p=p: G(u, p)))
+    branch = _joined_lookup(tables)
     nums = all_numerators(f)
 
     def g(u, d0, d1):
-        x = bi + u * d
-        y = lookup_sqrt(us, ss, u, G(u)) * np.sqrt(d0 * d1)
-        return np.stack([nf(x) * d / y for nf in nums], axis=1)
+        x = bi + u[:, None] * d
+        y = branch(u, G(u)) * np.sqrt(d0 * d1)[:, None]
+        return np.stack([nf(x) * d / y for nf in nums], axis=2)
 
     val, _ = integrate_01(g)
     return val
@@ -350,67 +387,81 @@ def segment_period_integrals(f, roots, i, j):
 # -- tails to infinity --------------------------------------------------------
 
 def tail_integrals(f, x_far, y_far):
-    """Integrals of (dx/y, x dx/y) from the far point out to infinity.
+    """Integrals of (dx/y, x dx/y) from far points out to infinity.
 
-    Returns (T, landed_plus): T the two integrals along the ray to
-    infinity in the compactifying chart, and landed_plus whether the
-    continuation arrives at the infinite point labelled 1 (y/x^3 ->
-    +sqrt(f6) principal; always True on degree-5 curves).
+    x_far and y_far give one far point, or equal-length 1-D arrays of
+    them; the tails of a batch share one quadrature.  Returns
+    (T, landed_plus): T the two integrals along each ray to infinity in
+    the compactifying chart, and landed_plus whether each continuation
+    arrives at the infinite point labelled 1 (y/x^3 -> +sqrt(f6)
+    principal; always True on degree-5 curves).  A batch gives T of
+    shape (N, 2) and a bool array landed_plus.
     """
-    x_far = complex(x_far)
-    y_far = complex(y_far)
+    if np.ndim(x_far) == 0:
+        T, landed_plus = tail_integrals(f, [x_far], [y_far])
+        return T[0], bool(landed_plus[0])
+    x_far = np.asarray(x_far, dtype=complex)
+    y_far = np.asarray(y_far, dtype=complex)
     if f.degree == 6:
         t1 = 1.0 / x_far
         asc = f.coeffs[::-1]          # t^6 f(1/t), ascending in t
+        seeds = y_far * t1 ** 3
 
-        def h(tau):
-            return poly_eval(asc, t1 * (1.0 - tau))
+        def h(tau, k=slice(None)):
+            return poly_eval(asc, np.multiply.outer(1.0 - tau, t1[k]))
 
-        seed = y_far * t1 ** 3
-        us, ss = continue_sqrt(h, seed=seed)
+        def forms(tau, s):
+            return [t1 ** 2 * (1.0 - tau)[:, None] / s, t1 / s]
+    else:
+        t1 = 1.0 / np.sqrt(x_far)
+        asc = f.coeffs[5::-1]         # Q(s) = f5 + f4 s + ... + f0 s^5
+        seeds = y_far * t1 ** 5
 
-        def g(tau, d0, d1):
-            s = lookup_sqrt(us, ss, tau, h(tau))
-            return np.stack([t1 ** 2 * (1.0 - tau) / s, t1 / s], axis=1)
+        def h(tau, k=slice(None)):
+            return poly_eval(asc, np.multiply.outer(1.0 - tau, t1[k]) ** 2)
 
-        val, _ = integrate_01(g)
-        s_end = ss[-1]
-        pr = np.sqrt(complex(f.coeffs[6]))
-        landed_plus = abs(s_end - pr) <= abs(s_end + pr)
-        return val, bool(landed_plus)
+        def forms(tau, s):
+            return [2 * t1 ** 3 * ((1.0 - tau) ** 2)[:, None] / s,
+                    2 * t1 / s]
 
-    t1 = 1.0 / np.sqrt(x_far)
-    asc = f.coeffs[5::-1]             # Q(s) = f5 + f4 s + ... + f0 s^5
-
-    def h(tau):
-        return poly_eval(asc, (t1 * (1.0 - tau)) ** 2)
-
-    seed = y_far * t1 ** 5
-    us, ss = continue_sqrt(h, seed=seed)
+    tables = [continue_sqrt(lambda tau, k=k: h(tau, k), seed=seeds[k])
+              for k in range(len(x_far))]
+    branch = _joined_lookup(tables)
 
     def g(tau, d0, d1):
-        s = lookup_sqrt(us, ss, tau, h(tau))
-        return np.stack([2 * t1 ** 3 * (1.0 - tau) ** 2 / s,
-                         2 * t1 / s], axis=1)
+        s = branch(tau, h(tau))
+        return np.stack(forms(tau, s), axis=2)
 
-    val, _ = integrate_01(g)
-    return val, True
+    T, _ = integrate_01(g)
+    if f.degree == 5:
+        return T, np.ones(len(x_far), dtype=bool)
+    s_end = np.array([t[1][-1] for t in tables])
+    pr = np.sqrt(complex(f.coeffs[6]))
+    return T, np.abs(s_end - pr) <= np.abs(s_end + pr)
 
 
 def point_infinity_integrals(f, roots, P, scale):
     """Holomorphic integrals from a point at infinity to the affine point P
     along a concrete path (tail, then a radial run with detours).
 
-    Returns (J, landed_plus): J[k] = integral of omega_k, and which
-    infinite point the tail connects to (label 1 when True).
+    P is one CurvePoint or a sequence of them; the radial runs of a batch
+    share one quadrature, and so do its tails.  Returns (J, landed_plus):
+    J[k] = integral of omega_k, and which infinite point the tail
+    connects to (label 1 when True).  A batch gives J of shape (N, 2)
+    and a bool array landed_plus.
     """
-    R = max(FAR_FACTOR * scale, 2.5 * abs(P.x))
-    phi = float(np.angle(P.x)) if abs(P.x) > 1e-12 * scale else 0.7310
-    x_far = R * np.exp(1j * phi)
-    pieces = line_with_detours(roots, P.x, x_far)
-    path = SheetPath.build(f, pieces, P.y)
-    I_aff = integrate_forms(path, holomorphic_numerators())
-    T, landed_plus = tail_integrals(f, x_far, path.y_end)
+    if isinstance(P, CurvePoint):
+        J, landed_plus = point_infinity_integrals(f, roots, [P], scale)
+        return J[0], bool(landed_plus[0])
+    paths, x_far = [], []
+    for Q in P:
+        R = max(FAR_FACTOR * scale, 2.5 * abs(Q.x))
+        phi = float(np.angle(Q.x)) if abs(Q.x) > 1e-12 * scale else 0.7310
+        x_far.append(R * np.exp(1j * phi))
+        paths.append(SheetPath.build(
+            f, line_with_detours(roots, Q.x, x_far[-1]), Q.y))
+    I_aff = _path_integrals(paths, holomorphic_numerators())
+    T, landed_plus = tail_integrals(f, x_far, [p.y_end for p in paths])
     return -T - I_aff, landed_plus
 
 

@@ -25,12 +25,12 @@ import warnings
 
 import numpy as np
 
-from .curve import branch_points
+from .curve import CurvePoint, branch_points
 from .errors import (DegenerateGeometryError, DeltaAmbiguityError,
                      IllConditionedLatticeError, RiemannMatrixError)
 from .integration import (infinity_to_infinity, point_infinity_integrals,
                           segment_period_integrals)
-from .theta import ThetaParams, theta_eval
+from .theta import ThetaParams, theta_jet
 
 TOL_SYM = 1e-8
 TOL_LEG = 1e-8
@@ -133,10 +133,7 @@ def elementary_cycle_integrals(f, roots):
     """Row k holds the integrals of (omega1, omega2, r1, r2) over loop k;
     a loop doubles its segment integral (out on one sheet, back on the
     other, where dx/y picks up the same value)."""
-    W = np.zeros((4, 4), dtype=complex)
-    for k, (i, j) in enumerate(LOOP_PAIRS):
-        W[k] = 2.0 * segment_period_integrals(f, roots, i, j)
-    return W
+    return 2.0 * segment_period_integrals(f, roots, LOOP_PAIRS)
 
 
 def _residuals(A, B, etaA, etaB):
@@ -255,18 +252,14 @@ def nearest_lattice_residual(pd, z):
 
 def _abel_samples(f, A, roots, scale, z_star):
     """Normalized Abel images u = A^{-1} * integral from J(inf_1) to P for
-    a deterministic fan of sample points P."""
-    from .curve import CurvePoint
-    us = []
-    for k in range(ABEL_SAMPLES):
-        x = 1.7 * scale * np.exp(2j * np.pi * (0.137 + 0.618034 * k))
-        P = CurvePoint.affine(x, np.sqrt(complex(f(x))))
-        J, landed_plus = point_infinity_integrals(f, roots, P, scale)
-        z = J
-        if f.degree == 6 and landed_plus:
-            z = z + z_star
-        us.append(np.linalg.solve(A, z))
-    return us
+    a deterministic fan of sample points P, one row per point."""
+    xs = 1.7 * scale * np.exp(
+        2j * np.pi * (0.137 + 0.618034 * np.arange(ABEL_SAMPLES)))
+    points = [CurvePoint.affine(x, np.sqrt(complex(f(x)))) for x in xs]
+    z, landed_plus = point_infinity_integrals(f, roots, points, scale)
+    if f.degree == 6:
+        z = z + np.where(landed_plus[:, None], z_star, 0)
+    return np.linalg.solve(A, z.T).T
 
 
 def _half_period(Omega, n0, m0):
@@ -285,29 +278,40 @@ def _riemann_constant(f, A, Omega, roots, scale, z_star):
     """Delta from the closed-form candidate set, certified by vanishing.
 
     At a Weierstrass base point the Riemann constant is a half-period
-    (Mumford, Tata Lectures on Theta II, ch. IIIa); moving the base point to infinity shifts it by one Abel integral.  On
-    degree 5 infinity is a Weierstrass point and the shift is zero.  On
-    degree 6, div(x - e) = 2e - inf_1 - inf_2 makes that integral
-    (1/2) A^{-1} z_star modulo half-periods.  z_star is only defined modulo
-    the lattice, so the parity of the half-period part is not intrinsic
-    and all 16 half-periods are tried; they are distinct modulo the
-    lattice, so exactly one must make theta vanish on every Abel sample.
+    (Mumford, Tata Lectures on Theta II, ch. IIIa); moving the base point
+    to infinity shifts it by one Abel integral.  On degree 5 infinity is
+    a Weierstrass point and the shift is zero.  On degree 6,
+    div(x - e) = 2e - inf_1 - inf_2 makes that integral (1/2) A^{-1}
+    z_star modulo half-periods.  z_star is only defined modulo the
+    lattice, so the parity of the half-period part is not intrinsic and
+    all 16 half-periods are tried; they are distinct modulo the lattice,
+    so exactly one must make theta vanish on every Abel sample.
+
+    A candidate D passes when |theta(u - D)| < 1e-8 theta_ref at every
+    sample u, theta_ref the largest of |theta| at 0 and at the samples.
+    Two theta calls decide it: theta(0), theta at the samples and every
+    candidate at the first sample in one, then the candidates left at
+    the other samples in the second.
     """
     tp = ThetaParams.build(Omega)
     us = _abel_samples(f, A, roots, scale, z_star)
-    theta_ref = max(abs(theta_eval(tp, np.zeros(2))),
-                    max(abs(theta_eval(tp, u)) for u in us))
     shift = 0.0 if z_star is None else 0.5 * np.linalg.solve(A, z_star)
-    hits = []
-    for n0 in product((0, 1), (0, 1)):
-        for m0 in product((0, 1), (0, 1)):
-            D = _half_period(Omega, n0, m0) + shift
-            if all(abs(theta_eval(tp, u - D)) < 1e-8 * theta_ref
-                   for u in us):
-                hits.append((D, (n0, m0)))
-    if len(hits) != 1:
+    chars = [(n0, m0) for n0 in product((0, 1), (0, 1))
+             for m0 in product((0, 1), (0, 1))]
+    cands = np.array([_half_period(Omega, n0, m0) + shift
+                      for n0, m0 in chars])
+    first = np.abs(theta_jet(tp, np.concatenate(
+        [np.zeros((1, 2)), us, us[0] - cands]), 0)[:, 0, 0])
+    theta_ref = np.max(first[:len(us) + 1])
+    bound = 1e-8 * theta_ref
+    alive = np.flatnonzero(first[len(us) + 1:] < bound)
+    if len(alive):
+        rest = (us[1:, None] - cands[alive]).reshape(-1, 2)
+        vals = np.abs(theta_jet(tp, rest, 0)[:, 0, 0])
+        alive = alive[np.all(vals.reshape(len(us) - 1, -1) < bound, axis=0)]
+    if len(alive) != 1:
         raise DeltaAmbiguityError(
-            f"{len(hits)} of 16 candidates pass the vanishing certificate "
+            f"{len(alive)} of 16 candidates pass the vanishing certificate "
             "for the base-point constant (expected exactly one)")
-    D, char = hits[0]
-    return D, (char if f.degree == 5 else None)
+    k = alive[0]
+    return cands[k], (chars[k] if f.degree == 5 else None)

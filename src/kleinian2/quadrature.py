@@ -9,6 +9,15 @@ refined without discarding previous integrand evaluations.
 Integrands receive the node positions together with the distances to both
 endpoints computed without cancellation (1 - u underflows gracefully instead
 of rounding to 0), which is what the factored square-root integrands need.
+The cached node arrays are read-only: an integrand that wrote into them
+would change every later integral in the process.
+
+One call can integrate a stack of independent integrals, such as the
+pieces of a path or a fan of paths: an integrand returning shape
+(len(u), m, k) gives m results of k components, and every one of the m
+must meet the tolerance on its own max-norm, so a small integral is not
+judged against a large neighbour.  All m are refined to the same level
+and share every node evaluation.
 """
 
 import numpy as np
@@ -44,36 +53,43 @@ def _nodes(level):
     d0 = 1.0 / (1.0 + np.exp(-2.0 * phi))
     d1 = 1.0 / (1.0 + np.exp(2.0 * phi))
     w = 0.25 * np.pi * np.cosh(t) / np.cosh(phi) ** 2
+    for a in (d0, d1, w):
+        a.setflags(write=False)
     _node_cache[level] = (d0, d0, d1, w)
     return _node_cache[level]
 
 
 def integrate_01(g):
-    """Integrate a vector-valued integrand over (0, 1) to relative
-    tolerance TOL on the max-norm of the result.
+    """Integrate a vector-valued integrand, or a stack of them, over (0, 1)
+    to relative tolerance TOL on the max-norm of each result.
 
     Parameters
     ----------
     g : callable
-        g(u, d0, d1) -> complex array of shape (len(u), k).  d0 and d1 are
-        the distances to 0 and 1 (d0 == u; d1 is 1-u computed stably).
+        g(u, d0, d1) -> complex array of shape (len(u), k), or
+        (len(u), m, k) for m independent integrals.  d0 and d1 are the
+        distances to 0 and 1 (d0 == u; d1 is 1-u computed stably).
 
     Returns
     -------
-    value : complex array (k,)
+    value : complex array (k,) or (m, k)
     err : float
-        Last observed change between successive levels.
+        Last observed change between successive levels, relative to each
+        result's own max-norm, the largest over the m results.
     """
-    u, d0, d1, w = _nodes(BASE_LEVEL)
-    acc = w @ g(u, d0, d1)
+    def weighted_sum(level):
+        u, d0, d1, w = _nodes(level)
+        vals = g(u, d0, d1)
+        return (w @ vals.reshape(len(u), -1)).reshape(vals.shape[1:])
+
+    acc = weighted_sum(BASE_LEVEL)
     est = 2.0 ** (-BASE_LEVEL) * acc
     err = np.inf
     for level in range(BASE_LEVEL + 1, MAX_LEVEL + 1):
-        u, d0, d1, w = _nodes(level)
-        acc = acc + w @ g(u, d0, d1)
+        acc = acc + weighted_sum(level)
         new = 2.0 ** (-level) * acc
-        scale = max(np.max(np.abs(new)), 1e-300)
-        err = np.max(np.abs(new - est)) / scale
+        scale = np.maximum(np.max(np.abs(new), axis=-1), 1e-300)
+        err = float(np.max(np.max(np.abs(new - est), axis=-1) / scale))
         est = new
         if err < TOL:
             return est, err

@@ -31,7 +31,7 @@ def test_segment_integrals_match_mpmath_oracle():
     # come back
     numerators = (lambda x: 1, lambda x: x, lambda x: 3 * x ** 3,
                   lambda x: x ** 2)
-    integrals = segment_period_integrals(f, roots, i0, i1)
+    integrals = segment_period_integrals(f, roots, [(i0, i1)])[0]
     with mpmath.workdps(30):
         for num, got in zip(numerators, integrals):
             got = complex(got)
@@ -344,3 +344,65 @@ def test_inconsistent_z_star_has_no_certified_delta(g6_ctx):
     bad = replace(pd, z_star=pd.z_star + 0.1 * (pd.A[:, 0] + pd.B[:, 1]))
     with pytest.raises(k2.DeltaAmbiguityError, match="^0 of 16"):
         k2.riemann_constant(g6_ctx.f, bad)
+
+
+# -- the batched Delta certificate against the per-candidate loop -------------
+
+def _delta_by_candidate_loop(f, pd):
+    """Reference: the certificate candidate by candidate, one scalar theta
+    call per candidate and sample, each candidate dropped at its first
+    failing sample.  Returns every passing (Delta, (n0, m0))."""
+    tp = k2.ThetaParams.build(pd.Omega)
+    us = periods._abel_samples(f, pd.A, list(pd.roots), pd.scale, pd.z_star)
+    theta_ref = max(abs(k2.theta_eval(tp, np.zeros(2))),
+                    max(abs(k2.theta_eval(tp, u)) for u in us))
+    shift = (0.0 if pd.z_star is None
+             else 0.5 * np.linalg.solve(pd.A, pd.z_star))
+    hits = []
+    for n0 in itertools.product((0, 1), (0, 1)):
+        for m0 in itertools.product((0, 1), (0, 1)):
+            D = periods._half_period(pd.Omega, n0, m0) + shift
+            if all(abs(k2.theta_eval(tp, u - D)) < 1e-8 * theta_ref
+                   for u in us):
+                hits.append((D, (n0, m0)))
+    return hits
+
+
+def _delta_curves():
+    rng = np.random.default_rng(2024)
+    curves = [("w5", W5_COEFFS), ("g6", G6_COEFFS),
+              ("hard_sextic",
+               list(HARD_SEXTIC_LEAD * np.poly(HARD_SEXTIC_ROOTS)[::-1]))]
+    for k in range(10):
+        n = 5 + k % 2
+        lead = (0.5 + rng.random()) * np.exp(2j * np.pi * rng.random())
+        coeffs = _ring_curve(rng, n, lead)
+        curves.append((f"ring{n}_{k}", coeffs + [0.0] * (n == 5)))
+    return curves
+
+
+DELTA_CURVES = _delta_curves()
+
+
+@pytest.mark.parametrize("coeffs", [c for _, c in DELTA_CURVES],
+                         ids=[name for name, _ in DELTA_CURVES])
+def test_batched_delta_certificate_matches_candidate_loop(coeffs,
+                                                          monkeypatch):
+    """Two theta calls pick the candidate, and the characteristic, that
+    the loop over the 16 candidates picks."""
+    f = k2.validate_polynomial(coeffs)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return k2.theta_jet(*args, **kwargs)
+
+    monkeypatch.setattr(periods, "theta_jet", counting)
+    pd = k2.compute_period_data(f)
+    monkeypatch.undo()
+    assert len(calls) <= 2
+    hits = _delta_by_candidate_loop(f, pd)
+    assert len(hits) == 1
+    D, char = hits[0]
+    assert np.array_equal(D, pd.Delta)
+    assert pd.delta_char == (char if f.degree == 5 else None)

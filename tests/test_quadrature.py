@@ -69,6 +69,38 @@ def test_unreachable_tolerance_raises():
         integrate_01(g)
 
 
+def test_node_tables_are_read_only():
+    """An integrand that writes into the nodes it is given raises, and
+    leaves the cached nodes, and so later integrals, intact."""
+    def scales_u(u, d0, d1):
+        u *= 0.5
+        return u[:, None] + 0j
+
+    with pytest.raises(ValueError, match="read-only"):
+        integrate_01(scales_u)
+    val, _ = integrate_01(_scalar(lambda u, d0, d1: np.exp(u)))
+    assert abs(val[0] - (np.e - 1)) < 1e-13
+
+
+def test_stacked_integrals_meet_tolerance_each():
+    """A stack of integrals is refined until each meets the tolerance on
+    its own max-norm: a tiny peaked integral is not judged against a
+    smooth one of norm 1."""
+    eps, c = 1e-4, 0.5
+
+    def g(u, d0, d1):
+        smooth = np.exp(u)
+        peak = 1e-20 / ((u - c) ** 2 + eps)
+        return np.stack([smooth, peak], axis=1)[:, :, None] + 0j
+
+    val, _ = integrate_01(g)
+    assert val.shape == (2, 1)
+    peak_exact = 1e-20 / np.sqrt(eps) * (np.arctan((1 - c) / np.sqrt(eps))
+                                         + np.arctan(c / np.sqrt(eps)))
+    assert abs(val[0, 0] - (np.e - 1)) < 1e-12 * (np.e - 1)
+    assert abs(val[1, 0] - peak_exact) < 1e-12 * peak_exact
+
+
 def test_continue_sqrt_closed_loop_winding():
     """A loop encircling one root of f an odd number of times must come back
     on the other sheet, even though h(1) == h(0) exactly."""
@@ -279,3 +311,40 @@ def test_detour_pieces_meet_exactly():
             for pieces in (line_with_detours(roots, x0, x1),
                            flip_loop_pieces(roots, x_at)):
                 assert _junction_gap(pieces) <= np.spacing(scale)
+
+
+# -- whole-path quadrature against a per-piece loop --------------------------
+
+def _integrate_forms_piece_by_piece(path, numerators):
+    """Reference: one adaptive quadrature per piece of the path."""
+    total = np.zeros(len(numerators), dtype=complex)
+    for i, pc in enumerate(path.pieces):
+        def g(u, d0, d1, i=i, pc=pc):
+            x = pc.x_of(u)
+            y = path.y_at(i, u, x)
+            return np.stack([nf(x) * pc.dx_of(u) / y for nf in numerators],
+                            axis=1)
+        total += integrate_01(g)[0]
+    return total
+
+
+@pytest.mark.parametrize("coeffs", [W5_COEFFS, G6_COEFFS], ids=["w5", "g6"])
+def test_integrate_forms_matches_piece_by_piece(coeffs):
+    """Paths aimed through branch points (so with detour arcs), some with
+    a sheet-flip loop appended: the one quadrature over all pieces gives
+    the per-piece sum."""
+    f = k2.validate_polynomial(coeffs)
+    roots = k2.branch_points(f)
+    nums = integration.all_numerators(f)
+    rng = np.random.default_rng(11)
+    for k, r in enumerate(roots):
+        v = (0.6 + 0.4 * rng.random()) * np.exp(2j * np.pi * rng.random())
+        x0, x1 = r - v, r + v
+        pieces = line_with_detours(roots, x0, x1)
+        assert any(isinstance(pc, integration.Arc) for pc in pieces)
+        path = SheetPath.build(f, pieces, np.sqrt(f(x0)))
+        if k % 2:
+            path.extend(flip_loop_pieces(roots, x1))
+        got = integration.integrate_forms(path, nums)
+        want = _integrate_forms_piece_by_piece(path, nums)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
