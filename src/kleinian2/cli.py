@@ -3,14 +3,12 @@
 Subcommands: periods, eval, abel, invert, verify, taylor.  Output is JSON
 on stdout (or --out FILE).  Exit codes: 0 success, 1 a verification check
 failed, 2 invalid input or evaluation error (a JSON {code, message}
-object goes to stderr).  The identity tolerance for verify resolves as
---tol flag, then the KLEINIAN2_TOL environment variable, then built-in
-defaults.
+object goes to stderr).  verify --tol overrides the identity tolerance
+of the suite's identity-class checks.
 """
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -50,28 +48,11 @@ def _parse_z(text):
     return np.array([complex(vals[0], vals[1]), complex(vals[2], vals[3])])
 
 
-def _resolve_tol(args):
-    if getattr(args, "tol", None) is not None:
-        return args.tol
-    env = os.environ.get("KLEINIAN2_TOL")
-    if env:
-        try:
-            return float(env)
-        except ValueError:
-            raise ValueError(f"KLEINIAN2_TOL is not a number: {env!r}")
-    return None
-
-
-def _context(args, curve_path):
-    f = ser.curve_from_json(_load_json(curve_path))
+def _context(args):
+    f = ser.curve_from_json(_load_json(args.curve))
     pd = None
-    if getattr(args, "periods", None):
+    if args.periods:
         pd = ser.period_data_from_json(_load_json(args.periods))
-        if pd.f.coeffs != f.coeffs:
-            raise ValueError("periods file was computed for a different "
-                             "curve")
-    if pd is None:
-        pd = compute_period_data(f)
     return make_context(f, pd)
 
 
@@ -133,35 +114,35 @@ def _run(args):
         return 0
 
     if args.command == "eval":
-        ctx = _context(args, args.curve)
+        ctx = _context(args)
         z = _parse_z(args.z)
         bundle = evaluate_bundle(ctx, z, want_sigma=args.sigma)
         _emit(ser.bundle_to_json(bundle), args.out)
         return 0
 
     if args.command == "abel":
-        ctx = _context(args, args.curve)
+        ctx = _context(args)
         D = ser.divisor_from_json(_load_json(args.divisor))
         z = abel_forward(ctx, D)
         _emit({"z": ser.cvec(z)}, args.out)
         return 0
 
     if args.command == "invert":
-        ctx = _context(args, args.curve)
+        ctx = _context(args)
         D = jacobi_invert(ctx, _parse_z(args.z))
         _emit(ser.divisor_to_json(D), args.out)
         return 0
 
     if args.command == "verify":
-        ctx = _context(args, args.curve)
+        ctx = _context(args)
         names = args.checks.split(",") if args.checks else None
         report = run_suite(ctx, seed=args.seed, checks=names,
-                           tol_id=_resolve_tol(args))
+                           tol_id=args.tol)
         _emit(ser.report_to_json(report), args.out)
         return 0 if report.passed else 1
 
     if args.command == "taylor":
-        ctx = _context(args, args.curve)
+        ctx = _context(args)
         jets = measure_taylor_jets(ctx)
         out = {name: {key: ser.cnum(val) for key, val in d.items()}
                for name, d in jets.items()}

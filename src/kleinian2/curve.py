@@ -13,8 +13,7 @@ from .errors import (ConvergenceError, DegreeError, InfinitePointError,
                      RepeatedRootError, SpecialDivisorError)
 
 SEP_FACTOR = 1e-8       # root separation threshold, relative to root scale
-DIAG_FACTOR = 1e-4      # |x1 - x2| below this (times scale): series branch
-EPS_ON_CURVE = 1e-8
+DIAG_FACTOR = 1e-4      # |x1 - x2| below this (times scale): on the diagonal
 SPECIAL_TOL = 1e-9      # is_special: x and y mismatch, relative
 
 
@@ -148,13 +147,6 @@ def branch_points(f):
     q = 1e-9 * scale
     order = np.lexsort((roots.imag, np.round(roots.real / q)))
     return [complex(r) for r in roots[order]]
-
-
-def on_curve(f, P, eps=EPS_ON_CURVE):
-    if not P.is_affine:
-        return True
-    fx = f(P.x)
-    return abs(P.y ** 2 - fx) <= eps * (1.0 + abs(fx))
 
 
 def is_special(f, D):

@@ -52,7 +52,7 @@ class SheetTrackingError(KleinianError):
 
 
 class RiemannMatrixError(KleinianError):
-    """No cycle labeling produced a certified period matrix."""
+    """Period data fails its Riemann-matrix and Legendre certificates."""
 
 
 class DeltaAmbiguityError(KleinianError):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curve import CurvePoint, poly_eval
+from .curve import poly_eval
 from .errors import DegenerateGeometryError, SheetTrackingError
 from .quadrature import integrate_01
 
@@ -174,10 +174,6 @@ class SheetPath:
             self.pieces.append(pc)
             self.tables.append((us, ss))
             self.y_end = complex(ss[-1])
-
-    def y_at(self, i, u, x):
-        us, ss = self.tables[i]
-        return lookup_sqrt(us, ss, u, self.f(x))
 
 
 def _joined_lookup(tables):
@@ -389,17 +385,13 @@ def segment_period_integrals(f, roots, pairs):
 def tail_integrals(f, x_far, y_far):
     """Integrals of (dx/y, x dx/y) from far points out to infinity.
 
-    x_far and y_far give one far point, or equal-length 1-D arrays of
-    them; the tails of a batch share one quadrature.  Returns
-    (T, landed_plus): T the two integrals along each ray to infinity in
-    the compactifying chart, and landed_plus whether each continuation
+    x_far and y_far are equal-length sequences of far points; their
+    tails share one quadrature.  Returns (T, landed_plus): T of shape
+    (N, 2), the two integrals along each ray to infinity in the
+    compactifying chart, and a bool array, whether each continuation
     arrives at the infinite point labelled 1 (y/x^3 -> +sqrt(f6)
-    principal; always True on degree-5 curves).  A batch gives T of
-    shape (N, 2) and a bool array landed_plus.
+    principal; always True on degree-5 curves).
     """
-    if np.ndim(x_far) == 0:
-        T, landed_plus = tail_integrals(f, [x_far], [y_far])
-        return T[0], bool(landed_plus[0])
     x_far = np.asarray(x_far, dtype=complex)
     y_far = np.asarray(y_far, dtype=complex)
     if f.degree == 6:
@@ -441,18 +433,13 @@ def tail_integrals(f, x_far, y_far):
 
 
 def point_infinity_integrals(f, roots, P, scale):
-    """Holomorphic integrals from a point at infinity to the affine point P
-    along a concrete path (tail, then a radial run with detours).
-
-    P is one CurvePoint or a sequence of them; the radial runs of a batch
-    share one quadrature, and so do its tails.  Returns (J, landed_plus):
-    J[k] = integral of omega_k, and which infinite point the tail
-    connects to (label 1 when True).  A batch gives J of shape (N, 2)
-    and a bool array landed_plus.
+    """Holomorphic integrals from a point at infinity to each affine point
+    of the sequence P along a concrete path (tail, then a radial run with
+    detours); the radial runs share one quadrature, and so do the tails.
+    Returns (J, landed_plus): J of shape (N, 2), J[n, k] the integral of
+    omega_k to P[n], and a bool array, which infinite point each tail
+    connects to (label 1 when True).
     """
-    if isinstance(P, CurvePoint):
-        J, landed_plus = point_infinity_integrals(f, roots, [P], scale)
-        return J[0], bool(landed_plus[0])
     paths, x_far = [], []
     for Q in P:
         R = max(FAR_FACTOR * scale, 2.5 * abs(Q.x))
@@ -468,17 +455,22 @@ def point_infinity_integrals(f, roots, P, scale):
 def infinity_to_infinity(f, roots, scale):
     """Holomorphic integrals from the infinite point labelled 2 to the one
     labelled 1, routed through a far point and a sheet-flip loop.
-    Degree-6 curves only."""
+    Degree-6 curves only.
+
+    The loop ends at x_far on the other sheet, -y_far.  The tail from
+    there is the tail from y_far with every y negated: the same
+    continuation with the opposite sign, so it is exactly -T and lands
+    on the other infinite point, and needs no integration of its own."""
     x_far = FAR_FACTOR * scale * np.exp(0.7310j)
     y_far = complex(np.sqrt(f(x_far)))
-    T, landed_plus = tail_integrals(f, x_far, y_far)
-    if landed_plus:
+    T, landed_plus = tail_integrals(f, [x_far], [y_far])
+    T = T[0]
+    if landed_plus[0]:
         y_far = -y_far
         T = -T
     # now the tail from x_far with seed y_far lands on label 2
     loop = SheetPath.build(f, flip_loop_pieces(roots, x_far), y_far)
-    I_loop = integrate_forms(loop, holomorphic_numerators())
-    T_out, landed_plus = tail_integrals(f, x_far, loop.y_end)
-    if not landed_plus:
+    if abs(loop.y_end + y_far) > TOL_END * abs(y_far):
         raise SheetTrackingError("flip loop failed to change sheets")
-    return -T + I_loop + T_out
+    I_loop = integrate_forms(loop, holomorphic_numerators())
+    return -T + I_loop - T

@@ -19,7 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .curve import CurvePoint, Divisor, F_eval, involution, is_special
+from .curve import (DIAG_FACTOR, CurvePoint, Divisor, F_eval, involution,
+                    is_special)
 from .errors import (DiagonalError, InfinitePointError, NormalizationError,
                      NotWeierstrassFormError, OnSigmaDivisorError,
                      OnThetaDivisorError, RootSelectionAmbiguity,
@@ -28,13 +29,12 @@ from .integration import (all_numerators, holomorphic_numerators,
                           integrate_forms, path_between,
                           point_infinity_integrals)
 from .periods import compute_period_data, nearest_lattice_residual
-from .theta import ThetaParams, theta_eval, theta_jet
+from .theta import ThetaParams, theta_jet
 
 ZERO_FACTOR = 1e-6     # on-divisor guard, relative to the theta scale
 TOL_JET = 1e-7
 TOL_RT = 1e-7
 TOL_ID = 1e-7
-DIAG_FACTOR = 1e-4
 
 
 @dataclass(frozen=True)
@@ -114,17 +114,21 @@ def make_context(f, pd=None):
     at 0 must be a rank-one symmetric pair with no z2 component; if not,
     the base-point constant is wrong and evaluation would be meaningless.
     The rows R = T B^-1 M^-1 (T from JET_TARGETS) give S, S11, S12, S22
-    from (pq, E); R's S row must be (c_S, 0, 0, 0).
+    from (pq, E); R's S row must be (c_S, 0, 0, 0).  Period data of
+    another curve raises ValueError.
     """
     if pd is None:
         pd = compute_period_data(f)
+    elif pd.f.coeffs != f.coeffs:
+        raise ValueError("period data was computed for a different curve")
     tp = ThetaParams.build(pd.Omega)
     Ainv = np.linalg.inv(pd.A)
     C = pd.etaA @ Ainv
     C = 0.5 * (C + C.T)
 
-    theta_ref = abs(theta_eval(tp, np.zeros(2)))
-    jm, jp = theta_jet(tp, np.stack([-pd.Delta, pd.Delta]), 1)
+    rows = np.stack([np.zeros(2), -pd.Delta, pd.Delta])
+    j0, jm, jp = theta_jet(tp, rows, 1)
+    theta_ref = abs(j0[0, 0])
     # Gate the vanishing against the local gradient as well as the global
     # reference: a lattice translate of Delta scales theta and its gradient
     # by the same quasi-periodicity factor, which can dwarf theta_ref.
@@ -261,13 +265,6 @@ def _log_hessian_from_pair(ctx, jm, jp):
     return L
 
 
-def log_S_hessian(ctx, z):
-    """Second logarithmic derivatives of S (matrix L with L_jk =
-    d^2 log S / dz_j dz_k), the raw material for the wp functions."""
-    _, jm, jp = _theta_pair(ctx, _as_z(z), 2)
-    return _log_hessian_from_pair(ctx, jm, jp)
-
-
 def log_S_gradient(ctx, z):
     """First logarithmic derivatives of S."""
     z = _as_z(z)
@@ -278,7 +275,7 @@ def log_S_gradient(ctx, z):
     return 2.0 * (ctx.C @ z) + gp + gq
 
 
-def quartic_matrix(f, p11, p12, p22):
+def _quartic_matrix(f, p11, p12, p22):
     """The 4x4 matrix whose vanishing determinant is the defining algebraic
     relation among the three wp values on one Jacobian."""
     c = f.coeffs
@@ -296,7 +293,7 @@ def quartic_matrix(f, p11, p12, p22):
 def quartic_residual(f, p11, p12, p22):
     """|det| of the defining relation, scaled by the fourth power of the
     largest matrix entry."""
-    m = quartic_matrix(f, p11, p12, p22)
+    m = _quartic_matrix(f, p11, p12, p22)
     scale = float(np.max(np.abs(m)))
     if scale == 0.0:
         return np.inf
@@ -307,7 +304,7 @@ def _selection_residual(f, p11, p12, p22):
     """Row-scaled |det| of the defining relation.  Sharper than the global
     scaling when wp11 dwarfs the other entries (near the zero set of S),
     where a wrong cubic branch can otherwise sneak under the tolerance."""
-    m = quartic_matrix(f, p11, p12, p22)
+    m = _quartic_matrix(f, p11, p12, p22)
     row = np.max(np.abs(m), axis=1)
     if np.any(row == 0.0):
         return np.inf
@@ -315,7 +312,8 @@ def _selection_residual(f, p11, p12, p22):
 
 
 def wp_eval(ctx, z, _depth=4):
-    """(wp11, wp12, wp22) at z, from the logarithmic Hessian of S.
+    """(wp11, wp12, wp22) at z, from the logarithmic Hessian of S (the
+    matrix L with L_jk = d^2 log S / dz_j dz_k).
 
     The Hessian determines the triple linearly for degree-5 curves; for
     degree 6 the 22-component satisfies a cubic whose physical root is
@@ -323,7 +321,9 @@ def wp_eval(ctx, z, _depth=4):
     walk toward a nearby point if more than one root passes.
     """
     z = _as_z(z)
-    return _wp_from_hessian(ctx, z, log_S_hessian(ctx, z), _depth)
+    _, jm, jp = _theta_pair(ctx, z, 2)
+    return _wp_from_hessian(ctx, z, _log_hessian_from_pair(ctx, jm, jp),
+                            _depth)
 
 
 def _wp_from_hessian(ctx, z, L, depth=4):
@@ -463,20 +463,10 @@ def sigma_jets(ctx, z, order=2):
     return out
 
 
-def sigma_log_derivs(ctx, z):
-    """(zeta1, zeta2, wp111, wp112, wp122, wp222) at z.
-
-    zeta_j is the first logarithmic derivative of sigma; wp_jkl are minus
-    its third logarithmic derivatives.
-    """
-    _require_weierstrass(ctx)
-    z = _as_z(z)
-    jm = theta_jet(ctx.tp, ctx.Ainv @ z - ctx.pd.Delta, 3)
-    return _sigma_log_derivs_from_jet(ctx, z, jm)
-
-
 def _sigma_log_derivs_from_jet(ctx, z, jm):
-    """sigma_log_derivs from the order-3 jet at u - Delta."""
+    """(zeta1, zeta2, wp111, wp112, wp122, wp222) at z from the order-3
+    jet at u - Delta: zeta_j is the first logarithmic derivative of
+    sigma, and wp_jkl are minus its third logarithmic derivatives."""
     p = jm[0, 0]
     if abs(p) < ZERO_FACTOR * ctx.theta_ref:
         raise OnSigmaDivisorError(
@@ -524,10 +514,11 @@ def abel_forward(ctx, D):
     if p0.is_affine:
         p0, q0 = q0, p0
     base = _infinity_base_label(f, p0)
-    J, landed_plus = point_infinity_integrals(f, roots, q0, pd.scale)
+    J, landed_plus = point_infinity_integrals(f, roots, [q0], pd.scale)
+    J = J[0]
     if f.degree == 5:
         return J
-    landed = 1 if landed_plus else 2
+    landed = 1 if landed_plus[0] else 2
     if base == landed:
         return J
     return J + pd.z_star if base == 2 else J - pd.z_star
@@ -545,9 +536,6 @@ def jacobi_invert(ctx, z):
     """
     z = _as_z(z)
     _, jm, jp = _theta_pair(ctx, z, 2)
-    if _clearance(ctx, jm, jp) < ZERO_FACTOR:
-        raise OnThetaDivisorError(
-            "z lies on the zero set of S; the divisor degenerates")
     L = _log_hessian_from_pair(ctx, jm, jp)
     p11, p12, p22 = _wp_from_hessian(ctx, z, L)
     disc = np.sqrt(p22 ** 2 + 4.0 * p12)

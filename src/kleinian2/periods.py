@@ -267,13 +267,6 @@ def _half_period(Omega, n0, m0):
                   + Omega @ np.asarray(m0, dtype=float))
 
 
-def riemann_constant(f, pd):
-    """Recompute Delta for existing period data (certificate included)."""
-    Delta, _ = _riemann_constant(f, pd.A, pd.Omega, list(pd.roots), pd.scale,
-                                 pd.z_star)
-    return Delta
-
-
 def _riemann_constant(f, A, Omega, roots, scale, z_star):
     """Delta from the closed-form candidate set, certified by vanishing.
 

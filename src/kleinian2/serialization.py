@@ -11,7 +11,9 @@ import json
 import numpy as np
 
 from .curve import CurvePoint, Divisor, validate_polynomial
-from .periods import J, LOOP_PAIRS, TOL_LEG, TOL_SYM, PeriodData
+from .errors import RiemannMatrixError
+from .periods import (J, LOOP_PAIRS, TOL_LEG, TOL_SYM, PeriodData,
+                      _certified, _residuals)
 from .theta import EPS_TARGET
 
 
@@ -130,7 +132,13 @@ def period_data_to_json(pd):
 
 
 def period_data_from_json(obj):
+    """PeriodData from its JSON form, certified as compute_period_data
+    certifies it: the Riemann-matrix and Legendre checks on A, B, etaA,
+    etaB (RiemannMatrixError), with Omega equal to A^-1 B."""
     f = curve_from_json({"coeffs": obj["curve"]})
+    transform = np.array(obj["transform"])
+    if transform.shape != (4, 4) or transform.dtype.kind != "i":
+        raise ValueError("transform must be a 4x4 integer matrix")
     char = None
     if "delta_char" in obj:
         char = (tuple(int(t) for t in obj["delta_char"][0]),
@@ -144,11 +152,17 @@ def period_data_from_json(obj):
         Omega=parse_cmat(obj["Omega"], (2, 2)),
         Delta=parse_cvec(obj["Delta"], 2),
         delta_char=char,
-        transform=np.array(obj["transform"], dtype=int),
+        transform=transform,
         f=f,
         roots=tuple(parse_cvec(obj["roots"], len(obj["roots"]))),
         scale=float(obj["scale"]),
         z_star=z_star)
+    Omega, r = _residuals(pd.A, pd.B, pd.etaA, pd.etaB)
+    if (not _certified(r) or np.max(np.abs(Omega - pd.Omega))
+            > TOL_SYM * max(1.0, np.max(np.abs(Omega)))):
+        raise RiemannMatrixError(
+            "period data fails the Riemann-matrix and Legendre "
+            "certificates")
     return pd
 
 

@@ -160,15 +160,3 @@ def _leibniz(Om, m, z0, J0, order):
     # the products also fill k1 + k2 > order; keep those entries zero
     return np.where(np.add.outer(range(k), range(k)) <= order, J, 0)
 
-
-def theta_eval(tp, z):
-    """theta(z; Omega), truncation error below EPS_TARGET."""
-    return theta_jet(tp, z, 0)[0, 0]
-
-
-def theta_deriv(tp, z, multi_index):
-    """Partial derivative d^(k1+k2) theta / dz1^k1 dz2^k2 at z."""
-    k1, k2 = multi_index
-    if k1 < 0 or k2 < 0 or k1 + k2 > 3:
-        raise ValueError("multi_index must be nonnegative with k1 + k2 <= 3")
-    return theta_jet(tp, z, k1 + k2)[k1, k2]

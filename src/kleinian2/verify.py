@@ -13,9 +13,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .curve import CurvePoint, Divisor, xi_eval
+from .curve import DIAG_FACTOR, CurvePoint, Divisor, xi_eval
 from .errors import DegenerateGeometryError, KleinianError
-from .kleinian import (DIAG_FACTOR, JET_TARGETS, S_eval, S_jk_eval,
+from .kleinian import (JET_TARGETS, S_eval, S_jk_eval,
                        TOL_ID, divisor_clearance, log_S_gradient,
                        make_context, quartic_residual, rho_lambda_eval,
                        sigma_eval, sigma_jets, jacobi_invert, abel_forward,

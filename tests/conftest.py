@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import kleinian2 as k2
+from kleinian2.curve import is_special
 
 W5_COEFFS = [0.0, -4.0, 0.0, 0.0, 0.0, 4.0, 0.0]
 G6_COEFFS = [-1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
@@ -51,5 +52,5 @@ def sample_divisor(ctx, rng):
             continue
         ys = [np.sqrt(f(x)) * rng.choice([-1.0, 1.0]) for x in xs]
         D = k2.Divisor(k2.CurvePoint(xs[0], ys[0]), k2.CurvePoint(xs[1], ys[1]))
-        if not k2.is_special(f, D):
+        if not is_special(f, D):
             return D

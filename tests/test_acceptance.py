@@ -11,6 +11,9 @@ import numpy as np
 import pytest
 
 import kleinian2 as k2
+from kleinian2.kleinian import log_S_gradient, rho_lambda_eval
+from kleinian2.periods import eta_of_lattice, lattice_vector
+from kleinian2.theta import ThetaParams, theta_jet
 
 from conftest import sample_divisor, sample_z
 
@@ -51,8 +54,8 @@ def test_02_eta_integrality(w5_ctx, g6_ctx):
         for _ in range(20):
             a = rng.integers(-2, 3, 4)
             b = rng.integers(-2, 3, 4)
-            v, w = k2.lattice_vector(pd, a), k2.lattice_vector(pd, b)
-            ev, ew = k2.eta_of_lattice(pd, a), k2.eta_of_lattice(pd, b)
+            v, w = lattice_vector(pd, a), lattice_vector(pd, b)
+            ev, ew = eta_of_lattice(pd, a), eta_of_lattice(pd, b)
             q = (ew @ v - ev @ w) / (2j * np.pi)
             worst = max(worst, abs(q - round(q.real)))
         assert worst < 1e-8, f"{label}: eta pairing off 2 pi i Z by {worst:.3e}"
@@ -67,8 +70,8 @@ def test_03_weight2_quasi_periodicity(w5_ctx, g6_ctx):
             mn = rng.integers(-2, 3, 4)
             if not mn.any():
                 mn[0] = 1
-            w = k2.lattice_vector(ctx.pd, mn)
-            factor = np.exp(2.0 * k2.eta_of_lattice(ctx.pd, mn) @ (z + 0.5 * w))
+            w = lattice_vector(ctx.pd, mn)
+            factor = np.exp(2.0 * eta_of_lattice(ctx.pd, mn) @ (z + 0.5 * w))
             vals = np.array([k2.S_eval(ctx, z)] + list(k2.S_jk_eval(ctx, z)))
             shifted = np.array([k2.S_eval(ctx, z + w)]
                                + list(k2.S_jk_eval(ctx, z + w)))
@@ -188,12 +191,12 @@ def test_08_derivative_identities(w5_ctx, g6_ctx):
         while done < 10:
             D = sample_divisor(ctx, rng)
             try:
-                r1, r2, lam, z = k2.rho_lambda_eval(ctx, D)
+                r1, r2, lam, z = rho_lambda_eval(ctx, D)
             except k2.DiagonalError:
                 continue
             if k2.divisor_clearance(ctx, z) < 1e-4:
                 continue
-            g = k2.log_S_gradient(ctx, z)
+            g = log_S_gradient(ctx, z)
             ref = max(1.0, float(np.max(np.abs(g))), abs(lam))
             worst = max(worst, abs(g[0] + 2 * r1 - lam) / ref,
                         abs(g[1] + 2 * r2) / ref)
@@ -253,15 +256,16 @@ def test_10_theta_engine(g6_ctx):
     # quasi-periodicity at 1e-10
     rng = np.random.default_rng(110)
     Omega = g6_ctx.pd.Omega
-    tp = k2.ThetaParams.build(Omega)
+    tp = ThetaParams.build(Omega)
+    jet = theta_jet
     worst = 0.0
     for _ in range(20):
         z = rng.uniform(-1, 1, 2) + 1j * rng.uniform(-0.5, 0.5, 2)
         n = rng.integers(-2, 3, 2)
         m = rng.integers(-2, 3, 2)
-        lhs = k2.theta_eval(tp, z + n + Omega @ m)
+        lhs = jet(tp, z + n + Omega @ m, 0)[0, 0]
         rhs = (np.exp(-1j * np.pi * m @ Omega @ m - 2j * np.pi * m @ z)
-               * k2.theta_eval(tp, z))
+               * jet(tp, z, 0)[0, 0])
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0))
     assert worst < 1e-10, f"theta quasi-periodicity {worst:.3e}"
 
@@ -281,15 +285,15 @@ def test_10_theta_engine(g6_ctx):
                 continue
             for _ in range(3):
                 z = rng.uniform(-0.5, 0.5, 2) + 1j * rng.uniform(-0.2, 0.2, 2)
-                fn = lambda w: k2.theta_deriv(tp, w, (0, k2_))
+                fn = lambda w: jet(tp, w, k2_)[0, k2_]
                 coarse, fine = fd(fn, z, k1, h), fd(fn, z, k1, h / 2)
                 est = (4 * fine - coarse) / 3 if k1 else fine
-                got = k2.theta_deriv(tp, z, (k1, k2_))
+                got = jet(tp, z, k1 + k2_)[k1, k2_]
                 worst = max(worst, abs(got - est) / max(1.0, abs(got)))
     assert worst < 1e-6, f"theta derivative vs finite differences {worst:.3e}"
 
     # factorized point against the classical 1-D series
-    tp0 = k2.ThetaParams.build(1j * np.eye(2))
+    tp0 = ThetaParams.build(1j * np.eye(2))
     one_d = sum(np.exp(-np.pi * k ** 2) for k in range(-40, 41))
-    resid = abs(k2.theta_eval(tp0, np.zeros(2)) - one_d ** 2)
+    resid = abs(jet(tp0, np.zeros(2), 0)[0, 0] - one_d ** 2)
     assert resid < 1e-12, f"theta(0; iI) vs 1-D series {resid:.3e}"

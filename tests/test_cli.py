@@ -17,7 +17,6 @@ PACKAGE_ROOT = os.path.dirname(os.path.dirname(kleinian2.__file__))
 
 def run_cli(*args, env_extra=None):
     env = dict(os.environ)
-    env.pop("KLEINIAN2_TOL", None)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
     if env_extra:
@@ -90,6 +89,20 @@ def test_eval_periods_curve_mismatch(files):
     r = run_cli("eval", "--curve", files["g6"], "--z", "0.1,0,0.2,0",
                 "--periods", files["w5_periods"])
     assert r.returncode == 2
+    assert json.loads(r.stderr)["code"] == "InputError"
+
+
+def test_eval_corrupted_periods_exit_2(files, tmp_path):
+    """A periods file whose data fails the Legendre certificate is refused
+    on load, not served."""
+    obj = json.loads(open(files["w5_periods"]).read())
+    obj["etaB"][0][0][0] += 1e-3
+    bad = tmp_path / "bad_periods.json"
+    bad.write_text(json.dumps(obj))
+    r = run_cli("eval", "--curve", files["w5"], "--z", "0.1,0,0.2,0",
+                "--periods", str(bad))
+    assert r.returncode == 2
+    assert json.loads(r.stderr)["code"] == "RiemannMatrixError"
 
 
 def test_eval_sigma_on_sextic_exit_2(files):
@@ -144,15 +157,15 @@ def test_verify_exit_codes(files):
     assert r.returncode == 2
 
 
-def test_verify_tol_env_and_flag_precedence(files):
+def test_verify_tol_flag_only(files):
+    """--tol alone sets the identity tolerance; the environment variable
+    that once did the same is no longer read."""
+    args = ("verify", "--curve", files["w5"], "--seed", "1",
+            "--checks", "quartic_determinant")
     env = {"KLEINIAN2_TOL": "1e-30"}
-    r = run_cli("verify", "--curve", files["w5"], "--seed", "1",
-                "--checks", "quartic_determinant", env_extra=env)
-    assert r.returncode == 1
-    r = run_cli("verify", "--curve", files["w5"], "--seed", "1",
-                "--checks", "quartic_determinant", "--tol", "1e-6",
-                env_extra=env)
-    assert r.returncode == 0
+    assert run_cli(*args, env_extra=env).returncode == 0
+    assert run_cli(*args, "--tol", "1e-30").returncode == 1
+    assert run_cli(*args, "--tol", "1e-6").returncode == 0
 
 
 def test_verify_deterministic_output(files):

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 import kleinian2 as k2
+from kleinian2.curve import involution
+from kleinian2.kleinian import log_S_gradient, rho_lambda_eval
+from kleinian2.periods import eta_of_lattice, lattice_vector
 
 from conftest import G6_COEFFS, sample_divisor, sample_z
 
@@ -35,18 +38,19 @@ def test_S_quasi_periodicity_exact_factor(any_ctx):
         mn = rng.integers(-2, 3, 4)
         if not mn.any():
             continue
-        w = k2.lattice_vector(ctx.pd, mn)
-        factor = np.exp(2.0 * k2.eta_of_lattice(ctx.pd, mn) @ (z + 0.5 * w))
+        w = lattice_vector(ctx.pd, mn)
+        factor = np.exp(2.0 * eta_of_lattice(ctx.pd, mn) @ (z + 0.5 * w))
         lhs = k2.S_eval(ctx, z + w)
         rhs = factor * k2.S_eval(ctx, z)
         assert abs(lhs - rhs) < 1e-8 * max(abs(lhs), abs(rhs))
 
 
 def test_log_hessian_on_divisor_raises(any_ctx):
-    with pytest.raises(k2.OnThetaDivisorError):
-        k2.log_S_hessian(any_ctx, np.zeros(2))
+    """Both users of the log Hessian of S refuse z on the zero set of S."""
     with pytest.raises(k2.OnThetaDivisorError):
         k2.wp_eval(any_ctx, np.zeros(2))
+    with pytest.raises(k2.OnThetaDivisorError):
+        k2.jacobi_invert(any_ctx, np.zeros(2))
 
 
 def test_wp_forward_consistency(any_ctx):
@@ -89,7 +93,7 @@ def test_abel_unordered_and_involution(any_ctx):
         z1 = k2.abel_forward(ctx, D)
         z2 = k2.abel_forward(ctx, k2.Divisor(D.q, D.p))
         assert k2.nearest_lattice_residual(ctx.pd, z1 - z2) < 1e-9
-        DJ = k2.Divisor(k2.involution(D.p), k2.involution(D.q))
+        DJ = k2.Divisor(involution(D.p), involution(D.q))
         z3 = k2.abel_forward(ctx, DJ)
         assert k2.nearest_lattice_residual(ctx.pd, z1 + z3) < 1e-9
 
@@ -124,7 +128,9 @@ def test_jacobi_invert_round_trip(any_ctx):
     for _ in range(10):
         z = sample_z(ctx, rng)
         D = k2.jacobi_invert(ctx, z)
-        assert k2.on_curve(ctx.f, D.p) and k2.on_curve(ctx.f, D.q)
+        for P in (D.p, D.q):
+            fx = ctx.f(P.x)
+            assert abs(P.y ** 2 - fx) <= 1e-8 * (1.0 + abs(fx))
         back = k2.abel_forward(ctx, D)
         resid = k2.nearest_lattice_residual(ctx.pd, back - z)
         assert resid < 1e-7 * max(1.0, float(np.linalg.norm(z)))
@@ -135,7 +141,7 @@ def test_quartic_certificate(any_ctx):
     rng = np.random.default_rng(47)
     for _ in range(10):
         z = sample_z(ctx, rng)
-        M = k2.quartic_matrix(ctx.f, *k2.wp_eval(ctx, z))
+        M = k2.kleinian._quartic_matrix(ctx.f, *k2.wp_eval(ctx, z))
         assert M.shape == (4, 4)
         assert M[3, 3] == 0
         assert np.max(np.abs(M - M.T)) == 0.0
@@ -149,7 +155,7 @@ def test_wp_is_abelian(any_ctx):
     for _ in range(5):
         z = sample_z(ctx, rng, clearance=0.05)
         mn = rng.integers(-2, 3, 4)
-        w = k2.lattice_vector(ctx.pd, mn)
+        w = lattice_vector(ctx.pd, mn)
         a = np.array(k2.wp_eval(ctx, z))
         b = np.array(k2.wp_eval(ctx, z + w))
         assert np.max(np.abs(a - b)) < 1e-8 * max(1.0, np.max(np.abs(a)))
@@ -236,6 +242,14 @@ def test_corrupt_weight2_basis_fails_certificate(monkeypatch):
         k2.make_context(k2.validate_polynomial(G6_COEFFS))
 
 
+def test_make_context_rejects_period_data_of_another_curve(w5_ctx):
+    """Period data of 4x^5 - 4x paired with x^6 - 1 or with 3x^5 - 4x
+    would give functions of neither curve, so make_context refuses it."""
+    for coeffs in (G6_COEFFS, [0, -4, 0, 0, 0, 3]):
+        with pytest.raises(ValueError, match="different curve"):
+            k2.make_context(k2.validate_polynomial(coeffs), w5_ctx.pd)
+
+
 def test_taylor_z2_quartic_coefficient(g6_ctx):
     """The first z2-only structure of S beyond the quadratic term carries
     -f6/4 at order 4; measured with a 1-D circle sum along e2."""
@@ -258,10 +272,10 @@ def test_rho_lambda_first_derivative_identities(any_ctx):
         D = sample_divisor(ctx, rng)
         if abs(D.p.x - D.q.x) < 0.2:
             continue
-        rho1, rho2, lam, z = k2.rho_lambda_eval(ctx, D)
+        rho1, rho2, lam, z = rho_lambda_eval(ctx, D)
         if k2.divisor_clearance(ctx, z) < 1e-3:
             continue
-        g = k2.log_S_gradient(ctx, z)
+        g = log_S_gradient(ctx, z)
         ref = max(1.0, abs(g[0]), abs(g[1]))
         assert abs(g[0] - (-2 * rho1 + lam)) / ref < 1e-6
         assert abs(g[1] - (-2 * rho2)) / ref < 1e-6
@@ -273,12 +287,12 @@ def test_rho_lambda_error_paths(g6_ctx):
     x = 1.4 + 0.3j
     P = k2.CurvePoint(x, np.sqrt(f(x)))
     with pytest.raises(k2.InfinitePointError):
-        k2.rho_lambda_eval(g6_ctx, k2.Divisor(P, k2.CurvePoint.at_infinity(1)))
+        rho_lambda_eval(g6_ctx, k2.Divisor(P, k2.CurvePoint.at_infinity(1)))
     with pytest.raises(k2.DiagonalError):
-        k2.rho_lambda_eval(
+        rho_lambda_eval(
             g6_ctx, k2.Divisor(P, k2.CurvePoint(x + 1e-9, np.sqrt(f(x + 1e-9)))))
     with pytest.raises(k2.SpecialDivisorError):
-        k2.rho_lambda_eval(g6_ctx, k2.Divisor(P, k2.involution(P)))
+        rho_lambda_eval(g6_ctx, k2.Divisor(P, involution(P)))
 
 
 def _abel_jacobian_inverse(D):
@@ -299,10 +313,10 @@ def test_wp_derivatives_match_divisor_coordinates(w5_ctx):
         if abs(D.p.x - D.q.x) < 0.3:
             continue
         z = k2.abel_forward(ctx, D)
-        try:
-            _, _, wp111, wp112, wp122, wp222 = k2.sigma_log_derivs(ctx, z)
-        except k2.OnSigmaDivisorError:
+        b = k2.evaluate_bundle(ctx, z, want_sigma=True)
+        if b.p111 is None:
             continue
+        wp112, wp122, wp222 = b.p112, b.p122, b.p222
         Jin = _abel_jacobian_inverse(D)
         x1, x2 = D.p.x, D.q.x
         # wp22 = x1 + x2, wp12 = -x1 x2; chain rule over the moving points
@@ -348,6 +362,25 @@ def _close(got, want, rel=1e-12):
     return abs(got - want) <= rel * max(abs(got), abs(want))
 
 
+def _sigma_log_derivs(ctx, z):
+    """(zeta1, zeta2, wp111, wp112, wp122, wp222) from the scalar
+    sigma_jets: zeta_j = d_j log sigma, wp_jkl = -d_jkl log sigma."""
+    jet = k2.sigma_jets(ctx, z, order=3)
+
+    def d(*idx):
+        return jet[(idx.count(0), idx.count(1))]
+
+    s = d()
+
+    def h3(a, b, c):
+        return (d(a, b, c) / s
+                - (d(a, b) * d(c) + d(a, c) * d(b) + d(b, c) * d(a)) / s ** 2
+                + 2.0 * d(a) * d(b) * d(c) / s ** 3)
+
+    return (d(0) / s, d(1) / s, -h3(0, 0, 0), -h3(0, 0, 1), -h3(0, 1, 1),
+            -h3(1, 1, 1))
+
+
 @pytest.mark.parametrize("name", ["w5", "g5", "g6"])
 def test_bundle_matches_scalar_functions(name, w5_ctx, g5_ctx, g6_ctx):
     """Every bundle field, computed from one theta pair, equals the public
@@ -366,7 +399,7 @@ def test_bundle_matches_scalar_functions(name, w5_ctx, g5_ctx, g6_ctx):
         if sigma:
             assert _close(b.sigma, k2.sigma_eval(ctx, z))
             fields = (b.zeta1, b.zeta2, b.p111, b.p112, b.p122, b.p222)
-            for got, want in zip(fields, k2.sigma_log_derivs(ctx, z)):
+            for got, want in zip(fields, _sigma_log_derivs(ctx, z)):
                 assert _close(got, want)
         else:
             assert b.sigma is None and b.zeta1 is None
@@ -374,15 +407,17 @@ def test_bundle_matches_scalar_functions(name, w5_ctx, g5_ctx, g6_ctx):
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """The orders of the theta_jet calls kleinian makes from here on."""
+    """The orders of the theta_jet calls kleinian makes from here on,
+    directly or through a wrapper in the theta module."""
     calls = []
-    kernel = k2.kleinian.theta_jet
+    kernel = k2.theta.theta_jet
 
     def counted(*args, **kwargs):
         calls.append(args[2])
         return kernel(*args, **kwargs)
 
-    monkeypatch.setattr(k2.kleinian, "theta_jet", counted)
+    for module in (k2.theta, k2.kleinian):
+        monkeypatch.setattr(module, "theta_jet", counted)
     return calls
 
 
@@ -407,6 +442,13 @@ def test_bundle_makes_one_kernel_call(kernel_calls, w5_ctx, g5_ctx, g6_ctx):
         assert kernel_calls == [3 if sigma else 2]
 
 
+def test_make_context_makes_two_kernel_calls(kernel_calls, any_ctx):
+    """theta(0) for the scale and the jets at -+Delta for the
+    normalization come from one call; the weight-2 basis is the other."""
+    k2.make_context(any_ctx.f, any_ctx.pd)
+    assert kernel_calls == [1, 2]
+
+
 def test_jacobi_invert_makes_one_kernel_call(kernel_calls, any_ctx):
     z = sample_z(any_ctx, np.random.default_rng(57))
     kernel_calls.clear()
@@ -421,7 +463,7 @@ def test_jacobi_invert_makes_one_abel_path(monkeypatch, any_ctx):
     forward = k2.kleinian.abel_forward
     D = sample_divisor(ctx, np.random.default_rng(58))
     z = forward(ctx, D)
-    flipped = k2.Divisor(k2.involution(D.p), k2.involution(D.q))
+    flipped = k2.Divisor(involution(D.p), involution(D.q))
     assert np.array_equal(forward(ctx, flipped), -z)
     calls = []
 

@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 import kleinian2 as k2
-from kleinian2 import periods
+from kleinian2 import integration, periods
 from kleinian2 import serialization as ser
+from kleinian2.curve import branch_points
 from kleinian2.integration import segment_period_integrals
+from kleinian2.theta import ThetaParams, theta_jet
 
 from conftest import G6_COEFFS, W5_COEFFS
 
@@ -24,7 +26,7 @@ def test_segment_integrals_match_mpmath_oracle():
     real axis, where f < 0; each basis form integral is i times a real
     integral that mpmath can do to 30 digits."""
     f = k2.validate_polynomial(W5_COEFFS)
-    roots = k2.branch_points(f)
+    roots = branch_points(f)
     i0 = int(np.argmin([abs(r - 0) for r in roots]))
     i1 = int(np.argmin([abs(r - 1) for r in roots]))
     # numerators of (omega1, omega2, r1, r2), in the order the integrals
@@ -84,8 +86,8 @@ def test_eta_integrality(any_ctx):
     for _ in range(20):
         mv = rng.integers(-2, 3, 4)
         mw = rng.integers(-2, 3, 4)
-        v, w = k2.lattice_vector(pd, mv), k2.lattice_vector(pd, mw)
-        ev, ew = k2.eta_of_lattice(pd, mv), k2.eta_of_lattice(pd, mw)
+        v, w = periods.lattice_vector(pd, mv), periods.lattice_vector(pd, mw)
+        ev, ew = periods.eta_of_lattice(pd, mv), periods.eta_of_lattice(pd, mw)
         q = (ew @ v - ev @ w) / (2j * np.pi)
         assert abs(q - round(q.real)) < 1e-8
 
@@ -116,7 +118,7 @@ def test_nearest_lattice_residual(any_ctx):
     rng = np.random.default_rng(34)
     for _ in range(10):
         m, n = rng.integers(-2, 3, 2), rng.integers(-2, 3, 2)
-        w = k2.lattice_vector(pd, m, n)
+        w = periods.lattice_vector(pd, m, n)
         assert k2.nearest_lattice_residual(pd, w) < 1e-10
         off = k2.nearest_lattice_residual(pd, w + 0.3 * pd.A[:, 0])
         assert off > _lattice_tol(pd)
@@ -127,8 +129,8 @@ def test_eta_is_additive(w5_ctx):
     rng = np.random.default_rng(35)
     for _ in range(10):
         a, b = rng.integers(-2, 3, 4), rng.integers(-2, 3, 4)
-        lhs = k2.eta_of_lattice(pd, a + b)
-        rhs = k2.eta_of_lattice(pd, a) + k2.eta_of_lattice(pd, b)
+        lhs = periods.eta_of_lattice(pd, a + b)
+        rhs = periods.eta_of_lattice(pd, a) + periods.eta_of_lattice(pd, b)
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1.0, np.max(np.abs(rhs)))
 
 
@@ -162,7 +164,7 @@ def _searched_transform(f, ordering):
     """Oracle: the first of 16 variants of the constant frame (8 sign
     patterns with loop 0 fixed, each without and with the a/b swap) whose
     periods pass the certificate."""
-    roots = k2.branch_points(f)
+    roots = branch_points(f)
     if ordering is not None:
         roots = [roots[k] for k in ordering]
     W = periods.elementary_cycle_integrals(f, roots)
@@ -284,11 +286,54 @@ def test_z_star_invariant_mod_lattice():
     assert k2.nearest_lattice_residual(pd, pd2.z_star - pd.z_star) < 1e-9
 
 
+@pytest.mark.parametrize("coeffs", [G6_COEFFS, _ring_curve(
+    np.random.default_rng(8), 6, 0.8 - 0.6j)], ids=["g6", "ring6"])
+def test_z_star_continues_one_tail(coeffs, monkeypatch):
+    """The tail back to infinity from the flip loop's end, at -y_far, is
+    the first tail with every y negated, so z_star = I_loop - 2 T needs
+    one tail continuation, and matches the route that integrates both."""
+    f = k2.validate_polynomial(coeffs)
+    roots = branch_points(f)
+    scale = max(1.0, max(abs(r) for r in roots))
+    calls = []
+    continue_sqrt = integration.continue_sqrt
+
+    def counting(h, seed=None):
+        calls.append(seed)
+        return continue_sqrt(h, seed)
+
+    monkeypatch.setattr(integration, "continue_sqrt", counting)
+    z_star = integration.infinity_to_infinity(f, roots, scale)
+    monkeypatch.undo()
+    x_far = integration.FAR_FACTOR * scale * np.exp(0.7310j)
+    loop_pieces = integration.flip_loop_pieces(roots, x_far)
+    assert len(calls) == 1 + len(loop_pieces)
+
+    # both tails, each integrated
+    y_far = complex(np.sqrt(f(x_far)))
+    T, landed_plus = integration.tail_integrals(f, [x_far], [y_far])
+    if landed_plus[0]:
+        y_far, T = -y_far, -T
+    loop = integration.SheetPath.build(f, loop_pieces, y_far)
+    I_loop = integration.integrate_forms(
+        loop, integration.holomorphic_numerators())
+    T_out, landed_plus = integration.tail_integrals(f, [x_far], [loop.y_end])
+    assert landed_plus[0]
+    want = -T[0] + I_loop + T_out[0]
+    assert np.max(np.abs(z_star - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def _recompute_delta(f, pd):
+    """Delta for existing period data, certificate included."""
+    return periods._riemann_constant(f, pd.A, pd.Omega, list(pd.roots),
+                                     pd.scale, pd.z_star)[0]
+
+
 def test_riemann_constant_recompute(any_ctx):
     """Recomputed Delta agrees with the stored one modulo Z^2 + Omega Z^2
     (possibly a different representative of the same divisor point)."""
     pd = any_ctx.pd
-    D = k2.riemann_constant(any_ctx.f, pd)
+    D = _recompute_delta(any_ctx.f, pd)
     diff = D - pd.Delta
     M = np.zeros((4, 4))
     M[:2, :2] = np.eye(2)
@@ -343,26 +388,30 @@ def test_inconsistent_z_star_has_no_certified_delta(g6_ctx):
     pd = g6_ctx.pd
     bad = replace(pd, z_star=pd.z_star + 0.1 * (pd.A[:, 0] + pd.B[:, 1]))
     with pytest.raises(k2.DeltaAmbiguityError, match="^0 of 16"):
-        k2.riemann_constant(g6_ctx.f, bad)
+        _recompute_delta(g6_ctx.f, bad)
 
 
 # -- the batched Delta certificate against the per-candidate loop -------------
+
+def theta(tp, z):
+    return theta_jet(tp, z, 0)[0, 0]
+
 
 def _delta_by_candidate_loop(f, pd):
     """Reference: the certificate candidate by candidate, one scalar theta
     call per candidate and sample, each candidate dropped at its first
     failing sample.  Returns every passing (Delta, (n0, m0))."""
-    tp = k2.ThetaParams.build(pd.Omega)
+    tp = ThetaParams.build(pd.Omega)
     us = periods._abel_samples(f, pd.A, list(pd.roots), pd.scale, pd.z_star)
-    theta_ref = max(abs(k2.theta_eval(tp, np.zeros(2))),
-                    max(abs(k2.theta_eval(tp, u)) for u in us))
+    theta_ref = max(abs(theta(tp, np.zeros(2))),
+                    max(abs(theta(tp, u)) for u in us))
     shift = (0.0 if pd.z_star is None
              else 0.5 * np.linalg.solve(pd.A, pd.z_star))
     hits = []
     for n0 in itertools.product((0, 1), (0, 1)):
         for m0 in itertools.product((0, 1), (0, 1)):
             D = periods._half_period(pd.Omega, n0, m0) + shift
-            if all(abs(k2.theta_eval(tp, u - D)) < 1e-8 * theta_ref
+            if all(abs(theta(tp, u - D)) < 1e-8 * theta_ref
                    for u in us):
                 hits.append((D, (n0, m0)))
     return hits
@@ -395,7 +444,7 @@ def test_batched_delta_certificate_matches_candidate_loop(coeffs,
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return k2.theta_jet(*args, **kwargs)
+        return theta_jet(*args, **kwargs)
 
     monkeypatch.setattr(periods, "theta_jet", counting)
     pd = k2.compute_period_data(f)

@@ -8,6 +8,7 @@ import pytest
 
 import kleinian2 as k2
 from kleinian2 import integration
+from kleinian2.curve import branch_points
 from kleinian2.integration import (ARG_STEP, BASE_GRID, MAX_DEPTH, MAX_NODES,
                                    RATIO_STEP, Line, SheetPath, continue_sqrt,
                                    flip_loop_pieces, line_with_detours,
@@ -158,10 +159,11 @@ def test_sheet_path_consistency():
     x0, x1 = 2.0 + 0.5j, -1.5 + 0.8j
     y0 = np.sqrt(f(x0))
     path = SheetPath.build(f, [Line(x0, x1)], y0)
+    us, ss = path.tables[0]
     prev = None
     for u in np.linspace(0.0, 1.0, 50):
         x = path.pieces[0].x_of(u)
-        y = path.y_at(0, float(u), x)
+        y = lookup_sqrt(us, ss, float(u), f(x))
         assert abs(y ** 2 - f(x)) < 1e-10 * max(1.0, abs(f(x)))
         if prev is not None:
             assert abs(y - prev) < 0.35 * max(1.0, abs(y))
@@ -243,7 +245,7 @@ def _seeded():
 
 def _detour(monkeypatch):
     f = _g6()
-    pieces = line_with_detours(k2.branch_points(f), 1.0 - 0.5j, 1.0 + 0.5j)
+    pieces = line_with_detours(branch_points(f), 1.0 - 0.5j, 1.0 + 0.5j)
     assert any(isinstance(pc, integration.Arc) for pc in pieces)
     return _recorded_continuations(monkeypatch, lambda: SheetPath.build(
         f, pieces, np.sqrt(f(1.0 - 0.5j))))
@@ -252,7 +254,7 @@ def _detour(monkeypatch):
 def _tail(monkeypatch, f):
     x_far = 12.0 * np.exp(0.731j)
     return _recorded_continuations(monkeypatch, lambda: tail_integrals(
-        f, x_far, np.sqrt(f(x_far))))
+        f, [x_far], [np.sqrt(f(x_far))]))
 
 
 CONTINUATIONS = {
@@ -321,7 +323,7 @@ def _integrate_forms_piece_by_piece(path, numerators):
     for i, pc in enumerate(path.pieces):
         def g(u, d0, d1, i=i, pc=pc):
             x = pc.x_of(u)
-            y = path.y_at(i, u, x)
+            y = lookup_sqrt(*path.tables[i], u, path.f(x))
             return np.stack([nf(x) * pc.dx_of(u) / y for nf in numerators],
                             axis=1)
         total += integrate_01(g)[0]
@@ -334,7 +336,7 @@ def test_integrate_forms_matches_piece_by_piece(coeffs):
     a sheet-flip loop appended: the one quadrature over all pieces gives
     the per-piece sum."""
     f = k2.validate_polynomial(coeffs)
-    roots = k2.branch_points(f)
+    roots = branch_points(f)
     nums = integration.all_numerators(f)
     rng = np.random.default_rng(11)
     for k, r in enumerate(roots):

@@ -1,5 +1,6 @@
 """JSON round trips: complex pairs, curves, divisors, period data, bundles."""
 
+import copy
 import json
 
 import numpy as np
@@ -76,6 +77,29 @@ def test_tolerances_block_reads_the_module_constants(g6_ctx):
     assert block == {"tol_sym": k2.periods.TOL_SYM,
                      "tol_leg": k2.periods.TOL_LEG,
                      "eps_target": k2.theta.EPS_TARGET}
+
+@pytest.mark.parametrize("field, index", [("etaB", (0, 0, 0)),
+                                          ("A", (1, 0, 1)),
+                                          ("Omega", (0, 1, 0))])
+def test_period_data_from_json_certifies(g6_ctx, field, index):
+    """Loading runs the certificate compute_period_data runs, so data
+    moved by 1e-3 in one entry is refused, not served."""
+    obj = json.loads(json.dumps(ser.period_data_to_json(g6_ctx.pd)))
+    bad = copy.deepcopy(obj)
+    i, j, part = index
+    bad[field][i][j][part] += 1e-3
+    with pytest.raises(k2.RiemannMatrixError):
+        ser.period_data_from_json(bad)
+
+
+@pytest.mark.parametrize("transform", [[[7]], [[1.0, 0, 0, 0]] * 4])
+def test_period_data_from_json_requires_integer_transform(g6_ctx,
+                                                          transform):
+    obj = ser.period_data_to_json(g6_ctx.pd)
+    obj["transform"] = transform
+    with pytest.raises(ValueError, match="4x4 integer"):
+        ser.period_data_from_json(obj)
+
 
 def test_period_data_round_trip_weierstrass(w5_ctx):
     pd = w5_ctx.pd

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import kleinian2 as k2
+from kleinian2.periods import eta_of_lattice, lattice_vector
+from kleinian2.theta import theta_jet
 
 from conftest import sample_z
 
@@ -78,7 +80,8 @@ def test_zeta_matches_log_derivative(w5_ctx):
     r = 0.05 * ctx.jet_scale
     for _ in range(5):
         z = sample_z(ctx, rng)
-        z1, z2, *_ = k2.sigma_log_derivs(ctx, z)
+        b = k2.evaluate_bundle(ctx, z, want_sigma=True)
+        z1, z2 = b.zeta1, b.zeta2
         sig = k2.sigma_eval(ctx, z)
         for j, (e, zeta) in enumerate(zip(np.eye(2), (z1, z2))):
             d = _directional_coeffs(lambda w: k2.sigma_eval(ctx, w), z, e, r, 1)[1]
@@ -95,10 +98,11 @@ def test_zeta_quasi_periodicity(w5_ctx):
         mn = rng.integers(-2, 3, 4)
         if not mn.any():
             continue
-        w = k2.lattice_vector(ctx.pd, mn)
-        eta = k2.eta_of_lattice(ctx.pd, mn)
-        a = np.array(k2.sigma_log_derivs(ctx, z)[:2])
-        b = np.array(k2.sigma_log_derivs(ctx, z + w)[:2])
+        w = lattice_vector(ctx.pd, mn)
+        eta = eta_of_lattice(ctx.pd, mn)
+        a, b = (k2.evaluate_bundle(ctx, t, want_sigma=True)
+                for t in (z, z + w))
+        a, b = np.array([a.zeta1, a.zeta2]), np.array([b.zeta1, b.zeta2])
         assert np.max(np.abs(b - a - eta)) < 1e-8 * max(1.0, np.max(np.abs(eta)))
 
 
@@ -112,16 +116,22 @@ def test_sigma_quasi_periodicity_factor(w5_ctx):
         mn = rng.integers(-2, 3, 4)
         if not mn.any():
             continue
-        w = k2.lattice_vector(ctx.pd, mn)
-        factor = np.exp(k2.eta_of_lattice(ctx.pd, mn) @ (z + 0.5 * w))
+        w = lattice_vector(ctx.pd, mn)
+        factor = np.exp(eta_of_lattice(ctx.pd, mn) @ (z + 0.5 * w))
         lhs = k2.sigma_eval(ctx, z + w)
         rhs = factor * k2.sigma_eval(ctx, z)
         assert min(abs(lhs - rhs), abs(lhs + rhs)) < 1e-8 * max(abs(lhs), 1.0)
 
 
 def test_sigma_divisor_raises(w5_ctx):
+    """On the zero set of sigma the logarithmic derivatives do not exist:
+    the bundle leaves them out, and their private evaluation raises."""
+    b = k2.evaluate_bundle(w5_ctx, np.zeros(2), want_sigma=True)
+    assert b.sigma == 0 or abs(b.sigma) < 1e-10
+    assert b.zeta1 is None and b.p111 is None
+    jm = theta_jet(w5_ctx.tp, -w5_ctx.pd.Delta, 3)
     with pytest.raises(k2.OnSigmaDivisorError):
-        k2.sigma_log_derivs(w5_ctx, np.zeros(2))
+        k2.kleinian._sigma_log_derivs_from_jet(w5_ctx, np.zeros(2), jm)
 
 
 def test_sigma_requires_weierstrass_form(g6_ctx):
@@ -131,4 +141,4 @@ def test_sigma_requires_weierstrass_form(g6_ctx):
     with pytest.raises(k2.NotWeierstrassFormError):
         k2.sigma_jets(g6_ctx, z, order=2)
     with pytest.raises(k2.NotWeierstrassFormError):
-        k2.sigma_log_derivs(g6_ctx, z)
+        k2.evaluate_bundle(g6_ctx, z, want_sigma=True)

@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 
 import kleinian2 as k2
+from kleinian2.theta import ThetaParams, theta_jet
 
 MULTI_INDICES = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
                  (3, 0), (2, 1), (1, 2), (0, 3)]
+
+
+def _theta(tp, z):
+    """theta(z; Omega), the order-0 entry of the jet."""
+    return theta_jet(tp, z, 0)[0, 0]
 
 
 def _brute_theta(Omega, z, N=12):
@@ -22,48 +28,48 @@ def _brute_theta(Omega, z, N=12):
 def test_identity_matrix_vs_1d_series():
     """Omega = i I factorizes, so theta(0) is the square of the 1-D sum
     sum_n exp(-pi n^2)."""
-    tp = k2.ThetaParams.build(1j * np.eye(2))
+    tp = ThetaParams.build(1j * np.eye(2))
     one_d = sum(np.exp(-np.pi * n ** 2) for n in range(-40, 41))
-    assert abs(k2.theta_eval(tp, np.zeros(2)) - one_d ** 2) < 1e-12
+    assert abs(_theta(tp, np.zeros(2)) - one_d ** 2) < 1e-12
 
 
 def test_matches_brute_force_sum(g6_ctx):
     Omega = g6_ctx.pd.Omega
-    tp = k2.ThetaParams.build(Omega)
+    tp = ThetaParams.build(Omega)
     rng = np.random.default_rng(21)
     for _ in range(5):
         z = rng.uniform(-1, 1, 2) + 1j * rng.uniform(-0.3, 0.3, 2)
         ref = _brute_theta(Omega, z)
-        assert abs(k2.theta_eval(tp, z) - ref) < 1e-11 * max(1.0, abs(ref))
+        assert abs(_theta(tp, z) - ref) < 1e-11 * max(1.0, abs(ref))
 
 
 def test_quasi_periodicity(w5_ctx, g6_ctx):
     for ctx in (w5_ctx, g6_ctx):
         Omega = ctx.pd.Omega
-        tp = k2.ThetaParams.build(Omega)
+        tp = ThetaParams.build(Omega)
         rng = np.random.default_rng(22)
         for _ in range(20):
             z = rng.uniform(-1, 1, 2) + 1j * rng.uniform(-0.5, 0.5, 2)
             n = rng.integers(-2, 3, 2)
             m = rng.integers(-2, 3, 2)
-            lhs = k2.theta_eval(tp, z + n + Omega @ m)
+            lhs = _theta(tp, z + n + Omega @ m)
             factor = np.exp(-1j * np.pi * m @ Omega @ m - 2j * np.pi * m @ z)
-            rhs = factor * k2.theta_eval(tp, z)
+            rhs = factor * _theta(tp, z)
             assert abs(lhs - rhs) < 1e-10 * max(abs(lhs), abs(rhs), 1.0)
 
 
 def test_evenness(g6_ctx):
-    tp = k2.ThetaParams.build(g6_ctx.pd.Omega)
+    tp = ThetaParams.build(g6_ctx.pd.Omega)
     rng = np.random.default_rng(23)
     for _ in range(10):
         z = rng.uniform(-1, 1, 2) + 1j * rng.uniform(-0.5, 0.5, 2)
-        a, b = k2.theta_eval(tp, z), k2.theta_eval(tp, -z)
+        a, b = _theta(tp, z), _theta(tp, -z)
         assert abs(a - b) < 1e-13 * max(1.0, abs(a))
 
 
 @pytest.mark.parametrize("multi_index", MULTI_INDICES)
 def test_derivatives_match_finite_differences(g6_ctx, multi_index):
-    tp = k2.ThetaParams.build(g6_ctx.pd.Omega)
+    tp = ThetaParams.build(g6_ctx.pd.Omega)
     rng = np.random.default_rng(sum(multi_index))
     h = 1e-2
 
@@ -80,38 +86,38 @@ def test_derivatives_match_finite_differences(g6_ctx, multi_index):
 
         def along_z2(w):
             # reduce to repeated z1 differences of z2 derivatives via jets
-            return k2.theta_deriv(tp, w, (0, k2_))
+            return theta_jet(tp, w, k2_)[0, k2_]
 
         coarse = fd(along_z2, z, k1, h)
         fine = fd(along_z2, z, k1, h / 2)
         est = (4 * fine - coarse) / 3 if k1 > 0 else fine
-        got = k2.theta_deriv(tp, z, multi_index)
+        got = theta_jet(tp, z, k1 + k2_)[k1, k2_]
         assert abs(got - est) < 1e-6 * max(1.0, abs(got))
 
 
 def test_third_jet_table_is_consistent(g6_ctx):
-    """The full order-3 table agrees with per-index evaluation; the jets
-    differ only in series truncation radius, so to a few ulps."""
-    tp = k2.ThetaParams.build(g6_ctx.pd.Omega)
+    """The full order-3 table agrees with the tables of lower order; the
+    jets differ only in series truncation radius, so to a few ulps."""
+    tp = ThetaParams.build(g6_ctx.pd.Omega)
     z = np.array([0.21 + 0.05j, -0.37 + 0.11j])
-    jet = k2.theta_jet(tp, z, 3)
-    assert abs(jet[0, 0] - k2.theta_eval(tp, z)) < 1e-14
+    jet = theta_jet(tp, z, 3)
+    assert abs(jet[0, 0] - _theta(tp, z)) < 1e-14
     for (a, b) in MULTI_INDICES:
-        one = k2.theta_deriv(tp, z, (a, b))
+        one = theta_jet(tp, z, a + b)[a, b]
         assert abs(jet[a, b] - one) < 1e-12 * max(1.0, abs(one))
 
 
 def test_rejects_bad_riemann_matrix():
     with pytest.raises(k2.RiemannMatrixError):
-        k2.ThetaParams.build(np.array([[1j, 0.3], [0.2, 1j]]))  # not symmetric
+        ThetaParams.build(np.array([[1j, 0.3], [0.2, 1j]]))  # not symmetric
     with pytest.raises(k2.RiemannMatrixError):
-        k2.ThetaParams.build(np.array([[-1j, 0], [0, 1j]]))  # Im not posdef
+        ThetaParams.build(np.array([[-1j, 0], [0, 1j]]))  # Im not posdef
 
 
 def test_order_cap():
-    tp = k2.ThetaParams.build(1j * np.eye(2))
+    tp = ThetaParams.build(1j * np.eye(2))
     with pytest.raises(ValueError):
-        k2.theta_deriv(tp, np.zeros(2), (4, 0))
+        theta_jet(tp, np.zeros(2), 4)
 
 
 def _brute_jet(Omega, z, order, N=25):
@@ -134,7 +140,7 @@ def test_batched_jet_matches_rows(g6_ctx, order):
     reduction shifts both coordinates by Omega and whose |Im z0| differ,
     so each row alone would be summed over a box of its own radius."""
     Omega = g6_ctx.pd.Omega
-    tp = k2.ThetaParams.build(Omega)
+    tp = ThetaParams.build(Omega)
     z0 = np.array([[0.11 + 0.02j, -0.23 + 0.01j],
                    [-0.31 + 0.25j, 0.07 - 0.20j],
                    [0.27 - 0.12j, 0.36 + 0.31j],
@@ -150,11 +156,11 @@ def test_batched_jet_matches_rows(g6_ctx, order):
     m_red = np.round(np.linalg.solve(Omega.imag, Z.imag.T)).T
     assert np.array_equal(m_red, m)
 
-    J = k2.theta_jet(tp, Z, order)
+    J = theta_jet(tp, Z, order)
     assert J.shape == (len(Z), order + 1, order + 1)
     valid = np.add.outer(range(order + 1), range(order + 1)) <= order
     for row, z in zip(J, Z):
-        one = k2.theta_jet(tp, z, order)
+        one = theta_jet(tp, z, order)
         assert np.all(row[~valid] == 0)
         assert np.all(np.abs(row - one)[valid]
                       <= 1e-14 * np.abs(one)[valid])
@@ -172,8 +178,8 @@ def test_tables_do_not_leak_between_matrices():
     for k in range(8):
         Omega = np.array([[0.1 * k + 1.1j, 0.3 - 0.05 * k + 0.2j],
                           [0.3 - 0.05 * k + 0.2j, -0.2 + 0.04 * k + 1.3j]])
-        tp = k2.ThetaParams.build(Omega)
-        got = k2.theta_eval(tp, z)
+        tp = ThetaParams.build(Omega)
+        got = _theta(tp, z)
         ref = _brute_theta(Omega, z)
         assert abs(got - ref) < 1e-11 * max(1.0, abs(ref))
         del tp
