@@ -14,13 +14,13 @@ for period integrals, where y = s(u) sqrt(u (1-u)) with s a continuous root
 of the nonvanishing cofactor, and the chart at infinity used by Abel-map
 tails.
 
-Continuations stay one per piece, but the quadratures do not: all pieces
-of a path, all segments of the period loops, and a fan of radial runs or
-of tails each go through one stacked integrate_01 call, which looks the
-branch up in the pieces' tables joined into one.
+Work is stacked, not looped: all pieces of a path, all segments of the
+period loops, and a fan of radial runs or of tails each go through one
+continue_sqrt call, which returns one joined table for the stack, and one
+integrate_01 call, which looks the branch up in that table.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,143 +74,138 @@ def _step_ok(h0, h1):
             & (m <= RATIO_STEP) & (np.abs(np.angle(r)) <= ARG_STEP))
 
 
-def continue_sqrt(h, seed=None):
-    """Continuous branch of sqrt(h(u)) on u in [0, 1].
+def continue_sqrt(h, seeds):
+    """Continuous branches of sqrt(h) along a stack of pieces, each
+    parametrized over u in [0, 1]; h(u, k) maps arrays of parameters and
+    piece indices to nonzero complex values.
 
-    h maps an array of parameters to nonzero complex values.  It is called
-    once on a uniform base grid and then once per refinement level, on the
-    midpoints of every interval whose end values are not yet close in
-    argument and modulus; refinement stops when all are, after which the
-    nearer of +-sqrt(h) is provably the analytic continuation.  Each
-    interval's fate depends only on its two end values, so the node set
-    is the one bisecting interval by interval would give.  Returns
-    (us, ss): node parameters in increasing order and branch values.
-    If seed is given it must square to h(0) and fixes the branch;
-    otherwise the principal root at u = 0 is used.
+    h is called once on a uniform base grid of every piece and then once
+    per refinement level, on the midpoints of every interval whose end
+    values are not yet close in argument and modulus; refinement stops
+    when all are, after which the nearer of +-sqrt(h) is provably the
+    analytic continuation.  An interval's fate depends only on its end
+    values, so each piece gets the nodes that bisecting it alone would
+    give, within its own MAX_DEPTH and MAX_NODES.  seeds[k] must square to
+    h(0, k) and fixes piece k's branch; None continues piece k from the
+    end of piece k-1, checked the same way (piece 0: the principal root).
+    Returns the joined table (us, ss), piece k's nodes stored at u + 2k.
     """
+    n = len(seeds)
     # a closed loop can return to h(0) exactly, which would fool a pure
     # endpoint test; a uniform starting grid below the winding scale of
     # any single piece makes the refinement criterion sound
-    u_init = np.linspace(0.0, 1.0, BASE_GRID + 1)
-    h_init = np.asarray(h(u_init), dtype=complex)
-    h0 = complex(h_init[0])
-    # pending intervals as end parameters and end values; an accepted
-    # interval contributes its right end
-    u_a, h_a, u_b, h_b = u_init[:-1], h_init[:-1], u_init[1:], h_init[1:]
-    us, hs = [u_init[:1]], [h_init[:1]]
-    n_nodes = 1
+    m = BASE_GRID + 1
+    k, u = np.divmod(np.arange(n * m), m)
+    u = u / BASE_GRID
+    hv = np.asarray(h(u, k), dtype=complex)
+    # pending intervals, from grid node i to i + 1, as piece, end
+    # parameters and end values; an accepted one contributes its right end
+    i = np.flatnonzero(u < 1.0)
+    us, ks, hs = [u[::m]], [k[::m]], [hv[::m]]
+    k, u_a, u_b, h_a, h_b = k[i], u[i], u[i + 1], hv[i], hv[i + 1]
+    n_nodes = np.ones(n, dtype=int)
     for depth in range(MAX_DEPTH + 1):
         ok = _step_ok(h_a, h_b)
         us.append(u_b[ok])
+        ks.append(k[ok])
         hs.append(h_b[ok])
-        n_nodes += int(np.count_nonzero(ok))
+        n_nodes += np.bincount(k[ok], minlength=n)
         bad = ~ok
         if not bad.any():
             break
-        u_a, h_a, u_b, h_b = u_a[bad], h_a[bad], u_b[bad], h_b[bad]
-        if depth >= MAX_DEPTH or n_nodes + len(u_a) > MAX_NODES:
+        k, u_a, h_a, u_b, h_b = k[bad], u_a[bad], h_a[bad], u_b[bad], h_b[bad]
+        if (depth >= MAX_DEPTH
+                or np.any(n_nodes + np.bincount(k, minlength=n) > MAX_NODES)):
             raise SheetTrackingError(
                 "analytic continuation did not stabilize; path passes too "
                 "close to a zero of f")
         u_m = 0.5 * (u_a + u_b)
-        h_m = np.asarray(h(u_m), dtype=complex)
+        h_m = np.asarray(h(u_m, k), dtype=complex)
+        k = np.concatenate([k, k])
         u_a, u_b = np.concatenate([u_a, u_m]), np.concatenate([u_m, u_b])
         h_a, h_b = np.concatenate([h_a, h_m]), np.concatenate([h_m, h_b])
-    us = np.concatenate(us)
-    order = np.argsort(us)
-    us = us[order]
-    hs = np.concatenate(hs)[order]
+    us, ks, hs = (np.concatenate(a) for a in (us, ks, hs))
+    order = np.lexsort((us, ks))
+    us, ks, hs = us[order], ks[order], hs[order]
 
-    if seed is None:
-        s0 = np.sqrt(h0)
-    else:
-        s0 = complex(seed)
-        if abs(s0 * s0 - h0) > 1e-8 * max(abs(h0), abs(s0) ** 2):
-            raise SheetTrackingError(
-                f"seed^2 = {s0 * s0:.6g} does not match h(0) = {h0:.6g}")
     # the nearer of +-root to the previous branch value: each step's sign
-    # flip against the previous principal root, accumulated; no step can
-    # tie, since consecutive values are within ARG_STEP in argument
+    # flip against the previous principal root, accumulated from the start
+    # of the last seeded piece, where the flip is the seed's own; no step
+    # can tie, since consecutive values are within ARG_STEP in argument
+    first = np.searchsorted(ks, np.arange(n))
+    restarts = np.array([s is not None for s in seeds], dtype=bool)
+    restarts[:1] = True
+    restart, chained = first[restarts], first[~restarts]
     roots = np.sqrt(hs)
-    prev = np.concatenate([[s0], roots[1:-1]])
-    flip = np.abs(roots[1:] - prev) > np.abs(roots[1:] + prev)
-    ss = np.empty_like(hs)
-    ss[0] = s0
-    ss[1:] = np.where(np.logical_xor.accumulate(flip), -roots[1:], roots[1:])
-    return us, ss
+    s0 = np.array([roots[0] if s is None else s for s in seeds],
+                  dtype=complex)[restarts]
+    prev = np.concatenate([roots[:1], roots[:-1]])
+    flip = np.abs(roots - prev) > np.abs(roots + prev)
+    flip[restart] = np.abs(s0 - roots[restart]) > np.abs(s0 + roots[restart])
+    acc = np.logical_xor.accumulate(flip)
+    start = restart[np.searchsorted(restart, np.arange(len(us)), "right") - 1]
+    ss = np.where(acc ^ np.concatenate([[False], acc[:-1]])[start],
+                  -roots, roots)
+    # each piece starts exactly on its seed or on the previous piece's end
+    ss[restart] = s0
+    ss[chained] = ss[chained - 1]
+    y0, h0 = ss[first], hs[first]
+    miss = np.abs(y0 * y0 - h0) > 1e-8 * np.maximum(np.abs(h0),
+                                                      np.abs(y0) ** 2)
+    if miss.any():
+        raise SheetTrackingError(
+            f"seed^2 does not match h(0) on piece {np.argmax(miss)}")
+    return us + 2.0 * ks, ss
 
 
 def lookup_sqrt(us, ss, u, hvals):
-    """Branch-resolved sqrt(hvals) at parameters u using a continuation table."""
+    """Branch-resolved sqrt(hvals) at parameters u using a continuation
+    table; hvals of shape (len(u), P) holds piece k's values in column k,
+    read at u + 2k in the joined table of the P pieces, where the unit gap
+    keeps the node nearest to u + 2k, rounding included, in piece k."""
     u = np.asarray(u, dtype=float)
     s = np.sqrt(np.asarray(hvals, dtype=complex))
+    if s.ndim == 2:
+        u = u[:, None] + 2.0 * np.arange(s.shape[1])
     idx = np.clip(np.searchsorted(us, u), 1, len(us) - 1)
     nearer_left = (us[idx] - u) > (u - us[idx - 1])
     ref = ss[np.where(nearer_left, idx - 1, idx)]
     return np.where(np.abs(s - ref) > np.abs(s + ref), -s, s)
 
 
-@dataclass
-class SheetPath:
-    """A concrete path on the curve: x-plane pieces plus branch tables."""
-    f: object
-    pieces: list
-    tables: list = field(default_factory=list)
-    y_start: complex = 0j
-    y_end: complex = 0j
-
-    @classmethod
-    def build(cls, f, pieces, y_start):
-        path = cls(f=f, pieces=[], y_start=complex(y_start),
-                   y_end=complex(y_start))
-        path.extend(pieces)
-        return path
-
-    def extend(self, pieces):
-        """Continue the path along further pieces from its current end."""
-        for pc in pieces:
-            us, ss = continue_sqrt(lambda u, pc=pc: self.f(pc.x_of(u)),
-                                   seed=self.y_end)
-            self.pieces.append(pc)
-            self.tables.append((us, ss))
-            self.y_end = complex(ss[-1])
+def _piece_ends(table, k):
+    """Branch values at the end, u = 1, of pieces k of a joined table."""
+    return table[1][np.searchsorted(table[0], 2.0 * np.asarray(k) + 1.0)]
 
 
-def _joined_lookup(tables):
-    """lookup_sqrt over several continuation tables at once: the returned
-    function takes parameters u of shape (n,) and values of shape (n, P),
-    column p resolved in tables[p].  Table p is stored offset by 2p; the
-    unit gap between tables keeps the node nearest to any u + 2p,
-    rounding included, in table p."""
-    offset = 2.0 * np.arange(len(tables))
-    us = np.concatenate([t[0] + c for t, c in zip(tables, offset)])
-    ss = np.concatenate([t[1] for t in tables])
-    return lambda u, hvals: lookup_sqrt(us, ss, u[:, None] + offset, hvals)
+def _x_at(pieces, u, k):
+    """x on piece k[i] at parameter u[i]."""
+    x = np.empty(len(u), dtype=complex)
+    for j, pc in enumerate(pieces):
+        x[k == j] = pc.x_of(u[k == j])
+    return x
 
 
-def _path_integrals(paths, numerators):
-    """Integrals of n_k(x)/y dx along each SheetPath, one row per path;
-    the pieces of all paths share one quadrature."""
-    pieces = [pc for path in paths for pc in path.pieces]
-    val = np.zeros((0, len(numerators)), dtype=complex)
-    if pieces:
-        f = paths[0].f
-        branch = _joined_lookup([t for path in paths for t in path.tables])
-
-        def g(u, d0, d1):
-            x = np.stack([pc.x_of(u) for pc in pieces], axis=1)
-            dx = np.stack([pc.dx_of(u) for pc in pieces], axis=1)
-            y = branch(u, f(x))
-            return np.stack([nf(x) * dx / y for nf in numerators], axis=2)
-
-        val, _ = integrate_01(g)
-    ends = np.cumsum([len(path.pieces) for path in paths])[:-1]
-    return np.array([v.sum(axis=0) for v in np.split(val, ends)])
+def _continue_chain(f, pieces, y0):
+    """Joined table of y along a chain of x-plane pieces from y0."""
+    return continue_sqrt(lambda u, k: f(_x_at(pieces, u, k)),
+                         [y0 if k == 0 else None for k in range(len(pieces))])
 
 
-def integrate_forms(path, numerators):
-    """Integrals of n_k(x)/y dx along a SheetPath, one per numerator."""
-    return _path_integrals([path], numerators)[0]
+def integrate_forms(f, pieces, table, numerators):
+    """Integrals of n_k(x)/y dx over each piece of a stack, one row per
+    piece, with y read from the stack's joined table; all pieces share
+    one quadrature."""
+    if not pieces:
+        return np.zeros((0, len(numerators)), dtype=complex)
+
+    def g(u, d0, d1):
+        x = np.stack([pc.x_of(u) for pc in pieces], axis=1)
+        dx = np.stack([pc.dx_of(u) for pc in pieces], axis=1)
+        y = lookup_sqrt(*table, u, f(x))
+        return np.stack([nf(x) * dx / y for nf in numerators], axis=2)
+
+    return integrate_01(g)[0]
 
 
 def holomorphic_numerators():
@@ -317,17 +312,23 @@ def flip_loop_pieces(roots, x_at):
 
 
 def path_between(f, roots, P0, P1):
-    """SheetPath from affine point P0 to affine point P1, inserting a
-    sheet-flip loop when the straight continuation lands on -y1."""
-    path = SheetPath.build(f, line_with_detours(roots, P0.x, P1.x), P0.y)
-    ref = max(abs(path.y_end), abs(P1.y), 1e-300)
-    if abs(path.y_end - P1.y) > abs(path.y_end + P1.y):
-        path.extend(flip_loop_pieces(roots, P1.x))
-    if abs(path.y_end - P1.y) > TOL_END * ref:
+    """Path from affine point P0 to affine point P1 as (pieces, table):
+    the straight run with detours, plus a sheet-flip loop when that run
+    lands on -y1, and the pieces' joined branch table."""
+    pieces = line_with_detours(roots, P0.x, P1.x)
+    us, ss = _continue_chain(f, pieces, P0.y)
+    y_end = ss[-1] if pieces else complex(P0.y)
+    if abs(y_end - P1.y) > abs(y_end + P1.y):
+        loop = flip_loop_pieces(roots, P1.x)
+        us_loop, ss_loop = _continue_chain(f, loop, y_end)
+        us = np.concatenate([us, us_loop + 2.0 * len(pieces)])
+        ss = np.concatenate([ss, ss_loop])
+        pieces = pieces + loop
+        y_end = ss[-1]
+    if abs(y_end - P1.y) > TOL_END * max(abs(y_end), abs(P1.y), 1e-300):
         raise SheetTrackingError(
-            f"continued y = {path.y_end:.6g} does not match target "
-            f"{P1.y:.6g}")
-    return path
+            f"continued y = {y_end:.6g} does not match target {P1.y:.6g}")
+    return pieces, (us, ss)
 
 
 # -- factored branch-point segments -----------------------------------------
@@ -336,7 +337,7 @@ def segment_period_integrals(f, roots, pairs):
     """Row p holds the integrals of (dx/y, x dx/y, r1, r2) over the
     straight segment from roots[i] to roots[j], (i, j) = pairs[p], on the
     sheet fixed by the principal cofactor root; all segments share one
-    quadrature.
+    continuation and one quadrature.
 
     With x(u) = b_i + u (b_j - b_i) the polynomial factors through
     y = s(u) sqrt(u (1-u)), where s^2 = G(u) = -lc d^2 prod(x(u) - r_k)
@@ -351,29 +352,25 @@ def segment_period_integrals(f, roots, pairs):
     others = np.array([np.delete(roots, [i, j]) for i, j in pairs])
     lead = f.leading
 
-    def G(u, p=slice(None)):
-        """Cofactor of segment p at parameters u; by default of every
-        segment, along a new last axis."""
-        x = bi[p] + np.multiply.outer(u, d[p])
-        acc = np.broadcast_to(-lead * d[p] * d[p], np.shape(x))
+    def G(x, p=slice(None)):
+        """Cofactor of segment p at points x on it; by default of every
+        segment, along the last axis."""
+        acc = -lead * d[p] * d[p]
         for r in others[p].T:
             acc = acc * (x - r)
         return acc
 
-    tables = []
-    for p in range(len(pairs)):
-        g0 = complex(G(0.0, p))
-        ref = d[p] * f.deriv(bi[p])
-        if abs(g0 - ref) > 1e-8 * max(abs(g0), abs(ref)):
-            raise SheetTrackingError(
-                "factored cofactor fails the endpoint check")
-        tables.append(continue_sqrt(lambda u, p=p: G(u, p)))
-    branch = _joined_lookup(tables)
+    g0 = G(bi + 0.0 * d)
+    ref = d * f.deriv(bi)
+    if np.any(np.abs(g0 - ref) > 1e-8 * np.maximum(np.abs(g0), np.abs(ref))):
+        raise SheetTrackingError("factored cofactor fails the endpoint check")
+    us, ss = continue_sqrt(lambda u, p: G(bi[p] + u * d[p], p),
+                           np.sqrt(g0))
     nums = all_numerators(f)
 
     def g(u, d0, d1):
         x = bi + u[:, None] * d
-        y = branch(u, G(u)) * np.sqrt(d0 * d1)[:, None]
+        y = lookup_sqrt(us, ss, u, G(x)) * np.sqrt(d0 * d1)[:, None]
         return np.stack([nf(x) * d / y for nf in nums], axis=2)
 
     val, _ = integrate_01(g)
@@ -386,11 +383,11 @@ def tail_integrals(f, x_far, y_far):
     """Integrals of (dx/y, x dx/y) from far points out to infinity.
 
     x_far and y_far are equal-length sequences of far points; their
-    tails share one quadrature.  Returns (T, landed_plus): T of shape
-    (N, 2), the two integrals along each ray to infinity in the
-    compactifying chart, and a bool array, whether each continuation
-    arrives at the infinite point labelled 1 (y/x^3 -> +sqrt(f6)
-    principal; always True on degree-5 curves).
+    tails share one continuation and one quadrature.  Returns
+    (T, landed_plus): T of shape (N, 2), the two integrals along each ray
+    to infinity in the compactifying chart, and a bool array, whether
+    each continuation arrives at the infinite point labelled 1
+    (y/x^3 -> +sqrt(f6) principal; always True on degree-5 curves).
     """
     x_far = np.asarray(x_far, dtype=complex)
     y_far = np.asarray(y_far, dtype=complex)
@@ -399,8 +396,8 @@ def tail_integrals(f, x_far, y_far):
         asc = f.coeffs[::-1]          # t^6 f(1/t), ascending in t
         seeds = y_far * t1 ** 3
 
-        def h(tau, k=slice(None)):
-            return poly_eval(asc, np.multiply.outer(1.0 - tau, t1[k]))
+        def h(tau, t):
+            return poly_eval(asc, (1.0 - tau) * t)
 
         def forms(tau, s):
             return [t1 ** 2 * (1.0 - tau)[:, None] / s, t1 / s]
@@ -409,47 +406,53 @@ def tail_integrals(f, x_far, y_far):
         asc = f.coeffs[5::-1]         # Q(s) = f5 + f4 s + ... + f0 s^5
         seeds = y_far * t1 ** 5
 
-        def h(tau, k=slice(None)):
-            return poly_eval(asc, np.multiply.outer(1.0 - tau, t1[k]) ** 2)
+        def h(tau, t):
+            return poly_eval(asc, ((1.0 - tau) * t) ** 2)
 
         def forms(tau, s):
             return [2 * t1 ** 3 * ((1.0 - tau) ** 2)[:, None] / s,
                     2 * t1 / s]
 
-    tables = [continue_sqrt(lambda tau, k=k: h(tau, k), seed=seeds[k])
-              for k in range(len(x_far))]
-    branch = _joined_lookup(tables)
+    table = continue_sqrt(lambda tau, k: h(tau, t1[k]), seeds)
 
     def g(tau, d0, d1):
-        s = branch(tau, h(tau))
+        s = lookup_sqrt(*table, tau, h(tau[:, None], t1))
         return np.stack(forms(tau, s), axis=2)
 
     T, _ = integrate_01(g)
     if f.degree == 5:
         return T, np.ones(len(x_far), dtype=bool)
-    s_end = np.array([t[1][-1] for t in tables])
+    s_end = _piece_ends(table, np.arange(len(x_far)))
     pr = np.sqrt(complex(f.coeffs[6]))
     return T, np.abs(s_end - pr) <= np.abs(s_end + pr)
 
 
-def point_infinity_integrals(f, roots, P, scale):
-    """Holomorphic integrals from a point at infinity to each affine point
-    of the sequence P along a concrete path (tail, then a radial run with
-    detours); the radial runs share one quadrature, and so do the tails.
-    Returns (J, landed_plus): J of shape (N, 2), J[n, k] the integral of
-    omega_k to P[n], and a bool array, which infinite point each tail
-    connects to (label 1 when True).
+def point_infinity_integrals(f, roots, P, scale, z_star):
+    """Holomorphic integrals from the infinite point labelled 2 (the one
+    point at infinity on degree 5) to each affine point of the sequence P,
+    one row per point, along a tail from infinity to a far point and a
+    radial run with detours.  The radial runs share one continuation and
+    one quadrature, and so do the tails; a tail that lands on label 1 is
+    moved to label 2 by z_star, the integral from 2 to 1 (None on degree 5).
     """
-    paths, x_far = [], []
+    runs, seeds, x_far = [], [], []
     for Q in P:
         R = max(FAR_FACTOR * scale, 2.5 * abs(Q.x))
         phi = float(np.angle(Q.x)) if abs(Q.x) > 1e-12 * scale else 0.7310
         x_far.append(R * np.exp(1j * phi))
-        paths.append(SheetPath.build(
-            f, line_with_detours(roots, Q.x, x_far[-1]), Q.y))
-    I_aff = _path_integrals(paths, holomorphic_numerators())
-    T, landed_plus = tail_integrals(f, x_far, [p.y_end for p in paths])
-    return -T - I_aff, landed_plus
+        runs.append(line_with_detours(roots, Q.x, x_far[-1]))
+        seeds += [Q.y] + [None] * (len(runs[-1]) - 1)
+    pieces = [pc for run in runs for pc in run]
+    table = continue_sqrt(lambda u, k: f(_x_at(pieces, u, k)), seeds)
+    ends = np.cumsum([len(run) for run in runs])
+    I_aff = np.array([v.sum(axis=0) for v in np.split(
+        integrate_forms(f, pieces, table, holomorphic_numerators()),
+        ends[:-1])])
+    T, landed_plus = tail_integrals(f, x_far, _piece_ends(table, ends - 1))
+    J = -T - I_aff
+    if f.degree == 6:
+        J = J + np.where(landed_plus[:, None], z_star, 0)
+    return J
 
 
 def infinity_to_infinity(f, roots, scale):
@@ -469,8 +472,9 @@ def infinity_to_infinity(f, roots, scale):
         y_far = -y_far
         T = -T
     # now the tail from x_far with seed y_far lands on label 2
-    loop = SheetPath.build(f, flip_loop_pieces(roots, x_far), y_far)
-    if abs(loop.y_end + y_far) > TOL_END * abs(y_far):
+    pieces = flip_loop_pieces(roots, x_far)
+    table = _continue_chain(f, pieces, y_far)
+    if abs(table[1][-1] + y_far) > TOL_END * abs(y_far):
         raise SheetTrackingError("flip loop failed to change sheets")
-    I_loop = integrate_forms(loop, holomorphic_numerators())
-    return -T + I_loop - T
+    I_loop = integrate_forms(f, pieces, table, holomorphic_numerators())
+    return -T + I_loop.sum(axis=0) - T

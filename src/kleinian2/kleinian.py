@@ -485,43 +485,29 @@ def _sigma_log_derivs_from_jet(ctx, z, jm):
 
 # -- Abel map and inversion ---------------------------------------------------
 
-def _infinity_base_label(f, P):
-    """Label of the infinite point the Abel path starts from, which is the
-    involution image of P."""
-    if f.degree == 5:
-        return 1
-    return 3 - P.infinity
-
-
 def abel_forward(ctx, D):
     """Abel image of the degree-2 divisor D = (p) + (q): the integral of
-    (dx/y, x dx/y) from the involution image of p to q along one concrete
-    path.  Unordered-pair symmetry holds because the forms are odd under
-    the involution."""
+    (dx/y, x dx/y) from the involution image ip of p to q, along one
+    concrete path when both are affine, else A(q) - A(ip) with A from
+    inf_2: A(inf_1) = z_star, A(inf_2) = 0 (A = 0 at the one infinite
+    point of degree 5).  Unordered-pair symmetry holds modulo periods
+    because the forms are odd under the involution."""
     f, pd = ctx.f, ctx.pd
-    roots = list(pd.roots)
-    p0, q0 = D.p, D.q
-    if not p0.is_affine and not q0.is_affine:
-        if f.degree == 5:
-            return np.zeros(2, dtype=complex)
-        base = 3 - p0.infinity
-        if base == q0.infinity:
-            return np.zeros(2, dtype=complex)
-        return np.array(pd.z_star) if base == 2 else -np.array(pd.z_star)
-    if p0.is_affine and q0.is_affine:
-        path = path_between(f, roots, involution(p0), q0)
-        return integrate_forms(path, holomorphic_numerators())
-    if p0.is_affine:
-        p0, q0 = q0, p0
-    base = _infinity_base_label(f, p0)
-    J, landed_plus = point_infinity_integrals(f, roots, [q0], pd.scale)
-    J = J[0]
-    if f.degree == 5:
-        return J
-    landed = 1 if landed_plus[0] else 2
-    if base == landed:
-        return J
-    return J + pd.z_star if base == 2 else J - pd.z_star
+    p, q = involution(D.p), D.q
+    if p.is_affine and q.is_affine:
+        pieces, table = path_between(f, list(pd.roots), p, q)
+        return integrate_forms(f, pieces, table,
+                               holomorphic_numerators()).sum(axis=0)
+
+    def A(P):
+        if P.is_affine:
+            return point_infinity_integrals(f, list(pd.roots), [P], pd.scale,
+                                            pd.z_star)[0]
+        if P.infinity == 1 and pd.z_star is not None:
+            return np.array(pd.z_star)
+        return np.zeros(2, dtype=complex)
+
+    return A(q) - A(p)
 
 
 def jacobi_invert(ctx, z):
@@ -573,8 +559,8 @@ def rho_lambda_eval(ctx, D):
             "divisor is special; second-kind integrals diverge")
     if abs(p0.x - q0.x) < DIAG_FACTOR * pd.scale:
         raise DiagonalError("divisor points share an x-coordinate")
-    path = path_between(f, list(pd.roots), involution(p0), q0)
-    vals = integrate_forms(path, all_numerators(f))
+    pieces, table = path_between(f, list(pd.roots), involution(p0), q0)
+    vals = integrate_forms(f, pieces, table, all_numerators(f)).sum(axis=0)
     lam = (p0.y - q0.y) / (p0.x - q0.x)
     return vals[2], vals[3], lam, vals[:2]
 

@@ -251,14 +251,13 @@ def nearest_lattice_residual(pd, z):
 # -- Riemann constant ---------------------------------------------------------
 
 def _abel_samples(f, A, roots, scale, z_star):
-    """Normalized Abel images u = A^{-1} * integral from J(inf_1) to P for
-    a deterministic fan of sample points P, one row per point."""
+    """Normalized Abel images u = A^{-1} * integral from inf_2 (inf on
+    degree 5) to P for a deterministic fan of sample points P, one row
+    per point."""
     xs = 1.7 * scale * np.exp(
         2j * np.pi * (0.137 + 0.618034 * np.arange(ABEL_SAMPLES)))
     points = [CurvePoint.affine(x, np.sqrt(complex(f(x)))) for x in xs]
-    z, landed_plus = point_infinity_integrals(f, roots, points, scale)
-    if f.degree == 6:
-        z = z + np.where(landed_plus[:, None], z_star, 0)
+    z = point_infinity_integrals(f, roots, points, scale, z_star)
     return np.linalg.solve(A, z.T).T
 
 

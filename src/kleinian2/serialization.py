@@ -134,7 +134,9 @@ def period_data_to_json(pd):
 def period_data_from_json(obj):
     """PeriodData from its JSON form, certified as compute_period_data
     certifies it: the Riemann-matrix and Legendre checks on A, B, etaA,
-    etaB (RiemannMatrixError), with Omega equal to A^-1 B."""
+    etaB, with Omega equal to A^-1 B, and 2 Delta - A^-1 z_star (z_star
+    = 0 on degree 5) a lattice point n + Omega m, (n, m) = delta_char on
+    degree 5.  Raises RiemannMatrixError otherwise."""
     f = curve_from_json({"coeffs": obj["curve"]})
     transform = np.array(obj["transform"])
     if transform.shape != (4, 4) or transform.dtype.kind != "i":
@@ -163,6 +165,14 @@ def period_data_from_json(obj):
         raise RiemannMatrixError(
             "period data fails the Riemann-matrix and Legendre "
             "certificates")
+    v = 2 * pd.Delta - (0 if z_star is None else np.linalg.solve(pd.A, z_star))
+    m = np.rint(np.linalg.solve(pd.Omega.imag, v.imag))
+    n = np.rint(v.real - pd.Omega.real @ m)
+    if (np.max(np.abs(v - n - pd.Omega @ m)) > TOL_SYM
+            or (f.degree == 5 and (tuple(n), tuple(m)) != char)):
+        raise RiemannMatrixError(
+            "Delta is not a half-period shifted by (1/2) A^-1 z_star, or "
+            "not the half-period of delta_char")
     return pd
 
 

@@ -111,6 +111,39 @@ def test_abel_infinite_points_differ_by_z_star(g6_ctx):
     assert resid < 1e-9
 
 
+def _affine_points(ctx, n, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        x = ctx.pd.scale * rng.uniform(0.3, 1.5) * np.exp(
+            2j * np.pi * rng.uniform())
+        yield k2.CurvePoint(x, np.sqrt(ctx.f(x)) * rng.choice([-1.0, 1.0]))
+
+
+def test_abel_symmetric_with_one_infinite_point(any_ctx):
+    """(P) + (inf_l) and (inf_l) + (P) integrate different tails, from
+    the involution image of P and from P, and give the same image."""
+    ctx = any_ctx
+    for P in _affine_points(ctx, 4, 47):
+        for label in (1, 2):
+            inf = k2.CurvePoint.at_infinity(label)
+            z1 = k2.abel_forward(ctx, k2.Divisor(P, inf))
+            z2 = k2.abel_forward(ctx, k2.Divisor(inf, P))
+            assert np.max(np.abs(z1 - z2)) <= 1e-13 * max(
+                1.0, np.max(np.abs(z1)))
+
+
+def test_abel_double_point_splits_at_infinity(any_ctx):
+    """abel((P) + (P)), a flip loop after an empty straight run, equals
+    abel((P) + (inf_1)) + abel((P) + (inf_2)) modulo periods."""
+    ctx = any_ctx
+    inf1, inf2 = k2.CurvePoint.at_infinity(1), k2.CurvePoint.at_infinity(2)
+    for P in _affine_points(ctx, 4, 48):
+        z = k2.abel_forward(ctx, k2.Divisor(P, P))
+        want = (k2.abel_forward(ctx, k2.Divisor(P, inf1))
+                + k2.abel_forward(ctx, k2.Divisor(P, inf2)))
+        assert k2.nearest_lattice_residual(ctx.pd, z - want) < 1e-12
+
+
 def test_abel_both_infinite(g6_ctx):
     inf1, inf2 = k2.CurvePoint.at_infinity(1), k2.CurvePoint.at_infinity(2)
     ctx = g6_ctx

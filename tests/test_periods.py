@@ -298,26 +298,35 @@ def test_z_star_continues_one_tail(coeffs, monkeypatch):
     calls = []
     continue_sqrt = integration.continue_sqrt
 
-    def counting(h, seed=None):
-        calls.append(seed)
-        return continue_sqrt(h, seed)
+    def recording(h, seeds):
+        calls.append(seeds)
+        return continue_sqrt(h, seeds)
 
-    monkeypatch.setattr(integration, "continue_sqrt", counting)
+    monkeypatch.setattr(integration, "continue_sqrt", recording)
     z_star = integration.infinity_to_infinity(f, roots, scale)
     monkeypatch.undo()
     x_far = integration.FAR_FACTOR * scale * np.exp(0.7310j)
+    y_far = complex(np.sqrt(f(x_far)))
     loop_pieces = integration.flip_loop_pieces(roots, x_far)
-    assert len(calls) == 1 + len(loop_pieces)
+    # one tail, seeded in the chart at infinity by y_far / x_far^3, then
+    # the flip loop, one chain from +-y_far
+    tail_seeds, loop_seeds = calls
+    assert len(tail_seeds) == 1
+    assert abs(abs(tail_seeds[0] * x_far ** 3) - abs(y_far)) <= (
+        1e-14 * abs(y_far))
+    assert len(loop_seeds) == len(loop_pieces)
+    assert abs(loop_seeds[0]) == abs(y_far) and loop_seeds[1:] == [None] * (
+        len(loop_pieces) - 1)
 
     # both tails, each integrated
-    y_far = complex(np.sqrt(f(x_far)))
     T, landed_plus = integration.tail_integrals(f, [x_far], [y_far])
     if landed_plus[0]:
         y_far, T = -y_far, -T
-    loop = integration.SheetPath.build(f, loop_pieces, y_far)
+    table = integration._continue_chain(f, loop_pieces, y_far)
     I_loop = integration.integrate_forms(
-        loop, integration.holomorphic_numerators())
-    T_out, landed_plus = integration.tail_integrals(f, [x_far], [loop.y_end])
+        f, loop_pieces, table, integration.holomorphic_numerators())
+    I_loop = I_loop.sum(axis=0)
+    T_out, landed_plus = integration.tail_integrals(f, [x_far], [table[1][-1]])
     assert landed_plus[0]
     want = -T[0] + I_loop + T_out[0]
     assert np.max(np.abs(z_star - want)) <= 1e-15 * np.max(np.abs(want))

@@ -10,7 +10,7 @@ import kleinian2 as k2
 from kleinian2 import integration
 from kleinian2.curve import branch_points
 from kleinian2.integration import (ARG_STEP, BASE_GRID, MAX_DEPTH, MAX_NODES,
-                                   RATIO_STEP, Line, SheetPath, continue_sqrt,
+                                   RATIO_STEP, Line, continue_sqrt,
                                    flip_loop_pieces, line_with_detours,
                                    lookup_sqrt, tail_integrals)
 from kleinian2.quadrature import integrate_01
@@ -111,42 +111,47 @@ def test_continue_sqrt_closed_loop_winding():
     def h_loop(u):
         return f(center + 0.3 * np.exp(2j * np.pi * u))
 
-    us, ss = continue_sqrt(h_loop)
+    us, ss = continue_sqrt(lambda u, k: h_loop(u), [None])
     assert abs(ss[-1] + ss[0]) < 1e-12 * abs(ss[0])
 
     def h_null(u):
         # same circle around a point with no enclosed root
         return f(3.0 + 0.3 * np.exp(2j * np.pi * u))
 
-    us, ss = continue_sqrt(h_null)
+    us, ss = continue_sqrt(lambda u, k: h_null(u), [None])
     assert abs(ss[-1] - ss[0]) < 1e-12 * abs(ss[0])
 
 
 def test_continue_sqrt_double_winding_returns():
     f = k2.validate_polynomial(G6_COEFFS)
 
-    def h(u):
+    def h(u, k):
         return f(1.0 + 0.3 * np.exp(4j * np.pi * u))
 
-    us, ss = continue_sqrt(h)
+    us, ss = continue_sqrt(h, [None])
     assert abs(ss[-1] - ss[0]) < 1e-12 * abs(ss[0])
 
 
 def test_continue_sqrt_seed_selects_branch():
-    def h(u):
+    def h(u, k):
         return 4.0 + 0j + 0.0 * u
 
-    _, ss = continue_sqrt(h, seed=-2.0)
+    _, ss = continue_sqrt(h, [-2.0])
     assert ss[0] == -2.0 and ss[-1] == -2.0
     with pytest.raises(k2.SheetTrackingError):
-        continue_sqrt(h, seed=1.0)
+        continue_sqrt(h, [1.0])
+    # a seed later in the stack is checked too, and so is a junction
+    with pytest.raises(k2.SheetTrackingError):
+        continue_sqrt(h, [-2.0, 1.0])
+    with pytest.raises(k2.SheetTrackingError):
+        continue_sqrt(lambda u, k: h(u, k) * (1 + 3 * k), [-2.0, None])
 
 
 def test_lookup_sqrt_interpolates_branch():
     def h(u):
         return np.exp(4j * np.pi * u)  # sqrt(h) = exp(2 pi i u) winds once
 
-    us, ss = continue_sqrt(h)
+    us, ss = continue_sqrt(lambda u, k: h(u), [None])
     u_test = np.linspace(0.01, 0.99, 37)
     got = lookup_sqrt(us, ss, u_test, h(u_test))
     want = np.exp(2j * np.pi * u_test)
@@ -158,11 +163,11 @@ def test_sheet_path_consistency():
     f = k2.validate_polynomial(G6_COEFFS)
     x0, x1 = 2.0 + 0.5j, -1.5 + 0.8j
     y0 = np.sqrt(f(x0))
-    path = SheetPath.build(f, [Line(x0, x1)], y0)
-    us, ss = path.tables[0]
+    line = Line(x0, x1)
+    us, ss = continue_sqrt(lambda u, k: f(line.x_of(u)), [y0])
     prev = None
     for u in np.linspace(0.0, 1.0, 50):
-        x = path.pieces[0].x_of(u)
+        x = line.x_of(u)
         y = lookup_sqrt(us, ss, float(u), f(x))
         assert abs(y ** 2 - f(x)) < 1e-10 * max(1.0, abs(f(x)))
         if prev is not None:
@@ -211,12 +216,12 @@ def _continue_sqrt_depth_first(h, seed=None):
 
 
 def _recorded_continuations(monkeypatch, run):
-    """(h, seed) of every continuation `run` makes."""
+    """(h, seeds) of every continuation `run` makes."""
     calls = []
 
-    def spy(h, seed=None):
-        calls.append((h, seed))
-        return continue_sqrt(h, seed)
+    def spy(h, seeds):
+        calls.append((h, seeds))
+        return continue_sqrt(h, seeds)
 
     with monkeypatch.context() as m:
         m.setattr(integration, "continue_sqrt", spy)
@@ -234,21 +239,48 @@ def _w5():
 
 def _loop(turns):
     f = _g6()
-    return [(lambda u: f(1.0 + 0.3 * np.exp(2j * np.pi * turns * u)), None)]
+    return [(lambda u, k: f(1.0 + 0.3 * np.exp(2j * np.pi * turns * u)),
+             [None])]
 
 
 def _seeded():
     f = _g6()
     line = Line(2.0 + 0.5j, -1.5 + 0.8j)
-    return [(lambda u: f(line.x_of(u)), -np.sqrt(f(line.z0)))]
+    return [(lambda u, k: f(line.x_of(u)), [-np.sqrt(f(line.z0))])]
 
 
 def _detour(monkeypatch):
+    """path_between to a point and to its involution image: a chain of a
+    line, a detour arc and a line, each piece seeded by the end of the
+    one before, and for the second a flip loop continued from its end."""
     f = _g6()
-    pieces = line_with_detours(branch_points(f), 1.0 - 0.5j, 1.0 + 0.5j)
-    assert any(isinstance(pc, integration.Arc) for pc in pieces)
-    return _recorded_continuations(monkeypatch, lambda: SheetPath.build(
-        f, pieces, np.sqrt(f(1.0 - 0.5j))))
+    x0, x1 = 1.0 - 0.5j, 1.0 + 0.5j
+    assert any(isinstance(pc, integration.Arc)
+               for pc in line_with_detours(branch_points(f), x0, x1))
+    P0 = k2.CurvePoint.affine(x0, np.sqrt(f(x0)))
+    P1 = k2.CurvePoint.affine(x1, np.sqrt(f(x1)))
+    return _recorded_continuations(monkeypatch, lambda: [
+        integration.path_between(f, branch_points(f), P0, P)
+        for P in (P1, k2.CurvePoint.affine(x1, -P1.y))])
+
+
+def _segments(monkeypatch):
+    """The period segments: one stack, every piece on its own seed."""
+    f = _g6()
+    return _recorded_continuations(monkeypatch, lambda: (
+        integration.segment_period_integrals(
+            f, branch_points(f), k2.periods.LOOP_PAIRS)))
+
+
+def _fan(monkeypatch, f):
+    """Radial runs of several points (seeded and chained pieces in one
+    stack), then their tails (a stack of seeds)."""
+    roots = branch_points(f)
+    xs = [1.1 * np.exp(0.4j), 0.45 - 0.2j, -1.4 + 0.05j]
+    points = [k2.CurvePoint.affine(x, np.sqrt(f(x))) for x in xs]
+    z_star = np.zeros(2) if f.degree == 6 else None
+    return _recorded_continuations(monkeypatch, lambda: (
+        integration.point_infinity_integrals(f, roots, points, 1.0, z_star)))
 
 
 def _tail(monkeypatch, f):
@@ -262,6 +294,9 @@ CONTINUATIONS = {
     "double_winding": lambda mp: _loop(2),
     "seeded_branch": lambda mp: _seeded(),
     "detour": _detour,
+    "segments": _segments,
+    "fan_degree5": lambda mp: _fan(mp, _w5()),
+    "fan_degree6": lambda mp: _fan(mp, _g6()),
     "tail_degree5": lambda mp: _tail(mp, _w5()),
     "tail_degree6": lambda mp: _tail(mp, _g6()),
 }
@@ -269,26 +304,41 @@ CONTINUATIONS = {
 
 @pytest.mark.parametrize("name", sorted(CONTINUATIONS))
 def test_batched_continuation_matches_depth_first(name, monkeypatch):
+    """Every piece's slice of the joined table is the depth-first
+    continuation of that piece alone, from its seed or, for a chained
+    piece, from the oracle's end of the piece before."""
     calls = CONTINUATIONS[name](monkeypatch)
     assert calls
-    for h, seed in calls:
-        us, ss = continue_sqrt(h, seed)
-        us_ref, ss_ref = _continue_sqrt_depth_first(h, seed)
-        assert np.array_equal(us, us_ref)
-        assert np.all(np.abs(ss - ss_ref) <= 1e-15 * np.abs(ss_ref))
+    for h, seeds in calls:
+        us, ss = continue_sqrt(h, seeds)
+        y_end, n_nodes = None, 0
+        for k, seed in enumerate(seeds):
+            piece = (us >= 2 * k) & (us <= 2 * k + 1)
+            us_ref, ss_ref = _continue_sqrt_depth_first(
+                lambda u, k=k: h(np.array([u]), np.array([k]))[0],
+                y_end if seed is None else seed)
+            assert np.array_equal(us[piece], us_ref + 2.0 * k)
+            assert np.all(np.abs(ss[piece] - ss_ref) <= 1e-15 * np.abs(ss_ref))
+            y_end = ss_ref[-1]
+            n_nodes += len(us_ref)
+        assert n_nodes == len(us)
 
 
 def test_continuation_through_a_zero_raises_after_max_depth():
-    calls = []
+    """A piece through a zero of h exhausts its depth budget, alone and in
+    a stack whose other piece converges at once; h is called once per
+    level on the whole stack."""
+    for bad_piece in (0, 1):
+        calls = []
 
-    def h(u):
-        calls.append(np.size(u))
-        return np.asarray(u) - 0.3 + 0j
+        def h(u, k):
+            calls.append(np.size(u))
+            return np.where(k == bad_piece, np.asarray(u) - 0.3 + 0j, 2.0 + 0j)
 
-    with pytest.raises(k2.SheetTrackingError, match="did not stabilize"):
-        continue_sqrt(h)
-    assert len(calls) <= MAX_DEPTH + 1
-    assert calls[0] == BASE_GRID + 1
+        with pytest.raises(k2.SheetTrackingError, match="did not stabilize"):
+            continue_sqrt(h, [None] * (bad_piece + 1))
+        assert len(calls) <= MAX_DEPTH + 1
+        assert calls[0] == (bad_piece + 1) * (BASE_GRID + 1)
 
 
 def _junction_gap(pieces):
@@ -317,13 +367,14 @@ def test_detour_pieces_meet_exactly():
 
 # -- whole-path quadrature against a per-piece loop --------------------------
 
-def _integrate_forms_piece_by_piece(path, numerators):
-    """Reference: one adaptive quadrature per piece of the path."""
+def _integrate_forms_piece_by_piece(f, pieces, table, numerators):
+    """Reference: one adaptive quadrature per piece of the path, piece i
+    read from the joined table at u + 2i."""
     total = np.zeros(len(numerators), dtype=complex)
-    for i, pc in enumerate(path.pieces):
+    for i, pc in enumerate(pieces):
         def g(u, d0, d1, i=i, pc=pc):
             x = pc.x_of(u)
-            y = lookup_sqrt(*path.tables[i], u, path.f(x))
+            y = lookup_sqrt(*table, u + 2.0 * i, f(x))
             return np.stack([nf(x) * pc.dx_of(u) / y for nf in numerators],
                             axis=1)
         total += integrate_01(g)[0]
@@ -344,9 +395,9 @@ def test_integrate_forms_matches_piece_by_piece(coeffs):
         x0, x1 = r - v, r + v
         pieces = line_with_detours(roots, x0, x1)
         assert any(isinstance(pc, integration.Arc) for pc in pieces)
-        path = SheetPath.build(f, pieces, np.sqrt(f(x0)))
         if k % 2:
-            path.extend(flip_loop_pieces(roots, x1))
-        got = integration.integrate_forms(path, nums)
-        want = _integrate_forms_piece_by_piece(path, nums)
+            pieces += flip_loop_pieces(roots, x1)
+        table = integration._continue_chain(f, pieces, np.sqrt(f(x0)))
+        got = integration.integrate_forms(f, pieces, table, nums).sum(axis=0)
+        want = _integrate_forms_piece_by_piece(f, pieces, table, nums)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

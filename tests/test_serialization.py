@@ -147,3 +147,27 @@ def test_bundle_omits_absent_fields(g6_ctx, w5_ctx):
     b = ser.bundle_to_json(k2.evaluate_bundle(w5_ctx, z, want_sigma=True))
     for key in ("S", "S11", "S12", "S22", "p11", "sigma", "zeta1", "p222"):
         assert key in b
+
+
+def test_period_data_from_json_checks_z_star_against_delta(g6_ctx):
+    """2 Delta - A^-1 z_star must be a lattice point: z_star moved by 0.1
+    is refused, and z_star moved by a period still loads."""
+    pd = g6_ctx.pd
+    obj = json.loads(json.dumps(ser.period_data_to_json(pd)))
+    bad = copy.deepcopy(obj)
+    bad["z_star"][0][0] += 0.1
+    with pytest.raises(k2.RiemannMatrixError):
+        ser.period_data_from_json(bad)
+    shifted = copy.deepcopy(obj)
+    shifted["z_star"] = ser.cvec(pd.z_star + pd.A @ [1, -2] + pd.B @ [0, 3])
+    pd2 = ser.period_data_from_json(shifted)
+    assert np.max(np.abs(pd2.z_star - pd.z_star)) > 1.0
+
+
+def test_period_data_from_json_checks_delta_char(w5_ctx):
+    """On degree 5 the lattice point 2 Delta must be the stored
+    characteristic: one flipped bit of m0 is refused."""
+    obj = json.loads(json.dumps(ser.period_data_to_json(w5_ctx.pd)))
+    obj["delta_char"][1][0] ^= 1
+    with pytest.raises(k2.RiemannMatrixError):
+        ser.period_data_from_json(obj)
