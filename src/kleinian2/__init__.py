@@ -15,7 +15,7 @@ from .curve import (AdmissiblePolynomial, CurvePoint, Divisor,
 from .errors import (ConvergenceError, DegenerateGeometryError, DegreeError,
                      DeltaAmbiguityError, DiagonalError,
                      IllConditionedLatticeError, InfinitePointError,
-                     KleinianError, NormalizationError,
+                     KleinianError, NonFiniteValueError, NormalizationError,
                      NotWeierstrassFormError, OnSigmaDivisorError,
                      OnThetaDivisorError, QuadratureError,
                      RepeatedRootError, RiemannMatrixError,
@@ -41,7 +41,8 @@ __all__ = [
     "DegenerateGeometryError", "QuadratureError", "SheetTrackingError",
     "RiemannMatrixError", "DeltaAmbiguityError",
     "IllConditionedLatticeError", "TruncationRadiusError",
-    "NormalizationError", "OnThetaDivisorError", "RootSelectionAmbiguity",
+    "NormalizationError", "OnThetaDivisorError", "NonFiniteValueError",
+    "RootSelectionAmbiguity",
     "OnSigmaDivisorError", "NotWeierstrassFormError", "SignResolutionError",
     "EvalBundle", "KleinianContext", "S_eval", "S_jk_eval",
     "abel_forward", "divisor_clearance", "evaluate_bundle", "jacobi_invert",

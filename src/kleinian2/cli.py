@@ -45,6 +45,8 @@ def _parse_z(text):
     if len(parts) != 4:
         raise ValueError("--z expects re,im,re,im (4 numbers)")
     vals = [float(p) for p in parts]
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("--z values must be finite")
     return np.array([complex(vals[0], vals[1]), complex(vals[2], vals[3])])
 
 
@@ -155,7 +157,10 @@ def _run(args):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return _run(args)
+        # an overflow is reported as NonFiniteValueError, in JSON, and
+        # numpy's own warnings would break that one-object stderr
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _run(args)
     except KleinianError as exc:
         _error_exit(exc.code, str(exc))
     except (ValueError, KeyError) as exc:

@@ -77,6 +77,11 @@ class OnThetaDivisorError(KleinianError):
     """Evaluation point is on (or too close to) a zero divisor of S."""
 
 
+class NonFiniteValueError(KleinianError):
+    """A theta jet, S, S_jk, sigma or the log Hessian overflowed to a
+    non-finite value at the evaluation point."""
+
+
 class RootSelectionAmbiguity(KleinianError):
     """Cubic root disambiguation found no unique admissible branch."""
 

@@ -1,13 +1,17 @@
 """Sheet-tracked contour integration on a hyperelliptic curve y^2 = f(x).
 
-A path in the x-plane is a list of pieces (lines and circular arcs), each
-parametrized over u in [0, 1].  The sheet is fixed by analytic continuation
-of y = sqrt(f(x)): along every piece we build a table of (u, y) pairs dense
-enough that consecutive f-values differ by less than about half a turn in
-argument and a factor 3 in modulus, which pins the square-root branch at
-every quadrature node without ambiguity.  The table is refined level by
-level: f is evaluated on arrays of parameters, once for the base grid and
-once per refinement level, never one node at a time.
+A path in the x-plane is a stack of pieces, each parametrized over u in
+[0, 1] and stored as one row (c, R, b) of a complex (P, 3) array: a line
+x = c + R u has b = 0, and a circular arc x = c + R exp(b u), centred at
+c, has b = i dphi, its turning angle.  x_dx evaluates x and dx/du on
+every row at once, with one exp per node.  The sheet is fixed by
+analytic continuation of y = sqrt(f(x)): along every piece we build a
+table of (u, y) pairs dense enough that consecutive f-values differ by
+less than about half a turn in argument and a factor 3 in modulus, which
+pins the square-root branch at every quadrature node without ambiguity.
+The table is refined level by level: f is evaluated on arrays of
+parameters, once for the base grid and once per refinement level, never
+one node at a time.
 
 The same continuation engine drives the factored branch-point segments used
 for period integrals, where y = s(u) sqrt(u (1-u)) with s a continuous root
@@ -19,8 +23,6 @@ period loops, and a fan of radial runs or of tails each go through one
 continue_sqrt call, which returns one joined table for the stack, and one
 integrate_01 call, which looks the branch up in that table.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,31 +40,14 @@ FAR_FACTOR = 12.0        # far-point radius for infinity tails, times scale
 TOL_END = 1e-6           # relative miss of a path's end y against its target
 
 
-@dataclass(frozen=True)
-class Line:
-    z0: complex
-    z1: complex
-
-    def x_of(self, u):
-        return self.z0 + u * (self.z1 - self.z0)
-
-    def dx_of(self, u):
-        return np.full_like(np.asarray(u, dtype=complex), self.z1 - self.z0)
-
-
-@dataclass(frozen=True)
-class Arc:
-    center: complex
-    radius: float
-    phi0: float
-    phi1: float
-
-    def x_of(self, u):
-        return self.center + self.radius * np.exp(
-            1j * (self.phi0 + u * (self.phi1 - self.phi0)))
-
-    def dx_of(self, u):
-        return 1j * (self.phi1 - self.phi0) * (self.x_of(u) - self.center)
+def x_dx(pieces, u):
+    """x and dx/du on pieces, rows (c, R, b), at parameters u, the two
+    broadcast against each other: x = c + R u where b = 0, else
+    c + R exp(b u)."""
+    c, R, b = pieces[..., 0], pieces[..., 1], pieces[..., 2]
+    e = np.exp(b * u)
+    line = b == 0
+    return c + R * np.where(line, u, e), R * np.where(line, 1.0, b * e)
 
 
 def _step_ok(h0, h1):
@@ -178,17 +163,9 @@ def _piece_ends(table, k):
     return table[1][np.searchsorted(table[0], 2.0 * np.asarray(k) + 1.0)]
 
 
-def _x_at(pieces, u, k):
-    """x on piece k[i] at parameter u[i]."""
-    x = np.empty(len(u), dtype=complex)
-    for j, pc in enumerate(pieces):
-        x[k == j] = pc.x_of(u[k == j])
-    return x
-
-
 def _continue_chain(f, pieces, y0):
     """Joined table of y along a chain of x-plane pieces from y0."""
-    return continue_sqrt(lambda u, k: f(_x_at(pieces, u, k)),
+    return continue_sqrt(lambda u, k: f(x_dx(pieces[k], u)[0]),
                          [y0 if k == 0 else None for k in range(len(pieces))])
 
 
@@ -196,12 +173,11 @@ def integrate_forms(f, pieces, table, numerators):
     """Integrals of n_k(x)/y dx over each piece of a stack, one row per
     piece, with y read from the stack's joined table; all pieces share
     one quadrature."""
-    if not pieces:
+    if not len(pieces):
         return np.zeros((0, len(numerators)), dtype=complex)
 
     def g(u, d0, d1):
-        x = np.stack([pc.x_of(u) for pc in pieces], axis=1)
-        dx = np.stack([pc.dx_of(u) for pc in pieces], axis=1)
+        x, dx = x_dx(pieces, u[:, None])
         y = lookup_sqrt(*table, u, f(x))
         return np.stack([nf(x) * dx / y for nf in numerators], axis=2)
 
@@ -232,68 +208,69 @@ def all_numerators(f):
     return holomorphic_numerators() + second_kind_numerators(f)
 
 
-def _clearances(roots):
-    r = np.asarray(roots)
-    n = len(r)
-    d = np.abs(r[:, None] - r[None, :]) + np.where(np.eye(n) > 0, np.inf, 0)
-    return d.min(axis=1)
+def detour_radii(roots):
+    """Detour disc radius of each root: a fixed fraction of its distance
+    to the nearest other root."""
+    r = np.asarray(roots, dtype=complex)
+    d = np.abs(r[:, None] - r)
+    np.fill_diagonal(d, np.inf)
+    return DETOUR_FACTOR * d.min(axis=1)
 
 
-def line_with_detours(roots, x0, x1):
+def line_with_detours(roots, radii, x0, x1):
     """Pieces for a straight run x0 -> x1 with minor arcs around any root
-    whose detour disc the segment enters.  Disc radii are a fixed fraction
-    of each root's clearance, shrunk so the endpoints stay outside."""
+    whose detour disc the segment enters.  Disc radii are the roots'
+    radii, shrunk so the endpoints stay outside."""
     x0 = complex(x0)
     x1 = complex(x1)
     d = x1 - x0
     L = abs(d)
     tiny = 1e-13 * max(1.0, abs(x0), abs(x1))
     if L <= tiny:
-        return []
-    clear = _clearances(roots)
-    events = []
-    for k, r in enumerate(roots):
-        if abs(r - x0) <= tiny or abs(r - x1) <= tiny:
-            raise DegenerateGeometryError(
-                "path endpoint coincides with a branch point")
-        rho = min(DETOUR_FACTOR * clear[k],
-                  0.8 * abs(r - x0), 0.8 * abs(r - x1))
-        tm = (np.conj(d) * (r - x0)).real / L ** 2
-        disc = tm * tm - (abs(r - x0) ** 2 - rho ** 2) / L ** 2
-        if disc <= 0:
-            continue
-        t_in = tm - np.sqrt(disc)
-        t_out = tm + np.sqrt(disc)
-        if t_out <= 0 or t_in >= 1:
-            continue
-        # endpoints are outside every disc by the radius cap, so the
-        # crossing interval is interior
-        events.append((t_in, t_out, r, rho))
-    events.sort(key=lambda e: e[0])
-    pieces = []
-    cur = x0
-    for t_in, t_out, r, rho in events:
-        x_in = x0 + t_in * d
-        x_out = x0 + t_out * d
-        phi_in = float(np.angle(x_in - r))
-        dphi = float(np.angle((x_out - r) / (x_in - r)))
+        return np.zeros((0, 3), dtype=complex)
+    r = np.asarray(roots, dtype=complex)
+    w = r - x0
+    a0 = np.abs(w)
+    near = np.minimum(a0, np.abs(r - x1))
+    if near.min() <= tiny:
+        raise DegenerateGeometryError(
+            "path endpoint coincides with a branch point")
+    rho = np.minimum(radii, 0.8 * near)
+    # the line enters disc k for t in tm -+ half, if disc > 0; endpoints
+    # are outside every disc by the radius cap, so such an interval that
+    # meets (0, 1) is interior
+    tm = (np.conj(d) * w).real / L ** 2
+    disc = tm * tm - (a0 ** 2 - rho ** 2) / L ** 2
+    half = np.sqrt(np.maximum(disc, 0.0))
+    hit = np.flatnonzero((disc > 0) & (tm + half > 0) & (tm - half < 1))
+    if not len(hit):
+        return np.array([[x0, d, 0.0]])
+    arcs = []
+    for k in hit[np.argsort(tm[hit] - half[hit], kind="stable")]:
+        x_in = x0 + (tm[k] - half[k]) * d
+        x_out = x0 + (tm[k] + half[k]) * d
+        dphi = float(np.angle((x_out - r[k]) / (x_in - r[k])))
         if abs(abs(dphi) - np.pi) < 1e-12:
             dphi = np.pi
-        arc = Arc(r, rho, phi_in, phi_in + dphi)
-        # the lines meet the arc at its own end points: x0 + t_in d lies
-        # off the circle by the rounding of t_in (1e-11 was seen), which
-        # is large against a small detour radius, where |f| is small
-        x_in, x_out = complex(arc.x_of(0.0)), complex(arc.x_of(1.0))
-        if abs(x_in - cur) > tiny:
-            pieces.append(Line(cur, x_in))
+        arcs.append((r[k], rho[k] * np.exp(1j * np.angle(x_in - r[k])),
+                     1j * dphi))
+    arcs = np.array(arcs)
+    # the lines meet the arcs at their own end points: x0 + t_in d lies
+    # off the circle by the rounding of t_in (1e-11 was seen), which is
+    # large against a small detour radius, where |f| is small
+    ends, _ = x_dx(arcs, np.array([[0.0], [1.0]]))
+    pieces, start = [], x0
+    for arc, arc_start, arc_end in zip(arcs.tolist(), *ends.tolist()):
+        if abs(arc_start - start) > tiny:
+            pieces.append((start, arc_start - start, 0))
         pieces.append(arc)
-        cur = x_out
-    if abs(x1 - cur) > tiny:
-        pieces.append(Line(cur, x1))
-    return pieces
+        start = arc_end
+    if abs(x1 - start) > tiny:
+        pieces.append((start, x1 - start, 0))
+    return np.array(pieces)
 
 
-def flip_loop_pieces(roots, x_at):
+def flip_loop_pieces(roots, radii, x_at):
     """A loop from x_at encircling the nearest root once, which lands the
     continuation on the other sheet."""
     x_at = complex(x_at)
@@ -302,28 +279,28 @@ def flip_loop_pieces(roots, x_at):
     r = complex(r_arr[k])
     if abs(x_at - r) == 0:
         raise DegenerateGeometryError("cannot flip sheets at a branch point")
-    clear = _clearances(roots)[k]
-    rho = min(DETOUR_FACTOR * clear, 0.6 * abs(x_at - r))
-    phi = float(np.angle(x_at - r))
-    arc = Arc(r, rho, phi, phi + 2 * np.pi)
-    return (line_with_detours(roots, x_at, complex(arc.x_of(0.0)))
-            + [arc]
-            + line_with_detours(roots, complex(arc.x_of(1.0)), x_at))
+    rho = min(radii[k], 0.6 * abs(x_at - r))
+    arc = np.array([[r, rho * np.exp(1j * np.angle(x_at - r)), 2j * np.pi]])
+    ends, _ = x_dx(arc, np.array([[0.0], [1.0]]))
+    return np.concatenate([line_with_detours(roots, radii, x_at, ends[0, 0]),
+                           arc,
+                           line_with_detours(roots, radii, ends[1, 0], x_at)])
 
 
 def path_between(f, roots, P0, P1):
     """Path from affine point P0 to affine point P1 as (pieces, table):
     the straight run with detours, plus a sheet-flip loop when that run
     lands on -y1, and the pieces' joined branch table."""
-    pieces = line_with_detours(roots, P0.x, P1.x)
+    radii = detour_radii(roots)
+    pieces = line_with_detours(roots, radii, P0.x, P1.x)
     us, ss = _continue_chain(f, pieces, P0.y)
-    y_end = ss[-1] if pieces else complex(P0.y)
+    y_end = ss[-1] if len(pieces) else complex(P0.y)
     if abs(y_end - P1.y) > abs(y_end + P1.y):
-        loop = flip_loop_pieces(roots, P1.x)
+        loop = flip_loop_pieces(roots, radii, P1.x)
         us_loop, ss_loop = _continue_chain(f, loop, y_end)
         us = np.concatenate([us, us_loop + 2.0 * len(pieces)])
         ss = np.concatenate([ss, ss_loop])
-        pieces = pieces + loop
+        pieces = np.concatenate([pieces, loop])
         y_end = ss[-1]
     if abs(y_end - P1.y) > TOL_END * max(abs(y_end), abs(P1.y), 1e-300):
         raise SheetTrackingError(
@@ -435,15 +412,16 @@ def point_infinity_integrals(f, roots, P, scale, z_star):
     one quadrature, and so do the tails; a tail that lands on label 1 is
     moved to label 2 by z_star, the integral from 2 to 1 (None on degree 5).
     """
+    radii = detour_radii(roots)
     runs, seeds, x_far = [], [], []
     for Q in P:
         R = max(FAR_FACTOR * scale, 2.5 * abs(Q.x))
         phi = float(np.angle(Q.x)) if abs(Q.x) > 1e-12 * scale else 0.7310
         x_far.append(R * np.exp(1j * phi))
-        runs.append(line_with_detours(roots, Q.x, x_far[-1]))
+        runs.append(line_with_detours(roots, radii, Q.x, x_far[-1]))
         seeds += [Q.y] + [None] * (len(runs[-1]) - 1)
-    pieces = [pc for run in runs for pc in run]
-    table = continue_sqrt(lambda u, k: f(_x_at(pieces, u, k)), seeds)
+    pieces = np.concatenate(runs)
+    table = continue_sqrt(lambda u, k: f(x_dx(pieces[k], u)[0]), seeds)
     ends = np.cumsum([len(run) for run in runs])
     I_aff = np.array([v.sum(axis=0) for v in np.split(
         integrate_forms(f, pieces, table, holomorphic_numerators()),
@@ -472,7 +450,7 @@ def infinity_to_infinity(f, roots, scale):
         y_far = -y_far
         T = -T
     # now the tail from x_far with seed y_far lands on label 2
-    pieces = flip_loop_pieces(roots, x_far)
+    pieces = flip_loop_pieces(roots, detour_radii(roots), x_far)
     table = _continue_chain(f, pieces, y_far)
     if abs(table[1][-1] + y_far) > TOL_END * abs(y_far):
         raise SheetTrackingError("flip loop failed to change sheets")

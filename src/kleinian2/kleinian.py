@@ -14,6 +14,7 @@ the addition formula so do pq and E = q p'' + p q'' - p' q'^T - q' p'^T
 of (pq, E11, E12, E22), found once per curve by make_context.
 """
 
+import cmath
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,10 +22,11 @@ import numpy as np
 
 from .curve import (DIAG_FACTOR, CurvePoint, Divisor, F_eval, involution,
                     is_special)
-from .errors import (DiagonalError, InfinitePointError, NormalizationError,
-                     NotWeierstrassFormError, OnSigmaDivisorError,
-                     OnThetaDivisorError, RootSelectionAmbiguity,
-                     SignResolutionError, SpecialDivisorError)
+from .errors import (DiagonalError, InfinitePointError, NonFiniteValueError,
+                     NormalizationError, NotWeierstrassFormError,
+                     OnSigmaDivisorError, OnThetaDivisorError,
+                     RootSelectionAmbiguity, SignResolutionError,
+                     SpecialDivisorError)
 from .integration import (all_numerators, holomorphic_numerators,
                           integrate_forms, path_between,
                           point_infinity_integrals)
@@ -194,6 +196,16 @@ def _as_z(z):
     return z if z.shape == (2,) else z.reshape(2)
 
 
+def _finite(value, what):
+    """value, a numpy scalar or array, or NonFiniteValueError if any
+    entry of it is inf or nan.  Every value returned is built from the
+    theta jets, so this also catches jets that overflowed."""
+    if not all(map(cmath.isfinite, value.ravel().tolist())):
+        raise NonFiniteValueError(
+            f"{what} is not finite at this z; it lies too far out")
+    return value
+
+
 def _theta_pair(ctx, z, order=0):
     """u = A^-1 z and the theta jets at u - Delta and u + Delta, from one
     batched kernel call."""
@@ -232,11 +244,12 @@ def divisor_clearance(ctx, z):
     """min(|theta(u - Delta)|, |theta(u + Delta)|) over the theta scale;
     small values mean z sits near the zero set of S."""
     _, jm, jp = _theta_pair(ctx, _as_z(z), 0)
-    return _clearance(ctx, jm, jp)
+    return _finite(_clearance(ctx, jm, jp), "the divisor clearance")
 
 
 def _S_from_pair(ctx, z, jm, jp):
-    return ctx.c_S * np.exp(z @ ctx.C @ z) * jm[0, 0] * jp[0, 0]
+    return _finite(ctx.c_S * np.exp(z @ ctx.C @ z) * jm[0, 0] * jp[0, 0],
+                   "S")
 
 
 def S_eval(ctx, z):
@@ -262,7 +275,7 @@ def _log_hessian_from_pair(ctx, jm, jp):
         p = jet[0, 0]
         d1, d2, _ = _pullback_jets(ctx, jet, 2)
         L = L + (d2 / p - np.outer(d1, d1) / p ** 2)
-    return L
+    return _finite(L, "the log Hessian of S")
 
 
 def log_S_gradient(ctx, z):
@@ -388,7 +401,7 @@ def _sjk_from_pair(ctx, z, jm, jp):
                   q * jm[1, 1] + p * jp[1, 1] - jm[1, 0] * jp[0, 1]
                   - jm[0, 1] * jp[1, 0],
                   q * jm[0, 2] + p * jp[0, 2] - 2.0 * jm[0, 1] * jp[0, 1]])
-    return np.exp(z @ ctx.C @ z) * (ctx.sjk_coeffs @ e)
+    return _finite(np.exp(z @ ctx.C @ z) * (ctx.sjk_coeffs @ e), "S_jk")
 
 
 def S_jk_eval(ctx, z):
@@ -425,7 +438,8 @@ def sigma_eval(ctx, z):
 
 
 def _sigma_from_jet(ctx, z, u, jm):
-    return ctx.c_sigma * np.exp(_sigma_twist(ctx, z, u)) * jm[0, 0]
+    return _finite(ctx.c_sigma * np.exp(_sigma_twist(ctx, z, u)) * jm[0, 0],
+                   "sigma")
 
 
 def sigma_jets(ctx, z, order=2):
@@ -460,6 +474,7 @@ def sigma_jets(ctx, z, order=2):
                   + g1[l] * ctx.C[j, k]
                   + g1[j] * g1[k] * g1[l]) * jm[0, 0]
             out[key] = e * t
+    _finite(np.array(list(out.values())), "the sigma jets")
     return out
 
 
@@ -474,11 +489,13 @@ def _sigma_log_derivs_from_jet(ctx, z, jm):
     d1, d2, d3 = _pullback_jets(ctx, jm, 3)
     n0, m0 = ctx.pd.delta_char
     g1 = ctx.C @ z - 1j * np.pi * (ctx.Ainv.T @ np.asarray(m0))
-    zeta = g1 + d1 / p
-    h3 = (d3 / p
-          - (np.einsum("jk,l->jkl", d2, d1) + np.einsum("jl,k->jkl", d2, d1)
-             + np.einsum("kl,j->jkl", d2, d1)) / p ** 2
-          + 2.0 * np.einsum("j,k,l->jkl", d1, d1, d1) / p ** 3)
+    zeta = _finite(g1 + d1 / p, "zeta")
+    h3 = _finite(d3 / p
+                 - (np.einsum("jk,l->jkl", d2, d1)
+                    + np.einsum("jl,k->jkl", d2, d1)
+                    + np.einsum("kl,j->jkl", d2, d1)) / p ** 2
+                 + 2.0 * np.einsum("j,k,l->jkl", d1, d1, d1) / p ** 3,
+                 "the sigma derivatives")
     return (zeta[0], zeta[1],
             -h3[0, 0, 0], -h3[0, 0, 1], -h3[0, 1, 1], -h3[1, 1, 1])
 

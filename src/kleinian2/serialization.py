@@ -6,12 +6,14 @@ byte-identical output.  Optional fields are omitted when absent, never
 null.
 """
 
+import dataclasses
 import json
 
 import numpy as np
 
 from .curve import CurvePoint, Divisor, validate_polynomial
 from .errors import RiemannMatrixError
+from .kleinian import EvalBundle
 from .periods import (J, LOOP_PAIRS, TOL_LEG, TOL_SYM, PeriodData,
                       _certified, _residuals)
 from .theta import EPS_TARGET
@@ -45,12 +47,29 @@ def cmat(M):
     return [[cnum(t) for t in row] for row in np.asarray(M)]
 
 
+def _is_int(t):
+    return isinstance(t, int) and not isinstance(t, bool)
+
+
+def _rows(obj, shape, message, entry_ok=lambda t: True):
+    """obj, checked to be shape[0] lists of shape[1] entries each."""
+    if (not isinstance(obj, list) or len(obj) != shape[0]
+            or any(not isinstance(row, list) or len(row) != shape[1]
+                   or not all(map(entry_ok, row)) for row in obj)):
+        raise ValueError(message)
+    return obj
+
+
 def parse_cmat(obj, shape):
-    M = np.array([[parse_cnum(t) for t in row] for row in obj],
-                 dtype=complex)
-    if M.shape != shape:
-        raise ValueError(f"expected a {shape} matrix")
-    return M
+    rows = _rows(obj, shape, f"expected a {shape[0]}x{shape[1]} matrix")
+    return np.array([[parse_cnum(t) for t in row] for row in rows],
+                    dtype=complex)
+
+
+def parse_imat(obj, shape, name):
+    return np.array(_rows(
+        obj, shape, f"{name} must be a {shape[0]}x{shape[1]} integer matrix",
+        _is_int))
 
 
 def dumps(obj):
@@ -64,7 +83,8 @@ def curve_to_json(f):
 
 
 def curve_from_json(obj):
-    if not isinstance(obj, dict) or "coeffs" not in obj:
+    if (not isinstance(obj, dict) or "coeffs" not in obj
+            or not isinstance(obj["coeffs"], list)):
         raise ValueError('curve JSON must be {"coeffs": [...]}')
     coeffs = [parse_cnum(c) for c in obj["coeffs"]]
     if len(coeffs) not in (6, 7):
@@ -86,7 +106,9 @@ def point_from_json(obj):
     if not isinstance(obj, dict):
         raise ValueError("divisor points must be JSON objects")
     if "infinity" in obj:
-        return CurvePoint.at_infinity(int(obj["infinity"]))
+        if not _is_int(obj["infinity"]):
+            raise ValueError("infinity must be the integer 1 or 2")
+        return CurvePoint.at_infinity(obj["infinity"])
     if "x" in obj and "y" in obj:
         return CurvePoint.affine(parse_cnum(obj["x"]), parse_cnum(obj["y"]))
     raise ValueError('each point needs "x" and "y", or "infinity"')
@@ -97,7 +119,7 @@ def divisor_to_json(D):
 
 
 def divisor_from_json(obj):
-    if (not isinstance(obj, dict) or "points" not in obj
+    if (not isinstance(obj, dict) or not isinstance(obj.get("points"), list)
             or len(obj["points"]) != 2):
         raise ValueError('divisor JSON must be {"points": [p, q]}')
     p, q = (point_from_json(t) for t in obj["points"])
@@ -137,14 +159,20 @@ def period_data_from_json(obj):
     etaB, with Omega equal to A^-1 B, and 2 Delta - A^-1 z_star (z_star
     = 0 on degree 5) a lattice point n + Omega m, (n, m) = delta_char on
     degree 5.  Raises RiemannMatrixError otherwise."""
+    keys = ("curve", "roots", "scale", "transform", "A", "B", "etaA", "etaB",
+            "Omega", "Delta")
+    if not isinstance(obj, dict) or any(k not in obj for k in keys):
+        raise ValueError("period data JSON must be an object with keys "
+                         f"{', '.join(keys)}")
     f = curve_from_json({"coeffs": obj["curve"]})
-    transform = np.array(obj["transform"])
-    if transform.shape != (4, 4) or transform.dtype.kind != "i":
-        raise ValueError("transform must be a 4x4 integer matrix")
+    transform = parse_imat(obj["transform"], (4, 4), "transform")
     char = None
     if "delta_char" in obj:
-        char = (tuple(int(t) for t in obj["delta_char"][0]),
-                tuple(int(t) for t in obj["delta_char"][1]))
+        char = tuple(map(tuple, parse_imat(obj["delta_char"], (2, 2),
+                                           "delta_char").tolist()))
+    if not isinstance(obj["scale"], (int, float)) or isinstance(
+            obj["scale"], bool):
+        raise ValueError("scale must be a number")
     z_star = parse_cvec(obj["z_star"], 2) if "z_star" in obj else None
     pd = PeriodData(
         A=parse_cmat(obj["A"], (2, 2)),
@@ -156,7 +184,7 @@ def period_data_from_json(obj):
         delta_char=char,
         transform=transform,
         f=f,
-        roots=tuple(parse_cvec(obj["roots"], len(obj["roots"]))),
+        roots=tuple(parse_cvec(obj["roots"], f.degree)),
         scale=float(obj["scale"]),
         z_star=z_star)
     Omega, r = _residuals(pd.A, pd.B, pd.etaA, pd.etaB)
@@ -178,29 +206,17 @@ def period_data_from_json(obj):
 
 # -- evaluation bundle --------------------------------------------------------
 
-_BUNDLE_ORDER = ("S", "S11", "S12", "S22", "p11", "p12", "p22", "sigma",
-                 "zeta1", "zeta2", "p111", "p112", "p122", "p222")
-
-
 def bundle_to_json(b):
     out = {"z": cvec(b.z)}
-    for name in _BUNDLE_ORDER:
-        val = getattr(b, name)
+    for field in dataclasses.fields(EvalBundle)[1:]:
+        val = getattr(b, field.name)
         if val is not None:
-            out[name] = cnum(val)
+            out[field.name] = cnum(val)
     return out
 
 
 # -- verification report ------------------------------------------------------
 
 def report_to_json(r):
-    checks = []
-    for c in r.checks:
-        entry = {"name": c["name"], "samples": c["samples"],
-                 "max_residual": c["max_residual"],
-                 "tolerance": c["tolerance"], "pass": c["pass"]}
-        if "error" in c:
-            entry["error"] = c["error"]
-        checks.append(entry)
     return {"curve": [cnum(c) for c in r.curve], "seed": r.seed,
-            "pass": r.passed, "checks": checks}
+            "pass": r.passed, "checks": [dict(c) for c in r.checks]}

@@ -200,6 +200,57 @@ def test_malformed_input_exit_2(files, tmp_path):
     assert r.returncode == 2
 
 
+# wrongly typed JSON, each made from the degree-5 periods file, in a file
+# of the kind named
+MALFORMED = {
+    "periods_A_number": ("periods", lambda p: dict(p, A=5)),
+    "periods_list": ("periods", lambda p: [p]),
+    "divisor_points_number": ("divisor", lambda p: {"points": 5}),
+    "divisor_infinity_list": ("divisor", lambda p: {
+        "points": [{"infinity": [1]}, {"infinity": 1}]}),
+    "divisor_infinity_float": ("divisor", lambda p: {
+        "points": [{"infinity": 1.7}, {"infinity": 1}]}),
+    "curve_coeffs_number": ("curve", lambda p: {"coeffs": 5}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_json_exit_2(files, tmp_path, case):
+    """Wrongly typed JSON is an input error, exit 2 with a JSON message,
+    not a traceback (exit 1 means a failed verify check)."""
+    kind, make = MALFORMED[case]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(make(json.loads(
+        open(files["w5_periods"]).read()))))
+    args = {"periods": ("eval", "--curve", files["w5"], "--z", "0.1,0,0.2,0",
+                        "--periods", str(bad)),
+            "divisor": ("abel", "--curve", files["w5"], "--periods",
+                        files["w5_periods"], "--divisor", str(bad)),
+            "curve": ("periods", str(bad))}[kind]
+    r = run_cli(*args)
+    assert r.returncode == 2, r.stderr
+    assert json.loads(r.stderr)["code"] == "InputError"
+    assert r.stdout == ""
+
+
+@pytest.mark.parametrize("z", ["nan,0,0.2,0", "0.1,inf,0.2,0"])
+def test_non_finite_z_exit_2(files, z):
+    r = run_cli("eval", "--curve", files["w5"], "--periods",
+                files["w5_periods"], "--z", z)
+    assert r.returncode == 2
+    err = json.loads(r.stderr)
+    assert err["code"] == "InputError" and "finite" in err["message"]
+
+
+def test_eval_far_point_exit_2(files):
+    """An overflow at a far z is an error with a JSON message, never NaN
+    literals on stdout, which would not be JSON."""
+    r = run_cli("eval", "--curve", files["w5"], "--periods",
+                files["w5_periods"], "--z=1e3,0,0.2,0")
+    assert r.returncode == 2 and r.stdout == ""
+    assert json.loads(r.stderr)["code"] == "NonFiniteValueError"
+
+
 def test_missing_file_exit_2():
     r = run_cli("periods", "/nonexistent/curve.json")
     assert r.returncode == 2

@@ -1,5 +1,7 @@
 """The weight-2 family S, S_jk, the wp extraction, and the Abel map."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -515,3 +517,41 @@ def test_jacobi_invert_makes_one_abel_path(monkeypatch, any_ctx):
         assert k2.nearest_lattice_residual(ctx.pd, back - w) < 1e-7 * max(
             1.0, float(np.linalg.norm(w)))
     assert kept_sign == {True, False}
+
+
+@pytest.mark.parametrize("r", [50.0, 100.0, 300.0])
+def test_far_points_give_finite_values_or_raise(any_ctx, r):
+    """Far from the origin the theta jets, S, S_jk or the log Hessian
+    overflow; every function then raises NonFiniteValueError instead of
+    returning inf or nan, or raising another error on non-finite data."""
+    ctx = any_ctx
+    z = r * np.array([0.6 + 0.3j, 0.2])
+
+    def flat(v):
+        if isinstance(v, k2.Divisor):
+            return [v.p.x, v.p.y, v.q.x, v.q.y]
+        if isinstance(v, k2.EvalBundle):
+            return [val for val in (getattr(v, fl.name)
+                                    for fl in dataclasses.fields(v)[1:])
+                    if val is not None]
+        return v
+
+    fns = [k2.S_eval, k2.S_jk_eval, k2.wp_eval, k2.jacobi_invert,
+           k2.evaluate_bundle, k2.divisor_clearance]
+    if ctx.f.weierstrass_form:
+        fns += [k2.sigma_eval,
+                lambda c, z: list(k2.sigma_jets(c, z, 3).values()),
+                lambda c, z: k2.evaluate_bundle(c, z, want_sigma=True)]
+    raised = 0
+    for fn in fns:
+        try:
+            with np.errstate(all="ignore"):
+                v = fn(ctx, z)
+        except k2.NonFiniteValueError:
+            raised += 1
+            continue
+        assert np.all(np.isfinite(np.asarray(flat(v), dtype=complex)))
+    # the overflow is reached, except on the sextic at r = 50, where
+    # every value is still finite
+    if r > 50 or ctx.f.degree == 5:
+        assert raised >= 3

@@ -307,7 +307,8 @@ def test_z_star_continues_one_tail(coeffs, monkeypatch):
     monkeypatch.undo()
     x_far = integration.FAR_FACTOR * scale * np.exp(0.7310j)
     y_far = complex(np.sqrt(f(x_far)))
-    loop_pieces = integration.flip_loop_pieces(roots, x_far)
+    loop_pieces = integration.flip_loop_pieces(
+        roots, integration.detour_radii(roots), x_far)
     # one tail, seeded in the chart at infinity by y_far / x_far^3, then
     # the flip loop, one chain from +-y_far
     tail_seeds, loop_seeds = calls

@@ -10,9 +10,9 @@ import kleinian2 as k2
 from kleinian2 import integration
 from kleinian2.curve import branch_points
 from kleinian2.integration import (ARG_STEP, BASE_GRID, MAX_DEPTH, MAX_NODES,
-                                   RATIO_STEP, Line, continue_sqrt,
+                                   RATIO_STEP, continue_sqrt, detour_radii,
                                    flip_loop_pieces, line_with_detours,
-                                   lookup_sqrt, tail_integrals)
+                                   lookup_sqrt, tail_integrals, x_dx)
 from kleinian2.quadrature import integrate_01
 
 from conftest import G6_COEFFS, W5_COEFFS
@@ -163,11 +163,10 @@ def test_sheet_path_consistency():
     f = k2.validate_polynomial(G6_COEFFS)
     x0, x1 = 2.0 + 0.5j, -1.5 + 0.8j
     y0 = np.sqrt(f(x0))
-    line = Line(x0, x1)
-    us, ss = continue_sqrt(lambda u, k: f(line.x_of(u)), [y0])
+    us, ss = continue_sqrt(lambda u, k: f(x0 + u * (x1 - x0)), [y0])
     prev = None
     for u in np.linspace(0.0, 1.0, 50):
-        x = line.x_of(u)
+        x = x0 + u * (x1 - x0)
         y = lookup_sqrt(us, ss, float(u), f(x))
         assert abs(y ** 2 - f(x)) < 1e-10 * max(1.0, abs(f(x)))
         if prev is not None:
@@ -245,8 +244,8 @@ def _loop(turns):
 
 def _seeded():
     f = _g6()
-    line = Line(2.0 + 0.5j, -1.5 + 0.8j)
-    return [(lambda u, k: f(line.x_of(u)), [-np.sqrt(f(line.z0))])]
+    x0, x1 = 2.0 + 0.5j, -1.5 + 0.8j
+    return [(lambda u, k: f(x0 + u * (x1 - x0)), [-np.sqrt(f(x0))])]
 
 
 def _detour(monkeypatch):
@@ -255,8 +254,9 @@ def _detour(monkeypatch):
     one before, and for the second a flip loop continued from its end."""
     f = _g6()
     x0, x1 = 1.0 - 0.5j, 1.0 + 0.5j
-    assert any(isinstance(pc, integration.Arc)
-               for pc in line_with_detours(branch_points(f), x0, x1))
+    roots = branch_points(f)
+    assert np.any(
+        line_with_detours(roots, detour_radii(roots), x0, x1)[:, 2] != 0)
     P0 = k2.CurvePoint.affine(x0, np.sqrt(f(x0)))
     P1 = k2.CurvePoint.affine(x1, np.sqrt(f(x1)))
     return _recorded_continuations(monkeypatch, lambda: [
@@ -343,8 +343,9 @@ def test_continuation_through_a_zero_raises_after_max_depth():
 
 def _junction_gap(pieces):
     """Largest real or imaginary gap between consecutive pieces."""
-    gaps = [a.x_of(1.0) - b.x_of(0.0) for a, b in zip(pieces, pieces[1:])]
-    return max((max(abs(g.real), abs(g.imag)) for g in gaps), default=0.0)
+    gaps = x_dx(pieces[:-1], 1.0)[0] - x_dx(pieces[1:], 0.0)[0]
+    return max(np.max(np.abs(gaps.real), initial=0.0),
+               np.max(np.abs(gaps.imag), initial=0.0))
 
 
 def test_detour_pieces_meet_exactly():
@@ -355,13 +356,14 @@ def test_detour_pieces_meet_exactly():
     rng = np.random.default_rng(7)
     for roots in (clustered, np.exp(2j * np.pi * np.arange(6) / 6)):
         scale = float(np.max(np.abs(roots)))
+        radii = detour_radii(roots)
         for _ in range(200):
             c = roots[rng.integers(len(roots))]
             x0 = 3 * scale * (rng.random() - 0.5 + 1j * (rng.random() - 0.5))
             x1 = 2 * c - x0 + 1e-3 * (rng.random() - 0.5)
             x_at = c + 1e-2 * (rng.random() - 0.5 + 1j * (rng.random() - 0.5))
-            for pieces in (line_with_detours(roots, x0, x1),
-                           flip_loop_pieces(roots, x_at)):
+            for pieces in (line_with_detours(roots, radii, x0, x1),
+                           flip_loop_pieces(roots, radii, x_at)):
                 assert _junction_gap(pieces) <= np.spacing(scale)
 
 
@@ -369,14 +371,22 @@ def test_detour_pieces_meet_exactly():
 
 def _integrate_forms_piece_by_piece(f, pieces, table, numerators):
     """Reference: one adaptive quadrature per piece of the path, piece i
-    read from the joined table at u + 2i."""
+    read from the joined table at u + 2i, with x and dx/du from each
+    piece's own formula: z0 + u (z1 - z0) on a line, and on an arc
+    c + rho exp(i (phi0 + u dphi)), dx/du = i dphi (x - c)."""
     total = np.zeros(len(numerators), dtype=complex)
-    for i, pc in enumerate(pieces):
-        def g(u, d0, d1, i=i, pc=pc):
-            x = pc.x_of(u)
+    for i, (c, R, b) in enumerate(pieces):
+        def g(u, d0, d1, i=i, c=c, R=R, b=b):
+            if b == 0:
+                z0, z1 = c, c + R
+                x = z0 + u * (z1 - z0)
+                dx = np.full_like(x, z1 - z0)
+            else:
+                rho, phi0, dphi = abs(R), np.angle(R), b.imag
+                x = c + rho * np.exp(1j * (phi0 + u * dphi))
+                dx = 1j * dphi * (x - c)
             y = lookup_sqrt(*table, u + 2.0 * i, f(x))
-            return np.stack([nf(x) * pc.dx_of(u) / y for nf in numerators],
-                            axis=1)
+            return np.stack([nf(x) * dx / y for nf in numerators], axis=1)
         total += integrate_01(g)[0]
     return total
 
@@ -388,16 +398,65 @@ def test_integrate_forms_matches_piece_by_piece(coeffs):
     the per-piece sum."""
     f = k2.validate_polynomial(coeffs)
     roots = branch_points(f)
+    radii = detour_radii(roots)
     nums = integration.all_numerators(f)
     rng = np.random.default_rng(11)
     for k, r in enumerate(roots):
         v = (0.6 + 0.4 * rng.random()) * np.exp(2j * np.pi * rng.random())
         x0, x1 = r - v, r + v
-        pieces = line_with_detours(roots, x0, x1)
-        assert any(isinstance(pc, integration.Arc) for pc in pieces)
+        pieces = line_with_detours(roots, radii, x0, x1)
+        assert np.any(pieces[:, 2] != 0)
         if k % 2:
-            pieces += flip_loop_pieces(roots, x1)
+            pieces = np.concatenate(
+                [pieces, flip_loop_pieces(roots, radii, x1)])
         table = integration._continue_chain(f, pieces, np.sqrt(f(x0)))
         got = integration.integrate_forms(f, pieces, table, nums).sum(axis=0)
         want = _integrate_forms_piece_by_piece(f, pieces, table, nums)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_x_dx_rows_integrate_to_their_chords():
+    """On random lines and arcs, a full turn included, tanh-sinh over
+    dx/du from x_dx gives x(1) - x(0), and arc points lie on their
+    circle."""
+    rng = np.random.default_rng(5)
+
+    def cplx(n, s):
+        return s * (rng.normal(size=n) + 1j * rng.normal(size=n))
+
+    for s in (1e-3, 1.0, 1e3):
+        n = 6
+        lines = np.stack([cplx(n, s), cplx(n, s), np.zeros(n)], axis=1)
+        dphi = np.append(rng.uniform(-np.pi, np.pi, n - 1), 2 * np.pi)
+        arcs = np.stack([cplx(n, s), cplx(n, s), 1j * dphi], axis=1)
+        pieces = np.concatenate([lines, arcs])
+        scale = np.abs(pieces[:, 0]) + np.abs(pieces[:, 1])
+        # a constant second component of each piece's scale keeps the
+        # full turn, whose integral vanishes, to a tolerance of its size
+        val, _ = integrate_01(lambda u, d0, d1: np.stack(
+            [x_dx(pieces, u[:, None])[1], 0 * u[:, None] + scale], axis=2))
+        x0, _ = x_dx(pieces, 0.0)
+        x1, _ = x_dx(pieces, 1.0)
+        assert np.all(np.abs(val[:, 0] - (x1 - x0)) <= 1e-13 * scale)
+        u = np.linspace(0.0, 1.0, 101)[:, None]
+        x, _ = x_dx(arcs, u)
+        c, R = arcs[:, 0], arcs[:, 1]
+        assert np.all(np.abs(np.abs(x - c) - np.abs(R))
+                      <= 1e-15 * scale[n:])
+
+
+def test_empty_straight_run_is_a_stack_of_no_rows():
+    """From a point to itself the straight run has no pieces, a (0, 3)
+    stack, so the path to the involution image is the flip loop alone."""
+    f = _g6()
+    roots = branch_points(f)
+    x = 0.4 + 0.7j
+    assert line_with_detours(roots, detour_radii(roots), x, x).shape == (0, 3)
+    P = k2.CurvePoint.affine(x, np.sqrt(f(x)))
+    pieces, _ = integration.path_between(f, roots, P, P)
+    assert pieces.shape == (0, 3)
+    pieces, (us, ss) = integration.path_between(
+        f, roots, P, k2.CurvePoint.affine(x, -P.y))
+    loop = flip_loop_pieces(roots, detour_radii(roots), x)
+    assert np.array_equal(pieces, loop)
+    assert abs(ss[-1] + P.y) <= 1e-12 * abs(P.y)
