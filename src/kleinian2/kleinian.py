@@ -188,12 +188,35 @@ def make_context(f, pd=None):
                            jet_scale=jet_scale, sjk_coeffs=sjk_coeffs)
 
 
-# -- scalar evaluation --------------------------------------------------------
+# -- evaluation at one point or a batch --------------------------------------
+#
+# S_eval, S_jk_eval, wp_eval, log_S_gradient, divisor_clearance and
+# sigma_eval take z of shape (2,) or (N, 2), as theta_jet does.  A batch
+# makes one theta_jet call on its rows u -+ Delta, and the helpers below
+# read jet entries with _at(jet, k1, k2), which is jet[..., k1, k2], so
+# one code path serves both shapes.
+# One point is computed in numpy scalars, as one-point code would be:
+# numpy's array loops round a complex product differently from its
+# scalar arithmetic (fused multiply-adds) and cost more per call.  So _at
+# reads jet entries as numpy scalars for one point, and arrays built from
+# them (np.array) or from z (M @ z.T) hold a batch axis last, which .T
+# moves first; for one point .T leaves a vector as it is.
+# Far out the products of the jets with exp(z^T C z) overflow; the
+# helpers that form them silence numpy's warnings and leave the report
+# to _finite.
 
 def _as_z(z):
     z = np.asarray(z, dtype=complex)
     # no new view when z is already a complex 2-vector: EvalBundle keeps z
     return z if z.shape == (2,) else z.reshape(2)
+
+
+def _as_zs(z):
+    """z as one point, shape (2,), or a batch of N >= 1 points, (N, 2)."""
+    z = np.asarray(z, dtype=complex)
+    if z.shape != (2,) and (z.ndim != 2 or z.shape[1] != 2 or not len(z)):
+        raise ValueError(f"z must have shape (2,) or (N, 2), not {z.shape}")
+    return z
 
 
 def _finite(value, what):
@@ -206,24 +229,50 @@ def _finite(value, what):
     return value
 
 
+def _at(jet, k1, k2):
+    """jet[..., k1, k2]: a numpy scalar for one point, shape (N,) for a
+    batch.  (jet.T[k2, k1] is that entry, read with one index.)"""
+    return jet.T[k2, k1]
+
+
+def _order2(jet):
+    """The entries (00, 10, 01, 20, 11, 02) of jet, as _at reads them."""
+    t = jet.T
+    return t[0, 0], t[0, 1], t[1, 0], t[0, 2], t[1, 1], t[2, 0]
+
+
+def _u(ctx, z):
+    """u = A^-1 z."""
+    return (ctx.Ainv @ z.T).T
+
+
+def _quad(ctx, z):
+    """z^T C z, the exponent of the factor exp(z^T C z) of S and S_jk
+    and (halved) of sigma."""
+    return (z[..., None, :] @ ctx.C @ z[..., :, None])[..., 0, 0][()]
+
+
 def _theta_pair(ctx, z, order=0):
     """u = A^-1 z and the theta jets at u - Delta and u + Delta, from one
-    batched kernel call."""
-    u = ctx.Ainv @ z
-    jm, jp = theta_jet(ctx.tp, np.stack([u - ctx.pd.Delta, u + ctx.pd.Delta]),
-                       order)
+    kernel call on the rows u -+ Delta of every point."""
+    u = _u(ctx, z)
+    rows = np.stack([u - ctx.pd.Delta, u + ctx.pd.Delta])
+    jm, jp = theta_jet(ctx.tp, rows.reshape(-1, 2), order).reshape(
+        rows.shape[:-1] + (order + 1, order + 1))
     return u, jm, jp
 
 
 def _pullback_jets(ctx, jet, order):
-    """Theta-factor derivative tensors in z coordinates."""
+    """Theta-factor derivative tensors in z coordinates: the first and
+    second for jets of shape (..., k, k), the third for one point."""
     Ai = ctx.Ainv
     d1 = d2 = d3 = None
+    t = jet.T     # t[k2, k1] is _at(jet, k1, k2)
     if order >= 1:
-        gu = np.array([jet[1, 0], jet[0, 1]])
-        d1 = Ai.T @ gu
+        d1 = (Ai.T @ np.array([t[0, 1], t[1, 0]])).T
     if order >= 2:
-        Hu = np.array([[jet[2, 0], jet[1, 1]], [jet[1, 1], jet[0, 2]]])
+        # .T also swaps the Hessian's own axes, which is symmetric
+        Hu = np.array([[t[0, 2], t[1, 1]], [t[1, 1], t[2, 0]]]).T
         d2 = Ai.T @ Hu @ Ai
     if order >= 3:
         Tu = np.zeros((2, 2, 2), dtype=complex)
@@ -237,55 +286,65 @@ def _pullback_jets(ctx, jet, order):
 
 
 def _clearance(ctx, jm, jp):
-    return min(abs(jm[0, 0]), abs(jp[0, 0])) / ctx.theta_ref
+    return np.minimum(abs(_at(jm, 0, 0)), abs(_at(jp, 0, 0))) / ctx.theta_ref
 
 
 def divisor_clearance(ctx, z):
     """min(|theta(u - Delta)|, |theta(u + Delta)|) over the theta scale;
-    small values mean z sits near the zero set of S."""
-    _, jm, jp = _theta_pair(ctx, _as_z(z), 0)
+    small values mean z sits near the zero set of S.  A float, or shape
+    (N,) for a batch z."""
+    _, jm, jp = _theta_pair(ctx, _as_zs(z), 0)
     return _finite(_clearance(ctx, jm, jp), "the divisor clearance")
 
 
-def _S_from_pair(ctx, z, jm, jp):
-    return _finite(ctx.c_S * np.exp(z @ ctx.C @ z) * jm[0, 0] * jp[0, 0],
-                   "S")
+@np.errstate(over="ignore", invalid="ignore")
+def _S_from_pair(ctx, quad, jm, jp):
+    """S from quad = _quad(ctx, z) and the jets at u -+ Delta."""
+    S = ctx.c_S * np.exp(quad) * _at(jm, 0, 0) * _at(jp, 0, 0)
+    return _finite(S, "S")
 
 
 def S_eval(ctx, z):
     """The entire function S; zero exactly on the Abel image of the curve
-    shifted by the base-point constant (and its reflection)."""
-    z = _as_z(z)
+    shifted by the base-point constant (and its reflection).  A complex
+    number, or shape (N,) for a batch z."""
+    z = _as_zs(z)
     _, jm, jp = _theta_pair(ctx, z, 0)
-    return _S_from_pair(ctx, z, jm, jp)
+    return _S_from_pair(ctx, _quad(ctx, z), jm, jp)
 
 
 def _require_off_divisor(ctx, jm, jp):
-    if _clearance(ctx, jm, jp) < ZERO_FACTOR:
+    if np.count_nonzero(_clearance(ctx, jm, jp) < ZERO_FACTOR):
         raise OnThetaDivisorError(
             "z lies on (or too near) the zero set of S")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _log_hessian_from_pair(ctx, jm, jp):
     """L = 2C + the z-space Hessians of log theta at u -+ Delta, from the
-    order-2 jets."""
+    order-2 jets; shape (..., 2, 2)."""
     _require_off_divisor(ctx, jm, jp)
     L = 2.0 * ctx.C
     for jet in (jm, jp):
-        p = jet[0, 0]
+        p = _at(jet, 0, 0)
         d1, d2, _ = _pullback_jets(ctx, jet, 2)
-        L = L + (d2 / p - np.outer(d1, d1) / p ** 2)
+        # the batch axis last, where p broadcasts, and back
+        L = L + (d2.T / p - (d1[..., :, None] * d1[..., None, :]).T
+                 / p ** 2).T
     return _finite(L, "the log Hessian of S")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def log_S_gradient(ctx, z):
-    """First logarithmic derivatives of S."""
-    z = _as_z(z)
-    u, jm, jp = _theta_pair(ctx, z, 1)
+    """First logarithmic derivatives of S; shape (2,), or (N, 2) for a
+    batch z."""
+    z = _as_zs(z)
+    _, jm, jp = _theta_pair(ctx, z, 1)
     _require_off_divisor(ctx, jm, jp)
-    gp = _pullback_jets(ctx, jm, 1)[0] / jm[0, 0]
-    gq = _pullback_jets(ctx, jp, 1)[0] / jp[0, 0]
-    return 2.0 * (ctx.C @ z) + gp + gq
+    gp = _pullback_jets(ctx, jm, 1)[0] / jm[..., 0, 0, None]
+    gq = _pullback_jets(ctx, jp, 1)[0] / jp[..., 0, 0, None]
+    g = 2.0 * (ctx.C @ z.T).T + gp + gq
+    return _finite(g, "the log gradient of S")
 
 
 def _quartic_matrix(f, p11, p12, p22):
@@ -326,17 +385,22 @@ def _selection_residual(f, p11, p12, p22):
 
 def wp_eval(ctx, z, _depth=4):
     """(wp11, wp12, wp22) at z, from the logarithmic Hessian of S (the
-    matrix L with L_jk = d^2 log S / dz_j dz_k).
+    matrix L with L_jk = d^2 log S / dz_j dz_k); a tuple, or an (N, 3)
+    array for a batch z, which raises OnThetaDivisorError if any row
+    lies on the zero set of S.
 
     The Hessian determines the triple linearly for degree-5 curves; for
     degree 6 the 22-component satisfies a cubic whose physical root is
     selected by the defining quartic relation, with a short continuity
     walk toward a nearby point if more than one root passes.
     """
-    z = _as_z(z)
+    z = _as_zs(z)
     _, jm, jp = _theta_pair(ctx, z, 2)
-    return _wp_from_hessian(ctx, z, _log_hessian_from_pair(ctx, jm, jp),
-                            _depth)
+    L = _log_hessian_from_pair(ctx, jm, jp)
+    if z.ndim == 1:
+        return _wp_from_hessian(ctx, z, L, _depth)
+    return np.array([_wp_from_hessian(ctx, zi, Li, _depth)
+                     for zi, Li in zip(z, L)], dtype=complex)
 
 
 def _wp_from_hessian(ctx, z, L, depth=4):
@@ -391,25 +455,29 @@ def _resolve_root(ctx, z, cands, depth):
 
 # -- the weight-2 companions S11, S12, S22 ---------------------------------
 
-def _sjk_from_pair(ctx, z, jm, jp):
-    """(S11, S12, S22) at z from the order-2 jets p at u - Delta and q at
-    u + Delta: exp(z^T C z) times the fixed rows sjk_coeffs applied to
-    (pq, E11, E12, E22), E = q p'' + p q'' - p' q'^T - q' p'^T."""
-    p, q = jm[0, 0], jp[0, 0]
+@np.errstate(over="ignore", invalid="ignore")
+def _sjk_from_pair(ctx, quad, jm, jp):
+    """(S11, S12, S22) from quad = z^T C z and the order-2 jets p at
+    u - Delta and q at u + Delta: exp(quad) times the fixed rows
+    sjk_coeffs applied to (pq, E11, E12, E22), E = q p'' + p q'' -
+    p' q'^T - q' p'^T."""
+    p, p1, p2, p11, p12, p22 = _order2(jm)
+    q, q1, q2, q11, q12, q22 = _order2(jp)
     e = np.array([p * q,
-                  q * jm[2, 0] + p * jp[2, 0] - 2.0 * jm[1, 0] * jp[1, 0],
-                  q * jm[1, 1] + p * jp[1, 1] - jm[1, 0] * jp[0, 1]
-                  - jm[0, 1] * jp[1, 0],
-                  q * jm[0, 2] + p * jp[0, 2] - 2.0 * jm[0, 1] * jp[0, 1]])
-    return _finite(np.exp(z @ ctx.C @ z) * (ctx.sjk_coeffs @ e), "S_jk")
+                  q * p11 + p * q11 - 2.0 * p1 * q1,
+                  q * p12 + p * q12 - p1 * q2 - p2 * q1,
+                  q * p22 + p * q22 - 2.0 * p2 * q2])
+    # a batch axis is last in e and in the product, and .T moves it first
+    return _finite((np.exp(quad) * (ctx.sjk_coeffs @ e)).T, "S_jk")
 
 
 def S_jk_eval(ctx, z):
     """(S11, S12, S22) at z; entire, no excluded points.  One exact
-    formula on both degrees, on and off the zero set of S."""
-    z = _as_z(z)
+    formula on both degrees, on and off the zero set of S.  Shape (3,),
+    or (N, 3) for a batch z."""
+    z = _as_zs(z)
     _, jm, jp = _theta_pair(ctx, z, 2)
-    return _sjk_from_pair(ctx, z, jm, jp)
+    return _sjk_from_pair(ctx, _quad(ctx, z), jm, jp)
 
 
 # -- sigma family (degree 5, Weierstrass form) --------------------------------
@@ -421,38 +489,42 @@ def _require_weierstrass(ctx):
             "form (f6 = 0, f5 = 4)")
 
 
-def _sigma_twist(ctx, z, u):
+def _sigma_twist(ctx, quad, u):
     """Quadratic + characteristic-linear exponent of the single-theta
-    representation of sigma."""
+    representation of sigma, from quad = z^T C z."""
     n0, m0 = ctx.pd.delta_char
-    lin = -1j * np.pi * (np.asarray(m0) @ u)
-    return 0.5 * (z @ ctx.C @ z) + lin
+    lin = -1j * np.pi * (u @ np.asarray(m0))
+    return 0.5 * quad + lin
 
 
 def sigma_eval(ctx, z):
-    """The odd entire sigma function with unit jet dsigma/dz1(0) = 1."""
+    """The odd entire sigma function with unit jet dsigma/dz1(0) = 1.  A
+    complex number, or shape (N,) for a batch z."""
     _require_weierstrass(ctx)
-    z = _as_z(z)
-    u = ctx.Ainv @ z
-    return _sigma_from_jet(ctx, z, u, theta_jet(ctx.tp, u - ctx.pd.Delta, 0))
+    z = _as_zs(z)
+    u = _u(ctx, z)
+    return _sigma_from_jet(ctx, _quad(ctx, z), u,
+                           theta_jet(ctx.tp, u - ctx.pd.Delta, 0))
 
 
-def _sigma_from_jet(ctx, z, u, jm):
-    return _finite(ctx.c_sigma * np.exp(_sigma_twist(ctx, z, u)) * jm[0, 0],
-                   "sigma")
+@np.errstate(over="ignore", invalid="ignore")
+def _sigma_from_jet(ctx, quad, u, jm):
+    sigma = ctx.c_sigma * np.exp(_sigma_twist(ctx, quad, u)) * _at(jm, 0, 0)
+    return _finite(sigma, "sigma")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def sigma_jets(ctx, z, order=2):
     """sigma and its partial derivatives up to the given order (max 3),
     as a dict keyed by (k1, k2)."""
     _require_weierstrass(ctx)
     z = _as_z(z)
-    u = ctx.Ainv @ z
+    u = _u(ctx, z)
     jm = theta_jet(ctx.tp, u - ctx.pd.Delta, order)
     d1, d2, d3 = _pullback_jets(ctx, jm, order)
     n0, m0 = ctx.pd.delta_char
     g1 = ctx.C @ z - 1j * np.pi * (ctx.Ainv.T @ np.asarray(m0))
-    e = ctx.c_sigma * np.exp(_sigma_twist(ctx, z, u))
+    e = ctx.c_sigma * np.exp(_sigma_twist(ctx, _quad(ctx, z), u))
     out = {(0, 0): e * jm[0, 0]}
     if order >= 1:
         for j, key in ((0, (1, 0)), (1, (0, 1))):
@@ -613,8 +685,9 @@ def evaluate_bundle(ctx, z, want_sigma=False):
     if want_sigma:
         _require_weierstrass(ctx)
     u, jm, jp = _theta_pair(ctx, z, 3 if want_sigma else 2)
-    sjk = _sjk_from_pair(ctx, z, jm, jp)
-    fields = dict(z=z, S=_S_from_pair(ctx, z, jm, jp), S11=sjk[0],
+    quad = _quad(ctx, z)
+    sjk = _sjk_from_pair(ctx, quad, jm, jp)
+    fields = dict(z=z, S=_S_from_pair(ctx, quad, jm, jp), S11=sjk[0],
                   S12=sjk[1], S22=sjk[2])
     try:
         L = _log_hessian_from_pair(ctx, jm, jp)
@@ -624,7 +697,7 @@ def evaluate_bundle(ctx, z, want_sigma=False):
         wp = _wp_from_hessian(ctx, z, L)
         fields.update(p11=wp[0], p12=wp[1], p22=wp[2])
     if want_sigma:
-        fields["sigma"] = _sigma_from_jet(ctx, z, u, jm)
+        fields["sigma"] = _sigma_from_jet(ctx, quad, u, jm)
         try:
             ld = _sigma_log_derivs_from_jet(ctx, z, jm)
             fields.update(zeta1=ld[0], zeta2=ld[1], p111=ld[2],

@@ -73,7 +73,9 @@ def parse_imat(obj, shape, name):
 
 
 def dumps(obj):
-    return json.dumps(obj, indent=2) + "\n"
+    """obj as JSON text; a float that is inf or nan, which JSON cannot
+    hold, raises ValueError instead of being written as a bare word."""
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
 # -- curve --------------------------------------------------------------------

@@ -142,6 +142,9 @@ def theta_jet(tp, z, order):
     return J if batch else J[0]
 
 
+# far out e overflows; the callers' finiteness checks report that, so
+# numpy need not warn of it as well
+@np.errstate(over="ignore", invalid="ignore")
 def _leibniz(Om, m, z0, J0, order):
     """Jets of theta(z) = e(z0) theta(z0), e = exp(-i pi m.Om.m - 2 pi i
     m.z0), per row.  d/dz e = mu e with mu = -2 pi i m, so

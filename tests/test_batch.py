@@ -1,0 +1,152 @@
+"""Batch evaluation: S_eval, S_jk_eval, wp_eval, log_S_gradient,
+divisor_clearance and sigma_eval take z of shape (2,) or (N, 2); a batch
+is one theta_jet call and equals the stacked one-point calls."""
+
+import warnings
+
+import numpy as np
+import pytest
+
+import kleinian2 as k2
+from kleinian2.kleinian import log_S_gradient
+
+from conftest import sample_z
+
+# (function, the shape of one point's value); sigma only on 4x^5 - 4x
+FUNCTIONS = [(k2.S_eval, ()), (k2.S_jk_eval, (3,)), (k2.wp_eval, (3,)),
+             (log_S_gradient, (2,)), (k2.divisor_clearance, ())]
+SIGMA = (k2.sigma_eval, ())
+
+
+@pytest.fixture(scope="module")
+def ring_ctx():
+    """A seeded unit-ring sextic: roots near |x| = 1, jittered angles."""
+    rng = np.random.default_rng(2024)
+    angles = (2 * np.pi * (np.arange(6) + rng.uniform(-0.3, 0.3, 6)) / 6
+              + rng.uniform(0, 2 * np.pi))
+    roots = rng.uniform(0.75, 1.25, 6) * np.exp(1j * angles)
+    lead = rng.uniform(0.5, 1.5) * np.exp(2j * np.pi * rng.uniform())
+    return k2.make_context(k2.validate_polynomial(lead * np.poly(roots)[::-1]))
+
+
+@pytest.fixture(params=["w5", "g6", "ring"])
+def ctx(request, w5_ctx, g6_ctx, ring_ctx):
+    return {"w5": w5_ctx, "g6": g6_ctx, "ring": ring_ctx}[request.param]
+
+
+def _functions(ctx):
+    return FUNCTIONS + ([SIGMA] if ctx.f.weierstrass_form else [])
+
+
+def _points(ctx, n, seed):
+    rng = np.random.default_rng(seed)
+    return np.array([sample_z(ctx, rng) for _ in range(n)])
+
+
+@pytest.mark.parametrize("n", [1, 7, 40])
+def test_batch_equals_stacked_points(ctx, n):
+    """Equal to 1e-13 of the batch's largest entry.  A batch rounds in
+    numpy's array loops, not its scalar arithmetic, and sums theta over
+    the box of its farthest row, so the log Hessian moves by about 1e-15.
+    On degree 6 the wp cubic amplifies that: on the ring sextic a change
+    of 1e-15 in the log Hessian moves wp by up to 1.4e-12, 1.8e-13 of the
+    largest wp there, so degree-6 wp is held to 1e-12."""
+    z = _points(ctx, n, seed=n)
+    for fn, shape in _functions(ctx):
+        got = fn(ctx, z)
+        want = np.array([fn(ctx, zi) for zi in z])
+        assert got.shape == (n,) + shape, fn.__name__
+        rel = 1e-12 if fn is k2.wp_eval and ctx.f.degree == 6 else 1e-13
+        assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want)), (
+            fn.__name__)
+
+
+def test_one_point_keeps_its_types(ctx):
+    """A point of shape (2,) gives a numpy scalar, a (3,) or (2,) array,
+    and a tuple from wp_eval."""
+    z = _points(ctx, 1, seed=3)[0]
+    assert isinstance(k2.S_eval(ctx, z), np.complexfloating)
+    assert isinstance(k2.divisor_clearance(ctx, z), np.floating)
+    assert k2.S_jk_eval(ctx, z).shape == (3,)
+    assert log_S_gradient(ctx, z).shape == (2,)
+    assert isinstance(k2.wp_eval(ctx, z), tuple)
+
+
+def test_one_point_is_computed_in_scalars(ctx):
+    """For one point, S, S_jk and the log Hessian are exactly the
+    one-point formulas in numpy scalars (array loops round complex
+    products differently)."""
+    z = _points(ctx, 1, seed=5)[0]
+    u = ctx.Ainv @ z
+    jm, jp = k2.theta.theta_jet(
+        ctx.tp, np.stack([u - ctx.pd.Delta, u + ctx.pd.Delta]), 2)
+    gauss = np.exp(z @ ctx.C @ z)
+    p, q = jm[0, 0], jp[0, 0]
+    e = np.array([p * q,
+                  q * jm[2, 0] + p * jp[2, 0] - 2.0 * jm[1, 0] * jp[1, 0],
+                  q * jm[1, 1] + p * jp[1, 1] - jm[1, 0] * jp[0, 1]
+                  - jm[0, 1] * jp[1, 0],
+                  q * jm[0, 2] + p * jp[0, 2] - 2.0 * jm[0, 1] * jp[0, 1]])
+    L = 2.0 * ctx.C
+    for jet in (jm, jp):
+        d1 = ctx.Ainv.T @ np.array([jet[1, 0], jet[0, 1]])
+        d2 = ctx.Ainv.T @ np.array([[jet[2, 0], jet[1, 1]],
+                                    [jet[1, 1], jet[0, 2]]]) @ ctx.Ainv
+        L = L + (d2 / jet[0, 0] - np.outer(d1, d1) / jet[0, 0] ** 2)
+    assert k2.S_jk_eval(ctx, z).tolist() == (gauss * (ctx.sjk_coeffs @ e)
+                                             ).tolist()
+    assert k2.kleinian._log_hessian_from_pair(ctx, jm, jp).tolist() == (
+        L.tolist())
+
+
+@pytest.fixture
+def theta_calls(monkeypatch):
+    calls = []
+    kernel = k2.theta.theta_jet
+
+    def counted(tp, z, order):
+        calls.append(np.shape(z))
+        return kernel(tp, z, order)
+
+    monkeypatch.setattr(k2.kleinian, "theta_jet", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 7, 40])
+def test_a_batch_is_one_kernel_call(ctx, n, theta_calls):
+    z = _points(ctx, n, seed=n + 100)
+    for fn, _ in _functions(ctx):
+        theta_calls.clear()
+        fn(ctx, z)
+        rows = n if fn is k2.sigma_eval else 2 * n
+        assert theta_calls == [(rows, 2)], fn.__name__
+
+
+@pytest.mark.parametrize("fn", [k2.wp_eval, log_S_gradient])
+def test_a_row_on_the_divisor_raises(ctx, fn):
+    """z = 0 lies on the zero set of S; a batch holding it raises."""
+    z = _points(ctx, 5, seed=11)
+    z[3] = 0.0
+    with pytest.raises(k2.OnThetaDivisorError):
+        fn(ctx, z)
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3), (0, 2), (2, 2, 2)])
+def test_other_shapes_are_refused(w5_ctx, shape):
+    with pytest.raises(ValueError):
+        k2.S_eval(w5_ctx, np.zeros(shape))
+
+
+def test_far_points_raise_only_non_finite_value_error(w5_ctx):
+    """Far out the theta jets and exp(z^T C z) overflow: each function
+    raises NonFiniteValueError, and numpy warns of nothing on the way."""
+    z = 100 * np.array([0.6 + 0.3j, 0.2])
+    batch = np.stack([z, 0.5 * z, 1.1 * z])
+    calls = [(k2.S_eval, z), (k2.wp_eval, z), (k2.jacobi_invert, z),
+             (k2.S_eval, batch), (k2.wp_eval, batch), (k2.S_jk_eval, batch),
+             (log_S_gradient, batch), (k2.sigma_eval, batch)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn, arg in calls:
+            with pytest.raises(k2.NonFiniteValueError):
+                fn(w5_ctx, arg)

@@ -168,6 +168,24 @@ def test_verify_tol_flag_only(files):
     assert run_cli(*args, "--tol", "1e-6").returncode == 0
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_verify_report_of_a_check_that_raised_is_json(tmp_path):
+    """On the sextic with roots 30 {0, 1, 2i, -1+i, 3, -2-i} the wp
+    root selection raises, so the report entry has no residual: it is
+    null, not the bare word Infinity that JSON parsers refuse."""
+    roots = 30 * np.array([0, 1, 2j, -1 + 1j, 3, -2 - 1j])
+    curve = write_curve(tmp_path / "wide.json", np.poly(roots)[::-1])
+    r = run_cli("verify", "--curve", curve, "--seed", "1",
+                "--checks", "quartic_determinant")
+    assert r.returncode == 1
+    (entry,) = json.loads(r.stdout, parse_constant=_refuse_constant)["checks"]
+    assert entry["error"].startswith("RootSelectionAmbiguity")
+    assert entry["max_residual"] is None
+
+
 def test_verify_deterministic_output(files):
     args = ("verify", "--curve", files["w5"], "--seed", "4",
             "--checks", "evenness,legendre")

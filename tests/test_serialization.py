@@ -171,3 +171,9 @@ def test_period_data_from_json_checks_delta_char(w5_ctx):
     obj["delta_char"][1][0] ^= 1
     with pytest.raises(k2.RiemannMatrixError):
         ser.period_data_from_json(obj)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_dumps_refuses_non_finite_floats(value):
+    with pytest.raises(ValueError):
+        ser.dumps({"max_residual": value})

@@ -131,8 +131,37 @@ def test_sampler_that_finds_no_clear_point_reports_an_error(monkeypatch,
                                                             w5_ctx):
     """A sampler that never gets clear of the divisor raises instead of
     handing back an uncertified point; the suite reports it as an error."""
-    monkeypatch.setattr(verify, "divisor_clearance", lambda ctx, z: 0.0)
+    monkeypatch.setattr(verify, "divisor_clearance",
+                        lambda ctx, z: np.zeros(len(z)))
     rep = k2.run_suite(w5_ctx, checks=["evenness"])
     (entry,) = rep.checks
     assert entry["pass"] is False
     assert entry["error"].startswith("KleinianError:")
+    assert entry["max_residual"] is None
+
+
+def _sample_point_by_point(ctx, rng, n, clearance):
+    """The sampler as a loop over single draws: rng.random(4) until the
+    point is clear, n times."""
+    points = []
+    for _ in range(n):
+        while True:
+            t = rng.random(4)
+            z = ctx.pd.A @ t[:2] + ctx.pd.B @ t[2:]
+            if k2.divisor_clearance(ctx, z) >= clearance:
+                points.append(z)
+                break
+    return np.array(points)
+
+
+@pytest.mark.parametrize("clearance", [1e-3, 0.5])
+def test_block_sampler_draws_the_points_of_a_point_by_point_loop(
+        any_ctx, clearance):
+    """Blocks of candidates read the random stream as single draws do:
+    the same points, and the stream left where the loop leaves it.  At
+    clearance 0.5 many candidates are refused, so blocks repeat."""
+    a, b = np.random.default_rng(8), np.random.default_rng(8)
+    got = verify._sample_z(any_ctx, a, 20, clearance)
+    want = _sample_point_by_point(any_ctx, b, 20, clearance)
+    assert np.array_equal(got, want)
+    assert a.random() == b.random()
