@@ -18,10 +18,14 @@ for period integrals, where y = s(u) sqrt(u (1-u)) with s a continuous root
 of the nonvanishing cofactor, and the chart at infinity used by Abel-map
 tails.
 
-Work is stacked, not looped: all pieces of a path, all segments of the
-period loops, and a fan of radial runs or of tails each go through one
-continue_sqrt call, which returns one joined table for the stack, and one
-integrate_01 call, which looks the branch up in that table.
+Work is stacked, not looped: all pieces of many paths, all segments of
+the period loops, and a fan of radial runs or of tails each go through
+one continue_sqrt call, which returns one joined table for the stack,
+and one integrate_01 call, which looks the branch up in that table.
+path_between continues the straight runs of all its paths in one call
+and the sheet-flip loops that some of them need in a second.  Every
+stacked integrand is narrowed to the integrals still open, so each
+piece is integrated at the level it needs alone.
 """
 
 import numpy as np
@@ -143,16 +147,18 @@ def continue_sqrt(h, seeds):
     return us + 2.0 * ks, ss
 
 
-def lookup_sqrt(us, ss, u, hvals):
+def lookup_sqrt(us, ss, u, hvals, k=None):
     """Branch-resolved sqrt(hvals) at parameters u using a continuation
-    table; hvals of shape (len(u), P) holds piece k's values in column k,
-    read at u + 2k in the joined table of the P pieces, where the unit gap
-    keeps the node nearest to u + 2k, rounding included, in piece k."""
+    table; hvals of shape (len(u), P) holds the values of piece k[j] (by
+    default j) in column j, read at u + 2k in the joined table of the
+    pieces, where the unit gap keeps the node nearest to u + 2k, rounding
+    included, in piece k."""
     u = np.asarray(u, dtype=float)
     s = np.sqrt(np.asarray(hvals, dtype=complex))
     if s.ndim == 2:
-        u = u[:, None] + 2.0 * np.arange(s.shape[1])
-    idx = np.clip(np.searchsorted(us, u), 1, len(us) - 1)
+        u = u[:, None] + 2.0 * (np.arange(s.shape[1]) if k is None else k)
+    # searchsorted(us, u) clipped to [1, len(us) - 1]
+    idx = np.searchsorted(us[1:-1], u) + 1
     nearer_left = (us[idx] - u) > (u - us[idx - 1])
     ref = ss[np.where(nearer_left, idx - 1, idx)]
     return np.where(np.abs(s - ref) > np.abs(s + ref), -s, s)
@@ -163,25 +169,23 @@ def _piece_ends(table, k):
     return table[1][np.searchsorted(table[0], 2.0 * np.asarray(k) + 1.0)]
 
 
-def _continue_chain(f, pieces, y0):
-    """Joined table of y along a chain of x-plane pieces from y0."""
-    return continue_sqrt(lambda u, k: f(x_dx(pieces[k], u)[0]),
-                         [y0 if k == 0 else None for k in range(len(pieces))])
-
-
 def integrate_forms(f, pieces, table, numerators):
     """Integrals of n_k(x)/y dx over each piece of a stack, one row per
     piece, with y read from the stack's joined table; all pieces share
     one quadrature."""
     if not len(pieces):
         return np.zeros((0, len(numerators)), dtype=complex)
+    live = [pieces, None]      # the open pieces and their indices
+
+    def narrow(k):
+        live[:] = pieces[k], k
 
     def g(u, d0, d1):
-        x, dx = x_dx(pieces, u[:, None])
-        y = lookup_sqrt(*table, u, f(x))
-        return np.stack([nf(x) * dx / y for nf in numerators], axis=2)
+        x, dx = x_dx(live[0], u[:, None])
+        w = dx / lookup_sqrt(*table, u, f(x), live[1])
+        return np.stack([nf(x) * w for nf in numerators], axis=2)
 
-    return integrate_01(g)[0]
+    return integrate_01(g, narrow)[0]
 
 
 def holomorphic_numerators():
@@ -287,25 +291,56 @@ def flip_loop_pieces(roots, radii, x_at):
                            line_with_detours(roots, radii, ends[1, 0], x_at)])
 
 
+def _continue_runs(f, runs, y0):
+    """Chains of x-plane pieces, run i from y0[i], in one continuation:
+    (pieces, table, y_end), the runs stacked, their joined branch table,
+    and each run's end value (y0[i] for a run of no pieces)."""
+    pieces = np.concatenate(runs)
+    y_end = np.array(y0, dtype=complex)
+    if not len(pieces):
+        return pieces, (np.zeros(0), np.zeros(0, dtype=complex)), y_end
+    seeds, last, full = [], [], []
+    for i, run in enumerate(runs):
+        if len(run):
+            seeds += [y0[i]] + [None] * (len(run) - 1)
+            last.append(len(seeds) - 1)
+            full.append(i)
+    table = continue_sqrt(lambda u, k: f(x_dx(pieces[k], u)[0]), seeds)
+    y_end[full] = _piece_ends(table, last)
+    return pieces, table, y_end
+
+
 def path_between(f, roots, P0, P1):
-    """Path from affine point P0 to affine point P1 as (pieces, table):
-    the straight run with detours, plus a sheet-flip loop when that run
-    lands on -y1, and the pieces' joined branch table."""
+    """Paths from the affine points P0[i] to P1[i] as (pieces, table,
+    path): each is the straight run with detours, plus a sheet-flip loop
+    when that run lands on -y1; table is the pieces' joined branch table
+    and path[k] the index of the path piece k belongs to.  The straight
+    runs of all paths share one continuation, and the flip loops that are
+    needed a second."""
     radii = detour_radii(roots)
-    pieces = line_with_detours(roots, radii, P0.x, P1.x)
-    us, ss = _continue_chain(f, pieces, P0.y)
-    y_end = ss[-1] if len(pieces) else complex(P0.y)
-    if abs(y_end - P1.y) > abs(y_end + P1.y):
-        loop = flip_loop_pieces(roots, radii, P1.x)
-        us_loop, ss_loop = _continue_chain(f, loop, y_end)
+    y1 = np.array([P.y for P in P1], dtype=complex)
+    runs = [line_with_detours(roots, radii, a.x, b.x)
+            for a, b in zip(P0, P1)]
+    pieces, (us, ss), y_end = _continue_runs(f, runs, [P.y for P in P0])
+    path = np.repeat(np.arange(len(runs)), [len(run) for run in runs])
+    flip = np.flatnonzero(np.abs(y_end - y1) > np.abs(y_end + y1))
+    if len(flip):
+        loops = [flip_loop_pieces(roots, radii, P1[i].x) for i in flip]
+        loop, (us_loop, ss_loop), y_end[flip] = _continue_runs(
+            f, loops, y_end[flip])
         us = np.concatenate([us, us_loop + 2.0 * len(pieces)])
         ss = np.concatenate([ss, ss_loop])
         pieces = np.concatenate([pieces, loop])
-        y_end = ss[-1]
-    if abs(y_end - P1.y) > TOL_END * max(abs(y_end), abs(P1.y), 1e-300):
+        path = np.concatenate([path, np.repeat(flip, [len(lp)
+                                                      for lp in loops])])
+    miss = np.abs(y_end - y1) > TOL_END * np.maximum(
+        np.maximum(np.abs(y_end), np.abs(y1)), 1e-300)
+    if miss.any():
+        i = np.argmax(miss)
         raise SheetTrackingError(
-            f"continued y = {y_end:.6g} does not match target {P1.y:.6g}")
-    return pieces, (us, ss)
+            f"continued y = {y_end[i]:.6g} does not match target "
+            f"{y1[i]:.6g}")
+    return pieces, (us, ss), path
 
 
 # -- factored branch-point segments -----------------------------------------
@@ -344,13 +379,18 @@ def segment_period_integrals(f, roots, pairs):
     us, ss = continue_sqrt(lambda u, p: G(bi[p] + u * d[p], p),
                            np.sqrt(g0))
     nums = all_numerators(f)
+    live = [np.arange(len(pairs))]     # the open segments
+
+    def narrow(p):
+        live[0] = p
 
     def g(u, d0, d1):
-        x = bi + u[:, None] * d
-        y = lookup_sqrt(us, ss, u, G(x)) * np.sqrt(d0 * d1)[:, None]
-        return np.stack([nf(x) * d / y for nf in nums], axis=2)
+        p = live[0]
+        x = bi[p] + u[:, None] * d[p]
+        y = lookup_sqrt(us, ss, u, G(x, p), p) * np.sqrt(d0 * d1)[:, None]
+        return np.stack([nf(x) * d[p] / y for nf in nums], axis=2)
 
-    val, _ = integrate_01(g)
+    val, _ = integrate_01(g, narrow)
     return val
 
 
@@ -376,8 +416,8 @@ def tail_integrals(f, x_far, y_far):
         def h(tau, t):
             return poly_eval(asc, (1.0 - tau) * t)
 
-        def forms(tau, s):
-            return [t1 ** 2 * (1.0 - tau)[:, None] / s, t1 / s]
+        def forms(tau, t, s):
+            return [t ** 2 * (1.0 - tau)[:, None] / s, t / s]
     else:
         t1 = 1.0 / np.sqrt(x_far)
         asc = f.coeffs[5::-1]         # Q(s) = f5 + f4 s + ... + f0 s^5
@@ -386,17 +426,22 @@ def tail_integrals(f, x_far, y_far):
         def h(tau, t):
             return poly_eval(asc, ((1.0 - tau) * t) ** 2)
 
-        def forms(tau, s):
-            return [2 * t1 ** 3 * ((1.0 - tau) ** 2)[:, None] / s,
-                    2 * t1 / s]
+        def forms(tau, t, s):
+            return [2 * t ** 3 * ((1.0 - tau) ** 2)[:, None] / s,
+                    2 * t / s]
 
     table = continue_sqrt(lambda tau, k: h(tau, t1[k]), seeds)
+    live = [np.arange(len(t1))]     # the open tails
+
+    def narrow(k):
+        live[0] = k
 
     def g(tau, d0, d1):
-        s = lookup_sqrt(*table, tau, h(tau[:, None], t1))
-        return np.stack(forms(tau, s), axis=2)
+        t = t1[live[0]]
+        s = lookup_sqrt(*table, tau, h(tau[:, None], t), live[0])
+        return np.stack(forms(tau, t, s), axis=2)
 
-    T, _ = integrate_01(g)
+    T, _ = integrate_01(g, narrow)
     if f.degree == 5:
         return T, np.ones(len(x_far), dtype=bool)
     s_end = _piece_ends(table, np.arange(len(x_far)))
@@ -451,8 +496,8 @@ def infinity_to_infinity(f, roots, scale):
         T = -T
     # now the tail from x_far with seed y_far lands on label 2
     pieces = flip_loop_pieces(roots, detour_radii(roots), x_far)
-    table = _continue_chain(f, pieces, y_far)
-    if abs(table[1][-1] + y_far) > TOL_END * abs(y_far):
+    _, table, y_end = _continue_runs(f, [pieces], [y_far])
+    if abs(y_end[0] + y_far) > TOL_END * abs(y_far):
         raise SheetTrackingError("flip loop failed to change sheets")
     I_loop = integrate_forms(f, pieces, table, holomorphic_numerators())
     return -T + I_loop.sum(axis=0) - T

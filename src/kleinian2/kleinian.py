@@ -202,8 +202,8 @@ def make_context(f, pd=None):
 # them (np.array) or from z (M @ z.T) hold a batch axis last, which .T
 # moves first; for one point .T leaves a vector as it is.
 # Far out the products of the jets with exp(z^T C z) overflow; the
-# helpers that form them silence numpy's warnings and leave the report
-# to _finite.
+# public functions that form them silence numpy's warnings, once per
+# call, and leave the report to _finite.
 
 def _as_z(z):
     z = np.asarray(z, dtype=complex)
@@ -297,13 +297,13 @@ def divisor_clearance(ctx, z):
     return _finite(_clearance(ctx, jm, jp), "the divisor clearance")
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _S_from_pair(ctx, quad, jm, jp):
     """S from quad = _quad(ctx, z) and the jets at u -+ Delta."""
     S = ctx.c_S * np.exp(quad) * _at(jm, 0, 0) * _at(jp, 0, 0)
     return _finite(S, "S")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def S_eval(ctx, z):
     """The entire function S; zero exactly on the Abel image of the curve
     shifted by the base-point constant (and its reflection).  A complex
@@ -319,7 +319,6 @@ def _require_off_divisor(ctx, jm, jp):
             "z lies on (or too near) the zero set of S")
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _log_hessian_from_pair(ctx, jm, jp):
     """L = 2C + the z-space Hessians of log theta at u -+ Delta, from the
     order-2 jets; shape (..., 2, 2)."""
@@ -383,6 +382,7 @@ def _selection_residual(f, p11, p12, p22):
     return float(abs(np.linalg.det(m)) / np.prod(row))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def wp_eval(ctx, z, _depth=4):
     """(wp11, wp12, wp22) at z, from the logarithmic Hessian of S (the
     matrix L with L_jk = d^2 log S / dz_j dz_k); a tuple, or an (N, 3)
@@ -455,7 +455,6 @@ def _resolve_root(ctx, z, cands, depth):
 
 # -- the weight-2 companions S11, S12, S22 ---------------------------------
 
-@np.errstate(over="ignore", invalid="ignore")
 def _sjk_from_pair(ctx, quad, jm, jp):
     """(S11, S12, S22) from quad = z^T C z and the order-2 jets p at
     u - Delta and q at u + Delta: exp(quad) times the fixed rows
@@ -471,6 +470,7 @@ def _sjk_from_pair(ctx, quad, jm, jp):
     return _finite((np.exp(quad) * (ctx.sjk_coeffs @ e)).T, "S_jk")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def S_jk_eval(ctx, z):
     """(S11, S12, S22) at z; entire, no excluded points.  One exact
     formula on both degrees, on and off the zero set of S.  Shape (3,),
@@ -497,6 +497,7 @@ def _sigma_twist(ctx, quad, u):
     return 0.5 * quad + lin
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def sigma_eval(ctx, z):
     """The odd entire sigma function with unit jet dsigma/dz1(0) = 1.  A
     complex number, or shape (N,) for a batch z."""
@@ -507,7 +508,6 @@ def sigma_eval(ctx, z):
                            theta_jet(ctx.tp, u - ctx.pd.Delta, 0))
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _sigma_from_jet(ctx, quad, u, jm):
     sigma = ctx.c_sigma * np.exp(_sigma_twist(ctx, quad, u)) * _at(jm, 0, 0)
     return _finite(sigma, "sigma")
@@ -573,6 +573,29 @@ def _sigma_log_derivs_from_jet(ctx, z, jm):
 
 
 # -- Abel map and inversion ---------------------------------------------------
+#
+# abel_forward and rho_lambda_eval take a Divisor or a sequence of them,
+# and jacobi_invert z of shape (2,) or (N, 2).  A batch integrates along
+# all its paths at once: the affine pairs through one path_between and
+# one integrate_forms call, the affine points of divisors that meet
+# infinity through one point_infinity_integrals call.  One divisor is a
+# batch of one.
+
+def _divisors(D):
+    """(divisors, one): D as a list, and whether it was one Divisor."""
+    return ([D], True) if isinstance(D, Divisor) else (list(D), False)
+
+
+def _path_integrals(ctx, P0, P1, numerators):
+    """Integrals of the forms n_k(x)/y dx from each P0[i] to P1[i], all
+    affine, one row per pair, along the paths of path_between."""
+    f = ctx.f
+    pieces, table, path = path_between(f, list(ctx.pd.roots), P0, P1)
+    vals = integrate_forms(f, pieces, table, numerators)
+    out = np.zeros((len(P0), len(numerators)), dtype=complex)
+    np.add.at(out, path, vals)
+    return out
+
 
 def abel_forward(ctx, D):
     """Abel image of the degree-2 divisor D = (p) + (q): the integral of
@@ -580,56 +603,81 @@ def abel_forward(ctx, D):
     concrete path when both are affine, else A(q) - A(ip) with A from
     inf_2: A(inf_1) = z_star, A(inf_2) = 0 (A = 0 at the one infinite
     point of degree 5).  Unordered-pair symmetry holds modulo periods
-    because the forms are odd under the involution."""
+    because the forms are odd under the involution.  Shape (2,), or
+    (N, 2) for a sequence of N divisors."""
+    Ds, one = _divisors(D)
     f, pd = ctx.f, ctx.pd
-    p, q = involution(D.p), D.q
-    if p.is_affine and q.is_affine:
-        pieces, table = path_between(f, list(pd.roots), p, q)
-        return integrate_forms(f, pieces, table,
-                               holomorphic_numerators()).sum(axis=0)
+    z = np.zeros((len(Ds), 2), dtype=complex)
+    pairs, rest = [], []
+    for k, d in enumerate(Ds):
+        (pairs if d.p.is_affine and d.q.is_affine else rest).append(k)
+    if pairs:
+        z[pairs] = _path_integrals(ctx, [involution(Ds[k].p) for k in pairs],
+                                   [Ds[k].q for k in pairs],
+                                   holomorphic_numerators())
+    if rest:
+        # A at q, then at ip, of every other divisor
+        ends = ([Ds[k].q for k in rest]
+                + [involution(Ds[k].p) for k in rest])
+        A = np.zeros((len(ends), 2), dtype=complex)
+        affine = [i for i, P in enumerate(ends) if P.is_affine]
+        if affine:
+            A[affine] = point_infinity_integrals(
+                f, list(pd.roots), [ends[i] for i in affine], pd.scale,
+                pd.z_star)
+        for i, P in enumerate(ends):
+            if P.infinity == 1 and pd.z_star is not None:
+                A[i] = pd.z_star
+        z[rest] = A[:len(rest)] - A[len(rest):]
+    return z[0] if one else z
 
-    def A(P):
-        if P.is_affine:
-            return point_infinity_integrals(f, list(pd.roots), [P], pd.scale,
-                                            pd.z_star)[0]
-        if P.infinity == 1 and pd.z_star is not None:
-            return np.array(pd.z_star)
-        return np.zeros(2, dtype=complex)
 
-    return A(q) - A(p)
-
-
+@np.errstate(over="ignore", invalid="ignore")
 def jacobi_invert(ctx, z):
-    """The unordered divisor (p) + (q) whose Abel image is z mod periods.
+    """The unordered divisor (p) + (q) whose Abel image is z mod periods;
+    a list of N divisors for z of shape (N, 2).
 
     x-coordinates come from the quadratic with elementary symmetric
     functions wp22 and -wp12; the y product is fixed by wp11 through the
     two-point function of the curve, and the global sign by an Abel
     round trip.  One path serves both signs: negating both y values
     negates y along the same x-path, and both forms are odd, so the
-    flipped divisor's Abel image is exactly minus this one's.
+    flipped divisor's Abel image is exactly minus this one's.  A batch
+    makes one theta_jet call and one Abel call.
     """
-    z = _as_z(z)
+    z = _as_zs(z)
+    one = z.ndim == 1
     _, jm, jp = _theta_pair(ctx, z, 2)
     L = _log_hessian_from_pair(ctx, jm, jp)
-    p11, p12, p22 = _wp_from_hessian(ctx, z, L)
-    disc = np.sqrt(p22 ** 2 + 4.0 * p12)
-    x1 = (p22 + disc) / 2.0
-    x2 = (p22 - disc) / 2.0
-    y1 = np.sqrt(complex(ctx.f(x1)))
-    y2 = np.sqrt(complex(ctx.f(x2)))
-    target = (F_eval(ctx.f, x1, x2) - 4.0 * p11 * (x1 - x2) ** 2) / 2.0
-    if abs(y1 * y2) > 0 and abs(target + y1 * y2) < abs(target - y1 * y2):
-        y2 = -y2
-    za = abel_forward(ctx, Divisor(CurvePoint.affine(x1, y1),
-                                   CurvePoint.affine(x2, y2)))
-    for s in (1.0, -1.0):
-        resid = nearest_lattice_residual(ctx.pd, s * za - z)
-        if resid <= TOL_RT * max(1.0, float(np.linalg.norm(z))):
-            return Divisor(CurvePoint.affine(x1, s * y1),
-                           CurvePoint.affine(x2, s * y2))
-    raise SignResolutionError(
-        "no sheet assignment of the inverted divisor reproduces z")
+    Ds = []
+    for zi, Li in ([(z, L)] if one else zip(z, L)):
+        p11, p12, p22 = _wp_from_hessian(ctx, zi, Li)
+        disc = np.sqrt(p22 ** 2 + 4.0 * p12)
+        x1 = (p22 + disc) / 2.0
+        x2 = (p22 - disc) / 2.0
+        y1 = np.sqrt(complex(ctx.f(x1)))
+        y2 = np.sqrt(complex(ctx.f(x2)))
+        target = (F_eval(ctx.f, x1, x2) - 4.0 * p11 * (x1 - x2) ** 2) / 2.0
+        if abs(y1 * y2) > 0 and abs(target + y1 * y2) < abs(target - y1 * y2):
+            y2 = -y2
+        Ds.append(Divisor(CurvePoint.affine(x1, y1),
+                          CurvePoint.affine(x2, y2)))
+    za = abel_forward(ctx, Ds[0] if one else Ds).reshape(-1, 2)
+    z = z.reshape(-1, 2)
+    # both signs of every row in one residual call
+    resid = nearest_lattice_residual(
+        ctx.pd, np.concatenate([za - z, -za - z])).reshape(2, -1)
+    tol = TOL_RT * np.maximum(1.0, np.linalg.norm(z, axis=1))
+    out = []
+    for D, (plus, minus), t in zip(Ds, resid.T, tol):
+        if plus <= t:
+            out.append(D)
+        elif minus <= t:
+            out.append(Divisor(involution(D.p), involution(D.q)))
+        else:
+            raise SignResolutionError(
+                "no sheet assignment of the inverted divisor reproduces z")
+    return out[0] if one else out
 
 
 def rho_lambda_eval(ctx, D):
@@ -637,21 +685,26 @@ def rho_lambda_eval(ctx, D):
     x-coordinates: second-kind integrals along one concrete Abel path,
     the chord slope lam = (y_p - y_q)/(x_p - x_q), and the Abel image z
     of that same path, so the first-derivative identities hold exactly
-    as stated."""
-    f, pd = ctx.f, ctx.pd
-    p0, q0 = D.p, D.q
-    if not (p0.is_affine and q0.is_affine):
-        raise InfinitePointError(
-            "second-kind evaluation requires both points affine")
-    if is_special(f, D):
-        raise SpecialDivisorError(
-            "divisor is special; second-kind integrals diverge")
-    if abs(p0.x - q0.x) < DIAG_FACTOR * pd.scale:
-        raise DiagonalError("divisor points share an x-coordinate")
-    pieces, table = path_between(f, list(pd.roots), involution(p0), q0)
-    vals = integrate_forms(f, pieces, table, all_numerators(f)).sum(axis=0)
-    lam = (p0.y - q0.y) / (p0.x - q0.x)
-    return vals[2], vals[3], lam, vals[:2]
+    as stated.  For a sequence of N divisors rho1, rho2 and lam have
+    shape (N,) and z (N, 2); the first divisor that is not admissible
+    raises its error."""
+    Ds, one = _divisors(D)
+    f, scale = ctx.f, ctx.pd.scale
+    for d in Ds:
+        if not (d.p.is_affine and d.q.is_affine):
+            raise InfinitePointError(
+                "second-kind evaluation requires both points affine")
+        if is_special(f, d):
+            raise SpecialDivisorError(
+                "divisor is special; second-kind integrals diverge")
+        if abs(d.p.x - d.q.x) < DIAG_FACTOR * scale:
+            raise DiagonalError("divisor points share an x-coordinate")
+    vals = _path_integrals(ctx, [involution(d.p) for d in Ds],
+                           [d.q for d in Ds], all_numerators(f))
+    lam = [(d.p.y - d.q.y) / (d.p.x - d.q.x) for d in Ds]
+    if one:
+        return vals[0, 2], vals[0, 3], lam[0], vals[0, :2]
+    return vals[:, 2], vals[:, 3], np.array(lam), vals[:, :2]
 
 
 # -- bundled evaluation -------------------------------------------------------
@@ -677,6 +730,7 @@ class EvalBundle:
     p222: Optional[complex] = None
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def evaluate_bundle(ctx, z, want_sigma=False):
     """Every field at z from one theta pair at u -+ Delta, of order 3 with
     sigma and 2 without; only the root-selection walk evaluates theta

@@ -240,12 +240,17 @@ def _generator_matrix(pd):
 
 
 def nearest_lattice_residual(pd, z):
-    """Distance from z to the nearest lattice point, in z-space."""
-    z = np.asarray(z, dtype=complex).reshape(2)
+    """Distance from z to the nearest lattice point, in z-space: a float,
+    or shape (N,) for z of shape (N, 2), whose rows share one generator
+    matrix and one conditioning check."""
+    z = np.asarray(z, dtype=complex)
+    if z.shape != (2,) and (z.ndim != 2 or z.shape[1] != 2):
+        raise ValueError(f"z must have shape (2,) or (N, 2), not {z.shape}")
     G = _generator_matrix(pd)
-    c = np.linalg.solve(G, np.concatenate([z.real, z.imag]))
+    c = np.linalg.solve(G, np.concatenate([z.real.T, z.imag.T]))
     r = G @ (c - np.round(c))
-    return float(np.hypot(np.linalg.norm(r[:2]), np.linalg.norm(r[2:])))
+    d = np.hypot(np.linalg.norm(r[:2], axis=0), np.linalg.norm(r[2:], axis=0))
+    return float(d) if z.ndim == 1 else d
 
 
 # -- Riemann constant ---------------------------------------------------------

@@ -16,8 +16,12 @@ One call can integrate a stack of independent integrals, such as the
 pieces of a path or a fan of paths: an integrand returning shape
 (len(u), m, k) gives m results of k components, and every one of the m
 must meet the tolerance on its own max-norm, so a small integral is not
-judged against a large neighbour.  All m are refined to the same level
-and share every node evaluation.
+judged against a large neighbour.  Each integral is retired at the first
+level where it meets the tolerance, and its result is the one it would
+get alone; the integrals still open share the node evaluations of the
+next level.  A caller that passes `narrow` is told which integrals are
+still open and evaluates only those, so a stack costs no more integrand
+columns than its members would alone.
 """
 
 import numpy as np
@@ -59,7 +63,7 @@ def _nodes(level):
     return _node_cache[level]
 
 
-def integrate_01(g):
+def integrate_01(g, narrow=None):
     """Integrate a vector-valued integrand, or a stack of them, over (0, 1)
     to relative tolerance TOL on the max-norm of each result.
 
@@ -69,30 +73,53 @@ def integrate_01(g):
         g(u, d0, d1) -> complex array of shape (len(u), k), or
         (len(u), m, k) for m independent integrals.  d0 and d1 are the
         distances to 0 and 1 (d0 == u; d1 is 1-u computed stably).
+    narrow : callable, optional
+        For a stack: narrow(open) is called with the indices, into the
+        stack, of the integrals still open whenever some of them retire,
+        and from then on g returns those integrals only, in that order.
+        Without it g keeps returning the whole stack, and the columns of
+        retired integrals are dropped.
 
     Returns
     -------
     value : complex array (k,) or (m, k)
+        Each integral at the first level where its change from the level
+        before, relative to its own max-norm, is below TOL.
     err : float
-        Last observed change between successive levels, relative to each
-        result's own max-norm, the largest over the m results.
+        That last change of each integral, the largest over the m.
     """
-    def weighted_sum(level):
+    u, d0, d1, w = _nodes(BASE_LEVEL)
+    vals = g(u, d0, d1)
+    single = vals.ndim == 2
+    acc = w @ vals.reshape(len(u), -1)
+    acc = acc.reshape((1,) + vals.shape[1:] if single else vals.shape[1:])
+    value = np.empty_like(acc)
+    err = np.zeros(len(acc))
+    est = 2.0 ** (-BASE_LEVEL) * acc
+    live = np.arange(len(acc))     # the open integrals, by stack index
+    cols = None                    # their columns of g, without narrow
+    for level in range(BASE_LEVEL + 1, MAX_LEVEL + 1):
         u, d0, d1, w = _nodes(level)
         vals = g(u, d0, d1)
-        return (w @ vals.reshape(len(u), -1)).reshape(vals.shape[1:])
-
-    acc = weighted_sum(BASE_LEVEL)
-    est = 2.0 ** (-BASE_LEVEL) * acc
-    err = np.inf
-    for level in range(BASE_LEVEL + 1, MAX_LEVEL + 1):
-        acc = acc + weighted_sum(level)
+        if cols is not None:
+            vals = vals[:, cols]
+        acc = acc + (w @ vals.reshape(len(u), -1)).reshape(acc.shape)
         new = 2.0 ** (-level) * acc
         scale = np.maximum(np.max(np.abs(new), axis=-1), 1e-300)
-        err = float(np.max(np.max(np.abs(new - est), axis=-1) / scale))
+        change = np.max(np.abs(new - est), axis=-1) / scale
+        done = change < TOL
+        if done.all():
+            value[live], err[live] = new, change
+            return (value[0] if single else value), float(err.max())
+        if done.any():
+            value[live[done]], err[live[done]] = new[done], change[done]
+            keep = ~done
+            live, acc, new = live[keep], acc[keep], new[keep]
+            if narrow is None:
+                cols = live
+            else:
+                narrow(live)
         est = new
-        if err < TOL:
-            return est, err
     raise QuadratureError(
         f"tanh-sinh did not reach rel. tol {TOL:g} by level {MAX_LEVEL} "
-        f"(last change {err:.2e})")
+        f"(last change {float(change.max()):.2e})")

@@ -8,15 +8,20 @@ nonzero leading coefficient) report "n/a" on the other shape.  Failures
 are report entries, never exceptions, so one bad identity cannot hide
 the state of the others.
 
-A check that draws all its points before it evaluates anything passes
-them to the evaluation functions as one (N, 2) batch per stencil: the
-sampled points (with their reflections or lattice shifts), the 32 nodes
-of one Taylor-jet direction, the two 16-node circles of one
-finite-difference Hessian, or the four-point difference stencils of all
-samples.  Each such call passes at most 80 theta rows (40 points, each
-at u - Delta and u + Delta), so the suite's peak memory stays where
-point-by-point evaluation left it.  Checks that integrate along paths or
-reject samples after drawing them evaluate point by point.
+A check passes its points to the evaluation functions as one (N, 2)
+batch per stencil: the sampled points (with their reflections or lattice
+shifts), the 32 nodes of one Taylor-jet direction, the two 16-node
+circles of one finite-difference Hessian, or the four-point difference
+stencils of all samples.  Each such call passes at most 80 theta rows
+(40 points, each at u - Delta and u + Delta), so the suite's peak memory
+stays where point-by-point evaluation left it.  The checks of the Abel
+map (s_divisor_vanishing, forward_consistency, inversion_round_trip and
+diff1) pass all their divisors, or points to invert, to one batched
+Abel call; one that rejects samples on clearance draws a block of as
+many as are missing, rejects afterwards and redraws the rest, so its
+samples are those of a one-by-one loop.  addition_formula, duplication
+and the sample loop of basis_independence, which reject a sample on a
+second point that depends on it, stay point by point.
 """
 
 import math
@@ -110,6 +115,7 @@ def _gap(a, b):
     return abs(a - b) / np.maximum(np.maximum(abs(a), abs(b)), TINY)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _weight2(ctx, z):
     """(S, S11, S12, S22) at the points z, shape (N, 4), from one theta
     call."""
@@ -227,17 +233,18 @@ def _check_evenness(ctx, rng, tol):
 
 
 def _check_s_divisor_vanishing(ctx, rng, tol):
-    worst = 0.0
     d = 0.25 * ctx.jet_scale
+    divisors = []
     for _ in range(5):
         x = ctx.pd.scale * (1.2 + 0.4 * rng.random()) * np.exp(
             2j * np.pi * rng.random())
         y = float(rng.choice([-1.0, 1.0])) * np.sqrt(complex(ctx.f(x)))
-        D = Divisor(CurvePoint.affine(x, y), CurvePoint.at_infinity(1))
-        z = abel_forward(ctx, D)
-        ref = max(abs(S_eval(ctx, z + np.array([d, 0]))),
-                  abs(S_eval(ctx, z + np.array([0, d]))), TINY)
-        worst = max(worst, abs(S_eval(ctx, z)) / ref)
+        divisors.append(Divisor(CurvePoint.affine(x, y),
+                                CurvePoint.at_infinity(1)))
+    z = abel_forward(ctx, divisors)
+    S = np.abs(S_eval(ctx, np.concatenate([z, z + [d, 0], z + [0, d]])))
+    ref = np.maximum(np.maximum(S[5:10], S[10:]), TINY)
+    worst = np.max(S[:5] / ref)
     return 5, float(worst), worst <= tol
 
 
@@ -264,26 +271,23 @@ def _check_quartic_determinant(ctx, rng, tol):
 
 
 def _check_forward_consistency(ctx, rng, tol):
+    divisors = [_sample_divisor(ctx, rng) for _ in range(10)]
+    z = abel_forward(ctx, divisors)
+    clear = divisor_clearance(ctx, z) >= 1e-4
     worst = 0.0
-    for _ in range(10):
-        D = _sample_divisor(ctx, rng)
-        z = abel_forward(ctx, D)
-        if divisor_clearance(ctx, z) < 1e-4:
-            continue
-        got = wp_eval(ctx, z)
-        want = xi_eval(ctx.f, D)
-        for g, w0 in zip(got, want):
-            worst = max(worst, _rel(g - w0, w0))
+    if clear.any():
+        got = wp_eval(ctx, z[clear])
+        want = np.array([xi_eval(ctx.f, D)
+                         for D, c in zip(divisors, clear) if c])
+        worst = np.max(_rel(got - want, want))
     return 10, float(worst), worst <= tol
 
 
 def _check_round_trip(ctx, rng, tol):
-    worst = 0.0
-    for z in _sample_z(ctx, rng, 20):
-        D = jacobi_invert(ctx, z)
-        za = abel_forward(ctx, D)
-        resid = nearest_lattice_residual(ctx.pd, za - z)
-        worst = max(worst, resid / max(1.0, float(np.linalg.norm(z))))
+    z = _sample_z(ctx, rng, 20)
+    za = abel_forward(ctx, jacobi_invert(ctx, z))
+    resid = nearest_lattice_residual(ctx.pd, za - z)
+    worst = np.max(resid / np.maximum(1.0, np.linalg.norm(z, axis=1)))
     return 20, float(worst), worst <= tol
 
 
@@ -297,18 +301,20 @@ def _check_taylor_jets(ctx, rng, tol):
 
 
 def _check_diff1(ctx, rng, tol):
-    worst = 0.0
-    done = 0
-    while done < 10:
-        D = _sample_divisor(ctx, rng)
-        r1, r2, lam, z = rho_lambda_eval(ctx, D)
-        if divisor_clearance(ctx, z) < 1e-4:
-            continue
-        g = log_S_gradient(ctx, z)
-        ref = max(1.0, float(np.max(np.abs(g))), abs(lam))
-        worst = max(worst, abs(g[0] + 2 * r1 - lam) / ref,
-                    abs(g[1] + 2 * r2) / ref)
-        done += 1
+    # divisors are drawn in blocks of as many as are still missing and
+    # rejected on clearance afterwards, so the samples are those of a
+    # one-by-one loop
+    kept = []
+    while len(kept) < 10:
+        divisors = [_sample_divisor(ctx, rng) for _ in range(10 - len(kept))]
+        r1, r2, lam, z = rho_lambda_eval(ctx, divisors)
+        clear = divisor_clearance(ctx, z) >= 1e-4
+        kept += [row for row, c in zip(zip(r1, r2, lam, z), clear) if c]
+    r1, r2, lam, z = (np.array(a) for a in zip(*kept))
+    g = log_S_gradient(ctx, z)
+    ref = np.maximum(np.maximum(1.0, np.max(np.abs(g), axis=1)), abs(lam))
+    worst = np.max(np.maximum(abs(g[:, 0] + 2 * r1 - lam),
+                              abs(g[:, 1] + 2 * r2)) / ref)
     return 10, float(worst), worst <= tol
 
 

@@ -1,6 +1,9 @@
 """Batch evaluation: S_eval, S_jk_eval, wp_eval, log_S_gradient,
 divisor_clearance and sigma_eval take z of shape (2,) or (N, 2); a batch
-is one theta_jet call and equals the stacked one-point calls."""
+is one theta_jet call and equals the stacked one-point calls.  The Abel
+layer likewise: abel_forward and rho_lambda_eval take a sequence of
+divisors, jacobi_invert and nearest_lattice_residual an (N, 2) batch, and
+a batch equals its members run one at a time."""
 
 import warnings
 
@@ -8,9 +11,11 @@ import numpy as np
 import pytest
 
 import kleinian2 as k2
-from kleinian2.kleinian import log_S_gradient
+from kleinian2 import integration
+from kleinian2.curve import involution
+from kleinian2.kleinian import log_S_gradient, rho_lambda_eval
 
-from conftest import sample_z
+from conftest import sample_divisor, sample_z
 
 # (function, the shape of one point's value); sigma only on 4x^5 - 4x
 FUNCTIONS = [(k2.S_eval, ()), (k2.S_jk_eval, (3,)), (k2.wp_eval, (3,)),
@@ -150,3 +155,142 @@ def test_far_points_raise_only_non_finite_value_error(w5_ctx):
         for fn, arg in calls:
             with pytest.raises(k2.NonFiniteValueError):
                 fn(w5_ctx, arg)
+
+
+# -- the Abel layer -----------------------------------------------------------
+
+def _divisor_kinds(ctx, n, seed):
+    """n divisors cycling through affine pairs whose path does and does
+    not need a sheet-flip loop, (P) + (P) (an empty straight run and a
+    loop), (P) + (iP) (no path at all), and divisors with points at
+    infinity under both labels."""
+    rng = np.random.default_rng(seed)
+    inf1, inf2 = k2.CurvePoint.at_infinity(1), k2.CurvePoint.at_infinity(2)
+    out = []
+    while len(out) < n:
+        D = sample_divisor(ctx, rng)
+        P, Q = D.p, D.q
+        kinds = [D, k2.Divisor(P, involution(Q)), k2.Divisor(P, P),
+                 k2.Divisor(P, involution(P)), k2.Divisor(P, inf1),
+                 k2.Divisor(inf2, Q), k2.Divisor(inf1, inf2)]
+        out.append(kinds[len(out) % len(kinds)])
+    return out
+
+
+def _affine_divisors(ctx, n, seed):
+    """n admissible affine divisors, half of them (p) + (iq) of the other
+    half, so that paths with and without a flip loop share a batch."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        D = sample_divisor(ctx, rng)
+        out += [D, k2.Divisor(D.p, involution(D.q))]
+    return out[:n]
+
+
+def _close_rows(got, want, rel=1e-13):
+    """Each row of got equals that of want to rel of the row's largest
+    entry (a zero row exactly)."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    scale = np.max(np.abs(want), axis=1, keepdims=True)
+    return bool(np.all(np.abs(got - want) <= rel * scale))
+
+
+def _flat(D):
+    return [D.p.x, D.p.y, D.q.x, D.q.y]
+
+
+@pytest.mark.parametrize("n", [1, 7, 20])
+def test_abel_batch_equals_divisors_one_at_a_time(ctx, n):
+    Ds = _divisor_kinds(ctx, n, seed=n)
+    got = k2.abel_forward(ctx, Ds)
+    assert got.shape == (n, 2)
+    assert _close_rows(got, [k2.abel_forward(ctx, D) for D in Ds])
+    assert k2.abel_forward(ctx, Ds[0]).shape == (2,)
+
+
+@pytest.mark.parametrize("n", [1, 7, 20])
+def test_inversion_batch_equals_points_one_at_a_time(ctx, n):
+    z = _points(ctx, n, seed=n + 200)
+    got = k2.jacobi_invert(ctx, z)
+    assert isinstance(got, list) and len(got) == n
+    want = [k2.jacobi_invert(ctx, zi) for zi in z]
+    assert isinstance(want[0], k2.Divisor)
+    assert _close_rows([_flat(D) for D in got], [_flat(D) for D in want])
+
+
+@pytest.mark.parametrize("n", [1, 7, 20])
+def test_rho_lambda_batch_equals_divisors_one_at_a_time(ctx, n):
+    Ds = _affine_divisors(ctx, n, seed=n + 300)
+    r1, r2, lam, z = rho_lambda_eval(ctx, Ds)
+    assert r1.shape == r2.shape == lam.shape == (n,) and z.shape == (n, 2)
+    want = [rho_lambda_eval(ctx, D) for D in Ds]
+    assert _close_rows(np.column_stack([r1, r2, lam, z]),
+                       [[a, b, c, *w] for a, b, c, w in want])
+
+
+@pytest.mark.parametrize("n", [1, 7, 20])
+def test_lattice_residual_batch_equals_points_one_at_a_time(ctx, n):
+    z = _points(ctx, n, seed=n + 400)
+    # near a lattice point too, where the residual is a cancellation
+    z[0] = ctx.pd.A[:, 0] - ctx.pd.B[:, 1] + 1e-3
+    got = k2.nearest_lattice_residual(ctx.pd, z)
+    assert got.shape == (n,)
+    want = [k2.nearest_lattice_residual(ctx.pd, zi) for zi in z]
+    assert isinstance(want[0], float)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
+@pytest.fixture
+def abel_calls(monkeypatch):
+    """Counts of continue_sqrt and integrate_01 calls, by name."""
+    calls = []
+    for name in ("continue_sqrt", "integrate_01"):
+        fn = getattr(integration, name)
+
+        def counted(*args, fn=fn, name=name, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(integration, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 7, 20])
+def test_a_batch_is_two_continuations_and_one_quadrature(ctx, n,
+                                                         abel_calls):
+    """Affine pairs: the straight runs in one continuation, the flip
+    loops in a second, every piece in one quadrature, whatever n is."""
+    Ds = _affine_divisors(ctx, n, seed=n + 500)
+    z = _points(ctx, n, seed=n + 600)
+    for run in (lambda: k2.abel_forward(ctx, Ds),
+                lambda: rho_lambda_eval(ctx, Ds),
+                lambda: k2.jacobi_invert(ctx, z)):
+        abel_calls.clear()
+        run()
+        assert abel_calls.count("continue_sqrt") <= 2
+        assert abel_calls.count("integrate_01") == 1
+
+
+def test_divisors_that_meet_infinity_share_one_fan(ctx, abel_calls):
+    """The affine points of every divisor that meets infinity go through
+    one radial fan and one tail fan, beside the affine pairs' paths."""
+    for n in (7, 20):
+        abel_calls.clear()
+        k2.abel_forward(ctx, _divisor_kinds(ctx, n, seed=n + 700))
+        assert abel_calls.count("continue_sqrt") <= 4
+        assert abel_calls.count("integrate_01") == 3
+
+
+def test_each_bad_divisor_raises_its_own_error(g6_ctx):
+    rng = np.random.default_rng(800)
+    good = _affine_divisors(g6_ctx, 3, seed=801)
+    P = sample_divisor(g6_ctx, rng).p
+    Q = k2.CurvePoint.affine(P.x + 1e-14, P.y)
+    for bad, error in ((k2.Divisor(P, k2.CurvePoint.at_infinity(1)),
+                        k2.InfinitePointError),
+                       (k2.Divisor(P, involution(P)), k2.SpecialDivisorError),
+                       (k2.Divisor(P, Q), k2.DiagonalError)):
+        with pytest.raises(error):
+            rho_lambda_eval(g6_ctx, good[:2] + [bad] + good[2:])

@@ -323,7 +323,7 @@ def test_z_star_continues_one_tail(coeffs, monkeypatch):
     T, landed_plus = integration.tail_integrals(f, [x_far], [y_far])
     if landed_plus[0]:
         y_far, T = -y_far, -T
-    table = integration._continue_chain(f, loop_pieces, y_far)
+    _, table, _ = integration._continue_runs(f, [loop_pieces], [y_far])
     I_loop = integration.integrate_forms(
         f, loop_pieces, table, integration.holomorphic_numerators())
     I_loop = I_loop.sum(axis=0)

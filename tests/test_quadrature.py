@@ -102,6 +102,63 @@ def test_stacked_integrals_meet_tolerance_each():
     assert abs(val[1, 0] - peak_exact) < 1e-12 * peak_exact
 
 
+# -- a stack whose integrals converge at different levels ---------------------
+
+# exp(a u) converges at a lower level the smaller a is; the peaked one
+# needs the finest levels
+EASY_TO_HARD = [lambda u: np.exp(0.1 * u), lambda u: np.exp(3.0 * u),
+                lambda u: 1.0 / np.sqrt(u * (1.0 - u) + 1e-3),
+                lambda u: 1.0 / ((u - 0.3) ** 2 + 1e-4)]
+
+
+def _recording_stack(fns, narrowed):
+    """A stack integrand over fns, recording per call which of them it
+    evaluated, and its narrow callback (None if not narrowed)."""
+    live = [np.arange(len(fns))]
+    seen = []
+
+    def g(u, d0, d1):
+        seen.append(list(live[0]))
+        return np.stack([fns[i](u) + 0j for i in live[0]], axis=1)[:, :, None]
+
+    def narrow(k):
+        live[0] = k
+
+    return g, (narrow if narrowed else None), seen
+
+
+def _levels_alone(fn):
+    g, _, seen = _recording_stack([fn], False)
+    return integrate_01(g)[0][0, 0], len(seen)
+
+
+def _forwarding(g, *args, **kwargs):
+    """integrate_01 as a tracer runs it: the integrand is wrapped in a
+    function that forwards only (u, d0, d1), other arguments pass on."""
+    return integrate_01(lambda u, d0, d1: g(u, d0, d1), *args, **kwargs)
+
+
+@pytest.mark.parametrize("run", [integrate_01, _forwarding],
+                         ids=["direct", "forwarding"])
+@pytest.mark.parametrize("narrowed", [True, False])
+def test_each_integral_of_a_stack_retires_at_its_own_level(run, narrowed):
+    """Each result equals its integral computed alone, and a narrowed
+    integrand evaluates each integral at no more levels than alone."""
+    alone = [_levels_alone(fn) for fn in EASY_TO_HARD]
+    assert len({n for _, n in alone}) > 2
+    g, narrow, seen = _recording_stack(EASY_TO_HARD, narrowed)
+    val, err = run(g, narrow)
+    assert val.shape == (len(EASY_TO_HARD), 1)
+    assert err < 1e-12
+    for i, (want, levels) in enumerate(alone):
+        assert abs(val[i, 0] - want) <= 1e-15 * abs(want)
+        if narrowed:
+            assert sum(i in cols for cols in seen) <= levels
+    assert len(seen) == max(n for _, n in alone)
+    if not narrowed:
+        assert all(cols == list(range(len(EASY_TO_HARD))) for cols in seen)
+
+
 def test_continue_sqrt_closed_loop_winding():
     """A loop encircling one root of f an odd number of times must come back
     on the other sheet, even though h(1) == h(0) exactly."""
@@ -249,9 +306,10 @@ def _seeded():
 
 
 def _detour(monkeypatch):
-    """path_between to a point and to its involution image: a chain of a
-    line, a detour arc and a line, each piece seeded by the end of the
-    one before, and for the second a flip loop continued from its end."""
+    """path_between to a point and to its involution image, in one call:
+    two chains of a line, a detour arc and a line, each piece seeded by
+    the end of the one before, in one continuation, and for the second a
+    flip loop continued from its end in another."""
     f = _g6()
     x0, x1 = 1.0 - 0.5j, 1.0 + 0.5j
     roots = branch_points(f)
@@ -259,9 +317,9 @@ def _detour(monkeypatch):
         line_with_detours(roots, detour_radii(roots), x0, x1)[:, 2] != 0)
     P0 = k2.CurvePoint.affine(x0, np.sqrt(f(x0)))
     P1 = k2.CurvePoint.affine(x1, np.sqrt(f(x1)))
-    return _recorded_continuations(monkeypatch, lambda: [
-        integration.path_between(f, branch_points(f), P0, P)
-        for P in (P1, k2.CurvePoint.affine(x1, -P1.y))])
+    return _recorded_continuations(monkeypatch, lambda: (
+        integration.path_between(f, branch_points(f), [P0, P0],
+                                 [P1, k2.CurvePoint.affine(x1, -P1.y)])))
 
 
 def _segments(monkeypatch):
@@ -409,7 +467,7 @@ def test_integrate_forms_matches_piece_by_piece(coeffs):
         if k % 2:
             pieces = np.concatenate(
                 [pieces, flip_loop_pieces(roots, radii, x1)])
-        table = integration._continue_chain(f, pieces, np.sqrt(f(x0)))
+        _, table, _ = integration._continue_runs(f, [pieces], [np.sqrt(f(x0))])
         got = integration.integrate_forms(f, pieces, table, nums).sum(axis=0)
         want = _integrate_forms_piece_by_piece(f, pieces, table, nums)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -453,10 +511,10 @@ def test_empty_straight_run_is_a_stack_of_no_rows():
     x = 0.4 + 0.7j
     assert line_with_detours(roots, detour_radii(roots), x, x).shape == (0, 3)
     P = k2.CurvePoint.affine(x, np.sqrt(f(x)))
-    pieces, _ = integration.path_between(f, roots, P, P)
+    pieces, _, _ = integration.path_between(f, roots, [P], [P])
     assert pieces.shape == (0, 3)
-    pieces, (us, ss) = integration.path_between(
-        f, roots, P, k2.CurvePoint.affine(x, -P.y))
+    pieces, (us, ss), _ = integration.path_between(
+        f, roots, [P], [k2.CurvePoint.affine(x, -P.y)])
     loop = flip_loop_pieces(roots, detour_radii(roots), x)
     assert np.array_equal(pieces, loop)
     assert abs(ss[-1] + P.y) <= 1e-12 * abs(P.y)
