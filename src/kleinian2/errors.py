@@ -52,15 +52,12 @@ class SheetTrackingError(KleinianError):
 
 
 class RiemannMatrixError(KleinianError):
-    """Period data fails its Riemann-matrix and Legendre certificates."""
+    """Period data fails its Riemann-matrix, Legendre or conditioning
+    certificates."""
 
 
 class DeltaAmbiguityError(KleinianError):
     """Zero or several candidates passed the vanishing certificate."""
-
-
-class IllConditionedLatticeError(KleinianError):
-    """Lattice generator Gram matrix is numerically singular."""
 
 
 # theta

@@ -205,18 +205,15 @@ def make_context(f, pd=None):
 # public functions that form them silence numpy's warnings, once per
 # call, and leave the report to _finite.
 
-def _as_z(z):
+def _as_zs(z, batch=True):
+    """z as one point, shape (2,), or, if batch, a batch of N >= 1 points,
+    (N, 2); ValueError for any other shape."""
     z = np.asarray(z, dtype=complex)
-    # no new view when z is already a complex 2-vector: EvalBundle keeps z
-    return z if z.shape == (2,) else z.reshape(2)
-
-
-def _as_zs(z):
-    """z as one point, shape (2,), or a batch of N >= 1 points, (N, 2)."""
-    z = np.asarray(z, dtype=complex)
-    if z.shape != (2,) and (z.ndim != 2 or z.shape[1] != 2 or not len(z)):
-        raise ValueError(f"z must have shape (2,) or (N, 2), not {z.shape}")
-    return z
+    if z.shape == (2,) or (batch and z.ndim == 2 and z.shape[1] == 2
+                           and len(z)):
+        return z
+    shapes = "(2,) or (N, 2)" if batch else "(2,)"
+    raise ValueError(f"z must have shape {shapes}, not {z.shape}")
 
 
 def _finite(value, what):
@@ -518,7 +515,7 @@ def sigma_jets(ctx, z, order=2):
     """sigma and its partial derivatives up to the given order (max 3),
     as a dict keyed by (k1, k2)."""
     _require_weierstrass(ctx)
-    z = _as_z(z)
+    z = _as_zs(z, batch=False)
     u = _u(ctx, z)
     jm = theta_jet(ctx.tp, u - ctx.pd.Delta, order)
     d1, d2, d3 = _pullback_jets(ctx, jm, order)
@@ -735,7 +732,7 @@ def evaluate_bundle(ctx, z, want_sigma=False):
     """Every field at z from one theta pair at u -+ Delta, of order 3 with
     sigma and 2 without; only the root-selection walk evaluates theta
     elsewhere."""
-    z = _as_z(z)
+    z = _as_zs(z, batch=False)
     if want_sigma:
         _require_weierstrass(ctx)
     u, jm, jp = _theta_pair(ctx, z, 3 if want_sigma else 2)

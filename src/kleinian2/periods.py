@@ -17,6 +17,12 @@ is one of 16 candidates, a half-period plus (1/2) A^{-1} z_star on degree 6
 (plus nothing on degree 5, where infinity is a Weierstrass point), and the
 theta-vanishing certificate on a fan of Abel images must accept exactly
 one of them.
+
+Lattice points are named by one integer convention throughout: k = (n1,
+n2, m1, m2) stands for u = n + Omega m in the normalized coordinates
+u = A^{-1} z, and for z = A n + B m in z-space.  lattice_vector,
+eta_of_lattice and _half_period take k, and theta.lattice_reduce
+returns (n, m) in the same order.
 """
 
 from dataclasses import dataclass, fields
@@ -27,14 +33,14 @@ import numpy as np
 
 from .curve import CurvePoint, branch_points
 from .errors import (DegenerateGeometryError, DeltaAmbiguityError,
-                     IllConditionedLatticeError, RiemannMatrixError)
+                     RiemannMatrixError)
 from .integration import (infinity_to_infinity, point_infinity_integrals,
                           segment_period_integrals)
-from .theta import ThetaParams, theta_jet
+from .theta import ThetaParams, lattice_reduce, theta_jet
 
 TOL_SYM = 1e-8
 TOL_LEG = 1e-8
-COND_CAP = 1e12
+COND_CAP = 1e12         # of the real generator matrix [Re; Im] [A B]
 SCALE_BAND = (0.1, 10.0)
 ABEL_SAMPLES = 8        # fan of Abel images certifying Delta
 
@@ -151,14 +157,21 @@ def _residuals(A, B, etaA, etaB):
     r["sym_ab"] = float(np.max(np.abs(etaA @ etaB.T - (etaA @ etaB.T).T)))
     r["sym_a"] = float(np.max(np.abs(etaA.T @ A - (etaA.T @ A).T)))
     r["sym_b"] = float(np.max(np.abs(etaB.T @ B - (etaB.T @ B).T)))
+    gens = np.hstack([A, B])
+    r["cond"] = float(np.linalg.cond(np.vstack([gens.real, gens.imag])))
     return Omega, r
 
 
 def _certified(r):
+    """Whether the residuals r of _residuals pass: the Riemann-matrix and
+    Legendre tolerances, and the periods' real generator matrix
+    conditioned below COND_CAP, so that lattice coordinates are well
+    defined wherever the period data is used."""
     return (r is not None and "singular" not in r
             and r["sym"] <= TOL_SYM and r["lam_min"] > 0
             and max(r["leg1"], r["leg2"]) <= TOL_LEG
-            and max(r["sym_ab"], r["sym_a"], r["sym_b"]) <= TOL_LEG)
+            and max(r["sym_ab"], r["sym_a"], r["sym_b"]) <= TOL_LEG
+            and r["cond"] <= COND_CAP)
 
 
 def _loop_signs(W):
@@ -200,7 +213,8 @@ def compute_period_data(f, ordering=None):
     if not _certified(r):
         raise RiemannMatrixError(
             "the loop orientations read off the Legendre pairing do not "
-            "yield a certified Riemann matrix for this curve")
+            "yield a certified, well-conditioned Riemann matrix for this "
+            "curve")
 
     z_star = None
     if f.degree == 6:
@@ -213,43 +227,29 @@ def compute_period_data(f, ordering=None):
 
 # -- eta homomorphism and lattice coordinates ---------------------------------
 
-def eta_of_lattice(pd, m, n=None):
-    """eta of the lattice vector w = A m + B n, from the period columns."""
-    if n is None:
-        flat = np.asarray(m, dtype=int).reshape(4)
-        m, n = flat[:2], flat[2:]
-    return pd.etaA @ np.asarray(m) + pd.etaB @ np.asarray(n)
+def eta_of_lattice(pd, k):
+    """eta of the lattice vector A n + B m, k = (n, m) of shape (4,) or
+    (N, 4), from the period columns: shape (2,) or (N, 2)."""
+    k = np.asarray(k)
+    return (pd.etaA @ k[..., :2].T + pd.etaB @ k[..., 2:].T).T
 
 
-def lattice_vector(pd, m, n=None):
-    if n is None:
-        flat = np.asarray(m, dtype=int).reshape(4)
-        m, n = flat[:2], flat[2:]
-    return pd.A @ np.asarray(m) + pd.B @ np.asarray(n)
-
-
-def _generator_matrix(pd):
-    G = np.zeros((4, 4))
-    gens = np.hstack([pd.A, pd.B])
-    G[:2] = gens.real
-    G[2:] = gens.imag
-    if np.linalg.cond(G) > COND_CAP:
-        raise IllConditionedLatticeError(
-            "period generators are numerically dependent")
-    return G
+def lattice_vector(pd, k):
+    """The lattice vector A n + B m, k = (n, m) of shape (4,) or (N, 4):
+    shape (2,) or (N, 2)."""
+    k = np.asarray(k)
+    return (pd.A @ k[..., :2].T + pd.B @ k[..., 2:].T).T
 
 
 def nearest_lattice_residual(pd, z):
     """Distance from z to the nearest lattice point, in z-space: a float,
-    or shape (N,) for z of shape (N, 2), whose rows share one generator
-    matrix and one conditioning check."""
+    or shape (N,) for z of shape (N, 2).  The point is the one
+    lattice_reduce picks for u = A^{-1} z, and the distance |A u0|."""
     z = np.asarray(z, dtype=complex)
     if z.shape != (2,) and (z.ndim != 2 or z.shape[1] != 2):
         raise ValueError(f"z must have shape (2,) or (N, 2), not {z.shape}")
-    G = _generator_matrix(pd)
-    c = np.linalg.solve(G, np.concatenate([z.real.T, z.imag.T]))
-    r = G @ (c - np.round(c))
-    d = np.hypot(np.linalg.norm(r[:2], axis=0), np.linalg.norm(r[2:], axis=0))
+    _, _, u0 = lattice_reduce(pd.Omega, np.linalg.solve(pd.A, z.T).T)
+    d = np.linalg.norm(u0 @ pd.A.T, axis=-1)
     return float(d) if z.ndim == 1 else d
 
 
@@ -266,9 +266,10 @@ def _abel_samples(f, A, roots, scale, z_star):
     return np.linalg.solve(A, z.T).T
 
 
-def _half_period(Omega, n0, m0):
-    return 0.5 * (np.asarray(n0, dtype=float)
-                  + Omega @ np.asarray(m0, dtype=float))
+def _half_period(Omega, k):
+    """Half the lattice point k = (n, m) in u-coordinates, (n + Omega m) / 2."""
+    k = np.asarray(k, dtype=float)
+    return 0.5 * (k[..., :2] + k[..., 2:] @ Omega.T)
 
 
 def _riemann_constant(f, A, Omega, roots, scale, z_star):
@@ -293,10 +294,8 @@ def _riemann_constant(f, A, Omega, roots, scale, z_star):
     tp = ThetaParams.build(Omega)
     us = _abel_samples(f, A, roots, scale, z_star)
     shift = 0.0 if z_star is None else 0.5 * np.linalg.solve(A, z_star)
-    chars = [(n0, m0) for n0 in product((0, 1), (0, 1))
-             for m0 in product((0, 1), (0, 1))]
-    cands = np.array([_half_period(Omega, n0, m0) + shift
-                      for n0, m0 in chars])
+    chars = list(product((0, 1), repeat=4))
+    cands = _half_period(Omega, chars) + shift
     first = np.abs(theta_jet(tp, np.concatenate(
         [np.zeros((1, 2)), us, us[0] - cands]), 0)[:, 0, 0])
     theta_ref = np.max(first[:len(us) + 1])
@@ -311,4 +310,5 @@ def _riemann_constant(f, A, Omega, roots, scale, z_star):
             f"{len(alive)} of 16 candidates pass the vanishing certificate "
             "for the base-point constant (expected exactly one)")
     k = alive[0]
-    return cands[k], (chars[k] if f.degree == 5 else None)
+    return cands[k], ((chars[k][:2], chars[k][2:]) if f.degree == 5
+                      else None)

@@ -12,16 +12,16 @@ of rounding to 0), which is what the factored square-root integrands need.
 The cached node arrays are read-only: an integrand that wrote into them
 would change every later integral in the process.
 
-One call can integrate a stack of independent integrals, such as the
+One call integrates a stack of independent integrals, such as the
 pieces of a path or a fan of paths: an integrand returning shape
 (len(u), m, k) gives m results of k components, and every one of the m
 must meet the tolerance on its own max-norm, so a small integral is not
 judged against a large neighbour.  Each integral is retired at the first
 level where it meets the tolerance, and its result is the one it would
 get alone; the integrals still open share the node evaluations of the
-next level.  A caller that passes `narrow` is told which integrals are
-still open and evaluates only those, so a stack costs no more integrand
-columns than its members would alone.
+next level.  The caller's `narrow` is told which integrals are still
+open, and the integrand evaluates only those, so a stack costs no more
+integrand columns than its members would alone.
 """
 
 import numpy as np
@@ -46,10 +46,8 @@ def _nodes(level):
         return cached
     h = 2.0 ** (-level)
     kmax = int(np.floor(T_MAX / h))
-    if level == BASE_LEVEL:
-        k = np.arange(-kmax, kmax + 1)
-    else:
-        k = np.arange(-kmax, kmax + 1)
+    k = np.arange(-kmax, kmax + 1)
+    if level > BASE_LEVEL:
         k = k[k % 2 != 0]
     t = h * k
     phi = 0.5 * np.pi * np.sinh(t)
@@ -63,26 +61,24 @@ def _nodes(level):
     return _node_cache[level]
 
 
-def integrate_01(g, narrow=None):
-    """Integrate a vector-valued integrand, or a stack of them, over (0, 1)
-    to relative tolerance TOL on the max-norm of each result.
+def integrate_01(g, narrow):
+    """Integrate a stack of vector-valued integrands over (0, 1) to
+    relative tolerance TOL on the max-norm of each result.
 
     Parameters
     ----------
     g : callable
-        g(u, d0, d1) -> complex array of shape (len(u), k), or
-        (len(u), m, k) for m independent integrals.  d0 and d1 are the
-        distances to 0 and 1 (d0 == u; d1 is 1-u computed stably).
-    narrow : callable, optional
-        For a stack: narrow(open) is called with the indices, into the
-        stack, of the integrals still open whenever some of them retire,
-        and from then on g returns those integrals only, in that order.
-        Without it g keeps returning the whole stack, and the columns of
-        retired integrals are dropped.
+        g(u, d0, d1) -> complex array of shape (len(u), m, k) for m
+        independent integrals.  d0 and d1 are the distances to 0 and 1
+        (d0 == u; d1 is 1-u computed stably).
+    narrow : callable
+        narrow(open) is called with the indices, into the stack, of the
+        integrals still open whenever some of them retire, and from then
+        on g returns those integrals only, in that order.
 
     Returns
     -------
-    value : complex array (k,) or (m, k)
+    value : complex array (m, k)
         Each integral at the first level where its change from the level
         before, relative to its own max-norm, is below TOL.
     err : float
@@ -90,19 +86,14 @@ def integrate_01(g, narrow=None):
     """
     u, d0, d1, w = _nodes(BASE_LEVEL)
     vals = g(u, d0, d1)
-    single = vals.ndim == 2
-    acc = w @ vals.reshape(len(u), -1)
-    acc = acc.reshape((1,) + vals.shape[1:] if single else vals.shape[1:])
+    acc = (w @ vals.reshape(len(u), -1)).reshape(vals.shape[1:])
     value = np.empty_like(acc)
     err = np.zeros(len(acc))
     est = 2.0 ** (-BASE_LEVEL) * acc
     live = np.arange(len(acc))     # the open integrals, by stack index
-    cols = None                    # their columns of g, without narrow
     for level in range(BASE_LEVEL + 1, MAX_LEVEL + 1):
         u, d0, d1, w = _nodes(level)
         vals = g(u, d0, d1)
-        if cols is not None:
-            vals = vals[:, cols]
         acc = acc + (w @ vals.reshape(len(u), -1)).reshape(acc.shape)
         new = 2.0 ** (-level) * acc
         scale = np.maximum(np.max(np.abs(new), axis=-1), 1e-300)
@@ -110,15 +101,12 @@ def integrate_01(g, narrow=None):
         done = change < TOL
         if done.all():
             value[live], err[live] = new, change
-            return (value[0] if single else value), float(err.max())
+            return value, float(err.max())
         if done.any():
             value[live[done]], err[live[done]] = new[done], change[done]
             keep = ~done
             live, acc, new = live[keep], acc[keep], new[keep]
-            if narrow is None:
-                cols = live
-            else:
-                narrow(live)
+            narrow(live)
         est = new
     raise QuadratureError(
         f"tanh-sinh did not reach rel. tol {TOL:g} by level {MAX_LEVEL} "

@@ -16,7 +16,7 @@ from .errors import RiemannMatrixError
 from .kleinian import EvalBundle
 from .periods import (J, LOOP_PAIRS, TOL_LEG, TOL_SYM, PeriodData,
                       _certified, _residuals)
-from .theta import EPS_TARGET
+from .theta import EPS_TARGET, lattice_reduce
 
 
 def cnum(z):
@@ -157,10 +157,10 @@ def period_data_to_json(pd):
 
 def period_data_from_json(obj):
     """PeriodData from its JSON form, certified as compute_period_data
-    certifies it: the Riemann-matrix and Legendre checks on A, B, etaA,
-    etaB, with Omega equal to A^-1 B, and 2 Delta - A^-1 z_star (z_star
-    = 0 on degree 5) a lattice point n + Omega m, (n, m) = delta_char on
-    degree 5.  Raises RiemannMatrixError otherwise."""
+    certifies it: the Riemann-matrix, Legendre and conditioning checks on
+    A, B, etaA, etaB, with Omega equal to A^-1 B, and 2 Delta - A^-1
+    z_star (z_star = 0 on degree 5) a lattice point n + Omega m, (n, m) =
+    delta_char on degree 5.  Raises RiemannMatrixError otherwise."""
     keys = ("curve", "roots", "scale", "transform", "A", "B", "etaA", "etaB",
             "Omega", "Delta")
     if not isinstance(obj, dict) or any(k not in obj for k in keys):
@@ -193,12 +193,11 @@ def period_data_from_json(obj):
     if (not _certified(r) or np.max(np.abs(Omega - pd.Omega))
             > TOL_SYM * max(1.0, np.max(np.abs(Omega)))):
         raise RiemannMatrixError(
-            "period data fails the Riemann-matrix and Legendre "
-            "certificates")
+            "period data fails the Riemann-matrix, Legendre or "
+            "conditioning certificates")
     v = 2 * pd.Delta - (0 if z_star is None else np.linalg.solve(pd.A, z_star))
-    m = np.rint(np.linalg.solve(pd.Omega.imag, v.imag))
-    n = np.rint(v.real - pd.Omega.real @ m)
-    if (np.max(np.abs(v - n - pd.Omega @ m)) > TOL_SYM
+    n, m, v0 = lattice_reduce(pd.Omega, v)
+    if (np.max(np.abs(v0)) > TOL_SYM
             or (f.degree == 5 and (tuple(n), tuple(m)) != char)):
         raise RiemannMatrixError(
             "Delta is not a half-period shifted by (1/2) A^-1 z_star, or "

@@ -3,16 +3,17 @@
 theta(z; Omega) = sum over n in Z^2 of exp(i pi n.Omega.n + 2 pi i n.z).
 
 Evaluation strategy: reduce z by integer and Omega-integer shifts so the
-imaginary part is small, sum the series over a box whose radius comes from
-a provable tail bound, then push the quasi-periodicity prefactor through
-the requested derivatives with the Leibniz rule.  `theta_jet` takes one
-point, shape (2,), or a batch, shape (N, 2): a batch is summed over one
-box whose radius is the largest of the rows' own tail-bound radii, as one
-matrix product.  The tables the sum needs (the box, the quadratic
-monomials n1^2, 2 n1 n2, n2^2 and the derivative monomials (2 pi i n)^k)
-do not depend on Omega, so one read-only copy per radius serves every
-order and every ThetaParams.  A ThetaParams carries no tables of its
-own, and nothing cached can be paired with the wrong Omega.
+imaginary part is small (lattice_reduce), sum the series over a box whose
+radius comes from a provable tail bound, then push the quasi-periodicity
+prefactor through the requested derivatives with the Leibniz rule.
+`theta_jet` takes one point, shape (2,), or a batch, shape (N, 2): a
+batch is summed over one box whose radius is the largest of the rows'
+own tail-bound radii, as one matrix product.  The tables the sum needs
+(the box, the quadratic monomials n1^2, 2 n1 n2, n2^2 and the derivative
+monomials (2 pi i n)^k) do not depend on Omega, so one read-only copy
+per radius serves every order and every ThetaParams.  A ThetaParams
+carries no tables of its own, and nothing cached can be paired with the
+wrong Omega.
 """
 
 import math
@@ -99,6 +100,21 @@ def _tables(R):
     return basis, mono
 
 
+def lattice_reduce(Omega, u):
+    """Lattice coordinates of u, shape (2,) or (N, 2): u = u0 + n + Omega m
+    with n, m integer-valued float arrays and u0 the remainder, each
+    shaped as u.  m rounds Im u in the coordinates of Im Omega, then n
+    rounds the real part left, so |Re u0| <= 1/2.  The one place where
+    lattice coordinates are rounded: theta's range reduction, the
+    distance to the period lattice and the half-period test of a loaded
+    Delta all call it."""
+    u = np.asarray(u, dtype=complex)
+    m = np.round(np.linalg.solve(Omega.imag, u.imag.T)).T
+    um = u - m @ Omega.T
+    n = np.round(um.real)
+    return n, m, um - n
+
+
 def theta_jet(tp, z, order):
     """All partial derivatives of theta at z up to total order `order`.
 
@@ -113,10 +129,7 @@ def theta_jet(tp, z, order):
     batch = z.ndim == 2
     Z = z.reshape(-1, 2)
     Om = tp.Omega
-    # range reduction z = z0 + n + Omega m, with m, n integer vectors
-    m = np.round(np.linalg.solve(Om.imag, Z.imag.T)).T
-    zm = Z - m @ Om
-    z0 = zm - np.round(zm.real)
+    _, m, z0 = lattice_reduce(Om, Z)
     # _radius increases with b, so this is the largest of the rows' radii
     R = _radius(tp, float(np.max(np.linalg.norm(z0.imag, axis=1))), order)
     basis, mono = _tables(R)

@@ -142,6 +142,17 @@ def test_other_shapes_are_refused(w5_ctx, shape):
         k2.S_eval(w5_ctx, np.zeros(shape))
 
 
+@pytest.mark.parametrize("shape", [(1, 2), (2, 1)])
+def test_one_point_functions_refuse_other_shapes(w5_ctx, shape):
+    """evaluate_bundle and sigma_jets take one point, shape (2,) only: a
+    (1, 2) batch or a (2, 1) column is refused, not read as one point."""
+    z = np.full(shape, 0.1 + 0.2j)
+    with pytest.raises(ValueError, match=r"shape \(2,\), not"):
+        k2.evaluate_bundle(w5_ctx, z, want_sigma=True)
+    with pytest.raises(ValueError, match=r"shape \(2,\), not"):
+        k2.sigma_jets(w5_ctx, z)
+
+
 def test_far_points_raise_only_non_finite_value_error(w5_ctx):
     """Far out the theta jets and exp(z^T C z) overflow: each function
     raises NonFiniteValueError, and numpy warns of nothing on the way."""

@@ -117,11 +117,43 @@ def test_nearest_lattice_residual(any_ctx):
     pd = any_ctx.pd
     rng = np.random.default_rng(34)
     for _ in range(10):
-        m, n = rng.integers(-2, 3, 2), rng.integers(-2, 3, 2)
-        w = periods.lattice_vector(pd, m, n)
+        w = periods.lattice_vector(pd, rng.integers(-2, 3, 4))
         assert k2.nearest_lattice_residual(pd, w) < 1e-10
         off = k2.nearest_lattice_residual(pd, w + 0.3 * pd.A[:, 0])
         assert off > _lattice_tol(pd)
+
+
+def test_residual_of_a_displaced_lattice_point_is_the_displacement(any_ctx):
+    """For small delta, the distance from lattice_vector(pd, k) + delta to
+    the lattice is |delta|: for one point, and for a batch of rows k of
+    shape (N, 4), whose lattice vectors are those of the rows alone (to
+    rounding)."""
+    pd = any_ctx.pd
+    rng = np.random.default_rng(36)
+    k = rng.integers(-3, 4, (12, 4))
+    delta = 1e-3 * (rng.normal(size=(12, 2)) + 1j * rng.normal(size=(12, 2)))
+    w = periods.lattice_vector(pd, k)
+    assert w.shape == (12, 2)
+    for ki, wi in zip(k, w):
+        one = periods.lattice_vector(pd, ki)
+        assert np.max(np.abs(one - wi)) <= 1e-14 * np.max(np.abs(wi))
+    want = np.linalg.norm(delta, axis=1)
+    got = k2.nearest_lattice_residual(pd, w + delta)
+    assert np.all(np.abs(got - want) <= 1e-9 * want)
+    one = k2.nearest_lattice_residual(pd, w[0] + delta[0])
+    assert isinstance(one, float) and abs(one - want[0]) <= 1e-9 * want[0]
+
+
+def test_ill_conditioned_periods_are_refused(monkeypatch, w5_ctx):
+    """The conditioning of the period generators is part of the
+    certificate: with COND_CAP below every condition number, neither a
+    computed nor a loaded PeriodData is certified."""
+    text = ser.period_data_to_json(w5_ctx.pd)
+    monkeypatch.setattr(periods, "COND_CAP", 1.0)
+    with pytest.raises(k2.RiemannMatrixError):
+        k2.compute_period_data(w5_ctx.f)
+    with pytest.raises(k2.RiemannMatrixError):
+        ser.period_data_from_json(text)
 
 
 def test_eta_is_additive(w5_ctx):
@@ -420,7 +452,7 @@ def _delta_by_candidate_loop(f, pd):
     hits = []
     for n0 in itertools.product((0, 1), (0, 1)):
         for m0 in itertools.product((0, 1), (0, 1)):
-            D = periods._half_period(pd.Omega, n0, m0) + shift
+            D = periods._half_period(pd.Omega, n0 + m0) + shift
             if all(abs(theta(tp, u - D)) < 1e-8 * theta_ref
                    for u in us):
                 hits.append((D, (n0, m0)))

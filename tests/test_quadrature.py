@@ -18,43 +18,59 @@ from kleinian2.quadrature import integrate_01
 from conftest import G6_COEFFS, W5_COEFFS
 
 
+def _whole_stack(g):
+    """integrate_01 on an integrand g that returns its whole stack at
+    every level: narrow drops the columns of retired integrals after g."""
+    cols = [slice(None)]
+
+    def narrowed(u, d0, d1):
+        return g(u, d0, d1)[:, cols[0]]
+
+    def narrow(k):
+        cols[0] = k
+
+    return integrate_01(narrowed, narrow)
+
+
 def _scalar(fn):
+    """A scalar integrand as a stack of one integral of one component."""
     def g(u, d0, d1):
-        return np.asarray(fn(u, d0, d1), dtype=complex)[:, None]
+        return np.asarray(fn(u, d0, d1), dtype=complex)[:, None, None]
     return g
 
 
 def test_smooth_integrand():
-    val, err = integrate_01(_scalar(lambda u, d0, d1: np.exp(u)))
-    assert abs(val[0] - (np.e - 1)) < 1e-13
+    val, err = _whole_stack(_scalar(lambda u, d0, d1: np.exp(u)))
+    assert abs(val[0, 0] - (np.e - 1)) < 1e-13
     assert err < 1e-12
 
 
 def test_inverse_sqrt_endpoint_left():
-    val, _ = integrate_01(_scalar(lambda u, d0, d1: 1.0 / np.sqrt(d0)))
-    assert abs(val[0] - 2.0) < 1e-12
+    val, _ = _whole_stack(_scalar(lambda u, d0, d1: 1.0 / np.sqrt(d0)))
+    assert abs(val[0, 0] - 2.0) < 1e-12
 
 
 def test_inverse_sqrt_both_endpoints():
-    val, _ = integrate_01(_scalar(lambda u, d0, d1: 1.0 / np.sqrt(d0 * d1)))
-    assert abs(val[0] - np.pi) < 1e-12
+    val, _ = _whole_stack(_scalar(lambda u, d0, d1: 1.0 / np.sqrt(d0 * d1)))
+    assert abs(val[0, 0] - np.pi) < 1e-12
 
 
 def test_log_endpoint():
-    val, _ = integrate_01(_scalar(lambda u, d0, d1: np.log(d0)))
-    assert abs(val[0] + 1.0) < 1e-12
+    val, _ = _whole_stack(_scalar(lambda u, d0, d1: np.log(d0)))
+    assert abs(val[0, 0] + 1.0) < 1e-12
 
 
 def test_vector_integrand_and_mpmath_oracle():
     """Complex oscillatory integrand with a left endpoint singularity."""
-    val, _ = integrate_01(
+    val, _ = _whole_stack(
         lambda u, d0, d1: np.stack(
-            [np.exp(2j * np.pi * u) / np.sqrt(d0), u ** 2 + 0j], axis=1))
+            [np.exp(2j * np.pi * u) / np.sqrt(d0), u ** 2 + 0j],
+            axis=1)[:, None])
     with mpmath.workdps(30):
         ref = mpmath.quad(
             lambda t: mpmath.exp(2j * mpmath.pi * t) / mpmath.sqrt(t), [0, 1])
-    assert abs(val[0] - complex(ref)) < 1e-12
-    assert abs(val[1] - 1.0 / 3.0) < 1e-13
+    assert abs(val[0, 0] - complex(ref)) < 1e-12
+    assert abs(val[0, 1] - 1.0 / 3.0) < 1e-13
 
 
 def test_unreachable_tolerance_raises():
@@ -64,10 +80,10 @@ def test_unreachable_tolerance_raises():
     def g(u, d0, d1):
         # white noise indexed by node position defeats refinement
         idx = (u * (len(noise) - 1)).astype(int)
-        return noise[idx][:, None] + 0j
+        return noise[idx][:, None, None] + 0j
 
     with pytest.raises(k2.QuadratureError):
-        integrate_01(g)
+        _whole_stack(g)
 
 
 def test_node_tables_are_read_only():
@@ -75,12 +91,12 @@ def test_node_tables_are_read_only():
     leaves the cached nodes, and so later integrals, intact."""
     def scales_u(u, d0, d1):
         u *= 0.5
-        return u[:, None] + 0j
+        return u[:, None, None] + 0j
 
     with pytest.raises(ValueError, match="read-only"):
-        integrate_01(scales_u)
-    val, _ = integrate_01(_scalar(lambda u, d0, d1: np.exp(u)))
-    assert abs(val[0] - (np.e - 1)) < 1e-13
+        _whole_stack(scales_u)
+    val, _ = _whole_stack(_scalar(lambda u, d0, d1: np.exp(u)))
+    assert abs(val[0, 0] - (np.e - 1)) < 1e-13
 
 
 def test_stacked_integrals_meet_tolerance_each():
@@ -94,7 +110,7 @@ def test_stacked_integrals_meet_tolerance_each():
         peak = 1e-20 / ((u - c) ** 2 + eps)
         return np.stack([smooth, peak], axis=1)[:, :, None] + 0j
 
-    val, _ = integrate_01(g)
+    val, _ = _whole_stack(g)
     assert val.shape == (2, 1)
     peak_exact = 1e-20 / np.sqrt(eps) * (np.arctan((1 - c) / np.sqrt(eps))
                                          + np.arctan(c / np.sqrt(eps)))
@@ -113,23 +129,27 @@ EASY_TO_HARD = [lambda u: np.exp(0.1 * u), lambda u: np.exp(3.0 * u),
 
 def _recording_stack(fns, narrowed):
     """A stack integrand over fns, recording per call which of them it
-    evaluated, and its narrow callback (None if not narrowed)."""
+    evaluated, and its narrow callback.  Narrowed, it evaluates the open
+    integrals only; otherwise it evaluates the whole stack and returns
+    the open integrals' columns of it."""
     live = [np.arange(len(fns))]
     seen = []
 
     def g(u, d0, d1):
-        seen.append(list(live[0]))
-        return np.stack([fns[i](u) + 0j for i in live[0]], axis=1)[:, :, None]
+        evaluated = live[0] if narrowed else np.arange(len(fns))
+        seen.append(list(evaluated))
+        vals = np.stack([fns[i](u) + 0j for i in evaluated], axis=1)
+        return (vals if narrowed else vals[:, live[0]])[:, :, None]
 
     def narrow(k):
         live[0] = k
 
-    return g, (narrow if narrowed else None), seen
+    return g, narrow, seen
 
 
 def _levels_alone(fn):
-    g, _, seen = _recording_stack([fn], False)
-    return integrate_01(g)[0][0, 0], len(seen)
+    g, narrow, seen = _recording_stack([fn], False)
+    return integrate_01(g, narrow)[0][0, 0], len(seen)
 
 
 def _forwarding(g, *args, **kwargs):
@@ -444,8 +464,9 @@ def _integrate_forms_piece_by_piece(f, pieces, table, numerators):
                 x = c + rho * np.exp(1j * (phi0 + u * dphi))
                 dx = 1j * dphi * (x - c)
             y = lookup_sqrt(*table, u + 2.0 * i, f(x))
-            return np.stack([nf(x) * dx / y for nf in numerators], axis=1)
-        total += integrate_01(g)[0]
+            return np.stack([nf(x) * dx / y for nf in numerators],
+                            axis=1)[:, None]
+        total += _whole_stack(g)[0][0]
     return total
 
 
@@ -491,7 +512,7 @@ def test_x_dx_rows_integrate_to_their_chords():
         scale = np.abs(pieces[:, 0]) + np.abs(pieces[:, 1])
         # a constant second component of each piece's scale keeps the
         # full turn, whose integral vanishes, to a tolerance of its size
-        val, _ = integrate_01(lambda u, d0, d1: np.stack(
+        val, _ = _whole_stack(lambda u, d0, d1: np.stack(
             [x_dx(pieces, u[:, None])[1], 0 * u[:, None] + scale], axis=2))
         x0, _ = x_dx(pieces, 0.0)
         x1, _ = x_dx(pieces, 1.0)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import kleinian2 as k2
-from kleinian2.theta import ThetaParams, theta_jet
+from hypothesis import given, settings, strategies as st
+
+from kleinian2.theta import ThetaParams, lattice_reduce, theta_jet
 
 MULTI_INDICES = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
                  (3, 0), (2, 1), (1, 2), (0, 3)]
@@ -120,6 +122,55 @@ def test_order_cap():
         theta_jet(tp, np.zeros(2), 4)
 
 
+def test_nearly_singular_imaginary_part_exceeds_radius_cap():
+    """With lam_min(Im Omega) = 1e-4 the tail bound asks for a summation
+    radius of about 300, over RADIUS_CAP."""
+    tp = ThetaParams.build(np.array([[0.3 + 1j, 0.1], [0.1, 1e-4j]]))
+    assert tp.lam_min < 2e-4
+    with pytest.raises(k2.TruncationRadiusError):
+        theta_jet(tp, np.zeros(2), 0)
+
+
+# -- lattice_reduce ----------------------------------------------------------
+
+def _riemann_matrix(x11, x12, x22, a, c, rho):
+    """Real part (x11, x12; x12, x22); imaginary part positive definite
+    with diagonal (a, c) and correlation rho."""
+    b = rho * np.sqrt(a * c)
+    return np.array([[x11, x12], [x12, x22]]) + 1j * np.array([[a, b],
+                                                             [b, c]])
+
+
+_coord = st.floats(-40.0, 40.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(re=st.tuples(*[st.floats(-3.0, 3.0)] * 3),
+       diag=st.tuples(*[st.floats(0.1, 5.0)] * 2),
+       rho=st.floats(-0.9, 0.9),
+       rows=st.lists(st.tuples(*[_coord] * 4), min_size=1, max_size=6))
+def test_lattice_reduce_reconstructs_u(re, diag, rho, rows):
+    """u = u0 + n + Omega m with n, m integer, |Re u0| <= 1/2 and Im u0
+    within 1/2 in the coordinates of Im Omega, for one point and for a
+    batch, whose rows reduce as they do alone (to rounding)."""
+    Omega = _riemann_matrix(*re, *diag, rho)
+    u = np.array([[a + 1j * b, c + 1j * d] for a, b, c, d in rows])
+    n, m, u0 = lattice_reduce(Omega, u)
+    assert n.shape == m.shape == u0.shape == u.shape
+    back = u0 + n + m @ Omega.T
+    size = 1.0 + np.abs(u) + np.linalg.norm(Omega, 2) * np.abs(m)
+    assert np.all(np.abs(back - u) <= 1e-12 * size)
+    assert np.array_equal(n, np.round(n)) and np.array_equal(m, np.round(m))
+    assert np.all(np.abs(u0.real) <= 0.5)
+    c = np.linalg.solve(Omega.imag, u0.imag.T)
+    assert np.all(np.abs(c) <= 0.5 + 1e-9)
+    for row, nr, mr, r0, sr in zip(u, n, m, u0, size):
+        one = lattice_reduce(Omega, row)
+        assert one[0].shape == (2,)
+        assert np.array_equal(one[0], nr) and np.array_equal(one[1], mr)
+        assert np.all(np.abs(one[2] - r0) <= 1e-12 * sr)
+
+
 def _brute_jet(Omega, z, order, N=25):
     """Every jet entry as a direct lattice sum over [-N, N]^2."""
     rng = np.arange(-N, N + 1)
@@ -153,8 +204,8 @@ def test_batched_jet_matches_rows(g6_ctx, order):
     radii = {k2.theta._radius(tp, float(bi), order) for bi in b}
     assert len(radii) > 1
     # the reduction recovers the intended shifts, so all rows are shifted
-    m_red = np.round(np.linalg.solve(Omega.imag, Z.imag.T)).T
-    assert np.array_equal(m_red, m)
+    n_red, m_red, _ = lattice_reduce(Omega, Z)
+    assert np.array_equal(m_red, m) and np.array_equal(n_red, n)
 
     J = theta_jet(tp, Z, order)
     assert J.shape == (len(Z), order + 1, order + 1)
