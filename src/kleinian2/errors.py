@@ -92,4 +92,5 @@ class NotWeierstrassFormError(KleinianError):
 
 
 class SignResolutionError(KleinianError):
-    """No y-sign assignment survives the round-trip test."""
+    """An inverted divisor's y values are off the line y = wp222 x +
+    wp122 that the theta jets at z give."""

@@ -20,8 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .curve import (DIAG_FACTOR, CurvePoint, Divisor, F_eval, involution,
-                    is_special)
+from .curve import DIAG_FACTOR, CurvePoint, Divisor, involution, is_special
 from .errors import (DiagonalError, InfinitePointError, NonFiniteValueError,
                      NormalizationError, NotWeierstrassFormError,
                      OnSigmaDivisorError, OnThetaDivisorError,
@@ -30,7 +29,7 @@ from .errors import (DiagonalError, InfinitePointError, NonFiniteValueError,
 from .integration import (all_numerators, holomorphic_numerators,
                           integrate_forms, path_between,
                           point_infinity_integrals)
-from .periods import compute_period_data, nearest_lattice_residual
+from .periods import compute_period_data
 from .theta import ThetaParams, theta_jet
 
 ZERO_FACTOR = 1e-6     # on-divisor guard, relative to the theta scale
@@ -259,9 +258,12 @@ def _theta_pair(ctx, z, order=0):
     return u, jm, jp
 
 
+_K3 = np.indices((2, 2, 2)).sum(axis=0)   # u2-order of d^3/du_a du_b du_c
+
+
 def _pullback_jets(ctx, jet, order):
-    """Theta-factor derivative tensors in z coordinates: the first and
-    second for jets of shape (..., k, k), the third for one point."""
+    """Theta-factor derivative tensors in z coordinates, the first,
+    second and third for jets of shape (..., k, k)."""
     Ai = ctx.Ainv
     d1 = d2 = d3 = None
     t = jet.T     # t[k2, k1] is _at(jet, k1, k2)
@@ -272,14 +274,23 @@ def _pullback_jets(ctx, jet, order):
         Hu = np.array([[t[0, 2], t[1, 1]], [t[1, 1], t[2, 0]]]).T
         d2 = Ai.T @ Hu @ Ai
     if order >= 3:
-        Tu = np.zeros((2, 2, 2), dtype=complex)
-        for a in (0, 1):
-            for b in (0, 1):
-                for c in (0, 1):
-                    k2 = a + b + c
-                    Tu[a, b, c] = jet[3 - k2, k2]
-        d3 = np.einsum("abc,aj,bk,cl->jkl", Tu, Ai, Ai, Ai)
+        d3 = np.einsum("abc...,aj,bk,cl->...jkl", t[_K3, 3 - _K3], Ai, Ai, Ai)
     return d1, d2, d3
+
+
+def _sym3(a, b):
+    """a_jk b_l + a_jl b_k + a_kl b_j, shape (..., 2, 2, 2)."""
+    s = a[..., :, :, None] * b[..., None, None, :]
+    return s + s.swapaxes(-1, -2) + s.swapaxes(-1, -3).swapaxes(-1, -2)
+
+
+def _third_log_derivs(ctx, jet):
+    """d^3 log theta / dz_j dz_k dz_l, shape (..., 2, 2, 2), from an
+    order-3 jet of shape (..., 4, 4)."""
+    p = jet[..., 0, 0, None, None, None]
+    d1, d2, d3 = _pullback_jets(ctx, jet, 3)
+    return (d3 / p - _sym3(d2, d1) / p ** 2
+            + 2.0 * np.einsum("...j,...k,...l->...jkl", d1, d1, d1) / p ** 3)
 
 
 def _clearance(ctx, jm, jp):
@@ -512,8 +523,8 @@ def _sigma_from_jet(ctx, quad, u, jm):
 
 @np.errstate(over="ignore", invalid="ignore")
 def sigma_jets(ctx, z, order=2):
-    """sigma and its partial derivatives up to the given order (max 3),
-    as a dict keyed by (k1, k2)."""
+    """sigma and its partial derivatives up to the given order (an
+    integer 0-3), as a dict keyed by (k1, k2)."""
     _require_weierstrass(ctx)
     z = _as_zs(z, batch=False)
     u = _u(ctx, z)
@@ -522,27 +533,19 @@ def sigma_jets(ctx, z, order=2):
     n0, m0 = ctx.pd.delta_char
     g1 = ctx.C @ z - 1j * np.pi * (ctx.Ainv.T @ np.asarray(m0))
     e = ctx.c_sigma * np.exp(_sigma_twist(ctx, _quad(ctx, z), u))
-    out = {(0, 0): e * jm[0, 0]}
+    # Leibniz for e theta: the log derivatives of e are g1, C and 0; the
+    # order-n tensor v gives key (k1, k2) at index (0,) * k1 + (1,) * k2
+    th, g2 = jm[0, 0], ctx.C + np.outer(g1, g1)
+    jets = [th]
     if order >= 1:
-        for j, key in ((0, (1, 0)), (1, (0, 1))):
-            out[key] = e * (d1[j] + g1[j] * jm[0, 0])
+        jets.append(d1 + g1 * th)
     if order >= 2:
-        for (j, k), key in (((0, 0), (2, 0)), ((0, 1), (1, 1)),
-                            ((1, 1), (0, 2))):
-            out[key] = e * (d2[j, k] + g1[j] * d1[k] + g1[k] * d1[j]
-                            + (ctx.C[j, k] + g1[j] * g1[k]) * jm[0, 0])
+        jets.append(d2 + np.outer(g1, d1) + np.outer(d1, g1) + g2 * th)
     if order >= 3:
-        for (j, k, l), key in (((0, 0, 0), (3, 0)), ((0, 0, 1), (2, 1)),
-                               ((0, 1, 1), (1, 2)), ((1, 1, 1), (0, 3))):
-            t = d3[j, k, l]
-            t += g1[j] * d2[k, l] + g1[k] * d2[j, l] + g1[l] * d2[j, k]
-            t += ((ctx.C[j, k] + g1[j] * g1[k]) * d1[l]
-                  + (ctx.C[j, l] + g1[j] * g1[l]) * d1[k]
-                  + (ctx.C[k, l] + g1[k] * g1[l]) * d1[j])
-            t += (g1[j] * ctx.C[k, l] + g1[k] * ctx.C[j, l]
-                  + g1[l] * ctx.C[j, k]
-                  + g1[j] * g1[k] * g1[l]) * jm[0, 0]
-            out[key] = e * t
+        jets.append(d3 + _sym3(d2, g1) + _sym3(g2, d1) + (
+            _sym3(ctx.C, g1) + np.einsum("j,k,l->jkl", g1, g1, g1)) * th)
+    out = {(n - k, k): e * v[(0,) * (n - k) + (1,) * k]
+           for n, v in enumerate(jets) for k in range(n + 1)}
     _finite(np.array(list(out.values())), "the sigma jets")
     return out
 
@@ -555,16 +558,11 @@ def _sigma_log_derivs_from_jet(ctx, z, jm):
     if abs(p) < ZERO_FACTOR * ctx.theta_ref:
         raise OnSigmaDivisorError(
             "z lies on (or too near) the zero set of sigma")
-    d1, d2, d3 = _pullback_jets(ctx, jm, 3)
+    d1 = _pullback_jets(ctx, jm, 1)[0]
     n0, m0 = ctx.pd.delta_char
     g1 = ctx.C @ z - 1j * np.pi * (ctx.Ainv.T @ np.asarray(m0))
     zeta = _finite(g1 + d1 / p, "zeta")
-    h3 = _finite(d3 / p
-                 - (np.einsum("jk,l->jkl", d2, d1)
-                    + np.einsum("jl,k->jkl", d2, d1)
-                    + np.einsum("kl,j->jkl", d2, d1)) / p ** 2
-                 + 2.0 * np.einsum("j,k,l->jkl", d1, d1, d1) / p ** 3,
-                 "the sigma derivatives")
+    h3 = _finite(_third_log_derivs(ctx, jm), "the sigma derivatives")
     return (zeta[0], zeta[1],
             -h3[0, 0, 0], -h3[0, 0, 1], -h3[0, 1, 1], -h3[1, 1, 1])
 
@@ -576,7 +574,7 @@ def _sigma_log_derivs_from_jet(ctx, z, jm):
 # all its paths at once: the affine pairs through one path_between and
 # one integrate_forms call, the affine points of divisors that meet
 # infinity through one point_infinity_integrals call.  One divisor is a
-# batch of one.
+# batch of one.  jacobi_invert reads its divisors off the theta jets.
 
 def _divisors(D):
     """(divisors, one): D as a list, and whether it was one Divisor."""
@@ -632,49 +630,49 @@ def abel_forward(ctx, D):
 @np.errstate(over="ignore", invalid="ignore")
 def jacobi_invert(ctx, z):
     """The unordered divisor (p) + (q) whose Abel image is z mod periods;
-    a list of N divisors for z of shape (N, 2).
-
-    x-coordinates come from the quadratic with elementary symmetric
-    functions wp22 and -wp12; the y product is fixed by wp11 through the
-    two-point function of the curve, and the global sign by an Abel
-    round trip.  One path serves both signs: negating both y values
-    negates y along the same x-path, and both forms are odd, so the
-    flipped divisor's Abel image is exactly minus this one's.  A batch
-    makes one theta_jet call and one Abel call.
-    """
+    a list of N divisors for z of shape (N, 2).  The x are the roots of
+    x^2 - wp22 x - wp12, each y the square root of f(x) nearest wp222 x +
+    wp122 (Baker 1907; Buchstaber, Enolski and Leykin 1997), which it must
+    match to TOL_RT, else SignResolutionError.  A batch makes one order-3
+    theta_jet call and integrates nothing."""
     z = _as_zs(z)
-    one = z.ndim == 1
-    _, jm, jp = _theta_pair(ctx, z, 2)
+    _, jm, jp = _theta_pair(ctx, z, 3)
     L = _log_hessian_from_pair(ctx, jm, jp)
-    Ds = []
-    for zi, Li in ([(z, L)] if one else zip(z, L)):
-        p11, p12, p22 = _wp_from_hessian(ctx, zi, Li)
-        disc = np.sqrt(p22 ** 2 + 4.0 * p12)
-        x1 = (p22 + disc) / 2.0
-        x2 = (p22 - disc) / 2.0
-        y1 = np.sqrt(complex(ctx.f(x1)))
-        y2 = np.sqrt(complex(ctx.f(x2)))
-        target = (F_eval(ctx.f, x1, x2) - 4.0 * p11 * (x1 - x2) ** 2) / 2.0
-        if abs(y1 * y2) > 0 and abs(target + y1 * y2) < abs(target - y1 * y2):
-            y2 = -y2
-        Ds.append(Divisor(CurvePoint.affine(x1, y1),
-                          CurvePoint.affine(x2, y2)))
-    za = abel_forward(ctx, Ds[0] if one else Ds).reshape(-1, 2)
-    z = z.reshape(-1, 2)
-    # both signs of every row in one residual call
-    resid = nearest_lattice_residual(
-        ctx.pd, np.concatenate([za - z, -za - z])).reshape(2, -1)
-    tol = TOL_RT * np.maximum(1.0, np.linalg.norm(z, axis=1))
-    out = []
-    for D, (plus, minus), t in zip(Ds, resid.T, tol):
-        if plus <= t:
-            out.append(D)
-        elif minus <= t:
-            out.append(Divisor(involution(D.p), involution(D.q)))
-        else:
-            raise SignResolutionError(
-                "no sheet assignment of the inverted divisor reproduces z")
-    return out[0] if one else out
+    wp = np.array([_wp_from_hessian(ctx, zi, Li) for zi, Li in
+                   zip(z.reshape(-1, 2), L.reshape(-1, 2, 2))])
+    _, _, p122, p222 = _wp3_from_pair(ctx, jm, jp, wp[:, 1], wp[:, 2])
+    x = (wp[:, 2:] + [1, -1] * np.sqrt(wp[:, 2:] ** 2 + 4 * wp[:, 1:2])) / 2
+    y = np.sqrt(ctx.f(x))
+    slope, icept = p222[:, None] * x, p122[:, None]
+    line = slope + icept
+    y = np.where(abs(y - line) <= abs(y + line), y, -y)
+    # y, wp222 x and wp122 all have the weight of y: a grading-invariant
+    # scale, kept off zero by the terms where they cancel at a branch point
+    scale = np.maximum(abs(y), np.maximum(abs(slope), abs(icept)))
+    if not np.all(abs(y - line) <= TOL_RT * scale):
+        raise SignResolutionError("the inverted divisor's y values are off "
+                                  "the line y = wp222 x + wp122")
+    out = [Divisor(*map(CurvePoint.affine, xi, yi)) for xi, yi in zip(x, y)]
+    return out[0] if z.ndim == 1 else out
+
+
+def _wp3_from_pair(ctx, jm, jp, p12, p22):
+    """(wp111, wp112, wp122, wp222) from the order-3 jets at u -+ Delta
+    and wp12, wp22 there.  Differentiating L12 = -(f5/2) wp12 - f6 wp12
+    wp22 and L22 = -(f5/2) wp22 - f6 (wp22^2 + wp12) along z_l gives a
+    2x2 system for (wp12l, wp22l), solved by Cramer's rule for l = 1, 2;
+    L11 = -2 wp11 - f6 wp12^2 gives wp111."""
+    f5, f6 = ctx.f.coeffs[5:7]
+    # dL / dz_l; exp(z^T C z) adds nothing to it
+    dL = _finite(_third_log_derivs(ctx, jm) + _third_log_derivs(ctx, jp),
+                 "the third log derivatives of S")
+    p12, p22 = np.asarray(p12)[..., None], np.asarray(p22)[..., None]
+    a, b, d = -(f5 / 2 + f6 * p22), -f6 * p12, -(f5 / 2 + 2 * f6 * p22)
+    r12, r22 = dL[..., 0, 1, :], dL[..., 1, 1, :]
+    w12 = (d * r12 - b * r22) / (a * d + f6 * b)     # (wp112, wp122)
+    w22 = (a * r22 + f6 * r12) / (a * d + f6 * b)    # (wp122, wp222)
+    p111 = -(dL[..., 0, 0, 0] + 2 * f6 * p12[..., 0] * w12[..., 0]) / 2
+    return p111, w12[..., 0], w12[..., 1], w22[..., 1]
 
 
 def rho_lambda_eval(ctx, D):

@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from .curve import CurvePoint, Divisor, validate_polynomial
+from .curve import CurvePoint, Divisor, branch_points, validate_polynomial
 from .errors import RiemannMatrixError
 from .kleinian import EvalBundle
 from .periods import (J, LOOP_PAIRS, TOL_LEG, TOL_SYM, PeriodData,
@@ -160,7 +160,9 @@ def period_data_from_json(obj):
     certifies it: the Riemann-matrix, Legendre and conditioning checks on
     A, B, etaA, etaB, with Omega equal to A^-1 B, and 2 Delta - A^-1
     z_star (z_star = 0 on degree 5) a lattice point n + Omega m, (n, m) =
-    delta_char on degree 5.  Raises RiemannMatrixError otherwise."""
+    delta_char on degree 5.  Raises RiemannMatrixError otherwise, and
+    ValueError unless the roots are the curve's branch points (in any
+    order) and scale is max(1, max |root|)."""
     keys = ("curve", "roots", "scale", "transform", "A", "B", "etaA", "etaB",
             "Omega", "Delta")
     if not isinstance(obj, dict) or any(k not in obj for k in keys):
@@ -172,9 +174,17 @@ def period_data_from_json(obj):
     if "delta_char" in obj:
         char = tuple(map(tuple, parse_imat(obj["delta_char"], (2, 2),
                                            "delta_char").tolist()))
-    if not isinstance(obj["scale"], (int, float)) or isinstance(
-            obj["scale"], bool):
-        raise ValueError("scale must be a number")
+    roots = parse_cvec(obj["roots"], f.degree)
+    want = np.array(branch_points(f))
+    scale = max(1.0, float(np.max(np.abs(want))))
+    dist = np.abs(roots[:, None] - want)    # any order, one root each
+    if (not np.max(np.min(dist, axis=1)) <= 1e-8 * scale
+            or len(set(np.argmin(dist, axis=1).tolist())) < f.degree):
+        raise ValueError("roots must be the branch points of the curve")
+    if (not isinstance(obj["scale"], (int, float))
+            or isinstance(obj["scale"], bool)
+            or not abs(obj["scale"] - scale) <= 1e-8 * scale):
+        raise ValueError("scale must be the number max(1, max |root|)")
     z_star = parse_cvec(obj["z_star"], 2) if "z_star" in obj else None
     pd = PeriodData(
         A=parse_cmat(obj["A"], (2, 2)),
@@ -186,7 +196,7 @@ def period_data_from_json(obj):
         delta_char=char,
         transform=transform,
         f=f,
-        roots=tuple(parse_cvec(obj["roots"], f.degree)),
+        roots=tuple(roots),
         scale=float(obj["scale"]),
         z_star=z_star)
     Omega, r = _residuals(pd.A, pd.B, pd.etaA, pd.etaB)

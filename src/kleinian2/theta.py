@@ -123,8 +123,9 @@ def theta_jet(tp, z, order):
     J[..., k1, k2] = d^(k1+k2) theta / dz1^k1 dz2^k2, valid for
     k1 + k2 <= order and zero elsewhere.
     """
-    if order > 3:
-        raise ValueError("jets implemented up to order 3")
+    if (isinstance(order, bool) or not isinstance(order, (int, np.integer))
+            or not 0 <= order <= 3):
+        raise ValueError("order must be an integer from 0 to 3")
     z = np.asarray(z, dtype=complex)
     batch = z.ndim == 2
     Z = z.reshape(-1, 2)

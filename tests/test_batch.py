@@ -272,16 +272,20 @@ def abel_calls(monkeypatch):
 def test_a_batch_is_two_continuations_and_one_quadrature(ctx, n,
                                                          abel_calls):
     """Affine pairs: the straight runs in one continuation, the flip
-    loops in a second, every piece in one quadrature, whatever n is."""
+    loops in a second, every piece in one quadrature, whatever n is.
+    jacobi_invert reads its divisors off the theta jets and integrates
+    nothing."""
     Ds = _affine_divisors(ctx, n, seed=n + 500)
     z = _points(ctx, n, seed=n + 600)
     for run in (lambda: k2.abel_forward(ctx, Ds),
-                lambda: rho_lambda_eval(ctx, Ds),
-                lambda: k2.jacobi_invert(ctx, z)):
+                lambda: rho_lambda_eval(ctx, Ds)):
         abel_calls.clear()
         run()
         assert abel_calls.count("continue_sqrt") <= 2
         assert abel_calls.count("integrate_01") == 1
+    abel_calls.clear()
+    k2.jacobi_invert(ctx, z)
+    assert abel_calls == []
 
 
 def test_divisors_that_meet_infinity_share_one_fan(ctx, abel_calls):

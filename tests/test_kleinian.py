@@ -1,6 +1,7 @@
 """The weight-2 family S, S_jk, the wp extraction, and the Abel map."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -488,35 +489,113 @@ def test_jacobi_invert_makes_one_kernel_call(kernel_calls, any_ctx):
     z = sample_z(any_ctx, np.random.default_rng(57))
     kernel_calls.clear()
     k2.jacobi_invert(any_ctx, z)
-    assert kernel_calls == [2]
+    assert kernel_calls == [3]
 
 
-def test_jacobi_invert_makes_one_abel_path(monkeypatch, any_ctx):
-    """Both sheet assignments are settled from one Abel path: negating
-    both y values negates the image exactly."""
+def test_flipped_divisor_has_image_minus_z(any_ctx):
+    """Negating both y values negates y along the same x-path, and both
+    forms are odd, so the image is exactly minus the divisor's."""
     ctx = any_ctx
-    forward = k2.kleinian.abel_forward
     D = sample_divisor(ctx, np.random.default_rng(58))
-    z = forward(ctx, D)
+    z = k2.abel_forward(ctx, D)
     flipped = k2.Divisor(involution(D.p), involution(D.q))
-    assert np.array_equal(forward(ctx, flipped), -z)
-    calls = []
+    assert np.array_equal(k2.abel_forward(ctx, flipped), -z)
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return forward(*args, **kwargs)
 
-    monkeypatch.setattr(k2.kleinian, "abel_forward", counted)
-    kept_sign = set()
-    for w in (z, -z):
-        calls.clear()
-        inv = k2.jacobi_invert(ctx, w)
-        assert len(calls) == 1
-        kept_sign.add(inv.p.y == calls[0].p.y)
-        back = forward(ctx, inv)
-        assert k2.nearest_lattice_residual(ctx.pd, back - w) < 1e-7 * max(
-            1.0, float(np.linalg.norm(w)))
-    assert kept_sign == {True, False}
+def test_jacobi_invert_integrates_nothing(monkeypatch, any_ctx):
+    """With the Abel map, the lattice residual, the continuation and the
+    quadrature all raising, jacobi_invert still inverts one point and a
+    batch, and afterwards their divisors map back to z."""
+    ctx = any_ctx
+    rng = np.random.default_rng(58)
+    z = np.array([sample_z(ctx, rng) for _ in range(3)])
+    z = np.concatenate([z, -z])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("jacobi_invert must not integrate")
+
+    with monkeypatch.context() as m:
+        for module, name in ((k2.kleinian, "abel_forward"),
+                             (k2.periods, "nearest_lattice_residual"),
+                             (k2.integration, "continue_sqrt"),
+                             (k2.integration, "integrate_01"),
+                             (k2.quadrature, "integrate_01")):
+            m.setattr(module, name, refuse)
+        one = [k2.jacobi_invert(ctx, w) for w in z]
+        batch = k2.jacobi_invert(ctx, z)
+    for Ds in (one, batch):
+        back = k2.abel_forward(ctx, Ds)
+        assert np.all(k2.nearest_lattice_residual(ctx.pd, back - z)
+                      < 1e-7 * np.maximum(1.0, np.linalg.norm(z, axis=1)))
+
+
+def _wp3_by_S(ctx, z):
+    """(wp111, wp112, wp122, wp222) at the rows of z from the third log
+    derivatives of S, the route jacobi_invert takes."""
+    _, jm, jp = k2.kleinian._theta_pair(ctx, z, 3)
+    wp = k2.wp_eval(ctx, z)
+    return np.stack(k2.kleinian._wp3_from_pair(ctx, jm, jp, wp[:, 1],
+                                               wp[:, 2]), axis=1)
+
+
+def test_wp3_from_S_matches_sigma(w5_ctx):
+    """On Weierstrass quintics S is sigma^2 times the exponential of a
+    linear form, so the wp_jkl of S and of sigma agree; here to 1e-9 of
+    the largest, at cell points of 4x^5 - 4x and of a seeded quintic."""
+    rng = np.random.default_rng(61)
+    angles = 2 * np.pi * (np.arange(5) + rng.uniform(-0.3, 0.3, 5)) / 5
+    roots = rng.uniform(0.75, 1.25, 5) * np.exp(1j * angles)
+    quintic = k2.make_context(k2.validate_polynomial(4 * np.poly(roots)[::-1]))
+    for ctx in (w5_ctx, quintic):
+        z = np.array([sample_z(ctx, rng) for _ in range(8)])
+        got = _wp3_by_S(ctx, z)
+        for zi, row in zip(z, got):
+            b = k2.evaluate_bundle(ctx, zi, want_sigma=True)
+            want = np.array([b.p111, b.p112, b.p122, b.p222])
+            assert np.max(np.abs(row - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+def test_perturbed_third_derivatives_raise(monkeypatch, any_ctx):
+    """A 1e-3 relative error in d^3 log S moves wp222 x + wp122 off y by
+    far more than TOL_RT: the certificate refuses the divisor."""
+    ctx = any_ctx
+    z = sample_z(ctx, np.random.default_rng(62))
+    k2.jacobi_invert(ctx, z)
+    exact = k2.kleinian._third_log_derivs
+    monkeypatch.setattr(k2.kleinian, "_third_log_derivs",
+                        lambda c, jet: exact(c, jet) * (1.0 + 1e-3))
+    with pytest.raises(k2.SignResolutionError):
+        k2.jacobi_invert(ctx, z)
+
+
+def _wrong_triple_points(g6_ctx):
+    """Points where degree-6 wp returns a wrong triple that passes the
+    quartic selection: one on x^6 - 1, four at cell points A t[:2] +
+    B t[2:] (t from default_rng(1)) of the sextic with roots
+    10 {0, 1, 2i, -1+i, 3, -2-i}."""
+    yield g6_ctx, [np.array([0.0405 - 0.2313j, -1.9014 + 3.7583j])]
+    roots = 10 * np.array([0, 1, 2j, -1 + 1j, 3, -2 - 1j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        ctx = k2.make_context(k2.validate_polynomial(np.poly(roots)[::-1]))
+    t = np.random.default_rng(1).random((200, 4))
+    yield ctx, [ctx.pd.A @ t[i, :2] + ctx.pd.B @ t[i, 2:]
+                for i in (58, 94, 104, 196)]
+
+
+def test_wrong_wp_triples_are_refused_or_inverted(g6_ctx):
+    """At these points jacobi_invert raises SignResolutionError, or
+    returns a divisor whose Abel image is z: it never returns a wrong
+    divisor silently."""
+    for ctx, zs in _wrong_triple_points(g6_ctx):
+        for z in zs:
+            try:
+                D = k2.jacobi_invert(ctx, z)
+            except k2.SignResolutionError:
+                continue
+            resid = k2.nearest_lattice_residual(ctx.pd,
+                                                k2.abel_forward(ctx, D) - z)
+            assert resid < 1e-7 * max(1.0, float(np.linalg.norm(z)))
 
 
 @pytest.mark.parametrize("r", [50.0, 100.0, 300.0])

@@ -173,6 +173,26 @@ def test_period_data_from_json_checks_delta_char(w5_ctx):
         ser.period_data_from_json(obj)
 
 
+def test_period_data_from_json_checks_roots_and_scale(g6_ctx):
+    """The roots must be the curve's branch points, in any order, and
+    scale max(1, max |root|): x^6 - 1 with every root turned by 30
+    degrees, or with scale 1e6, is refused; the data of a permuted
+    ordering loads."""
+    obj = json.loads(json.dumps(ser.period_data_to_json(g6_ctx.pd)))
+    turned = copy.deepcopy(obj)
+    turned["roots"] = ser.cvec(np.exp(1j * np.pi / 6) * np.array(
+        g6_ctx.pd.roots))
+    wide = copy.deepcopy(obj)
+    wide["scale"] = 1e6
+    for bad in (turned, wide):
+        with pytest.raises(ValueError):
+            ser.period_data_from_json(bad)
+    pd = k2.compute_period_data(g6_ctx.f, ordering=(1, 0, 2, 4, 3, 5))
+    back = ser.period_data_from_json(
+        json.loads(json.dumps(ser.period_data_to_json(pd))))
+    assert back.roots == pd.roots
+
+
 @pytest.mark.parametrize("value", [float("inf"), float("nan")])
 def test_dumps_refuses_non_finite_floats(value):
     with pytest.raises(ValueError):

@@ -116,10 +116,14 @@ def test_rejects_bad_riemann_matrix():
         ThetaParams.build(np.array([[-1j, 0], [0, 1j]]))  # Im not posdef
 
 
-def test_order_cap():
+def test_order_cap(w5_ctx):
+    """Only the integers 0-3 are orders; sigma_jets passes its order on."""
     tp = ThetaParams.build(1j * np.eye(2))
-    with pytest.raises(ValueError):
-        theta_jet(tp, np.zeros(2), 4)
+    for order in (-1, 1.5, 4):
+        with pytest.raises(ValueError):
+            theta_jet(tp, np.zeros(2), order)
+        with pytest.raises(ValueError):
+            k2.sigma_jets(w5_ctx, np.full(2, 0.1), order)
 
 
 def test_nearly_singular_imaginary_part_exceeds_radius_cap():
