@@ -28,6 +28,8 @@ stacked integrand is narrowed to the integrals still open, so each
 piece is integrated at the level it needs alone.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 from .curve import poly_eval
@@ -214,11 +216,19 @@ def all_numerators(f):
 
 def detour_radii(roots):
     """Detour disc radius of each root: a fixed fraction of its distance
-    to the nearest other root."""
-    r = np.asarray(roots, dtype=complex)
+    to the nearest other root.  Computed once per root set: every path
+    of a curve asks for the same radii."""
+    return _detour_radii(np.asarray(roots, dtype=complex).tobytes())
+
+
+@lru_cache(maxsize=64)
+def _detour_radii(key):
+    r = np.frombuffer(key, dtype=complex)
     d = np.abs(r[:, None] - r)
     np.fill_diagonal(d, np.inf)
-    return DETOUR_FACTOR * d.min(axis=1)
+    radii = DETOUR_FACTOR * d.min(axis=1)
+    radii.setflags(write=False)
+    return radii
 
 
 def line_with_detours(roots, radii, x0, x1):

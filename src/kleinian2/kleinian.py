@@ -524,27 +524,34 @@ def _sigma_from_jet(ctx, quad, u, jm):
 @np.errstate(over="ignore", invalid="ignore")
 def sigma_jets(ctx, z, order=2):
     """sigma and its partial derivatives up to the given order (an
-    integer 0-3), as a dict keyed by (k1, k2)."""
+    integer 0-3), as a dict keyed by (k1, k2): complex numbers for one
+    point, shape (N,) arrays for a batch z, from one theta call."""
     _require_weierstrass(ctx)
-    z = _as_zs(z, batch=False)
+    z = _as_zs(z)
     u = _u(ctx, z)
     jm = theta_jet(ctx.tp, u - ctx.pd.Delta, order)
     d1, d2, d3 = _pullback_jets(ctx, jm, order)
     n0, m0 = ctx.pd.delta_char
-    g1 = ctx.C @ z - 1j * np.pi * (ctx.Ainv.T @ np.asarray(m0))
+    g1 = (ctx.C @ z.T).T - 1j * np.pi * (ctx.Ainv.T @ np.asarray(m0))
     e = ctx.c_sigma * np.exp(_sigma_twist(ctx, _quad(ctx, z), u))
     # Leibniz for e theta: the log derivatives of e are g1, C and 0; the
     # order-n tensor v gives key (k1, k2) at index (0,) * k1 + (1,) * k2
-    th, g2 = jm[0, 0], ctx.C + np.outer(g1, g1)
+    # of its last n axes, read through v.T as _at reads a jet
+    th = _at(jm, 0, 0)
+    g2 = ctx.C + g1[..., :, None] * g1[..., None, :]
     jets = [th]
     if order >= 1:
-        jets.append(d1 + g1 * th)
+        jets.append(d1 + g1 * th[..., None])
     if order >= 2:
-        jets.append(d2 + np.outer(g1, d1) + np.outer(d1, g1) + g2 * th)
+        jets.append(d2 + g1[..., :, None] * d1[..., None, :]
+                    + d1[..., :, None] * g1[..., None, :]
+                    + g2 * th[..., None, None])
     if order >= 3:
         jets.append(d3 + _sym3(d2, g1) + _sym3(g2, d1) + (
-            _sym3(ctx.C, g1) + np.einsum("j,k,l->jkl", g1, g1, g1)) * th)
-    out = {(n - k, k): e * v[(0,) * (n - k) + (1,) * k]
+            _sym3(ctx.C, g1) + np.einsum("...j,...k,...l->...jkl",
+                                         g1, g1, g1))
+            * th[..., None, None, None])
+    out = {(n - k, k): e * v.T[(1,) * k + (0,) * (n - k)]
            for n, v in enumerate(jets) for k in range(n + 1)}
     _finite(np.array(list(out.values())), "the sigma jets")
     return out

@@ -8,12 +8,26 @@ radius comes from a provable tail bound, then push the quasi-periodicity
 prefactor through the requested derivatives with the Leibniz rule.
 `theta_jet` takes one point, shape (2,), or a batch, shape (N, 2): a
 batch is summed over one box whose radius is the largest of the rows'
-own tail-bound radii, as one matrix product.  The tables the sum needs
-(the box, the quadratic monomials n1^2, 2 n1 n2, n2^2 and the derivative
-monomials (2 pi i n)^k) do not depend on Omega, so one read-only copy
-per radius serves every order and every ThetaParams.  A ThetaParams
-carries no tables of its own, and nothing cached can be paired with the
-wrong Omega.
+own tail-bound radii.
+
+Each term is split as in Deconinck, Heil, Bobenko, van Hoeij and
+Schmies, Computing Riemann theta functions, Math. Comp. 73 (2004).  Its
+modulus exp(-pi n.Im(Omega).n - 2 pi n.Im z0) is one real exp, with the
+exponent floored at EXP_FLOOR so that no arithmetic meets a subnormal
+number; its phase is a product of unit factors that cannot overflow:
+exp(i pi n.Re(Omega).n) per box point, and exp(2 pi i n_j Re z0_j) per
+row and coordinate value n_j.  So no term calls cos or sin, and the sum
+factors into a matrix product over n2 followed by one over n1.  The rows
+are summed in blocks of at most TERM_BUDGET (row, box point) pairs, so a
+call's memory is bounded whatever its size.
+
+The tables over the box (its quadratic and linear rows, and the powers
+(2 pi i n)^k) do not depend on Omega, so one read-only copy per radius
+serves every order and every ThetaParams.  The Omega tables (the
+exponent -pi n.Im(Omega).n and the unit factor exp(i pi n.Re(Omega).n))
+live in a bounded module-level cache keyed by Omega's bytes and the
+radius: a ThetaParams carries no tables of its own, so contexts do not
+grow with them, and nothing cached can be paired with the wrong Omega.
 """
 
 import math
@@ -28,11 +42,17 @@ TAIL_MARGIN = 100.0   # constant C in the tail bound ln(C/eps)
 RADIUS_CAP = 60
 EPS_TARGET = 1e-12    # truncation error eps of every theta sum
 TOL_SYM = 1e-8        # |Omega - Omega^T| accepted, relative to |Omega|
+EXP_FLOOR = -700.0    # least exponent of a term's modulus; exp of it is normal
+TERM_BUDGET = 1 << 15  # (row, box point) pairs summed per block
+PHASE_TABLES = 32     # Omega tables kept, one per (Omega, radius)
 
 _BINOM = np.array([[math.comb(a, c) for c in range(4)] for a in range(4)],
                   dtype=float)
 # the power a - c of mu in L[a, c] of _leibniz (0 above the diagonal)
 _DROP = np.maximum(np.subtract.outer(range(4), range(4)), 0)
+# _VALID[order][k1, k2]: 1 where k1 + k2 <= order, else 0
+_VALID = [(np.add.outer(range(k + 1), range(k + 1)) <= k).astype(float)
+          for k in range(4)]
 
 
 @dataclass(frozen=True)
@@ -76,28 +96,37 @@ def _radius(tp, b, order):
     return R
 
 
-def _multi_indices(order):
-    """(k1, k2) with k1 + k2 <= order, by total order, so that the list for
-    a lower order is a prefix of the list for a higher one."""
-    return [(t - k2, k2) for t in range(order + 1) for k2 in range(t + 1)]
-
-
 @lru_cache(maxsize=None)     # at most RADIUS_CAP keys
 def _tables(R):
-    """Over the box [-R, R]^2: the rows (n1^2, 2 n1 n2, n2^2, n1, n2), so
-    that a product with (i pi Omega11, i pi Omega12, i pi Omega22,
-    2 pi i z0) gives the exponents of the series, and the monomials whose
-    row for the i-th of _multi_indices(3), (k1, k2), is
-    (2 pi i n1)^k1 (2 pi i n2)^k2."""
-    rng = np.arange(-R, R + 1, dtype=float)
-    n1, n2 = (a.ravel() for a in np.meshgrid(rng, rng, indexing="ij"))
-    basis = np.stack([n1 * n1, 2 * n1 * n2, n2 * n2, n1, n2], axis=1)
-    p1 = (2j * np.pi * n1) ** np.arange(4)[:, None]
-    p2 = (2j * np.pi * n2) ** np.arange(4)[:, None]
-    mono = np.array([p1[k1] * p2[k2] for k1, k2 in _multi_indices(3)])
-    for a in (basis, mono):
-        a.setflags(write=False)
-    return basis, mono
+    """Over the box [-R, R]^2, n2 major and n1 minor: the rows (n1^2,
+    2 n1 n2, n2^2) and (n1, n2); the frequencies 2 pi n, n = -R..R; and
+    the powers (2 pi i n)^k, k = 0..3, shape (4, 2R + 1)."""
+    n = np.arange(-R, R + 1, dtype=float)
+    n2, n1 = (a.ravel() for a in np.meshgrid(n, n, indexing="ij"))
+    freq = 2 * np.pi * n
+    quad = np.stack([n1 * n1, 2 * n1 * n2, n2 * n2], axis=1)
+    lin = np.stack([n1, n2], axis=1)
+    powers = (1j * freq) ** np.arange(4)[:, None]
+    for t in (quad, lin, freq, powers):
+        t.setflags(write=False)
+    return quad, lin, freq, powers
+
+
+@lru_cache(maxsize=PHASE_TABLES)
+def _box_tables(key, R):
+    """Over the box of _tables(R): -pi n.Im(Omega).n, the Omega part of
+    the exponent of each term's modulus, and exp(i pi n.Re(Omega).n),
+    shape (2R + 1, 2R + 1), n2 by n1.  key is Omega's bytes, so a table
+    is never paired with another Omega."""
+    Om = np.frombuffer(key, dtype=complex).reshape(2, 2)
+    quad = _tables(R)[0]
+    entries = np.pi * np.array([Om[0, 0], Om[0, 1], Om[1, 1]])
+    expo = -quad @ entries.imag
+    arg = quad @ entries.real
+    phase = (np.cos(arg) + 1j * np.sin(arg)).reshape(2 * R + 1, 2 * R + 1)
+    for t in (expo, phase):
+        t.setflags(write=False)
+    return expo, phase
 
 
 def lattice_reduce(Omega, u):
@@ -132,28 +161,44 @@ def theta_jet(tp, z, order):
     Om = tp.Omega
     _, m, z0 = lattice_reduce(Om, Z)
     # _radius increases with b, so this is the largest of the rows' radii
-    R = _radius(tp, float(np.max(np.linalg.norm(z0.imag, axis=1))), order)
-    basis, mono = _tables(R)
-    index = _multi_indices(order)
-    coef = np.empty((5, len(Z)), dtype=complex)
-    coef[:3] = 1j * np.pi * np.array([Om[0, 0], Om[0, 1], Om[1, 1]])[:, None]
-    coef[3:] = 2j * np.pi * z0.T
-    # exp of the real and imaginary parts apart: numpy's complex exp is
-    # several times slower than its real exp, cos and sin together
-    modulus = np.exp(basis @ coef.real)
-    phase = basis @ coef.imag
-    terms = np.empty(phase.shape, dtype=complex)
-    terms.real = modulus * np.cos(phase)
-    terms.imag = modulus * np.sin(phase)
-    sums = mono[:len(index)] @ terms     # (K, N)
-
-    J = np.zeros((len(Z), order + 1, order + 1), dtype=complex)
-    flat = [k1 * (order + 1) + k2 for k1, k2 in index]
-    J.reshape(len(Z), -1)[:, flat] = sums.T
-    shifted = np.flatnonzero(np.any(m != 0, axis=1))
-    if len(shifted):
+    y = z0.imag
+    R = _radius(tp, math.sqrt(np.max((y * y).sum(axis=1))), order)
+    tables = _tables(R) + _box_tables(Om.tobytes(), R)
+    step = max(1, TERM_BUDGET // len(tables[0]))
+    J = np.empty((len(Z), order + 1, order + 1), dtype=complex)
+    for s in range(0, len(Z), step):
+        J[s:s + step] = _box_sum(tables, z0[s:s + step], order)
+    shifted = m.any(axis=1)
+    if shifted.any():
         J[shifted] = _leibniz(Om, m[shifted], z0[shifted], J[shifted], order)
     return J if batch else J[0]
+
+
+def _box_sum(tables, z0, order):
+    """The sums over the box of (2 pi i n1)^k1 (2 pi i n2)^k2 times the
+    series' terms at the rows z0, shape (len(z0), order + 1, order + 1),
+    zero where k1 + k2 > order.  A term is its modulus, one real exp,
+    times the unit factors phase[n2, n1], exp(2 pi i n1 Re z0_1) and
+    exp(2 pi i n2 Re z0_2); the powers of n2 are summed first, then
+    those of n1."""
+    _, lin, freq, powers, expo_omega, phase = tables
+    w, p = len(freq), powers[:order + 1]
+    expo = lin @ (-2 * np.pi * z0.imag.T)
+    expo += expo_omega[:, None]
+    # no modulus below exp(EXP_FLOOR) is a subnormal number
+    np.maximum(expo, EXP_FLOOR, out=expo)
+    modulus = np.exp(expo, out=expo).reshape(w, w, -1)
+    arg = np.multiply.outer(freq, z0.real)     # (n, row, coordinate)
+    unit = np.empty(arg.shape, dtype=complex)
+    np.cos(arg, out=unit.real)
+    np.sin(arg, out=unit.imag)
+    terms = modulus * phase[:, :, None]
+    terms *= unit[:, None, :, 1]
+    s2 = (p @ terms.reshape(w, -1)).reshape(order + 1, w, -1)
+    s2 *= unit[:, :, 0]
+    J = (p @ s2).T      # J[row, k1, k2]
+    J *= _VALID[order]
+    return J
 
 
 # far out e overflows; the callers' finiteness checks report that, so
@@ -175,5 +220,5 @@ def _leibniz(Om, m, z0, J0, order):
     L1, L2 = L[..., 0].transpose(2, 0, 1), L[..., 1].transpose(2, 0, 1)
     J = e[:, None, None] * (L1 @ J0 @ L2.transpose(0, 2, 1))
     # the products also fill k1 + k2 > order; keep those entries zero
-    return np.where(np.add.outer(range(k), range(k)) <= order, J, 0)
+    return np.where(_VALID[order] > 0, J, 0)
 

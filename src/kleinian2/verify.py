@@ -9,19 +9,20 @@ are report entries, never exceptions, so one bad identity cannot hide
 the state of the others.
 
 A check passes its points to the evaluation functions as one (N, 2)
-batch per stencil: the sampled points (with their reflections or lattice
-shifts), the 32 nodes of one Taylor-jet direction, the two 16-node
-circles of one finite-difference Hessian, or the four-point difference
-stencils of all samples.  Each such call passes at most 80 theta rows
-(40 points, each at u - Delta and u + Delta), so the suite's peak memory
-stays where point-by-point evaluation left it.  The checks of the Abel
-map (s_divisor_vanishing, forward_consistency, inversion_round_trip and
-diff1) pass all their divisors, or points to invert, to one batched
-Abel call; one that rejects samples on clearance draws a block of as
-many as are missing, rejects afterwards and redraws the rest, so its
-samples are those of a one-by-one loop.  addition_formula, duplication
-and the sample loop of basis_independence, which reject a sample on a
-second point that depends on it, stay point by point.
+batch per stencil: the sampled points (with their reflections, lattice
+shifts, sums and differences or doubles), the 32 nodes of one Taylor-jet
+direction, the 16-node circles of the finite-difference Hessians of all
+samples, or the four-point difference stencils of all samples.  theta
+sums a large batch in row blocks of bounded size, so the suite's peak
+memory does not grow with the batch.  The checks of the Abel map
+(s_divisor_vanishing, forward_consistency, inversion_round_trip and
+diff1) pass all their divisors, or points to invert, to one batched Abel
+call; one that rejects samples on clearance draws a block of as many as
+are missing, rejects afterwards and redraws the rest, so its samples are
+those of a one-by-one loop.  The checks that sample cell points draw them
+through _sample_groups the same way: addition_formula keeps pairs (u, v)
+clear of the divisor at u + v and u - v, duplication points z clear at
+2z, and basis_independence points clear on the second context.
 """
 
 import math
@@ -74,6 +75,24 @@ def _sample_z(ctx, rng, n, clearance=1e-3):
                     raise KleinianError(
                         "could not sample a point clear of the divisor")
     return np.array(points)
+
+
+def _sample_groups(ctx, rng, n, size=1, keep=None, clearance=1e-3):
+    """n groups of `size` consecutive points of the _sample_z stream,
+    shape (n, size, 2), each group passing `keep` when it is given: a
+    function of a (g, size, 2) array of groups that returns a (g,) bool
+    mask, the check's own test of a group.  A block draws as many groups
+    as are still missing and tests them in one call, so the stream is
+    read as a loop that draws and tests one group at a time reads it:
+    the same groups, and no draw after the last one kept."""
+    kept = np.empty((0, size, 2), dtype=complex)
+    while len(kept) < n:
+        groups = _sample_z(ctx, rng, (n - len(kept)) * size,
+                           clearance).reshape(-1, size, 2)
+        if keep is not None:
+            groups = groups[keep(groups)]
+        kept = np.concatenate([kept, groups])
+    return kept
 
 
 def _sample_lattice(rng):
@@ -169,17 +188,19 @@ def measure_taylor_jets(ctx):
 
 
 def _fd_log_hessian(ctx, z, h):
-    """Hessian of log S, measured by differentiating the analytic gradient
-    around a circle of radius h (spectrally accurate for the meromorphic
-    gradient, unlike a central difference whose truncation error grows with
-    the local curvature)."""
+    """Hessians of log S at the points z, shape (N, 2, 2), measured by
+    differentiating the analytic gradient around a circle of radius h
+    (spectrally accurate for the meromorphic gradient, unlike a central
+    difference whose truncation error grows with the local curvature)."""
     phases = np.exp(2j * np.pi * np.arange(FD_NODES) / FD_NODES)
-    # both circles in one gradient call: row k of the stencil steps
-    # along e_k, and column k of L is its mean
+    # every circle in one gradient call: the stencil of a point steps
+    # along e_k on its k-th circle, and column k of its L is that
+    # circle's mean
     steps = h * phases[None, :, None] * np.eye(2)[:, None, :]
-    vals = log_S_gradient(ctx, (z + steps).reshape(-1, 2))
-    L = (vals.reshape(2, FD_NODES, 2) / phases[:, None]).mean(axis=1).T / h
-    return 0.5 * (L + L.T)
+    vals = log_S_gradient(ctx, (z[:, None, None, :] + steps).reshape(-1, 2))
+    L = (vals.reshape(len(z), 2, FD_NODES, 2)
+         / phases[:, None]).mean(axis=2).transpose(0, 2, 1) / h
+    return 0.5 * (L + L.transpose(0, 2, 1))
 
 
 # -- individual checks --------------------------------------------------------
@@ -322,79 +343,67 @@ def _check_diff1(ctx, rng, tol):
 def _check_diff2(ctx, rng, tol):
     c = ctx.f.coeffs
     f5, f6 = c[5], c[6]
-    worst = 0.0
-    z = _sample_z(ctx, rng, 10, clearance=3e-2)
-    for zi, (p11, p12, p22) in zip(z, wp_eval(ctx, z)):
-        L = _fd_log_hessian(ctx, zi, 0.01 * ctx.jet_scale)
-        rhs = np.array([
-            [-2 * p11 - f6 * p12 ** 2,
-             -(f5 / 2) * p12 - f6 * p12 * p22],
-            [-(f5 / 2) * p12 - f6 * p12 * p22,
-             -(f5 / 2) * p22 - f6 * (p22 ** 2 + p12)],
-        ])
-        ref = max(1.0, float(np.max(np.abs(L))))
-        worst = max(worst, float(np.max(np.abs(L - rhs))) / ref)
+    z = _sample_groups(ctx, rng, 10, clearance=3e-2)[:, 0]
+    p11, p12, p22 = wp_eval(ctx, z).T
+    L = _fd_log_hessian(ctx, z, 0.01 * ctx.jet_scale)
+    off = -(f5 / 2) * p12 - f6 * p12 * p22
+    rhs = np.array([[-2 * p11 - f6 * p12 ** 2, off],
+                    [off, -(f5 / 2) * p22 - f6 * (p22 ** 2 + p12)]])
+    ref = np.maximum(1.0, np.max(np.abs(L), axis=(1, 2)))
+    worst = np.max(np.max(np.abs(L - rhs.transpose(2, 0, 1)), axis=(1, 2))
+                   / ref)
     return 10, float(worst), worst <= tol
 
 
 def _check_log_der_p(ctx, rng, tol):
-    worst = 0.0
-    for z in _sample_z(ctx, rng, 10):
-        j = sigma_jets(ctx, z, order=2)
-        s = j[(0, 0)]
-        grad = np.array([j[(1, 0)], j[(0, 1)]])
-        hess = np.array([[j[(2, 0)], j[(1, 1)]], [j[(1, 1)], j[(0, 2)]]])
-        h2 = hess / s - np.outer(grad, grad) / s ** 2
-        got = (-h2[0, 0], -h2[0, 1], -h2[1, 1])
-        want = wp_eval(ctx, z)
-        for g, w0 in zip(got, want):
-            worst = max(worst, _rel(g - w0, w0))
+    z = _sample_groups(ctx, rng, 10)[:, 0]
+    j = sigma_jets(ctx, z, order=2)
+    s, s1, s2 = j[(0, 0)], j[(1, 0)], j[(0, 1)]
+    # wp_jk = -d_j d_k log sigma = (s_j s_k - s s_jk) / s^2
+    got = np.column_stack([-(j[(2, 0)] / s - s1 * s1 / s ** 2),
+                           -(j[(1, 1)] / s - s1 * s2 / s ** 2),
+                           -(j[(0, 2)] / s - s2 * s2 / s ** 2)])
+    want = wp_eval(ctx, z)
+    worst = np.max(_rel(got - want, want))
     return 10, float(worst), worst <= tol
 
 
 def _check_addition(ctx, rng, tol):
-    worst = 0.0
-    done = 0
-    while done < 10:
-        u = _sample_z(ctx, rng, 1)[0]
-        v = _sample_z(ctx, rng, 1)[0]
-        if (divisor_clearance(ctx, u + v) < 1e-3
-                or divisor_clearance(ctx, u - v) < 1e-3):
-            continue
-        lhs = (sigma_eval(ctx, u + v) * sigma_eval(ctx, u - v)
-               / (sigma_eval(ctx, u) ** 2 * sigma_eval(ctx, v) ** 2))
-        pu = wp_eval(ctx, u)
-        pv = wp_eval(ctx, v)
-        rhs = (pu[2] * pv[1] - pv[2] * pu[1] + pv[0] - pu[0])
-        worst = max(worst, _rel(lhs - rhs, lhs, rhs))
-        done += 1
+    def clear(groups):
+        u, v = groups[:, 0], groups[:, 1]
+        c = divisor_clearance(ctx, np.concatenate([u + v, u - v]))
+        return np.all(c.reshape(2, -1) >= 1e-3, axis=0)
+
+    groups = _sample_groups(ctx, rng, 10, 2, clear)
+    u, v = groups[:, 0], groups[:, 1]
+    s = sigma_eval(ctx, np.concatenate([u + v, u - v, u, v])).reshape(4, -1)
+    lhs = s[0] * s[1] / (s[2] ** 2 * s[3] ** 2)
+    pu, pv = wp_eval(ctx, np.concatenate([u, v])).reshape(2, -1, 3)
+    rhs = pu[:, 2] * pv[:, 1] - pv[:, 2] * pu[:, 1] + pv[:, 0] - pu[:, 0]
+    worst = np.max(_rel(lhs - rhs, lhs, rhs))
     return 10, float(worst), worst <= tol
 
 
 def _check_duplication(ctx, rng, tol):
-    worst = 0.0
-    done = 0
-    while done < 10:
-        z = _sample_z(ctx, rng, 1)[0]
-        if divisor_clearance(ctx, 2 * z) < 1e-3:
-            continue
-        j = sigma_jets(ctx, z, order=3)
-        s = j[(0, 0)]
-        s1, s2 = j[(1, 0)], j[(0, 1)]
-        s11, s12, s22 = j[(2, 0)], j[(1, 1)], j[(0, 2)]
-        s111, s112, s122 = j[(3, 0)], j[(2, 1)], j[(1, 2)]
-        S = s ** 2
-        d1S = 2 * s * s1
-        S11 = s1 * s1 - s * s11
-        S12 = s1 * s2 - s * s12
-        S22 = s2 * s2 - s * s22
-        d1S11 = s1 * s11 - s * s111
-        d1S12 = s11 * s2 - s * s112
-        d1S22 = 2 * s12 * s2 - s1 * s22 - s * s122
-        rhs = S12 * d1S22 - S22 * d1S12 + S11 * d1S - S * d1S11
-        lhs = sigma_eval(ctx, 2 * z)
-        worst = max(worst, _rel(lhs - rhs, lhs, rhs))
-        done += 1
+    z = _sample_groups(
+        ctx, rng, 10,
+        keep=lambda g: divisor_clearance(ctx, 2 * g[:, 0]) >= 1e-3)[:, 0]
+    j = sigma_jets(ctx, z, order=3)
+    s = j[(0, 0)]
+    s1, s2 = j[(1, 0)], j[(0, 1)]
+    s11, s12, s22 = j[(2, 0)], j[(1, 1)], j[(0, 2)]
+    s111, s112, s122 = j[(3, 0)], j[(2, 1)], j[(1, 2)]
+    S = s ** 2
+    d1S = 2 * s * s1
+    S11 = s1 * s1 - s * s11
+    S12 = s1 * s2 - s * s12
+    S22 = s2 * s2 - s * s22
+    d1S11 = s1 * s11 - s * s111
+    d1S12 = s11 * s2 - s * s112
+    d1S22 = 2 * s12 * s2 - s1 * s22 - s * s122
+    rhs = S12 * d1S22 - S22 * d1S12 + S11 * d1S - S * d1S11
+    lhs = sigma_eval(ctx, 2 * z)
+    worst = np.max(_rel(lhs - rhs, lhs, rhs))
     return 10, float(worst), worst <= tol
 
 
@@ -437,15 +446,11 @@ def _check_basis_independence(ctx, rng, tol):
     if pd2 is None:
         raise KleinianError("no alternative branch ordering is usable")
     ctx2 = make_context(ctx.f, pd2)
-    worst = 0.0
-    done = 0
-    while done < 5:
-        z = _sample_z(ctx, rng, 1)[0]
-        if divisor_clearance(ctx2, z) < 1e-3:
-            continue
-        for a, b in zip(wp_eval(ctx, z), wp_eval(ctx2, z)):
-            worst = max(worst, _rel(a - b, a, b))
-        done += 1
+    z = _sample_groups(
+        ctx, rng, 5,
+        keep=lambda g: divisor_clearance(ctx2, g[:, 0]) >= 1e-3)[:, 0]
+    a, b = wp_eval(ctx, z), wp_eval(ctx2, z)
+    worst = np.max(_rel(a - b, a, b))
     return 5, float(worst), worst <= tol
 
 

@@ -1,6 +1,7 @@
 """Batch evaluation: S_eval, S_jk_eval, wp_eval, log_S_gradient,
-divisor_clearance and sigma_eval take z of shape (2,) or (N, 2); a batch
-is one theta_jet call and equals the stacked one-point calls.  The Abel
+divisor_clearance, sigma_eval and sigma_jets take z of shape (2,) or
+(N, 2); a batch is one theta_jet call and equals the stacked one-point
+calls.  The Abel
 layer likewise: abel_forward and rho_lambda_eval take a sequence of
 divisors, jacobi_invert and nearest_lattice_residual an (N, 2) batch, and
 a batch equals its members run one at a time."""
@@ -144,13 +145,70 @@ def test_other_shapes_are_refused(w5_ctx, shape):
 
 @pytest.mark.parametrize("shape", [(1, 2), (2, 1)])
 def test_one_point_functions_refuse_other_shapes(w5_ctx, shape):
-    """evaluate_bundle and sigma_jets take one point, shape (2,) only: a
-    (1, 2) batch or a (2, 1) column is refused, not read as one point."""
+    """evaluate_bundle takes one point, shape (2,) only: a (1, 2) batch
+    or a (2, 1) column is refused, not read as one point."""
     z = np.full(shape, 0.1 + 0.2j)
     with pytest.raises(ValueError, match=r"shape \(2,\), not"):
         k2.evaluate_bundle(w5_ctx, z, want_sigma=True)
-    with pytest.raises(ValueError, match=r"shape \(2,\), not"):
-        k2.sigma_jets(w5_ctx, z)
+
+
+def test_one_point_sigma_jets_are_computed_in_scalars(w5_ctx):
+    """For one point, sigma_jets is exactly the one-point Leibniz rule for
+    e theta in numpy scalars and 2-D arrays, as it was written before it
+    took batches."""
+    ctx = w5_ctx
+    kl = k2.kleinian
+    for seed in range(4):
+        z = _points(ctx, 1, seed=seed + 950)[0]
+        u = ctx.Ainv @ z
+        for order in range(4):
+            jm = k2.theta.theta_jet(ctx.tp, u - ctx.pd.Delta, order)
+            d1, d2, d3 = kl._pullback_jets(ctx, jm, order)
+            m0 = np.asarray(ctx.pd.delta_char[1])
+            g1 = ctx.C @ z - 1j * np.pi * (ctx.Ainv.T @ m0)
+            e = ctx.c_sigma * np.exp(kl._sigma_twist(ctx, kl._quad(ctx, z),
+                                                     u))
+            th, g2 = jm[0, 0], ctx.C + np.outer(g1, g1)
+            jets = [th]
+            if order >= 1:
+                jets.append(d1 + g1 * th)
+            if order >= 2:
+                jets.append(d2 + np.outer(g1, d1) + np.outer(d1, g1)
+                            + g2 * th)
+            if order >= 3:
+                jets.append(d3 + kl._sym3(d2, g1) + kl._sym3(g2, d1) + (
+                    kl._sym3(ctx.C, g1)
+                    + np.einsum("j,k,l->jkl", g1, g1, g1)) * th)
+            want = {(n - k, k): e * v[(0,) * (n - k) + (1,) * k]
+                    for n, v in enumerate(jets) for k in range(n + 1)}
+            got = k2.sigma_jets(ctx, z, order)
+            assert list(got) == list(want)
+            for key in want:
+                assert isinstance(got[key], np.complexfloating)
+                assert got[key] == want[key], (order, key)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+@pytest.mark.parametrize("n", [1, 7, 40])
+def test_sigma_jets_batch_equals_points(w5_ctx, order, n, theta_calls):
+    """sigma_jets of an (N, 2) batch is one kernel call on its N rows
+    u - Delta, and each key holds an (N,) array equal to the one-point
+    values to 1e-13 of the key's largest, as for the other batched
+    functions; one point gives complex numbers.  A (2, 1) column is
+    refused."""
+    z = _points(w5_ctx, n, seed=n + 900)
+    theta_calls.clear()
+    got = k2.sigma_jets(w5_ctx, z, order)
+    assert theta_calls == [(n, 2)]
+    want = [k2.sigma_jets(w5_ctx, zi, order) for zi in z]
+    assert len(got) == (order + 1) * (order + 2) // 2
+    for key, vals in got.items():
+        assert vals.shape == (n,)
+        one = np.array([w[key] for w in want])
+        assert isinstance(want[0][key], np.complexfloating)
+        assert np.max(np.abs(vals - one)) <= 1e-13 * np.max(np.abs(one)), key
+    with pytest.raises(ValueError, match=r"shape \(2,\) or \(N, 2\)"):
+        k2.sigma_jets(w5_ctx, np.full((2, 1), 0.1 + 0.2j))
 
 
 def test_far_points_raise_only_non_finite_value_error(w5_ctx):
@@ -296,6 +354,18 @@ def test_divisors_that_meet_infinity_share_one_fan(ctx, abel_calls):
         k2.abel_forward(ctx, _divisor_kinds(ctx, n, seed=n + 700))
         assert abel_calls.count("continue_sqrt") <= 4
         assert abel_calls.count("integrate_01") == 3
+
+
+def test_detour_radii_are_computed_once_per_root_set(ctx):
+    """A batch of affine pairs, flip loops and divisors that meet
+    infinity asks for the detour radii in path_between and in
+    point_infinity_integrals; the root-distance matrix behind them is
+    computed once."""
+    Ds = _divisor_kinds(ctx, 14, seed=1000)
+    integration._detour_radii.cache_clear()
+    k2.abel_forward(ctx, Ds)
+    info = integration._detour_radii.cache_info()
+    assert info.misses == 1 and info.hits >= 1
 
 
 def test_each_bad_divisor_raises_its_own_error(g6_ctx):

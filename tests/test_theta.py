@@ -1,11 +1,15 @@
 """Genus-2 theta engine: series oracle, quasi-periodicity, derivatives."""
 
+import tracemalloc
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 import kleinian2 as k2
 from hypothesis import given, settings, strategies as st
 
+from kleinian2 import theta
 from kleinian2.theta import ThetaParams, lattice_reduce, theta_jet
 
 MULTI_INDICES = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
@@ -238,3 +242,122 @@ def test_tables_do_not_leak_between_matrices():
         ref = _brute_theta(Omega, z)
         assert abs(got - ref) < 1e-11 * max(1.0, abs(ref))
         del tp
+
+
+# -- the box sum against the per-term sum -------------------------------------
+
+CLUSTERED_ROOTS = [0, 1e-5, 2j, -1 + 1j, 3, -2 - 1j]
+
+
+@pytest.fixture(scope="module")
+def clustered_tp():
+    """A sextic with a 1e-5 root pair: lam_min(Im Omega) = 0.20 and a
+    summation box of up to 29 x 29 points."""
+    f = k2.validate_polynomial(np.poly(CLUSTERED_ROOTS)[::-1])
+    return ThetaParams.build(k2.compute_period_data(f).Omega)
+
+
+@pytest.fixture(params=["w5", "g6", "clustered"])
+def curve_tp(request, w5_ctx, g6_ctx, clustered_tp):
+    return {"w5": w5_ctx.tp, "g6": g6_ctx.tp,
+            "clustered": clustered_tp}[request.param]
+
+
+def _per_term_jet(tp, z, order):
+    """theta_jet with the box summed term by term, as the kernel did
+    before its phase factors and row blocks: each term is exp of its
+    real exponent times cos and sin of its phase, and one matrix product
+    with the monomials sums the box.  The reduction, the radius and the
+    Leibniz step are the kernel's; rows are summed 100 at a time, over
+    the radius of the whole call, to bound the memory."""
+    Z = np.asarray(z, dtype=complex).reshape(-1, 2)
+    Om = tp.Omega
+    _, m, z0 = lattice_reduce(Om, Z)
+    R = theta._radius(
+        tp, float(np.max(np.linalg.norm(z0.imag, axis=1))), order)
+    rng = np.arange(-R, R + 1, dtype=float)
+    n1, n2 = (a.ravel() for a in np.meshgrid(rng, rng, indexing="ij"))
+    basis = np.stack([n1 * n1, 2 * n1 * n2, n2 * n2, n1, n2], axis=1)
+    index = [(t - b, b) for t in range(order + 1) for b in range(t + 1)]
+    mono = np.array([(2j * np.pi * n1) ** a * (2j * np.pi * n2) ** b
+                     for a, b in index])
+    J = np.zeros((len(Z), order + 1, order + 1), dtype=complex)
+    for s in range(0, len(Z), 100):
+        rows = z0[s:s + 100]
+        coef = np.empty((5, len(rows)), dtype=complex)
+        coef[:3] = 1j * np.pi * np.array([Om[0, 0], Om[0, 1],
+                                          Om[1, 1]])[:, None]
+        coef[3:] = 2j * np.pi * rows.T
+        modulus = np.exp(basis @ coef.real)
+        phase = basis @ coef.imag
+        sums = mono @ (modulus * np.cos(phase) + 1j * modulus * np.sin(phase))
+        for (a, b), row in zip(index, sums):
+            J[s:s + 100, a, b] = row
+    shifted = np.flatnonzero(np.any(m != 0, axis=1))
+    J[shifted] = theta._leibniz(Om, m[shifted], z0[shifted], J[shifted],
+                                order)
+    return J
+
+
+def _rows_and_block(tp, order, n=1000, seed=31):
+    """n points u = a + Omega b with a, b in [-3/2, 3/2]^2, the one whose
+    reduced |Im z0| is largest first, so that every leading run of them
+    is summed over the box of all n; and the rows of one block there."""
+    rng = np.random.default_rng(seed)
+    u = (rng.uniform(-1.5, 1.5, (n, 2))
+         + rng.uniform(-1.5, 1.5, (n, 2)) @ tp.Omega.T)
+    b = np.linalg.norm(lattice_reduce(tp.Omega, u)[2].imag, axis=1)
+    u[[0, np.argmax(b)]] = u[[np.argmax(b), 0]]
+    R = theta._radius(tp, float(np.max(b)), order)
+    return u, max(1, theta.TERM_BUDGET // (2 * R + 1) ** 2)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_box_sum_matches_the_per_term_sum(curve_tp, order):
+    """For 1 and 2 rows, one row either side of a block and 1000 rows
+    (so the last block is partly filled), including rows whose reduction
+    shifts them, within 1e-14 of each row's scale: the larger of its
+    largest jet entry and |e|, e its quasi-periodicity factor.  |e| is
+    at most the sum of the moduli of the row's terms, which bounds the
+    rounding error of a sum whose terms cancel."""
+    u, block = _rows_and_block(curve_tp, order)
+    assert 2 < block < 500
+    Om = curve_tp.Omega
+    _, m, z0 = lattice_reduce(Om, u)
+    e = np.exp(np.pi * np.einsum("ri,ij,rj->r", m, Om.imag, m)
+               + 2 * np.pi * np.einsum("ri,ri->r", m, z0.imag))
+    for n in (1, 2, block - 1, block, block + 1, 1000):
+        got = theta_jet(curve_tp, u[:n], order)
+        want = _per_term_jet(curve_tp, u[:n], order)
+        scale = np.maximum(np.max(np.abs(want), axis=(1, 2)), e[:n])
+        err = np.max(np.abs(got - want), axis=(1, 2))
+        assert np.all(err <= 1e-14 * scale), n
+
+
+def test_a_large_call_sums_in_bounded_memory(clustered_tp):
+    """4096 rows at order 3 on the clustered sextic: 29 x 29 box points
+    per row, which summed in one piece would need about 220 MB of
+    temporaries; in row blocks the call peaks under 16 MB."""
+    u, _ = _rows_and_block(clustered_tp, 3, n=4096, seed=32)
+    tracemalloc.start()
+    try:
+        theta_jet(clustered_tp, u, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+def test_phase_tables_are_bounded_and_not_kept_on_theta_params():
+    """The Omega tables live in one bounded module-level cache, keyed by
+    Omega's bytes and the radius; a ThetaParams holds Omega and lam_min
+    only, so contexts do not grow with them."""
+    assert [f.name for f in fields(ThetaParams)] == ["Omega", "lam_min"]
+    z = np.array([0.17 - 0.05j, -0.29 + 0.08j])
+    for k in range(theta.PHASE_TABLES + 5):
+        Omega = np.array([[0.01 * k + 1.1j, 0.3 + 0.2j],
+                          [0.3 + 0.2j, 1.3j]])
+        theta_jet(ThetaParams.build(Omega), z, 0)
+    info = theta._box_tables.cache_info()
+    assert info.maxsize == theta.PHASE_TABLES
+    assert info.currsize <= theta.PHASE_TABLES

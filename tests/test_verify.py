@@ -6,6 +6,7 @@ import pytest
 
 import kleinian2 as k2
 from kleinian2 import verify
+from kleinian2.kleinian import log_S_gradient
 from kleinian2.serialization import dumps, report_to_json
 
 W5_ONLY = {"log_der_p", "addition_formula", "duplication",
@@ -165,3 +166,167 @@ def test_block_sampler_draws_the_points_of_a_point_by_point_loop(
     want = _sample_point_by_point(any_ctx, b, 20, clearance)
     assert np.array_equal(got, want)
     assert a.random() == b.random()
+
+
+# -- the batched checks against their one-point loops -------------------------
+#
+# Each reference below is the check as it was written point by point,
+# returning the samples it kept and its worst residual.  The batched check
+# must keep the same samples, bit for bit, and measure the same residual
+# to 1e-12 (its theta sums run over the box of a whole batch, and numpy's
+# array loops round differently from scalar arithmetic).
+
+def _one(ctx, rng, clearance=1e-3):
+    return verify._sample_z(ctx, rng, 1, clearance)[0]
+
+
+def _fd_log_hessian_one(ctx, z, h):
+    """verify._fd_log_hessian at one point z, shape (2,)."""
+    phases = np.exp(2j * np.pi * np.arange(verify.FD_NODES)
+                    / verify.FD_NODES)
+    steps = h * phases[None, :, None] * np.eye(2)[:, None, :]
+    vals = log_S_gradient(ctx, (z + steps).reshape(-1, 2))
+    L = (vals.reshape(2, verify.FD_NODES, 2)
+         / phases[:, None]).mean(axis=1).T / h
+    return 0.5 * (L + L.T)
+
+
+def _loop_diff2(ctx, rng):
+    f5, f6 = ctx.f.coeffs[5], ctx.f.coeffs[6]
+    worst = 0.0
+    z = verify._sample_z(ctx, rng, 10, clearance=3e-2)
+    for zi, (p11, p12, p22) in zip(z, k2.wp_eval(ctx, z)):
+        L = _fd_log_hessian_one(ctx, zi, 0.01 * ctx.jet_scale)
+        rhs = np.array([
+            [-2 * p11 - f6 * p12 ** 2,
+             -(f5 / 2) * p12 - f6 * p12 * p22],
+            [-(f5 / 2) * p12 - f6 * p12 * p22,
+             -(f5 / 2) * p22 - f6 * (p22 ** 2 + p12)],
+        ])
+        ref = max(1.0, float(np.max(np.abs(L))))
+        worst = max(worst, float(np.max(np.abs(L - rhs))) / ref)
+    return z[:, None], worst
+
+
+def _loop_log_der_p(ctx, rng):
+    worst = 0.0
+    z = verify._sample_z(ctx, rng, 10)
+    if not ctx.f.weierstrass_form:
+        return z[:, None], None
+    for zi in z:
+        j = k2.sigma_jets(ctx, zi, order=2)
+        s = j[(0, 0)]
+        grad = np.array([j[(1, 0)], j[(0, 1)]])
+        hess = np.array([[j[(2, 0)], j[(1, 1)]], [j[(1, 1)], j[(0, 2)]]])
+        h2 = hess / s - np.outer(grad, grad) / s ** 2
+        got = (-h2[0, 0], -h2[0, 1], -h2[1, 1])
+        for g, w0 in zip(got, k2.wp_eval(ctx, zi)):
+            worst = max(worst, verify._rel(g - w0, w0))
+    return z[:, None], worst
+
+
+def _loop_addition(ctx, rng):
+    worst, kept = 0.0, []
+    while len(kept) < 10:
+        u, v = _one(ctx, rng), _one(ctx, rng)
+        if (k2.divisor_clearance(ctx, u + v) < 1e-3
+                or k2.divisor_clearance(ctx, u - v) < 1e-3):
+            continue
+        kept.append([u, v])
+        if not ctx.f.weierstrass_form:
+            continue
+        sigma = lambda x: k2.sigma_eval(ctx, x)
+        lhs = sigma(u + v) * sigma(u - v) / (sigma(u) ** 2 * sigma(v) ** 2)
+        pu, pv = k2.wp_eval(ctx, u), k2.wp_eval(ctx, v)
+        rhs = pu[2] * pv[1] - pv[2] * pu[1] + pv[0] - pu[0]
+        worst = max(worst, verify._rel(lhs - rhs, lhs, rhs))
+    return np.array(kept), worst if ctx.f.weierstrass_form else None
+
+
+def _loop_duplication(ctx, rng):
+    worst, kept = 0.0, []
+    while len(kept) < 10:
+        z = _one(ctx, rng)
+        if k2.divisor_clearance(ctx, 2 * z) < 1e-3:
+            continue
+        kept.append([z])
+        if not ctx.f.weierstrass_form:
+            continue
+        j = k2.sigma_jets(ctx, z, order=3)
+        s = j[(0, 0)]
+        s1, s2 = j[(1, 0)], j[(0, 1)]
+        s11, s12, s22 = j[(2, 0)], j[(1, 1)], j[(0, 2)]
+        s111, s112, s122 = j[(3, 0)], j[(2, 1)], j[(1, 2)]
+        S = s ** 2
+        d1S = 2 * s * s1
+        S11 = s1 * s1 - s * s11
+        S12 = s1 * s2 - s * s12
+        S22 = s2 * s2 - s * s22
+        d1S11 = s1 * s11 - s * s111
+        d1S12 = s11 * s2 - s * s112
+        d1S22 = 2 * s12 * s2 - s1 * s22 - s * s122
+        rhs = S12 * d1S22 - S22 * d1S12 + S11 * d1S - S * d1S11
+        lhs = k2.sigma_eval(ctx, 2 * z)
+        worst = max(worst, verify._rel(lhs - rhs, lhs, rhs))
+    return np.array(kept), worst if ctx.f.weierstrass_form else None
+
+
+def _loop_basis_independence(ctx, rng):
+    n = len(ctx.pd.roots)
+    perms = [(1, 0, 2, 4, 3) + ((5,) if n == 6 else ()),
+             tuple(range(n - 1, -1, -1))]
+    for perm in perms:
+        try:
+            pd2 = k2.compute_period_data(ctx.f, ordering=perm)
+            break
+        except k2.DegenerateGeometryError:
+            continue
+    ctx2 = k2.make_context(ctx.f, pd2)
+    worst, kept = 0.0, []
+    while len(kept) < 5:
+        z = _one(ctx, rng)
+        if k2.divisor_clearance(ctx2, z) < 1e-3:
+            continue
+        kept.append([z])
+        for a, b in zip(k2.wp_eval(ctx, z), k2.wp_eval(ctx2, z)):
+            worst = max(worst, verify._rel(a - b, a, b))
+    return np.array(kept), worst
+
+
+BATCHED_CHECKS = {
+    "diff2_self_consistency": (verify._check_diff2, _loop_diff2),
+    "log_der_p": (verify._check_log_der_p, _loop_log_der_p),
+    "addition_formula": (verify._check_addition, _loop_addition),
+    "duplication": (verify._check_duplication, _loop_duplication),
+    "basis_independence": (verify._check_basis_independence,
+                           _loop_basis_independence),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("name", sorted(BATCHED_CHECKS))
+def test_batched_check_keeps_the_samples_and_residual_of_its_loop(
+        any_ctx, name, seed, monkeypatch):
+    """Samples are recorded where the check draws them, through
+    _sample_groups.  A sigma check on x^6 - 1 draws its samples and then
+    raises NotWeierstrassFormError, so there only its samples are
+    compared."""
+    check, loop = BATCHED_CHECKS[name]
+    drawn = []
+    sampler = verify._sample_groups
+
+    def recorded(*args, **kwargs):
+        drawn.append(sampler(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(verify, "_sample_groups", recorded)
+    index = k2.CHECK_NAMES.index(name)
+    want_samples, want = loop(any_ctx, verify._rng(seed, index))
+    try:
+        _, got, ok = check(any_ctx, verify._rng(seed, index), 1e-6)
+    except k2.NotWeierstrassFormError:
+        assert want is None
+    else:
+        assert ok and abs(got - want) <= 1e-12
+    (samples,) = drawn
+    assert np.array_equal(samples, want_samples)
