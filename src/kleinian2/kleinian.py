@@ -16,6 +16,7 @@ of (pq, E11, E12, E22), found once per curve by make_context.
 
 import cmath
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -194,12 +195,15 @@ def make_context(f, pd=None):
 # makes one theta_jet call on its rows u -+ Delta, and the helpers below
 # read jet entries with _at(jet, k1, k2), which is jet[..., k1, k2], so
 # one code path serves both shapes.
-# One point is computed in numpy scalars, as one-point code would be:
-# numpy's array loops round a complex product differently from its
-# scalar arithmetic (fused multiply-adds) and cost more per call.  So _at
-# reads jet entries as numpy scalars for one point, and arrays built from
-# them (np.array) or from z (M @ z.T) hold a batch axis last, which .T
-# moves first; for one point .T leaves a vector as it is.
+# Up to the log Hessian, one point is computed in numpy scalars, as
+# one-point code would be: numpy's array loops round a complex product
+# differently from its scalar arithmetic (fused multiply-adds) and cost
+# more per call.  So _at reads jet entries as numpy scalars for one
+# point, and arrays built from them (np.array) or from z (M @ z.T) hold
+# a batch axis last, which .T moves first; for one point .T leaves a
+# vector as it is.  The wp selection is the exception: it runs on
+# arrays, one point being a batch of one, because its eigvals and det
+# calls cost the same for one row as for many.
 # Far out the products of the jets with exp(z^T C z) overflow; the
 # public functions that form them silence numpy's warnings, once per
 # call, and leave the report to _finite.
@@ -354,40 +358,59 @@ def log_S_gradient(ctx, z):
     return _finite(g, "the log gradient of S")
 
 
-def _quartic_matrix(f, p11, p12, p22):
+@lru_cache(maxsize=64)
+def _quartic_table(c):
+    """K, shape (7, 16), such that the monomials (1, p11, p12, p22,
+    p12^2, p12 p22, p22^2) @ K are the 16 entries of _quartic_matrix for
+    the curve coefficients c."""
+    K = np.zeros((7, 4, 4), dtype=complex)
+    for (j, k), terms in {
+            (0, 0): [(0, -c[0])], (0, 1): [(0, c[1] / 2)], (0, 2): [(1, 2)],
+            (0, 3): [(2, -2)], (1, 3): [(3, 2)], (2, 3): [(0, 2)],
+            (1, 1): [(0, -c[2]), (1, -4), (4, -c[6])],
+            (1, 2): [(0, c[3] / 2), (2, c[5] / 2), (5, c[6])],
+            (2, 2): [(0, -c[4]), (3, -c[5]), (6, -c[6])]}.items():
+        for i, v in terms:
+            K[i, j, k] = K[i, k, j] = v
+    K = K.reshape(7, 16)
+    K.setflags(write=False)
+    return K
+
+
+def _quartic_matrix(f, wp):
     """The 4x4 matrix whose vanishing determinant is the defining algebraic
-    relation among the three wp values on one Jacobian."""
-    c = f.coeffs
-    m = np.array([
-        [-c[0], c[1] / 2, 2 * p11, -2 * p12],
-        [c[1] / 2, -c[2] - 4 * p11 - c[6] * p12 ** 2,
-         c[3] / 2 + (c[5] / 2) * p12 + c[6] * p12 * p22, 2 * p22],
-        [2 * p11, c[3] / 2 + (c[5] / 2) * p12 + c[6] * p12 * p22,
-         -c[4] - c[5] * p22 - c[6] * p22 ** 2, 2],
-        [-2 * p12, 2 * p22, 2, 0],
-    ], dtype=complex)
-    return m
+    relation among the three wp values (p11, p12, p22) = wp[..., :] on
+    one Jacobian; shape (..., 4, 4) for wp of shape (..., 3)."""
+    wp = np.asarray(wp)
+    mono = np.empty(wp.shape[:-1] + (7,), dtype=complex)
+    mono[..., 0] = 1.0
+    mono[..., 1:4] = wp
+    mono[..., 4:6] = wp[..., 1:] * wp[..., 1, None]
+    mono[..., 6] = wp[..., 2] * wp[..., 2]
+    return (mono @ _quartic_table(f.coeffs)).reshape(wp.shape[:-1] + (4, 4))
+
+
+def _scaled_det(f, wp, by_row):
+    """|det| of _quartic_matrix(f, wp) over the fourth power of its
+    largest entry, or over the product of its row maxima if by_row, from
+    one det call; inf where that scale is 0.  The row scaling is sharper
+    when wp11 dwarfs the other entries (near the zero set of S), where a
+    wrong cubic branch can otherwise sneak under the tolerance."""
+    m = _quartic_matrix(f, wp)
+    a = abs(m)
+    scale = (np.prod(a.max(axis=-1), axis=-1) if by_row
+             else a.max(axis=(-2, -1)) ** 4)
+    det = abs(np.linalg.det(m))
+    return np.divide(det, scale, out=np.full_like(det, np.inf),
+                     where=scale != 0.0)
 
 
 def quartic_residual(f, p11, p12, p22):
     """|det| of the defining relation, scaled by the fourth power of the
-    largest matrix entry."""
-    m = _quartic_matrix(f, p11, p12, p22)
-    scale = float(np.max(np.abs(m)))
-    if scale == 0.0:
-        return np.inf
-    return float(abs(np.linalg.det(m))) / scale ** 4
-
-
-def _selection_residual(f, p11, p12, p22):
-    """Row-scaled |det| of the defining relation.  Sharper than the global
-    scaling when wp11 dwarfs the other entries (near the zero set of S),
-    where a wrong cubic branch can otherwise sneak under the tolerance."""
-    m = _quartic_matrix(f, p11, p12, p22)
-    row = np.max(np.abs(m), axis=1)
-    if np.any(row == 0.0):
-        return np.inf
-    return float(abs(np.linalg.det(m)) / np.prod(row))
+    largest matrix entry: a float, or shape (N,) for wp values of shape
+    (N,), from one det call."""
+    r = _scaled_det(f, np.stack([p11, p12, p22], axis=-1), by_row=False)
+    return float(r) if r.ndim == 0 else r
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -397,53 +420,66 @@ def wp_eval(ctx, z, _depth=4):
     array for a batch z, which raises OnThetaDivisorError if any row
     lies on the zero set of S.
 
-    The Hessian determines the triple linearly for degree-5 curves; for
-    degree 6 the 22-component satisfies a cubic whose physical root is
-    selected by the defining quartic relation, with a short continuity
-    walk toward a nearby point if more than one root passes.
+    The Hessian determines the triple linearly for degree-5 curves.  For
+    degree 6 the 22-component satisfies a cubic, and the quartic relation
+    selects its physical root; one point and a batch alike solve every
+    row's cubic in one eigvals call and test every candidate in one det
+    call.  Only a row where more than one root passes takes a short
+    continuity walk toward nearby points, one at a time.
     """
     z = _as_zs(z)
     _, jm, jp = _theta_pair(ctx, z, 2)
     L = _log_hessian_from_pair(ctx, jm, jp)
-    if z.ndim == 1:
-        return _wp_from_hessian(ctx, z, L, _depth)
-    return np.array([_wp_from_hessian(ctx, zi, Li, _depth)
-                     for zi, Li in zip(z, L)], dtype=complex)
+    wp = _wp_from_hessian(ctx, z.reshape(-1, 2), L.reshape(-1, 2, 2),
+                          _depth)
+    return tuple(wp[0]) if z.ndim == 1 else wp
 
 
 def _wp_from_hessian(ctx, z, L, depth=4):
-    """The wp triple at z from L = the log Hessian of S there."""
-    c = ctx.f.coeffs
-    f5, f6 = c[5], c[6]
-    if f6 == 0:
-        p12 = -2.0 * L[0, 1] / f5
-        p22 = -2.0 * L[1, 1] / f5
-        p11 = -L[0, 0] / 2.0
-        return (p11, p12, p22)
+    """The wp triples, shape (N, 3), at the N points z, shape (N, 2), from
+    L, the log Hessians of S there, shape (N, 2, 2).
 
-    cubic = [f6 ** 2, f5 * f6, f5 ** 2 / 4.0 + f6 * L[1, 1],
-             (f5 / 2.0) * L[1, 1] - f6 * L[0, 1]]
-    cands = []
-    for P in np.roots(cubic):
-        p22 = complex(P)
-        p12 = -(L[1, 1] + (f5 / 2.0) * p22 + f6 * p22 ** 2) / f6
-        p11 = -(L[0, 0] + f6 * p12 ** 2) / 2.0
-        cands.append(((p11, p12, p22),
-                      _selection_residual(ctx.f, p11, p12, p22)))
-    cands.sort(key=lambda t: t[1])
-    passing = [c0 for c0 in cands if c0[1] < TOL_ID]
-    if len(passing) == 1:
-        return passing[0][0]
-    if not passing:
-        # fall back to the best candidate; the verify suite will flag a
-        # genuine failure through the quartic-determinant check
-        return cands[0][0]
-    return _resolve_root(ctx, z, [c0[0] for c0 in passing], depth)
+    On degree 6 each row's wp22 is a root of its cubic.  The N companion
+    matrices, as np.roots builds them, go through one eigvals call, and
+    the row-scaled quartic residuals of the 3N candidate triples through
+    one det call.  A row keeps its candidates in stable order of residual
+    and takes the one under TOL_ID; if none passes, the best, which the
+    suite's quartic-determinant check flags if it is wrong; if several
+    pass, the one _resolve_root picks among them."""
+    f5, f6 = ctx.f.coeffs[5:7]
+    if f6 == 0:
+        wp = np.empty((len(L), 3), dtype=complex)
+        wp[:, 0] = L[:, 0, 0] / -2.0
+        wp[:, 1:] = L[:, :, 1] / (-f5 / 2)     # (L12, L22)
+        return wp
+    L11, L12, L22 = L[:, 0, 0], L[:, 0, 1], L[:, 1, 1]
+    # the cubic f6^2 P^3 + f5 f6 P^2 + (f5^2/4 + f6 L22) P
+    # + (f5/2) L22 - f6 L12 in P = wp22, and its companion matrix
+    comp = np.zeros((len(L), 3, 3), dtype=complex)
+    comp[:, 0, 0] = f5 * f6
+    comp[:, 0, 1] = f5 ** 2 / 4.0 + f6 * L22
+    comp[:, 0, 2] = (f5 / 2.0) * L22 - f6 * L12
+    comp[:, 0] /= -f6 ** 2
+    comp[:, 1, 0] = comp[:, 2, 1] = 1.0
+    # cands[i, r] is row i's triple (p11, p12, p22) from its root r
+    cands = np.empty((len(L), 3, 3), dtype=complex)
+    p22 = cands[..., 2] = np.linalg.eigvals(comp)
+    p12 = cands[..., 1] = -(L22[:, None] + (f5 / 2.0) * p22
+                            + f6 * p22 ** 2) / f6
+    cands[..., 0] = -(L11[:, None] + f6 * p12 ** 2) / 2.0
+    resid = _scaled_det(ctx.f, cands, by_row=True)
+    order = np.argsort(resid, axis=1, kind="stable")
+    passing = np.count_nonzero(resid < TOL_ID, axis=1)
+    wp = cands[np.arange(len(L)), order[:, 0]]
+    for i in np.flatnonzero(passing > 1):
+        wp[i] = _resolve_root(ctx, z[i], cands[i, order[i, :passing[i]]],
+                              depth)
+    return wp
 
 
 def _resolve_root(ctx, z, cands, depth):
-    """Pick among quartic-passing wp candidates by continuity against a
-    nearby unambiguous point."""
+    """Pick among quartic-passing wp candidates, rows of cands, by
+    continuity against a nearby unambiguous point."""
     if depth <= 0:
         raise RootSelectionAmbiguity(
             "multiple wp branches satisfy the defining relation and no "
@@ -645,8 +681,7 @@ def jacobi_invert(ctx, z):
     z = _as_zs(z)
     _, jm, jp = _theta_pair(ctx, z, 3)
     L = _log_hessian_from_pair(ctx, jm, jp)
-    wp = np.array([_wp_from_hessian(ctx, zi, Li) for zi, Li in
-                   zip(z.reshape(-1, 2), L.reshape(-1, 2, 2))])
+    wp = _wp_from_hessian(ctx, z.reshape(-1, 2), L.reshape(-1, 2, 2))
     _, _, p122, p222 = _wp3_from_pair(ctx, jm, jp, wp[:, 1], wp[:, 2])
     x = (wp[:, 2:] + [1, -1] * np.sqrt(wp[:, 2:] ** 2 + 4 * wp[:, 1:2])) / 2
     y = np.sqrt(ctx.f(x))
@@ -750,7 +785,7 @@ def evaluate_bundle(ctx, z, want_sigma=False):
     except OnThetaDivisorError:
         pass
     else:
-        wp = _wp_from_hessian(ctx, z, L)
+        wp = _wp_from_hessian(ctx, z[None], L[None])[0]
         fields.update(p11=wp[0], p12=wp[1], p22=wp[2])
     if want_sigma:
         fields["sigma"] = _sigma_from_jet(ctx, quad, u, jm)

@@ -28,6 +28,9 @@ exponent -pi n.Im(Omega).n and the unit factor exp(i pi n.Re(Omega).n))
 live in a bounded module-level cache keyed by Omega's bytes and the
 radius: a ThetaParams carries no tables of its own, so contexts do not
 grow with them, and nothing cached can be paired with the wrong Omega.
+The summation radius, a fixed point in lam_min(Im Omega) and the rows'
+largest |Im z0|, is read from intervals kept in a bounded cache keyed by
+lam_min, which is all of Omega it depends on.
 """
 
 import math
@@ -80,7 +83,15 @@ class ThetaParams:
 
 
 def _radius(tp, b, order):
-    """Smallest R with pi*lam*R^2 - 2 pi b R - order*ln(2 pi R) >= ln(C/eps)."""
+    """Smallest R with pi*lam*R^2 - 2 pi b R - order*ln(2 pi R) >= ln(C/eps).
+
+    R grows with b, so a b between two that gave the same R gives that R
+    too: the fixed point runs only for a b outside the intervals that
+    _radius_spans keeps for lam and the order."""
+    spans = _radius_spans(tp.lam_min).setdefault(order, {})
+    for R, (lo, hi) in spans.items():
+        if lo <= b <= hi:
+            return R
     target = math.log(TAIL_MARGIN / EPS_TARGET)
     lam = tp.lam_min
     R = 3.0
@@ -93,7 +104,18 @@ def _radius(tp, b, order):
         raise TruncationRadiusError(
             f"summation radius {R} exceeds cap {RADIUS_CAP}; "
             "Omega is too close to degenerate")
+    lo, hi = spans.get(R, (b, b))
+    spans[R] = (min(lo, b), max(hi, b))
     return R
+
+
+@lru_cache(maxsize=PHASE_TABLES)
+def _radius_spans(lam):
+    """{order: {R: (lo, hi)}}, filled by _radius: for lam =
+    lam_min(Im Omega), the only part of Omega that _radius reads, the
+    interval [lo, hi] of the b seen to give each radius R, at most
+    RADIUS_CAP per order."""
+    return {}
 
 
 @lru_cache(maxsize=None)     # at most RADIUS_CAP keys
@@ -162,7 +184,7 @@ def theta_jet(tp, z, order):
     _, m, z0 = lattice_reduce(Om, Z)
     # _radius increases with b, so this is the largest of the rows' radii
     y = z0.imag
-    R = _radius(tp, math.sqrt(np.max((y * y).sum(axis=1))), order)
+    R = _radius(tp, math.sqrt((y * y).sum(axis=1).max()), order)
     tables = _tables(R) + _box_tables(Om.tobytes(), R)
     step = max(1, TERM_BUDGET // len(tables[0]))
     J = np.empty((len(Z), order + 1, order + 1), dtype=complex)

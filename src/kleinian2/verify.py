@@ -288,8 +288,8 @@ def _check_delta_shift(ctx, rng, tol):
 
 def _check_quartic_determinant(ctx, rng, tol):
     wp = wp_eval(ctx, _sample_z(ctx, rng, 20))
-    worst = max(quartic_residual(ctx.f, *row) for row in wp)
-    return 20, float(worst), worst <= tol
+    worst = float(np.max(quartic_residual(ctx.f, *wp.T)))
+    return 20, worst, worst <= tol
 
 
 def _check_forward_consistency(ctx, rng, tol):

@@ -1,8 +1,8 @@
 """Batch evaluation: S_eval, S_jk_eval, wp_eval, log_S_gradient,
 divisor_clearance, sigma_eval and sigma_jets take z of shape (2,) or
 (N, 2); a batch is one theta_jet call and equals the stacked one-point
-calls.  The Abel
-layer likewise: abel_forward and rho_lambda_eval take a sequence of
+calls.  Degree-6 wp selects the cubic root of every row at once, as the
+per-row rule did.  The Abel layer likewise: abel_forward and rho_lambda_eval take a sequence of
 divisors, jacobi_invert and nearest_lattice_residual an (N, 2) batch, and
 a batch equals its members run one at a time."""
 
@@ -224,6 +224,202 @@ def test_far_points_raise_only_non_finite_value_error(w5_ctx):
         for fn, arg in calls:
             with pytest.raises(k2.NonFiniteValueError):
                 fn(w5_ctx, arg)
+
+
+# -- the degree-6 root selection ---------------------------------------------
+
+def _old_quartic_matrix(f, p11, p12, p22):
+    c = f.coeffs
+    return np.array([
+        [-c[0], c[1] / 2, 2 * p11, -2 * p12],
+        [c[1] / 2, -c[2] - 4 * p11 - c[6] * p12 ** 2,
+         c[3] / 2 + (c[5] / 2) * p12 + c[6] * p12 * p22, 2 * p22],
+        [2 * p11, c[3] / 2 + (c[5] / 2) * p12 + c[6] * p12 * p22,
+         -c[4] - c[5] * p22 - c[6] * p22 ** 2, 2],
+        [-2 * p12, 2 * p22, 2, 0],
+    ], dtype=complex)
+
+
+def _old_selection_residual(f, p11, p12, p22):
+    m = _old_quartic_matrix(f, p11, p12, p22)
+    row = np.max(np.abs(m), axis=1)
+    if np.any(row == 0.0):
+        return np.inf
+    return float(abs(np.linalg.det(m)) / np.prod(row))
+
+
+def _per_row_wp(ctx, z, L, depth=4):
+    """The wp triple at one point z from its log Hessian L, as the
+    selection was written one row at a time: np.roots on the cubic, the
+    row-scaled residual of each root's triple, and _resolve_root when
+    more than one passes."""
+    c = ctx.f.coeffs
+    f5, f6 = c[5], c[6]
+    if f6 == 0:
+        return (-L[0, 0] / 2.0, -2.0 * L[0, 1] / f5, -2.0 * L[1, 1] / f5)
+    cubic = [f6 ** 2, f5 * f6, f5 ** 2 / 4.0 + f6 * L[1, 1],
+             (f5 / 2.0) * L[1, 1] - f6 * L[0, 1]]
+    cands = []
+    for P in np.roots(cubic):
+        p22 = complex(P)
+        p12 = -(L[1, 1] + (f5 / 2.0) * p22 + f6 * p22 ** 2) / f6
+        p11 = -(L[0, 0] + f6 * p12 ** 2) / 2.0
+        cands.append(((p11, p12, p22),
+                      _old_selection_residual(ctx.f, p11, p12, p22)))
+    cands.sort(key=lambda t: t[1])
+    passing = [c0 for c0 in cands if c0[1] < k2.kleinian.TOL_ID]
+    if len(passing) == 1:
+        return passing[0][0]
+    if not passing:
+        return cands[0][0]
+    return k2.kleinian._resolve_root(ctx, z, [c0[0] for c0 in passing],
+                                     depth)
+
+
+def _sextic_from_roots(roots):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return k2.make_context(k2.validate_polynomial(np.poly(roots)[::-1]))
+
+
+@pytest.fixture(scope="module")
+def s10_ctx():
+    """The sextic with roots 10 {0, 1, 2i, -1+i, 3, -2-i}."""
+    return _sextic_from_roots(10 * np.array([0, 1, 2j, -1 + 1j, 3, -2 - 1j]))
+
+
+def _s10_points(ctx, n=60):
+    """Cell points A t[:2] + B t[2:], t from default_rng(1): the first n
+    clear of the zero set of S, then points 58, 94, 104 and 196, where
+    the rule picks a triple off xi (max |wp| above 1e7)."""
+    t = np.random.default_rng(1).random((200, 4))
+    z = t[:, :2] @ ctx.pd.A.T + t[:, 2:] @ ctx.pd.B.T
+    clear = np.flatnonzero(k2.divisor_clearance(ctx, z) > 1e-2)[:n]
+    return np.concatenate([z[clear], z[[58, 94, 104, 196]]])
+
+
+def _hessians(ctx, z):
+    kl = k2.kleinian
+    _, jm, jp = kl._theta_pair(ctx, z, 2)
+    return kl._log_hessian_from_pair(ctx, jm, jp)
+
+
+@pytest.mark.parametrize("name", ["w5", "g6", "ring", "s10"])
+def test_batched_selection_picks_the_per_row_root(name, w5_ctx, g6_ctx,
+                                                  ring_ctx, s10_ctx):
+    """Given the same log Hessians, the batched selection picks the root
+    the per-row rule picks, on every row, to 1e-12 of the row's largest
+    entry; on the s = 10 sextic that includes rows that walk and the four
+    rows where the rule picks a wrong triple."""
+    ctx = {"w5": w5_ctx, "g6": g6_ctx, "ring": ring_ctx,
+           "s10": s10_ctx}[name]
+    z = _s10_points(ctx) if name == "s10" else _points(ctx, 40, seed=77)
+    L = _hessians(ctx, z)
+    got = k2.kleinian._wp_from_hessian(ctx, z, L)
+    want = np.array([_per_row_wp(ctx, zi, Li) for zi, Li in zip(z, L)])
+    assert got.shape == want.shape == (len(z), 3)
+    scale = np.max(np.abs(want), axis=1)
+    assert np.all(np.max(np.abs(got - want), axis=1) <= 1e-12 * scale)
+    if name == "s10":
+        assert np.all(scale[-4:] > 1e7)
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Counts of np.linalg.eigvals and np.linalg.det calls; np.roots
+    fails the test if called."""
+    calls = []
+    for name in ("eigvals", "det"):
+        fn = getattr(np.linalg, name)
+
+        def counted(*args, fn=fn, name=name):
+            calls.append(name)
+            return fn(*args)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+
+    def roots(p):
+        raise AssertionError("np.roots called")
+
+    monkeypatch.setattr(np, "roots", roots)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 7, 40])
+def test_selection_is_one_eigvals_and_one_det_call(ctx, n, linalg_calls):
+    """Every entry point that selects wp solves the cubics of a whole
+    sextic batch in one eigvals call and tests them in one det call; a
+    quintic batch calls neither."""
+    z = _points(ctx, n, seed=n + 1100)
+    want = [] if ctx.f.degree == 5 else ["eigvals", "det"]
+    for run in (lambda: k2.wp_eval(ctx, z), lambda: k2.wp_eval(ctx, z[0]),
+                lambda: k2.jacobi_invert(ctx, z),
+                lambda: k2.evaluate_bundle(ctx, z[0])):
+        linalg_calls.clear()
+        run()
+        assert linalg_calls == want
+
+
+def test_quartic_residual_of_a_batch_is_one_det_call(ctx, linalg_calls):
+    """quartic_residual takes (N,) arrays, one det call for all rows, and
+    gives each row's scalar call, a float, to 1e-14 (the residual is a
+    scaled determinant, a cancellation), on the Kummer surface and off
+    it.  The suite's quartic_determinant check on a quintic is that one
+    call."""
+    wp = k2.wp_eval(ctx, _points(ctx, 9, seed=1200))
+    for rows in (wp, wp * (1 + 1e-3j)):
+        linalg_calls.clear()
+        got = k2.quartic_residual(ctx.f, *rows.T)
+        assert linalg_calls == ["det"]
+        assert got.shape == (9,)
+        one = [k2.quartic_residual(ctx.f, *row) for row in rows]
+        assert all(type(r) is float for r in one)
+        assert np.max(np.abs(got - one)) <= 1e-14
+    assert np.min(got) > 1e-6
+    if ctx.f.degree == 5:
+        linalg_calls.clear()
+        k2.run_suite(ctx, seed=1, checks=["quartic_determinant"])
+        assert linalg_calls == ["det"]
+
+
+def test_only_rows_with_several_passing_roots_walk(s10_ctx, monkeypatch):
+    """_resolve_root runs for the rows, and with the passing candidates,
+    for which the per-row rule runs it (two or more roots pass), and for
+    no other row."""
+    ctx = s10_ctx
+    z = _s10_points(ctx)
+    L = _hessians(ctx, z)
+    walked = []
+    resolve = k2.kleinian._resolve_root
+
+    def spy(c, zi, cands, depth):
+        if depth == 4:      # not the walks of the reference points
+            walked.append((zi.tolist(), np.array(cands)))
+        return resolve(c, zi, cands, depth)
+
+    monkeypatch.setattr(k2.kleinian, "_resolve_root", spy)
+    for zi, Li in zip(z, L):
+        _per_row_wp(ctx, zi, Li)
+    want = walked[:]
+    walked.clear()
+    k2.kleinian._wp_from_hessian(ctx, z, L)
+    assert want and [w[0] for w in walked] == [w[0] for w in want]
+    for (_, got), (_, cands) in zip(walked, want):
+        assert got.shape == cands.shape and len(cands) >= 2
+        assert np.max(np.abs(got - cands)) <= 1e-12 * np.max(np.abs(cands))
+
+
+def test_a_batch_with_a_wide_sextic_point_raises_as_the_point_does():
+    """On the sextic with roots 30 {0, 1, 2i, -1+i, 3, -2-i} no nearby
+    point resolves the root: the point alone raises
+    RootSelectionAmbiguity, and so does a batch holding it."""
+    ctx = _sextic_from_roots(30 * np.array([0, 1, 2j, -1 + 1j, 3, -2 - 1j]))
+    t = np.array([0.31, 0.22, 0.13, 0.41])
+    z = ctx.pd.A @ t[:2] + ctx.pd.B @ t[2:]
+    with pytest.raises(k2.RootSelectionAmbiguity):
+        k2.wp_eval(ctx, z)
+    with pytest.raises(k2.RootSelectionAmbiguity):
+        k2.wp_eval(ctx, np.stack([0.5 * z, z, 0.7 * z]))
 
 
 # -- the Abel layer -----------------------------------------------------------

@@ -177,7 +177,7 @@ def test_quartic_certificate(any_ctx):
     rng = np.random.default_rng(47)
     for _ in range(10):
         z = sample_z(ctx, rng)
-        M = k2.kleinian._quartic_matrix(ctx.f, *k2.wp_eval(ctx, z))
+        M = k2.kleinian._quartic_matrix(ctx.f, k2.wp_eval(ctx, z))
         assert M.shape == (4, 4)
         assert M[3, 3] == 0
         assert np.max(np.abs(M - M.T)) == 0.0

@@ -1,5 +1,6 @@
 """The public surface: kleinian2.__all__ is the README's API list, and
-covers every top-level name the benchmark, the demos and the README read."""
+covers every top-level name the benchmark, the demos and the README read;
+the README's Quick start block runs as written."""
 
 import re
 from pathlib import Path
@@ -35,3 +36,15 @@ def test_callers_read_only_public_names():
     missing = {name: where for name, where in used.items()
                if name not in k2.__all__}
     assert not missing, missing
+
+
+def test_readme_quick_start_runs():
+    """The python block under "## Quick start" runs as written, its own
+    assert included."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Quick start\n", 1)[1].split("\n## ", 1)[0]
+    (block,) = re.findall(r"```python\n(.*?)```", section, flags=re.S)
+    scope = {}
+    exec(compile(block, "README.md (Quick start)", "exec"), scope)
+    assert isinstance(scope["D"], k2.Divisor)
+    assert scope["report"].passed

@@ -1,5 +1,6 @@
 """Genus-2 theta engine: series oracle, quasi-periodicity, derivatives."""
 
+import math
 import tracemalloc
 from dataclasses import fields
 
@@ -359,5 +360,44 @@ def test_phase_tables_are_bounded_and_not_kept_on_theta_params():
                           [0.3 + 0.2j, 1.3j]])
         theta_jet(ThetaParams.build(Omega), z, 0)
     info = theta._box_tables.cache_info()
+    assert info.maxsize == theta.PHASE_TABLES
+    assert info.currsize <= theta.PHASE_TABLES
+
+
+def _fixed_point_radius(lam, b, order):
+    """The radius as _radius computed it for every call: ceil of 12 steps
+    of the fixed point from R = 3, plus 1."""
+    target = math.log(theta.TAIL_MARGIN / theta.EPS_TARGET)
+    R = 3.0
+    for _ in range(12):
+        R = math.sqrt((target + 2 * math.pi * b * R
+                       + order * math.log(max(2 * math.pi * R, 3.0)))
+                      / (math.pi * lam))
+    return math.ceil(R) + 1
+
+
+def test_radius_from_its_intervals_is_the_fixed_point_radius():
+    """_radius runs its fixed point only for a b outside the intervals it
+    has seen; on 1500 b per (lam, order), drawn in random order and
+    sorted, it gives the fixed point's radius for every b, the
+    fixed-point radius never falls as b grows, and the interval cache is
+    bounded."""
+    rng = np.random.default_rng(40)
+    for lam in (0.2, 0.87, 1.74, *rng.uniform(0.05, 5.0, 6)):
+        tp = ThetaParams(Omega=None, lam_min=float(lam))
+        for order in range(4):
+            b = rng.uniform(0.0, 3.0, 1500)
+            want = [_fixed_point_radius(lam, bi, order) for bi in b]
+            assert np.all(np.diff([want[i] for i in np.argsort(b)]) >= 0)
+            for bi, wi in zip(b, want):
+                if wi > theta.RADIUS_CAP:
+                    with pytest.raises(k2.TruncationRadiusError):
+                        theta._radius(tp, float(bi), order)
+                else:
+                    assert theta._radius(tp, float(bi), order) == wi
+            spans = theta._radius_spans(float(lam))[order]
+            assert len(spans) == len({w for w in want
+                                      if w <= theta.RADIUS_CAP})
+    info = theta._radius_spans.cache_info()
     assert info.maxsize == theta.PHASE_TABLES
     assert info.currsize <= theta.PHASE_TABLES
