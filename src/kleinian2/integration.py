@@ -4,28 +4,35 @@ A path in the x-plane is a stack of pieces, each parametrized over u in
 [0, 1] and stored as one row (c, R, b) of a complex (P, 3) array: a line
 x = c + R u has b = 0, and a circular arc x = c + R exp(b u), centred at
 c, has b = i dphi, its turning angle.  x_dx evaluates x and dx/du on
-every row at once, with one exp per node.  The sheet is fixed by
-analytic continuation of y = sqrt(f(x)): along every piece we build a
-table of (u, y) pairs dense enough that consecutive f-values differ by
-less than about half a turn in argument and a factor 3 in modulus, which
-pins the square-root branch at every quadrature node without ambiguity.
-The table is refined level by level: f is evaluated on arrays of
-parameters, once for the base grid and once per refinement level, never
-one node at a time.
+every row at once, with one exp per node where the stack has an arc.
 
-The same continuation engine drives the factored branch-point segments used
-for period integrals, where y = s(u) sqrt(u (1-u)) with s a continuous root
-of the nonvanishing cofactor, and the chart at infinity used by Abel-map
-tails.
+The sheet is fixed in closed form before any quadrature, with no
+continuation (Molin and Neurohr, Math. Comp. 88, 2019).  A line piece,
+or an arc inside the disc about its centre, lies in a convex set that
+excludes every branch point r_j but the arc's centre, so along it
 
-Work is stacked, not looped: all pieces of many paths, all segments of
-the period loops, and a fan of radial runs or of tails each go through
-one continue_sqrt call, which returns one joined table for the stack,
-and one integrate_01 call, which looks the branch up in that table.
-path_between continues the straight runs of all its paths in one call
-and the sheet-flip loops that some of them need in a second.  Every
-stacked integrand is narrowed to the integrals still open, so each
-piece is integrated at the level it needs alone.
+    arg f(x(u)) - arg f(x(0)) = sum_j Arg((x(u) - r_j) / (x(0) - r_j))
+
+in principal arguments, and an arc's own centre root adds exactly
+Im(b) u.  Half of that is the turn of y from the piece's start value.
+Every node keeps the value +-sqrt(f(x)) and takes only its sign from
+the turn; y0 sqrt(f(x)/f(x0)) would carry the start value's rounding
+down the whole path.  continue_sqrt chains the turns of the pieces of a
+run, so every piece's start and end value is known before any quadrature.
+
+The factored branch-point segments of the period integrals write
+y = s(u) sqrt(u (1-u)) with s^2 = G(u), the cofactor, whose turn is the
+same sum over the roots off the segment.  Tails to infinity run in the
+chart t = 1/x (t^2 = 1/x on degree 5), where every factor 1 - r t of
+t^6 f(1/t) stays within 1/FAR_FACTOR of 1, so arg y moves by less than a
+right angle along a tail and needs no sum: the seed's own sign holds.
+
+Work is stacked, not looped: all pieces of many paths, the period
+segments, or a fan of tails go through one integrate_01 call, and every
+stacked integrand is narrowed to the integrals still open, so each is
+integrated at the level it needs alone.  path_between chains the
+straight runs of all its paths in one continue_sqrt call and the
+sheet-flip loops that some of them need in a second.
 """
 
 from functools import lru_cache
@@ -36,14 +43,9 @@ from .curve import poly_eval
 from .errors import DegenerateGeometryError, SheetTrackingError
 from .quadrature import integrate_01
 
-ARG_STEP = 0.45          # max |d arg f| between continuation nodes (radians)
-RATIO_STEP = 3.0         # max |f| ratio between continuation nodes
-MAX_DEPTH = 26
-MAX_NODES = 60000
-BASE_GRID = 32           # minimum continuation nodes per path piece
 DETOUR_FACTOR = 0.45     # detour radius as a fraction of root clearance
 FAR_FACTOR = 12.0        # far-point radius for infinity tails, times scale
-TOL_END = 1e-6           # relative miss of a path's end y against its target
+FAR_ARG = 0.7310         # direction of the far ray of the period build
 
 
 def x_dx(pieces, u):
@@ -51,140 +53,130 @@ def x_dx(pieces, u):
     broadcast against each other: x = c + R u where b = 0, else
     c + R exp(b u)."""
     c, R, b = pieces[..., 0], pieces[..., 1], pieces[..., 2]
+    if not b.any():
+        x = c + R * u
+        return x, R * np.ones_like(x)
     e = np.exp(b * u)
     line = b == 0
     return c + R * np.where(line, u, e), R * np.where(line, 1.0, b * e)
 
 
-def _step_ok(h0, h1):
-    """Elementwise: is each step h0 -> h1 short enough to pin the branch?"""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = h1 / h0
-    m = np.abs(r)
-    return ((h0 != 0) & (h1 != 0) & (m >= 1.0 / RATIO_STEP)
-            & (m <= RATIO_STEP) & (np.abs(np.angle(r)) <= ARG_STEP))
+def _signed(s, psi):
+    """s or -s, whichever has its phase within a right angle of psi."""
+    return s * np.copysign(1.0, np.cos(np.angle(s) - psi))
 
 
-def continue_sqrt(h, seeds):
-    """Continuous branches of sqrt(h) along a stack of pieces, each
-    parametrized over u in [0, 1]; h(u, k) maps arrays of parameters and
-    piece indices to nonzero complex values.
+def _turn(x, r, c0, off=None):
+    """The turn of arg f from x(0) to x, shape (N, P), on each of P
+    pieces: the sum over the roots, along the first axis of r (n, 1) or
+    (n, P) and of c0 = conj(x(0) - r), of the principal Arg((x - r_j)
+    c0_j), over the roots where off is True if off is given."""
+    a = np.angle((x - r[:, None]) * c0[:, None])
+    if off is not None:
+        a *= off[:, None]
+    return a.sum(axis=0)
 
-    h is called once on a uniform base grid of every piece and then once
-    per refinement level, on the midpoints of every interval whose end
-    values are not yet close in argument and modulus; refinement stops
-    when all are, after which the nearer of +-sqrt(h) is provably the
-    analytic continuation.  An interval's fate depends only on its end
-    values, so each piece gets the nodes that bisecting it alone would
-    give, within its own MAX_DEPTH and MAX_NODES.  seeds[k] must square to
-    h(0, k) and fixes piece k's branch; None continues piece k from the
-    end of piece k-1, checked the same way (piece 0: the principal root).
-    Returns the joined table (us, ss), piece k's nodes stored at u + 2k.
+
+def _piece_frames(roots, pieces):
+    """(c0, off, wind) of a stack of pieces for _turn, roots r along the
+    first axis: c0[j, k] = conj(x_k(0) - r_j), off[j, k] False where arc
+    k is centred on r_j, else True, and wind[k] the turning rate Im(b) of
+    an arc centred on a root, else 0.  Arcs are centred exactly on a
+    root, as line_with_detours and flip_loop_pieces build them, or on
+    none."""
+    c, R, b = pieces.T
+    arc = b != 0
+    c0 = np.conj(np.where(arc, c + R, c) - roots[:, None])
+    off = (c != roots[:, None]) | ~arc
+    return c0, off, np.where(off.all(axis=0), 0.0, b.imag)
+
+
+def continue_sqrt(f, roots, pieces, seeds):
+    """Start and end values (y0, y1) of y = sqrt(f(x)) on each piece of a
+    stack, continued in closed form.
+
+    seeds[k] must square to f at the start of piece k and fixes its
+    sheet; None chains piece k on from the end of piece k-1 (piece 0:
+    the principal root), where piece k must start, to well within its
+    distance from the nearest root.  Each end value is +-sqrt(f(x(1)))
+    with the sign of the seed of its run turned by the turns of the
+    run's pieces up to it.
     """
     n = len(seeds)
-    # a closed loop can return to h(0) exactly, which would fool a pure
-    # endpoint test; a uniform starting grid below the winding scale of
-    # any single piece makes the refinement criterion sound
-    m = BASE_GRID + 1
-    k, u = np.divmod(np.arange(n * m), m)
-    u = u / BASE_GRID
-    hv = np.asarray(h(u, k), dtype=complex)
-    # pending intervals, from grid node i to i + 1, as piece, end
-    # parameters and end values; an accepted one contributes its right end
-    i = np.flatnonzero(u < 1.0)
-    us, ks, hs = [u[::m]], [k[::m]], [hv[::m]]
-    k, u_a, u_b, h_a, h_b = k[i], u[i], u[i + 1], hv[i], hv[i + 1]
-    n_nodes = np.ones(n, dtype=int)
-    for depth in range(MAX_DEPTH + 1):
-        ok = _step_ok(h_a, h_b)
-        us.append(u_b[ok])
-        ks.append(k[ok])
-        hs.append(h_b[ok])
-        n_nodes += np.bincount(k[ok], minlength=n)
-        bad = ~ok
-        if not bad.any():
-            break
-        k, u_a, h_a, u_b, h_b = k[bad], u_a[bad], h_a[bad], u_b[bad], h_b[bad]
-        if (depth >= MAX_DEPTH
-                or np.any(n_nodes + np.bincount(k, minlength=n) > MAX_NODES)):
-            raise SheetTrackingError(
-                "analytic continuation did not stabilize; path passes too "
-                "close to a zero of f")
-        u_m = 0.5 * (u_a + u_b)
-        h_m = np.asarray(h(u_m, k), dtype=complex)
-        k = np.concatenate([k, k])
-        u_a, u_b = np.concatenate([u_a, u_m]), np.concatenate([u_m, u_b])
-        h_a, h_b = np.concatenate([h_a, h_m]), np.concatenate([h_m, h_b])
-    us, ks, hs = (np.concatenate(a) for a in (us, ks, hs))
-    order = np.lexsort((us, ks))
-    us, ks, hs = us[order], ks[order], hs[order]
-
-    # the nearer of +-root to the previous branch value: each step's sign
-    # flip against the previous principal root, accumulated from the start
-    # of the last seeded piece, where the flip is the seed's own; no step
-    # can tie, since consecutive values are within ARG_STEP in argument
-    first = np.searchsorted(ks, np.arange(n))
-    restarts = np.array([s is not None for s in seeds], dtype=bool)
-    restarts[:1] = True
-    restart, chained = first[restarts], first[~restarts]
-    roots = np.sqrt(hs)
-    s0 = np.array([roots[0] if s is None else s for s in seeds],
-                  dtype=complex)[restarts]
-    prev = np.concatenate([roots[:1], roots[:-1]])
-    flip = np.abs(roots - prev) > np.abs(roots + prev)
-    flip[restart] = np.abs(s0 - roots[restart]) > np.abs(s0 + roots[restart])
-    acc = np.logical_xor.accumulate(flip)
-    start = restart[np.searchsorted(restart, np.arange(len(us)), "right") - 1]
-    ss = np.where(acc ^ np.concatenate([[False], acc[:-1]])[start],
-                  -roots, roots)
-    # each piece starts exactly on its seed or on the previous piece's end
-    ss[restart] = s0
-    ss[chained] = ss[chained - 1]
-    y0, h0 = ss[first], hs[first]
-    miss = np.abs(y0 * y0 - h0) > 1e-8 * np.maximum(np.abs(h0),
-                                                      np.abs(y0) ** 2)
+    if not n:
+        return np.zeros(0, dtype=complex), np.zeros(0, dtype=complex)
+    r = np.asarray(roots, dtype=complex)[:, None]
+    c0, off, wind = _piece_frames(r[:, 0], pieces)
+    (x0, x1), _ = x_dx(pieces, np.array([[0.0], [1.0]]))
+    f0 = f(x0)
+    seeded = np.array([s is not None for s in seeds], dtype=bool)
+    seeded[0] = True
+    s0 = np.array([np.sqrt(f0[0]) if s is None else s for s in seeds],
+                  dtype=complex)
+    miss = seeded & (np.abs(s0 * s0 - f0) > 1e-8 * np.maximum(
+        np.abs(f0), np.abs(s0) ** 2))
     if miss.any():
         raise SheetTrackingError(
-            f"seed^2 does not match h(0) on piece {np.argmax(miss)}")
-    return us + 2.0 * ks, ss
+            f"seed^2 does not match f(x) at the start of piece "
+            f"{np.argmax(miss)}")
+    gap = ~seeded[1:] & (np.abs(x0[1:] - x1[:-1])
+                         > 1e-6 * np.abs(c0[:, 1:]).min(axis=0))
+    if gap.any():
+        raise SheetTrackingError(
+            f"piece {np.argmax(gap) + 1} does not start where the piece "
+            "before it ends")
+    # piece k's run starts at its last seeded piece, and its end turns
+    # from that seed by the turns of the run's pieces up to k
+    turn = 0.5 * (_turn(x1[None], r, c0, off)[0] + wind)
+    acc = np.cumsum(turn)
+    start = np.maximum.accumulate(np.where(seeded, np.arange(n), 0))
+    y1 = _signed(np.sqrt(f(x1)), np.angle(s0[start]) + acc
+                 - (acc - turn)[start])
+    y0 = np.where(seeded, s0, np.concatenate([y1[:1], y1[:-1]]))
+    return y0, y1
 
 
-def lookup_sqrt(us, ss, u, hvals, k=None):
-    """Branch-resolved sqrt(hvals) at parameters u using a continuation
-    table; hvals of shape (len(u), P) holds the values of piece k[j] (by
-    default j) in column j, read at u + 2k in the joined table of the
-    pieces, where the unit gap keeps the node nearest to u + 2k, rounding
-    included, in piece k."""
-    u = np.asarray(u, dtype=float)
-    s = np.sqrt(np.asarray(hvals, dtype=complex))
-    if s.ndim == 2:
-        u = u[:, None] + 2.0 * (np.arange(s.shape[1]) if k is None else k)
-    # searchsorted(us, u) clipped to [1, len(us) - 1]
-    idx = np.searchsorted(us[1:-1], u) + 1
-    nearer_left = (us[idx] - u) > (u - us[idx - 1])
-    ref = ss[np.where(nearer_left, idx - 1, idx)]
-    return np.where(np.abs(s - ref) > np.abs(s + ref), -s, s)
+def piece_sheet(f, roots, pieces, y0):
+    """y on a stack of pieces: rows(k) is the sheet of pieces k, a
+    function of parameters u, shape (N, 1), returning (x, dx/du, y) at u
+    on those pieces, y the root of f(x) on the sheet that starts piece k
+    at y0[k].  An integrand narrows by taking rows once per narrowing."""
+    r = np.asarray(roots, dtype=complex)[:, None]
+    c0, off, wind = _piece_frames(r[:, 0], pieces)
+    phase0 = np.angle(y0)
+
+    def rows(k):
+        p, c, o, w, ph = pieces[k], c0[:, k], off[:, k], wind[k], phase0[k]
+        winds = w.any()
+
+        def sheet(u):
+            x, dx = x_dx(p, u)
+            if winds:
+                turn = _turn(x, r, c, o) + w * u
+            else:
+                turn = _turn(x, r, c)
+            return x, dx, _signed(np.sqrt(f(x)), ph + 0.5 * turn)
+
+        return sheet
+
+    return rows
 
 
-def _piece_ends(table, k):
-    """Branch values at the end, u = 1, of pieces k of a joined table."""
-    return table[1][np.searchsorted(table[0], 2.0 * np.asarray(k) + 1.0)]
-
-
-def integrate_forms(f, pieces, table, numerators):
+def integrate_forms(f, roots, pieces, y0, numerators):
     """Integrals of n_k(x)/y dx over each piece of a stack, one row per
-    piece, with y read from the stack's joined table; all pieces share
+    piece, piece k on the sheet that starts it at y0[k]; all pieces share
     one quadrature."""
     if not len(pieces):
         return np.zeros((0, len(numerators)), dtype=complex)
-    live = [pieces, None]      # the open pieces and their indices
+    rows = piece_sheet(f, roots, pieces, y0)
+    live = [rows(np.arange(len(pieces)))]     # the sheet of the open pieces
 
     def narrow(k):
-        live[:] = pieces[k], k
+        live[0] = rows(k)
 
     def g(u, d0, d1):
-        x, dx = x_dx(live[0], u[:, None])
-        w = dx / lookup_sqrt(*table, u, f(x), live[1])
+        x, dx, y = live[0](u[:, None])
+        w = dx / y
         return np.stack([nf(x) * w for nf in numerators], axis=2)
 
     return integrate_01(g, narrow)[0]
@@ -301,104 +293,122 @@ def flip_loop_pieces(roots, radii, x_at):
                            line_with_detours(roots, radii, ends[1, 0], x_at)])
 
 
-def _continue_runs(f, runs, y0):
-    """Chains of x-plane pieces, run i from y0[i], in one continuation:
-    (pieces, table, y_end), the runs stacked, their joined branch table,
-    and each run's end value (y0[i] for a run of no pieces)."""
+def _continue_runs(f, roots, runs, y0):
+    """Chains of x-plane pieces, run i from y0[i], in one continue_sqrt
+    call: (pieces, starts, y_end), the runs stacked, each piece's start
+    value, and each run's end value (y0[i] for a run of no pieces)."""
     pieces = np.concatenate(runs)
     y_end = np.array(y0, dtype=complex)
-    if not len(pieces):
-        return pieces, (np.zeros(0), np.zeros(0, dtype=complex)), y_end
     seeds, last, full = [], [], []
     for i, run in enumerate(runs):
         if len(run):
             seeds += [y0[i]] + [None] * (len(run) - 1)
             last.append(len(seeds) - 1)
             full.append(i)
-    table = continue_sqrt(lambda u, k: f(x_dx(pieces[k], u)[0]), seeds)
-    y_end[full] = _piece_ends(table, last)
-    return pieces, table, y_end
+    starts, ends = continue_sqrt(f, roots, pieces, seeds)
+    y_end[full] = ends[last]
+    return pieces, starts, y_end
 
 
 def path_between(f, roots, P0, P1):
-    """Paths from the affine points P0[i] to P1[i] as (pieces, table,
-    path): each is the straight run with detours, plus a sheet-flip loop
-    when that run lands on -y1; table is the pieces' joined branch table
+    """Paths from the affine points P0[i] to P1[i] as (pieces, y0, path):
+    each is the straight run with detours, plus a sheet-flip loop from
+    -y1 when that run lands on -y1; y0 holds each piece's start value
     and path[k] the index of the path piece k belongs to.  The straight
-    runs of all paths share one continuation, and the flip loops that are
-    needed a second."""
+    runs of all paths are chained in one continue_sqrt call, and the
+    flip loops that are needed in a second."""
     radii = detour_radii(roots)
+    x1 = np.array([P.x for P in P1], dtype=complex)
     y1 = np.array([P.y for P in P1], dtype=complex)
-    runs = [line_with_detours(roots, radii, a.x, b.x)
-            for a, b in zip(P0, P1)]
-    pieces, (us, ss), y_end = _continue_runs(f, runs, [P.y for P in P0])
+    f1 = f(x1)
+    miss = np.abs(y1 * y1 - f1) > 1e-8 * np.maximum(np.abs(f1),
+                                                     np.abs(y1) ** 2)
+    if miss.any():
+        raise SheetTrackingError(
+            f"target y = {y1[np.argmax(miss)]:.6g} does not square to f(x)")
+    runs = [line_with_detours(roots, radii, a.x, b)
+            for a, b in zip(P0, x1)]
+    pieces, y0, y_end = _continue_runs(f, roots, runs, [P.y for P in P0])
     path = np.repeat(np.arange(len(runs)), [len(run) for run in runs])
     flip = np.flatnonzero(np.abs(y_end - y1) > np.abs(y_end + y1))
     if len(flip):
-        loops = [flip_loop_pieces(roots, radii, P1[i].x) for i in flip]
-        loop, (us_loop, ss_loop), y_end[flip] = _continue_runs(
-            f, loops, y_end[flip])
-        us = np.concatenate([us, us_loop + 2.0 * len(pieces)])
-        ss = np.concatenate([ss, ss_loop])
+        loops = [flip_loop_pieces(roots, radii, x1[i]) for i in flip]
+        loop, y0_loop, y_loop = _continue_runs(f, roots, loops, -y1[flip])
+        if np.any(np.abs(y_loop - y1[flip]) > np.abs(y_loop + y1[flip])):
+            raise SheetTrackingError("flip loop failed to change sheets")
         pieces = np.concatenate([pieces, loop])
+        y0 = np.concatenate([y0, y0_loop])
         path = np.concatenate([path, np.repeat(flip, [len(lp)
                                                       for lp in loops])])
-    miss = np.abs(y_end - y1) > TOL_END * np.maximum(
-        np.maximum(np.abs(y_end), np.abs(y1)), 1e-300)
-    if miss.any():
-        i = np.argmax(miss)
-        raise SheetTrackingError(
-            f"continued y = {y_end[i]:.6g} does not match target "
-            f"{y1[i]:.6g}")
-    return pieces, (us, ss), path
+    return pieces, y0, path
 
 
 # -- factored branch-point segments -----------------------------------------
 
-def segment_period_integrals(f, roots, pairs):
-    """Row p holds the integrals of (dx/y, x dx/y, r1, r2) over the
-    straight segment from roots[i] to roots[j], (i, j) = pairs[p], on the
-    sheet fixed by the principal cofactor root; all segments share one
-    continuation and one quadrature.
+def segment_sheet(f, roots, pairs):
+    """The straight segments from roots[i] to roots[j], (i, j) = pairs[p]:
+    rows(p) is the sheet of segments p, a function of parameters u, shape
+    (N, 1), returning (x, dx/du, s) at u on those segments, x = roots[i]
+    + u (roots[j] - roots[i]), with s the root of the cofactor G on the
+    sheet of its principal root at u = 0.
 
     With x(u) = b_i + u (b_j - b_i) the polynomial factors through
     y = s(u) sqrt(u (1-u)), where s^2 = G(u) = -lc d^2 prod(x(u) - r_k)
     over the roots other than i and j.  G never vanishes on the segment,
-    so s is a plain analytic continuation and the endpoint singularity is
-    integrable by the doubly exponential rule.
+    and its turn is the sum over those roots, so s is fixed in closed form
+    and the endpoint singularity is integrable by the doubly exponential
+    rule.
     """
     roots = np.asarray(roots, dtype=complex)
     bi = np.array([roots[i] for i, _ in pairs])
     d = np.array([roots[j] for _, j in pairs]) - bi
-    # others[p]: the roots off segment p, one row per segment
-    others = np.array([np.delete(roots, [i, j]) for i, j in pairs])
+    # the roots off each segment, one column per segment
+    others = np.array([np.delete(roots, [i, j]) for i, j in pairs]).T
     lead = f.leading
 
-    def G(x, p=slice(None)):
-        """Cofactor of segment p at points x on it; by default of every
-        segment, along the last axis."""
-        acc = -lead * d[p] * d[p]
-        for r in others[p].T:
+    def G(x, d, others):
+        """Cofactor at points x on the segments of steps d and the given
+        other roots, segments along the last axis."""
+        acc = -lead * d * d
+        for r in others:
             acc = acc * (x - r)
         return acc
 
-    g0 = G(bi + 0.0 * d)
+    g0 = G(bi + 0.0 * d, d, others)
     ref = d * f.deriv(bi)
     if np.any(np.abs(g0 - ref) > 1e-8 * np.maximum(np.abs(g0), np.abs(ref))):
         raise SheetTrackingError("factored cofactor fails the endpoint check")
-    us, ss = continue_sqrt(lambda u, p: G(bi[p] + u * d[p], p),
-                           np.sqrt(g0))
+    phase0 = np.angle(np.sqrt(g0))
+    c0 = np.conj(bi - others)
+
+    def rows(p):
+        b, dp, r, c, ph = bi[p], d[p], others[:, p], c0[:, p], phase0[p]
+
+        def sheet(u):
+            x = b + u * dp
+            psi = ph + 0.5 * _turn(x, r, c)
+            return x, dp, _signed(np.sqrt(G(x, dp, r)), psi)
+
+        return sheet
+
+    return rows
+
+
+def segment_period_integrals(f, roots, pairs):
+    """Row p holds the integrals of (dx/y, x dx/y, r1, r2) over the
+    straight segment from roots[i] to roots[j], (i, j) = pairs[p], on the
+    sheet of segment_sheet; all segments share one quadrature."""
+    rows = segment_sheet(f, roots, pairs)
     nums = all_numerators(f)
-    live = [np.arange(len(pairs))]     # the open segments
+    live = [rows(np.arange(len(pairs)))]     # the sheet of the open ones
 
     def narrow(p):
-        live[0] = p
+        live[0] = rows(p)
 
     def g(u, d0, d1):
-        p = live[0]
-        x = bi[p] + u[:, None] * d[p]
-        y = lookup_sqrt(us, ss, u, G(x, p), p) * np.sqrt(d0 * d1)[:, None]
-        return np.stack([nf(x) * d[p] / y for nf in nums], axis=2)
+        x, dx, s = live[0](u[:, None])
+        y = s * np.sqrt(d0 * d1)[:, None]
+        return np.stack([nf(x) * dx / y for nf in nums], axis=2)
 
     val, _ = integrate_01(g, narrow)
     return val
@@ -406,15 +416,16 @@ def segment_period_integrals(f, roots, pairs):
 
 # -- tails to infinity --------------------------------------------------------
 
-def tail_integrals(f, x_far, y_far):
-    """Integrals of (dx/y, x dx/y) from far points out to infinity.
-
-    x_far and y_far are equal-length sequences of far points; their
-    tails share one continuation and one quadrature.  Returns
-    (T, landed_plus): T of shape (N, 2), the two integrals along each ray
-    to infinity in the compactifying chart, and a bool array, whether
-    each continuation arrives at the infinite point labelled 1
-    (y/x^3 -> +sqrt(f6) principal; always True on degree-5 curves).
+def tail_sheet(f, x_far, y_far):
+    """The tails from the far points (x_far[k], y_far[k]) out to infinity,
+    in the chart t = 1/x (t^2 = 1/x on degree 5): rows(k) is the sheet of
+    tails k, a function of tau in [0, 1], shape (N,), where tail k is at
+    t = (1 - tau) t1[k], returning the integrands (N, len(k), 2) of dx/y
+    and x dx/y in tau and the root s of h = t^6 f(1/t) (Q(t^2) =
+    t^10 f(1/t^2) on degree 5) on the sheet of y_far[k] t1^3 (t1^5).
+    Every factor 1 - r t of h stays within 1/FAR_FACTOR of 1 on a tail
+    from beyond FAR_FACTOR times the root scale, so arg h moves by less
+    than a radian along it, and s is the root of h nearer the seed.
     """
     x_far = np.asarray(x_far, dtype=complex)
     y_far = np.asarray(y_far, dtype=complex)
@@ -440,74 +451,123 @@ def tail_integrals(f, x_far, y_far):
             return [2 * t ** 3 * ((1.0 - tau) ** 2)[:, None] / s,
                     2 * t / s]
 
-    table = continue_sqrt(lambda tau, k: h(tau, t1[k]), seeds)
-    live = [np.arange(len(t1))]     # the open tails
+    phase0 = np.angle(seeds)
+
+    def rows(k):
+        t, ph = t1[k], phase0[k]
+
+        def sheet(tau):
+            s = _signed(np.sqrt(h(tau[:, None], t)), ph)
+            return np.stack(forms(tau, t, s), axis=2), s
+
+        return sheet
+
+    return rows
+
+
+def _lands_plus(f, rows, n):
+    """Whether each of the n tails of a tail_sheet arrives at the infinite
+    point labelled 1 (y/x^3 -> +sqrt(f6) principal; always True on
+    degree-5 curves)."""
+    if f.degree == 5:
+        return np.ones(n, dtype=bool)
+    s_end = rows(np.arange(n))(np.ones(1))[1][0]
+    pr = np.sqrt(complex(f.coeffs[6]))
+    return np.abs(s_end - pr) <= np.abs(s_end + pr)
+
+
+def tail_integrals(f, x_far, y_far):
+    """Integrals of (dx/y, x dx/y) from far points out to infinity.
+
+    x_far and y_far are equal-length sequences of far points, beyond
+    FAR_FACTOR times the root scale; their tails share one quadrature.
+    Returns (T, landed_plus): T of shape (N, 2), the two integrals along
+    each ray to infinity in the compactifying chart, and a bool array,
+    whether each tail arrives at the infinite point labelled 1 (see
+    _lands_plus).
+    """
+    rows = tail_sheet(f, x_far, y_far)
+    n = len(x_far)
+    live = [rows(np.arange(n))]     # the sheet of the open tails
 
     def narrow(k):
-        live[0] = k
+        live[0] = rows(k)
 
     def g(tau, d0, d1):
-        t = t1[live[0]]
-        s = lookup_sqrt(*table, tau, h(tau[:, None], t), live[0])
-        return np.stack(forms(tau, t, s), axis=2)
+        return live[0](tau)[0]
 
     T, _ = integrate_01(g, narrow)
-    if f.degree == 5:
-        return T, np.ones(len(x_far), dtype=bool)
-    s_end = _piece_ends(table, np.arange(len(x_far)))
-    pr = np.sqrt(complex(f.coeffs[6]))
-    return T, np.abs(s_end - pr) <= np.abs(s_end + pr)
+    return T, _lands_plus(f, rows, n)
 
 
 def point_infinity_integrals(f, roots, P, scale, z_star):
     """Holomorphic integrals from the infinite point labelled 2 (the one
     point at infinity on degree 5) to each affine point of the sequence P,
     one row per point, along a tail from infinity to a far point and a
-    radial run with detours.  The radial runs share one continuation and
-    one quadrature, and so do the tails; a tail that lands on label 1 is
+    radial run with detours.  The radial runs share one chain and one
+    quadrature, and so do the tails; a tail that lands on label 1 is
     moved to label 2 by z_star, the integral from 2 to 1 (None on degree 5).
     """
     radii = detour_radii(roots)
-    runs, seeds, x_far = [], [], []
+    runs, x_far = [], []
     for Q in P:
         R = max(FAR_FACTOR * scale, 2.5 * abs(Q.x))
-        phi = float(np.angle(Q.x)) if abs(Q.x) > 1e-12 * scale else 0.7310
+        phi = float(np.angle(Q.x)) if abs(Q.x) > 1e-12 * scale else FAR_ARG
         x_far.append(R * np.exp(1j * phi))
         runs.append(line_with_detours(roots, radii, Q.x, x_far[-1]))
-        seeds += [Q.y] + [None] * (len(runs[-1]) - 1)
-    pieces = np.concatenate(runs)
-    table = continue_sqrt(lambda u, k: f(x_dx(pieces[k], u)[0]), seeds)
+    pieces, y0, y_far = _continue_runs(f, roots, runs, [Q.y for Q in P])
     ends = np.cumsum([len(run) for run in runs])
     I_aff = np.array([v.sum(axis=0) for v in np.split(
-        integrate_forms(f, pieces, table, holomorphic_numerators()),
+        integrate_forms(f, roots, pieces, y0, holomorphic_numerators()),
         ends[:-1])])
-    T, landed_plus = tail_integrals(f, x_far, _piece_ends(table, ends - 1))
+    T, landed_plus = tail_integrals(f, x_far, y_far)
     J = -T - I_aff
     if f.degree == 6:
         J = J + np.where(landed_plus[:, None], z_star, 0)
     return J
 
 
-def infinity_to_infinity(f, roots, scale):
-    """Holomorphic integrals from the infinite point labelled 2 to the one
-    labelled 1, routed through a far point and a sheet-flip loop.
-    Degree-6 curves only.
+def far_ray_integrals(f, roots, scale, radii):
+    """(J, z_star): the holomorphic integrals from the infinite point
+    labelled 2 (the one point at infinity on degree 5) to the points on
+    the far ray arg x = FAR_ARG at the given increasing radii, one row
+    per point, and on degree 6 z_star, the integral from label 2 to
+    label 1 (None on degree 5).
 
-    The loop ends at x_far on the other sheet, -y_far.  The tail from
-    there is the tail from y_far with every y negated: the same
-    continuation with the opposite sign, so it is exactly -T and lands
-    on the other infinite point, and needs no integration of its own."""
-    x_far = FAR_FACTOR * scale * np.exp(0.7310j)
+    The ray runs on to x_far = FAR_FACTOR scale exp(i FAR_ARG), and one
+    tail from there serves every point.  Its seed y_far, the root of
+    f(x_far) whose tail lands on label 2, is fixed before any
+    quadrature, and with it the sheet of the ray's points: the one on
+    which the ray reaches y_far.  Every detour disc lies within
+    (1 + 2 DETOUR_FACTOR) scale of 0, so a ray from beyond that radius
+    is plain lines between its points.  On degree 6 a sheet-flip loop
+    at x_far runs from y_far to -y_far; the tail from there is the
+    first with every y negated, exactly -T, and lands on label 1, so
+    z_star = -T + I_loop - T.  The ray and the loop are one chain and
+    one quadrature; the tail is a second.
+    """
+    x_far = FAR_FACTOR * scale * np.exp(1j * FAR_ARG)
+    xs = np.append(np.asarray(radii) * np.exp(1j * FAR_ARG), x_far)
     y_far = complex(np.sqrt(f(x_far)))
-    T, landed_plus = tail_integrals(f, [x_far], [y_far])
-    T = T[0]
-    if landed_plus[0]:
+    if f.degree == 6 and _lands_plus(f, tail_sheet(f, [x_far], [y_far]),
+                                     1)[0]:
         y_far = -y_far
-        T = -T
-    # now the tail from x_far with seed y_far lands on label 2
-    pieces = flip_loop_pieces(roots, detour_radii(roots), x_far)
-    _, table, y_end = _continue_runs(f, [pieces], [y_far])
-    if abs(y_end[0] + y_far) > TOL_END * abs(y_far):
+    n = len(radii)
+    pieces = np.stack([xs[:-1], np.diff(xs), np.zeros(n)], axis=1)
+    seeds = [np.sqrt(f(xs[0]))] + [None] * (n - 1)
+    if f.degree == 6:
+        loop = flip_loop_pieces(roots, detour_radii(roots), x_far)
+        pieces = np.concatenate([pieces, loop])
+        seeds += [y_far] + [None] * (len(loop) - 1)
+    y0, y1 = continue_sqrt(f, roots, pieces, seeds)
+    if abs(y1[n - 1] - y_far) > abs(y1[n - 1] + y_far):
+        y0[:n] = -y0[:n]
+    if f.degree == 6 and abs(y1[-1] - y_far) <= abs(y1[-1] + y_far):
         raise SheetTrackingError("flip loop failed to change sheets")
-    I_loop = integrate_forms(f, pieces, table, holomorphic_numerators())
-    return -T + I_loop.sum(axis=0) - T
+    I = integrate_forms(f, roots, pieces, y0, holomorphic_numerators())
+    T = tail_integrals(f, [x_far], [y_far])[0][0]
+    # each point's integral out to x_far: the lines beyond it
+    J = -T - np.cumsum(I[n - 1::-1], axis=0)[::-1]
+    if f.degree == 5:
+        return J, None
+    return J, -T + I[n:].sum(axis=0) - T

@@ -627,9 +627,9 @@ def _divisors(D):
 def _path_integrals(ctx, P0, P1, numerators):
     """Integrals of the forms n_k(x)/y dx from each P0[i] to P1[i], all
     affine, one row per pair, along the paths of path_between."""
-    f = ctx.f
-    pieces, table, path = path_between(f, list(ctx.pd.roots), P0, P1)
-    vals = integrate_forms(f, pieces, table, numerators)
+    f, roots = ctx.f, list(ctx.pd.roots)
+    pieces, y0, path = path_between(f, roots, P0, P1)
+    vals = integrate_forms(f, roots, pieces, y0, numerators)
     out = np.zeros((len(P0), len(numerators)), dtype=complex)
     np.add.at(out, path, vals)
     return out

@@ -15,8 +15,12 @@ and Legendre checks.
 The base-point constant Delta comes in closed form, not from a search: it
 is one of 16 candidates, a half-period plus (1/2) A^{-1} z_star on degree 6
 (plus nothing on degree 5, where infinity is a Weierstrass point), and the
-theta-vanishing certificate on a fan of Abel images must accept exactly
-one of them.
+theta-vanishing certificate on the Abel images of ABEL_SAMPLES points
+must accept exactly one of them.  The points lie on one ray out to the
+far point where z_star's flip loop turns (integration.far_ray_integrals),
+so one chain of sheets, one quadrature of the ray and the loop, and one
+tail to infinity give both; with the loop segments, a build takes three
+quadratures, every sheet fixed before the first.
 
 Lattice points are named by one integer convention throughout: k = (n1,
 n2, m1, m2) stands for u = n + Omega m in the normalized coordinates
@@ -31,18 +35,19 @@ import warnings
 
 import numpy as np
 
-from .curve import CurvePoint, branch_points
+from .curve import branch_points
 from .errors import (DegenerateGeometryError, DeltaAmbiguityError,
                      RiemannMatrixError)
-from .integration import (infinity_to_infinity, point_infinity_integrals,
-                          segment_period_integrals)
+from .integration import far_ray_integrals, segment_period_integrals
 from .theta import ThetaParams, lattice_reduce, theta_jet
 
 TOL_SYM = 1e-8
 TOL_LEG = 1e-8
 COND_CAP = 1e12         # of the real generator matrix [Re; Im] [A B]
 SCALE_BAND = (0.1, 10.0)
-ABEL_SAMPLES = 8        # fan of Abel images certifying Delta
+ABEL_SAMPLES = 8        # Abel images certifying Delta
+# radii of the sample points on the far ray, times the root scale
+SAMPLE_RADII = 2.0 * 1.25 ** np.arange(ABEL_SAMPLES)
 
 # the standard symplectic form: a_i . b_j = delta_ij, in (a1, a2, b1, b2)
 J = np.array([[0, 0, 1, 0],
@@ -216,10 +221,9 @@ def compute_period_data(f, ordering=None):
             "yield a certified, well-conditioned Riemann matrix for this "
             "curve")
 
-    z_star = None
-    if f.degree == 6:
-        z_star = infinity_to_infinity(f, roots, scale)
-    Delta, char = _riemann_constant(f, A, Omega, roots, scale, z_star)
+    samples, z_star = far_ray_integrals(f, roots, scale,
+                                        SAMPLE_RADII * scale)
+    Delta, char = _riemann_constant(f, A, Omega, samples, z_star)
     return PeriodData(A=A, B=B, etaA=etaA, etaB=etaB, Omega=Omega,
                       Delta=Delta, delta_char=char, transform=T, f=f,
                       roots=tuple(roots), scale=scale, z_star=z_star)
@@ -255,25 +259,15 @@ def nearest_lattice_residual(pd, z):
 
 # -- Riemann constant ---------------------------------------------------------
 
-def _abel_samples(f, A, roots, scale, z_star):
-    """Normalized Abel images u = A^{-1} * integral from inf_2 (inf on
-    degree 5) to P for a deterministic fan of sample points P, one row
-    per point."""
-    xs = 1.7 * scale * np.exp(
-        2j * np.pi * (0.137 + 0.618034 * np.arange(ABEL_SAMPLES)))
-    points = [CurvePoint.affine(x, np.sqrt(complex(f(x)))) for x in xs]
-    z = point_infinity_integrals(f, roots, points, scale, z_star)
-    return np.linalg.solve(A, z.T).T
-
-
 def _half_period(Omega, k):
     """Half the lattice point k = (n, m) in u-coordinates, (n + Omega m) / 2."""
     k = np.asarray(k, dtype=float)
     return 0.5 * (k[..., :2] + k[..., 2:] @ Omega.T)
 
 
-def _riemann_constant(f, A, Omega, roots, scale, z_star):
-    """Delta from the closed-form candidate set, certified by vanishing.
+def _riemann_constant(f, A, Omega, samples, z_star):
+    """Delta from the closed-form candidate set, certified by vanishing
+    on the normalized Abel images u = A^{-1} z of the samples z.
 
     At a Weierstrass base point the Riemann constant is a half-period
     (Mumford, Tata Lectures on Theta II, ch. IIIa); moving the base point
@@ -292,7 +286,7 @@ def _riemann_constant(f, A, Omega, roots, scale, z_star):
     the other samples in the second.
     """
     tp = ThetaParams.build(Omega)
-    us = _abel_samples(f, A, roots, scale, z_star)
+    us = np.linalg.solve(A, samples.T).T
     shift = 0.0 if z_star is None else 0.5 * np.linalg.solve(A, z_star)
     chars = list(product((0, 1), repeat=4))
     cands = _half_period(Omega, chars) + shift

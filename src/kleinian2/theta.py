@@ -49,13 +49,18 @@ EXP_FLOOR = -700.0    # least exponent of a term's modulus; exp of it is normal
 TERM_BUDGET = 1 << 15  # (row, box point) pairs summed per block
 PHASE_TABLES = 32     # Omega tables kept, one per (Omega, radius)
 
-_BINOM = np.array([[math.comb(a, c) for c in range(4)] for a in range(4)],
-                  dtype=float)
-# the power a - c of mu in L[a, c] of _leibniz (0 above the diagonal)
-_DROP = np.maximum(np.subtract.outer(range(4), range(4)), 0)
+# _LEIBNIZ[order][p, (a, c)] = C(a, c) (-2 pi i)^p where a - c == p, else
+# 0: the Leibniz matrix L[a, c] = C(a, c) mu^(a-c), mu = -2 pi i m, of
+# _leibniz is (m^p)_p @ it
+_POWERS = [np.arange(k + 1) for k in range(4)]
+_LEIBNIZ = [np.array([[math.comb(a, c) * (-2j * np.pi) ** p * (a - c == p)
+                       for a in range(k + 1) for c in range(k + 1)]
+                      for p in range(k + 1)])
+            for k in range(4)]
 # _VALID[order][k1, k2]: 1 where k1 + k2 <= order, else 0
 _VALID = [(np.add.outer(range(k + 1), range(k + 1)) <= k).astype(float)
           for k in range(4)]
+_INVALID = [v == 0 for v in _VALID]
 
 
 @dataclass(frozen=True)
@@ -232,15 +237,12 @@ def _leibniz(Om, m, z0, J0, order):
     J[k1, k2] = e sum C(k1, b1) C(k2, b2) mu1^b1 mu2^b2 J0[k1-b1, k2-b2],
     which is e * L1 @ J0 @ L2^T with L[k, j] = C(k, j) mu^(k-j)."""
     e = np.exp(-1j * np.pi * np.einsum("ri,ij,rj->r", m, Om, m)
-               - 2j * np.pi * np.einsum("ri,ri->r", m, z0))
+               - 2j * np.pi * (m * z0).sum(axis=1))
     k = order + 1
-    powers = np.ones((k, len(m), 2), dtype=complex)
-    for p in range(1, k):
-        powers[p] = powers[p - 1] * (-2j * np.pi * m)
-    # L[a, c, row, i] = C(a, c) mu_i^(a-c), zero above the diagonal
-    L = _BINOM[:k, :k, None, None] * powers[_DROP[:k, :k]]
-    L1, L2 = L[..., 0].transpose(2, 0, 1), L[..., 1].transpose(2, 0, 1)
-    J = e[:, None, None] * (L1 @ J0 @ L2.transpose(0, 2, 1))
+    L = (np.power.outer(m, _POWERS[order]) @ _LEIBNIZ[order]).reshape(
+        len(m), 2, k, k)
+    J = L[:, 0] @ J0 @ L[:, 1].transpose(0, 2, 1)
+    J *= e[:, None, None]
     # the products also fill k1 + k2 > order; keep those entries zero
-    return np.where(_VALID[order] > 0, J, 0)
-
+    J[:, _INVALID[order]] = 0
+    return J

@@ -101,6 +101,35 @@ def test_abel_unordered_and_involution(any_ctx):
         assert k2.nearest_lattice_residual(ctx.pd, z1 + z3) < 1e-9
 
 
+def test_abel_near_a_branch_point_in_either_order(any_ctx):
+    """P = (e + delta, y) next to the branch point e, delta = 1e-6 ...
+    1e-10, Q at 0.4 + 0.7i, all four sign choices: neither order of the
+    divisor loses the sheet, and where both orders integrate they agree
+    modulo the lattice.  Paths that end in a flip loop about e may still
+    miss the quadrature tolerance (QuadratureError): x near e is stored
+    as e + (x - e), so f(x) there carries rounding noise of relative
+    size 1e-16 / delta."""
+    ctx = any_ctx
+    f = ctx.f
+    e = ctx.pd.roots[1]
+    compared = 0
+    for delta in (1e-6, 1e-7, 1e-8, 1e-9, 1e-10):
+        for sp, sq in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            P = k2.CurvePoint.affine(e + delta, sp * np.sqrt(f(e + delta)))
+            Q = k2.CurvePoint.affine(0.4 + 0.7j, sq * np.sqrt(f(0.4 + 0.7j)))
+            z = []
+            for D in (k2.Divisor(P, Q), k2.Divisor(Q, P)):
+                try:
+                    z.append(k2.abel_forward(ctx, D))
+                except k2.QuadratureError:
+                    pass
+            if len(z) == 2:
+                compared += 1
+                residual = k2.nearest_lattice_residual(ctx.pd, z[0] - z[1])
+                assert residual < 1e-10
+    assert compared >= 8
+
+
 def test_abel_infinite_points_differ_by_z_star(g6_ctx):
     """Swapping which infinite point completes the divisor shifts the image
     by the infinity-to-infinity integral, modulo periods."""

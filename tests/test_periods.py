@@ -322,53 +322,56 @@ def test_z_star_invariant_mod_lattice():
     np.random.default_rng(8), 6, 0.8 - 0.6j)], ids=["g6", "ring6"])
 def test_z_star_continues_one_tail(coeffs, monkeypatch):
     """The tail back to infinity from the flip loop's end, at -y_far, is
-    the first tail with every y negated, so z_star = I_loop - 2 T needs
-    one tail continuation, and matches the route that integrates both."""
+    the first tail with every y negated, so z_star = I_loop - 2 T
+    integrates one tail, the one the Abel samples share, and matches the
+    route that integrates both."""
     f = k2.validate_polynomial(coeffs)
     roots = branch_points(f)
     scale = max(1.0, max(abs(r) for r in roots))
     calls = []
-    continue_sqrt = integration.continue_sqrt
+    tail_integrals = integration.tail_integrals
 
-    def recording(h, seeds):
-        calls.append(seeds)
-        return continue_sqrt(h, seeds)
+    def recording(f, x_far, y_far):
+        calls.append((list(x_far), list(y_far)))
+        return tail_integrals(f, x_far, y_far)
 
-    monkeypatch.setattr(integration, "continue_sqrt", recording)
-    z_star = integration.infinity_to_infinity(f, roots, scale)
+    monkeypatch.setattr(integration, "tail_integrals", recording)
+    _, z_star = _samples(f, roots, scale)
     monkeypatch.undo()
     x_far = integration.FAR_FACTOR * scale * np.exp(0.7310j)
     y_far = complex(np.sqrt(f(x_far)))
-    loop_pieces = integration.flip_loop_pieces(
-        roots, integration.detour_radii(roots), x_far)
-    # one tail, seeded in the chart at infinity by y_far / x_far^3, then
-    # the flip loop, one chain from +-y_far
-    tail_seeds, loop_seeds = calls
-    assert len(tail_seeds) == 1
-    assert abs(abs(tail_seeds[0] * x_far ** 3) - abs(y_far)) <= (
-        1e-14 * abs(y_far))
-    assert len(loop_seeds) == len(loop_pieces)
-    assert abs(loop_seeds[0]) == abs(y_far) and loop_seeds[1:] == [None] * (
-        len(loop_pieces) - 1)
+    (tail_x, tail_y), = calls
+    assert tail_x == [x_far] and abs(tail_y[0]) == abs(y_far)
 
     # both tails, each integrated
     T, landed_plus = integration.tail_integrals(f, [x_far], [y_far])
     if landed_plus[0]:
         y_far, T = -y_far, -T
-    _, table, _ = integration._continue_runs(f, [loop_pieces], [y_far])
+    assert tail_y[0] == y_far
+    loop_pieces = integration.flip_loop_pieces(
+        roots, integration.detour_radii(roots), x_far)
+    _, y0, y_end = integration._continue_runs(f, roots, [loop_pieces],
+                                              [y_far])
     I_loop = integration.integrate_forms(
-        f, loop_pieces, table, integration.holomorphic_numerators())
+        f, roots, loop_pieces, y0, integration.holomorphic_numerators())
     I_loop = I_loop.sum(axis=0)
-    T_out, landed_plus = integration.tail_integrals(f, [x_far], [table[1][-1]])
+    T_out, landed_plus = integration.tail_integrals(f, [x_far], y_end)
     assert landed_plus[0]
     want = -T[0] + I_loop + T_out[0]
     assert np.max(np.abs(z_star - want)) <= 1e-15 * np.max(np.abs(want))
 
 
+def _samples(f, roots, scale):
+    """(J, z_star): the Abel samples certifying Delta, and z_star."""
+    return integration.far_ray_integrals(f, roots, scale,
+                                         periods.SAMPLE_RADII * scale)
+
+
 def _recompute_delta(f, pd):
     """Delta for existing period data, certificate included."""
-    return periods._riemann_constant(f, pd.A, pd.Omega, list(pd.roots),
-                                     pd.scale, pd.z_star)[0]
+    samples, _ = _samples(f, list(pd.roots), pd.scale)
+    return periods._riemann_constant(f, pd.A, pd.Omega, samples,
+                                     pd.z_star)[0]
 
 
 def test_riemann_constant_recompute(any_ctx):
@@ -444,7 +447,7 @@ def _delta_by_candidate_loop(f, pd):
     call per candidate and sample, each candidate dropped at its first
     failing sample.  Returns every passing (Delta, (n0, m0))."""
     tp = ThetaParams.build(pd.Omega)
-    us = periods._abel_samples(f, pd.A, list(pd.roots), pd.scale, pd.z_star)
+    us = np.linalg.solve(pd.A, _samples(f, list(pd.roots), pd.scale)[0].T).T
     theta_ref = max(abs(theta(tp, np.zeros(2))),
                     max(abs(theta(tp, u)) for u in us))
     shift = (0.0 if pd.z_star is None

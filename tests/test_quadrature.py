@@ -1,6 +1,6 @@
 """Tanh-sinh quadrature against closed forms and an mpmath oracle, and the
-square-root sheet tracker on paths that wind around roots, checked
-against a scalar depth-first copy of the continuation."""
+closed-form square-root sheet on paths that wind around roots, checked
+against a dense-step continuation at the quadrature's nodes."""
 
 import mpmath
 import numpy as np
@@ -9,11 +9,11 @@ import pytest
 import kleinian2 as k2
 from kleinian2 import integration
 from kleinian2.curve import branch_points
-from kleinian2.integration import (ARG_STEP, BASE_GRID, MAX_DEPTH, MAX_NODES,
-                                   RATIO_STEP, continue_sqrt, detour_radii,
+from kleinian2.integration import (continue_sqrt, detour_radii,
                                    flip_loop_pieces, line_with_detours,
-                                   lookup_sqrt, tail_integrals, x_dx)
-from kleinian2.quadrature import integrate_01
+                                   piece_sheet, segment_sheet, tail_sheet,
+                                   x_dx)
+from kleinian2.quadrature import _nodes, integrate_01
 
 from conftest import G6_COEFFS, W5_COEFFS
 
@@ -179,132 +179,6 @@ def test_each_integral_of_a_stack_retires_at_its_own_level(run, narrowed):
         assert all(cols == list(range(len(EASY_TO_HARD))) for cols in seen)
 
 
-def test_continue_sqrt_closed_loop_winding():
-    """A loop encircling one root of f an odd number of times must come back
-    on the other sheet, even though h(1) == h(0) exactly."""
-    f = k2.validate_polynomial(G6_COEFFS)
-    center = 1.0  # a root of x^6 - 1
-
-    def h_loop(u):
-        return f(center + 0.3 * np.exp(2j * np.pi * u))
-
-    us, ss = continue_sqrt(lambda u, k: h_loop(u), [None])
-    assert abs(ss[-1] + ss[0]) < 1e-12 * abs(ss[0])
-
-    def h_null(u):
-        # same circle around a point with no enclosed root
-        return f(3.0 + 0.3 * np.exp(2j * np.pi * u))
-
-    us, ss = continue_sqrt(lambda u, k: h_null(u), [None])
-    assert abs(ss[-1] - ss[0]) < 1e-12 * abs(ss[0])
-
-
-def test_continue_sqrt_double_winding_returns():
-    f = k2.validate_polynomial(G6_COEFFS)
-
-    def h(u, k):
-        return f(1.0 + 0.3 * np.exp(4j * np.pi * u))
-
-    us, ss = continue_sqrt(h, [None])
-    assert abs(ss[-1] - ss[0]) < 1e-12 * abs(ss[0])
-
-
-def test_continue_sqrt_seed_selects_branch():
-    def h(u, k):
-        return 4.0 + 0j + 0.0 * u
-
-    _, ss = continue_sqrt(h, [-2.0])
-    assert ss[0] == -2.0 and ss[-1] == -2.0
-    with pytest.raises(k2.SheetTrackingError):
-        continue_sqrt(h, [1.0])
-    # a seed later in the stack is checked too, and so is a junction
-    with pytest.raises(k2.SheetTrackingError):
-        continue_sqrt(h, [-2.0, 1.0])
-    with pytest.raises(k2.SheetTrackingError):
-        continue_sqrt(lambda u, k: h(u, k) * (1 + 3 * k), [-2.0, None])
-
-
-def test_lookup_sqrt_interpolates_branch():
-    def h(u):
-        return np.exp(4j * np.pi * u)  # sqrt(h) = exp(2 pi i u) winds once
-
-    us, ss = continue_sqrt(lambda u, k: h(u), [None])
-    u_test = np.linspace(0.01, 0.99, 37)
-    got = lookup_sqrt(us, ss, u_test, h(u_test))
-    want = np.exp(2j * np.pi * u_test)
-    assert np.max(np.abs(got - want)) < 1e-12
-
-
-def test_sheet_path_consistency():
-    """y stays on the curve and varies continuously along a line path."""
-    f = k2.validate_polynomial(G6_COEFFS)
-    x0, x1 = 2.0 + 0.5j, -1.5 + 0.8j
-    y0 = np.sqrt(f(x0))
-    us, ss = continue_sqrt(lambda u, k: f(x0 + u * (x1 - x0)), [y0])
-    prev = None
-    for u in np.linspace(0.0, 1.0, 50):
-        x = x0 + u * (x1 - x0)
-        y = lookup_sqrt(us, ss, float(u), f(x))
-        assert abs(y ** 2 - f(x)) < 1e-10 * max(1.0, abs(f(x)))
-        if prev is not None:
-            assert abs(y - prev) < 0.35 * max(1.0, abs(y))
-        prev = y
-
-
-# -- the batched continuation against a depth-first oracle -------------------
-
-def _continue_sqrt_depth_first(h, seed=None):
-    """Reference: the continuation refined interval by interval, with one
-    scalar h call per node."""
-    def step_ok(h0, h1):
-        if h0 == 0 or h1 == 0:
-            return False
-        r = h1 / h0
-        m = abs(r)
-        return (1.0 / RATIO_STEP <= m <= RATIO_STEP
-                and abs(np.angle(r)) <= ARG_STEP)
-
-    u_init = np.linspace(0.0, 1.0, BASE_GRID + 1)
-    h_init = [complex(h(u)) for u in u_init]
-    us, hs = [0.0], [h_init[0]]
-
-    def refine(u0, v0, u1, v1, depth):
-        if step_ok(v0, v1):
-            us.append(u1)
-            hs.append(v1)
-            return
-        if depth >= MAX_DEPTH or len(us) > MAX_NODES:
-            raise k2.SheetTrackingError("did not stabilize")
-        um = 0.5 * (u0 + u1)
-        vm = complex(h(um))
-        refine(u0, v0, um, vm, depth + 1)
-        refine(um, vm, u1, v1, depth + 1)
-
-    for k in range(BASE_GRID):
-        refine(u_init[k], h_init[k], u_init[k + 1], h_init[k + 1], 0)
-    hs = np.array(hs)
-    ss = np.empty_like(hs)
-    ss[0] = np.sqrt(hs[0]) if seed is None else complex(seed)
-    for k in range(1, len(hs)):
-        s = np.sqrt(hs[k])
-        ss[k] = s if abs(s - ss[k - 1]) <= abs(s + ss[k - 1]) else -s
-    return np.array(us), ss
-
-
-def _recorded_continuations(monkeypatch, run):
-    """(h, seeds) of every continuation `run` makes."""
-    calls = []
-
-    def spy(h, seeds):
-        calls.append((h, seeds))
-        return continue_sqrt(h, seeds)
-
-    with monkeypatch.context() as m:
-        m.setattr(integration, "continue_sqrt", spy)
-        run()
-    return calls
-
-
 def _g6():
     return k2.validate_polynomial(G6_COEFFS)
 
@@ -313,23 +187,141 @@ def _w5():
     return k2.validate_polynomial(W5_COEFFS)
 
 
+def _root_near(roots, x):
+    roots = np.asarray(roots)
+    return complex(roots[np.argmin(np.abs(roots - x))])
+
+
+def _ends(f, roots, pieces, seeds):
+    y0, y1 = continue_sqrt(f, roots, pieces, seeds)
+    return y0[0], y1[-1]
+
+
+def test_continue_sqrt_closed_loop_winding():
+    """A loop encircling one root of f an odd number of times must come back
+    on the other sheet, even though f(x(1)) == f(x(0)) exactly."""
+    f = _g6()
+    roots = branch_points(f)
+    loop = np.array([[_root_near(roots, 1.0), 0.3, 2j * np.pi]])
+    y0, y1 = _ends(f, roots, loop, [None])
+    assert abs(y1 + y0) < 1e-12 * abs(y0)
+    # the same circle around a point with no enclosed root
+    null = np.array([[3.0, 0.3, 2j * np.pi]])
+    y0, y1 = _ends(f, roots, null, [None])
+    assert abs(y1 - y0) < 1e-12 * abs(y0)
+
+
+def test_continue_sqrt_double_winding_returns():
+    f = _g6()
+    roots = branch_points(f)
+    loop = np.array([[_root_near(roots, 1.0), 0.3, 4j * np.pi]])
+    y0, y1 = _ends(f, roots, loop, [None])
+    assert abs(y1 - y0) < 1e-12 * abs(y0)
+
+
+def test_continue_sqrt_seed_selects_branch():
+    f = _g6()
+    roots = branch_points(f)
+    x0, x1 = 2.0 + 0.5j, -1.5 + 0.8j
+    line = np.array([[x0, x1 - x0, 0]])
+    y = np.sqrt(f(x0))
+    y0, y1 = continue_sqrt(f, roots, line, [-y])
+    assert y0[0] == -y
+    assert np.array_equal(continue_sqrt(f, roots, line, [y])[1], -y1)
+    with pytest.raises(k2.SheetTrackingError):
+        continue_sqrt(f, roots, line, [1.5 * y])
+    # a seed later in the stack is checked too, and so is a junction
+    both = np.concatenate([line, line])
+    with pytest.raises(k2.SheetTrackingError):
+        continue_sqrt(f, roots, both, [y, 1.5 * y])
+    with pytest.raises(k2.SheetTrackingError):
+        continue_sqrt(f, roots, both, [y, None])
+
+
+def test_sheet_path_consistency():
+    """y stays on the curve and varies continuously along a line path."""
+    f = _g6()
+    roots = branch_points(f)
+    x0, x1 = 2.0 + 0.5j, -1.5 + 0.8j
+    line = np.array([[x0, x1 - x0, 0]])
+    sheet = piece_sheet(f, roots, line, [np.sqrt(f(x0))])(np.arange(1))
+    x, _, y = sheet(np.linspace(0.0, 1.0, 50)[:, None])
+    x, y = x[:, 0], y[:, 0]
+    assert np.all(np.abs(y ** 2 - f(x)) < 1e-10 * np.maximum(1.0,
+                                                             np.abs(f(x))))
+    assert np.all(np.abs(np.diff(y)) < 0.35 * np.maximum(1.0,
+                                                          np.abs(y[1:])))
+
+
+# -- the closed-form sheet against a dense-step continuation -----------------
+
+# every tanh-sinh node of levels 3 to 8, where the integrands read the sheet
+NODES = np.unique(np.concatenate([_nodes(level)[0] for level in range(3, 9)]))
+
+
+def _dense_step(y_at, y_start):
+    """Reference: the continuation of y_at(u)^2 from y_start along [0, 1]
+    through NODES, each step subdivided until consecutive values are
+    within 0.25 in argument and a factor 2 in modulus, the nearer of +-root
+    taken at every step.  Returns its values at NODES and at u = 1."""
+    u = np.union1d(np.linspace(0.0, 1.0, 257), NODES)
+    while True:
+        h = y_at(u) ** 2
+        r = h[1:] / h[:-1]
+        bad = ((np.abs(np.angle(r)) > 0.25) | (np.abs(r) > 2.0)
+               | (np.abs(r) < 0.5))
+        if not bad.any():
+            break
+        assert len(u) < 10 ** 6
+        u = np.union1d(u, 0.5 * (u[:-1][bad] + u[1:][bad]))
+    s = np.sqrt(h)
+    flip = np.abs(s[1:] - s[:-1]) > np.abs(s[1:] + s[:-1])
+    sign = np.concatenate([[1], np.where(np.logical_xor.accumulate(flip),
+                                         -1, 1)])
+    if abs(s[0] - y_start) > abs(s[0] + y_start):
+        sign = -sign
+    y = sign * s
+    return y[np.searchsorted(u, NODES)], y[-1]
+
+
+def _check_pieces_against_dense_step(f, roots, pieces, seeds):
+    """Each piece's closed-form sheet at NODES is the dense-step
+    continuation of that piece alone, from its seed or, for a chained
+    piece, from the reference's end of the piece before; and so are the
+    start and end values continue_sqrt chains."""
+    y0, y1 = continue_sqrt(f, roots, pieces, seeds)
+    rows = piece_sheet(f, roots, pieces, y0)
+    y_end = None
+    for k, seed in enumerate(seeds):
+        start = y0[k] if seed is None else seed
+        if seed is None and y_end is not None:
+            assert abs(y0[k] - y_end) <= 1e-12 * abs(y_end)
+        sheet = rows(np.array([k]))
+        want, y_end = _dense_step(lambda u: sheet(u[:, None])[2][:, 0],
+                                  start)
+        got = sheet(NODES[:, None])[2][:, 0]
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+        assert abs(y1[k] - y_end) <= 1e-13 * abs(y_end)
+
+
 def _loop(turns):
     f = _g6()
-    return [(lambda u, k: f(1.0 + 0.3 * np.exp(2j * np.pi * turns * u)),
-             [None])]
+    roots = branch_points(f)
+    return f, roots, np.array([[_root_near(roots, 1.0), 0.3,
+                                2j * np.pi * turns]]), [None]
 
 
 def _seeded():
     f = _g6()
     x0, x1 = 2.0 + 0.5j, -1.5 + 0.8j
-    return [(lambda u, k: f(x0 + u * (x1 - x0)), [-np.sqrt(f(x0))])]
+    return (f, branch_points(f), np.array([[x0, x1 - x0, 0]]),
+            [-np.sqrt(f(x0))])
 
 
-def _detour(monkeypatch):
+def _detour():
     """path_between to a point and to its involution image, in one call:
-    two chains of a line, a detour arc and a line, each piece seeded by
-    the end of the one before, in one continuation, and for the second a
-    flip loop continued from its end in another."""
+    two chains of a line, a detour arc and a line, and for the second a
+    flip loop after it."""
     f = _g6()
     x0, x1 = 1.0 - 0.5j, 1.0 + 0.5j
     roots = branch_points(f)
@@ -337,86 +329,109 @@ def _detour(monkeypatch):
         line_with_detours(roots, detour_radii(roots), x0, x1)[:, 2] != 0)
     P0 = k2.CurvePoint.affine(x0, np.sqrt(f(x0)))
     P1 = k2.CurvePoint.affine(x1, np.sqrt(f(x1)))
-    return _recorded_continuations(monkeypatch, lambda: (
-        integration.path_between(f, branch_points(f), [P0, P0],
-                                 [P1, k2.CurvePoint.affine(x1, -P1.y)])))
+    pieces, y0, path = integration.path_between(
+        f, roots, [P0, P0], [P1, k2.CurvePoint.affine(x1, -P1.y)])
+    assert np.any(path == 1) and len(pieces) > 6
+    first = np.concatenate([[True], path[1:] != path[:-1]])
+    return f, roots, pieces, [y if new else None
+                              for y, new in zip(y0, first)]
 
 
-def _segments(monkeypatch):
-    """The period segments: one stack, every piece on its own seed."""
-    f = _g6()
-    return _recorded_continuations(monkeypatch, lambda: (
-        integration.segment_period_integrals(
-            f, branch_points(f), k2.periods.LOOP_PAIRS)))
-
-
-def _fan(monkeypatch, f):
-    """Radial runs of several points (seeded and chained pieces in one
-    stack), then their tails (a stack of seeds)."""
+def _fan(f):
+    """Radial runs of several points, seeded and chained pieces in one
+    stack, as point_infinity_integrals builds them."""
     roots = branch_points(f)
+    radii = detour_radii(roots)
     xs = [1.1 * np.exp(0.4j), 0.45 - 0.2j, -1.4 + 0.05j]
-    points = [k2.CurvePoint.affine(x, np.sqrt(f(x))) for x in xs]
-    z_star = np.zeros(2) if f.degree == 6 else None
-    return _recorded_continuations(monkeypatch, lambda: (
-        integration.point_infinity_integrals(f, roots, points, 1.0, z_star)))
+    seeds, runs = [], []
+    for x in xs:
+        runs.append(line_with_detours(roots, radii, x,
+                                      12.0 * np.exp(1j * np.angle(x))))
+        seeds += [np.sqrt(f(x))] + [None] * (len(runs[-1]) - 1)
+    return f, roots, np.concatenate(runs), seeds
 
 
-def _tail(monkeypatch, f):
+def _check_segments():
+    """The period segments of x^6 - 1, and a segment from -1 to 1 that
+    passes 0.02 below a root, where the cofactor root turns by more than a
+    right angle."""
+    f = _g6()
+    near = k2.validate_polynomial(list(np.poly([-1, 1, 0.02j, 0.6j, -3j,
+                                                4])[::-1]))
+    roots = branch_points(near)
+    pair = [(int(np.argmin(np.abs(np.asarray(roots) - x)))) for x in (-1, 1)]
+    for g, roots, pairs in ((f, branch_points(f), k2.periods.LOOP_PAIRS),
+                            (near, roots, [tuple(pair)])):
+        rows = segment_sheet(g, roots, pairs)
+        for p in range(len(pairs)):
+            def s_at(u, sheet=rows(np.array([p]))):
+                return sheet(u[:, None])[2][:, 0]
+            want, _ = _dense_step(s_at, s_at(np.zeros(1))[0])
+            assert np.all(np.abs(s_at(NODES) - want)
+                          <= 1e-13 * np.abs(want))
+
+
+def _check_tail(f):
+    """Two tails from the same far point on opposite sheets: each is the
+    dense-step continuation of its seed."""
     x_far = 12.0 * np.exp(0.731j)
-    return _recorded_continuations(monkeypatch, lambda: tail_integrals(
-        f, [x_far], [np.sqrt(f(x_far))]))
+    y_far = np.sqrt(f(x_far)) * np.array([1, -1])
+    rows = tail_sheet(f, [x_far, x_far], y_far)
+    t1 = 1.0 / (x_far if f.degree == 6 else np.sqrt(x_far))
+    for k in range(2):
+        seed = y_far[k] * t1 ** (3 if f.degree == 6 else 5)
+        sheet = rows(np.array([k]))
+        want, _ = _dense_step(lambda tau: sheet(tau)[1][:, 0], seed)
+        got = sheet(NODES)[1][:, 0]
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
 
 CONTINUATIONS = {
-    "closed_loop": lambda mp: _loop(1),
-    "double_winding": lambda mp: _loop(2),
-    "seeded_branch": lambda mp: _seeded(),
-    "detour": _detour,
-    "segments": _segments,
-    "fan_degree5": lambda mp: _fan(mp, _w5()),
-    "fan_degree6": lambda mp: _fan(mp, _g6()),
-    "tail_degree5": lambda mp: _tail(mp, _w5()),
-    "tail_degree6": lambda mp: _tail(mp, _g6()),
+    "closed_loop": lambda: _check_pieces_against_dense_step(*_loop(1)),
+    "double_winding": lambda: _check_pieces_against_dense_step(*_loop(2)),
+    "seeded_branch": lambda: _check_pieces_against_dense_step(*_seeded()),
+    "detour": lambda: _check_pieces_against_dense_step(*_detour()),
+    "segments": _check_segments,
+    "fan_degree5": lambda: _check_pieces_against_dense_step(*_fan(_w5())),
+    "fan_degree6": lambda: _check_pieces_against_dense_step(*_fan(_g6())),
+    "tail_degree5": lambda: _check_tail(_w5()),
+    "tail_degree6": lambda: _check_tail(_g6()),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CONTINUATIONS))
-def test_batched_continuation_matches_depth_first(name, monkeypatch):
-    """Every piece's slice of the joined table is the depth-first
-    continuation of that piece alone, from its seed or, for a chained
-    piece, from the oracle's end of the piece before."""
-    calls = CONTINUATIONS[name](monkeypatch)
-    assert calls
-    for h, seeds in calls:
-        us, ss = continue_sqrt(h, seeds)
-        y_end, n_nodes = None, 0
-        for k, seed in enumerate(seeds):
-            piece = (us >= 2 * k) & (us <= 2 * k + 1)
-            us_ref, ss_ref = _continue_sqrt_depth_first(
-                lambda u, k=k: h(np.array([u]), np.array([k]))[0],
-                y_end if seed is None else seed)
-            assert np.array_equal(us[piece], us_ref + 2.0 * k)
-            assert np.all(np.abs(ss[piece] - ss_ref) <= 1e-15 * np.abs(ss_ref))
-            y_end = ss_ref[-1]
-            n_nodes += len(us_ref)
-        assert n_nodes == len(us)
+def test_batched_continuation_matches_depth_first(name):
+    """The closed-form sheet of every piece of a stack, period segment and
+    tail at the quadrature's nodes is the dense-step continuation of that
+    piece alone."""
+    CONTINUATIONS[name]()
 
 
-def test_continuation_through_a_zero_raises_after_max_depth():
-    """A piece through a zero of h exhausts its depth budget, alone and in
-    a stack whose other piece converges at once; h is called once per
-    level on the whole stack."""
-    for bad_piece in (0, 1):
-        calls = []
-
-        def h(u, k):
-            calls.append(np.size(u))
-            return np.where(k == bad_piece, np.asarray(u) - 0.3 + 0j, 2.0 + 0j)
-
-        with pytest.raises(k2.SheetTrackingError, match="did not stabilize"):
-            continue_sqrt(h, [None] * (bad_piece + 1))
-        assert len(calls) <= MAX_DEPTH + 1
-        assert calls[0] == (bad_piece + 1) * (BASE_GRID + 1)
+@pytest.mark.parametrize("coeffs", [W5_COEFFS, G6_COEFFS], ids=["w5", "g6"])
+def test_closed_form_sheet_near_roots(coeffs):
+    """Paths aimed exactly through roots (detour arcs of exactly pi), from
+    points 1e-3 to 1e-6 off a root, with flip loops (full turns) about
+    roots from points near them: every piece's sheet is the dense-step
+    continuation."""
+    f = k2.validate_polynomial(coeffs)
+    roots = branch_points(f)
+    radii = detour_radii(roots)
+    rng = np.random.default_rng(19)
+    arcs_of_pi = 0
+    for k, r in enumerate(roots):
+        v = (0.6 + 0.4 * rng.random()) * np.exp(2j * np.pi * rng.random())
+        delta = 10.0 ** -(3 + k % 4) * np.exp(2j * np.pi * rng.random())
+        other = roots[(k + 1) % len(roots)]
+        for x0, x1 in ((r - v, r + v), (r + delta, other + 0.5 * v),
+                       (other - 0.4 * v, r + delta)):
+            pieces = line_with_detours(roots, radii, x0, x1)
+            pieces = np.concatenate([pieces,
+                                     flip_loop_pieces(roots, radii, x1)])
+            arcs_of_pi += np.sum(np.abs(pieces[:, 2].imag) == np.pi)
+            _check_pieces_against_dense_step(
+                f, roots, pieces,
+                [np.sqrt(f(x0))] + [None] * (len(pieces) - 1))
+    assert arcs_of_pi >= len(roots)
 
 
 def _junction_gap(pieces):
@@ -447,14 +462,17 @@ def test_detour_pieces_meet_exactly():
 
 # -- whole-path quadrature against a per-piece loop --------------------------
 
-def _integrate_forms_piece_by_piece(f, pieces, table, numerators):
+def _integrate_forms_piece_by_piece(f, roots, pieces, y0, numerators):
     """Reference: one adaptive quadrature per piece of the path, piece i
-    read from the joined table at u + 2i, with x and dx/du from each
-    piece's own formula: z0 + u (z1 - z0) on a line, and on an arc
+    on the sheet of that piece alone from y0[i], with x and dx/du from
+    each piece's own formula: z0 + u (z1 - z0) on a line, and on an arc
     c + rho exp(i (phi0 + u dphi)), dx/du = i dphi (x - c)."""
     total = np.zeros(len(numerators), dtype=complex)
     for i, (c, R, b) in enumerate(pieces):
-        def g(u, d0, d1, i=i, c=c, R=R, b=b):
+        sheet = piece_sheet(f, roots, pieces[i:i + 1], y0[i:i + 1])(
+            np.arange(1))
+
+        def g(u, d0, d1, sheet=sheet, c=c, R=R, b=b):
             if b == 0:
                 z0, z1 = c, c + R
                 x = z0 + u * (z1 - z0)
@@ -463,7 +481,7 @@ def _integrate_forms_piece_by_piece(f, pieces, table, numerators):
                 rho, phi0, dphi = abs(R), np.angle(R), b.imag
                 x = c + rho * np.exp(1j * (phi0 + u * dphi))
                 dx = 1j * dphi * (x - c)
-            y = lookup_sqrt(*table, u + 2.0 * i, f(x))
+            y = sheet(u[:, None])[2][:, 0]
             return np.stack([nf(x) * dx / y for nf in numerators],
                             axis=1)[:, None]
         total += _whole_stack(g)[0][0]
@@ -488,9 +506,11 @@ def test_integrate_forms_matches_piece_by_piece(coeffs):
         if k % 2:
             pieces = np.concatenate(
                 [pieces, flip_loop_pieces(roots, radii, x1)])
-        _, table, _ = integration._continue_runs(f, [pieces], [np.sqrt(f(x0))])
-        got = integration.integrate_forms(f, pieces, table, nums).sum(axis=0)
-        want = _integrate_forms_piece_by_piece(f, pieces, table, nums)
+        _, y0, _ = integration._continue_runs(f, roots, [pieces],
+                                              [np.sqrt(f(x0))])
+        got = integration.integrate_forms(f, roots, pieces, y0,
+                                          nums).sum(axis=0)
+        want = _integrate_forms_piece_by_piece(f, roots, pieces, y0, nums)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -534,8 +554,10 @@ def test_empty_straight_run_is_a_stack_of_no_rows():
     P = k2.CurvePoint.affine(x, np.sqrt(f(x)))
     pieces, _, _ = integration.path_between(f, roots, [P], [P])
     assert pieces.shape == (0, 3)
-    pieces, (us, ss), _ = integration.path_between(
+    pieces, y0, _ = integration.path_between(
         f, roots, [P], [k2.CurvePoint.affine(x, -P.y)])
     loop = flip_loop_pieces(roots, detour_radii(roots), x)
     assert np.array_equal(pieces, loop)
-    assert abs(ss[-1] + P.y) <= 1e-12 * abs(P.y)
+    assert y0[0] == P.y
+    y_end = continue_sqrt(f, roots, pieces, [P.y, None, None])[1][-1]
+    assert abs(y_end + P.y) <= 1e-12 * abs(P.y)
