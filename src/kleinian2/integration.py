@@ -15,24 +15,33 @@ excludes every branch point r_j but the arc's centre, so along it
 
 in principal arguments, and an arc's own centre root adds exactly
 Im(b) u.  Half of that is the turn of y from the piece's start value.
-Every node keeps the value +-sqrt(f(x)) and takes only its sign from
-the turn; y0 sqrt(f(x)/f(x0)) would carry the start value's rounding
-down the whole path.  continue_sqrt chains the turns of the pieces of a
-run, so every piece's start and end value is known before any quadrature.
+Every node keeps the value +-sqrt(f(x)), formed from the roots as
+lead prod_j (x - r_j) with x - r_j = (c - r_j) + (x - c), so f carries
+no cancellation noise near a root, and takes only its sign from the
+turn; y0 sqrt(f(x)/f(x0)) would carry the start value's rounding down
+the whole path.  continue_sqrt chains the turns of the pieces of a run,
+so every piece's start and end value is known before any quadrature.
 
-The factored branch-point segments of the period integrals write
-y = s(u) sqrt(u (1-u)) with s^2 = G(u), the cofactor, whose turn is the
-same sum over the roots off the segment.  Tails to infinity run in the
-chart t = 1/x (t^2 = 1/x on degree 5), where every factor 1 - r t of
-t^6 f(1/t) stays within 1/FAR_FACTOR of 1, so arg y moves by less than a
-right angle along a tail and needs no sum: the seed's own sign holds.
+A path that must change sheets at its end x1 does so by a loop about
+the branch point e nearest x1.  The loop's way back is its way out on
+the other sheet, reversed, and its full turn about e is twice the
+radial run into e, so the loop integrates to twice the run from x1 into
+e.  That run's last piece factors y = sqrt(x - e) s(x) with
+x - e = -R d1, from the quadrature's stable distance to the end, as the
+period segments factor theirs: y = s(u) sqrt(u (1-u)) with s^2 = G(u),
+the cofactor, whose turn is the same sum over the roots off the
+segment.  Tails to infinity run in the chart t = 1/x (t^2 = 1/x on
+degree 5), where every factor 1 - r t of t^6 f(1/t) stays within
+1/FAR_FACTOR of 1, so arg y moves by less than a right angle along a
+tail and needs no sum: the seed's own sign holds.
 
 Work is stacked, not looped: all pieces of many paths, the period
 segments, or a fan of tails go through one integrate_01 call, and every
 stacked integrand is narrowed to the integrals still open, so each is
 integrated at the level it needs alone.  path_between chains the
-straight runs of all its paths in one continue_sqrt call and the
-sheet-flip loops that some of them need in a second.
+straight runs of all its paths in one continue_sqrt call and the runs
+into a branch point that some of them need, when one has several
+pieces, in a second.
 """
 
 from functools import lru_cache
@@ -48,17 +57,24 @@ FAR_FACTOR = 12.0        # far-point radius for infinity tails, times scale
 FAR_ARG = 0.7310         # direction of the far ray of the period build
 
 
+def _steps(pieces, u):
+    """x - c and dx/du on pieces, rows (c, R, b), at parameters u, the two
+    broadcast against each other: R u where b = 0, else R exp(b u)."""
+    R, b = pieces[..., 1], pieces[..., 2]
+    if not b.any():
+        step = R * u
+        return step, R * np.ones_like(step)
+    e = np.exp(b * u)
+    line = b == 0
+    return R * np.where(line, u, e), R * np.where(line, 1.0, b * e)
+
+
 def x_dx(pieces, u):
     """x and dx/du on pieces, rows (c, R, b), at parameters u, the two
     broadcast against each other: x = c + R u where b = 0, else
     c + R exp(b u)."""
-    c, R, b = pieces[..., 0], pieces[..., 1], pieces[..., 2]
-    if not b.any():
-        x = c + R * u
-        return x, R * np.ones_like(x)
-    e = np.exp(b * u)
-    line = b == 0
-    return c + R * np.where(line, u, e), R * np.where(line, 1.0, b * e)
+    step, dx = _steps(pieces, u)
+    return pieces[..., 0] + step, dx
 
 
 def _signed(s, psi):
@@ -66,29 +82,34 @@ def _signed(s, psi):
     return s * np.copysign(1.0, np.cos(np.angle(s) - psi))
 
 
-def _turn(x, r, c0, off=None):
+def _turn(d, c0, off=None):
     """The turn of arg f from x(0) to x, shape (N, P), on each of P
-    pieces: the sum over the roots, along the first axis of r (n, 1) or
-    (n, P) and of c0 = conj(x(0) - r), of the principal Arg((x - r_j)
-    c0_j), over the roots where off is True if off is given."""
-    a = np.angle((x - r[:, None]) * c0[:, None])
+    pieces, from d = x - r, shape (n, N, P), for the roots r: the sum over
+    the roots of the principal Arg(d_j c0_j), c0 = conj(x(0) - r) of shape
+    (n, P), over the roots where off is True if off is given."""
+    a = np.angle(d * c0[:, None])
     if off is not None:
         a *= off[:, None]
     return a.sum(axis=0)
 
 
 def _piece_frames(roots, pieces):
-    """(c0, off, wind) of a stack of pieces for _turn, roots r along the
-    first axis: c0[j, k] = conj(x_k(0) - r_j), off[j, k] False where arc
-    k is centred on r_j, else True, and wind[k] the turning rate Im(b) of
-    an arc centred on a root, else 0.  Arcs are centred exactly on a
-    root, as line_with_detours and flip_loop_pieces build them, or on
-    none."""
+    """(c0, off, wind, into) of a stack of pieces for _turn, roots r
+    along the first axis: c0[j, k] = conj(x_k(0) - r_j), into[j, k]
+    True where line k ends on r_j (a run into a branch point), off[j, k]
+    False there and where arc k is centred on r_j, else True, and wind[k]
+    the turning rate Im(b) of an arc centred on a root, else 0.  Arcs
+    are centred exactly on a root, as line_with_detours builds them, or
+    on none; a line ends on a root if it ends within the tolerance at
+    which line_with_detours refuses any other end point."""
     c, R, b = pieces.T
     arc = b != 0
-    c0 = np.conj(np.where(arc, c + R, c) - roots[:, None])
-    off = (c != roots[:, None]) | ~arc
-    return c0, off, np.where(off.all(axis=0), 0.0, b.imag)
+    x1 = c + R
+    tiny = 1e-13 * np.maximum(1.0, np.maximum(np.abs(c), np.abs(x1)))
+    into = ~arc & (np.abs(x1 - roots[:, None]) <= tiny)
+    c0 = np.conj(np.where(arc, x1, c) - roots[:, None])
+    off = ((c != roots[:, None]) | ~arc) & ~into
+    return c0, off, np.where(off.all(axis=0), 0.0, b.imag), into
 
 
 def continue_sqrt(f, roots, pieces, seeds):
@@ -98,23 +119,25 @@ def continue_sqrt(f, roots, pieces, seeds):
     seeds[k] must square to f at the start of piece k and fixes its
     sheet; None chains piece k on from the end of piece k-1 (piece 0:
     the principal root), where piece k must start, to well within its
-    distance from the nearest root.  Each end value is +-sqrt(f(x(1)))
-    with the sign of the seed of its run turned by the turns of the
-    run's pieces up to it.
+    distance from the nearest root.  Each end value is +-sqrt(f(x(1))),
+    formed from the roots as piece_sheet forms it, with the sign of the
+    seed of its run turned by the turns of the run's pieces up to it.
     """
     n = len(seeds)
     if not n:
         return np.zeros(0, dtype=complex), np.zeros(0, dtype=complex)
     r = np.asarray(roots, dtype=complex)[:, None]
-    c0, off, wind = _piece_frames(r[:, 0], pieces)
-    (x0, x1), _ = x_dx(pieces, np.array([[0.0], [1.0]]))
+    c0, off, wind, _ = _piece_frames(r[:, 0], pieces)
+    (s0, s1), _ = _steps(pieces, np.array([[0.0], [1.0]]))
+    x0, x1 = pieces[:, 0] + s0, pieces[:, 0] + s1
+    d_end = pieces[:, 0] - r + s1     # x(1) - r_j, as piece_sheet has it
     f0 = f(x0)
     seeded = np.array([s is not None for s in seeds], dtype=bool)
     seeded[0] = True
-    s0 = np.array([np.sqrt(f0[0]) if s is None else s for s in seeds],
-                  dtype=complex)
-    miss = seeded & (np.abs(s0 * s0 - f0) > 1e-8 * np.maximum(
-        np.abs(f0), np.abs(s0) ** 2))
+    y_seed = np.array([np.sqrt(f0[0]) if s is None else s for s in seeds],
+                      dtype=complex)
+    miss = seeded & (np.abs(y_seed * y_seed - f0) > 1e-8 * np.maximum(
+        np.abs(f0), np.abs(y_seed) ** 2))
     if miss.any():
         raise SheetTrackingError(
             f"seed^2 does not match f(x) at the start of piece "
@@ -127,35 +150,47 @@ def continue_sqrt(f, roots, pieces, seeds):
             "before it ends")
     # piece k's run starts at its last seeded piece, and its end turns
     # from that seed by the turns of the run's pieces up to k
-    turn = 0.5 * (_turn(x1[None], r, c0, off)[0] + wind)
+    turn = 0.5 * (_turn(d_end[:, None], c0, off)[0] + wind)
     acc = np.cumsum(turn)
     start = np.maximum.accumulate(np.where(seeded, np.arange(n), 0))
-    y1 = _signed(np.sqrt(f(x1)), np.angle(s0[start]) + acc
-                 - (acc - turn)[start])
-    y0 = np.where(seeded, s0, np.concatenate([y1[:1], y1[:-1]]))
+    y1 = _signed(np.sqrt(f.leading * d_end.prod(axis=0)),
+                 np.angle(y_seed[start]) + acc - (acc - turn)[start])
+    y0 = np.where(seeded, y_seed, np.concatenate([y1[:1], y1[:-1]]))
     return y0, y1
 
 
 def piece_sheet(f, roots, pieces, y0):
     """y on a stack of pieces: rows(k) is the sheet of pieces k, a
-    function of parameters u, shape (N, 1), returning (x, dx/du, y) at u
-    on those pieces, y the root of f(x) on the sheet that starts piece k
-    at y0[k].  An integrand narrows by taking rows once per narrowing."""
+    function of parameters u, shape (N, 1), and of d1 = 1 - u, computed
+    stably, returning (x, dx/du, y) at u on those pieces, y the root of
+    f(x) on the sheet that starts piece k at y0[k].  y^2 is formed as
+    lead prod_j (x - r_j) with x - r_j = (c - r_j) + (x - c), exactly
+    R exp(b u) about an arc's own centre and -R d1 at the end of a run
+    into a branch point, so f carries no cancellation noise near a root
+    and the endpoint singularity of a run into one none at all.  An
+    integrand narrows by taking rows once per narrowing."""
     r = np.asarray(roots, dtype=complex)[:, None]
-    c0, off, wind = _piece_frames(r[:, 0], pieces)
+    c0, off, wind, into = _piece_frames(r[:, 0], pieces)
     phase0 = np.angle(y0)
+    lead = f.leading
+    offset = pieces[:, 0] - r      # c - r_j, (n, P)
 
     def rows(k):
         p, c, o, w, ph = pieces[k], c0[:, k], off[:, k], wind[k], phase0[k]
-        winds = w.any()
+        a, own = offset[:, k][:, None], into[:, k][:, None]
+        winds, dives = w.any(), own.any()
 
-        def sheet(u):
-            x, dx = x_dx(p, u)
-            if winds:
-                turn = _turn(x, r, c, o) + w * u
+        def sheet(u, d1):
+            step, dx = _steps(p, u)
+            d = a + step
+            if dives:
+                d = np.where(own, -p[:, 1] * d1, d)
+            if winds or dives:
+                turn = _turn(d, c, o) + w * u
             else:
-                turn = _turn(x, r, c)
-            return x, dx, _signed(np.sqrt(f(x)), ph + 0.5 * turn)
+                turn = _turn(d, c)
+            y = np.sqrt(lead * d.prod(axis=0))
+            return p[:, 0] + step, dx, _signed(y, ph + 0.5 * turn)
 
         return sheet
 
@@ -175,7 +210,7 @@ def integrate_forms(f, roots, pieces, y0, numerators):
         live[0] = rows(k)
 
     def g(u, d0, d1):
-        x, dx, y = live[0](u[:, None])
+        x, dx, y = live[0](u[:, None], d1[:, None])
         w = dx / y
         return np.stack([nf(x) * w for nf in numerators], axis=2)
 
@@ -223,10 +258,11 @@ def _detour_radii(key):
     return radii
 
 
-def line_with_detours(roots, radii, x0, x1):
+def line_with_detours(roots, radii, x0, x1, into=None):
     """Pieces for a straight run x0 -> x1 with minor arcs around any root
     whose detour disc the segment enters.  Disc radii are the roots'
-    radii, shrunk so the endpoints stay outside."""
+    radii, shrunk so the endpoints stay outside.  A run into the branch
+    point roots[into] ends at x1 = roots[into], which gets no disc."""
     x0 = complex(x0)
     x1 = complex(x1)
     d = x1 - x0
@@ -238,6 +274,8 @@ def line_with_detours(roots, radii, x0, x1):
     w = r - x0
     a0 = np.abs(w)
     near = np.minimum(a0, np.abs(r - x1))
+    if into is not None:
+        near[into] = np.inf
     if near.min() <= tiny:
         raise DegenerateGeometryError(
             "path endpoint coincides with a branch point")
@@ -248,7 +286,10 @@ def line_with_detours(roots, radii, x0, x1):
     tm = (np.conj(d) * w).real / L ** 2
     disc = tm * tm - (a0 ** 2 - rho ** 2) / L ** 2
     half = np.sqrt(np.maximum(disc, 0.0))
-    hit = np.flatnonzero((disc > 0) & (tm + half > 0) & (tm - half < 1))
+    hit = (disc > 0) & (tm + half > 0) & (tm - half < 1)
+    if into is not None:
+        hit[into] = False
+    hit = np.flatnonzero(hit)
     if not len(hit):
         return np.array([[x0, d, 0.0]])
     arcs = []
@@ -276,21 +317,15 @@ def line_with_detours(roots, radii, x0, x1):
     return np.array(pieces)
 
 
-def flip_loop_pieces(roots, radii, x_at):
-    """A loop from x_at encircling the nearest root once, which lands the
-    continuation on the other sheet."""
-    x_at = complex(x_at)
-    r_arr = np.asarray(roots)
-    k = int(np.argmin(np.abs(r_arr - x_at)))
-    r = complex(r_arr[k])
-    if abs(x_at - r) == 0:
-        raise DegenerateGeometryError("cannot flip sheets at a branch point")
-    rho = min(radii[k], 0.6 * abs(x_at - r))
-    arc = np.array([[r, rho * np.exp(1j * np.angle(x_at - r)), 2j * np.pi]])
-    ends, _ = x_dx(arc, np.array([[0.0], [1.0]]))
-    return np.concatenate([line_with_detours(roots, radii, x_at, ends[0, 0]),
-                           arc,
-                           line_with_detours(roots, radii, ends[1, 0], x_at)])
+def run_into_branch_point(roots, radii, x):
+    """Pieces of the run from x into its nearest branch point e, with
+    detours about the others.  Twice its integral, on the sheet it
+    starts on, is that of the sheet-flip loop about e from x: the loop's
+    way back is its way out on the other sheet, reversed, and its full
+    turn about e is twice the radial run into e."""
+    r = np.asarray(roots, dtype=complex)
+    e = int(np.argmin(np.abs(r - x)))
+    return line_with_detours(roots, radii, x, r[e], e)
 
 
 def _continue_runs(f, roots, runs, y0):
@@ -311,12 +346,16 @@ def _continue_runs(f, roots, runs, y0):
 
 
 def path_between(f, roots, P0, P1):
-    """Paths from the affine points P0[i] to P1[i] as (pieces, y0, path):
-    each is the straight run with detours, plus a sheet-flip loop from
-    -y1 when that run lands on -y1; y0 holds each piece's start value
-    and path[k] the index of the path piece k belongs to.  The straight
-    runs of all paths are chained in one continue_sqrt call, and the
-    flip loops that are needed in a second."""
+    """Paths from the affine points P0[i] to P1[i] as (pieces, y0, path,
+    weight): each is the straight run with detours, plus, when that run
+    lands on -y1, a sheet flip; y0 holds each piece's start value,
+    path[k] the index of the path piece k belongs to and weight[k] its
+    multiplicity.  The flip is the loop about the branch point nearest
+    x1, from -y1 back to y1, which integrates to twice the run from x1
+    into that point (run_into_branch_point): the run's pieces, of weight
+    2.  The straight runs of all paths are chained in one continue_sqrt
+    call, and the runs into a branch point that are needed in a
+    second."""
     radii = detour_radii(roots)
     x1 = np.array([P.x for P in P1], dtype=complex)
     y1 = np.array([P.y for P in P1], dtype=complex)
@@ -330,17 +369,23 @@ def path_between(f, roots, P0, P1):
             for a, b in zip(P0, x1)]
     pieces, y0, y_end = _continue_runs(f, roots, runs, [P.y for P in P0])
     path = np.repeat(np.arange(len(runs)), [len(run) for run in runs])
+    weight = np.ones(len(pieces))
     flip = np.flatnonzero(np.abs(y_end - y1) > np.abs(y_end + y1))
     if len(flip):
-        loops = [flip_loop_pieces(roots, radii, x1[i]) for i in flip]
-        loop, y0_loop, y_loop = _continue_runs(f, roots, loops, -y1[flip])
-        if np.any(np.abs(y_loop - y1[flip]) > np.abs(y_loop + y1[flip])):
-            raise SheetTrackingError("flip loop failed to change sheets")
-        pieces = np.concatenate([pieces, loop])
-        y0 = np.concatenate([y0, y0_loop])
-        path = np.concatenate([path, np.repeat(flip, [len(lp)
-                                                      for lp in loops])])
-    return pieces, y0, path
+        dives = [run_into_branch_point(roots, radii, x1[i]) for i in flip]
+        # seeded at -y1 itself, not at the run's end value, which is
+        # sqrt(f) at the rounded end of the run; a run of one piece
+        # starts at its seed and needs no chain
+        lens = np.array([len(d) for d in dives])
+        if lens.max() <= 1:
+            dive, y0_dive = np.concatenate(dives), -y1[flip][lens == 1]
+        else:
+            dive, y0_dive, _ = _continue_runs(f, roots, dives, -y1[flip])
+        pieces = np.concatenate([pieces, dive])
+        y0 = np.concatenate([y0, y0_dive])
+        path = np.concatenate([path, np.repeat(flip, lens)])
+        weight = np.concatenate([weight, np.full(len(dive), 2.0)])
+    return pieces, y0, path, weight
 
 
 # -- factored branch-point segments -----------------------------------------
@@ -386,7 +431,7 @@ def segment_sheet(f, roots, pairs):
 
         def sheet(u):
             x = b + u * dp
-            psi = ph + 0.5 * _turn(x, r, c)
+            psi = ph + 0.5 * _turn(x - r[:, None], c)
             return x, dp, _signed(np.sqrt(G(x, dp, r)), psi)
 
         return sheet
@@ -541,10 +586,12 @@ def far_ray_integrals(f, roots, scale, radii):
     which the ray reaches y_far.  Every detour disc lies within
     (1 + 2 DETOUR_FACTOR) scale of 0, so a ray from beyond that radius
     is plain lines between its points.  On degree 6 a sheet-flip loop
-    at x_far runs from y_far to -y_far; the tail from there is the
-    first with every y negated, exactly -T, and lands on label 1, so
-    z_star = -T + I_loop - T.  The ray and the loop are one chain and
-    one quadrature; the tail is a second.
+    at x_far about its nearest branch point e runs from y_far to -y_far;
+    the tail from there is the first with every y negated, exactly -T,
+    and lands on label 1, so z_star = -T + I_loop - T, where I_loop is
+    twice the run from x_far into e on the sheet of y_far
+    (run_into_branch_point).  The ray and the run into e are one chain
+    and one quadrature; the tail is a second.
     """
     x_far = FAR_FACTOR * scale * np.exp(1j * FAR_ARG)
     xs = np.append(np.asarray(radii) * np.exp(1j * FAR_ARG), x_far)
@@ -556,18 +603,16 @@ def far_ray_integrals(f, roots, scale, radii):
     pieces = np.stack([xs[:-1], np.diff(xs), np.zeros(n)], axis=1)
     seeds = [np.sqrt(f(xs[0]))] + [None] * (n - 1)
     if f.degree == 6:
-        loop = flip_loop_pieces(roots, detour_radii(roots), x_far)
-        pieces = np.concatenate([pieces, loop])
-        seeds += [y_far] + [None] * (len(loop) - 1)
+        dive = run_into_branch_point(roots, detour_radii(roots), x_far)
+        pieces = np.concatenate([pieces, dive])
+        seeds += [y_far] + [None] * (len(dive) - 1)
     y0, y1 = continue_sqrt(f, roots, pieces, seeds)
     if abs(y1[n - 1] - y_far) > abs(y1[n - 1] + y_far):
         y0[:n] = -y0[:n]
-    if f.degree == 6 and abs(y1[-1] - y_far) <= abs(y1[-1] + y_far):
-        raise SheetTrackingError("flip loop failed to change sheets")
     I = integrate_forms(f, roots, pieces, y0, holomorphic_numerators())
     T = tail_integrals(f, [x_far], [y_far])[0][0]
     # each point's integral out to x_far: the lines beyond it
     J = -T - np.cumsum(I[n - 1::-1], axis=0)[::-1]
     if f.degree == 5:
         return J, None
-    return J, -T + I[n:].sum(axis=0) - T
+    return J, 2.0 * (I[n:].sum(axis=0) - T)

@@ -272,7 +272,11 @@ def _pullback_jets(ctx, jet, order):
     d1 = d2 = d3 = None
     t = jet.T     # t[k2, k1] is _at(jet, k1, k2)
     if order >= 1:
-        d1 = (Ai.T @ np.array([t[0, 1], t[1, 0]])).T
+        g = np.array([t[0, 1], t[1, 0]])
+        # a batch sums with einsum, which rounds a row the same in a
+        # batch of any size; the matrix product does not
+        d1 = ((Ai.T @ g).T if jet.ndim == 2
+              else np.einsum("a...,aj->...j", g, Ai))
     if order >= 2:
         # .T also swaps the Hessian's own axes, which is symmetric
         Hu = np.array([[t[0, 2], t[1, 1]], [t[1, 1], t[2, 0]]]).T
@@ -288,13 +292,18 @@ def _sym3(a, b):
     return s + s.swapaxes(-1, -2) + s.swapaxes(-1, -3).swapaxes(-1, -2)
 
 
+def _third_from_pullback(p, d1, d2, d3):
+    """d^3 log theta / dz_j dz_k dz_l, shape (..., 2, 2, 2), from theta
+    p and its z-derivative tensors d1, d2, d3."""
+    p = p[..., None, None, None]
+    return (d3 / p - _sym3(d2, d1) / p ** 2
+            + 2.0 * np.einsum("...j,...k,...l->...jkl", d1, d1, d1) / p ** 3)
+
+
 def _third_log_derivs(ctx, jet):
     """d^3 log theta / dz_j dz_k dz_l, shape (..., 2, 2, 2), from an
     order-3 jet of shape (..., 4, 4)."""
-    p = jet[..., 0, 0, None, None, None]
-    d1, d2, d3 = _pullback_jets(ctx, jet, 3)
-    return (d3 / p - _sym3(d2, d1) / p ** 2
-            + 2.0 * np.einsum("...j,...k,...l->...jkl", d1, d1, d1) / p ** 3)
+    return _third_from_pullback(jet[..., 0, 0], *_pullback_jets(ctx, jet, 3))
 
 
 def _clearance(ctx, jm, jp):
@@ -343,6 +352,24 @@ def _log_hessian_from_pair(ctx, jm, jp):
         L = L + (d2.T / p - (d1[..., :, None] * d1[..., None, :]).T
                  / p ** 2).T
     return _finite(L, "the log Hessian of S")
+
+
+def _log_derivs_from_pair(ctx, jm, jp):
+    """(L, dL) at the N rows of the order-3 jets at u -+ Delta, from one
+    pullback of jm and jp stacked: L, shape (N, 2, 2), as
+    _log_hessian_from_pair gives it up to rounding, and dL, shape
+    (N, 2, 2, 2), its z-derivatives dL_jk / dz_l, the sum of the third
+    log derivatives of theta at both (exp(z^T C z) adds nothing)."""
+    _require_off_divisor(ctx, jm, jp)
+    jets = np.concatenate([jm.reshape(-1, 4, 4), jp.reshape(-1, 4, 4)])
+    n = len(jets) // 2
+    p = jets[:, 0, 0]
+    d1, d2, d3 = _pullback_jets(ctx, jets, 3)
+    q = p[:, None, None]
+    H = d2 / q - d1[:, :, None] * d1[:, None, :] / q ** 2
+    T = _third_from_pullback(p, d1, d2, d3)
+    return (_finite(2.0 * ctx.C + H[:n] + H[n:], "the log Hessian of S"),
+            _finite(T[:n] + T[n:], "the third log derivatives of S"))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -628,10 +655,10 @@ def _path_integrals(ctx, P0, P1, numerators):
     """Integrals of the forms n_k(x)/y dx from each P0[i] to P1[i], all
     affine, one row per pair, along the paths of path_between."""
     f, roots = ctx.f, list(ctx.pd.roots)
-    pieces, y0, path = path_between(f, roots, P0, P1)
+    pieces, y0, path, weight = path_between(f, roots, P0, P1)
     vals = integrate_forms(f, roots, pieces, y0, numerators)
     out = np.zeros((len(P0), len(numerators)), dtype=complex)
-    np.add.at(out, path, vals)
+    np.add.at(out, path, weight[:, None] * vals)
     return out
 
 
@@ -680,9 +707,9 @@ def jacobi_invert(ctx, z):
     theta_jet call and integrates nothing."""
     z = _as_zs(z)
     _, jm, jp = _theta_pair(ctx, z, 3)
-    L = _log_hessian_from_pair(ctx, jm, jp)
-    wp = _wp_from_hessian(ctx, z.reshape(-1, 2), L.reshape(-1, 2, 2))
-    _, _, p122, p222 = _wp3_from_pair(ctx, jm, jp, wp[:, 1], wp[:, 2])
+    L, dL = _log_derivs_from_pair(ctx, jm, jp)
+    wp = _wp_from_hessian(ctx, z.reshape(-1, 2), L)
+    _, _, p122, p222 = _wp3_from_dL(ctx, dL, wp[:, 1], wp[:, 2])
     x = (wp[:, 2:] + [1, -1] * np.sqrt(wp[:, 2:] ** 2 + 4 * wp[:, 1:2])) / 2
     y = np.sqrt(ctx.f(x))
     slope, icept = p222[:, None] * x, p122[:, None]
@@ -698,16 +725,14 @@ def jacobi_invert(ctx, z):
     return out[0] if z.ndim == 1 else out
 
 
-def _wp3_from_pair(ctx, jm, jp, p12, p22):
-    """(wp111, wp112, wp122, wp222) from the order-3 jets at u -+ Delta
-    and wp12, wp22 there.  Differentiating L12 = -(f5/2) wp12 - f6 wp12
-    wp22 and L22 = -(f5/2) wp22 - f6 (wp22^2 + wp12) along z_l gives a
-    2x2 system for (wp12l, wp22l), solved by Cramer's rule for l = 1, 2;
-    L11 = -2 wp11 - f6 wp12^2 gives wp111."""
+def _wp3_from_dL(ctx, dL, p12, p22):
+    """(wp111, wp112, wp122, wp222) from dL, the z-derivatives of the log
+    Hessian L of S (_log_derivs_from_pair), and wp12, wp22 there.
+    Differentiating L12 = -(f5/2) wp12 - f6 wp12 wp22 and L22 = -(f5/2)
+    wp22 - f6 (wp22^2 + wp12) along z_l gives a 2x2 system for (wp12l,
+    wp22l), solved by Cramer's rule for l = 1, 2; L11 = -2 wp11 - f6
+    wp12^2 gives wp111."""
     f5, f6 = ctx.f.coeffs[5:7]
-    # dL / dz_l; exp(z^T C z) adds nothing to it
-    dL = _finite(_third_log_derivs(ctx, jm) + _third_log_derivs(ctx, jp),
-                 "the third log derivatives of S")
     p12, p22 = np.asarray(p12)[..., None], np.asarray(p22)[..., None]
     a, b, d = -(f5 / 2 + f6 * p22), -f6 * p12, -(f5 / 2 + 2 * f6 * p22)
     r12, r22 = dL[..., 0, 1, :], dL[..., 1, 1, :]

@@ -17,10 +17,13 @@ is one of 16 candidates, a half-period plus (1/2) A^{-1} z_star on degree 6
 (plus nothing on degree 5, where infinity is a Weierstrass point), and the
 theta-vanishing certificate on the Abel images of ABEL_SAMPLES points
 must accept exactly one of them.  The points lie on one ray out to the
-far point where z_star's flip loop turns (integration.far_ray_integrals),
-so one chain of sheets, one quadrature of the ray and the loop, and one
-tail to infinity give both; with the loop segments, a build takes three
-quadratures, every sheet fixed before the first.
+far point where z_star changes sheets, by the run from there into its
+nearest branch point (integration.far_ray_integrals), so one chain of
+sheets, one quadrature of the ray and that run, and one tail to
+infinity give both; with the loop segments, a build takes three
+quadratures, every sheet fixed before the first.  Neither depends on the
+branch ordering, so a re-ordered build reuses them (compute_period_data's
+like=) and integrates its loop segments only.
 
 Lattice points are named by one integer convention throughout: k = (n1,
 n2, m1, m2) stands for u = n + Omega m in the normalized coordinates
@@ -115,8 +118,10 @@ class PeriodData:
     depends on the lattice representative of z_star, so delta_char is
     None.  z_star is the between-infinities integral
     (degree 6), used by the Abel map.  transform holds the integer rows
-    (a1, a2, b1, b2) in the coordinates of the LOOP_PAIRS loops.  Array
-    fields are stored as read-only copies, however the data was made.
+    (a1, a2, b1, b2) in the coordinates of the LOOP_PAIRS loops.
+    abel_samples holds the Abel images of the far-ray points that
+    certified Delta (None for data read from JSON).  Array fields are
+    stored as read-only copies, however the data was made.
     """
     A: np.ndarray
     B: np.ndarray
@@ -130,6 +135,7 @@ class PeriodData:
     roots: tuple
     scale: float
     z_star: np.ndarray
+    abel_samples: np.ndarray = None
 
     def __post_init__(self):
         for field in fields(self):
@@ -192,12 +198,16 @@ def _loop_signs(W):
     return np.cumprod(np.concatenate([[1], adjacent]))
 
 
-def compute_period_data(f, ordering=None):
+def compute_period_data(f, ordering=None, like=None):
     """Full period data for the curve, certified before return.
 
     ordering optionally permutes the canonical branch-point order, which
     produces a different (but equally valid) symplectic basis; the
-    functions built on top are invariant under this choice.
+    functions built on top are invariant under this choice.  like
+    optionally gives period data of the same curve whose Abel samples
+    and z_star are reused: neither depends on the ordering (the same ray
+    out to the same far point, the same run into its nearest root), so
+    the build then integrates its loop segments only.
     """
     roots = branch_points(f)
     if ordering is not None:
@@ -221,12 +231,16 @@ def compute_period_data(f, ordering=None):
             "yield a certified, well-conditioned Riemann matrix for this "
             "curve")
 
-    samples, z_star = far_ray_integrals(f, roots, scale,
-                                        SAMPLE_RADII * scale)
+    if like is not None and like.abel_samples is not None:
+        samples, z_star = like.abel_samples, like.z_star
+    else:
+        samples, z_star = far_ray_integrals(f, roots, scale,
+                                            SAMPLE_RADII * scale)
     Delta, char = _riemann_constant(f, A, Omega, samples, z_star)
     return PeriodData(A=A, B=B, etaA=etaA, etaB=etaB, Omega=Omega,
                       Delta=Delta, delta_char=char, transform=T, f=f,
-                      roots=tuple(roots), scale=scale, z_star=z_star)
+                      roots=tuple(roots), scale=scale, z_star=z_star,
+                      abel_samples=samples)
 
 
 # -- eta homomorphism and lattice coordinates ---------------------------------

@@ -21,8 +21,12 @@ level where it meets the tolerance, and its result is the one it would
 get alone; the integrals still open share the node evaluations of the
 next level.  The caller's `narrow` is told which integrals are still
 open, and the integrand evaluates only those, so a stack costs no more
-integrand columns than its members would alone.
+integrand columns than its members would alone.  The first convergence
+test compares levels BASE_LEVEL and BASE_LEVEL + 1, so the first
+integrand call takes the nodes of both.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,6 +65,17 @@ def _nodes(level):
     return _node_cache[level]
 
 
+@lru_cache(maxsize=1)
+def _first_nodes():
+    """(u, d0, d1) of levels BASE_LEVEL and BASE_LEVEL + 1, in that order,
+    for the first integrand call."""
+    u, d1 = (np.concatenate([_nodes(level)[i] for level in
+                             (BASE_LEVEL, BASE_LEVEL + 1)]) for i in (0, 2))
+    for a in (u, d1):
+        a.setflags(write=False)
+    return u, u, d1
+
+
 def integrate_01(g, narrow):
     """Integrate a stack of vector-valued integrands over (0, 1) to
     relative tolerance TOL on the max-norm of each result.
@@ -84,16 +99,20 @@ def integrate_01(g, narrow):
     err : float
         That last change of each integral, the largest over the m.
     """
-    u, d0, d1, w = _nodes(BASE_LEVEL)
+    # the first test needs levels BASE_LEVEL and BASE_LEVEL + 1: one call
+    u, d0, d1 = _first_nodes()
     vals = g(u, d0, d1)
-    acc = (w @ vals.reshape(len(u), -1)).reshape(vals.shape[1:])
+    w = _nodes(BASE_LEVEL)[3]
+    first, vals = vals[:len(w)], vals[len(w):]
+    acc = (w @ first.reshape(len(w), -1)).reshape(vals.shape[1:])
     value = np.empty_like(acc)
     err = np.zeros(len(acc))
     est = 2.0 ** (-BASE_LEVEL) * acc
     live = np.arange(len(acc))     # the open integrals, by stack index
     for level in range(BASE_LEVEL + 1, MAX_LEVEL + 1):
         u, d0, d1, w = _nodes(level)
-        vals = g(u, d0, d1)
+        if level > BASE_LEVEL + 1:
+            vals = g(u, d0, d1)
         acc = acc + (w @ vals.reshape(len(u), -1)).reshape(acc.shape)
         new = 2.0 ** (-level) * acc
         scale = np.maximum(np.max(np.abs(new), axis=-1), 1e-300)

@@ -439,7 +439,7 @@ def _check_basis_independence(ctx, rng, tol):
     pd2 = None
     for perm in perms:
         try:
-            pd2 = compute_period_data(ctx.f, ordering=perm)
+            pd2 = compute_period_data(ctx.f, ordering=perm, like=ctx.pd)
             break
         except DegenerateGeometryError:
             continue
@@ -513,10 +513,13 @@ def run_suite(ctx, seed=1, checks=None, tol_id=None):
     """Run the named checks (all by default) and return the report.
 
     Identity-class checks (quartic determinant, forward consistency,
-    round trip, basis independence) use tol_id when given.  Unknown
-    check names raise ValueError.  A check that raised, or measured a
+    round trip, basis independence) use tol_id when given, which must be
+    a finite number > 0.  Unknown check names and any other tol_id raise
+    ValueError before a check runs.  A check that raised, or measured a
     residual that is not finite, reports max_residual None.
     """
+    if tol_id is not None and not (math.isfinite(tol_id) and tol_id > 0):
+        raise ValueError(f"tol_id must be a finite number > 0, not {tol_id}")
     if checks is not None:
         unknown = set(checks) - set(CHECK_NAMES)
         if unknown:

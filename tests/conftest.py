@@ -1,4 +1,6 @@
-"""Shared fixtures: the two reference curves with certified period data.
+"""Shared fixtures: the two reference curves with certified period data,
+samplers, and the sheet-flip loop that Abel paths once ended in, kept as
+the reference for the runs into a branch point that replaced it.
 
 Period computation dominates the runtime, so the contexts are built once
 per session and shared read-only (all arrays are frozen).
@@ -9,6 +11,7 @@ import pytest
 
 import kleinian2 as k2
 from kleinian2.curve import is_special
+from kleinian2.integration import line_with_detours, x_dx
 
 W5_COEFFS = [0.0, -4.0, 0.0, 0.0, 0.0, 4.0, 0.0]
 G6_COEFFS = [-1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
@@ -54,3 +57,20 @@ def sample_divisor(ctx, rng):
         D = k2.Divisor(k2.CurvePoint(xs[0], ys[0]), k2.CurvePoint(xs[1], ys[1]))
         if not is_special(f, D):
             return D
+
+
+def flip_loop_pieces(roots, radii, x_at):
+    """Reference: the sheet-flip loop from x_at about its nearest root,
+    as Abel paths once ended in it: the run out to the root's detour
+    circle (radius at most 0.6 of the distance), one full turn, and the
+    run back.  It integrates to twice the run from x_at into the root."""
+    x_at = complex(x_at)
+    r_arr = np.asarray(roots)
+    k = int(np.argmin(np.abs(r_arr - x_at)))
+    r = complex(r_arr[k])
+    rho = min(radii[k], 0.6 * abs(x_at - r))
+    arc = np.array([[r, rho * np.exp(1j * np.angle(x_at - r)), 2j * np.pi]])
+    ends, _ = x_dx(arc, np.array([[0.0], [1.0]]))
+    return np.concatenate([line_with_detours(roots, radii, x_at, ends[0, 0]),
+                           arc,
+                           line_with_detours(roots, radii, ends[1, 0], x_at)])

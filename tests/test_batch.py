@@ -426,9 +426,9 @@ def test_a_batch_with_a_wide_sextic_point_raises_as_the_point_does():
 
 def _divisor_kinds(ctx, n, seed):
     """n divisors cycling through affine pairs whose path does and does
-    not need a sheet-flip loop, (P) + (P) (an empty straight run and a
-    loop), (P) + (iP) (no path at all), and divisors with points at
-    infinity under both labels."""
+    not need a sheet flip, (P) + (P) (an empty straight run and a run
+    into a branch point), (P) + (iP) (no path at all), and divisors with
+    points at infinity under both labels."""
     rng = np.random.default_rng(seed)
     inf1, inf2 = k2.CurvePoint.at_infinity(1), k2.CurvePoint.at_infinity(2)
     out = []
@@ -444,7 +444,7 @@ def _divisor_kinds(ctx, n, seed):
 
 def _affine_divisors(ctx, n, seed):
     """n admissible affine divisors, half of them (p) + (iq) of the other
-    half, so that paths with and without a flip loop share a batch."""
+    half, so that paths with and without a sheet flip share a batch."""
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < n:
@@ -525,10 +525,10 @@ def abel_calls(monkeypatch):
 @pytest.mark.parametrize("n", [1, 7, 20])
 def test_a_batch_is_two_continuations_and_one_quadrature(ctx, n,
                                                          abel_calls):
-    """Affine pairs: the straight runs in one continuation, the flip
-    loops in a second, every piece in one quadrature, whatever n is.
-    jacobi_invert reads its divisors off the theta jets and integrates
-    nothing."""
+    """Affine pairs: the straight runs in one continuation, the runs into
+    a branch point in at most a second, every piece in one quadrature,
+    whatever n is.  jacobi_invert reads its divisors off the theta jets
+    and integrates nothing."""
     Ds = _affine_divisors(ctx, n, seed=n + 500)
     z = _points(ctx, n, seed=n + 600)
     for run in (lambda: k2.abel_forward(ctx, Ds),
@@ -553,7 +553,7 @@ def test_divisors_that_meet_infinity_share_one_fan(ctx, abel_calls):
 
 
 def test_detour_radii_are_computed_once_per_root_set(ctx):
-    """A batch of affine pairs, flip loops and divisors that meet
+    """A batch of affine pairs, sheet flips and divisors that meet
     infinity asks for the detour radii in path_between and in
     point_infinity_integrals; the root-distance matrix behind them is
     computed once."""

@@ -168,6 +168,18 @@ def test_verify_tol_flag_only(files):
     assert run_cli(*args, "--tol", "1e-6").returncode == 0
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_verify_tol_must_be_finite_and_positive(files, tol):
+    """--tol that is not a finite number > 0 is an input error, exit 2,
+    not a suite whose identity checks all fail or a report that is not
+    JSON."""
+    r = run_cli("verify", "--curve", files["w5"], "--seed", "1",
+                "--checks", "quartic_determinant", "--tol", tol)
+    assert r.returncode == 2
+    assert json.loads(r.stderr)["code"] == "InputError"
+    assert r.stdout == ""
+
+
 def _refuse_constant(name):
     raise ValueError(f"{name} is not JSON")
 

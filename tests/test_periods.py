@@ -16,7 +16,7 @@ from kleinian2.curve import branch_points
 from kleinian2.integration import segment_period_integrals
 from kleinian2.theta import ThetaParams, theta_jet
 
-from conftest import G6_COEFFS, W5_COEFFS
+from conftest import G6_COEFFS, W5_COEFFS, flip_loop_pieces
 
 
 # -- independent oracle for one branch segment ---------------------------------
@@ -321,10 +321,12 @@ def test_z_star_invariant_mod_lattice():
 @pytest.mark.parametrize("coeffs", [G6_COEFFS, _ring_curve(
     np.random.default_rng(8), 6, 0.8 - 0.6j)], ids=["g6", "ring6"])
 def test_z_star_continues_one_tail(coeffs, monkeypatch):
-    """The tail back to infinity from the flip loop's end, at -y_far, is
-    the first tail with every y negated, so z_star = I_loop - 2 T
-    integrates one tail, the one the Abel samples share, and matches the
-    route that integrates both."""
+    """The tail back to infinity from the sheet flip at x_far, at -y_far,
+    is the first tail with every y negated, so z_star = 2 (I_e - T), I_e
+    the run from x_far into its nearest root, integrates one tail, the
+    one the Abel samples share.  It matches the route that integrates
+    both tails to 1e-15, and with the flip loop for 2 I_e (out, a full
+    turn about the root, back) to 1e-13."""
     f = k2.validate_polynomial(coeffs)
     roots = branch_points(f)
     scale = max(1.0, max(abs(r) for r in roots))
@@ -348,17 +350,19 @@ def test_z_star_continues_one_tail(coeffs, monkeypatch):
     if landed_plus[0]:
         y_far, T = -y_far, -T
     assert tail_y[0] == y_far
-    loop_pieces = integration.flip_loop_pieces(
-        roots, integration.detour_radii(roots), x_far)
-    _, y0, y_end = integration._continue_runs(f, roots, [loop_pieces],
-                                              [y_far])
-    I_loop = integration.integrate_forms(
-        f, roots, loop_pieces, y0, integration.holomorphic_numerators())
-    I_loop = I_loop.sum(axis=0)
-    T_out, landed_plus = integration.tail_integrals(f, [x_far], y_end)
-    assert landed_plus[0]
-    want = -T[0] + I_loop + T_out[0]
-    assert np.max(np.abs(z_star - want)) <= 1e-15 * np.max(np.abs(want))
+    radii = integration.detour_radii(roots)
+    dive = integration.run_into_branch_point(roots, radii, x_far)
+    for pieces, weight, rel in ((dive, 2.0, 1e-15),
+                                (flip_loop_pieces(roots, radii, x_far), 1.0,
+                                 1e-13)):
+        _, y0, _ = integration._continue_runs(f, roots, [pieces], [y_far])
+        I = weight * integration.integrate_forms(
+            f, roots, pieces, y0, integration.holomorphic_numerators()
+        ).sum(axis=0)
+        T_out, landed_plus = integration.tail_integrals(f, [x_far], [-y_far])
+        assert landed_plus[0]
+        want = -T[0] + I + T_out[0]
+        assert np.max(np.abs(z_star - want)) <= rel * np.max(np.abs(want))
 
 
 def _samples(f, roots, scale):

@@ -10,12 +10,13 @@ import kleinian2 as k2
 from kleinian2 import integration
 from kleinian2.curve import branch_points
 from kleinian2.integration import (continue_sqrt, detour_radii,
-                                   flip_loop_pieces, line_with_detours,
-                                   piece_sheet, segment_sheet, tail_sheet,
-                                   x_dx)
-from kleinian2.quadrature import _nodes, integrate_01
+                                   line_with_detours, piece_sheet,
+                                   run_into_branch_point, segment_sheet,
+                                   tail_sheet, x_dx)
+from kleinian2.quadrature import (BASE_LEVEL, MAX_LEVEL, TOL, _nodes,
+                                  integrate_01)
 
-from conftest import G6_COEFFS, W5_COEFFS
+from conftest import G6_COEFFS, W5_COEFFS, flip_loop_pieces
 
 
 def _whole_stack(g):
@@ -127,17 +128,27 @@ EASY_TO_HARD = [lambda u: np.exp(0.1 * u), lambda u: np.exp(3.0 * u),
                 lambda u: 1.0 / ((u - 0.3) ** 2 + 1e-4)]
 
 
+# the number of levels whose new nodes an integrand call gets, by node
+# count: integrate_01's first call gets BASE_LEVEL and the next together
+# (the level-by-level reference below gets BASE_LEVEL alone)
+LEVELS_BY_COUNT = {
+    len(_nodes(BASE_LEVEL)[0]) + len(_nodes(BASE_LEVEL + 1)[0]): 2,
+    **{len(_nodes(level)[0]): 1
+       for level in range(BASE_LEVEL, MAX_LEVEL + 1)}}
+
+
 def _recording_stack(fns, narrowed):
     """A stack integrand over fns, recording per call which of them it
-    evaluated, and its narrow callback.  Narrowed, it evaluates the open
-    integrals only; otherwise it evaluates the whole stack and returns
-    the open integrals' columns of it."""
+    evaluated and at how many levels, and its narrow callback.
+    Narrowed, it evaluates the open integrals only; otherwise it
+    evaluates the whole stack and returns the open integrals' columns of
+    it."""
     live = [np.arange(len(fns))]
     seen = []
 
     def g(u, d0, d1):
         evaluated = live[0] if narrowed else np.arange(len(fns))
-        seen.append(list(evaluated))
+        seen.append((list(evaluated), LEVELS_BY_COUNT[len(u)]))
         vals = np.stack([fns[i](u) + 0j for i in evaluated], axis=1)
         return (vals if narrowed else vals[:, live[0]])[:, :, None]
 
@@ -149,7 +160,7 @@ def _recording_stack(fns, narrowed):
 
 def _levels_alone(fn):
     g, narrow, seen = _recording_stack([fn], False)
-    return integrate_01(g, narrow)[0][0, 0], len(seen)
+    return integrate_01(g, narrow)[0][0, 0], sum(n for _, n in seen)
 
 
 def _forwarding(g, *args, **kwargs):
@@ -163,7 +174,8 @@ def _forwarding(g, *args, **kwargs):
 @pytest.mark.parametrize("narrowed", [True, False])
 def test_each_integral_of_a_stack_retires_at_its_own_level(run, narrowed):
     """Each result equals its integral computed alone, and a narrowed
-    integrand evaluates each integral at no more levels than alone."""
+    integrand evaluates each integral at no more levels than alone;
+    levels are counted from the nodes of each call."""
     alone = [_levels_alone(fn) for fn in EASY_TO_HARD]
     assert len({n for _, n in alone}) > 2
     g, narrow, seen = _recording_stack(EASY_TO_HARD, narrowed)
@@ -173,10 +185,72 @@ def test_each_integral_of_a_stack_retires_at_its_own_level(run, narrowed):
     for i, (want, levels) in enumerate(alone):
         assert abs(val[i, 0] - want) <= 1e-15 * abs(want)
         if narrowed:
-            assert sum(i in cols for cols in seen) <= levels
-    assert len(seen) == max(n for _, n in alone)
+            assert sum(n for cols, n in seen if i in cols) <= levels
+    assert sum(n for _, n in seen) == max(n for _, n in alone)
+    assert seen[0][1] == 2
     if not narrowed:
-        assert all(cols == list(range(len(EASY_TO_HARD))) for cols in seen)
+        assert all(cols == list(range(len(EASY_TO_HARD))) for cols, _ in seen)
+
+
+def _integrate_level_by_level(g, narrow):
+    """Reference: integrate_01 with one integrand call per level, the
+    first at BASE_LEVEL alone."""
+    u, d0, d1, w = _nodes(BASE_LEVEL)
+    vals = g(u, d0, d1)
+    acc = (w @ vals.reshape(len(u), -1)).reshape(vals.shape[1:])
+    value = np.empty_like(acc)
+    err = np.zeros(len(acc))
+    est = 2.0 ** (-BASE_LEVEL) * acc
+    live = np.arange(len(acc))
+    for level in range(BASE_LEVEL + 1, MAX_LEVEL + 1):
+        u, d0, d1, w = _nodes(level)
+        vals = g(u, d0, d1)
+        acc = acc + (w @ vals.reshape(len(u), -1)).reshape(acc.shape)
+        new = 2.0 ** (-level) * acc
+        scale = np.maximum(np.max(np.abs(new), axis=-1), 1e-300)
+        change = np.max(np.abs(new - est), axis=-1) / scale
+        done = change < TOL
+        if done.all():
+            value[live], err[live] = new, change
+            return value, float(err.max())
+        if done.any():
+            value[live[done]], err[live[done]] = new[done], change[done]
+            keep = ~done
+            live, acc, new = live[keep], acc[keep], new[keep]
+            narrow(live)
+        est = new
+    raise AssertionError("no convergence")
+
+
+@pytest.mark.parametrize("coeffs", [W5_COEFFS, G6_COEFFS], ids=["w5", "g6"])
+def test_two_level_first_call_is_bit_identical(coeffs, monkeypatch):
+    """The first integrand call covers levels BASE_LEVEL and BASE_LEVEL +
+    1 together; every result is bit for bit the level-by-level one: the
+    stack of EASY_TO_HARD, the period segments, and a path's pieces."""
+    g, narrow, _ = _recording_stack(EASY_TO_HARD, True)
+    got = integrate_01(g, narrow)
+    g, narrow, _ = _recording_stack(EASY_TO_HARD, True)
+    want = _integrate_level_by_level(g, narrow)
+    assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+    f = k2.validate_polynomial(coeffs)
+    roots = branch_points(f)
+    P0 = k2.CurvePoint.affine(0.4 + 0.7j, np.sqrt(f(0.4 + 0.7j)))
+    P1 = k2.CurvePoint.affine(-1.1 - 0.3j, np.sqrt(f(-1.1 - 0.3j)))
+    # one of the two ends in a run into a branch point
+    pieces, y0, _, weight = integration.path_between(
+        f, roots, [P0, P0], [P1, k2.CurvePoint.affine(P1.x, -P1.y)])
+    assert np.any(weight == 2)
+    results = []
+    for quad in (integrate_01, _integrate_level_by_level):
+        monkeypatch.setattr(integration, "integrate_01", quad)
+        results.append((
+            integration.segment_period_integrals(
+                f, roots, k2.periods.LOOP_PAIRS),
+            integration.integrate_forms(f, roots, pieces, y0,
+                                        integration.all_numerators(f))))
+    monkeypatch.undo()
+    for a, b in zip(*results):
+        assert np.array_equal(a, b)
 
 
 def _g6():
@@ -245,7 +319,8 @@ def test_sheet_path_consistency():
     x0, x1 = 2.0 + 0.5j, -1.5 + 0.8j
     line = np.array([[x0, x1 - x0, 0]])
     sheet = piece_sheet(f, roots, line, [np.sqrt(f(x0))])(np.arange(1))
-    x, _, y = sheet(np.linspace(0.0, 1.0, 50)[:, None])
+    u = np.linspace(0.0, 1.0, 50)[:, None]
+    x, _, y = sheet(u, 1.0 - u)
     x, y = x[:, 0], y[:, 0]
     assert np.all(np.abs(y ** 2 - f(x)) < 1e-10 * np.maximum(1.0,
                                                              np.abs(f(x))))
@@ -259,12 +334,14 @@ def test_sheet_path_consistency():
 NODES = np.unique(np.concatenate([_nodes(level)[0] for level in range(3, 9)]))
 
 
-def _dense_step(y_at, y_start):
+def _dense_step(y_at, y_start, nodes=NODES):
     """Reference: the continuation of y_at(u)^2 from y_start along [0, 1]
-    through NODES, each step subdivided until consecutive values are
+    through nodes, each step subdivided until consecutive values are
     within 0.25 in argument and a factor 2 in modulus, the nearer of +-root
-    taken at every step.  Returns its values at NODES and at u = 1."""
-    u = np.union1d(np.linspace(0.0, 1.0, 257), NODES)
+    taken at every step.  Returns its values at nodes and at the last of
+    them, u = 1 for NODES (a run into a branch point stops short of it,
+    where y vanishes)."""
+    u = np.union1d(np.linspace(0.0, nodes[-1], 257), nodes)
     while True:
         h = y_at(u) ** 2
         r = h[1:] / h[:-1]
@@ -281,27 +358,40 @@ def _dense_step(y_at, y_start):
     if abs(s[0] - y_start) > abs(s[0] + y_start):
         sign = -sign
     y = sign * s
-    return y[np.searchsorted(u, NODES)], y[-1]
+    return y[np.searchsorted(u, nodes)], y[-1]
+
+
+def _ends_on_a_root(roots, pieces):
+    """Whether each piece is the last of a run into a branch point."""
+    return integration._piece_frames(np.asarray(roots, dtype=complex),
+                                     pieces)[3].any(axis=0)
 
 
 def _check_pieces_against_dense_step(f, roots, pieces, seeds):
     """Each piece's closed-form sheet at NODES is the dense-step
     continuation of that piece alone, from its seed or, for a chained
     piece, from the reference's end of the piece before; and so are the
-    start and end values continue_sqrt chains."""
+    start and end values continue_sqrt chains.  A run into a branch point
+    is compared at the nodes up to 1 - 1e-6, with d1 = 1 - u."""
     y0, y1 = continue_sqrt(f, roots, pieces, seeds)
     rows = piece_sheet(f, roots, pieces, y0)
+    dives = _ends_on_a_root(roots, pieces)
     y_end = None
     for k, seed in enumerate(seeds):
         start = y0[k] if seed is None else seed
         if seed is None and y_end is not None:
             assert abs(y0[k] - y_end) <= 1e-12 * abs(y_end)
         sheet = rows(np.array([k]))
-        want, y_end = _dense_step(lambda u: sheet(u[:, None])[2][:, 0],
-                                  start)
-        got = sheet(NODES[:, None])[2][:, 0]
+        nodes = NODES[NODES < 1 - 1e-6] if dives[k] else NODES
+
+        def y_at(u, sheet=sheet):
+            return sheet(u[:, None], 1.0 - u[:, None])[2][:, 0]
+
+        want, y_end = _dense_step(y_at, start, nodes)
+        got = y_at(nodes)
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
-        assert abs(y1[k] - y_end) <= 1e-13 * abs(y_end)
+        if not dives[k]:
+            assert abs(y1[k] - y_end) <= 1e-13 * abs(y_end)
 
 
 def _loop(turns):
@@ -321,7 +411,7 @@ def _seeded():
 def _detour():
     """path_between to a point and to its involution image, in one call:
     two chains of a line, a detour arc and a line, and for the second a
-    flip loop after it."""
+    run into a branch point after it."""
     f = _g6()
     x0, x1 = 1.0 - 0.5j, 1.0 + 0.5j
     roots = branch_points(f)
@@ -329,9 +419,10 @@ def _detour():
         line_with_detours(roots, detour_radii(roots), x0, x1)[:, 2] != 0)
     P0 = k2.CurvePoint.affine(x0, np.sqrt(f(x0)))
     P1 = k2.CurvePoint.affine(x1, np.sqrt(f(x1)))
-    pieces, y0, path = integration.path_between(
+    pieces, y0, path, weight = integration.path_between(
         f, roots, [P0, P0], [P1, k2.CurvePoint.affine(x1, -P1.y)])
     assert np.any(path == 1) and len(pieces) > 6
+    assert np.any(weight == 2) and _ends_on_a_root(roots, pieces)[-1]
     first = np.concatenate([[True], path[1:] != path[:-1]])
     return f, roots, pieces, [y if new else None
                               for y, new in zip(y0, first)]
@@ -410,8 +501,9 @@ def test_batched_continuation_matches_depth_first(name):
 @pytest.mark.parametrize("coeffs", [W5_COEFFS, G6_COEFFS], ids=["w5", "g6"])
 def test_closed_form_sheet_near_roots(coeffs):
     """Paths aimed exactly through roots (detour arcs of exactly pi), from
-    points 1e-3 to 1e-6 off a root, with flip loops (full turns) about
-    roots from points near them: every piece's sheet is the dense-step
+    points 1e-3 to 1e-6 off a root, each chained on into its end point's
+    nearest root, and with flip loops (full turns) about roots from
+    points near them: every piece's sheet is the dense-step
     continuation."""
     f = k2.validate_polynomial(coeffs)
     roots = branch_points(f)
@@ -424,14 +516,57 @@ def test_closed_form_sheet_near_roots(coeffs):
         other = roots[(k + 1) % len(roots)]
         for x0, x1 in ((r - v, r + v), (r + delta, other + 0.5 * v),
                        (other - 0.4 * v, r + delta)):
-            pieces = line_with_detours(roots, radii, x0, x1)
-            pieces = np.concatenate([pieces,
-                                     flip_loop_pieces(roots, radii, x1)])
-            arcs_of_pi += np.sum(np.abs(pieces[:, 2].imag) == np.pi)
-            _check_pieces_against_dense_step(
-                f, roots, pieces,
-                [np.sqrt(f(x0))] + [None] * (len(pieces) - 1))
+            run = line_with_detours(roots, radii, x0, x1)
+            arcs_of_pi += np.sum(np.abs(run[:, 2].imag) == np.pi)
+            for end in (run_into_branch_point(roots, radii, x1),
+                        flip_loop_pieces(roots, radii, x1)):
+                pieces = np.concatenate([run, end])
+                _check_pieces_against_dense_step(
+                    f, roots, pieces,
+                    [np.sqrt(f(x0))] + [None] * (len(pieces) - 1))
     assert arcs_of_pi >= len(roots)
+
+
+def _ring_sextic():
+    """A seeded unit-ring sextic: roots near |x| = 1, jittered angles."""
+    rng = np.random.default_rng(2024)
+    angles = (2 * np.pi * (np.arange(6) + rng.uniform(-0.3, 0.3, 6)) / 6
+              + rng.uniform(0, 2 * np.pi))
+    roots = rng.uniform(0.75, 1.25, 6) * np.exp(1j * angles)
+    lead = rng.uniform(0.5, 1.5) * np.exp(2j * np.pi * rng.uniform())
+    return k2.validate_polynomial(lead * np.poly(roots)[::-1])
+
+
+@pytest.mark.parametrize("make", [_w5, _g6, _ring_sextic],
+                         ids=["w5", "g6", "ring"])
+def test_flip_loop_is_twice_the_run_into_its_root(make):
+    """The sheet-flip loop from x about its nearest root e (out to the
+    detour circle, a full turn, back on the other sheet) integrates every
+    numerator to twice the run from x into e on the sheet it starts on,
+    to 1e-13 of the largest, from points on both sheets near every root,
+    out at 1.5 its distance to the next, and beyond the roots."""
+    f = make()
+    roots = branch_points(f)
+    radii = detour_radii(roots)
+    nums = integration.all_numerators(f)
+    rng = np.random.default_rng(23)
+    # near every root, out to 1.5 times its distance to the next
+    gap = radii / integration.DETOUR_FACTOR
+    xs = [r + gap[k] * rng.uniform(0.05, 1.5)
+          * np.exp(2j * np.pi * rng.random()) for k, r in enumerate(roots)]
+    xs += [3.0 * np.exp(2j * np.pi * rng.random()) for _ in range(3)]
+    for x in xs:
+        for y in np.sqrt(f(x)) * np.array([1, -1]):
+            totals = []
+            for pieces in (flip_loop_pieces(roots, radii, x),
+                           run_into_branch_point(roots, radii, x)):
+                _, y0, _ = integration._continue_runs(f, roots, [pieces],
+                                                      [y])
+                totals.append(integration.integrate_forms(
+                    f, roots, pieces, y0, nums).sum(axis=0))
+            loop, run = totals
+            assert np.max(np.abs(loop - 2 * run)) <= 1e-13 * np.max(
+                np.abs(loop))
 
 
 def _junction_gap(pieces):
@@ -443,8 +578,8 @@ def _junction_gap(pieces):
 
 def test_detour_pieces_meet_exactly():
     """Lines end where the detour arcs begin, to an ulp of the scale, on
-    paths aimed at a root; a gap of 1e-11 once failed the seed check on a
-    4.5e-4 detour of the clustered quintic."""
+    paths aimed at a root and on runs into one; a gap of 1e-11 once
+    failed the seed check on a 4.5e-4 detour of the clustered quintic."""
     clustered = np.array([0, 1e-3, 2j, -1 + 1j, 3])
     rng = np.random.default_rng(7)
     for roots in (clustered, np.exp(2j * np.pi * np.arange(6) / 6)):
@@ -454,9 +589,9 @@ def test_detour_pieces_meet_exactly():
             c = roots[rng.integers(len(roots))]
             x0 = 3 * scale * (rng.random() - 0.5 + 1j * (rng.random() - 0.5))
             x1 = 2 * c - x0 + 1e-3 * (rng.random() - 0.5)
-            x_at = c + 1e-2 * (rng.random() - 0.5 + 1j * (rng.random() - 0.5))
+            k = int(np.argmin(np.abs(roots - c)))
             for pieces in (line_with_detours(roots, radii, x0, x1),
-                           flip_loop_pieces(roots, radii, x_at)):
+                           line_with_detours(roots, radii, x0, c, k)):
                 assert _junction_gap(pieces) <= np.spacing(scale)
 
 
@@ -481,7 +616,7 @@ def _integrate_forms_piece_by_piece(f, roots, pieces, y0, numerators):
                 rho, phi0, dphi = abs(R), np.angle(R), b.imag
                 x = c + rho * np.exp(1j * (phi0 + u * dphi))
                 dx = 1j * dphi * (x - c)
-            y = sheet(u[:, None])[2][:, 0]
+            y = sheet(u[:, None], d1[:, None])[2][:, 0]
             return np.stack([nf(x) * dx / y for nf in numerators],
                             axis=1)[:, None]
         total += _whole_stack(g)[0][0]
@@ -490,9 +625,9 @@ def _integrate_forms_piece_by_piece(f, roots, pieces, y0, numerators):
 
 @pytest.mark.parametrize("coeffs", [W5_COEFFS, G6_COEFFS], ids=["w5", "g6"])
 def test_integrate_forms_matches_piece_by_piece(coeffs):
-    """Paths aimed through branch points (so with detour arcs), some with
-    a sheet-flip loop appended: the one quadrature over all pieces gives
-    the per-piece sum."""
+    """Paths aimed through branch points (so with detour arcs), some
+    chained on into a branch point: the one quadrature over all pieces
+    gives the per-piece sum."""
     f = k2.validate_polynomial(coeffs)
     roots = branch_points(f)
     radii = detour_radii(roots)
@@ -505,7 +640,7 @@ def test_integrate_forms_matches_piece_by_piece(coeffs):
         assert np.any(pieces[:, 2] != 0)
         if k % 2:
             pieces = np.concatenate(
-                [pieces, flip_loop_pieces(roots, radii, x1)])
+                [pieces, run_into_branch_point(roots, radii, x1)])
         _, y0, _ = integration._continue_runs(f, roots, [pieces],
                                               [np.sqrt(f(x0))])
         got = integration.integrate_forms(f, roots, pieces, y0,
@@ -546,18 +681,17 @@ def test_x_dx_rows_integrate_to_their_chords():
 
 def test_empty_straight_run_is_a_stack_of_no_rows():
     """From a point to itself the straight run has no pieces, a (0, 3)
-    stack, so the path to the involution image is the flip loop alone."""
+    stack, so the path to the involution image is the run into the
+    nearest branch point alone, of weight 2."""
     f = _g6()
     roots = branch_points(f)
     x = 0.4 + 0.7j
     assert line_with_detours(roots, detour_radii(roots), x, x).shape == (0, 3)
     P = k2.CurvePoint.affine(x, np.sqrt(f(x)))
-    pieces, _, _ = integration.path_between(f, roots, [P], [P])
+    pieces, _, _, _ = integration.path_between(f, roots, [P], [P])
     assert pieces.shape == (0, 3)
-    pieces, y0, _ = integration.path_between(
+    pieces, y0, path, weight = integration.path_between(
         f, roots, [P], [k2.CurvePoint.affine(x, -P.y)])
-    loop = flip_loop_pieces(roots, detour_radii(roots), x)
-    assert np.array_equal(pieces, loop)
-    assert y0[0] == P.y
-    y_end = continue_sqrt(f, roots, pieces, [P.y, None, None])[1][-1]
-    assert abs(y_end + P.y) <= 1e-12 * abs(P.y)
+    dive = run_into_branch_point(roots, detour_radii(roots), x)
+    assert np.array_equal(pieces, dive)
+    assert y0[0] == P.y and np.all(path == 0) and np.all(weight == 2)

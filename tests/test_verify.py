@@ -86,6 +86,19 @@ def test_tol_id_override_scope(g6_ctx):
     assert not rep.passed
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0],
+                         ids=["nan", "inf", "0", "-1"])
+def test_tol_id_must_be_finite_and_positive(w5_ctx, tol, monkeypatch):
+    """A tolerance that is not a finite number > 0 raises ValueError
+    before any check draws its stream."""
+    def refuse(*args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(verify, "_rng", refuse)
+    with pytest.raises(ValueError, match="tol_id"):
+        k2.run_suite(w5_ctx, seed=1, tol_id=tol)
+
+
 def test_failures_are_entries_not_exceptions(g6_ctx):
     rep = k2.run_suite(g6_ctx, seed=1, tol_id=1e-30)
     bad = [c for c in rep.checks if c["pass"] is False]
@@ -291,6 +304,38 @@ def _loop_basis_independence(ctx, rng):
         for a, b in zip(k2.wp_eval(ctx, z), k2.wp_eval(ctx2, z)):
             worst = max(worst, verify._rel(a - b, a, b))
     return np.array(kept), worst
+
+
+def test_basis_independence_builds_with_one_quadrature(any_ctx,
+                                                       monkeypatch):
+    """The re-ordered build reuses the Abel samples and z_star of the
+    curve's own period data, which do not depend on the ordering, and
+    integrates only its loop segments: one quadrature for the whole
+    check.  Period data read from JSON carries no samples, and the build
+    integrates them as well, to the same values to 1e-13."""
+    calls = []
+    quad = k2.integration.integrate_01
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(k2.integration, "integrate_01", counted)
+    index = k2.CHECK_NAMES.index("basis_independence")
+    _, _, ok = verify._check_basis_independence(
+        any_ctx, verify._rng(1, index), 1e-7)
+    assert ok and len(calls) == 1
+    calls.clear()
+    loaded = k2.serialization.period_data_from_json(
+        k2.serialization.period_data_to_json(any_ctx.pd))
+    assert loaded.abel_samples is None
+    pd2 = k2.compute_period_data(any_ctx.f, ordering=(1, 0, 2, 4, 3) + (
+        (5,) if any_ctx.f.degree == 6 else ()), like=loaded)
+    assert len(calls) == 3
+    for got, want in ((pd2.abel_samples, any_ctx.pd.abel_samples),
+                      (pd2.z_star, any_ctx.pd.z_star)):
+        if want is not None:
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 BATCHED_CHECKS = {
