@@ -75,8 +75,8 @@ class OnThetaDivisorError(KleinianError):
 
 
 class NonFiniteValueError(KleinianError):
-    """A theta jet, S, S_jk, sigma or the log Hessian overflowed to a
-    non-finite value at the evaluation point."""
+    """S, S_jk or sigma lies outside the range of normal doubles at the
+    evaluation point, on overflow or underflow."""
 
 
 class RootSelectionAmbiguity(KleinianError):

@@ -12,9 +12,14 @@ u = A^-1 z.  S, S11, S12, S22 span the weight-2 theta functions, and by
 the addition formula so do pq and E = q p'' + p q'' - p' q'^T - q' p'^T
 (u-derivatives).  So each S_jk is exp(z^T C z) times a fixed combination
 of (pq, E11, E12, E22), found once per curve by make_context.
+
+theta_jet keeps the lattice scale apart, theta = e^s V: S and S_jk are
+exp(z^T C z + s_- + s_+) times the same expressions in V, sigma exp(twist
++ s_-) c_sigma V_-, each formed by one exp in _scaled.  wp, zeta, wp_jkl,
+the log derivatives of S and the inversion are ratios of jet entries:
+they read V alone and do not overflow however far out z lies.
 """
 
-import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -34,6 +39,8 @@ from .periods import compute_period_data
 from .theta import ThetaParams, theta_jet
 
 ZERO_FACTOR = 1e-6     # on-divisor guard, relative to the theta scale
+# the logs of the least normal double and of the largest
+_LOG_MIN, _LOG_MAX = np.log([np.finfo(float).tiny, np.finfo(float).max])
 TOL_JET = 1e-7
 TOL_RT = 1e-7
 TOL_ID = 1e-7
@@ -88,10 +95,10 @@ def _weight2_basis(pd, Ainv, C):
     eps = np.tile([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], (2, 1))
     w = np.zeros((8, 2), dtype=complex)
     w[4:] = 2.0 * pd.Delta
-    jet = theta_jet(ThetaParams.build(2.0 * Om), w + eps @ Om, 2)
+    s, jet = theta_jet(ThetaParams.build(2.0 * Om), w + eps @ Om, 2)
     mu = 1j * np.pi * eps
     fac = np.exp(0.5j * np.pi * np.einsum("ri,ij,rj->r", eps, Om, eps)
-                 + np.einsum("ri,ri->r", mu, w))
+                 + np.einsum("ri,ri->r", mu, w) + s)
     val = jet[:, 0, 0]
     grad = np.stack([jet[:, 1, 0], jet[:, 0, 1]], axis=1)
     hess = np.stack([jet[:, 2, 0], jet[:, 1, 1],
@@ -129,14 +136,14 @@ def make_context(f, pd=None):
     C = 0.5 * (C + C.T)
 
     rows = np.stack([np.zeros(2), -pd.Delta, pd.Delta])
-    j0, jm, jp = theta_jet(tp, rows, 1)
-    theta_ref = abs(j0[0, 0])
+    s, (j0, jm, jp) = theta_jet(tp, rows, 1)
+    theta_ref = abs(j0[0, 0])       # the row z = 0 is not shifted: s = 0
     # Gate the vanishing against the local gradient as well as the global
     # reference: a lattice translate of Delta scales theta and its gradient
     # by the same quasi-periodicity factor, which can dwarf theta_ref.
-    for jet in (jm, jp):
+    for sk, jet in zip(s[1:], (jm, jp)):
         local = float(np.hypot(abs(jet[1, 0]), abs(jet[0, 1])))
-        if abs(jet[0, 0]) > 1e-6 * max(theta_ref, local):
+        if abs(jet[0, 0]) > 1e-6 * max(theta_ref * np.exp(-sk.real), local):
             raise NormalizationError(
                 "theta does not vanish at +-Delta; base-point constant is "
                 "not on the theta divisor")
@@ -144,12 +151,9 @@ def make_context(f, pd=None):
     w = Ainv.T @ np.array([jp[1, 0], jp[0, 1]])
     if abs(v[0] * w[0]) < 1e-300:
         raise NormalizationError("degenerate gradient at Delta")
-    c_S = 1.0 / (v[0] * w[0])
-    hess_scale = max(abs(v[0] * w[0]), abs(v[1] * w[1]),
-                     abs(v[0] * w[1]), abs(v[1] * w[0]))
-    if (abs(c_S * (v[0] * w[1] + v[1] * w[0])) > TOL_JET
-            or abs(2.0 * c_S * v[1] * w[1]) > TOL_JET
-            or hess_scale == 0.0):
+    c_S = np.exp(-s[1] - s[2]) / (v[0] * w[0])
+    if (abs(v[1] / v[0] + w[1] / w[0]) > TOL_JET
+            or abs(2.0 * v[1] * w[1] / (v[0] * w[0])) > TOL_JET):
         raise NormalizationError(
             "second jet of the theta product is not proportional to "
             "z1^2; period data and base-point constant are inconsistent")
@@ -160,7 +164,7 @@ def make_context(f, pd=None):
             raise NormalizationError(
                 "no half-integer characteristic stored for a degree-5 "
                 "curve; sigma normalization unavailable")
-        c_sigma = 1.0 / v[0]
+        c_sigma = np.exp(-s[1]) / v[0]
         if abs(c_sigma ** 2 + c_S) > TOL_JET * abs(c_S):
             raise NormalizationError(
                 "sigma normalization does not square to the S "
@@ -203,30 +207,40 @@ def make_context(f, pd=None):
 # a batch axis last, which .T moves first; for one point .T leaves a
 # vector as it is.  The wp selection is the exception: it runs on
 # arrays, one point being a batch of one, because its eigvals and det
-# calls cost the same for one row as for many.
-# Far out the products of the jets with exp(z^T C z) overflow; the
-# public functions that form them silence numpy's warnings, once per
-# call, and leave the report to _finite.
+# calls cost the same for one row as for many.  The lattice exponents s
+# of the jets are read only by _scaled and the on-divisor guards.
 
 def _as_zs(z, batch=True):
     """z as one point, shape (2,), or, if batch, a batch of N >= 1 points,
-    (N, 2); ValueError for any other shape."""
+    (N, 2); ValueError for any other shape, and for inf or nan."""
     z = np.asarray(z, dtype=complex)
-    if z.shape == (2,) or (batch and z.ndim == 2 and z.shape[1] == 2
-                           and len(z)):
-        return z
-    shapes = "(2,) or (N, 2)" if batch else "(2,)"
-    raise ValueError(f"z must have shape {shapes}, not {z.shape}")
+    if not (z.shape == (2,) or (batch and z.ndim == 2 and z.shape[1] == 2
+                                and len(z))):
+        shapes = "(2,) or (N, 2)" if batch else "(2,)"
+        raise ValueError(f"z must have shape {shapes}, not {z.shape}")
+    if not np.isfinite(z).all():
+        raise ValueError("z must be finite")
+    return z
 
 
-def _finite(value, what):
-    """value, a numpy scalar or array, or NonFiniteValueError if any
-    entry of it is inf or nan.  Every value returned is built from the
-    theta jets, so this also catches jets that overflowed."""
-    if not all(map(cmath.isfinite, value.ravel().tolist())):
-        raise NonFiniteValueError(
-            f"{what} is not finite at this z; it lies too far out")
-    return value
+def _log(x):
+    """log x, elementwise, -inf where x is 0, with no numpy warning."""
+    x = np.asarray(x)
+    if x.all():
+        return np.log(x)
+    return np.log(x, out=np.full(x.shape, -np.inf, x.dtype), where=x != 0)
+
+
+def _scaled(mant, t, what):
+    """mant exp(t) as one exp, elementwise; NonFiniteValueError, with no
+    numpy warning, where mant is nonzero and the value is outside the
+    range of normal doubles, over or under."""
+    x = t + _log(mant)
+    r = x.real
+    if r.max() > _LOG_MAX or r.min() < _LOG_MIN and (
+            (r < _LOG_MIN) & (r > -np.inf)).any():
+        raise NonFiniteValueError(f"{what} is outside the double range")
+    return np.exp(x)
 
 
 def _at(jet, k1, k2):
@@ -253,13 +267,13 @@ def _quad(ctx, z):
 
 
 def _theta_pair(ctx, z, order=0):
-    """u = A^-1 z and the theta jets at u - Delta and u + Delta, from one
-    kernel call on the rows u -+ Delta of every point."""
+    """(u, s, jm, jp): u = A^-1 z, and theta_jet's s, shape (2,) or (2, N),
+    and jets at u -+ Delta, from one kernel call on all those rows."""
     u = _u(ctx, z)
     rows = np.stack([u - ctx.pd.Delta, u + ctx.pd.Delta])
-    jm, jp = theta_jet(ctx.tp, rows.reshape(-1, 2), order).reshape(
-        rows.shape[:-1] + (order + 1, order + 1))
-    return u, jm, jp
+    s, V = theta_jet(ctx.tp, rows.reshape(-1, 2), order)
+    jm, jp = V.reshape(rows.shape[:-1] + (order + 1, order + 1))
+    return u, s.reshape(rows.shape[:-1]), jm, jp
 
 
 _K3 = np.indices((2, 2, 2)).sum(axis=0)   # u2-order of d^3/du_a du_b du_c
@@ -306,36 +320,35 @@ def _third_log_derivs(ctx, jet):
     return _third_from_pullback(jet[..., 0, 0], *_pullback_jets(ctx, jet, 3))
 
 
-def _clearance(ctx, jm, jp):
-    return np.minimum(abs(_at(jm, 0, 0)), abs(_at(jp, 0, 0))) / ctx.theta_ref
-
-
 def divisor_clearance(ctx, z):
     """min(|theta(u - Delta)|, |theta(u + Delta)|) over the theta scale;
     small values mean z sits near the zero set of S.  A float, or shape
     (N,) for a batch z."""
-    _, jm, jp = _theta_pair(ctx, _as_zs(z), 0)
-    return _finite(_clearance(ctx, jm, jp), "the divisor clearance")
+    _, s, jm, jp = _theta_pair(ctx, _as_zs(z), 0)
+    log = np.minimum(_log(abs(_at(jm, 0, 0))) + s[0].real,
+                     _log(abs(_at(jp, 0, 0))) + s[1].real)
+    return _scaled(1.0 / ctx.theta_ref, log, "the divisor clearance")
 
 
-def _S_from_pair(ctx, quad, jm, jp):
-    """S from quad = _quad(ctx, z) and the jets at u -+ Delta."""
-    S = ctx.c_S * np.exp(quad) * _at(jm, 0, 0) * _at(jp, 0, 0)
-    return _finite(S, "S")
-
-
-@np.errstate(over="ignore", invalid="ignore")
 def S_eval(ctx, z):
     """The entire function S; zero exactly on the Abel image of the curve
     shifted by the base-point constant (and its reflection).  A complex
     number, or shape (N,) for a batch z."""
     z = _as_zs(z)
-    _, jm, jp = _theta_pair(ctx, z, 0)
-    return _S_from_pair(ctx, _quad(ctx, z), jm, jp)
+    _, s, jm, jp = _theta_pair(ctx, z, 0)
+    return _scaled(ctx.c_S * _at(jm, 0, 0) * _at(jp, 0, 0),
+                   _quad(ctx, z) + s[0] + s[1], "S")
 
 
-def _require_off_divisor(ctx, jm, jp):
-    if np.count_nonzero(_clearance(ctx, jm, jp) < ZERO_FACTOR):
+def _clear(ctx, s, *jets):
+    """|theta| >= ZERO_FACTOR theta_ref at every row of the jets, tested as
+    |V| >= ZERO_FACTOR theta_ref exp(-Re s): Re s >= -pi/4 sum |Im Omega|."""
+    V = np.array([_at(jet, 0, 0) for jet in jets])
+    return (abs(V) >= (ZERO_FACTOR * ctx.theta_ref) * np.exp(-s.real)).all()
+
+
+def _require_off_divisor(ctx, s, jm, jp):
+    if not _clear(ctx, s, jm, jp):
         raise OnThetaDivisorError(
             "z lies on (or too near) the zero set of S")
 
@@ -343,7 +356,6 @@ def _require_off_divisor(ctx, jm, jp):
 def _log_hessian_from_pair(ctx, jm, jp):
     """L = 2C + the z-space Hessians of log theta at u -+ Delta, from the
     order-2 jets; shape (..., 2, 2)."""
-    _require_off_divisor(ctx, jm, jp)
     L = 2.0 * ctx.C
     for jet in (jm, jp):
         p = _at(jet, 0, 0)
@@ -351,7 +363,7 @@ def _log_hessian_from_pair(ctx, jm, jp):
         # the batch axis last, where p broadcasts, and back
         L = L + (d2.T / p - (d1[..., :, None] * d1[..., None, :]).T
                  / p ** 2).T
-    return _finite(L, "the log Hessian of S")
+    return L
 
 
 def _log_derivs_from_pair(ctx, jm, jp):
@@ -360,7 +372,6 @@ def _log_derivs_from_pair(ctx, jm, jp):
     _log_hessian_from_pair gives it up to rounding, and dL, shape
     (N, 2, 2, 2), its z-derivatives dL_jk / dz_l, the sum of the third
     log derivatives of theta at both (exp(z^T C z) adds nothing)."""
-    _require_off_divisor(ctx, jm, jp)
     jets = np.concatenate([jm.reshape(-1, 4, 4), jp.reshape(-1, 4, 4)])
     n = len(jets) // 2
     p = jets[:, 0, 0]
@@ -368,21 +379,18 @@ def _log_derivs_from_pair(ctx, jm, jp):
     q = p[:, None, None]
     H = d2 / q - d1[:, :, None] * d1[:, None, :] / q ** 2
     T = _third_from_pullback(p, d1, d2, d3)
-    return (_finite(2.0 * ctx.C + H[:n] + H[n:], "the log Hessian of S"),
-            _finite(T[:n] + T[n:], "the third log derivatives of S"))
+    return 2.0 * ctx.C + H[:n] + H[n:], T[:n] + T[n:]
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def log_S_gradient(ctx, z):
     """First logarithmic derivatives of S; shape (2,), or (N, 2) for a
     batch z."""
     z = _as_zs(z)
-    _, jm, jp = _theta_pair(ctx, z, 1)
-    _require_off_divisor(ctx, jm, jp)
+    _, s, jm, jp = _theta_pair(ctx, z, 1)
+    _require_off_divisor(ctx, s, jm, jp)
     gp = _pullback_jets(ctx, jm, 1)[0] / jm[..., 0, 0, None]
     gq = _pullback_jets(ctx, jp, 1)[0] / jp[..., 0, 0, None]
-    g = 2.0 * (ctx.C @ z.T).T + gp + gq
-    return _finite(g, "the log gradient of S")
+    return 2.0 * (ctx.C @ z.T).T + gp + gq
 
 
 @lru_cache(maxsize=64)
@@ -440,7 +448,6 @@ def quartic_residual(f, p11, p12, p22):
     return float(r) if r.ndim == 0 else r
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def wp_eval(ctx, z, _depth=4):
     """(wp11, wp12, wp22) at z, from the logarithmic Hessian of S (the
     matrix L with L_jk = d^2 log S / dz_j dz_k); a tuple, or an (N, 3)
@@ -455,7 +462,8 @@ def wp_eval(ctx, z, _depth=4):
     continuity walk toward nearby points, one at a time.
     """
     z = _as_zs(z)
-    _, jm, jp = _theta_pair(ctx, z, 2)
+    _, s, jm, jp = _theta_pair(ctx, z, 2)
+    _require_off_divisor(ctx, s, jm, jp)
     L = _log_hessian_from_pair(ctx, jm, jp)
     wp = _wp_from_hessian(ctx, z.reshape(-1, 2), L.reshape(-1, 2, 2),
                           _depth)
@@ -467,12 +475,12 @@ def _wp_from_hessian(ctx, z, L, depth=4):
     L, the log Hessians of S there, shape (N, 2, 2).
 
     On degree 6 each row's wp22 is a root of its cubic.  The N companion
-    matrices, as np.roots builds them, go through one eigvals call, and
-    the row-scaled quartic residuals of the 3N candidate triples through
-    one det call.  A row keeps its candidates in stable order of residual
-    and takes the one under TOL_ID; if none passes, the best, which the
-    suite's quartic-determinant check flags if it is wrong; if several
-    pass, the one _resolve_root picks among them."""
+    matrices, as np.roots builds them, go through one eigvals call, each
+    root polished by one Newton step, and the row-scaled quartic residuals
+    of the 3N candidate triples through one det call.  A row keeps its
+    candidates in stable order of residual and takes the one under TOL_ID;
+    if none passes, the best, which the suite's quartic-determinant check
+    flags if it is wrong; if several pass, the one _resolve_root picks."""
     f5, f6 = ctx.f.coeffs[5:7]
     if f6 == 0:
         wp = np.empty((len(L), 3), dtype=complex)
@@ -488,9 +496,15 @@ def _wp_from_hessian(ctx, z, L, depth=4):
     comp[:, 0, 2] = (f5 / 2.0) * L22 - f6 * L12
     comp[:, 0] /= -f6 ** 2
     comp[:, 1, 0] = comp[:, 2, 1] = 1.0
+    # the monic cubic is ((P - a0) P - a1) P - a2
+    P = np.linalg.eigvals(comp)
+    a0, a1, a2 = comp[:, 0].T[..., None]
+    slope = (3.0 * P - 2.0 * a0) * P - a1
+    P -= np.divide(((P - a0) * P - a1) * P - a2, slope,
+                   out=np.zeros_like(P), where=slope != 0)
     # cands[i, r] is row i's triple (p11, p12, p22) from its root r
     cands = np.empty((len(L), 3, 3), dtype=complex)
-    p22 = cands[..., 2] = np.linalg.eigvals(comp)
+    p22 = cands[..., 2] = P
     p12 = cands[..., 1] = -(L22[:, None] + (f5 / 2.0) * p22
                             + f6 * p22 ** 2) / f6
     cands[..., 0] = -(L11[:, None] + f6 * p12 ** 2) / 2.0
@@ -526,29 +540,28 @@ def _resolve_root(ctx, z, cands, depth):
 
 # -- the weight-2 companions S11, S12, S22 ---------------------------------
 
-def _sjk_from_pair(ctx, quad, jm, jp):
-    """(S11, S12, S22) from quad = z^T C z and the order-2 jets p at
-    u - Delta and q at u + Delta: exp(quad) times the fixed rows
-    sjk_coeffs applied to (pq, E11, E12, E22), E = q p'' + p q'' -
-    p' q'^T - q' p'^T."""
+def _weight2_from_pair(ctx, jm, jp):
+    """(S, S11, S12, S22) over exp(z^T C z + s_- + s_+), a batch axis
+    last, from the order-2 jets p, q at u -+ Delta: c_S pq and sjk_coeffs
+    @ (pq, E11, E12, E22), E = q p'' + p q'' - p' q'^T - q' p'^T."""
     p, p1, p2, p11, p12, p22 = _order2(jm)
     q, q1, q2, q11, q12, q22 = _order2(jp)
     e = np.array([p * q,
                   q * p11 + p * q11 - 2.0 * p1 * q1,
                   q * p12 + p * q12 - p1 * q2 - p2 * q1,
                   q * p22 + p * q22 - 2.0 * p2 * q2])
-    # a batch axis is last in e and in the product, and .T moves it first
-    return _finite((np.exp(quad) * (ctx.sjk_coeffs @ e)).T, "S_jk")
+    return np.concatenate([[ctx.c_S * e[0]], ctx.sjk_coeffs @ e])
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def S_jk_eval(ctx, z):
     """(S11, S12, S22) at z; entire, no excluded points.  One exact
     formula on both degrees, on and off the zero set of S.  Shape (3,),
     or (N, 3) for a batch z."""
     z = _as_zs(z)
-    _, jm, jp = _theta_pair(ctx, z, 2)
-    return _sjk_from_pair(ctx, _quad(ctx, z), jm, jp)
+    _, s, jm, jp = _theta_pair(ctx, z, 2)
+    # a batch axis is last in the product, and .T moves it first
+    return _scaled(_weight2_from_pair(ctx, jm, jp)[1:],
+                   _quad(ctx, z) + s[0] + s[1], "S_jk").T
 
 
 # -- sigma family (degree 5, Weierstrass form) --------------------------------
@@ -560,31 +573,25 @@ def _require_weierstrass(ctx):
             "form (f6 = 0, f5 = 4)")
 
 
-def _sigma_twist(ctx, quad, u):
-    """Quadratic + characteristic-linear exponent of the single-theta
-    representation of sigma, from quad = z^T C z."""
+def _sigma_twist(ctx, quad, u, s):
+    """t in sigma = c_sigma exp(t) V(u - Delta), V's lattice exponent s
+    plus the quadratic and characteristic-linear terms, quad = z^T C z."""
     n0, m0 = ctx.pd.delta_char
     lin = -1j * np.pi * (u @ np.asarray(m0))
-    return 0.5 * quad + lin
+    return 0.5 * quad + lin + s
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def sigma_eval(ctx, z):
     """The odd entire sigma function with unit jet dsigma/dz1(0) = 1.  A
     complex number, or shape (N,) for a batch z."""
     _require_weierstrass(ctx)
     z = _as_zs(z)
     u = _u(ctx, z)
-    return _sigma_from_jet(ctx, _quad(ctx, z), u,
-                           theta_jet(ctx.tp, u - ctx.pd.Delta, 0))
+    s, jm = theta_jet(ctx.tp, u - ctx.pd.Delta, 0)
+    return _scaled(ctx.c_sigma * _at(jm, 0, 0),
+                   _sigma_twist(ctx, _quad(ctx, z), u, s), "sigma")
 
 
-def _sigma_from_jet(ctx, quad, u, jm):
-    sigma = ctx.c_sigma * np.exp(_sigma_twist(ctx, quad, u)) * _at(jm, 0, 0)
-    return _finite(sigma, "sigma")
-
-
-@np.errstate(over="ignore", invalid="ignore")
 def sigma_jets(ctx, z, order=2):
     """sigma and its partial derivatives up to the given order (an
     integer 0-3), as a dict keyed by (k1, k2): complex numbers for one
@@ -592,14 +599,13 @@ def sigma_jets(ctx, z, order=2):
     _require_weierstrass(ctx)
     z = _as_zs(z)
     u = _u(ctx, z)
-    jm = theta_jet(ctx.tp, u - ctx.pd.Delta, order)
+    s, jm = theta_jet(ctx.tp, u - ctx.pd.Delta, order)
     d1, d2, d3 = _pullback_jets(ctx, jm, order)
     n0, m0 = ctx.pd.delta_char
     g1 = (ctx.C @ z.T).T - 1j * np.pi * (ctx.Ainv.T @ np.asarray(m0))
-    e = ctx.c_sigma * np.exp(_sigma_twist(ctx, _quad(ctx, z), u))
-    # Leibniz for e theta: the log derivatives of e are g1, C and 0; the
-    # order-n tensor v gives key (k1, k2) at index (0,) * k1 + (1,) * k2
-    # of its last n axes, read through v.T as _at reads a jet
+    # Leibniz for e V, e the exponential factor, whose log derivatives are
+    # g1, C and 0; the order-n tensor v gives key (k1, k2) at index (0,) *
+    # k1 + (1,) * k2 of its last n axes, read through v.T as _at reads a jet
     th = _at(jm, 0, 0)
     g2 = ctx.C + g1[..., :, None] * g1[..., None, :]
     jets = [th]
@@ -614,25 +620,25 @@ def sigma_jets(ctx, z, order=2):
             _sym3(ctx.C, g1) + np.einsum("...j,...k,...l->...jkl",
                                          g1, g1, g1))
             * th[..., None, None, None])
-    out = {(n - k, k): e * v.T[(1,) * k + (0,) * (n - k)]
-           for n, v in enumerate(jets) for k in range(n + 1)}
-    _finite(np.array(list(out.values())), "the sigma jets")
-    return out
+    keys = [(n - k, k) for n in range(order + 1) for k in range(n + 1)]
+    mant = np.array([ctx.c_sigma * v.T[(1,) * k + (0,) * (n - k)]
+                     for n, v in enumerate(jets) for k in range(n + 1)])
+    t = _sigma_twist(ctx, _quad(ctx, z), u, s)
+    return dict(zip(keys, _scaled(mant, t, "the sigma jets")))
 
 
-def _sigma_log_derivs_from_jet(ctx, z, jm):
+def _sigma_log_derivs_from_jet(ctx, z, s, jm):
     """(zeta1, zeta2, wp111, wp112, wp122, wp222) at z from the order-3
-    jet at u - Delta: zeta_j is the first logarithmic derivative of
-    sigma, and wp_jkl are minus its third logarithmic derivatives."""
-    p = jm[0, 0]
-    if abs(p) < ZERO_FACTOR * ctx.theta_ref:
+    jet at u - Delta, lattice exponent s: zeta_j is the first logarithmic
+    derivative of sigma, and wp_jkl are minus its third."""
+    if not _clear(ctx, s, jm):
         raise OnSigmaDivisorError(
             "z lies on (or too near) the zero set of sigma")
     d1 = _pullback_jets(ctx, jm, 1)[0]
     n0, m0 = ctx.pd.delta_char
     g1 = ctx.C @ z - 1j * np.pi * (ctx.Ainv.T @ np.asarray(m0))
-    zeta = _finite(g1 + d1 / p, "zeta")
-    h3 = _finite(_third_log_derivs(ctx, jm), "the sigma derivatives")
+    zeta = g1 + d1 / jm[0, 0]
+    h3 = _third_log_derivs(ctx, jm)
     return (zeta[0], zeta[1],
             -h3[0, 0, 0], -h3[0, 0, 1], -h3[0, 1, 1], -h3[1, 1, 1])
 
@@ -697,7 +703,6 @@ def abel_forward(ctx, D):
     return z[0] if one else z
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def jacobi_invert(ctx, z):
     """The unordered divisor (p) + (q) whose Abel image is z mod periods;
     a list of N divisors for z of shape (N, 2).  The x are the roots of
@@ -706,7 +711,8 @@ def jacobi_invert(ctx, z):
     match to TOL_RT, else SignResolutionError.  A batch makes one order-3
     theta_jet call and integrates nothing."""
     z = _as_zs(z)
-    _, jm, jp = _theta_pair(ctx, z, 3)
+    _, s, jm, jp = _theta_pair(ctx, z, 3)
+    _require_off_divisor(ctx, s, jm, jp)
     L, dL = _log_derivs_from_pair(ctx, jm, jp)
     wp = _wp_from_hessian(ctx, z.reshape(-1, 2), L)
     _, _, p122, p222 = _wp3_from_dL(ctx, dL, wp[:, 1], wp[:, 2])
@@ -792,7 +798,6 @@ class EvalBundle:
     p222: Optional[complex] = None
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def evaluate_bundle(ctx, z, want_sigma=False):
     """Every field at z from one theta pair at u -+ Delta, of order 3 with
     sigma and 2 without; only the root-selection walk evaluates theta
@@ -800,22 +805,20 @@ def evaluate_bundle(ctx, z, want_sigma=False):
     z = _as_zs(z, batch=False)
     if want_sigma:
         _require_weierstrass(ctx)
-    u, jm, jp = _theta_pair(ctx, z, 3 if want_sigma else 2)
+    u, s, jm, jp = _theta_pair(ctx, z, 3 if want_sigma else 2)
     quad = _quad(ctx, z)
-    sjk = _sjk_from_pair(ctx, quad, jm, jp)
-    fields = dict(z=z, S=_S_from_pair(ctx, quad, jm, jp), S11=sjk[0],
-                  S12=sjk[1], S22=sjk[2])
-    try:
+    w2 = _scaled(_weight2_from_pair(ctx, jm, jp), quad + s[0] + s[1],
+                 "S or S_jk")
+    fields = dict(z=z, S=w2[0], S11=w2[1], S12=w2[2], S22=w2[3])
+    if _clear(ctx, s, jm, jp):
         L = _log_hessian_from_pair(ctx, jm, jp)
-    except OnThetaDivisorError:
-        pass
-    else:
         wp = _wp_from_hessian(ctx, z[None], L[None])[0]
         fields.update(p11=wp[0], p12=wp[1], p22=wp[2])
     if want_sigma:
-        fields["sigma"] = _sigma_from_jet(ctx, quad, u, jm)
+        fields["sigma"] = _scaled(ctx.c_sigma * jm[0, 0], _sigma_twist(
+            ctx, quad, u, s[0]), "sigma")
         try:
-            ld = _sigma_log_derivs_from_jet(ctx, z, jm)
+            ld = _sigma_log_derivs_from_jet(ctx, z, s[0], jm)
             fields.update(zeta1=ld[0], zeta2=ld[1], p111=ld[2],
                           p112=ld[3], p122=ld[4], p222=ld[5])
         except OnSigmaDivisorError:

@@ -304,14 +304,16 @@ def _riemann_constant(f, A, Omega, samples, z_star):
     shift = 0.0 if z_star is None else 0.5 * np.linalg.solve(A, z_star)
     chars = list(product((0, 1), repeat=4))
     cands = _half_period(Omega, chars) + shift
-    first = np.abs(theta_jet(tp, np.concatenate(
-        [np.zeros((1, 2)), us, us[0] - cands]), 0)[:, 0, 0])
+    s, V = theta_jet(tp, np.concatenate(
+        [np.zeros((1, 2)), us, us[0] - cands]), 0)
+    first = np.exp(s.real) * np.abs(V[:, 0, 0])
     theta_ref = np.max(first[:len(us) + 1])
     bound = 1e-8 * theta_ref
     alive = np.flatnonzero(first[len(us) + 1:] < bound)
     if len(alive):
         rest = (us[1:, None] - cands[alive]).reshape(-1, 2)
-        vals = np.abs(theta_jet(tp, rest, 0)[:, 0, 0])
+        s, V = theta_jet(tp, rest, 0)
+        vals = np.exp(s.real) * np.abs(V[:, 0, 0])
         alive = alive[np.all(vals.reshape(len(us) - 1, -1) < bound, axis=0)]
     if len(alive) != 1:
         raise DeltaAmbiguityError(

@@ -2,24 +2,25 @@
 
 theta(z; Omega) = sum over n in Z^2 of exp(i pi n.Omega.n + 2 pi i n.z).
 
-Evaluation strategy: reduce z by integer and Omega-integer shifts so the
-imaginary part is small (lattice_reduce), sum the series over a box whose
-radius comes from a provable tail bound, then push the quasi-periodicity
-prefactor through the requested derivatives with the Leibniz rule.
-`theta_jet` takes one point, shape (2,), or a batch, shape (N, 2): a
-batch is summed over one box whose radius is the largest of the rows'
+Evaluation strategy: reduce z = z0 + n + Omega m so the imaginary part is
+small (lattice_reduce), sum the series at z0 over a box whose radius
+comes from a provable tail bound, then carry the jet to z by the binomial
+transform in mu = -2 pi i m of the Leibniz rule, keeping the factor
+exp(s), s = -i pi m.Omega.m - 2 pi i m.z0, apart: theta = e^s V, as in
+Deconinck, Heil, Bobenko, van Hoeij and Schmies, Computing Riemann theta
+functions, Math. Comp. 73 (2004).  Neither s nor V overflows however far
+out z lies.  `theta_jet` takes one point, shape (2,), or a batch, shape
+(N, 2), summed over one box whose radius is the largest of the rows'
 own tail-bound radii.
 
-Each term is split as in Deconinck, Heil, Bobenko, van Hoeij and
-Schmies, Computing Riemann theta functions, Math. Comp. 73 (2004).  Its
-modulus exp(-pi n.Im(Omega).n - 2 pi n.Im z0) is one real exp, with the
-exponent floored at EXP_FLOOR so that no arithmetic meets a subnormal
-number; its phase is a product of unit factors that cannot overflow:
-exp(i pi n.Re(Omega).n) per box point, and exp(2 pi i n_j Re z0_j) per
-row and coordinate value n_j.  So no term calls cos or sin, and the sum
-factors into a matrix product over n2 followed by one over n1.  The rows
-are summed in blocks of at most TERM_BUDGET (row, box point) pairs, so a
-call's memory is bounded whatever its size.
+Each term is split as well: its modulus exp(-pi n.Im(Omega).n - 2 pi
+n.Im z0) is one real exp, with the exponent floored at EXP_FLOOR so that
+no arithmetic meets a subnormal number, and its phase is a product of
+unit factors: exp(i pi n.Re(Omega).n) per box point, and exp(2 pi i n_j
+Re z0_j) per row and coordinate value n_j.  So no term calls cos or sin,
+and the sum factors into a matrix product over n2 followed by one over
+n1.  The rows are summed in blocks of at most TERM_BUDGET (row, box
+point) pairs, so a call's memory is bounded whatever its size.
 
 The tables over the box (its quadratic and linear rows, and the powers
 (2 pi i n)^k) do not depend on Omega, so one read-only copy per radius
@@ -172,12 +173,14 @@ def lattice_reduce(Omega, u):
 
 
 def theta_jet(tp, z, order):
-    """All partial derivatives of theta at z up to total order `order`.
+    """All partial derivatives of theta at z up to total order `order`,
+    over the quasi-periodicity factor exp(s).
 
-    z has shape (2,) or (N, 2).  Returns a complex array J of shape
-    (order+1, order+1), or (N, order+1, order+1) for a batch, where
-    J[..., k1, k2] = d^(k1+k2) theta / dz1^k1 dz2^k2, valid for
-    k1 + k2 <= order and zero elsewhere.
+    z has shape (2,) or (N, 2).  Returns (s, V): s, a complex number or
+    shape (N,), is -i pi m.Omega.m - 2 pi i m.z0 for each row's lattice
+    translate (0 for a row not shifted), and V[..., k1, k2] = exp(-s)
+    d^(k1+k2) theta / dz1^k1 dz2^k2, shape (order+1, order+1) or (N,
+    order+1, order+1), valid for k1 + k2 <= order and zero elsewhere.
     """
     if (isinstance(order, bool) or not isinstance(order, (int, np.integer))
             or not 0 <= order <= 3):
@@ -186,19 +189,21 @@ def theta_jet(tp, z, order):
     batch = z.ndim == 2
     Z = z.reshape(-1, 2)
     Om = tp.Omega
-    _, m, z0 = lattice_reduce(Om, Z)
+    n, m, z0 = lattice_reduce(Om, Z)
     # _radius increases with b, so this is the largest of the rows' radii
     y = z0.imag
     R = _radius(tp, math.sqrt((y * y).sum(axis=1).max()), order)
     tables = _tables(R) + _box_tables(Om.tobytes(), R)
     step = max(1, TERM_BUDGET // len(tables[0]))
     J = np.empty((len(Z), order + 1, order + 1), dtype=complex)
-    for s in range(0, len(Z), step):
-        J[s:s + step] = _box_sum(tables, z0[s:s + step], order)
+    for i in range(0, len(Z), step):
+        J[i:i + step] = _box_sum(tables, z0[i:i + step], order)
+    # m.Omega.m + 2 m.z0 = m.(Omega m + 2 z0), and Omega m = Z - n - z0
+    s = -1j * np.pi * (m * (Z - n + z0)).sum(axis=1)
     shifted = m.any(axis=1)
     if shifted.any():
-        J[shifted] = _leibniz(Om, m[shifted], z0[shifted], J[shifted], order)
-    return J if batch else J[0]
+        J[shifted] = _leibniz(m[shifted], J[shifted], order)
+    return (s, J) if batch else (s[0], J[0])
 
 
 def _box_sum(tables, z0, order):
@@ -228,21 +233,15 @@ def _box_sum(tables, z0, order):
     return J
 
 
-# far out e overflows; the callers' finiteness checks report that, so
-# numpy need not warn of it as well
-@np.errstate(over="ignore", invalid="ignore")
-def _leibniz(Om, m, z0, J0, order):
-    """Jets of theta(z) = e(z0) theta(z0), e = exp(-i pi m.Om.m - 2 pi i
-    m.z0), per row.  d/dz e = mu e with mu = -2 pi i m, so
-    J[k1, k2] = e sum C(k1, b1) C(k2, b2) mu1^b1 mu2^b2 J0[k1-b1, k2-b2],
-    which is e * L1 @ J0 @ L2^T with L[k, j] = C(k, j) mu^(k-j)."""
-    e = np.exp(-1j * np.pi * np.einsum("ri,ij,rj->r", m, Om, m)
-               - 2j * np.pi * (m * z0).sum(axis=1))
+def _leibniz(m, J0, order):
+    """The jets of theta(z) / e, e = exp(-i pi m.Omega.m - 2 pi i m.z0), per
+    row, from the jets J0 at z0.  d/dz e = mu e with mu = -2 pi i m, so
+    J[k1, k2] = sum C(k1, b1) C(k2, b2) mu1^b1 mu2^b2 J0[k1-b1, k2-b2],
+    which is L1 @ J0 @ L2^T with L[k, j] = C(k, j) mu^(k-j)."""
     k = order + 1
     L = (np.power.outer(m, _POWERS[order]) @ _LEIBNIZ[order]).reshape(
         len(m), 2, k, k)
     J = L[:, 0] @ J0 @ L[:, 1].transpose(0, 2, 1)
-    J *= e[:, None, None]
     # the products also fill k1 + k2 > order; keep those entries zero
     J[:, _INVALID[order]] = 0
     return J

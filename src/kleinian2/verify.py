@@ -32,8 +32,8 @@ import numpy as np
 
 from .curve import DIAG_FACTOR, CurvePoint, Divisor, xi_eval
 from .errors import DegenerateGeometryError, KleinianError
-from .kleinian import (JET_TARGETS, S_eval, TOL_ID, _quad, _S_from_pair,
-                       _sjk_from_pair, _theta_pair, abel_forward,
+from .kleinian import (JET_TARGETS, S_eval, TOL_ID, _quad, _scaled,
+                       _theta_pair, _weight2_from_pair, abel_forward,
                        divisor_clearance, jacobi_invert, log_S_gradient,
                        make_context, quartic_residual, rho_lambda_eval,
                        sigma_eval, sigma_jets, wp_eval)
@@ -135,14 +135,12 @@ def _gap(a, b):
     return abs(a - b) / np.maximum(np.maximum(abs(a), abs(b)), TINY)
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _weight2(ctx, z):
-    """(S, S11, S12, S22) at the points z, shape (N, 4), from one theta
-    call."""
-    _, jm, jp = _theta_pair(ctx, z, 2)
-    quad = _quad(ctx, z)
-    return np.column_stack([_S_from_pair(ctx, quad, jm, jp),
-                            _sjk_from_pair(ctx, quad, jm, jp)])
+def _weight2_split(ctx, z):
+    """(S, S11, S12, S22) at the points z as exp(t) times mantissas, shape
+    (N, 4), with t of shape (N, 1), from one theta call."""
+    _, s, jm, jp = _theta_pair(ctx, z, 2)
+    return (_weight2_from_pair(ctx, jm, jp).T,
+            (_quad(ctx, z) + s[0] + s[1])[:, None])
 
 
 # -- finite-difference jets ---------------------------------------------------
@@ -167,7 +165,8 @@ def measure_taylor_jets(ctx):
     # b[d][name][m] = sum over j+k = m of c_jk d1^j d2^k, m = 0, 1, 2
     b = {}
     for dname, d in dirs.items():
-        samples = _weight2(ctx, radius * phases[:, None] * d)
+        samples = _scaled(*_weight2_split(
+            ctx, radius * phases[:, None] * d), "S or S_jk")
         b[dname] = {
             name: [np.mean(vals * phases ** -m) / radius ** m
                    for m in range(3)]
@@ -236,17 +235,19 @@ def _check_quasi_periodicity(ctx, rng, tol):
     z = _sample_z(ctx, rng, 20)
     k = np.array([_sample_lattice(rng) for _ in range(20)])
     w = lattice_vector(pd, k)
-    fac = np.exp(2.0 * np.einsum("ri,ri->r", eta_of_lattice(pd, k),
-                                 z + w / 2))
-    vals = _weight2(ctx, np.concatenate([z + w, z]))
-    worst = np.max(_gap(vals[:20], fac[:, None] * vals[20:]))
+    mant, t = _weight2_split(ctx, np.concatenate([z + w, z]))
+    # over exp(t) at z + w, exponents differenced before any exp
+    eta = 2.0 * np.einsum("ri,ri->r", eta_of_lattice(pd, k), z + w / 2)
+    shifted = _scaled(mant[20:], t[20:] - t[:20] + eta[:, None], "S or S_jk")
+    worst = np.max(_gap(mant[:20], shifted))
     return 20, float(worst), worst <= tol
 
 
 def _check_evenness(ctx, rng, tol):
     z = _sample_z(ctx, rng, 20)
     both = np.concatenate([z, -z])
-    vals = np.column_stack([_weight2(ctx, both), wp_eval(ctx, both)])
+    vals = np.column_stack([_scaled(*_weight2_split(ctx, both), "S or S_jk"),
+                            wp_eval(ctx, both)])
     a, b = vals[:20], vals[20:]
     worst = np.max(_rel(a - b, a, b))
     return 20, float(worst), worst <= tol

@@ -257,7 +257,12 @@ def test_10_theta_engine(g6_ctx):
     rng = np.random.default_rng(110)
     Omega = g6_ctx.pd.Omega
     tp = ThetaParams.build(Omega)
-    jet = theta_jet
+
+    def jet(tp, z, order):
+        """The jet of theta: theta_jet's V times exp(s)."""
+        s, V = theta_jet(tp, z, order)
+        return np.exp(s) * V
+
     worst = 0.0
     for _ in range(20):
         z = rng.uniform(-1, 1, 2) + 1j * rng.uniform(-0.5, 0.5, 2)

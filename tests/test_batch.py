@@ -15,6 +15,7 @@ import kleinian2 as k2
 from kleinian2 import integration
 from kleinian2.curve import involution
 from kleinian2.kleinian import log_S_gradient, rho_lambda_eval
+from kleinian2.theta import lattice_reduce
 
 from conftest import sample_divisor, sample_z
 
@@ -81,12 +82,13 @@ def test_one_point_keeps_its_types(ctx):
 def test_one_point_is_computed_in_scalars(ctx):
     """For one point, S, S_jk and the log Hessian are exactly the
     one-point formulas in numpy scalars (array loops round complex
-    products differently)."""
+    products differently), S_jk scaled by exp(z^T C z + s_- + s_+)
+    through the one exp of _scaled."""
     z = _points(ctx, 1, seed=5)[0]
     u = ctx.Ainv @ z
-    jm, jp = k2.theta.theta_jet(
+    (sm, sp), (jm, jp) = k2.theta.theta_jet(
         ctx.tp, np.stack([u - ctx.pd.Delta, u + ctx.pd.Delta]), 2)
-    gauss = np.exp(z @ ctx.C @ z)
+    t = k2.kleinian._quad(ctx, z) + sm + sp
     p, q = jm[0, 0], jp[0, 0]
     e = np.array([p * q,
                   q * jm[2, 0] + p * jp[2, 0] - 2.0 * jm[1, 0] * jp[1, 0],
@@ -99,8 +101,8 @@ def test_one_point_is_computed_in_scalars(ctx):
         d2 = ctx.Ainv.T @ np.array([[jet[2, 0], jet[1, 1]],
                                     [jet[1, 1], jet[0, 2]]]) @ ctx.Ainv
         L = L + (d2 / jet[0, 0] - np.outer(d1, d1) / jet[0, 0] ** 2)
-    assert k2.S_jk_eval(ctx, z).tolist() == (gauss * (ctx.sjk_coeffs @ e)
-                                             ).tolist()
+    assert k2.S_jk_eval(ctx, z).tolist() == (
+        np.exp(t + np.log(ctx.sjk_coeffs @ e)).tolist())
     assert k2.kleinian._log_hessian_from_pair(ctx, jm, jp).tolist() == (
         L.tolist())
 
@@ -143,6 +145,19 @@ def test_other_shapes_are_refused(w5_ctx, shape):
         k2.S_eval(w5_ctx, np.zeros(shape))
 
 
+@pytest.mark.parametrize("batch", [False, True])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+@pytest.mark.parametrize("fn", [k2.S_eval, k2.wp_eval, k2.jacobi_invert,
+                                k2.evaluate_bundle, k2.divisor_clearance,
+                                k2.sigma_eval])
+def test_non_finite_z_is_refused_where_it_enters(w5_ctx, fn, bad, batch):
+    """A z holding inf or nan raises ValueError before any theta sum, for
+    one point and for a batch (which evaluate_bundle refuses by shape)."""
+    z = np.array([[0.1 + 0.2j, -0.3j], [bad, 0.0]])
+    with pytest.raises(ValueError, match="finite|shape"):
+        fn(w5_ctx, z if batch else z[1])
+
+
 @pytest.mark.parametrize("shape", [(1, 2), (2, 1)])
 def test_one_point_functions_refuse_other_shapes(w5_ctx, shape):
     """evaluate_bundle takes one point, shape (2,) only: a (1, 2) batch
@@ -155,19 +170,19 @@ def test_one_point_functions_refuse_other_shapes(w5_ctx, shape):
 def test_one_point_sigma_jets_are_computed_in_scalars(w5_ctx):
     """For one point, sigma_jets is exactly the one-point Leibniz rule for
     e theta in numpy scalars and 2-D arrays, as it was written before it
-    took batches."""
+    took batches, each entry scaled by exp(twist + s) through the one
+    exp of _scaled."""
     ctx = w5_ctx
     kl = k2.kleinian
     for seed in range(4):
         z = _points(ctx, 1, seed=seed + 950)[0]
         u = ctx.Ainv @ z
         for order in range(4):
-            jm = k2.theta.theta_jet(ctx.tp, u - ctx.pd.Delta, order)
+            s, jm = k2.theta.theta_jet(ctx.tp, u - ctx.pd.Delta, order)
             d1, d2, d3 = kl._pullback_jets(ctx, jm, order)
             m0 = np.asarray(ctx.pd.delta_char[1])
             g1 = ctx.C @ z - 1j * np.pi * (ctx.Ainv.T @ m0)
-            e = ctx.c_sigma * np.exp(kl._sigma_twist(ctx, kl._quad(ctx, z),
-                                                     u))
+            t = kl._sigma_twist(ctx, kl._quad(ctx, z), u, s)
             th, g2 = jm[0, 0], ctx.C + np.outer(g1, g1)
             jets = [th]
             if order >= 1:
@@ -179,7 +194,8 @@ def test_one_point_sigma_jets_are_computed_in_scalars(w5_ctx):
                 jets.append(d3 + kl._sym3(d2, g1) + kl._sym3(g2, d1) + (
                     kl._sym3(ctx.C, g1)
                     + np.einsum("j,k,l->jkl", g1, g1, g1)) * th)
-            want = {(n - k, k): e * v[(0,) * (n - k) + (1,) * k]
+            want = {(n - k, k): np.exp(t + np.log(
+                ctx.c_sigma * v[(0,) * (n - k) + (1,) * k]))
                     for n, v in enumerate(jets) for k in range(n + 1)}
             got = k2.sigma_jets(ctx, z, order)
             assert list(got) == list(want)
@@ -212,18 +228,28 @@ def test_sigma_jets_batch_equals_points(w5_ctx, order, n, theta_calls):
 
 
 def test_far_points_raise_only_non_finite_value_error(w5_ctx):
-    """Far out the theta jets and exp(z^T C z) overflow: each function
-    raises NonFiniteValueError, and numpy warns of nothing on the way."""
+    """Far out S, S_jk and sigma leave the double range: each raises
+    NonFiniteValueError, and numpy warns of nothing on the way.  wp, its
+    inversion and the log gradient are ratios of the jets, which carry
+    their lattice scale apart: they return values, and wp equals its
+    value at the lattice-reduced z to 1e-10."""
+    ctx = w5_ctx
     z = 100 * np.array([0.6 + 0.3j, 0.2])
     batch = np.stack([z, 0.5 * z, 1.1 * z])
-    calls = [(k2.S_eval, z), (k2.wp_eval, z), (k2.jacobi_invert, z),
-             (k2.S_eval, batch), (k2.wp_eval, batch), (k2.S_jk_eval, batch),
-             (log_S_gradient, batch), (k2.sigma_eval, batch)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for fn, arg in calls:
+        for fn, arg in [(k2.S_eval, z), (k2.S_eval, batch),
+                        (k2.S_jk_eval, batch), (k2.sigma_eval, batch)]:
             with pytest.raises(k2.NonFiniteValueError):
-                fn(w5_ctx, arg)
+                fn(ctx, arg)
+        wp = k2.wp_eval(ctx, batch)
+        assert len(k2.jacobi_invert(ctx, batch)) == 3
+        assert np.all(np.isfinite(log_S_gradient(ctx, batch)))
+    # z = A u and u = u0 + n + Omega m give z = A u0 + A n + B m
+    u0 = lattice_reduce(ctx.pd.Omega, (ctx.Ainv @ batch.T).T)[2]
+    want = k2.wp_eval(ctx, u0 @ ctx.pd.A.T)
+    assert np.all(np.abs(wp - want)
+                  <= 1e-10 * np.max(np.abs(want), axis=1, keepdims=True))
 
 
 # -- the degree-6 root selection ---------------------------------------------
@@ -300,7 +326,7 @@ def _s10_points(ctx, n=60):
 
 def _hessians(ctx, z):
     kl = k2.kleinian
-    _, jm, jp = kl._theta_pair(ctx, z, 2)
+    _, _, jm, jp = kl._theta_pair(ctx, z, 2)
     return kl._log_hessian_from_pair(ctx, jm, jp)
 
 

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import kleinian2 as k2
 from kleinian2.curve import involution
@@ -553,7 +554,7 @@ def test_jacobi_invert_integrates_nothing(monkeypatch, any_ctx):
 def _wp3_by_S(ctx, z):
     """(wp111, wp112, wp122, wp222) at the rows of z from the third log
     derivatives of S, the route jacobi_invert takes."""
-    _, jm, jp = k2.kleinian._theta_pair(ctx, z, 3)
+    _, _, jm, jp = k2.kleinian._theta_pair(ctx, z, 3)
     _, dL = k2.kleinian._log_derivs_from_pair(ctx, jm, jp)
     wp = k2.wp_eval(ctx, z)
     return np.stack(k2.kleinian._wp3_from_dL(ctx, dL, wp[:, 1], wp[:, 2]),
@@ -569,7 +570,7 @@ def test_stacked_log_derivatives_match_the_pair_by_pair_route(any_ctx):
     rng = np.random.default_rng(64)
     z = np.array([sample_z(ctx, rng) for _ in range(12)])
     for zs in (z, z[0]):
-        _, jm, jp = kl._theta_pair(ctx, zs, 3)
+        _, _, jm, jp = kl._theta_pair(ctx, zs, 3)
         L, dL = kl._log_derivs_from_pair(ctx, jm, jp)
         want_L = kl._log_hessian_from_pair(ctx, jm, jp).reshape(-1, 2, 2)
         want_dL = (kl._third_log_derivs(ctx, jm)
@@ -681,3 +682,59 @@ def test_far_points_give_finite_values_or_raise(any_ctx, r):
     # every value is still finite
     if r > 50 or ctx.f.degree == 5:
         assert raised >= 3
+
+
+# -- the lattice scale split off the theta jets -------------------------------
+
+TWO_PAIR_ROOTS = [0, 1e-4, 2j, -1 + 1j, 3, 3 + 1e-4]
+
+
+@pytest.fixture(scope="module")
+def two_pair_ctx():
+    """The sextic with two 1e-4 root pairs, {0, 1e-4} and {3, 3 + 1e-4}."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return k2.make_context(
+            k2.validate_polynomial(np.poly(TWO_PAIR_ROOTS)[::-1]))
+
+
+def test_S_far_off_the_divisor_is_not_a_silent_zero(two_pair_ctx):
+    """At rows 9 and 16 of the seed-1 quasi_periodicity sample z + w on
+    the two-pair sextic, S and S_jk once came out exactly 0, exp(z^T C z)
+    underflowing while theta was huge, though the divisor clearance there
+    is above 1e31.  They are nonzero now, and S(z + w) = S(z) exp(2
+    eta(w) . (z + w/2)) to 1e-8, compared as logarithms."""
+    ctx = two_pair_ctx
+    index = k2.CHECK_NAMES.index("quasi_periodicity")
+    rng = np.random.default_rng(1 * 1000 + index)
+    z = k2.verify._sample_z(ctx, rng, 20)
+    k = np.array([k2.verify._sample_lattice(rng) for _ in range(20)])
+    rows = [9, 16]
+    z, k = z[rows], k[rows]
+    w = lattice_vector(ctx.pd, k)
+    assert np.all(k2.divisor_clearance(ctx, z + w) > 1e30)
+    S = k2.S_eval(ctx, z + w)
+    assert np.all(S != 0) and np.all(k2.S_jk_eval(ctx, z + w) != 0)
+    log = (np.log(S) - np.log(k2.S_eval(ctx, z))
+           - 2.0 * np.einsum("ri,ri->r", eta_of_lattice(ctx.pd, k), z + w / 2))
+    turns = np.round(log.imag / (2 * np.pi))
+    assert np.all(np.abs(log - 2j * np.pi * turns) < 1e-8)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(t=st.tuples(*[st.floats(-12.0, 12.0)] * 4),
+       curve=st.sampled_from(["two_pair", "w5", "g6"]))
+def test_S_is_never_zero_clear_of_the_divisor(two_pair_ctx, w5_ctx, g6_ctx,
+                                              t, curve):
+    """Wherever divisor_clearance >= ZERO_FACTOR, S_eval returns a nonzero
+    value or raises NonFiniteValueError, S lying outside the double
+    range: it never underflows to a silent 0."""
+    ctx = {"two_pair": two_pair_ctx, "w5": w5_ctx, "g6": g6_ctx}[curve]
+    z = ctx.pd.A @ np.array(t[:2]) + ctx.pd.B @ np.array(t[2:])
+    try:
+        if k2.divisor_clearance(ctx, z) < k2.kleinian.ZERO_FACTOR:
+            return
+        S = k2.S_eval(ctx, z)
+    except k2.NonFiniteValueError:
+        return
+    assert S != 0

@@ -443,7 +443,8 @@ def test_inconsistent_z_star_has_no_certified_delta(g6_ctx):
 # -- the batched Delta certificate against the per-candidate loop -------------
 
 def theta(tp, z):
-    return theta_jet(tp, z, 0)[0, 0]
+    s, V = theta_jet(tp, z, 0)
+    return np.exp(s) * V[0, 0]
 
 
 def _delta_by_candidate_loop(f, pd):

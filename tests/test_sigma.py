@@ -129,9 +129,9 @@ def test_sigma_divisor_raises(w5_ctx):
     b = k2.evaluate_bundle(w5_ctx, np.zeros(2), want_sigma=True)
     assert b.sigma == 0 or abs(b.sigma) < 1e-10
     assert b.zeta1 is None and b.p111 is None
-    jm = theta_jet(w5_ctx.tp, -w5_ctx.pd.Delta, 3)
+    s, jm = theta_jet(w5_ctx.tp, -w5_ctx.pd.Delta, 3)
     with pytest.raises(k2.OnSigmaDivisorError):
-        k2.kleinian._sigma_log_derivs_from_jet(w5_ctx, np.zeros(2), jm)
+        k2.kleinian._sigma_log_derivs_from_jet(w5_ctx, np.zeros(2), s, jm)
 
 
 def test_sigma_requires_weierstrass_form(g6_ctx):

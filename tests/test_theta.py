@@ -17,9 +17,15 @@ MULTI_INDICES = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
                  (3, 0), (2, 1), (1, 2), (0, 3)]
 
 
+def _jet(tp, z, order):
+    """The jet of theta itself: theta_jet's V times exp(s)."""
+    s, V = theta_jet(tp, z, order)
+    return np.exp(s)[..., None, None] * V
+
+
 def _theta(tp, z):
     """theta(z; Omega), the order-0 entry of the jet."""
-    return theta_jet(tp, z, 0)[0, 0]
+    return _jet(tp, z, 0)[0, 0]
 
 
 def _brute_theta(Omega, z, N=12):
@@ -93,12 +99,12 @@ def test_derivatives_match_finite_differences(g6_ctx, multi_index):
 
         def along_z2(w):
             # reduce to repeated z1 differences of z2 derivatives via jets
-            return theta_jet(tp, w, k2_)[0, k2_]
+            return _jet(tp, w, k2_)[0, k2_]
 
         coarse = fd(along_z2, z, k1, h)
         fine = fd(along_z2, z, k1, h / 2)
         est = (4 * fine - coarse) / 3 if k1 > 0 else fine
-        got = theta_jet(tp, z, k1 + k2_)[k1, k2_]
+        got = _jet(tp, z, k1 + k2_)[k1, k2_]
         assert abs(got - est) < 1e-6 * max(1.0, abs(got))
 
 
@@ -107,10 +113,10 @@ def test_third_jet_table_is_consistent(g6_ctx):
     jets differ only in series truncation radius, so to a few ulps."""
     tp = ThetaParams.build(g6_ctx.pd.Omega)
     z = np.array([0.21 + 0.05j, -0.37 + 0.11j])
-    jet = theta_jet(tp, z, 3)
+    jet = _jet(tp, z, 3)
     assert abs(jet[0, 0] - _theta(tp, z)) < 1e-14
     for (a, b) in MULTI_INDICES:
-        one = theta_jet(tp, z, a + b)[a, b]
+        one = _jet(tp, z, a + b)[a, b]
         assert abs(jet[a, b] - one) < 1e-12 * max(1.0, abs(one))
 
 
@@ -198,7 +204,9 @@ def _brute_jet(Omega, z, order, N=25):
 def test_batched_jet_matches_rows(g6_ctx, order):
     """One batched call equals per-row calls, for rows whose range
     reduction shifts both coordinates by Omega and whose |Im z0| differ,
-    so each row alone would be summed over a box of its own radius."""
+    so each row alone would be summed over a box of its own radius.  s is
+    each row's exponent -i pi m.Omega.m - 2 pi i m.z0, and exp(s) V is
+    the jet of theta."""
     Omega = g6_ctx.pd.Omega
     tp = ThetaParams.build(Omega)
     z0 = np.array([[0.11 + 0.02j, -0.23 + 0.01j],
@@ -216,18 +224,23 @@ def test_batched_jet_matches_rows(g6_ctx, order):
     n_red, m_red, _ = lattice_reduce(Omega, Z)
     assert np.array_equal(m_red, m) and np.array_equal(n_red, n)
 
-    J = theta_jet(tp, Z, order)
+    s, J = theta_jet(tp, Z, order)
+    assert s.shape == (len(Z),)
     assert J.shape == (len(Z), order + 1, order + 1)
+    want_s = (-1j * np.pi * np.einsum("ri,ij,rj->r", m, Omega, m)
+              - 2j * np.pi * np.einsum("ri,ri->r", m, z0))
+    assert np.all(np.abs(s - want_s) <= 1e-12 * np.abs(want_s))
     valid = np.add.outer(range(order + 1), range(order + 1)) <= order
-    for row, z in zip(J, Z):
-        one = theta_jet(tp, z, order)
+    for si, row, z in zip(s, J, Z):
+        s_one, one = theta_jet(tp, z, order)
+        assert s_one == si
         assert np.all(row[~valid] == 0)
         assert np.all(np.abs(row - one)[valid]
                       <= 1e-14 * np.abs(one)[valid])
 
     far = int(np.argmax(b))
     ref = _brute_jet(Omega, Z[far], order)
-    assert np.all(np.abs(J[far] - ref)[valid]
+    assert np.all(np.abs(np.exp(s[far]) * J[far] - ref)[valid]
                   <= 1e-11 * np.maximum(1.0, np.abs(ref))[valid])
 
 
@@ -295,8 +308,7 @@ def _per_term_jet(tp, z, order):
         for (a, b), row in zip(index, sums):
             J[s:s + 100, a, b] = row
     shifted = np.flatnonzero(np.any(m != 0, axis=1))
-    J[shifted] = theta._leibniz(Om, m[shifted], z0[shifted], J[shifted],
-                                order)
+    J[shifted] = theta._leibniz(m[shifted], J[shifted], order)
     return J
 
 
@@ -317,20 +329,18 @@ def _rows_and_block(tp, order, n=1000, seed=31):
 def test_box_sum_matches_the_per_term_sum(curve_tp, order):
     """For 1 and 2 rows, one row either side of a block and 1000 rows
     (so the last block is partly filled), including rows whose reduction
-    shifts them, within 1e-14 of each row's scale: the larger of its
-    largest jet entry and |e|, e its quasi-periodicity factor.  |e| is
-    at most the sum of the moduli of the row's terms, which bounds the
+    shifts them, the jets V (theta's over its quasi-periodicity factor
+    e) within 1e-14 of each row's scale: the larger of its largest entry
+    of V and 1.  That is the bound on the jets of theta itself, the
+    larger of their largest entry and |e|, divided by |e|; |e| is at
+    most the sum of the moduli of the row's terms, which bounds the
     rounding error of a sum whose terms cancel."""
     u, block = _rows_and_block(curve_tp, order)
     assert 2 < block < 500
-    Om = curve_tp.Omega
-    _, m, z0 = lattice_reduce(Om, u)
-    e = np.exp(np.pi * np.einsum("ri,ij,rj->r", m, Om.imag, m)
-               + 2 * np.pi * np.einsum("ri,ri->r", m, z0.imag))
     for n in (1, 2, block - 1, block, block + 1, 1000):
-        got = theta_jet(curve_tp, u[:n], order)
+        got = theta_jet(curve_tp, u[:n], order)[1]
         want = _per_term_jet(curve_tp, u[:n], order)
-        scale = np.maximum(np.max(np.abs(want), axis=(1, 2)), e[:n])
+        scale = np.maximum(np.max(np.abs(want), axis=(1, 2)), 1.0)
         err = np.max(np.abs(got - want), axis=(1, 2))
         assert np.all(err <= 1e-14 * scale), n
 
