@@ -2,36 +2,23 @@
 
 theta(z; Omega) = sum over n in Z^2 of exp(i pi n.Omega.n + 2 pi i n.z).
 
-Evaluation strategy: reduce z = z0 + n + Omega m so the imaginary part is
-small (lattice_reduce), sum the series at z0 over a box whose radius
-comes from a provable tail bound, then carry the jet to z by the binomial
-transform in mu = -2 pi i m of the Leibniz rule, keeping the factor
+Evaluation: reduce z = z0 + n + Omega m so that c = Y^-1 Im z0, Y = Im
+Omega, lies in the cell |c_i| <= 1/2 (lattice_reduce), sum the series at
+z0 over one list of lattice points per Omega, and carry the jet to z by
+the binomial transform in mu = -2 pi i m of the Leibniz rule, keeping
 exp(s), s = -i pi m.Omega.m - 2 pi i m.z0, apart: theta = e^s V, as in
 Deconinck, Heil, Bobenko, van Hoeij and Schmies, Computing Riemann theta
-functions, Math. Comp. 73 (2004).  Neither s nor V overflows however far
-out z lies.  `theta_jet` takes one point, shape (2,), or a batch, shape
-(N, 2), summed over one box whose radius is the largest of the rows'
-own tail-bound radii.
+functions, Math. Comp. 73 (2004).
 
-Each term is split as well: its modulus exp(-pi n.Im(Omega).n - 2 pi
-n.Im z0) is one real exp, with the exponent floored at EXP_FLOOR so that
-no arithmetic meets a subnormal number, and its phase is a product of
-unit factors: exp(i pi n.Re(Omega).n) per box point, and exp(2 pi i n_j
-Re z0_j) per row and coordinate value n_j.  So no term calls cos or sin,
-and the sum factors into a matrix product over n2 followed by one over
-n1.  The rows are summed in blocks of at most TERM_BUDGET (row, box
-point) pairs, so a call's memory is bounded whatever its size.
-
-The tables over the box (its quadratic and linear rows, and the powers
-(2 pi i n)^k) do not depend on Omega, so one read-only copy per radius
-serves every order and every ThetaParams.  The Omega tables (the
-exponent -pi n.Im(Omega).n and the unit factor exp(i pi n.Re(Omega).n))
-live in a bounded module-level cache keyed by Omega's bytes and the
-radius: a ThetaParams carries no tables of its own, so contexts do not
-grow with them, and nothing cached can be paired with the wrong Omega.
-The summation radius, a fixed point in lam_min(Im Omega) and the rows'
-largest |Im z0|, is read from intervals kept in a bounded cache keyed by
-lam_min, which is all of Omega it depends on.
+The list is the union over the cell of their ellipsoids pi (n + c).Y.(n
++ c) < X + pi c.Y.c, widened by the factor exp(pi c.Y.c) the shift
+carries, X from the tail bound of their Thm 2 with g = 2 and three
+derivatives: every row and order is summed to within EPS_TARGET by the
+same terms.  A bounded cache keyed by Omega's bytes holds the lists; one
+reaching past RADIUS_CAP raises TruncationRadiusError.  A term is one
+real exp, its exponent floored at EXP_FLOOR so nothing is subnormal,
+times unit factors from cos/sin tables per row, in blocks of at most
+TERM_BUDGET (row, term) pairs so that a call's memory is bounded.
 """
 
 import math
@@ -42,13 +29,12 @@ import numpy as np
 
 from .errors import RiemannMatrixError, TruncationRadiusError
 
-TAIL_MARGIN = 100.0   # constant C in the tail bound ln(C/eps)
-RADIUS_CAP = 60
+RADIUS_CAP = 60       # largest |n_i| a term list may reach
 EPS_TARGET = 1e-12    # truncation error eps of every theta sum
 TOL_SYM = 1e-8        # |Omega - Omega^T| accepted, relative to |Omega|
 EXP_FLOOR = -700.0    # least exponent of a term's modulus; exp of it is normal
-TERM_BUDGET = 1 << 15  # (row, box point) pairs summed per block
-PHASE_TABLES = 32     # Omega tables kept, one per (Omega, radius)
+TERM_BUDGET = 1 << 15  # (row, term) pairs summed per block
+PHASE_TABLES = 32     # term lists kept, one per Omega
 
 # _LEIBNIZ[order][p, (a, c)] = C(a, c) (-2 pi i)^p where a - c == p, else
 # 0: the Leibniz matrix L[a, c] = C(a, c) mu^(a-c), mu = -2 pi i m, of
@@ -58,17 +44,23 @@ _LEIBNIZ = [np.array([[math.comb(a, c) * (-2j * np.pi) ** p * (a - c == p)
                        for a in range(k + 1) for c in range(k + 1)]
                       for p in range(k + 1)])
             for k in range(4)]
-# _VALID[order][k1, k2]: 1 where k1 + k2 <= order, else 0
-_VALID = [(np.add.outer(range(k + 1), range(k + 1)) <= k).astype(float)
-          for k in range(4)]
-_INVALID = [v == 0 for v in _VALID]
+_INVALID = [np.add.outer(range(k + 1), range(k + 1)) > k for k in range(4)]
+# the jet entries (k1, k2) by total order, so that the first (k+1)(k+2)/2
+# are those of order k: the rows of a term list's weights
+_K1 = np.array([0, 1, 0, 2, 1, 0, 3, 2, 1, 0])
+_K2 = np.array([0, 0, 1, 0, 1, 2, 0, 1, 2, 3])
+_RANGE = np.arange(-RADIUS_CAP, RADIUS_CAP + 1.0)
+# 2 pi n for n = 0..RADIUS_CAP, -RADIUS_CAP..-1, so that n indexes it
+_FREQ = 2 * np.pi * np.fft.ifftshift(_RANGE)
+# _MONO[j][row, n] = (2 pi i n)^k, k the row's _K1 (j = 0) or _K2 (j = 1)
+_MONO = np.stack([_K1, _K2])[:, :, None]
+_MONO = _FREQ ** _MONO * np.array([1, 1j, -1, -1j])[_MONO]
 
 
 @dataclass(frozen=True)
 class ThetaParams:
-    """Riemann matrix plus the derived quantities the series needs."""
+    """Riemann matrix, checked symmetric with Im Omega positive definite."""
     Omega: np.ndarray
-    lam_min: float
 
     @classmethod
     def build(cls, Omega):
@@ -85,91 +77,106 @@ class ThetaParams:
             raise RiemannMatrixError(
                 f"Im Omega not positive definite (lam_min={lam:.2e})")
         Om.setflags(write=False)
-        return cls(Omega=Om, lam_min=lam)
+        return cls(Omega=Om)
 
 
-def _radius(tp, b, order):
-    """Smallest R with pi*lam*R^2 - 2 pi b R - order*ln(2 pi R) >= ln(C/eps).
+@lru_cache(maxsize=PHASE_TABLES)
+def _terms(key):
+    """The term list of theta( . ; Omega), key Omega's bytes: (-2 pi n1,
+    -2 pi n2, -pi n.Y.n), shape (K, 3); n, shape (2, K); the weights (2 pi
+    i n1)^k1 (2 pi i n2)^k2 exp(i pi n.Re(Omega).n), rows as _K1, _K2; and
+    2 pi n, n = 0..H, -H..-1, H the largest |n_i|.  Bound: with Y = T^T T,
+    v = sqrt(pi) T (n + c), alpha = 1/sqrt(pi lam_min(Y)), a weighted term
+    is at most e^(pi c.Y.c) (2 pi)^3 (alpha |v| + 1/sqrt 2)^3 e^-|v|^2.
+    Discs of radius r0 <= sqrt(pi lam_min)/2 about the v are disjoint, and
+    e^-|v|^2 <= e^(r0^2/2) times its mean over one, so the terms with |v|
+    >= R sum to at most (2 pi)^3 e^(r0^2/2) r0^-2 sum_j C(3, j) alpha^j
+    gamma^(3-j) Gamma(1 + j/2, x), gamma = alpha r0 + 1/sqrt 2, x = (R -
+    r0)^2; times the cell's largest e^(pi c.Y.c) it is EPS_TARGET at the
+    fixed point of `tail`, whose slope is below 1: iterates from above
+    keep the bound.  A term left out has |v|^2 >= X + pi c.Y.c, X = R^2 -
+    max pi c.Y.c, so its modulus is below exp(-X) all over the cell."""
+    (A, B), (_, D) = np.frombuffer(key, dtype=complex).reshape(2, 2).tolist()
+    a, b, d = A.imag, B.imag, D.imag
+    lam = 0.5 * (a + d) - math.hypot(0.5 * (a - d), b)
+    top = math.pi * (0.25 * (a + d) + 0.5 * abs(b))    # max pi c.Y.c
+    r0 = min(0.15, 0.5 * math.sqrt(math.pi * lam))
+    alpha = 1.0 / math.sqrt(math.pi * lam)
+    gamma = alpha * r0 + math.sqrt(0.5)
+    shift = top + math.log((2 * math.pi) ** 3 * math.exp(0.5 * r0 * r0)
+                           / (r0 * r0 * EPS_TARGET))
 
-    R grows with b, so a b between two that gave the same R gives that R
-    too: the fixed point runs only for a b outside the intervals that
-    _radius_spans keeps for lam and the order."""
-    spans = _radius_spans(tp.lam_min).setdefault(order, {})
-    for R, (lo, hi) in spans.items():
-        if lo <= b <= hi:
-            return R
-    target = math.log(TAIL_MARGIN / EPS_TARGET)
-    lam = tp.lam_min
-    R = 3.0
-    for _ in range(12):
-        R = math.sqrt((target + 2 * math.pi * b * R
-                       + order * math.log(max(2 * math.pi * R, 3.0)))
-                      / (math.pi * lam))
-    R = math.ceil(R) + 1
-    if R > RADIUS_CAP:
+    def tail(x):
+        q = math.sqrt(x)
+        g = q + 0.5 / q     # at least e^x Gamma(3/2, x)
+        return shift + math.log(gamma ** 3 + 3 * gamma * gamma * alpha * g
+                                + 3 * gamma * alpha * alpha * (1 + x)
+                                + alpha ** 3 * (1.5 * g + x * q))
+
+    x = 2.0 * shift
+    while (y := tail(x)) > x:
+        x *= 2.0
+    while x - y > 1e-2:
+        x, y = y, tail(y)
+    X = (r0 + math.sqrt(y)) ** 2 - top
+    h1, h2 = (int(math.sqrt((X + top) * t / (math.pi * (a * d - b * b)))
+                  + 0.5) for t in (d, a))
+    if (H := max(h1, h2)) > RADIUS_CAP:
         raise TruncationRadiusError(
-            f"summation radius {R} exceeds cap {RADIUS_CAP}; "
+            f"the theta sum reaches |n| = {H}, over the cap {RADIUS_CAP}; "
             "Omega is too close to degenerate")
-    lo, hi = spans.get(R, (b, b))
-    spans[R] = (min(lo, b), max(hi, b))
-    return R
-
-
-@lru_cache(maxsize=PHASE_TABLES)
-def _radius_spans(lam):
-    """{order: {R: (lo, hi)}}, filled by _radius: for lam =
-    lam_min(Im Omega), the only part of Omega that _radius reads, the
-    interval [lo, hi] of the b seen to give each radius R, at most
-    RADIUS_CAP per order."""
-    return {}
-
-
-@lru_cache(maxsize=None)     # at most RADIUS_CAP keys
-def _tables(R):
-    """Over the box [-R, R]^2, n2 major and n1 minor: the rows (n1^2,
-    2 n1 n2, n2^2) and (n1, n2); the frequencies 2 pi n, n = -R..R; and
-    the powers (2 pi i n)^k, k = 0..3, shape (4, 2R + 1)."""
-    n = np.arange(-R, R + 1, dtype=float)
-    n2, n1 = (a.ravel() for a in np.meshgrid(n, n, indexing="ij"))
-    freq = 2 * np.pi * n
-    quad = np.stack([n1 * n1, 2 * n1 * n2, n2 * n2], axis=1)
-    lin = np.stack([n1, n2], axis=1)
-    powers = (1j * freq) ** np.arange(4)[:, None]
-    for t in (quad, lin, freq, powers):
+    grid = np.empty((5, 2 * h2 + 1, 2 * h1 + 1))
+    grid[0] = _RANGE[RADIUS_CAP - h1:RADIUS_CAP + h1 + 1]
+    grid[1] = _RANGE[RADIUS_CAP - h2:RADIUS_CAP + h2 + 1, None]
+    grid = grid.reshape(5, -1)
+    # n.Re(Omega).n mod 2 from Re(Omega) mod 2 = hi + lo, hi a multiple of
+    # 2^-20, so that its products with n and their sums are exact
+    p, r, s = (math.fmod(v.real, 2.0) for v in (A, B, D))
+    hp, hr, hs = (round(v * 2.0 ** 20) * 2.0 ** -20 for v in (p, r, s))
+    forms = (np.array([a, b, b, d, hp, hr, hr, hs, p - hp, r - hr, r - hr,
+                       s - hs]).reshape(6, 2) @ grid[:2]).reshape(3, 2, -1)
+    margin = np.abs(forms[0])
+    margin[0] += margin[1]      # |Y n|_1, the cell's largest -2 n.Y.c
+    np.multiply(forms[:, 0], grid[0], out=grid[2:])
+    forms[:, 1] *= grid[1]
+    grid[2:] += forms[:, 1]     # n.Y.n, n.hi.n, n.lo.n
+    taken = grid.take(np.flatnonzero(grid[2] - margin[0] < X / math.pi), 1)
+    arg = math.pi * (np.fmod(taken[3], 2.0) + taken[4])
+    phase = np.empty(arg.shape, dtype=complex)
+    np.cos(arg, out=phase.real)
+    np.sin(arg, out=phase.imag)
+    n = taken[:2].astype(np.intp)
+    weights = _MONO[0].take(n[0], axis=1)
+    weights *= _MONO[1].take(n[1], axis=1)
+    weights *= phase
+    lin = (taken[:3] * [[-2 * math.pi], [-2 * math.pi], [-math.pi]]).T
+    terms = (lin, n, weights,
+             np.concatenate((_FREQ[:H + 1], _FREQ[len(_FREQ) - H:])))
+    for t in terms:
         t.setflags(write=False)
-    return quad, lin, freq, powers
-
-
-@lru_cache(maxsize=PHASE_TABLES)
-def _box_tables(key, R):
-    """Over the box of _tables(R): -pi n.Im(Omega).n, the Omega part of
-    the exponent of each term's modulus, and exp(i pi n.Re(Omega).n),
-    shape (2R + 1, 2R + 1), n2 by n1.  key is Omega's bytes, so a table
-    is never paired with another Omega."""
-    Om = np.frombuffer(key, dtype=complex).reshape(2, 2)
-    quad = _tables(R)[0]
-    entries = np.pi * np.array([Om[0, 0], Om[0, 1], Om[1, 1]])
-    expo = -quad @ entries.imag
-    arg = quad @ entries.real
-    phase = (np.cos(arg) + 1j * np.sin(arg)).reshape(2 * R + 1, 2 * R + 1)
-    for t in (expo, phase):
-        t.setflags(write=False)
-    return expo, phase
+    return terms
 
 
 def lattice_reduce(Omega, u):
     """Lattice coordinates of u, shape (2,) or (N, 2): u = u0 + n + Omega m
-    with n, m integer-valued float arrays and u0 the remainder, each
-    shaped as u.  m rounds Im u in the coordinates of Im Omega, then n
-    rounds the real part left, so |Re u0| <= 1/2.  The one place where
-    lattice coordinates are rounded: theta's range reduction, the
-    distance to the period lattice and the half-period test of a loaded
-    Delta all call it."""
+    with n, m integer-valued float arrays and u0 the remainder, each shaped
+    as u.  m rounds c = (Im Omega)^-1 Im u by _lattice_round, then n the
+    real part left, so |Re u0| <= 1/2.  The one place where lattice
+    coordinates are rounded."""
     u = np.asarray(u, dtype=complex)
-    m = np.round(np.linalg.solve(Omega.imag, u.imag.T)).T
+    (a, b), (_, d) = Omega.imag.tolist()
+    f = 1.0 / (a * d - b * b)
+    m = _lattice_round(u.imag @ np.array([[d * f, -b * f], [-b * f, a * f]]))
     um = u - m @ Omega.T
     n = np.round(um.real)
     return n, m, um - n
+
+
+def _lattice_round(c):
+    """c rounded half to even after snapping it to a multiple of 2^-48, so
+    that a point on a half-lattice point, as theta( . ; 2 Omega)'s rows w +
+    Omega eps are, gets the same m whatever rounding formed c."""
+    return np.round(np.round(c * 2.0 ** 48) * 2.0 ** -48)
 
 
 def theta_jet(tp, z, order):
@@ -190,14 +197,11 @@ def theta_jet(tp, z, order):
     Z = z.reshape(-1, 2)
     Om = tp.Omega
     n, m, z0 = lattice_reduce(Om, Z)
-    # _radius increases with b, so this is the largest of the rows' radii
-    y = z0.imag
-    R = _radius(tp, math.sqrt((y * y).sum(axis=1).max()), order)
-    tables = _tables(R) + _box_tables(Om.tobytes(), R)
-    step = max(1, TERM_BUDGET // len(tables[0]))
-    J = np.empty((len(Z), order + 1, order + 1), dtype=complex)
-    for i in range(0, len(Z), step):
-        J[i:i + step] = _box_sum(tables, z0[i:i + step], order)
+    terms = _terms(Om.tobytes())
+    step = max(1, TERM_BUDGET // len(terms[0]))
+    J = (_list_sum(terms, z0, order) if len(Z) <= step else np.concatenate(
+        [_list_sum(terms, z0[i:i + step], order)
+         for i in range(0, len(Z), step)]))
     # m.Omega.m + 2 m.z0 = m.(Omega m + 2 z0), and Omega m = Z - n - z0
     s = -1j * np.pi * (m * (Z - n + z0)).sum(axis=1)
     shifted = m.any(axis=1)
@@ -206,30 +210,26 @@ def theta_jet(tp, z, order):
     return (s, J) if batch else (s[0], J[0])
 
 
-def _box_sum(tables, z0, order):
-    """The sums over the box of (2 pi i n1)^k1 (2 pi i n2)^k2 times the
-    series' terms at the rows z0, shape (len(z0), order + 1, order + 1),
-    zero where k1 + k2 > order.  A term is its modulus, one real exp,
-    times the unit factors phase[n2, n1], exp(2 pi i n1 Re z0_1) and
-    exp(2 pi i n2 Re z0_2); the powers of n2 are summed first, then
-    those of n1."""
-    _, lin, freq, powers, expo_omega, phase = tables
-    w, p = len(freq), powers[:order + 1]
-    expo = lin @ (-2 * np.pi * z0.imag.T)
-    expo += expo_omega[:, None]
+def _list_sum(terms, z0, order):
+    """The jets at the rows z0 summed over the term list, shape (len(z0),
+    order + 1, order + 1): each term is one real exp times the row's unit
+    factors exp(2 pi i n_j Re z0_j), then one product with the weights."""
+    lin, n, weights, freq = terms
+    expo = lin[:, :2] @ z0.imag.T
+    expo += lin[:, 2:]
     # no modulus below exp(EXP_FLOOR) is a subnormal number
     np.maximum(expo, EXP_FLOOR, out=expo)
-    modulus = np.exp(expo, out=expo).reshape(w, w, -1)
-    arg = np.multiply.outer(freq, z0.real)     # (n, row, coordinate)
+    modulus = np.exp(expo, out=expo)
+    arg = freq[:, None] * z0.real.T[:, None]     # (coordinate, n, row)
     unit = np.empty(arg.shape, dtype=complex)
     np.cos(arg, out=unit.real)
     np.sin(arg, out=unit.imag)
-    terms = modulus * phase[:, :, None]
-    terms *= unit[:, None, :, 1]
-    s2 = (p @ terms.reshape(w, -1)).reshape(order + 1, w, -1)
-    s2 *= unit[:, :, 0]
-    J = (p @ s2).T      # J[row, k1, k2]
-    J *= _VALID[order]
+    summand = unit[0].take(n[0], axis=0)
+    summand *= unit[1].take(n[1], axis=0)
+    summand *= modulus
+    k = (order + 1) * (order + 2) // 2
+    J = np.zeros((len(z0), order + 1, order + 1), dtype=complex)
+    J[:, _K1[:k], _K2[:k]] = (weights[:k] @ summand).T
     return J
 
 

@@ -109,8 +109,8 @@ def test_derivatives_match_finite_differences(g6_ctx, multi_index):
 
 
 def test_third_jet_table_is_consistent(g6_ctx):
-    """The full order-3 table agrees with the tables of lower order; the
-    jets differ only in series truncation radius, so to a few ulps."""
+    """The full order-3 table agrees with the tables of lower order: every
+    order sums the same term list, so they differ by rounding alone."""
     tp = ThetaParams.build(g6_ctx.pd.Omega)
     z = np.array([0.21 + 0.05j, -0.37 + 0.11j])
     jet = _jet(tp, z, 3)
@@ -138,11 +138,11 @@ def test_order_cap(w5_ctx):
 
 
 def test_nearly_singular_imaginary_part_exceeds_radius_cap():
-    """With lam_min(Im Omega) = 1e-4 the tail bound asks for a summation
-    radius of about 300, over RADIUS_CAP."""
+    """With lam_min(Im Omega) = 1e-4 the ellipsoid of the tail bound
+    reaches |n2| = 444, over RADIUS_CAP."""
     tp = ThetaParams.build(np.array([[0.3 + 1j, 0.1], [0.1, 1e-4j]]))
-    assert tp.lam_min < 2e-4
-    with pytest.raises(k2.TruncationRadiusError):
+    assert np.linalg.eigvalsh(tp.Omega.imag)[0] < 2e-4
+    with pytest.raises(k2.TruncationRadiusError, match="444"):
         theta_jet(tp, np.zeros(2), 0)
 
 
@@ -203,10 +203,9 @@ def _brute_jet(Omega, z, order, N=25):
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
 def test_batched_jet_matches_rows(g6_ctx, order):
     """One batched call equals per-row calls, for rows whose range
-    reduction shifts both coordinates by Omega and whose |Im z0| differ,
-    so each row alone would be summed over a box of its own radius.  s is
-    each row's exponent -i pi m.Omega.m - 2 pi i m.z0, and exp(s) V is
-    the jet of theta."""
+    reduction shifts both coordinates by Omega and whose |Im z0| differ.
+    s is each row's exponent -i pi m.Omega.m - 2 pi i m.z0, and exp(s) V
+    is the jet of theta."""
     Omega = g6_ctx.pd.Omega
     tp = ThetaParams.build(Omega)
     z0 = np.array([[0.11 + 0.02j, -0.23 + 0.01j],
@@ -218,8 +217,6 @@ def test_batched_jet_matches_rows(g6_ctx, order):
     n = np.array([[1, 0], [-2, 3], [0, 1], [4, -1], [-1, -2]])
     Z = z0 + n + m @ Omega
     b = np.linalg.norm(z0.imag, axis=1)
-    radii = {k2.theta._radius(tp, float(bi), order) for bi in b}
-    assert len(radii) > 1
     # the reduction recovers the intended shifts, so all rows are shifted
     n_red, m_red, _ = lattice_reduce(Omega, Z)
     assert np.array_equal(m_red, m) and np.array_equal(n_red, n)
@@ -258,7 +255,7 @@ def test_tables_do_not_leak_between_matrices():
         del tp
 
 
-# -- the box sum against the per-term sum -------------------------------------
+# -- the term list against the per-term sum and the brute-force sum ---------
 
 CLUSTERED_ROOTS = [0, 1e-5, 2j, -1 + 1j, 3, -2 - 1j]
 
@@ -266,7 +263,7 @@ CLUSTERED_ROOTS = [0, 1e-5, 2j, -1 + 1j, 3, -2 - 1j]
 @pytest.fixture(scope="module")
 def clustered_tp():
     """A sextic with a 1e-5 root pair: lam_min(Im Omega) = 0.20 and a
-    summation box of up to 29 x 29 points."""
+    term list of 131 points reaching |n2| = 9."""
     f = k2.validate_polynomial(np.poly(CLUSTERED_ROOTS)[::-1])
     return ThetaParams.build(k2.compute_period_data(f).Omega)
 
@@ -277,31 +274,33 @@ def curve_tp(request, w5_ctx, g6_ctx, clustered_tp):
             "clustered": clustered_tp}[request.param]
 
 
+def _term_points(tp):
+    """The lattice points n of tp's term list, shape (K, 2)."""
+    return theta._terms(tp.Omega.tobytes())[1].T
+
+
 def _per_term_jet(tp, z, order):
-    """theta_jet with the box summed term by term, as the kernel did
-    before its phase factors and row blocks: each term is exp of its
-    real exponent times cos and sin of its phase, and one matrix product
-    with the monomials sums the box.  The reduction, the radius and the
-    Leibniz step are the kernel's; rows are summed 100 at a time, over
-    the radius of the whole call, to bound the memory."""
+    """theta_jet with the list summed term by term in extended precision:
+    each term is exp of its real exponent times cos and sin of its phase,
+    both formed in long double, and one matrix product with the monomials
+    sums the list.  The reduction, the term points and the Leibniz step
+    are the kernel's; rows are summed 100 at a time to bound the memory."""
     Z = np.asarray(z, dtype=complex).reshape(-1, 2)
     Om = tp.Omega
     _, m, z0 = lattice_reduce(Om, Z)
-    R = theta._radius(
-        tp, float(np.max(np.linalg.norm(z0.imag, axis=1))), order)
-    rng = np.arange(-R, R + 1, dtype=float)
-    n1, n2 = (a.ravel() for a in np.meshgrid(rng, rng, indexing="ij"))
+    n1, n2 = _term_points(tp).T.astype(np.longdouble)
     basis = np.stack([n1 * n1, 2 * n1 * n2, n2 * n2, n1, n2], axis=1)
     index = [(t - b, b) for t in range(order + 1) for b in range(t + 1)]
-    mono = np.array([(2j * np.pi * n1) ** a * (2j * np.pi * n2) ** b
+    two_pi = 2 * np.pi * np.longdouble(1)
+    mono = np.array([(1j * two_pi * n1) ** a * (1j * two_pi * n2) ** b
                      for a, b in index])
     J = np.zeros((len(Z), order + 1, order + 1), dtype=complex)
     for s in range(0, len(Z), 100):
         rows = z0[s:s + 100]
-        coef = np.empty((5, len(rows)), dtype=complex)
-        coef[:3] = 1j * np.pi * np.array([Om[0, 0], Om[0, 1],
-                                          Om[1, 1]])[:, None]
-        coef[3:] = 2j * np.pi * rows.T
+        coef = np.empty((5, len(rows)), dtype=np.clongdouble)
+        coef[:3] = 0.5j * two_pi * np.array([Om[0, 0], Om[0, 1],
+                                             Om[1, 1]])[:, None]
+        coef[3:] = 1j * two_pi * rows.T
         modulus = np.exp(basis @ coef.real)
         phase = basis @ coef.imag
         sums = mono @ (modulus * np.cos(phase) + 1j * modulus * np.sin(phase))
@@ -312,31 +311,29 @@ def _per_term_jet(tp, z, order):
     return J
 
 
-def _rows_and_block(tp, order, n=1000, seed=31):
-    """n points u = a + Omega b with a, b in [-3/2, 3/2]^2, the one whose
-    reduced |Im z0| is largest first, so that every leading run of them
-    is summed over the box of all n; and the rows of one block there."""
+def _cell_points(tp, n, seed):
+    """n points u = a + Omega b with a, b in [-3/2, 3/2]^2: most are
+    shifted by the range reduction."""
     rng = np.random.default_rng(seed)
-    u = (rng.uniform(-1.5, 1.5, (n, 2))
-         + rng.uniform(-1.5, 1.5, (n, 2)) @ tp.Omega.T)
-    b = np.linalg.norm(lattice_reduce(tp.Omega, u)[2].imag, axis=1)
-    u[[0, np.argmax(b)]] = u[[np.argmax(b), 0]]
-    R = theta._radius(tp, float(np.max(b)), order)
-    return u, max(1, theta.TERM_BUDGET // (2 * R + 1) ** 2)
+    return (rng.uniform(-1.5, 1.5, (n, 2))
+            + rng.uniform(-1.5, 1.5, (n, 2)) @ tp.Omega.T)
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
 def test_box_sum_matches_the_per_term_sum(curve_tp, order):
-    """For 1 and 2 rows, one row either side of a block and 1000 rows
-    (so the last block is partly filled), including rows whose reduction
-    shifts them, the jets V (theta's over its quasi-periodicity factor
-    e) within 1e-14 of each row's scale: the larger of its largest entry
-    of V and 1.  That is the bound on the jets of theta itself, the
-    larger of their largest entry and |e|, divided by |e|; |e| is at
-    most the sum of the moduli of the row's terms, which bounds the
-    rounding error of a sum whose terms cancel."""
-    u, block = _rows_and_block(curve_tp, order)
-    assert 2 < block < 500
+    """The kernel's sum over the term list (the test is named for the box
+    it once summed) against the per-term sum over the same list.  For 1
+    and 2 rows, one row either side of a block and 1000 rows (so the last
+    block is partly filled), including rows whose reduction shifts them,
+    the jets V (theta's over its quasi-periodicity factor e) within 1e-14
+    of each row's scale: the larger of its largest entry of V and 1.
+    That is the bound on the jets of theta itself, the larger of their
+    largest entry and |e|, divided by |e|; |e| is at most the sum of the
+    moduli of the row's terms, which bounds the rounding error of a sum
+    whose terms cancel."""
+    u = _cell_points(curve_tp, 1000, seed=31)
+    block = theta.TERM_BUDGET // len(_term_points(curve_tp))
+    assert 2 < block < 1000
     for n in (1, 2, block - 1, block, block + 1, 1000):
         got = theta_jet(curve_tp, u[:n], order)[1]
         want = _per_term_jet(curve_tp, u[:n], order)
@@ -345,11 +342,77 @@ def test_box_sum_matches_the_per_term_sum(curve_tp, order):
         assert np.all(err <= 1e-14 * scale), n
 
 
+def _left_out(points):
+    """The lattice points of the box twice the bounding box of `points`
+    that are not among them."""
+    H1, H2 = np.max(np.abs(points), axis=0)
+    g = np.stack(np.meshgrid(np.arange(-2 * H1, 2 * H1 + 1),
+                             np.arange(-2 * H2, 2 * H2 + 1),
+                             indexing="ij"), -1).reshape(-1, 2)
+    listed = {tuple(p) for p in points.tolist()}
+    return g[[tuple(p) not in listed for p in g.tolist()]]
+
+
+@pytest.mark.parametrize("doubled", [False, True])
+def test_terms_left_out_stay_below_eps_target(curve_tp, doubled):
+    """The terms that the list leaves out, summed with the absolute values
+    of their order-3 weights over twice its bounding box, stay below
+    EPS_TARGET times each row's scale (the larger of its largest jet
+    entry and 1), on Omega and on 2 Omega, at the corners of the reduced
+    cell (where the factor exp(pi c.Y.c) is largest) and at random rows
+    in it."""
+    tp = ThetaParams.build(2 * curve_tp.Omega) if doubled else curve_tp
+    Y = tp.Omega.imag
+    rng = np.random.default_rng(41)
+    c = np.concatenate([[[0.5, 0.5], [0.5, -0.5], [-0.5, 0.5],
+                         [-0.5, -0.5]], rng.uniform(-0.5, 0.5, (12, 2))])
+    z0 = rng.uniform(-0.5, 0.5, c.shape) + 1j * c @ Y
+    n = _left_out(_term_points(tp)).astype(float)
+    modulus = np.exp(-np.pi * np.einsum("ki,ij,kj->k", n, Y, n)[:, None]
+                     - 2 * np.pi * n @ z0.imag.T)
+    weight = (2 * np.pi * np.abs(n)) ** 3
+    left = np.maximum(weight.max(axis=1), 1.0) @ modulus
+    V = theta_jet(tp, z0, 3)[1]
+    assert np.all(lattice_reduce(tp.Omega, z0)[1] == 0)
+    scale = np.maximum(np.max(np.abs(V), axis=(1, 2)), 1.0)
+    assert np.all(left <= theta.EPS_TARGET * scale)
+
+
+_eig = st.floats(0.2, 5.0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(re=st.tuples(*[st.floats(-3.0, 3.0)] * 3), lam=st.tuples(_eig, _eig),
+       angle=st.floats(0.0, np.pi), order=st.integers(0, 3),
+       rows=st.lists(st.tuples(*[st.floats(-0.5, 0.5)] * 4),
+                     min_size=1, max_size=4))
+def test_jets_match_a_brute_force_sum(re, lam, angle, order, rows):
+    """Over random Riemann matrices with the eigenvalues of Im Omega in
+    [0.2, 5], the jets at rows of the reduced cell match the plain sum
+    over a square box holding twice the term list's bounding box to 1e-13
+    of each row's scale, the larger of its largest entry and 1."""
+    R = np.array([[np.cos(angle), -np.sin(angle)],
+                  [np.sin(angle), np.cos(angle)]])
+    Y = R @ np.diag(lam) @ R.T
+    a, b = np.sqrt(Y[0, 0]), np.sqrt(Y[1, 1])
+    tp = ThetaParams.build(_riemann_matrix(*re, Y[0, 0], Y[1, 1],
+                                           Y[0, 1] / (a * b)))
+    r = np.array(rows)
+    z0 = r[:, :2] + 1j * r[:, 2:] @ tp.Omega.imag
+    s, V = theta_jet(tp, z0, order)
+    N = 2 * int(np.max(np.abs(_term_points(tp))))
+    assert np.all(s == 0)
+    for row, z in zip(V, z0):
+        want = _brute_jet(tp.Omega, z, order, N)
+        scale = max(np.max(np.abs(want)), 1.0)
+        assert np.max(np.abs(row - want)) <= 1e-13 * scale
+
+
 def test_a_large_call_sums_in_bounded_memory(clustered_tp):
-    """4096 rows at order 3 on the clustered sextic: 29 x 29 box points
-    per row, which summed in one piece would need about 220 MB of
-    temporaries; in row blocks the call peaks under 16 MB."""
-    u, _ = _rows_and_block(clustered_tp, 3, n=4096, seed=32)
+    """4096 rows at order 3 on the clustered sextic: 131 terms per row,
+    which summed in one piece would need about 26 MB of temporaries; in
+    row blocks the call peaks under 16 MB."""
+    u = _cell_points(clustered_tp, 4096, seed=32)
     tracemalloc.start()
     try:
         theta_jet(clustered_tp, u, 3)
@@ -360,24 +423,25 @@ def test_a_large_call_sums_in_bounded_memory(clustered_tp):
 
 
 def test_phase_tables_are_bounded_and_not_kept_on_theta_params():
-    """The Omega tables live in one bounded module-level cache, keyed by
-    Omega's bytes and the radius; a ThetaParams holds Omega and lam_min
-    only, so contexts do not grow with them."""
-    assert [f.name for f in fields(ThetaParams)] == ["Omega", "lam_min"]
+    """The term lists live in one bounded module-level cache, keyed by
+    Omega's bytes; a ThetaParams holds Omega only, so contexts do not
+    grow with them."""
+    assert [f.name for f in fields(ThetaParams)] == ["Omega"]
     z = np.array([0.17 - 0.05j, -0.29 + 0.08j])
     for k in range(theta.PHASE_TABLES + 5):
         Omega = np.array([[0.01 * k + 1.1j, 0.3 + 0.2j],
                           [0.3 + 0.2j, 1.3j]])
         theta_jet(ThetaParams.build(Omega), z, 0)
-    info = theta._box_tables.cache_info()
+    info = theta._terms.cache_info()
     assert info.maxsize == theta.PHASE_TABLES
     assert info.currsize <= theta.PHASE_TABLES
 
 
 def _fixed_point_radius(lam, b, order):
-    """The radius as _radius computed it for every call: ceil of 12 steps
-    of the fixed point from R = 3, plus 1."""
-    target = math.log(theta.TAIL_MARGIN / theta.EPS_TARGET)
+    """The radius of the square box [-R, R]^2 that theta once summed for
+    every call: ceil of 12 steps of the fixed point of pi lam R^2 - 2 pi b
+    R - order ln(2 pi R) = ln(100 / EPS_TARGET) from R = 3, plus 1."""
+    target = math.log(100.0 / theta.EPS_TARGET)
     R = 3.0
     for _ in range(12):
         R = math.sqrt((target + 2 * math.pi * b * R
@@ -386,28 +450,64 @@ def _fixed_point_radius(lam, b, order):
     return math.ceil(R) + 1
 
 
-def test_radius_from_its_intervals_is_the_fixed_point_radius():
-    """_radius runs its fixed point only for a b outside the intervals it
-    has seen; on 1500 b per (lam, order), drawn in random order and
-    sorted, it gives the fixed point's radius for every b, the
-    fixed-point radius never falls as b grows, and the interval cache is
-    bounded."""
-    rng = np.random.default_rng(40)
-    for lam in (0.2, 0.87, 1.74, *rng.uniform(0.05, 5.0, 6)):
-        tp = ThetaParams(Omega=None, lam_min=float(lam))
-        for order in range(4):
-            b = rng.uniform(0.0, 3.0, 1500)
-            want = [_fixed_point_radius(lam, bi, order) for bi in b]
-            assert np.all(np.diff([want[i] for i in np.argsort(b)]) >= 0)
-            for bi, wi in zip(b, want):
-                if wi > theta.RADIUS_CAP:
-                    with pytest.raises(k2.TruncationRadiusError):
-                        theta._radius(tp, float(bi), order)
-                else:
-                    assert theta._radius(tp, float(bi), order) == wi
-            spans = theta._radius_spans(float(lam))[order]
-            assert len(spans) == len({w for w in want
-                                      if w <= theta.RADIUS_CAP})
-    info = theta._radius_spans.cache_info()
-    assert info.maxsize == theta.PHASE_TABLES
-    assert info.currsize <= theta.PHASE_TABLES
+def _verify_pool(each=16, seed=3031):
+    """The benchmark's verify pool: `each` Weierstrass quintics, general
+    quintics and sextics with unit-ring roots, drawn in that order."""
+    rng = np.random.default_rng(seed)
+
+    def ring(k):
+        radii = 0.75 + 0.5 * rng.random(k)
+        jitter = 0.3 * (2 * rng.random(k) - 1)
+        angles = (2 * np.pi * (np.arange(k) + jitter) / k
+                  + 2 * np.pi * rng.random())
+        return radii * np.exp(1j * angles)
+
+    def lead():
+        return (0.5 + rng.random()) * np.exp(2j * np.pi * rng.random())
+
+    wq = [4.0 * np.poly(ring(5))[::-1] for _ in range(each)]
+    g5 = [np.poly(ring(5))[::-1] * lead() for _ in range(each)]
+    s6 = [np.poly(ring(6))[::-1] * lead() for _ in range(each)]
+    return wq + g5 + s6
+
+
+def test_term_lists_hold_at_most_half_the_box():
+    """On 4x^5 - 4x, x^6 - 1 and the 48 curves of the benchmark's verify
+    pool, on Omega and 2 Omega, the term list holds at most half the
+    (2R + 1)^2 points of the box that theta once summed at order 3 for
+    the cell's farthest row, b = max |Y c| over |c_i| <= 1/2."""
+    ratios = []
+    for coeffs in [[0, -4, 0, 0, 0, 4], [-1, 0, 0, 0, 0, 0, 1]] + _verify_pool():
+        Omega = k2.compute_period_data(k2.validate_polynomial(coeffs)).Omega
+        for Om in (Omega, 2 * Omega):
+            tp = ThetaParams.build(Om)
+            Y = tp.Omega.imag
+            b = max(np.linalg.norm(Y @ [0.5, 0.5]),
+                    np.linalg.norm(Y @ [0.5, -0.5]))
+            R = _fixed_point_radius(np.linalg.eigvalsh(Y)[0], b, 3)
+            ratios.append(len(_term_points(tp)) / (2 * R + 1) ** 2)
+    assert len(ratios) == 100
+    assert max(ratios) <= 0.5
+
+
+def test_half_lattice_rows_reduce_alike_however_c_is_formed(w5_ctx,
+                                                             g6_ctx):
+    """The rows w + Omega eps of theta( . ; 2 Omega) in the weight-2 basis
+    sit on half-lattice points of 2 Omega (w = 0, and w = 2 Delta on the
+    quintic): m is the same whichever way their coordinates c = (2 Im
+    Omega)^-1 Im u are formed, on Omega and on Omega (1 +- 1e-13), and
+    the exact ties w = 0 round to the even m = 0."""
+    eps = np.tile([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], (2, 1))
+    for ctx in (w5_ctx, g6_ctx):
+        for scale in (1.0, 1 + 1e-13, 1 - 1e-13):
+            Om = ctx.pd.Omega * scale
+            w = np.zeros((8, 2), dtype=complex)
+            w[4:] = 2.0 * ctx.pd.Delta
+            u = w + eps @ Om
+            Y, y = (2.0 * Om).imag, u.imag
+            ways = [np.linalg.solve(Y, y.T).T, y @ np.linalg.inv(Y).T,
+                    (np.linalg.inv(Y) @ y.T).T, np.linalg.solve(Y.T, y.T).T]
+            m = lattice_reduce(2.0 * Om, u)[1]
+            for c in ways:
+                assert np.array_equal(theta._lattice_round(c), m)
+            assert np.all(m[:4] == 0)
