@@ -54,7 +54,8 @@ _RANGE = np.arange(-RADIUS_CAP, RADIUS_CAP + 1.0)
 _FREQ = 2 * np.pi * np.fft.ifftshift(_RANGE)
 # _MONO[j][row, n] = (2 pi i n)^k, k the row's _K1 (j = 0) or _K2 (j = 1)
 _MONO = np.stack([_K1, _K2])[:, :, None]
-_MONO = _FREQ ** _MONO * np.array([1, 1j, -1, -1j])[_MONO]
+_I = np.array([1, 1j, -1, -1j])    # i^k
+_MONO = _FREQ ** _MONO * _I[_MONO]
 
 
 @dataclass(frozen=True)
@@ -141,17 +142,16 @@ def _terms(key):
     forms[:, 1] *= grid[1]
     grid[2:] += forms[:, 1]     # n.Y.n, n.hi.n, n.lo.n
     taken = grid.take(np.flatnonzero(grid[2] - margin[0] < X / math.pi), 1)
-    arg = math.pi * (np.fmod(taken[3], 2.0) + taken[4])
-    phase = np.empty(arg.shape, dtype=complex)
-    np.cos(arg, out=phase.real)
-    np.sin(arg, out=phase.imag)
+    # exp(i pi n.Re(Omega).n) = i^k exp(i pi r): k exact, |r| about 1/4 at most
+    hi = np.fmod(taken[3], 2.0)
+    k = np.round(2.0 * hi)
+    r = 1j * math.pi * (hi - 0.5 * k + taken[4])
     n = taken[:2].astype(np.intp)
     weights = _MONO[0].take(n[0], axis=1)
     weights *= _MONO[1].take(n[1], axis=1)
-    weights *= phase
-    lin = (taken[:3] * [[-2 * math.pi], [-2 * math.pi], [-math.pi]]).T
-    terms = (lin, n, weights,
-             np.concatenate((_FREQ[:H + 1], _FREQ[len(_FREQ) - H:])))
+    weights *= np.exp(r) * _I.take(k.astype(np.intp), mode="wrap")
+    terms = ((taken[:3] * [[-2 * math.pi], [-2 * math.pi], [-math.pi]]).T, n,
+             weights, np.concatenate((_FREQ[:H + 1], _FREQ[len(_FREQ) - H:])))
     for t in terms:
         t.setflags(write=False)
     return terms

@@ -477,7 +477,8 @@ def test_term_lists_hold_at_most_half_the_box():
     (2R + 1)^2 points of the box that theta once summed at order 3 for
     the cell's farthest row, b = max |Y c| over |c_i| <= 1/2."""
     ratios = []
-    for coeffs in [[0, -4, 0, 0, 0, 4], [-1, 0, 0, 0, 0, 0, 1]] + _verify_pool():
+    curves = [[0, -4, 0, 0, 0, 4], [-1, 0, 0, 0, 0, 0, 1]] + _verify_pool()
+    for coeffs in curves:
         Omega = k2.compute_period_data(k2.validate_polynomial(coeffs)).Omega
         for Om in (Omega, 2 * Omega):
             tp = ThetaParams.build(Om)
