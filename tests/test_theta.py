@@ -291,7 +291,7 @@ def _per_term_jet(tp, z, order):
     n1, n2 = _term_points(tp).T.astype(np.longdouble)
     basis = np.stack([n1 * n1, 2 * n1 * n2, n2 * n2, n1, n2], axis=1)
     index = [(t - b, b) for t in range(order + 1) for b in range(t + 1)]
-    two_pi = 2 * np.pi * np.longdouble(1)
+    two_pi = 2 * np.longdouble("3.141592653589793238462643383279502884")
     mono = np.array([(1j * two_pi * n1) ** a * (1j * two_pi * n2) ** b
                      for a, b in index])
     J = np.zeros((len(Z), order + 1, order + 1), dtype=complex)
