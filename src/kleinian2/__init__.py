@@ -13,7 +13,7 @@ capability; the layers' helpers stay importable from their modules
 from .curve import (AdmissiblePolynomial, CurvePoint, Divisor,
                     validate_polynomial, xi_eval)
 from .errors import (ConvergenceError, DegenerateGeometryError, DegreeError,
-                     DeltaAmbiguityError, DiagonalError, InfinitePointError,
+                     DiagonalError, InfinitePointError,
                      KleinianError, NonFiniteValueError, NormalizationError,
                      NotWeierstrassFormError, OnSigmaDivisorError,
                      OnThetaDivisorError, QuadratureError,
@@ -38,7 +38,7 @@ __all__ = [
     "KleinianError", "DegreeError", "RepeatedRootError", "ConvergenceError",
     "SpecialDivisorError", "InfinitePointError", "DiagonalError",
     "DegenerateGeometryError", "QuadratureError", "SheetTrackingError",
-    "RiemannMatrixError", "DeltaAmbiguityError", "TruncationRadiusError",
+    "RiemannMatrixError", "TruncationRadiusError",
     "NormalizationError", "OnThetaDivisorError", "NonFiniteValueError",
     "RootSelectionAmbiguity",
     "OnSigmaDivisorError", "NotWeierstrassFormError", "SignResolutionError",

@@ -56,10 +56,6 @@ class RiemannMatrixError(KleinianError):
     certificates."""
 
 
-class DeltaAmbiguityError(KleinianError):
-    """Zero or several candidates passed the vanishing certificate."""
-
-
 # theta
 class TruncationRadiusError(KleinianError):
     """Required summation radius exceeds the hard cap."""

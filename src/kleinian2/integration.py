@@ -317,15 +317,19 @@ def line_with_detours(roots, radii, x0, x1, into=None):
     return np.array(pieces)
 
 
+def nearest_branch_point(roots, x):
+    """Index of the branch point nearest x, where a run from x ends."""
+    return int(np.argmin(np.abs(np.asarray(roots, dtype=complex) - x)))
+
+
 def run_into_branch_point(roots, radii, x):
     """Pieces of the run from x into its nearest branch point e, with
     detours about the others.  Twice its integral, on the sheet it
     starts on, is that of the sheet-flip loop about e from x: the loop's
     way back is its way out on the other sheet, reversed, and its full
     turn about e is twice the radial run into e."""
-    r = np.asarray(roots, dtype=complex)
-    e = int(np.argmin(np.abs(r - x)))
-    return line_with_detours(roots, radii, x, r[e], e)
+    e = nearest_branch_point(roots, x)
+    return line_with_detours(roots, radii, x, roots[e], e)
 
 
 def _continue_runs(f, roots, runs, y0):
@@ -572,6 +576,11 @@ def point_infinity_integrals(f, roots, P, scale, z_star):
     return J
 
 
+def far_point(scale):
+    """The period build's far point, where z_star changes sheets."""
+    return FAR_FACTOR * scale * np.exp(1j * FAR_ARG)
+
+
 def far_ray_integrals(f, roots, scale, radii):
     """(J, z_star): the holomorphic integrals from the infinite point
     labelled 2 (the one point at infinity on degree 5) to the points on
@@ -593,7 +602,7 @@ def far_ray_integrals(f, roots, scale, radii):
     (run_into_branch_point).  The ray and the run into e are one chain
     and one quadrature; the tail is a second.
     """
-    x_far = FAR_FACTOR * scale * np.exp(1j * FAR_ARG)
+    x_far = far_point(scale)
     xs = np.append(np.asarray(radii) * np.exp(1j * FAR_ARG), x_far)
     y_far = complex(np.sqrt(f(x_far)))
     if f.degree == 6 and _lands_plus(f, tail_sheet(f, [x_far], [y_far]),

@@ -12,13 +12,13 @@ the signs of adjacent-loop pairings fix every orientation relative to
 the first loop.  The frame is then certified once by the Riemann-matrix
 and Legendre checks.
 
-The base-point constant Delta comes in closed form, not from a search: it
-is one of 16 candidates, a half-period plus (1/2) A^{-1} z_star on degree 6
-(plus nothing on degree 5, where infinity is a Weierstrass point), and the
-theta-vanishing certificate on the Abel images of ABEL_SAMPLES points
-must accept exactly one of them.  The points lie on one ray out to the
-far point where z_star changes sheets, by the run from there into its
-nearest branch point (integration.far_ray_integrals), so one chain of
+The base-point constant Delta comes in closed form: the odd half-period
+of the branch point e that z_star's path runs into (_BASE_CHARS[e]),
+plus (1/2) A^{-1} z_star; on degree 5 e is infinity and there is no
+shift.  One theta call certifies that theta(u - Delta) vanishes on the
+Abel images u of ABEL_SAMPLES points.  The points lie on one ray out to
+the far point where z_star changes sheets, by the run from there into
+its nearest branch point (integration.far_ray_integrals), so one chain of
 sheets, one quadrature of the ray and that run, and one tail to
 infinity give both; with the loop segments, a build takes three
 quadratures, every sheet fixed before the first.  Neither depends on the
@@ -33,15 +33,15 @@ returns (n, m) in the same order.
 """
 
 from dataclasses import dataclass, fields
-from itertools import product
 import warnings
 
 import numpy as np
 
 from .curve import branch_points
-from .errors import (DegenerateGeometryError, DeltaAmbiguityError,
+from .errors import (DegenerateGeometryError, NormalizationError,
                      RiemannMatrixError)
-from .integration import far_ray_integrals, segment_period_integrals
+from .integration import (far_point, far_ray_integrals, nearest_branch_point,
+                          segment_period_integrals)
 from .theta import ThetaParams, lattice_reduce, theta_jet
 
 TOL_SYM = 1e-8
@@ -111,11 +111,10 @@ class PeriodData:
     Columns of A, B hold integrals of (dx/y, x dx/y) over the a- and
     b-cycles; etaA, etaB hold minus the integrals of (r1, r2).  Delta is
     the base-point constant making theta vanish on the Abel image of the
-    curve, the one of 16 closed-form candidates (a half-period, plus
-    (1/2) A^{-1} z_star on degree 6) that passes the vanishing
-    certificate; for degree-5 curves delta_char stores its half-integer
-    characteristic (n0, m0).  On degree 6 the parity of the half-period
-    depends on the lattice representative of z_star, so delta_char is
+    curve, certified by that vanishing: the odd half-period of a branch
+    point, plus (1/2) A^{-1} z_star on degree 6.  On degree 5 Delta is
+    the half-period itself, and delta_char stores its characteristic
+    (n0, m0).  On degree 6 Delta is no half-period, and delta_char is
     None.  z_star is the between-infinities integral
     (degree 6), used by the Abel map.  transform holds the integer rows
     (a1, a2, b1, b2) in the coordinates of the LOOP_PAIRS loops.
@@ -207,11 +206,18 @@ def compute_period_data(f, ordering=None, like=None):
     optionally gives period data of the same curve whose Abel samples
     and z_star are reused: neither depends on the ordering (the same ray
     out to the same far point, the same run into its nearest root), so
-    the build then integrates its loop segments only.
+    the build then integrates its loop segments only.  An ordering that
+    is no permutation of range(f.degree), or like of another curve,
+    raises ValueError.
     """
     roots = branch_points(f)
     if ordering is not None:
+        if sorted(ordering) != list(range(f.degree)):
+            raise ValueError(
+                f"ordering must be a permutation of range({f.degree})")
         roots = [roots[k] for k in ordering]
+    if like is not None and like.f.coeffs != f.coeffs:
+        raise ValueError("period data was computed for a different curve")
     scale = max(1.0, max(abs(r) for r in roots))
     if not SCALE_BAND[0] <= max(abs(r) for r in roots) <= SCALE_BAND[1]:
         warnings.warn("branch points far outside unit scale; double "
@@ -236,7 +242,8 @@ def compute_period_data(f, ordering=None, like=None):
     else:
         samples, z_star = far_ray_integrals(f, roots, scale,
                                             SAMPLE_RADII * scale)
-    Delta, char = _riemann_constant(f, A, Omega, samples, z_star)
+    e = 5 if z_star is None else nearest_branch_point(roots, far_point(scale))
+    Delta, char = _riemann_constant(A, Omega, samples, z_star, e)
     return PeriodData(A=A, B=B, etaA=etaA, etaB=etaB, Omega=Omega,
                       Delta=Delta, delta_char=char, transform=T, f=f,
                       roots=tuple(roots), scale=scale, z_star=z_star,
@@ -279,46 +286,37 @@ def _half_period(Omega, k):
     return 0.5 * (k[..., :2] + k[..., 2:] @ Omega.T)
 
 
-def _riemann_constant(f, A, Omega, samples, z_star):
-    """Delta from the closed-form candidate set, certified by vanishing
-    on the normalized Abel images u = A^{-1} z of the samples z.
+# K_k, the Riemann constant with base point at branch point k (k = 5:
+# infinity on degree 5), as the characteristic (n1, n2, m1, m2) of the
+# half-period (n + Omega m) / 2 in _FRAME's frame.  K_5 = (1, 1, 1, 0)
+# (Mumford, Tata Lectures on Theta II, ch. IIIa), and K_k = K_{k+1} +
+# [l_k] mod 2, the Abel image of e_k - e_{k+1} being half the loop l_k
+# about the pair.  In the frame l0..l4 = a1, b1, a2 - a1, b2 and a2
+# (l0 + l2 + l4 bound together).  The rows are the six odd
+# characteristics, one per branch point.
+_BASE_CHARS = ((1, 1, 0, 1), (0, 1, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1),
+               (1, 0, 1, 0), (1, 1, 1, 0))
 
-    At a Weierstrass base point the Riemann constant is a half-period
-    (Mumford, Tata Lectures on Theta II, ch. IIIa); moving the base point
-    to infinity shifts it by one Abel integral.  On degree 5 infinity is
-    a Weierstrass point and the shift is zero.  On degree 6,
-    div(x - e) = 2e - inf_1 - inf_2 makes that integral (1/2) A^{-1}
-    z_star modulo half-periods.  z_star is only defined modulo the
-    lattice, so the parity of the half-period part is not intrinsic and
-    all 16 half-periods are tried; they are distinct modulo the lattice,
-    so exactly one must make theta vanish on every Abel sample.
 
-    A candidate D passes when |theta(u - D)| < 1e-8 theta_ref at every
-    sample u, theta_ref the largest of |theta| at 0 and at the samples.
-    Two theta calls decide it: theta(0), theta at the samples and every
-    candidate at the first sample in one, then the candidates left at
-    the other samples in the second.
+def _riemann_constant(A, Omega, samples, z_star, e):
+    """Delta = K_e + (1/2) A^{-1} z_star and, on degree 5 (z_star None),
+    its characteristic (n0, m0), certified: |theta(u - Delta)| < 1e-8
+    theta_ref at the normalized Abel images u = A^{-1} z of the samples
+    z, theta_ref the largest of |theta| at 0 and at the samples, in one
+    theta call; NormalizationError otherwise.
+
+    The shift is the Abel integral from e to infinity: zero on degree 5,
+    where e is infinity, and on degree 6, by div(x - e) = 2e - inf_1 -
+    inf_2, (1/2) A^{-1} z_star for the e that z_star's path runs into.
     """
-    tp = ThetaParams.build(Omega)
+    k = _BASE_CHARS[e]
+    Delta = _half_period(Omega, k) + (
+        0.0 if z_star is None else 0.5 * np.linalg.solve(A, z_star))
     us = np.linalg.solve(A, samples.T).T
-    shift = 0.0 if z_star is None else 0.5 * np.linalg.solve(A, z_star)
-    chars = list(product((0, 1), repeat=4))
-    cands = _half_period(Omega, chars) + shift
-    s, V = theta_jet(tp, np.concatenate(
-        [np.zeros((1, 2)), us, us[0] - cands]), 0)
-    first = np.exp(s.real) * np.abs(V[:, 0, 0])
-    theta_ref = np.max(first[:len(us) + 1])
-    bound = 1e-8 * theta_ref
-    alive = np.flatnonzero(first[len(us) + 1:] < bound)
-    if len(alive):
-        rest = (us[1:, None] - cands[alive]).reshape(-1, 2)
-        s, V = theta_jet(tp, rest, 0)
-        vals = np.exp(s.real) * np.abs(V[:, 0, 0])
-        alive = alive[np.all(vals.reshape(len(us) - 1, -1) < bound, axis=0)]
-    if len(alive) != 1:
-        raise DeltaAmbiguityError(
-            f"{len(alive)} of 16 candidates pass the vanishing certificate "
-            "for the base-point constant (expected exactly one)")
-    k = alive[0]
-    return cands[k], ((chars[k][:2], chars[k][2:]) if f.degree == 5
-                      else None)
+    s, V = theta_jet(ThetaParams.build(Omega), np.concatenate(
+        [np.zeros((1, 2)), us, us - Delta]), 0)
+    vals = np.exp(s.real) * np.abs(V[:, 0, 0])
+    if not np.all(vals[len(us) + 1:] < 1e-8 * np.max(vals[:len(us) + 1])):
+        raise NormalizationError(
+            "theta does not vanish at the Abel samples shifted by Delta")
+    return Delta, ((k[:2], k[2:]) if z_star is None else None)

@@ -213,12 +213,16 @@ def _searched_transform(f, ordering):
     return None
 
 
-def _ring_curve(rng, n, lead):
+def _ring_roots(rng, n):
     """n roots near the unit circle, adjacent ones about 0.3 apart."""
     radii = 0.75 + 0.5 * rng.random(n)
     jitter = 0.3 * (2 * rng.random(n) - 1)
     angles = 2 * np.pi * (np.arange(n) + jitter) / n + 2 * np.pi * rng.random()
-    return list(lead * np.poly(radii * np.exp(1j * angles))[::-1])
+    return radii * np.exp(1j * angles)
+
+
+def _ring_curve(rng, n, lead):
+    return list(lead * np.poly(_ring_roots(rng, n))[::-1])
 
 
 def _panel_curve(s, degree):
@@ -293,6 +297,22 @@ def test_scale_band_warning():
 
 
 # -- invariance under basis change ----------------------------------------------
+
+@pytest.mark.parametrize("ordering", [(0, 0, 1, 2, 3, 4), (0, 1, 2, 3, 4),
+                                      (0, 1, 2, 3, 4, 6)],
+                         ids=["repeated", "short", "out_of_range"])
+def test_ordering_must_permute_the_branch_points(ordering):
+    f = k2.validate_polynomial(G6_COEFFS)
+    with pytest.raises(ValueError, match=r"permutation of range\(6\)"):
+        k2.compute_period_data(f, ordering=ordering)
+
+
+def test_like_of_another_curve_raises(g6_ctx):
+    f = k2.validate_polynomial(_ring_curve(np.random.default_rng(8), 6,
+                                           0.8 - 0.6j))
+    with pytest.raises(ValueError, match="different curve"):
+        k2.compute_period_data(f, like=g6_ctx.pd)
+
 
 def test_permuted_ordering_spans_same_lattice():
     f = k2.validate_polynomial(G6_COEFFS)
@@ -371,11 +391,20 @@ def _samples(f, roots, scale):
                                          periods.SAMPLE_RADII * scale)
 
 
+def _dive_index(pd):
+    """The row of periods._BASE_CHARS that Delta takes: the index of the
+    branch point the far point's run goes into, 5 (infinity) on degree 5."""
+    if pd.z_star is None:
+        return 5
+    return integration.nearest_branch_point(
+        pd.roots, integration.far_point(pd.scale))
+
+
 def _recompute_delta(f, pd):
     """Delta for existing period data, certificate included."""
     samples, _ = _samples(f, list(pd.roots), pd.scale)
-    return periods._riemann_constant(f, pd.A, pd.Omega, samples,
-                                     pd.z_star)[0]
+    return periods._riemann_constant(pd.A, pd.Omega, samples, pd.z_star,
+                                     _dive_index(pd))[0]
 
 
 def test_riemann_constant_recompute(any_ctx):
@@ -432,15 +461,21 @@ def test_hard_sextic_delta_in_closed_form():
 
 
 def test_inconsistent_z_star_has_no_certified_delta(g6_ctx):
-    """A z_star off by a non-period leaves none of the 16 candidates
-    passing, and no Delta is returned."""
+    """A z_star off by a non-period moves Delta off the theta divisor:
+    the certificate fails, and no Delta is returned."""
     pd = g6_ctx.pd
     bad = replace(pd, z_star=pd.z_star + 0.1 * (pd.A[:, 0] + pd.B[:, 1]))
-    with pytest.raises(k2.DeltaAmbiguityError, match="^0 of 16"):
+    with pytest.raises(k2.NormalizationError, match="does not vanish"):
         _recompute_delta(g6_ctx.f, bad)
 
 
-# -- the batched Delta certificate against the per-candidate loop -------------
+def test_base_chars_are_the_six_odd_characteristics():
+    odd = [k for k in itertools.product((0, 1), repeat=4)
+           if (k[0] * k[2] + k[1] * k[3]) % 2]
+    assert sorted(periods._BASE_CHARS) == odd
+
+
+# -- the closed-form Delta against the per-candidate loop ---------------------
 
 def theta(tp, z):
     s, V = theta_jet(tp, z, 0)
@@ -480,15 +515,38 @@ def _delta_curves():
     return curves
 
 
-DELTA_CURVES = _delta_curves()
+def _far_root_cases():
+    """(name, coeffs, ordering): unit-ring sextics with their top root
+    moved to x0 + 4i (1 + U), nearest the far point, each in the default
+    ordering and the two basis_independence tries.  At x0 = 0.05 the
+    moved root sorts between ring roots and lands at index 2, 3 or 4;
+    at x0 = -1.3 it sorts first and lands at 0, 1 and 5."""
+    rng = np.random.default_rng(23)
+    orderings = {"default": None, "swap": (1, 0, 2, 4, 3, 5),
+                 "reverse": (5, 4, 3, 2, 1, 0)}
+    cases = []
+    for k in range(4):
+        roots = _ring_roots(rng, 6)
+        roots[np.argmax(roots.imag)] = ((0.05, -1.3)[k % 2]
+                                        + 4j * (1 + rng.random()))
+        lead = (0.5 + rng.random()) * np.exp(2j * np.pi * rng.random())
+        coeffs = list(lead * np.poly(roots)[::-1])
+        cases += [(f"far_root{k}_{name}", coeffs, ordering)
+                  for name, ordering in orderings.items()]
+    return cases
 
 
-@pytest.mark.parametrize("coeffs", [c for _, c in DELTA_CURVES],
-                         ids=[name for name, _ in DELTA_CURVES])
-def test_batched_delta_certificate_matches_candidate_loop(coeffs,
+DELTA_CASES = ([(name, coeffs, None) for name, coeffs in _delta_curves()]
+               + _far_root_cases())
+
+
+@pytest.mark.parametrize("coeffs, ordering",
+                         [case[1:] for case in DELTA_CASES],
+                         ids=[case[0] for case in DELTA_CASES])
+def test_batched_delta_certificate_matches_candidate_loop(coeffs, ordering,
                                                           monkeypatch):
-    """Two theta calls pick the candidate, and the characteristic, that
-    the loop over the 16 candidates picks."""
+    """One theta call certifies the closed-form Delta, and it, with its
+    characteristic, is the one candidate the loop over the 16 passes."""
     f = k2.validate_polynomial(coeffs)
     calls = []
 
@@ -497,11 +555,24 @@ def test_batched_delta_certificate_matches_candidate_loop(coeffs,
         return theta_jet(*args, **kwargs)
 
     monkeypatch.setattr(periods, "theta_jet", counting)
-    pd = k2.compute_period_data(f)
+    pd = k2.compute_period_data(f, ordering=ordering)
     monkeypatch.undo()
-    assert len(calls) <= 2
+    assert len(calls) == 1
+    assert len(calls[0][1]) == 2 * periods.ABEL_SAMPLES + 1
     hits = _delta_by_candidate_loop(f, pd)
     assert len(hits) == 1
     D, char = hits[0]
     assert np.array_equal(D, pd.Delta)
     assert pd.delta_char == (char if f.degree == 5 else None)
+    assert char == tuple(map(tuple, np.reshape(
+        periods._BASE_CHARS[_dive_index(pd)], (2, 2))))
+
+
+def test_delta_sextics_take_every_row_of_the_base_chars():
+    """The sextics of DELTA_CASES alone run into a branch point at every
+    index of the ordering, so each row is checked against the loop."""
+    fs = [(k2.validate_polynomial(coeffs), ordering)
+          for _, coeffs, ordering in DELTA_CASES]
+    rows = {_dive_index(k2.compute_period_data(f, ordering=ordering))
+            for f, ordering in fs if f.degree == 6}
+    assert rows == set(range(6))
