@@ -11,7 +11,11 @@ S = c_S exp(z^T C z) p q, p = theta(u - Delta), q = theta(u + Delta),
 u = A^-1 z.  S, S11, S12, S22 span the weight-2 theta functions, and by
 the addition formula so do pq and E = q p'' + p q'' - p' q'^T - q' p'^T
 (u-derivatives).  So each S_jk is exp(z^T C z) times a fixed combination
-of (pq, E11, E12, E22), found once per curve by make_context.
+of (pq, E11, E12, E22), found once per curve by make_context, and
+wp_jk = S_jk / S is that combination over c_S pq: jacobi_invert reads wp
+and its z-derivatives wp_jkl off the order-3 jets this way, on both
+degrees, with no cubic to solve.  wp_eval still takes wp from the log
+Hessian of S, selecting a root of a cubic on degree 6.
 
 theta_jet keeps the lattice scale apart, theta = e^s V: S and S_jk are
 exp(z^T C z + s_- + s_+) times the same expressions in V, sigma exp(twist
@@ -366,22 +370,6 @@ def _log_hessian_from_pair(ctx, jm, jp):
     return L
 
 
-def _log_derivs_from_pair(ctx, jm, jp):
-    """(L, dL) at the N rows of the order-3 jets at u -+ Delta, from one
-    pullback of jm and jp stacked: L, shape (N, 2, 2), as
-    _log_hessian_from_pair gives it up to rounding, and dL, shape
-    (N, 2, 2, 2), its z-derivatives dL_jk / dz_l, the sum of the third
-    log derivatives of theta at both (exp(z^T C z) adds nothing)."""
-    jets = np.concatenate([jm.reshape(-1, 4, 4), jp.reshape(-1, 4, 4)])
-    n = len(jets) // 2
-    p = jets[:, 0, 0]
-    d1, d2, d3 = _pullback_jets(ctx, jets, 3)
-    q = p[:, None, None]
-    H = d2 / q - d1[:, :, None] * d1[:, None, :] / q ** 2
-    T = _third_from_pullback(p, d1, d2, d3)
-    return 2.0 * ctx.C + H[:n] + H[n:], T[:n] + T[n:]
-
-
 def log_S_gradient(ctx, z):
     """First logarithmic derivatives of S; shape (2,), or (N, 2) for a
     batch z."""
@@ -540,17 +528,44 @@ def _resolve_root(ctx, z, cands, depth):
 
 # -- the weight-2 companions S11, S12, S22 ---------------------------------
 
+def _pq_and_E(P, Q):
+    """e = (pq, E11, E12, E22), a batch axis last, E = q p'' + p q'' - p'
+    q'^T - q' p'^T (u-derivatives), from P and Q, the entries (p, p1, p2,
+    p11, p12, p22) of two jets as _order2 reads them."""
+    p, p1, p2, p11, p12, p22 = P
+    q, q1, q2, q11, q12, q22 = Q
+    return np.array([p * q,
+                     q * p11 + p * q11 - 2.0 * p1 * q1,
+                     q * p12 + p * q12 - p1 * q2 - p2 * q1,
+                     q * p22 + p * q22 - 2.0 * p2 * q2])
+
+
 def _weight2_from_pair(ctx, jm, jp):
     """(S, S11, S12, S22) over exp(z^T C z + s_- + s_+), a batch axis
     last, from the order-2 jets p, q at u -+ Delta: c_S pq and sjk_coeffs
-    @ (pq, E11, E12, E22), E = q p'' + p q'' - p' q'^T - q' p'^T."""
-    p, p1, p2, p11, p12, p22 = _order2(jm)
-    q, q1, q2, q11, q12, q22 = _order2(jp)
-    e = np.array([p * q,
-                  q * p11 + p * q11 - 2.0 * p1 * q1,
-                  q * p12 + p * q12 - p1 * q2 - p2 * q1,
-                  q * p22 + p * q22 - 2.0 * p2 * q2])
+    @ (pq, E11, E12, E22)."""
+    e = _pq_and_E(_order2(jm), _order2(jp))
     return np.concatenate([[ctx.c_S * e[0]], ctx.sjk_coeffs @ e])
+
+
+def _wp_by_ratio(ctx, jm, jp):
+    """(wp, wp3), a batch axis last, from the order-3 jets p, q at u -+
+    Delta: wp = (wp11, wp12, wp22) = S_jk / S = sjk_coeffs @ e / (c_S pq),
+    e = (pq, E11, E12, E22), and wp3 = (wp111, wp112, wp122, wp222), its
+    z-derivatives.  e is bilinear in the jets of p and q, and the jet of
+    d p / du_a is p's shifted by one order in u_a, so d e / du_a is e of
+    (d_a p, q) plus e of (p, d_a q); d/dz_l = sum_a (A^-1)_al d/du_a."""
+    P, Q = _order2(jm), _order2(jp)
+    e = _pq_and_E(P, Q)
+    de = [_pq_and_E(_order2(dm), Q) + _pq_and_E(P, _order2(dp))
+          for dm, dp in ((jm[..., 1:, :], jp[..., 1:, :]),
+                         (jm[..., :, 1:], jp[..., :, 1:]))]
+    S, Ai = ctx.c_S * e[0], ctx.Ainv
+    wp = ctx.sjk_coeffs @ e / S
+    # d wp_jk / dz_l = (sjk_coeffs @ d e / dz_l - wp_jk c_S d pq / dz_l) / S
+    d1, d2 = [(ctx.sjk_coeffs @ dz - wp * (ctx.c_S * dz[0])) / S
+              for dz in (Ai[0, l] * de[0] + Ai[1, l] * de[1] for l in (0, 1))]
+    return wp, np.array([d1[0], d2[0], d2[1], d2[2]])
 
 
 def S_jk_eval(ctx, z):
@@ -708,44 +723,29 @@ def jacobi_invert(ctx, z):
     a list of N divisors for z of shape (N, 2).  The x are the roots of
     x^2 - wp22 x - wp12, each y the square root of f(x) nearest wp222 x +
     wp122 (Baker 1907; Buchstaber, Enolski and Leykin 1997), which it must
-    match to TOL_RT, else SignResolutionError.  A batch makes one order-3
-    theta_jet call and integrates nothing."""
+    match to TOL_RT, else SignResolutionError.  wp = S_jk/S and wp_jkl,
+    its z-derivatives, come from one order-3 theta_jet call on the batch
+    (_wp_by_ratio), with no root selection; nothing is integrated."""
     z = _as_zs(z)
     _, s, jm, jp = _theta_pair(ctx, z, 3)
     _require_off_divisor(ctx, s, jm, jp)
-    L, dL = _log_derivs_from_pair(ctx, jm, jp)
-    wp = _wp_from_hessian(ctx, z.reshape(-1, 2), L)
-    _, _, p122, p222 = _wp3_from_dL(ctx, dL, wp[:, 1], wp[:, 2])
-    x = (wp[:, 2:] + [1, -1] * np.sqrt(wp[:, 2:] ** 2 + 4 * wp[:, 1:2])) / 2
+    wp, wp3 = _wp_by_ratio(ctx, jm, jp)
+    # one row per point, its two x along the row
+    p12, p22, p122, p222 = (np.reshape(v, (-1, 1))
+                            for v in (wp[1], wp[2], wp3[2], wp3[3]))
+    x = (p22 + [1, -1] * np.sqrt(p22 ** 2 + 4 * p12)) / 2
     y = np.sqrt(ctx.f(x))
-    slope, icept = p222[:, None] * x, p122[:, None]
-    line = slope + icept
+    slope = p222 * x
+    line = slope + p122
     y = np.where(abs(y - line) <= abs(y + line), y, -y)
     # y, wp222 x and wp122 all have the weight of y: a grading-invariant
     # scale, kept off zero by the terms where they cancel at a branch point
-    scale = np.maximum(abs(y), np.maximum(abs(slope), abs(icept)))
+    scale = np.maximum(abs(y), np.maximum(abs(slope), abs(p122)))
     if not np.all(abs(y - line) <= TOL_RT * scale):
         raise SignResolutionError("the inverted divisor's y values are off "
                                   "the line y = wp222 x + wp122")
     out = [Divisor(*map(CurvePoint.affine, xi, yi)) for xi, yi in zip(x, y)]
     return out[0] if z.ndim == 1 else out
-
-
-def _wp3_from_dL(ctx, dL, p12, p22):
-    """(wp111, wp112, wp122, wp222) from dL, the z-derivatives of the log
-    Hessian L of S (_log_derivs_from_pair), and wp12, wp22 there.
-    Differentiating L12 = -(f5/2) wp12 - f6 wp12 wp22 and L22 = -(f5/2)
-    wp22 - f6 (wp22^2 + wp12) along z_l gives a 2x2 system for (wp12l,
-    wp22l), solved by Cramer's rule for l = 1, 2; L11 = -2 wp11 - f6
-    wp12^2 gives wp111."""
-    f5, f6 = ctx.f.coeffs[5:7]
-    p12, p22 = np.asarray(p12)[..., None], np.asarray(p22)[..., None]
-    a, b, d = -(f5 / 2 + f6 * p22), -f6 * p12, -(f5 / 2 + 2 * f6 * p22)
-    r12, r22 = dL[..., 0, 1, :], dL[..., 1, 1, :]
-    w12 = (d * r12 - b * r22) / (a * d + f6 * b)     # (wp112, wp122)
-    w22 = (a * r22 + f6 * r12) / (a * d + f6 * b)    # (wp122, wp222)
-    p111 = -(dL[..., 0, 0, 0] + 2 * f6 * p12[..., 0] * w12[..., 0]) / 2
-    return p111, w12[..., 0], w12[..., 1], w22[..., 1]
 
 
 def rho_lambda_eval(ctx, D):

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .curve import DIAG_FACTOR, CurvePoint, Divisor, xi_eval
-from .errors import DegenerateGeometryError, KleinianError
+from .errors import DegenerateGeometryError, KleinianError, QuadratureError
 from .kleinian import (JET_TARGETS, S_eval, TOL_ID, _quad, _scaled,
                        _theta_pair, _weight2_from_pair, abel_forward,
                        divisor_clearance, jacobi_invert, log_S_gradient,
@@ -442,7 +442,7 @@ def _check_basis_independence(ctx, rng, tol):
         try:
             pd2 = compute_period_data(ctx.f, ordering=perm, like=ctx.pd)
             break
-        except DegenerateGeometryError:
+        except (DegenerateGeometryError, QuadratureError):
             continue
     if pd2 is None:
         raise KleinianError("no alternative branch ordering is usable")

@@ -375,15 +375,20 @@ def linalg_calls(monkeypatch):
 def test_selection_is_one_eigvals_and_one_det_call(ctx, n, linalg_calls):
     """Every entry point that selects wp solves the cubics of a whole
     sextic batch in one eigvals call and tests them in one det call; a
-    quintic batch calls neither."""
+    quintic batch calls neither.  jacobi_invert selects nothing: it reads
+    wp = S_jk/S and its z-derivatives off the jets, on both degrees."""
     z = _points(ctx, n, seed=n + 1100)
     want = [] if ctx.f.degree == 5 else ["eigvals", "det"]
     for run in (lambda: k2.wp_eval(ctx, z), lambda: k2.wp_eval(ctx, z[0]),
-                lambda: k2.jacobi_invert(ctx, z),
                 lambda: k2.evaluate_bundle(ctx, z[0])):
         linalg_calls.clear()
         run()
         assert linalg_calls == want
+    for run in (lambda: k2.jacobi_invert(ctx, z),
+                lambda: k2.jacobi_invert(ctx, z[0])):
+        linalg_calls.clear()
+        run()
+        assert linalg_calls == []
 
 
 def test_quartic_residual_of_a_batch_is_one_det_call(ctx, linalg_calls):

@@ -552,34 +552,10 @@ def test_jacobi_invert_integrates_nothing(monkeypatch, any_ctx):
 
 
 def _wp3_by_S(ctx, z):
-    """(wp111, wp112, wp122, wp222) at the rows of z from the third log
-    derivatives of S, the route jacobi_invert takes."""
+    """(wp111, wp112, wp122, wp222) at the rows of z, the z-derivatives
+    of S_jk/S from the order-3 jets, the route jacobi_invert takes."""
     _, _, jm, jp = k2.kleinian._theta_pair(ctx, z, 3)
-    _, dL = k2.kleinian._log_derivs_from_pair(ctx, jm, jp)
-    wp = k2.wp_eval(ctx, z)
-    return np.stack(k2.kleinian._wp3_from_dL(ctx, dL, wp[:, 1], wp[:, 2]),
-                    axis=1)
-
-
-def test_stacked_log_derivatives_match_the_pair_by_pair_route(any_ctx):
-    """L and dL from one pullback of the jets at u -+ Delta stacked equal
-    _log_hessian_from_pair and the sum of _third_log_derivs at both, to
-    1e-14 of each row's largest entry, for a batch and for one point."""
-    ctx = any_ctx
-    kl = k2.kleinian
-    rng = np.random.default_rng(64)
-    z = np.array([sample_z(ctx, rng) for _ in range(12)])
-    for zs in (z, z[0]):
-        _, _, jm, jp = kl._theta_pair(ctx, zs, 3)
-        L, dL = kl._log_derivs_from_pair(ctx, jm, jp)
-        want_L = kl._log_hessian_from_pair(ctx, jm, jp).reshape(-1, 2, 2)
-        want_dL = (kl._third_log_derivs(ctx, jm)
-                   + kl._third_log_derivs(ctx, jp)).reshape(-1, 2, 2, 2)
-        for got, want in ((L, want_L), (dL, want_dL)):
-            assert got.shape == want.shape
-            got, want = got.reshape(len(got), -1), want.reshape(len(want), -1)
-            scale = np.max(np.abs(want), axis=1, keepdims=True)
-            assert np.all(np.abs(got - want) <= 1e-14 * scale)
+    return k2.kleinian._wp_by_ratio(ctx, jm, jp)[1].T
 
 
 def test_wp3_from_S_matches_sigma(w5_ctx):
@@ -600,18 +576,18 @@ def test_wp3_from_S_matches_sigma(w5_ctx):
 
 
 def test_perturbed_third_derivatives_raise(monkeypatch, any_ctx):
-    """A 1e-3 relative error in d^3 log S moves wp222 x + wp122 off y by
-    far more than TOL_RT: the certificate refuses the divisor."""
+    """A 1e-3 relative error in wp_jkl moves wp222 x + wp122 off y by far
+    more than TOL_RT: the certificate refuses the divisor."""
     ctx = any_ctx
     z = sample_z(ctx, np.random.default_rng(62))
     k2.jacobi_invert(ctx, z)
-    exact = k2.kleinian._log_derivs_from_pair
+    exact = k2.kleinian._wp_by_ratio
 
     def perturbed(c, jm, jp):
-        L, dL = exact(c, jm, jp)
-        return L, dL * (1.0 + 1e-3)
+        wp, wp3 = exact(c, jm, jp)
+        return wp, wp3 * (1.0 + 1e-3)
 
-    monkeypatch.setattr(k2.kleinian, "_log_derivs_from_pair", perturbed)
+    monkeypatch.setattr(k2.kleinian, "_wp_by_ratio", perturbed)
     with pytest.raises(k2.SignResolutionError):
         k2.jacobi_invert(ctx, z)
 
@@ -632,18 +608,51 @@ def _wrong_triple_points(g6_ctx):
 
 
 def test_wrong_wp_triples_are_refused_or_inverted(g6_ctx):
-    """At these points jacobi_invert raises SignResolutionError, or
-    returns a divisor whose Abel image is z: it never returns a wrong
-    divisor silently."""
+    """At these points the degree-6 selection returns a wrong wp triple;
+    jacobi_invert reads wp = S_jk/S instead and inverts every one, its
+    divisor mapping back to z."""
     for ctx, zs in _wrong_triple_points(g6_ctx):
         for z in zs:
-            try:
-                D = k2.jacobi_invert(ctx, z)
-            except k2.SignResolutionError:
-                continue
+            D = k2.jacobi_invert(ctx, z)
             resid = k2.nearest_lattice_residual(ctx.pd,
                                                 k2.abel_forward(ctx, D) - z)
             assert resid < 1e-7 * max(1.0, float(np.linalg.norm(z)))
+
+
+@pytest.mark.parametrize("r", [100.0, 300.0, 1000.0, 3000.0])
+def test_far_divisors_invert(g6_ctx, r):
+    """On x^6 - 1, with one point at |x| = r and the other in the annulus
+    0.5 < |x| < 1.5, jacobi_invert of the Abel image recovers both x to
+    1e-6 of their size, for 15 seeded divisors."""
+    ctx, f = g6_ctx, g6_ctx.f
+    rng = np.random.default_rng(int(r))
+    Ds = []
+    for _ in range(15):
+        xs = (r * np.exp(2j * np.pi * rng.uniform()),
+              rng.uniform(0.5, 1.5) * np.exp(2j * np.pi * rng.uniform()))
+        Ds.append(k2.Divisor(*(k2.CurvePoint.affine(
+            x, rng.choice([-1.0, 1.0]) * np.sqrt(f(x))) for x in xs)))
+    got = k2.jacobi_invert(ctx, k2.abel_forward(ctx, Ds))
+    for D, E in zip(Ds, got):
+        want, xs = (D.p.x, D.q.x), (E.p.x, E.q.x)
+        if abs(xs[0] - want[0]) > abs(xs[1] - want[0]):
+            xs = xs[::-1]
+        for a, b in zip(xs, want):
+            assert abs(a - b) <= 1e-6 * abs(b)
+
+
+@pytest.mark.parametrize("s", [0.01, 30.0, 100.0])
+def test_round_trip_on_the_scaled_panel(s):
+    """inversion_round_trip passes on the sextic with roots s {0, 1, 2i,
+    -1+i, 3, -2-i}, where the degree-6 selection found several passing
+    roots and no nearby point to choose between them."""
+    roots = s * np.array([0, 1, 2j, -1 + 1j, 3, -2 - 1j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        ctx = k2.make_context(k2.validate_polynomial(np.poly(roots)[::-1]))
+    (check,) = k2.run_suite(ctx, seed=1,
+                            checks=["inversion_round_trip"]).checks
+    assert check["pass"] is True, check
 
 
 @pytest.mark.parametrize("r", [50.0, 100.0, 300.0])

@@ -338,6 +338,21 @@ def test_basis_independence_builds_with_one_quadrature(any_ctx,
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def test_basis_independence_moves_on_after_a_quadrature_error():
+    """On this sextic the first re-ordering's loop segment from 0.05 +
+    6.794i to 0.628 - 0.9077i passes 2.8e-3 from 0.5104 + 0.6967i, and
+    its build raises QuadratureError; the check then builds the reversed
+    ordering, as it does after DegenerateGeometryError, and passes."""
+    roots = [-1.1341 + 0.3474j, -0.5144 - 0.5585j, 0.05 + 6.794j,
+             0.5104 + 0.6967j, 0.628 - 0.9077j, 0.7315 - 0.1683j]
+    ctx = k2.make_context(k2.validate_polynomial(np.poly(roots)[::-1]))
+    with pytest.raises(k2.QuadratureError):
+        k2.compute_period_data(ctx.f, ordering=(1, 0, 2, 4, 3, 5),
+                               like=ctx.pd)
+    (check,) = k2.run_suite(ctx, seed=1, checks=["basis_independence"]).checks
+    assert check["pass"] is True, check
+
+
 BATCHED_CHECKS = {
     "diff2_self_consistency": (verify._check_diff2, _loop_diff2),
     "log_der_p": (verify._check_log_der_p, _loop_log_der_p),
