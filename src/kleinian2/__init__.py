@@ -15,8 +15,8 @@ from .curve import (AdmissiblePolynomial, CurvePoint, Divisor,
 from .errors import (ConvergenceError, DegenerateGeometryError, DegreeError,
                      DiagonalError, InfinitePointError,
                      KleinianError, NonFiniteValueError, NormalizationError,
-                     NotWeierstrassFormError, OnSigmaDivisorError,
-                     OnThetaDivisorError, QuadratureError,
+                     NotWeierstrassFormError, OnThetaDivisorError,
+                     QuadratureError,
                      RepeatedRootError, RiemannMatrixError,
                      RootSelectionAmbiguity, SheetTrackingError,
                      SignResolutionError, SpecialDivisorError,
@@ -41,7 +41,7 @@ __all__ = [
     "RiemannMatrixError", "TruncationRadiusError",
     "NormalizationError", "OnThetaDivisorError", "NonFiniteValueError",
     "RootSelectionAmbiguity",
-    "OnSigmaDivisorError", "NotWeierstrassFormError", "SignResolutionError",
+    "NotWeierstrassFormError", "SignResolutionError",
     "EvalBundle", "KleinianContext", "S_eval", "S_jk_eval",
     "abel_forward", "divisor_clearance", "evaluate_bundle", "jacobi_invert",
     "make_context", "quartic_residual", "sigma_eval", "sigma_jets",

@@ -99,11 +99,13 @@ class Divisor:
 def validate_polynomial(coeffs):
     """Check degree and root simplicity; returns the validated polynomial.
 
-    Raises DegreeError when f5 = f6 = 0 and RepeatedRootError when the
-    minimal pairwise root distance falls below SEP_FACTOR * max(1, root
-    scale).
+    Raises ValueError for a NaN or infinite coefficient, DegreeError when
+    f5 = f6 = 0 and RepeatedRootError when the minimal pairwise root
+    distance falls below SEP_FACTOR * max(1, root scale).
     """
     c = [complex(v) for v in coeffs]
+    if not np.isfinite(c).all():
+        raise ValueError("curve coefficients must be finite")
     if len(c) > 7:
         raise DegreeError(f"expected at most 7 coefficients, got {len(c)}")
     c = c + [0j] * (7 - len(c))
@@ -129,19 +131,28 @@ def validate_polynomial(coeffs):
 
 def branch_points(f):
     """All roots of f, Newton-polished, in a deterministic order
-    (ascending real part, ties broken by imaginary part)."""
+    (ascending real part, ties broken by imaginary part).
+    ConvergenceError if a polished residual misses its bound, or the bound
+    is not finite."""
     desc = list(f.coeffs[f.degree::-1])
     roots = np.roots(desc)
     d1 = poly_deriv_coeffs(f.coeffs)
-    for _ in range(3):
-        fv = poly_eval(f.coeffs, roots)
-        dv = poly_eval(d1, roots)
-        step = np.where(np.abs(dv) > 0, fv / np.where(dv == 0, 1, dv), 0)
-        roots = roots - step
-    scale = max(1.0, float(np.max(np.abs(roots))))
-    resid = np.abs(poly_eval(f.coeffs, roots))
-    bound = 1e-10 * max(abs(v) for v in f.coeffs) * scale ** f.degree
-    if np.any(resid > bound):
+    # roots past the double range overflow here; the bound test refuses them
+    with np.errstate(all="ignore"):
+        for _ in range(3):
+            fv = poly_eval(f.coeffs, roots)
+            dv = poly_eval(d1, roots)
+            step = np.where(np.abs(dv) > 0, fv / np.where(dv == 0, 1, dv), 0)
+            roots = roots - step
+        scale = max(1.0, float(np.max(np.abs(roots))))
+        resid = np.abs(poly_eval(f.coeffs, roots))
+        bound = (1e-10 * max(abs(v) for v in f.coeffs)
+                 * np.float64(scale) ** f.degree)
+    if not np.isfinite(bound):
+        raise ConvergenceError(
+            f"root residual bound {bound:.2e} is not finite: the roots "
+            "leave the double range")
+    if not np.all(resid <= bound):
         raise ConvergenceError(
             f"root residual {np.max(resid):.2e} above {bound:.2e}")
     q = 1e-9 * scale

@@ -79,10 +79,6 @@ class RootSelectionAmbiguity(KleinianError):
     """Cubic root disambiguation found no unique admissible branch."""
 
 
-class OnSigmaDivisorError(KleinianError):
-    """sigma vanishes here; logarithmic derivatives are undefined."""
-
-
 class NotWeierstrassFormError(KleinianError):
     """sigma family requires f_6 = 0 and f_5 = 4."""
 

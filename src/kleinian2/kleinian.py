@@ -2,9 +2,10 @@
 
 S is the fundamental entire function on C^2 whose second logarithmic
 derivatives produce the wp functions; S11, S12, S22 are its weight-2
-companions with S_jk = wp_jk * S away from the zero set of S.  For
-degree-5 curves the sigma function and its logarithmic derivatives
-(zeta_j, wp_jkl) are available as well.  Everything reduces to theta
+companions with S_jk = wp_jk * S away from the zero set of S.  On
+degree-5 curves in Weierstrass form the sigma function is available as
+well; sigma^2 = S, so its logarithmic derivatives zeta_j = 1/2 d_j log S
+and wp_jkl = d_l (S_jk / S) are read off S.  Everything reduces to theta
 jets on the Jacobian plus an exponential quadratic-form factor.
 
 S = c_S exp(z^T C z) p q, p = theta(u - Delta), q = theta(u + Delta),
@@ -14,8 +15,9 @@ the addition formula so do pq and E = q p'' + p q'' - p' q'^T - q' p'^T
 of (pq, E11, E12, E22), found once per curve by make_context, and
 wp_jk = S_jk / S is that combination over c_S pq: jacobi_invert reads wp
 and its z-derivatives wp_jkl off the order-3 jets this way, on both
-degrees, with no cubic to solve.  wp_eval still takes wp from the log
-Hessian of S, selecting a root of a cubic on degree 6.
+degrees, with no cubic to solve, and evaluate_bundle reads wp_jkl so.
+wp_eval still takes wp from the log Hessian of S, selecting a root of a
+cubic on degree 6.
 
 theta_jet keeps the lattice scale apart, theta = e^s V: S and S_jk are
 exp(z^T C z + s_- + s_+) times the same expressions in V, sigma exp(twist
@@ -33,9 +35,8 @@ import numpy as np
 from .curve import DIAG_FACTOR, CurvePoint, Divisor, involution, is_special
 from .errors import (DiagonalError, InfinitePointError, NonFiniteValueError,
                      NormalizationError, NotWeierstrassFormError,
-                     OnSigmaDivisorError, OnThetaDivisorError,
-                     RootSelectionAmbiguity, SignResolutionError,
-                     SpecialDivisorError)
+                     OnThetaDivisorError, RootSelectionAmbiguity,
+                     SignResolutionError, SpecialDivisorError)
 from .integration import (all_numerators, holomorphic_numerators,
                           integrate_forms, path_between,
                           point_infinity_integrals)
@@ -310,20 +311,6 @@ def _sym3(a, b):
     return s + s.swapaxes(-1, -2) + s.swapaxes(-1, -3).swapaxes(-1, -2)
 
 
-def _third_from_pullback(p, d1, d2, d3):
-    """d^3 log theta / dz_j dz_k dz_l, shape (..., 2, 2, 2), from theta
-    p and its z-derivative tensors d1, d2, d3."""
-    p = p[..., None, None, None]
-    return (d3 / p - _sym3(d2, d1) / p ** 2
-            + 2.0 * np.einsum("...j,...k,...l->...jkl", d1, d1, d1) / p ** 3)
-
-
-def _third_log_derivs(ctx, jet):
-    """d^3 log theta / dz_j dz_k dz_l, shape (..., 2, 2, 2), from an
-    order-3 jet of shape (..., 4, 4)."""
-    return _third_from_pullback(jet[..., 0, 0], *_pullback_jets(ctx, jet, 3))
-
-
 def divisor_clearance(ctx, z):
     """min(|theta(u - Delta)|, |theta(u + Delta)|) over the theta scale;
     small values mean z sits near the zero set of S.  A float, or shape
@@ -370,15 +357,21 @@ def _log_hessian_from_pair(ctx, jm, jp):
     return L
 
 
+def _log_gradient_from_pair(ctx, z, jm, jp):
+    """2 C z + the z-space gradients of log theta at u -+ Delta, the
+    gradient of log S, from jets of any order >= 1; shape (..., 2)."""
+    gp = _pullback_jets(ctx, jm, 1)[0] / jm[..., 0, 0, None]
+    gq = _pullback_jets(ctx, jp, 1)[0] / jp[..., 0, 0, None]
+    return 2.0 * (ctx.C @ z.T).T + gp + gq
+
+
 def log_S_gradient(ctx, z):
     """First logarithmic derivatives of S; shape (2,), or (N, 2) for a
     batch z."""
     z = _as_zs(z)
     _, s, jm, jp = _theta_pair(ctx, z, 1)
     _require_off_divisor(ctx, s, jm, jp)
-    gp = _pullback_jets(ctx, jm, 1)[0] / jm[..., 0, 0, None]
-    gq = _pullback_jets(ctx, jp, 1)[0] / jp[..., 0, 0, None]
-    return 2.0 * (ctx.C @ z.T).T + gp + gq
+    return _log_gradient_from_pair(ctx, z, jm, jp)
 
 
 @lru_cache(maxsize=64)
@@ -642,22 +635,6 @@ def sigma_jets(ctx, z, order=2):
     return dict(zip(keys, _scaled(mant, t, "the sigma jets")))
 
 
-def _sigma_log_derivs_from_jet(ctx, z, s, jm):
-    """(zeta1, zeta2, wp111, wp112, wp122, wp222) at z from the order-3
-    jet at u - Delta, lattice exponent s: zeta_j is the first logarithmic
-    derivative of sigma, and wp_jkl are minus its third."""
-    if not _clear(ctx, s, jm):
-        raise OnSigmaDivisorError(
-            "z lies on (or too near) the zero set of sigma")
-    d1 = _pullback_jets(ctx, jm, 1)[0]
-    n0, m0 = ctx.pd.delta_char
-    g1 = ctx.C @ z - 1j * np.pi * (ctx.Ainv.T @ np.asarray(m0))
-    zeta = g1 + d1 / jm[0, 0]
-    h3 = _third_log_derivs(ctx, jm)
-    return (zeta[0], zeta[1],
-            -h3[0, 0, 0], -h3[0, 0, 1], -h3[0, 1, 1], -h3[1, 1, 1])
-
-
 # -- Abel map and inversion ---------------------------------------------------
 #
 # abel_forward and rho_lambda_eval take a Divisor or a sequence of them,
@@ -780,7 +757,8 @@ def rho_lambda_eval(ctx, D):
 @dataclass(frozen=True, slots=True)
 class EvalBundle:
     """One-point evaluation record; wp fields are None on the zero set of
-    S, sigma fields are None unless requested on a Weierstrass curve."""
+    S, sigma fields are None unless requested on a Weierstrass curve, and
+    zeta and wp_jkl are None on the zero set of S as well."""
     z: np.ndarray
     S: complex
     S11: complex
@@ -801,7 +779,9 @@ class EvalBundle:
 def evaluate_bundle(ctx, z, want_sigma=False):
     """Every field at z from one theta pair at u -+ Delta, of order 3 with
     sigma and 2 without; only the root-selection walk evaluates theta
-    elsewhere."""
+    elsewhere.  With sigma, zeta_j = 1/2 d_j log S and wp_jkl, the
+    z-derivatives of S_jk / S, are read off the same jets; like wp they
+    are None on the zero set of S, which holds that of sigma."""
     z = _as_zs(z, batch=False)
     if want_sigma:
         _require_weierstrass(ctx)
@@ -810,17 +790,16 @@ def evaluate_bundle(ctx, z, want_sigma=False):
     w2 = _scaled(_weight2_from_pair(ctx, jm, jp), quad + s[0] + s[1],
                  "S or S_jk")
     fields = dict(z=z, S=w2[0], S11=w2[1], S12=w2[2], S22=w2[3])
+    if want_sigma:
+        fields["sigma"] = _scaled(ctx.c_sigma * jm[0, 0], _sigma_twist(
+            ctx, quad, u, s[0]), "sigma")
     if _clear(ctx, s, jm, jp):
         L = _log_hessian_from_pair(ctx, jm, jp)
         wp = _wp_from_hessian(ctx, z[None], L[None])[0]
         fields.update(p11=wp[0], p12=wp[1], p22=wp[2])
-    if want_sigma:
-        fields["sigma"] = _scaled(ctx.c_sigma * jm[0, 0], _sigma_twist(
-            ctx, quad, u, s[0]), "sigma")
-        try:
-            ld = _sigma_log_derivs_from_jet(ctx, z, s[0], jm)
-            fields.update(zeta1=ld[0], zeta2=ld[1], p111=ld[2],
-                          p112=ld[3], p122=ld[4], p222=ld[5])
-        except OnSigmaDivisorError:
-            pass
+        if want_sigma:
+            zeta = 0.5 * _log_gradient_from_pair(ctx, z, jm, jp)
+            wp3 = _wp_by_ratio(ctx, jm, jp)[1]
+            fields.update(zeta1=zeta[0], zeta2=zeta[1], p111=wp3[0],
+                          p112=wp3[1], p122=wp3[2], p222=wp3[3])
     return EvalBundle(**fields)

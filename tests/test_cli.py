@@ -62,6 +62,21 @@ def test_periods_repeated_root_exit_2(files, tmp_path):
     assert r.stdout == ""
 
 
+@pytest.mark.parametrize("coeffs, code", [
+    ([0, -4, 0, 0, 0, 4, 1e-300], "ConvergenceError"),
+    ([0, -4, 0, float("inf"), 0, 4, 0], "InputError"),
+    ([0, -4, 0, 0, float("nan"), 4, 0], "InputError")])
+def test_periods_unrepresentable_curve_exit_2(tmp_path, coeffs, code):
+    """A root past the double range, or an Infinity or NaN coefficient
+    (JSON as Python writes it allows both), is an error with a JSON
+    message and no warning, exit 2, not a traceback with exit 1."""
+    bad = write_curve(tmp_path / "bad.json", coeffs)
+    r = run_cli("periods", bad)
+    assert r.returncode == 2, r.stderr
+    assert json.loads(r.stderr)["code"] == code
+    assert r.stdout == ""
+
+
 def test_eval_at_origin_matches_expansions(files):
     r = run_cli("eval", "--curve", files["g6"], "--z", "0,0,0,0")
     assert r.returncode == 0

@@ -42,6 +42,22 @@ def test_validate_rejects_repeated_roots():
         k2.validate_polynomial([0, 0, 0, 1, -2, 1, 0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_validate_rejects_non_finite_coefficients(bad):
+    """NaN or an infinity never reaches the root finder, which would warn
+    (a RuntimeWarning fails the suite) and fail on it."""
+    with pytest.raises(ValueError, match="finite"):
+        k2.validate_polynomial([0, -4, 0, bad, 0, 4, 0])
+
+
+def test_roots_past_the_double_range_raise_convergence_error():
+    """f6 = 1e-300 puts a root near -4e300, whose residual bound
+    overflows: a ConvergenceError, not an OverflowError, and no numpy
+    warning on the way."""
+    with pytest.raises(k2.ConvergenceError, match="not finite"):
+        k2.validate_polynomial([0, -4, 0, 0, 0, 4, 1e-300])
+
+
 def test_polynomial_is_callable():
     f = k2.validate_polynomial(G6_COEFFS)
     rng = np.random.default_rng(5)
