@@ -35,15 +35,22 @@ degree 5), where every factor 1 - r t of t^6 f(1/t) stays within
 1/FAR_FACTOR of 1, so arg y moves by less than a right angle along a
 tail and needs no sum: the seed's own sign holds.
 
-Work is stacked, not looped: all pieces of many paths, the period
-segments, or a fan of tails go through one integrate_01 call, and every
-stacked integrand is narrowed to the integrals still open, so each is
-integrated at the level it needs alone.  path_between chains the
-straight runs of all its paths in one continue_sqrt call and the runs
-into a branch point that some of them need, when one has several
-pieces, in a second.
+Integrands are stacked, not looped: all pieces of many paths, the
+period segments, or a fan of tails go through one integrate_01 call,
+and every stacked integrand is narrowed to the integrals still open, so
+each is integrated at the level it needs alone.  Only the integrands
+run on arrays, a row per quadrature node.  Path geometry and sheet
+chaining are scalar passes in complex arithmetic: line_with_detours
+loops over the roots of one path, and continue_sqrt over the pieces of
+a stack, each with a few operations per root, where numpy calls on
+5- or 6-element arrays would cost more than the arithmetic.
+path_between chains the straight runs of all its paths in one
+continue_sqrt call and the runs into a branch point that some of them
+need, when one has several pieces, in a second.
 """
 
+import cmath
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -122,41 +129,60 @@ def continue_sqrt(f, roots, pieces, seeds):
     distance from the nearest root.  Each end value is +-sqrt(f(x(1))),
     formed from the roots as piece_sheet forms it, with the sign of the
     seed of its run turned by the turns of the run's pieces up to it.
+    One scalar pass over the pieces: the frames of _piece_frames, piece
+    by piece, with no array work but f at the seeded starts.
     """
     n = len(seeds)
     if not n:
         return np.zeros(0, dtype=complex), np.zeros(0, dtype=complex)
-    r = np.asarray(roots, dtype=complex)[:, None]
-    c0, off, wind, _ = _piece_frames(r[:, 0], pieces)
-    (s0, s1), _ = _steps(pieces, np.array([[0.0], [1.0]]))
-    x0, x1 = pieces[:, 0] + s0, pieces[:, 0] + s1
-    d_end = pieces[:, 0] - r + s1     # x(1) - r_j, as piece_sheet has it
-    f0 = f(x0)
-    seeded = np.array([s is not None for s in seeds], dtype=bool)
-    seeded[0] = True
-    y_seed = np.array([np.sqrt(f0[0]) if s is None else s for s in seeds],
-                      dtype=complex)
-    miss = seeded & (np.abs(y_seed * y_seed - f0) > 1e-8 * np.maximum(
-        np.abs(f0), np.abs(y_seed) ** 2))
-    if miss.any():
-        raise SheetTrackingError(
-            f"seed^2 does not match f(x) at the start of piece "
-            f"{np.argmax(miss)}")
-    gap = ~seeded[1:] & (np.abs(x0[1:] - x1[:-1])
-                         > 1e-6 * np.abs(c0[:, 1:]).min(axis=0))
-    if gap.any():
-        raise SheetTrackingError(
-            f"piece {np.argmax(gap) + 1} does not start where the piece "
-            "before it ends")
-    # piece k's run starts at its last seeded piece, and its end turns
-    # from that seed by the turns of the run's pieces up to k
-    turn = 0.5 * (_turn(d_end[:, None], c0, off)[0] + wind)
-    acc = np.cumsum(turn)
-    start = np.maximum.accumulate(np.where(seeded, np.arange(n), 0))
-    y1 = _signed(np.sqrt(f.leading * d_end.prod(axis=0)),
-                 np.angle(y_seed[start]) + acc - (acc - turn)[start])
-    y0 = np.where(seeded, y_seed, np.concatenate([y1[:1], y1[:-1]]))
-    return y0, y1
+    roots = [complex(r) for r in roots]
+    rows = pieces.tolist()
+    seeded = [k for k in range(n) if k == 0 or seeds[k] is not None]
+    f0 = f(np.array([c + R if b else c for c, R, b in
+                     (rows[k] for k in seeded)], dtype=complex)).tolist()
+    y_seed = {}
+    for k, fx in zip(seeded, f0):
+        y = cmath.sqrt(fx) if seeds[k] is None else complex(seeds[k])
+        if abs(y * y - fx) > 1e-8 * max(abs(fx), abs(y) ** 2):
+            raise SheetTrackingError(
+                f"seed^2 does not match f(x) at the start of piece {k}")
+        y_seed[k] = y
+    lead = f.leading
+    y0, y1 = [], []
+    for k, (c, R, b) in enumerate(rows):
+        if b:
+            x0, step = c + R, R * cmath.exp(b)
+        else:
+            x0, step = c, R
+            x1 = c + R
+            tiny = 1e-13 * max(1.0, abs(c), abs(x1))
+        # the turn of arg f over the piece: Arg((x(1) - r_j) conj(x(0) -
+        # r_j)) summed over the roots off the piece, and the arc's wind
+        # if one root is its centre or the line's end (no turn: b = 0)
+        turn, prod = 0.0, 1.0
+        for r in roots:
+            d = (c - r) + step      # x(1) - r_j, as piece_sheet has it
+            prod *= d
+            if (c == r) if b else (abs(x1 - r) <= tiny):
+                turn += b.imag
+            else:
+                turn += cmath.phase(d * (x0 - r).conjugate())
+        if k in y_seed:
+            start = y_seed[k]
+            psi = cmath.phase(start)
+        else:
+            gap = abs(x0 - x_end)
+            if gap and gap > 1e-6 * min(abs(x0 - r) for r in roots):
+                raise SheetTrackingError(
+                    f"piece {k} does not start where the piece before it "
+                    "ends")
+            start = y1[-1]
+        psi += 0.5 * turn
+        y = cmath.sqrt(lead * prod)
+        y0.append(start)
+        y1.append(-y if math.cos(cmath.phase(y) - psi) < 0 else y)
+        x_end = c + step
+    return np.array(y0, dtype=complex), np.array(y1, dtype=complex)
 
 
 def piece_sheet(f, roots, pieces, y0):
@@ -270,51 +296,52 @@ def line_with_detours(roots, radii, x0, x1, into=None):
     tiny = 1e-13 * max(1.0, abs(x0), abs(x1))
     if L <= tiny:
         return np.zeros((0, 3), dtype=complex)
-    r = np.asarray(roots, dtype=complex)
-    w = r - x0
-    a0 = np.abs(w)
-    near = np.minimum(a0, np.abs(r - x1))
-    if into is not None:
-        near[into] = np.inf
-    if near.min() <= tiny:
-        raise DegenerateGeometryError(
-            "path endpoint coincides with a branch point")
-    rho = np.minimum(radii, 0.8 * near)
     # the line enters disc k for t in tm -+ half, if disc > 0; endpoints
     # are outside every disc by the radius cap, so such an interval that
     # meets (0, 1) is interior
-    tm = (np.conj(d) * w).real / L ** 2
-    disc = tm * tm - (a0 ** 2 - rho ** 2) / L ** 2
-    half = np.sqrt(np.maximum(disc, 0.0))
-    hit = (disc > 0) & (tm + half > 0) & (tm - half < 1)
-    if into is not None:
-        hit[into] = False
-    hit = np.flatnonzero(hit)
-    if not len(hit):
+    hits = []
+    for k, (r, radius) in enumerate(zip(map(complex, roots),
+                                        map(float, radii))):
+        if k == into:
+            continue
+        w = r - x0
+        a0 = abs(w)
+        near = min(a0, abs(r - x1))
+        if near <= tiny:
+            raise DegenerateGeometryError(
+                "path endpoint coincides with a branch point")
+        rho = min(radius, 0.8 * near)
+        tm = (d.conjugate() * w).real / L ** 2
+        disc = tm * tm - (a0 ** 2 - rho ** 2) / L ** 2
+        if disc > 0:
+            half = math.sqrt(disc)
+            if tm + half > 0 and tm - half < 1:
+                hits.append((tm - half, tm + half, r, rho))
+    if not hits:
         return np.array([[x0, d, 0.0]])
+    hits.sort(key=lambda hit: hit[0])
     arcs = []
-    for k in hit[np.argsort(tm[hit] - half[hit], kind="stable")]:
-        x_in = x0 + (tm[k] - half[k]) * d
-        x_out = x0 + (tm[k] + half[k]) * d
-        dphi = float(np.angle((x_out - r[k]) / (x_in - r[k])))
-        if abs(abs(dphi) - np.pi) < 1e-12:
-            dphi = np.pi
-        arcs.append((r[k], rho[k] * np.exp(1j * np.angle(x_in - r[k])),
-                     1j * dphi))
-    arcs = np.array(arcs)
+    for t_in, t_out, r, rho in hits:
+        a_in = x0 + t_in * d - r
+        dphi = cmath.phase((x0 + t_out * d - r) / a_in)
+        if abs(abs(dphi) - math.pi) < 1e-12:
+            dphi = math.pi
+        arcs.append((r, cmath.rect(rho, cmath.phase(a_in)), 1j * dphi))
     # the lines meet the arcs at their own end points: x0 + t_in d lies
     # off the circle by the rounding of t_in (1e-11 was seen), which is
-    # large against a small detour radius, where |f| is small
-    ends, _ = x_dx(arcs, np.array([[0.0], [1.0]]))
+    # large against a small detour radius, where |f| is small; an arc
+    # starts at c + R exactly, and ends where x_dx puts it
+    ends = x_dx(np.array(arcs), 1.0)[0].tolist()
     pieces, start = [], x0
-    for arc, arc_start, arc_end in zip(arcs.tolist(), *ends.tolist()):
+    for arc, arc_end in zip(arcs, ends):
+        arc_start = arc[0] + arc[1]
         if abs(arc_start - start) > tiny:
             pieces.append((start, arc_start - start, 0))
         pieces.append(arc)
         start = arc_end
     if abs(x1 - start) > tiny:
         pieces.append((start, x1 - start, 0))
-    return np.array(pieces)
+    return np.array(pieces, dtype=complex)
 
 
 def nearest_branch_point(roots, x):
@@ -589,10 +616,12 @@ def far_ray_integrals(f, roots, scale, radii):
     label 1 (None on degree 5).
 
     The ray runs on to x_far = FAR_FACTOR scale exp(i FAR_ARG), and one
-    tail from there serves every point.  Its seed y_far, the root of
-    f(x_far) whose tail lands on label 2, is fixed before any
-    quadrature, and with it the sheet of the ray's points: the one on
-    which the ray reaches y_far.  Every detour disc lies within
+    tail from there serves every point.  Its seed y_far is the root of
+    f(x_far) whose tail lands on label 2: the tail from the principal
+    root is integrated first, and if it lands on label 1, y_far and its
+    integral T are negated, since the tail from -y_far is the same with
+    every y negated.  y_far fixes the sheet of the ray's points: the one
+    on which the ray reaches y_far.  Every detour disc lies within
     (1 + 2 DETOUR_FACTOR) scale of 0, so a ray from beyond that radius
     is plain lines between its points.  On degree 6 a sheet-flip loop
     at x_far about its nearest branch point e runs from y_far to -y_far;
@@ -605,9 +634,10 @@ def far_ray_integrals(f, roots, scale, radii):
     x_far = far_point(scale)
     xs = np.append(np.asarray(radii) * np.exp(1j * FAR_ARG), x_far)
     y_far = complex(np.sqrt(f(x_far)))
-    if f.degree == 6 and _lands_plus(f, tail_sheet(f, [x_far], [y_far]),
-                                     1)[0]:
-        y_far = -y_far
+    T, landed_plus = tail_integrals(f, [x_far], [y_far])
+    T = T[0]
+    if f.degree == 6 and landed_plus[0]:
+        y_far, T = -y_far, -T
     n = len(radii)
     pieces = np.stack([xs[:-1], np.diff(xs), np.zeros(n)], axis=1)
     seeds = [np.sqrt(f(xs[0]))] + [None] * (n - 1)
@@ -619,7 +649,6 @@ def far_ray_integrals(f, roots, scale, radii):
     if abs(y1[n - 1] - y_far) > abs(y1[n - 1] + y_far):
         y0[:n] = -y0[:n]
     I = integrate_forms(f, roots, pieces, y0, holomorphic_numerators())
-    T = tail_integrals(f, [x_far], [y_far])[0][0]
     # each point's integral out to x_far: the lines beyond it
     J = -T - np.cumsum(I[n - 1::-1], axis=0)[::-1]
     if f.degree == 5:

@@ -331,11 +331,13 @@ def S_eval(ctx, z):
                    _quad(ctx, z) + s[0] + s[1], "S")
 
 
-def _clear(ctx, s, *jets):
-    """|theta| >= ZERO_FACTOR theta_ref at every row of the jets, tested as
-    |V| >= ZERO_FACTOR theta_ref exp(-Re s): Re s >= -pi/4 sum |Im Omega|."""
-    V = np.array([_at(jet, 0, 0) for jet in jets])
-    return (abs(V) >= (ZERO_FACTOR * ctx.theta_ref) * np.exp(-s.real)).all()
+def _clear(ctx, s, jm, jp):
+    """|theta| >= ZERO_FACTOR theta_ref at every row of the jets at u -+
+    Delta, tested as |V| >= ZERO_FACTOR theta_ref exp(-Re s): Re s >=
+    -pi/4 sum |Im Omega|."""
+    lim = (ZERO_FACTOR * ctx.theta_ref) * np.exp(-s.real)
+    return bool((abs(_at(jm, 0, 0)) >= lim[0]).all()
+                and (abs(_at(jp, 0, 0)) >= lim[1]).all())
 
 
 def _require_off_divisor(ctx, s, jm, jp):
@@ -655,9 +657,10 @@ def _path_integrals(ctx, P0, P1, numerators):
     f, roots = ctx.f, list(ctx.pd.roots)
     pieces, y0, path, weight = path_between(f, roots, P0, P1)
     vals = integrate_forms(f, roots, pieces, y0, numerators)
-    out = np.zeros((len(P0), len(numerators)), dtype=complex)
-    np.add.at(out, path, weight[:, None] * vals)
-    return out
+    # W[i, k] is piece k's multiplicity on path i
+    W = np.zeros((len(P0), len(pieces)))
+    W[path, np.arange(len(pieces))] = weight
+    return W @ vals
 
 
 def abel_forward(ctx, D):
@@ -708,20 +711,25 @@ def jacobi_invert(ctx, z):
     _require_off_divisor(ctx, s, jm, jp)
     wp, wp3 = _wp_by_ratio(ctx, jm, jp)
     # one row per point, its two x along the row
-    p12, p22, p122, p222 = (np.reshape(v, (-1, 1))
-                            for v in (wp[1], wp[2], wp3[2], wp3[3]))
-    x = (p22 + [1, -1] * np.sqrt(p22 ** 2 + 4 * p12)) / 2
+    _, p12, p22 = np.reshape(wp, (3, -1, 1))
+    _, _, p122, p222 = np.reshape(wp3, (4, -1, 1))
+    root = np.sqrt(p22 ** 2 + 4 * p12)
+    x = np.concatenate([p22 + root, p22 - root], axis=1) / 2
     y = np.sqrt(ctx.f(x))
     slope = p222 * x
     line = slope + p122
-    y = np.where(abs(y - line) <= abs(y + line), y, -y)
+    # +-y, whichever is nearer the line; its distance to the line is the
+    # smaller of near and far, as -y - line is -(y + line) exactly
+    near, far = abs(y - line), abs(y + line)
+    y = np.where(near <= far, y, -y)
     # y, wp222 x and wp122 all have the weight of y: a grading-invariant
     # scale, kept off zero by the terms where they cancel at a branch point
     scale = np.maximum(abs(y), np.maximum(abs(slope), abs(p122)))
-    if not np.all(abs(y - line) <= TOL_RT * scale):
+    if not (np.minimum(near, far) <= TOL_RT * scale).all():
         raise SignResolutionError("the inverted divisor's y values are off "
                                   "the line y = wp222 x + wp122")
-    out = [Divisor(*map(CurvePoint.affine, xi, yi)) for xi, yi in zip(x, y)]
+    out = [Divisor(CurvePoint(x=a, y=b), CurvePoint(x=c, y=d))
+           for (a, c), (b, d) in zip(x.tolist(), y.tolist())]
     return out[0] if z.ndim == 1 else out
 
 

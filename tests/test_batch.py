@@ -540,9 +540,10 @@ def test_lattice_residual_batch_equals_points_one_at_a_time(ctx, n):
 
 @pytest.fixture
 def abel_calls(monkeypatch):
-    """Counts of continue_sqrt and integrate_01 calls, by name."""
+    """Counts of continue_sqrt, _piece_frames and integrate_01 calls, by
+    name."""
     calls = []
-    for name in ("continue_sqrt", "integrate_01"):
+    for name in ("continue_sqrt", "_piece_frames", "integrate_01"):
         fn = getattr(integration, name)
 
         def counted(*args, fn=fn, name=name, **kwargs):
@@ -558,8 +559,10 @@ def test_a_batch_is_two_continuations_and_one_quadrature(ctx, n,
                                                          abel_calls):
     """Affine pairs: the straight runs in one continuation, the runs into
     a branch point in at most a second, every piece in one quadrature,
-    whatever n is.  jacobi_invert reads its divisors off the theta jets
-    and integrates nothing."""
+    whatever n is, and the sheet frames of the stacked pieces built once,
+    for that quadrature (continue_sqrt forms its own piece by piece).
+    jacobi_invert reads its divisors off the theta jets and integrates
+    nothing."""
     Ds = _affine_divisors(ctx, n, seed=n + 500)
     z = _points(ctx, n, seed=n + 600)
     for run in (lambda: k2.abel_forward(ctx, Ds),
@@ -567,6 +570,7 @@ def test_a_batch_is_two_continuations_and_one_quadrature(ctx, n,
         abel_calls.clear()
         run()
         assert abel_calls.count("continue_sqrt") <= 2
+        assert abel_calls.count("_piece_frames") == 1
         assert abel_calls.count("integrate_01") == 1
     abel_calls.clear()
     k2.jacobi_invert(ctx, z)

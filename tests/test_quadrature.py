@@ -5,6 +5,7 @@ against a dense-step continuation at the quadrature's nodes."""
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import kleinian2 as k2
 from kleinian2 import integration
@@ -593,6 +594,92 @@ def test_detour_pieces_meet_exactly():
             for pieces in (line_with_detours(roots, radii, x0, x1),
                            line_with_detours(roots, radii, x0, c, k)):
                 assert _junction_gap(pieces) <= np.spacing(scale)
+
+
+_coord = st.floats(-2.0, 2.0)
+_point = st.builds(complex, _coord, _coord)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(roots=st.lists(_point, min_size=5, max_size=6),
+       exponent=st.integers(-2, 2), x0=_point, x1=_point,
+       mode=st.sampled_from(["free", "aimed", "into"]),
+       pick=st.integers(0, 5))
+def test_line_with_detours_geometry(roots, exponent, x0, x1, mode, pick):
+    """On random root sets at scales 1e-2 to 1e2, and on random segments,
+    segments aimed through a root and runs into one: the pieces meet to an
+    ulp of the scale, from x0 on to x1; every arc is centred on a root,
+    with a radius within that root's detour radius and a turn of at most
+    pi; no line piece enters a root's detour disc, as shrunk to keep the
+    end points out; and only a run into a branch point ends on one, with
+    its last piece, to an ulp."""
+    unit = 10.0 ** exponent
+    r = unit * np.array(roots)
+    gaps = np.abs(r[:, None] - r)
+    np.fill_diagonal(gaps, np.inf)
+    assume(gaps.min() > 1e-3 * unit)
+    k = pick % len(r)
+    x0 = unit * x0
+    x1 = {"free": unit * x1, "aimed": 2 * r[k] - x0 + 1e-3 * unit * x1,
+          "into": r[k]}[mode]
+    into = k if mode == "into" else None
+    near = np.minimum(np.abs(r - x0), np.abs(r - x1))
+    if into is not None:
+        near[into] = np.inf
+    assume(near.min() > 1e-9 * unit and abs(x1 - x0) > 1e-9 * unit)
+    radii = detour_radii(r)
+    pieces = line_with_detours(r, radii, x0, x1, into)
+    scale = max(np.abs(r).max(), abs(x0), abs(x1))
+    assert pieces[0, 0] == x0
+    assert _junction_gap(pieces) <= np.spacing(scale)
+    assert abs(x_dx(pieces[-1], 1.0)[0] - x1) <= np.spacing(scale)
+    rho = np.minimum(radii, 0.8 * near)
+    if into is not None:
+        rho[into] = 0.0
+    for c, R, b in pieces:
+        if b != 0:
+            j = np.flatnonzero(r == c)
+            assert len(j) == 1 and j[0] != into
+            assert abs(R) <= radii[j[0]] * (1 + 4 * np.finfo(float).eps)
+            assert b.real == 0 and abs(b.imag) <= np.pi
+            continue
+        # the distance from each root to the segment c -> c + R
+        t = np.clip(((np.conj(R) * (r - c)).real / abs(R) ** 2), 0.0, 1.0)
+        dist = np.abs(c + t * R - r)
+        assert np.all(dist >= rho * (1 - 1e-9))
+    ends_on = _ends_on_a_root(r, pieces)
+    assert list(np.flatnonzero(ends_on)) == (
+        [] if into is None else [len(pieces) - 1])
+
+
+def test_continue_sqrt_stack_equals_each_run_alone():
+    """Every piece's start and end value from one continue_sqrt call on a
+    batch's stacked runs (straight runs with detours, seeded on either
+    sheet, and runs into a branch point) is, bit for bit, the value the
+    run gives alone."""
+    rng = np.random.default_rng(29)
+    for f in (_w5(), _g6(), _ring_sextic()):
+        roots = branch_points(f)
+        radii = detour_radii(roots)
+        runs, seeds = [], []
+        for k in range(12):
+            # aimed through a root, so the runs have detours
+            x0 = 3.0 * (rng.random() - 0.5 + 1j * (rng.random() - 0.5))
+            x1 = 2 * roots[k % len(roots)] - x0 + 0.1 * rng.random()
+            for run in (line_with_detours(roots, radii, x0, x1),
+                        run_into_branch_point(roots, radii, x1)):
+                x_start = x_dx(run[0], 0.0)[0]
+                y = np.sqrt(f(x_start)) * rng.choice([-1.0, 1.0])
+                runs.append(run)
+                seeds.append([y] + [None] * (len(run) - 1))
+        y0, y1 = continue_sqrt(f, roots, np.concatenate(runs), sum(seeds, []))
+        at = 0
+        for run, seed in zip(runs, seeds):
+            alone = continue_sqrt(f, roots, run, seed)
+            assert np.array_equal(y0[at:at + len(run)], alone[0])
+            assert np.array_equal(y1[at:at + len(run)], alone[1])
+            at += len(run)
+        assert at == len(y0) > len(runs)
 
 
 # -- whole-path quadrature against a per-piece loop --------------------------
