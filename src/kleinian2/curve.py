@@ -5,7 +5,7 @@ Coefficients are stored ascending, f = f0 + f1 x + ... + f6 x^6.  Degree 5
 means f6 = 0, f5 != 0; degree 6 means f6 != 0.  All arithmetic is complex.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,10 +37,19 @@ def poly_deriv_coeffs(coeffs, order=1):
 
 @dataclass(frozen=True)
 class AdmissiblePolynomial:
-    """Validated curve polynomial.  Build with validate_polynomial()."""
+    """Validated curve polynomial.  Build with validate_polynomial().
+
+    roots holds the Newton-polished roots in branch_points' order, solved
+    for once when the polynomial is made; branch_points returns them."""
     coeffs: tuple
     degree: int
     weierstrass_form: bool
+    roots: tuple = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.roots is None:
+            object.__setattr__(self, "roots", tuple(
+                _polished_roots(self.coeffs, self.degree)))
 
     def __call__(self, x):
         return poly_eval(self.coeffs, x)
@@ -117,7 +126,7 @@ def validate_polynomial(coeffs):
         raise DegreeError("f5 = f6 = 0: polynomial degree below 5")
     wform = degree == 5 and c[5] == 4
     f = AdmissiblePolynomial(tuple(c), degree, wform)
-    roots = branch_points(f)
+    roots = f.roots
     scale = max(1.0, max(abs(r) for r in roots))
     min_sep = SEP_FACTOR * scale
     for i in range(len(roots)):
@@ -131,23 +140,28 @@ def validate_polynomial(coeffs):
 
 def branch_points(f):
     """All roots of f, Newton-polished, in a deterministic order
-    (ascending real part, ties broken by imaginary part).
-    ConvergenceError if a polished residual misses its bound, or the bound
-    is not finite."""
-    desc = list(f.coeffs[f.degree::-1])
-    roots = np.roots(desc)
-    d1 = poly_deriv_coeffs(f.coeffs)
+    (ascending real part, ties broken by imaginary part), as a list: the
+    roots f was made with."""
+    return list(f.roots)
+
+
+def _polished_roots(coeffs, degree):
+    """The roots of the polynomial of ascending coefficients coeffs and
+    the given degree, in branch_points' order.  ConvergenceError if a
+    polished residual misses its bound, or the bound is not finite."""
+    roots = np.roots(coeffs[degree::-1])
+    d1 = poly_deriv_coeffs(coeffs)
     # roots past the double range overflow here; the bound test refuses them
     with np.errstate(all="ignore"):
         for _ in range(3):
-            fv = poly_eval(f.coeffs, roots)
+            fv = poly_eval(coeffs, roots)
             dv = poly_eval(d1, roots)
             step = np.where(np.abs(dv) > 0, fv / np.where(dv == 0, 1, dv), 0)
             roots = roots - step
         scale = max(1.0, float(np.max(np.abs(roots))))
-        resid = np.abs(poly_eval(f.coeffs, roots))
-        bound = (1e-10 * max(abs(v) for v in f.coeffs)
-                 * np.float64(scale) ** f.degree)
+        resid = np.abs(poly_eval(coeffs, roots))
+        bound = (1e-10 * max(abs(v) for v in coeffs)
+                 * np.float64(scale) ** degree)
     if not np.isfinite(bound):
         raise ConvergenceError(
             f"root residual bound {bound:.2e} is not finite: the roots "

@@ -35,10 +35,13 @@ degree 5), where every factor 1 - r t of t^6 f(1/t) stays within
 1/FAR_FACTOR of 1, so arg y moves by less than a right angle along a
 tail and needs no sum: the seed's own sign holds.
 
-Integrands are stacked, not looped: all pieces of many paths, the
-period segments, or a fan of tails go through one integrate_01 call,
-and every stacked integrand is narrowed to the integrals still open, so
-each is integrated at the level it needs alone.  Only the integrands
+Integrands are stacked, not looped: all pieces of many paths, a fan of
+tails, or a whole period build (its loop segments, its far ray with the
+run into a branch point, and its far tail: period_integrals) go through
+one integrate_01 call.  _integrate_stack stacks groups of integrals of
+different kinds, pads the components a group lacks with zeros, and
+narrows every group to its integrals still open, so each is integrated
+at the level it needs alone.  Only the integrands
 run on arrays, a row per quadrature node.  Path geometry and sheet
 chaining are scalar passes in complex arithmetic: line_with_detours
 loops over the roots of one path, and continue_sqrt over the pieces of
@@ -51,7 +54,9 @@ need, when one has several pieces, in a second.
 
 import cmath
 import math
+from bisect import bisect_left
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -223,24 +228,70 @@ def piece_sheet(f, roots, pieces, y0):
     return rows
 
 
+def _integrate_stack(groups, width):
+    """One integrate_01 call over stacked groups of integrals.
+
+    groups[i] = (rows, n, values): n integrals, rows(k) the sheet of
+    those of them with indices k (into the group), and values(sheet, u,
+    d0, d1) their integrand on it, shape (len(u), len(k), w), w <=
+    width; the components a group lacks are zero.  Returns the
+    integrals, shape (sum of n, width), in group order.  Each group is
+    narrowed to its integrals still open, so every integral is taken at
+    the level it needs alone.
+    """
+    ends = list(accumulate(n for _, n, _ in groups))
+    if not ends[-1]:
+        return np.zeros((0, width), dtype=complex)
+
+    def open_sheets(k):
+        """(values, sheet) of the open integrals k, ascending stack
+        indices, group by group."""
+        parts, i, lo, ks = [], 0, 0, k.tolist()
+        for (rows, _, values), hi in zip(groups, ends):
+            j = bisect_left(ks, hi, i)
+            if j > i:
+                parts.append((values, rows(k[i:j] - lo if lo else k[i:j])))
+            i, lo = j, hi
+        return parts
+
+    live = [open_sheets(np.arange(ends[-1]))]
+
+    def narrow(k):
+        live[0] = open_sheets(k)
+
+    def g(u, d0, d1):
+        vals = [values(sheet, u, d0, d1) for values, sheet in live[0]]
+        if len(vals) == 1 and vals[0].shape[2] == width:
+            return vals[0]
+        out = np.zeros((len(u), sum(v.shape[1] for v in vals), width),
+                       dtype=complex)
+        j = 0
+        for v in vals:
+            out[:, j:j + v.shape[1], :v.shape[2]] = v
+            j += v.shape[1]
+        return out
+
+    return integrate_01(g, narrow)[0]
+
+
+def _piece_values(numerators):
+    """The integrand of n_k(x)/y dx on a piece_sheet's sheet."""
+    def values(sheet, u, d0, d1):
+        x, dx, y = sheet(u[:, None], d1[:, None])
+        w = dx / y
+        return np.stack([nf(x) * w for nf in numerators], axis=2)
+
+    return values
+
+
 def integrate_forms(f, roots, pieces, y0, numerators):
     """Integrals of n_k(x)/y dx over each piece of a stack, one row per
     piece, piece k on the sheet that starts it at y0[k]; all pieces share
     one quadrature."""
     if not len(pieces):
         return np.zeros((0, len(numerators)), dtype=complex)
-    rows = piece_sheet(f, roots, pieces, y0)
-    live = [rows(np.arange(len(pieces)))]     # the sheet of the open pieces
-
-    def narrow(k):
-        live[0] = rows(k)
-
-    def g(u, d0, d1):
-        x, dx, y = live[0](u[:, None], d1[:, None])
-        w = dx / y
-        return np.stack([nf(x) * w for nf in numerators], axis=2)
-
-    return integrate_01(g, narrow)[0]
+    return _integrate_stack([(piece_sheet(f, roots, pieces, y0), len(pieces),
+                              _piece_values(numerators))], len(numerators))
 
 
 def holomorphic_numerators():
@@ -470,24 +521,23 @@ def segment_sheet(f, roots, pairs):
     return rows
 
 
+def _segment_values(numerators):
+    """The integrand of n_k(x)/y dx on a segment_sheet's sheet, y = s
+    sqrt(u (1 - u)) from the stable distances to the ends."""
+    def values(sheet, u, d0, d1):
+        x, dx, s = sheet(u[:, None])
+        y = s * np.sqrt(d0 * d1)[:, None]
+        return np.stack([nf(x) * dx / y for nf in numerators], axis=2)
+
+    return values
+
+
 def segment_period_integrals(f, roots, pairs):
     """Row p holds the integrals of (dx/y, x dx/y, r1, r2) over the
     straight segment from roots[i] to roots[j], (i, j) = pairs[p], on the
-    sheet of segment_sheet; all segments share one quadrature."""
-    rows = segment_sheet(f, roots, pairs)
-    nums = all_numerators(f)
-    live = [rows(np.arange(len(pairs)))]     # the sheet of the open ones
-
-    def narrow(p):
-        live[0] = rows(p)
-
-    def g(u, d0, d1):
-        x, dx, s = live[0](u[:, None])
-        y = s * np.sqrt(d0 * d1)[:, None]
-        return np.stack([nf(x) * dx / y for nf in nums], axis=2)
-
-    val, _ = integrate_01(g, narrow)
-    return val
+    sheet of segment_sheet; all segments share one quadrature.  The
+    segments alone of period_integrals."""
+    return period_integrals(f, roots, pairs)[0]
 
 
 # -- tails to infinity --------------------------------------------------------
@@ -552,6 +602,11 @@ def _lands_plus(f, rows, n):
     return np.abs(s_end - pr) <= np.abs(s_end + pr)
 
 
+def _tail_values(sheet, tau, d0, d1):
+    """The integrand of (dx/y, x dx/y) on a tail_sheet's sheet."""
+    return sheet(tau)[0]
+
+
 def tail_integrals(f, x_far, y_far):
     """Integrals of (dx/y, x dx/y) from far points out to infinity.
 
@@ -564,16 +619,8 @@ def tail_integrals(f, x_far, y_far):
     """
     rows = tail_sheet(f, x_far, y_far)
     n = len(x_far)
-    live = [rows(np.arange(n))]     # the sheet of the open tails
-
-    def narrow(k):
-        live[0] = rows(k)
-
-    def g(tau, d0, d1):
-        return live[0](tau)[0]
-
-    T, _ = integrate_01(g, narrow)
-    return T, _lands_plus(f, rows, n)
+    return (_integrate_stack([(rows, n, _tail_values)], 2),
+            _lands_plus(f, rows, n))
 
 
 def point_infinity_integrals(f, roots, P, scale, z_star):
@@ -608,36 +655,47 @@ def far_point(scale):
     return FAR_FACTOR * scale * np.exp(1j * FAR_ARG)
 
 
-def far_ray_integrals(f, roots, scale, radii):
-    """(J, z_star): the holomorphic integrals from the infinite point
-    labelled 2 (the one point at infinity on degree 5) to the points on
-    the far ray arg x = FAR_ARG at the given increasing radii, one row
-    per point, and on degree 6 z_star, the integral from label 2 to
-    label 1 (None on degree 5).
+def period_integrals(f, roots, pairs, scale=None, radii=None):
+    """(W, J, z_star) of a period build, in one quadrature.
 
-    The ray runs on to x_far = FAR_FACTOR scale exp(i FAR_ARG), and one
-    tail from there serves every point.  Its seed y_far is the root of
-    f(x_far) whose tail lands on label 2: the tail from the principal
-    root is integrated first, and if it lands on label 1, y_far and its
-    integral T are negated, since the tail from -y_far is the same with
-    every y negated.  y_far fixes the sheet of the ray's points: the one
-    on which the ray reaches y_far.  Every detour disc lies within
-    (1 + 2 DETOUR_FACTOR) scale of 0, so a ray from beyond that radius
-    is plain lines between its points.  On degree 6 a sheet-flip loop
-    at x_far about its nearest branch point e runs from y_far to -y_far;
-    the tail from there is the first with every y negated, exactly -T,
-    and lands on label 1, so z_star = -T + I_loop - T, where I_loop is
-    twice the run from x_far into e on the sheet of y_far
-    (run_into_branch_point).  The ray and the run into e are one chain
-    and one quadrature; the tail is a second.
+    Row p of W holds the integrals of (dx/y, x dx/y, r1, r2) over the
+    straight segment from roots[i] to roots[j], (i, j) = pairs[p], on the
+    sheet of segment_sheet.  Given scale and the increasing radii, J
+    holds the holomorphic integrals from the infinite point labelled 2
+    (the one point at infinity on degree 5) to the points on the far ray
+    arg x = FAR_ARG at those radii, one row per point, and z_star, on
+    degree 6, the integral from label 2 to label 1 (None on degree 5);
+    without them J and z_star are None.
+
+    The ray runs on to x_far = far_point(scale), and one tail from there
+    serves every point.  Its seed y_far is the root of f(x_far) whose
+    tail lands on label 2: the landing label of the tail from the
+    principal root is read off its sheet at infinity (_lands_plus), and
+    if it is label 1, y_far and that tail's integral T are negated, since
+    the tail from -y_far is the same with every y negated.  y_far fixes
+    the sheet of the ray's points: the one on which the ray reaches
+    y_far.  Every detour disc lies within (1 + 2 DETOUR_FACTOR) scale of
+    0, so a ray from beyond that radius is plain lines between its
+    points.  On degree 6 a sheet-flip loop at x_far about its nearest
+    branch point e runs from y_far to -y_far; the tail from there is the
+    first with every y negated, exactly -T, and lands on label 1, so
+    z_star = -T + I_loop - T, where I_loop is twice the run from x_far
+    into e on the sheet of y_far (run_into_branch_point).  The ray and
+    the run into e are one chain.  Every sheet is so fixed before the
+    quadrature, and the segments, the ray with the run and the tail are
+    one integrate_01 stack.
     """
+    groups = [(segment_sheet(f, roots, pairs), len(pairs),
+               _segment_values(all_numerators(f)))]
+    if scale is None:
+        return _integrate_stack(groups, 4), None, None
     x_far = far_point(scale)
     xs = np.append(np.asarray(radii) * np.exp(1j * FAR_ARG), x_far)
     y_far = complex(np.sqrt(f(x_far)))
-    T, landed_plus = tail_integrals(f, [x_far], [y_far])
-    T = T[0]
-    if f.degree == 6 and landed_plus[0]:
-        y_far, T = -y_far, -T
+    tail = tail_sheet(f, [x_far], [y_far])
+    flip = bool(f.degree == 6 and _lands_plus(f, tail, 1)[0])
+    if flip:
+        y_far = -y_far
     n = len(radii)
     pieces = np.stack([xs[:-1], np.diff(xs), np.zeros(n)], axis=1)
     seeds = [np.sqrt(f(xs[0]))] + [None] * (n - 1)
@@ -648,9 +706,15 @@ def far_ray_integrals(f, roots, scale, radii):
     y0, y1 = continue_sqrt(f, roots, pieces, seeds)
     if abs(y1[n - 1] - y_far) > abs(y1[n - 1] + y_far):
         y0[:n] = -y0[:n]
-    I = integrate_forms(f, roots, pieces, y0, holomorphic_numerators())
+    groups += [(piece_sheet(f, roots, pieces, y0), len(pieces),
+                _piece_values(holomorphic_numerators())),
+               (tail, 1, _tail_values)]
+    vals = _integrate_stack(groups, 4)
+    W, I, T = vals[:len(pairs)], vals[len(pairs):-1, :2], vals[-1, :2]
+    if flip:
+        T = -T
     # each point's integral out to x_far: the lines beyond it
     J = -T - np.cumsum(I[n - 1::-1], axis=0)[::-1]
     if f.degree == 5:
-        return J, None
-    return J, 2.0 * (I[n:].sum(axis=0) - T)
+        return W, J, None
+    return W, J, 2.0 * (I[n:].sum(axis=0) - T)

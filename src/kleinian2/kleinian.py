@@ -28,6 +28,7 @@ they read V alone and do not overflow however far out z lies.
 
 from dataclasses import dataclass
 from functools import lru_cache
+import math
 from typing import Optional
 
 import numpy as np
@@ -86,7 +87,7 @@ _EVEN_JETS = ("00", "20", "11", "02")
 _HESS_ENTRIES = ((0, 0), (0, 1), (1, 1))
 
 
-def _weight2_basis(pd, Ainv, C):
+def _weight2_basis(pd, tp, Ainv, C):
     """Jets of the basis Theta[eps](w) = exp(i pi eps.Omega.eps / 2 +
     i pi eps.w) theta(w + Omega eps; 2 Omega), eps in {0, 1}^2.
 
@@ -94,13 +95,15 @@ def _weight2_basis(pd, Ainv, C):
     Theta[eps](2 A^-1 z).  The rows of M are the Theta-coefficients of pq,
     E11, E12, E22 in u: by theta(u + v) theta(u - v) = sum_eps
     Theta[eps](2u) Theta[eps](2v) (Mumford, Tata Lectures on Theta I,
-    ch. II 6) at v = Delta, and its second v-derivatives there."""
+    ch. II 6) at v = Delta, and its second v-derivatives there.  The
+    theta call takes tp.doubled(), the params of 2 Omega, tp those of
+    Omega, so its term list is filtered from Omega's."""
     Om = pd.Omega
     # rows 0-3 at w = 0 and rows 4-7 at w = 2 Delta, eps in the same order
     eps = np.tile([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], (2, 1))
     w = np.zeros((8, 2), dtype=complex)
     w[4:] = 2.0 * pd.Delta
-    s, jet = theta_jet(ThetaParams.build(2.0 * Om), w + eps @ Om, 2)
+    s, jet = theta_jet(tp.doubled(), w + eps @ Om, 2)
     mu = 1j * np.pi * eps
     fac = np.exp(0.5j * np.pi * np.einsum("ri,ij,rj->r", eps, Om, eps)
                  + np.einsum("ri,ri->r", mu, w) + s)
@@ -119,6 +122,19 @@ def _weight2_basis(pd, Ainv, C):
     M = np.array([theta[4:]] + [4.0 * hess[4:, j, k]
                                 for j, k in _HESS_ENTRIES])
     return B, M
+
+
+def sigma_min(A):
+    """The least singular value of the complex 2x2 matrix A, in closed
+    form: sigma_max^2 is the larger eigenvalue of A A^H = [[p, q], [q*,
+    r]], (p + r)/2 + hypot((p - r)/2, |q|), free of cancellation, and
+    sigma_min = |det A| / sigma_max."""
+    (a, b), (c, d) = A.tolist()
+    p = abs(a) ** 2 + abs(b) ** 2
+    r = abs(c) ** 2 + abs(d) ** 2
+    top = math.sqrt(0.5 * (p + r) + math.hypot(
+        0.5 * (p - r), abs(a * c.conjugate() + b * d.conjugate())))
+    return abs(a * d - b * c) / top if top else 0.0
 
 
 def make_context(f, pd=None):
@@ -177,7 +193,7 @@ def make_context(f, pd=None):
 
     T = np.array([[want[key] for key in _EVEN_JETS]
                   for want in JET_TARGETS.values()], dtype=complex)
-    B, M = _weight2_basis(pd, Ainv, C)
+    B, M = _weight2_basis(pd, tp, Ainv, C)
     try:
         R = np.linalg.solve(M.T, np.linalg.solve(B.T, T.T)).T
     except np.linalg.LinAlgError:
@@ -189,7 +205,7 @@ def make_context(f, pd=None):
             "the theta basis and the S normalization are inconsistent")
     sjk_coeffs = R[1:]
 
-    jet_scale = 0.5 * float(np.linalg.svd(pd.A, compute_uv=False)[-1])
+    jet_scale = 0.5 * sigma_min(pd.A)
     for arr in (Ainv, C, sjk_coeffs):
         arr.setflags(write=False)
     return KleinianContext(f=f, pd=pd, tp=tp, c_S=c_S, c_sigma=c_sigma,

@@ -18,12 +18,13 @@ plus (1/2) A^{-1} z_star; on degree 5 e is infinity and there is no
 shift.  One theta call certifies that theta(u - Delta) vanishes on the
 Abel images u of ABEL_SAMPLES points.  The points lie on one ray out to
 the far point where z_star changes sheets, by the run from there into
-its nearest branch point (integration.far_ray_integrals), so one chain of
-sheets, one quadrature of the ray and that run, and one tail to
-infinity give both; with the loop segments, a build takes three
-quadratures, every sheet fixed before the first.  Neither depends on the
-branch ordering, so a re-ordered build reuses them (compute_period_data's
-like=) and integrates its loop segments only.
+its nearest branch point, so one chain of sheets and one tail to
+infinity give both.  Every sheet is fixed before any quadrature, so the
+loop segments, the ray with that run and the tail are one stack of one
+quadrature (cycle_and_ray_integrals, integration.period_integrals): a
+build takes one.  Neither the samples nor z_star depends on the branch
+ordering, so a re-ordered build reuses them (compute_period_data's
+like=) and the same function integrates its loop segments only.
 
 Lattice points are named by one integer convention throughout: k = (n1,
 n2, m1, m2) stands for u = n + Omega m in the normalized coordinates
@@ -40,9 +41,8 @@ import numpy as np
 from .curve import branch_points
 from .errors import (DegenerateGeometryError, NormalizationError,
                      RiemannMatrixError)
-from .integration import (far_point, far_ray_integrals, nearest_branch_point,
-                          segment_period_integrals)
-from .theta import ThetaParams, lattice_reduce, theta_jet
+from .integration import far_point, nearest_branch_point, period_integrals
+from .theta import ThetaParams, lam_min, lattice_reduce, theta_jet
 
 TOL_SYM = 1e-8
 TOL_LEG = 1e-8
@@ -75,19 +75,23 @@ _FRAME.setflags(write=False)
 
 def _segment_distance(p, a, b):
     d = b - a
-    t = ((p - a) * np.conj(d)).real / abs(d) ** 2
+    t = ((p - a) * d.conjugate()).real / abs(d) ** 2
     t = min(1.0, max(0.0, t))
     return abs(p - (a + t * d))
 
 
 def _segments_cross(a, b, c, d):
     def orient(p, q, r):
-        return np.sign(((q - p) * np.conj(r - p)).imag)
+        v = ((q - p) * (r - p).conjugate()).imag
+        return (v > 0) - (v < 0)
     return (orient(a, b, c) * orient(a, b, d) < 0
             and orient(c, d, a) * orient(c, d, b) < 0)
 
 
 def _check_geometry(roots, scale):
+    """DegenerateGeometryError unless every LOOP_PAIRS segment keeps clear
+    of the other branch points and no two non-adjacent segments cross;
+    roots are Python complex numbers."""
     segs = [(roots[i], roots[j]) for i, j in LOOP_PAIRS]
     for k, (i, j) in enumerate(LOOP_PAIRS):
         for m, r in enumerate(roots):
@@ -119,8 +123,10 @@ class PeriodData:
     (degree 6), used by the Abel map.  transform holds the integer rows
     (a1, a2, b1, b2) in the coordinates of the LOOP_PAIRS loops.
     abel_samples holds the Abel images of the far-ray points that
-    certified Delta (None for data read from JSON).  Array fields are
-    stored as read-only copies, however the data was made.
+    certified Delta (None for data read from JSON).  A build integrates
+    the loops behind A, B, etaA, etaB and the paths behind abel_samples
+    and z_star in one quadrature (cycle_and_ray_integrals).  Array
+    fields are stored as read-only copies, however the data was made.
     """
     A: np.ndarray
     B: np.ndarray
@@ -145,11 +151,19 @@ class PeriodData:
                 object.__setattr__(self, field.name, value)
 
 
-def elementary_cycle_integrals(f, roots):
-    """Row k holds the integrals of (omega1, omega2, r1, r2) over loop k;
-    a loop doubles its segment integral (out on one sheet, back on the
-    other, where dx/y picks up the same value)."""
-    return 2.0 * segment_period_integrals(f, roots, LOOP_PAIRS)
+def cycle_and_ray_integrals(f, roots, scale=None):
+    """(W, samples, z_star) in one quadrature (integration.period_integrals).
+
+    Row k of W holds the integrals of (omega1, omega2, r1, r2) over loop
+    k; a loop doubles its segment integral (out on one sheet, back on the
+    other, where dx/y picks up the same value).  Given scale, samples
+    holds the Abel images of the far-ray points at radii SAMPLE_RADII
+    times scale, and z_star is the between-infinities integral (None on
+    degree 5); without it both are None."""
+    W, samples, z_star = period_integrals(
+        f, roots, LOOP_PAIRS, scale,
+        None if scale is None else SAMPLE_RADII * scale)
+    return 2.0 * W, samples, z_star
 
 
 def _residuals(A, B, etaA, etaB):
@@ -160,8 +174,8 @@ def _residuals(A, B, etaA, etaB):
     except np.linalg.LinAlgError:
         return None, {"singular": np.inf}
     r["sym"] = float(np.max(np.abs(Omega - Omega.T)))
-    r["lam_min"] = float(np.min(np.linalg.eigvalsh(
-        0.5 * (Omega + Omega.T).imag)))
+    (a, b), (_, d) = (0.5 * (Omega + Omega.T)).imag.tolist()
+    r["lam_min"] = lam_min(a, b, d)
     r["leg1"] = float(np.max(np.abs(etaA.T @ B - A.T @ etaB - eye)))
     r["leg2"] = float(np.max(np.abs(B @ etaA.T - A @ etaB.T - eye)))
     r["sym_ab"] = float(np.max(np.abs(etaA @ etaB.T - (etaA @ etaB.T).T)))
@@ -223,7 +237,11 @@ def compute_period_data(f, ordering=None, like=None):
         warnings.warn("branch points far outside unit scale; double "
                       "precision certificates may degrade", stacklevel=2)
     _check_geometry(roots, scale)
-    W = elementary_cycle_integrals(f, roots)
+    reuse = like is not None and like.abel_samples is not None
+    W, samples, z_star = cycle_and_ray_integrals(
+        f, roots, None if reuse else scale)
+    if reuse:
+        samples, z_star = like.abel_samples, like.z_star
     T = _FRAME @ np.diag(_loop_signs(W))
     P = T @ W
     A = P[:2, :2].T
@@ -237,11 +255,6 @@ def compute_period_data(f, ordering=None, like=None):
             "yield a certified, well-conditioned Riemann matrix for this "
             "curve")
 
-    if like is not None and like.abel_samples is not None:
-        samples, z_star = like.abel_samples, like.z_star
-    else:
-        samples, z_star = far_ray_integrals(f, roots, scale,
-                                            SAMPLE_RADII * scale)
     e = 5 if z_star is None else nearest_branch_point(roots, far_point(scale))
     Delta, char = _riemann_constant(A, Omega, samples, z_star, e)
     return PeriodData(A=A, B=B, etaA=etaA, etaB=etaB, Omega=Omega,

@@ -98,6 +98,10 @@ def integrate_01(g, narrow):
         before, relative to its own max-norm, is below TOL.
     err : float
         That last change of each integral, the largest over the m.
+
+    An integral still open at MAX_LEVEL raises QuadratureError, naming
+    how many of the stack were open and the index of the one whose last
+    change was largest.
     """
     # the first test needs levels BASE_LEVEL and BASE_LEVEL + 1: one call
     u, d0, d1 = _first_nodes()
@@ -127,6 +131,9 @@ def integrate_01(g, narrow):
             live, acc, new = live[keep], acc[keep], new[keep]
             narrow(live)
         est = new
+    worst = int(np.argmax(change))
     raise QuadratureError(
-        f"tanh-sinh did not reach rel. tol {TOL:g} by level {MAX_LEVEL} "
-        f"(last change {float(change.max()):.2e})")
+        f"tanh-sinh did not reach rel. tol {TOL:g} by level {MAX_LEVEL}: "
+        f"{len(live)} of the {len(value)} integrals of the stack still "
+        f"open, the worst at stack index {int(live[worst])} (last change "
+        f"{float(change[worst]):.2e})")

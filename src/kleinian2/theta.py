@@ -15,15 +15,20 @@ The list is the union over the cell of their ellipsoids pi (n + c).Y.(n
 carries, X from the tail bound of their Thm 2 with g = 2 and three
 derivatives: every row and order is summed to within EPS_TARGET by the
 same terms.  A bounded cache keyed by Omega's bytes holds the lists; one
-reaching past RADIUS_CAP raises TruncationRadiusError.  A term is one
-real exp, its exponent floored at EXP_FLOOR so nothing is subnormal,
-times unit factors from cos/sin tables per row, in blocks of at most
-TERM_BUDGET (row, term) pairs so that a call's memory is bounded.
+reaching past RADIUS_CAP raises TruncationRadiusError.  The list of 2
+Omega, which the weight-2 basis sums, is filtered from Omega's
+(ThetaParams.doubled, _doubled_terms), not built: its points are a
+subset of Omega's, with exponents doubled and phases squared.  A term
+is one real exp, its exponent floored at EXP_FLOOR so nothing is
+subnormal, times unit factors from cos/sin tables per row, in blocks of
+at most TERM_BUDGET (row, term) pairs so that a call's memory is
+bounded.
 """
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,33 +78,58 @@ class ThetaParams:
             raise RiemannMatrixError(
                 f"Omega not symmetric: |Om - Om^T| = {asym:.2e}")
         Om = 0.5 * (Om + Om.T)
-        lam = float(np.min(np.linalg.eigvalsh(Om.imag)))
+        (a, b), (_, d) = Om.imag.tolist()
+        lam = lam_min(a, b, d)
         if lam <= 0:
             raise RiemannMatrixError(
                 f"Im Omega not positive definite (lam_min={lam:.2e})")
         Om.setflags(write=False)
         return cls(Omega=Om)
 
+    def terms(self):
+        """The term list theta_jet sums, from the cache keyed by Omega."""
+        return _terms(self.Omega.tobytes())
 
-@lru_cache(maxsize=PHASE_TABLES)
-def _terms(key):
-    """The term list of theta( . ; Omega), key Omega's bytes: (-2 pi n1,
-    -2 pi n2, -pi n.Y.n), shape (K, 3); n, shape (2, K); the weights (2 pi
-    i n1)^k1 (2 pi i n2)^k2 exp(i pi n.Re(Omega).n), rows as _K1, _K2; and
-    2 pi n, n = 0..H, -H..-1, H the largest |n_i|.  Bound: with Y = T^T T,
-    v = sqrt(pi) T (n + c), alpha = 1/sqrt(pi lam_min(Y)), a weighted term
-    is at most e^(pi c.Y.c) (2 pi)^3 (alpha |v| + 1/sqrt 2)^3 e^-|v|^2.
-    Discs of radius r0 <= sqrt(pi lam_min)/2 about the v are disjoint, and
-    e^-|v|^2 <= e^(r0^2/2) times its mean over one, so the terms with |v|
-    >= R sum to at most (2 pi)^3 e^(r0^2/2) r0^-2 sum_j C(3, j) alpha^j
-    gamma^(3-j) Gamma(1 + j/2, x), gamma = alpha r0 + 1/sqrt 2, x = (R -
-    r0)^2; times the cell's largest e^(pi c.Y.c) it is EPS_TARGET at the
-    fixed point of `tail`, whose slope is below 1: iterates from above
-    keep the bound.  A term left out has |v|^2 >= X + pi c.Y.c, X = R^2 -
-    max pi c.Y.c, so its modulus is below exp(-X) all over the cell."""
-    (A, B), (_, D) = np.frombuffer(key, dtype=complex).reshape(2, 2).tolist()
-    a, b, d = A.imag, B.imag, D.imag
-    lam = 0.5 * (a + d) - math.hypot(0.5 * (a - d), b)
+    def doubled(self):
+        """The params of 2 Omega, whose term list is filtered from this
+        one's (_doubled_terms) rather than built."""
+        Om = 2.0 * self.Omega
+        Om.setflags(write=False)
+        return _Doubled(Omega=Om)
+
+
+class _Doubled(ThetaParams):
+    """Params of twice a checked Riemann matrix, made by
+    ThetaParams.doubled."""
+
+    def terms(self):
+        return _doubled_terms(self.Omega)
+
+
+def lam_min(a, b, d):
+    """The least eigenvalue of the real symmetric matrix [[a, b], [b, d]],
+    in closed form."""
+    return 0.5 * (a + d) - math.hypot(0.5 * (a - d), b)
+
+
+class _TermList(NamedTuple):
+    """A term list: (-2 pi n1, -2 pi n2, -pi n.Y.n), shape (K, 3); n,
+    shape (2, K); the weights, rows as _K1, _K2; 2 pi n for n = 0..H,
+    -H..-1; X, such that a term left out has modulus below exp(-X); and
+    each point's excess n.Y.n - |Y n|_1, which is below X / pi."""
+    lin: np.ndarray
+    n: np.ndarray
+    weights: np.ndarray
+    freq: np.ndarray
+    X: float
+    excess: np.ndarray
+
+
+def _reach(a, b, d):
+    """(X, top) of the term list of Y = [[a, b], [b, d]]: a term left out
+    has modulus below exp(-X) all over the cell, and top = max pi c.Y.c
+    over it (see _terms)."""
+    lam = lam_min(a, b, d)
     top = math.pi * (0.25 * (a + d) + 0.5 * abs(b))    # max pi c.Y.c
     r0 = min(0.15, 0.5 * math.sqrt(math.pi * lam))
     alpha = 1.0 / math.sqrt(math.pi * lam)
@@ -119,7 +149,29 @@ def _terms(key):
         x *= 2.0
     while x - y > 1e-2:
         x, y = y, tail(y)
-    X = (r0 + math.sqrt(y)) ** 2 - top
+    return (r0 + math.sqrt(y)) ** 2 - top, top
+
+
+@lru_cache(maxsize=PHASE_TABLES)
+def _terms(key):
+    """The term list of theta( . ; Omega), key Omega's bytes: a _TermList
+    of the points n, their exponents, the weights (2 pi i n1)^k1 (2 pi i
+    n2)^k2 exp(i pi n.Re(Omega).n), rows as _K1, _K2, and 2 pi n, n =
+    0..H, -H..-1, H the largest |n_i|.  Bound: with Y = T^T T,
+    v = sqrt(pi) T (n + c), alpha = 1/sqrt(pi lam_min(Y)), a weighted term
+    is at most e^(pi c.Y.c) (2 pi)^3 (alpha |v| + 1/sqrt 2)^3 e^-|v|^2.
+    Discs of radius r0 <= sqrt(pi lam_min)/2 about the v are disjoint, and
+    e^-|v|^2 <= e^(r0^2/2) times its mean over one, so the terms with |v|
+    >= R sum to at most (2 pi)^3 e^(r0^2/2) r0^-2 sum_j C(3, j) alpha^j
+    gamma^(3-j) Gamma(1 + j/2, x), gamma = alpha r0 + 1/sqrt 2, x = (R -
+    r0)^2; times the cell's largest e^(pi c.Y.c) it is EPS_TARGET at the
+    fixed point of `tail` in _reach, whose slope is below 1: iterates from
+    above keep the bound.  A term left out has |v|^2 >= X + pi c.Y.c, X =
+    R^2 - max pi c.Y.c, so its modulus is below exp(-X) all over the
+    cell."""
+    (A, B), (_, D) = np.frombuffer(key, dtype=complex).reshape(2, 2).tolist()
+    a, b, d = A.imag, B.imag, D.imag
+    X, top = _reach(a, b, d)
     h1, h2 = (int(math.sqrt((X + top) * t / (math.pi * (a * d - b * b)))
                   + 0.5) for t in (d, a))
     if (H := max(h1, h2)) > RADIUS_CAP:
@@ -141,7 +193,9 @@ def _terms(key):
     np.multiply(forms[:, 0], grid[0], out=grid[2:])
     forms[:, 1] *= grid[1]
     grid[2:] += forms[:, 1]     # n.Y.n, n.hi.n, n.lo.n
-    taken = grid.take(np.flatnonzero(grid[2] - margin[0] < X / math.pi), 1)
+    excess = grid[2] - margin[0]
+    keep = np.flatnonzero(excess < X / math.pi)
+    taken = grid.take(keep, 1)
     # exp(i pi n.Re(Omega).n) = i^k exp(i pi r): k exact, |r| about 1/4 at most
     hi = np.fmod(taken[3], 2.0)
     k = np.round(2.0 * hi)
@@ -150,11 +204,38 @@ def _terms(key):
     weights = _MONO[0].take(n[0], axis=1)
     weights *= _MONO[1].take(n[1], axis=1)
     weights *= np.exp(r) * _I.take(k.astype(np.intp), mode="wrap")
-    terms = ((taken[:3] * [[-2 * math.pi], [-2 * math.pi], [-math.pi]]).T, n,
-             weights, np.concatenate((_FREQ[:H + 1], _FREQ[len(_FREQ) - H:])))
+    terms = _TermList(
+        (taken[:3] * [[-2 * math.pi], [-2 * math.pi], [-math.pi]]).T, n,
+        weights, np.concatenate((_FREQ[:H + 1], _FREQ[len(_FREQ) - H:])), X,
+        excess[keep])
     for t in terms:
-        t.setflags(write=False)
+        if isinstance(t, np.ndarray):
+            t.setflags(write=False)
     return terms
+
+
+def _doubled_terms(Om2):
+    """The term list of theta( . ; 2 Omega), Om2 = 2 Omega, filtered from
+    Omega's cached list, as _terms would build it: 2 Y doubles each
+    point's excess, exactly, and the list of 2 Omega keeps the points
+    whose doubled excess is below X' / pi, all of them in Omega's list
+    when X' <= 2 X, which is checked.  Their exponents are Omega's with
+    the last column doubled, and their weights Omega's times row 0, the
+    phase exp(i pi n.Re(Omega).n), which 2 Omega squares."""
+    base = _terms((0.5 * Om2).tobytes())
+    (a, b), (_, d) = Om2.imag.tolist()
+    X, _ = _reach(a, b, d)
+    if X > 2.0 * base.X:
+        raise TruncationRadiusError(
+            f"the list of 2 Omega reaches exp(-{X:.4g}), past the list of "
+            f"Omega it is filtered from (exp(-{2.0 * base.X:.4g}))")
+    # 2 excess < X / pi, halved exactly
+    keep = np.flatnonzero(base.excess < 0.5 * X / math.pi)
+    lin = base.lin[keep]
+    lin[:, 2] *= 2.0
+    return _TermList(lin, base.n[:, keep],
+                     base.weights[:, keep] * base.weights[0, keep],
+                     base.freq, X, 2.0 * base.excess[keep])
 
 
 def lattice_reduce(Omega, u):
@@ -197,8 +278,8 @@ def theta_jet(tp, z, order):
     Z = z.reshape(-1, 2)
     Om = tp.Omega
     n, m, z0 = lattice_reduce(Om, Z)
-    terms = _terms(Om.tobytes())
-    step = max(1, TERM_BUDGET // len(terms[0]))
+    terms = tp.terms()
+    step = max(1, TERM_BUDGET // len(terms.lin))
     J = (_list_sum(terms, z0, order) if len(Z) <= step else np.concatenate(
         [_list_sum(terms, z0[i:i + step], order)
          for i in range(0, len(Z), step)]))
@@ -214,7 +295,7 @@ def _list_sum(terms, z0, order):
     """The jets at the rows z0 summed over the term list, shape (len(z0),
     order + 1, order + 1): each term is one real exp times the row's unit
     factors exp(2 pi i n_j Re z0_j), then one product with the weights."""
-    lin, n, weights, freq = terms
+    lin, n, weights, freq = terms.lin, terms.n, terms.weights, terms.freq
     expo = lin[:, :2] @ z0.imag.T
     expo += lin[:, 2:]
     # no modulus below exp(EXP_FLOOR) is a subnormal number

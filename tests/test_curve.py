@@ -160,3 +160,23 @@ def test_xi_rejects_special_divisor():
     D = k2.Divisor(k2.CurvePoint(x, y), k2.CurvePoint(x, -y))
     with pytest.raises(k2.SpecialDivisorError):
         k2.xi_eval(f, D)
+
+
+def test_roots_are_solved_once_per_curve(monkeypatch):
+    """validate_polynomial keeps its polished roots on the polynomial, so
+    a validated curve and its context take one np.roots call between
+    them, and branch_points returns those roots."""
+    calls = []
+    roots = np.roots
+
+    def counted(p):
+        calls.append(1)
+        return roots(p)
+
+    monkeypatch.setattr(np, "roots", counted)
+    for coeffs in ([0, -4, 0, 0, 0, 4], [-1, 0, 0, 0, 0, 0, 1]):
+        f = k2.validate_polynomial(coeffs)
+        k2.make_context(f)
+        assert len(calls) == 1
+        assert branch_points(f) == list(f.roots)
+        calls.clear()

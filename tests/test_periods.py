@@ -177,7 +177,7 @@ def _loop_pairing(W):
 def test_transform_takes_loop_pairing_to_standard_form(w5_ctx, g6_ctx):
     for ctx in (w5_ctx, g6_ctx):
         pd = ctx.pd
-        W = periods.elementary_cycle_integrals(ctx.f, pd.roots)
+        W = periods.cycle_and_ray_integrals(ctx.f, pd.roots)[0]
         T = pd.transform
         assert np.max(np.abs(T @ _loop_pairing(W) @ T.T - periods.J)) < 1e-8
     want = np.block([[np.zeros((2, 2)), np.eye(2)],
@@ -199,7 +199,7 @@ def _searched_transform(f, ordering):
     roots = branch_points(f)
     if ordering is not None:
         roots = [roots[k] for k in ordering]
-    W = periods.elementary_cycle_integrals(f, roots)
+    W = periods.cycle_and_ray_integrals(f, roots)[0]
     for signs in itertools.product([1], [1, -1], [1, -1], [1, -1]):
         for swap in (False, True):
             T = periods._FRAME @ np.diag(signs)
@@ -278,14 +278,14 @@ def test_transform_matches_orientation_search(coeffs):
 def test_inconsistent_loop_orientation_raises(monkeypatch):
     """A second-kind part that contradicts the pairing of the first-kind
     part leaves no certified frame, and no period data is returned."""
-    exact = periods.elementary_cycle_integrals
+    exact = periods.cycle_and_ray_integrals
 
     def flipped(*args):
-        W = exact(*args)
+        W, samples, z_star = exact(*args)
         W[1, 2:] *= -1
-        return W
+        return W, samples, z_star
 
-    monkeypatch.setattr(periods, "elementary_cycle_integrals", flipped)
+    monkeypatch.setattr(periods, "cycle_and_ray_integrals", flipped)
     with pytest.raises(k2.RiemannMatrixError):
         k2.compute_period_data(k2.validate_polynomial(W5_COEFFS))
 
@@ -343,21 +343,21 @@ def test_z_star_invariant_mod_lattice():
 def test_z_star_continues_one_tail(coeffs, monkeypatch):
     """The tail back to infinity from the sheet flip at x_far, at -y_far,
     is the first tail with every y negated, so z_star = 2 (I_e - T), I_e
-    the run from x_far into its nearest root, integrates one tail, the
-    one the Abel samples share.  It matches the route that integrates
-    both tails to 1e-15, and with the flip loop for 2 I_e (out, a full
-    turn about the root, back) to 1e-13."""
+    the run from x_far into its nearest root, builds one tail, the one
+    the Abel samples share, seeded at the principal root.  It matches the
+    route that integrates both tails to 1e-15, and with the flip loop for
+    2 I_e (out, a full turn about the root, back) to 1e-13."""
     f = k2.validate_polynomial(coeffs)
     roots = branch_points(f)
     scale = max(1.0, max(abs(r) for r in roots))
     calls = []
-    tail_integrals = integration.tail_integrals
+    tail_sheet = integration.tail_sheet
 
     def recording(f, x_far, y_far):
         calls.append((list(x_far), list(y_far)))
-        return tail_integrals(f, x_far, y_far)
+        return tail_sheet(f, x_far, y_far)
 
-    monkeypatch.setattr(integration, "tail_integrals", recording)
+    monkeypatch.setattr(integration, "tail_sheet", recording)
     _, z_star = _samples(f, roots, scale)
     monkeypatch.undo()
     x_far = integration.FAR_FACTOR * scale * np.exp(0.7310j)
@@ -385,10 +385,76 @@ def test_z_star_continues_one_tail(coeffs, monkeypatch):
         assert np.max(np.abs(z_star - want)) <= rel * np.max(np.abs(want))
 
 
+@pytest.mark.filterwarnings("ignore:branch points far outside unit scale")
+@pytest.mark.parametrize("coeffs", [c for _, c in FRAME_CURVES],
+                         ids=[name for name, _ in FRAME_CURVES])
+def test_one_quadrature_build_matches_separate_integrals(coeffs):
+    """The loop segments, the far ray with its run into the nearest
+    branch point and the far tail, integrated as one stack, against each
+    integrated in a quadrature of its own, with the same sheets: the
+    segment integrals, and so A, B, etaA and etaB, bit for bit; the Abel
+    samples and z_star to 1e-15 relative."""
+    f = k2.validate_polynomial(coeffs)
+    roots = branch_points(f)
+    scale = max(1.0, max(abs(r) for r in roots))
+    radii = periods.SAMPLE_RADII * scale
+    W, J, z_star = integration.period_integrals(
+        f, roots, periods.LOOP_PAIRS, scale, radii)
+    assert np.array_equal(
+        W, integration.segment_period_integrals(f, roots, periods.LOOP_PAIRS))
+    x_far = integration.far_point(scale)
+    y_far = complex(np.sqrt(f(x_far)))
+    T, landed_plus = integration.tail_integrals(f, [x_far], [y_far])
+    T = T[0]
+    if f.degree == 6 and landed_plus[0]:
+        y_far, T = -y_far, -T
+    xs = np.append(radii * np.exp(1j * integration.FAR_ARG), x_far)
+    n = len(radii)
+    ray = np.stack([xs[:-1], np.diff(xs), np.zeros(n)], axis=1)
+    _, y0, y_end = integration._continue_runs(f, roots, [ray],
+                                              [np.sqrt(f(xs[0]))])
+    if abs(y_end[0] - y_far) > abs(y_end[0] + y_far):
+        y0 = -y0
+    I = integration.integrate_forms(f, roots, ray, y0,
+                                    integration.holomorphic_numerators())
+    want = -T - np.cumsum(I[::-1], axis=0)[::-1]
+    assert np.max(np.abs(J - want)) <= 1e-15 * np.max(np.abs(want))
+    if f.degree == 5:
+        assert z_star is None
+        return
+    dive = integration.run_into_branch_point(
+        roots, integration.detour_radii(roots), x_far)
+    _, y0, _ = integration._continue_runs(f, roots, [dive], [y_far])
+    I = integration.integrate_forms(f, roots, dive, y0,
+                                    integration.holomorphic_numerators())
+    want = 2.0 * (I.sum(axis=0) - T)
+    assert np.max(np.abs(z_star - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_a_build_makes_one_quadrature(monkeypatch):
+    """A context build integrates in one integrate_01 call on both
+    degrees, and a build reusing another's samples (like=) in one."""
+    calls = []
+    quad = integration.integrate_01
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(integration, "integrate_01", counted)
+    for coeffs in (W5_COEFFS, G6_COEFFS):
+        f = k2.validate_polynomial(coeffs)
+        ctx = k2.make_context(f)
+        assert len(calls) == 1
+        k2.compute_period_data(f, ordering=(1, 0, 2, 4, 3) + (
+            (5,) if f.degree == 6 else ()), like=ctx.pd)
+        assert len(calls) == 2
+        calls.clear()
+
+
 def _samples(f, roots, scale):
     """(J, z_star): the Abel samples certifying Delta, and z_star."""
-    return integration.far_ray_integrals(f, roots, scale,
-                                         periods.SAMPLE_RADII * scale)
+    return periods.cycle_and_ray_integrals(f, roots, scale)[1:]
 
 
 def _dive_index(pd):

@@ -88,6 +88,24 @@ def test_unreachable_tolerance_raises():
         _whole_stack(g)
 
 
+def test_quadrature_error_names_the_open_integrals():
+    """An integral of a stack that does not converge raises one
+    QuadratureError for the whole stack, saying how many integrals were
+    still open and the stack index of the worst."""
+    noise = np.random.default_rng(5).normal(size=10 ** 6)
+
+    def g(u, d0, d1):
+        smooth = np.exp(u)[:, None] + 0j
+        idx = (u * (len(noise) - 1)).astype(int)
+        return np.stack([smooth, noise[idx][:, None] + 0j, smooth],
+                        axis=1)
+
+    with pytest.raises(k2.QuadratureError,
+                       match="1 of the 3 integrals of the stack still "
+                             "open, the worst at stack index 1"):
+        _whole_stack(g)
+
+
 def test_node_tables_are_read_only():
     """An integrand that writes into the nodes it is given raises, and
     leaves the cached nodes, and so later integrals, intact."""
