@@ -44,12 +44,11 @@ class AdmissiblePolynomial:
     coeffs: tuple
     degree: int
     weierstrass_form: bool
-    roots: tuple = field(default=None, compare=False, repr=False)
+    roots: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.roots is None:
-            object.__setattr__(self, "roots", tuple(
-                _polished_roots(self.coeffs, self.degree)))
+        object.__setattr__(self, "roots", tuple(
+            _polished_roots(self.coeffs, self.degree)))
 
     def __call__(self, x):
         return poly_eval(self.coeffs, x)

@@ -38,10 +38,11 @@ tail and needs no sum: the seed's own sign holds.
 Integrands are stacked, not looped: all pieces of many paths, a fan of
 tails, or a whole period build (its loop segments, its far ray with the
 run into a branch point, and its far tail: period_integrals) go through
-one integrate_01 call.  _integrate_stack stacks groups of integrals of
-different kinds, pads the components a group lacks with zeros, and
-narrows every group to its integrals still open, so each is integrated
-at the level it needs alone.  Only the integrands
+one integrate_01 call.  _integrate_group takes the integrals of one
+kind, narrowing their sheet to those still open, so each is integrated
+at the level it needs alone; _integrate_stack stacks groups of
+different kinds as one such group, padding the components a group lacks
+with zeros.  Only the integrands
 run on arrays, a row per quadrature node.  Path geometry and sheet
 chaining are scalar passes in complex arithmetic: line_with_detours
 loops over the roots of one path, and continue_sqrt over the pieces of
@@ -228,20 +229,34 @@ def piece_sheet(f, roots, pieces, y0):
     return rows
 
 
+def _integrate_group(rows, n, values, width):
+    """One integrate_01 call over n integrals of one kind: rows(k) the
+    sheet of those with indices k, values(sheet, u, d0, d1) their
+    integrand on it, shape (len(u), len(k), width).  The sheet is
+    narrowed to the integrals still open.  Returns the integrals, shape
+    (n, width)."""
+    if not n:
+        return np.zeros((0, width), dtype=complex)
+    live = [rows(np.arange(n))]
+
+    def narrow(k):
+        live[0] = rows(k)
+
+    def g(u, d0, d1):
+        return values(live[0], u, d0, d1)
+
+    return integrate_01(g, narrow)[0]
+
+
 def _integrate_stack(groups, width):
     """One integrate_01 call over stacked groups of integrals.
 
-    groups[i] = (rows, n, values): n integrals, rows(k) the sheet of
-    those of them with indices k (into the group), and values(sheet, u,
-    d0, d1) their integrand on it, shape (len(u), len(k), w), w <=
-    width; the components a group lacks are zero.  Returns the
-    integrals, shape (sum of n, width), in group order.  Each group is
-    narrowed to its integrals still open, so every integral is taken at
-    the level it needs alone.
+    groups[i] = (rows, n, values) as _integrate_group takes them, but
+    with integrands of w <= width components; the components a group
+    lacks are zero.  Returns the integrals, shape (sum of n, width), in
+    group order.
     """
     ends = list(accumulate(n for _, n, _ in groups))
-    if not ends[-1]:
-        return np.zeros((0, width), dtype=complex)
 
     def open_sheets(k):
         """(values, sheet) of the open integrals k, ascending stack
@@ -254,13 +269,8 @@ def _integrate_stack(groups, width):
             i, lo = j, hi
         return parts
 
-    live = [open_sheets(np.arange(ends[-1]))]
-
-    def narrow(k):
-        live[0] = open_sheets(k)
-
-    def g(u, d0, d1):
-        vals = [values(sheet, u, d0, d1) for values, sheet in live[0]]
+    def stacked(parts, u, d0, d1):
+        vals = [values(sheet, u, d0, d1) for values, sheet in parts]
         if len(vals) == 1 and vals[0].shape[2] == width:
             return vals[0]
         out = np.zeros((len(u), sum(v.shape[1] for v in vals), width),
@@ -271,7 +281,7 @@ def _integrate_stack(groups, width):
             j += v.shape[1]
         return out
 
-    return integrate_01(g, narrow)[0]
+    return _integrate_group(open_sheets, ends[-1], stacked, width)
 
 
 def _piece_values(numerators):
@@ -290,8 +300,8 @@ def integrate_forms(f, roots, pieces, y0, numerators):
     one quadrature."""
     if not len(pieces):
         return np.zeros((0, len(numerators)), dtype=complex)
-    return _integrate_stack([(piece_sheet(f, roots, pieces, y0), len(pieces),
-                              _piece_values(numerators))], len(numerators))
+    return _integrate_group(piece_sheet(f, roots, pieces, y0), len(pieces),
+                            _piece_values(numerators), len(numerators))
 
 
 def holomorphic_numerators():
@@ -619,7 +629,7 @@ def tail_integrals(f, x_far, y_far):
     """
     rows = tail_sheet(f, x_far, y_far)
     n = len(x_far)
-    return (_integrate_stack([(rows, n, _tail_values)], 2),
+    return (_integrate_group(rows, n, _tail_values, 2),
             _lands_plus(f, rows, n))
 
 
@@ -688,7 +698,7 @@ def period_integrals(f, roots, pairs, scale=None, radii=None):
     groups = [(segment_sheet(f, roots, pairs), len(pairs),
                _segment_values(all_numerators(f)))]
     if scale is None:
-        return _integrate_stack(groups, 4), None, None
+        return _integrate_group(*groups[0], 4), None, None
     x_far = far_point(scale)
     xs = np.append(np.asarray(radii) * np.exp(1j * FAR_ARG), x_far)
     y_far = complex(np.sqrt(f(x_far)))

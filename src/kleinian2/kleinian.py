@@ -151,7 +151,7 @@ def make_context(f, pd=None):
         pd = compute_period_data(f)
     elif pd.f.coeffs != f.coeffs:
         raise ValueError("period data was computed for a different curve")
-    tp = ThetaParams.build(pd.Omega)
+    tp = pd.tp
     Ainv = np.linalg.inv(pd.A)
     C = pd.etaA @ Ainv
     C = 0.5 * (C + C.T)

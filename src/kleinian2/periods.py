@@ -33,7 +33,7 @@ eta_of_lattice and _half_period take k, and theta.lattice_reduce
 returns (n, m) in the same order.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 import warnings
 
 import numpy as np
@@ -123,7 +123,9 @@ class PeriodData:
     (degree 6), used by the Abel map.  transform holds the integer rows
     (a1, a2, b1, b2) in the coordinates of the LOOP_PAIRS loops.
     abel_samples holds the Abel images of the far-ray points that
-    certified Delta (None for data read from JSON).  A build integrates
+    certified Delta (None for data read from JSON).  tp holds the checked
+    ThetaParams of Omega, made with the data; the Delta certificate and
+    the context built on the data take it.  A build integrates
     the loops behind A, B, etaA, etaB and the paths behind abel_samples
     and z_star in one quadrature (cycle_and_ray_integrals).  Array
     fields are stored as read-only copies, however the data was made.
@@ -141,14 +143,18 @@ class PeriodData:
     scale: float
     z_star: np.ndarray
     abel_samples: np.ndarray = None
+    tp: ThetaParams = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if field.type is np.ndarray and value is not None:
+        for spec in fields(self):
+            if spec.type is not np.ndarray:
+                continue
+            value = getattr(self, spec.name)
+            if value is not None:
                 value = np.array(value)
                 value.setflags(write=False)
-                object.__setattr__(self, field.name, value)
+                object.__setattr__(self, spec.name, value)
+        object.__setattr__(self, "tp", ThetaParams.build(self.Omega))
 
 
 def cycle_and_ray_integrals(f, roots, scale=None):
@@ -256,11 +262,13 @@ def compute_period_data(f, ordering=None, like=None):
             "curve")
 
     e = 5 if z_star is None else nearest_branch_point(roots, far_point(scale))
-    Delta, char = _riemann_constant(A, Omega, samples, z_star, e)
-    return PeriodData(A=A, B=B, etaA=etaA, etaB=etaB, Omega=Omega,
-                      Delta=Delta, delta_char=char, transform=T, f=f,
-                      roots=tuple(roots), scale=scale, z_star=z_star,
-                      abel_samples=samples)
+    Delta, char = _riemann_constant(A, Omega, z_star, e)
+    pd = PeriodData(A=A, B=B, etaA=etaA, etaB=etaB, Omega=Omega,
+                    Delta=Delta, delta_char=char, transform=T, f=f,
+                    roots=tuple(roots), scale=scale, z_star=z_star,
+                    abel_samples=samples)
+    _certify_delta(pd.tp, A, samples, Delta)
+    return pd
 
 
 # -- eta homomorphism and lattice coordinates ---------------------------------
@@ -311,12 +319,9 @@ _BASE_CHARS = ((1, 1, 0, 1), (0, 1, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1),
                (1, 0, 1, 0), (1, 1, 1, 0))
 
 
-def _riemann_constant(A, Omega, samples, z_star, e):
+def _riemann_constant(A, Omega, z_star, e):
     """Delta = K_e + (1/2) A^{-1} z_star and, on degree 5 (z_star None),
-    its characteristic (n0, m0), certified: |theta(u - Delta)| < 1e-8
-    theta_ref at the normalized Abel images u = A^{-1} z of the samples
-    z, theta_ref the largest of |theta| at 0 and at the samples, in one
-    theta call; NormalizationError otherwise.
+    its characteristic (n0, m0); _certify_delta certifies it.
 
     The shift is the Abel integral from e to infinity: zero on degree 5,
     where e is infinity, and on degree 6, by div(x - e) = 2e - inf_1 -
@@ -325,11 +330,18 @@ def _riemann_constant(A, Omega, samples, z_star, e):
     k = _BASE_CHARS[e]
     Delta = _half_period(Omega, k) + (
         0.0 if z_star is None else 0.5 * np.linalg.solve(A, z_star))
+    return Delta, ((k[:2], k[2:]) if z_star is None else None)
+
+
+def _certify_delta(tp, A, samples, Delta):
+    """NormalizationError unless |theta(u - Delta)| < 1e-8 theta_ref at
+    the normalized Abel images u = A^{-1} z of the samples z, theta_ref
+    the largest of |theta| at 0 and at the samples, in one theta call on
+    the params tp of Omega."""
     us = np.linalg.solve(A, samples.T).T
-    s, V = theta_jet(ThetaParams.build(Omega), np.concatenate(
+    s, V = theta_jet(tp, np.concatenate(
         [np.zeros((1, 2)), us, us - Delta]), 0)
     vals = np.exp(s.real) * np.abs(V[:, 0, 0])
     if not np.all(vals[len(us) + 1:] < 1e-8 * np.max(vals[:len(us) + 1])):
         raise NormalizationError(
             "theta does not vanish at the Abel samples shifted by Delta")
-    return Delta, ((k[:2], k[2:]) if z_star is None else None)

@@ -129,6 +129,7 @@ def integrate_01(g, narrow):
             value[live[done]], err[live[done]] = new[done], change[done]
             keep = ~done
             live, acc, new = live[keep], acc[keep], new[keep]
+            change = change[keep]
             narrow(live)
         est = new
     worst = int(np.argmax(change))

@@ -1,5 +1,7 @@
 """Curve admission, branch points, and the two-point building blocks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -180,3 +182,17 @@ def test_roots_are_solved_once_per_curve(monkeypatch):
         assert len(calls) == 1
         assert branch_points(f) == list(f.roots)
         calls.clear()
+
+
+def test_roots_follow_the_coefficients():
+    """The roots are no constructor argument, and a copy with other
+    coefficients solves for its own."""
+    f = k2.validate_polynomial(W5_COEFFS)
+    with pytest.raises(TypeError):
+        k2.AdmissiblePolynomial(f.coeffs, f.degree, f.weierstrass_form,
+                                roots=f.roots)
+    g = k2.validate_polynomial(G6_COEFFS)
+    h = dataclasses.replace(f, coeffs=g.coeffs, degree=6,
+                            weierstrass_form=False)
+    assert h == g
+    assert h.roots == g.roots

@@ -452,6 +452,29 @@ def test_a_build_makes_one_quadrature(monkeypatch):
         calls.clear()
 
 
+def test_a_build_checks_omega_once(monkeypatch):
+    """A context build makes one ThetaParams of Omega, with the period
+    data: the Delta certificate and the context share it, and a copy of
+    the data with another Omega gets its own."""
+    calls = []
+    build = ThetaParams.build.__func__
+
+    def counted(cls, Omega):
+        calls.append(1)
+        return build(cls, Omega)
+
+    monkeypatch.setattr(ThetaParams, "build", classmethod(counted))
+    for coeffs in (W5_COEFFS, G6_COEFFS):
+        ctx = k2.make_context(k2.validate_polynomial(coeffs))
+        assert len(calls) == 1
+        assert ctx.tp is ctx.pd.tp
+        assert np.array_equal(ctx.tp.Omega, 0.5 * (ctx.pd.Omega
+                                                   + ctx.pd.Omega.T))
+        calls.clear()
+    pd = replace(ctx.pd, Omega=2.0 * ctx.pd.Omega)
+    assert np.array_equal(pd.tp.Omega, 2.0 * ctx.tp.Omega)
+
+
 def _samples(f, roots, scale):
     """(J, z_star): the Abel samples certifying Delta, and z_star."""
     return periods.cycle_and_ray_integrals(f, roots, scale)[1:]
@@ -469,8 +492,10 @@ def _dive_index(pd):
 def _recompute_delta(f, pd):
     """Delta for existing period data, certificate included."""
     samples, _ = _samples(f, list(pd.roots), pd.scale)
-    return periods._riemann_constant(pd.A, pd.Omega, samples, pd.z_star,
-                                     _dive_index(pd))[0]
+    Delta = periods._riemann_constant(pd.A, pd.Omega, pd.z_star,
+                                      _dive_index(pd))[0]
+    periods._certify_delta(pd.tp, pd.A, samples, Delta)
+    return Delta
 
 
 def test_riemann_constant_recompute(any_ctx):

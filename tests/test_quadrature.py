@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import kleinian2 as k2
-from kleinian2 import integration
+from kleinian2 import integration, quadrature
 from kleinian2.curve import branch_points
 from kleinian2.integration import (continue_sqrt, detour_radii,
                                    line_with_detours, piece_sheet,
@@ -103,6 +103,35 @@ def test_quadrature_error_names_the_open_integrals():
     with pytest.raises(k2.QuadratureError,
                        match="1 of the 3 integrals of the stack still "
                              "open, the worst at stack index 1"):
+        _whole_stack(g)
+
+
+def test_quadrature_error_after_a_retirement_at_the_last_level(
+        monkeypatch):
+    """An integral that retires at MAX_LEVEL, while another stays open,
+    leaves the error naming the open one, by its stack index."""
+    noise = np.random.default_rng(5).normal(size=10 ** 6)
+    levels = []
+
+    def late(u, d0, d1):
+        levels.append(1)
+        return np.cos(300.0 * u)[:, None] + 0j
+
+    _whole_stack(lambda u, d0, d1: late(u, d0, d1)[:, None])
+    # the first call takes levels BASE_LEVEL and BASE_LEVEL + 1
+    last = BASE_LEVEL + len(levels)
+    assert last > BASE_LEVEL + 2    # exp(u) below has retired before it
+    monkeypatch.setattr(quadrature, "MAX_LEVEL", last)
+
+    def g(u, d0, d1):
+        idx = (u * (len(noise) - 1)).astype(int)
+        return np.stack([np.exp(u)[:, None] + 0j, late(u, d0, d1),
+                         noise[idx][:, None] + 0j], axis=1)
+
+    with pytest.raises(k2.QuadratureError,
+                       match=f"by level {last}: 1 of the 3 integrals of "
+                             "the stack still open, the worst at stack "
+                             "index 2"):
         _whole_stack(g)
 
 
