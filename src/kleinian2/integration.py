@@ -30,21 +30,21 @@ e.  That run's last piece factors y = sqrt(x - e) s(x) with
 x - e = -R d1, from the quadrature's stable distance to the end, as the
 period segments factor theirs: y = s(u) sqrt(u (1-u)) with s^2 = G(u),
 the cofactor, whose turn is the same sum over the roots off the
-segment.  Tails to infinity run in the chart t = 1/x (t^2 = 1/x on
-degree 5), where every factor 1 - r t of t^6 f(1/t) stays within
-1/FAR_FACTOR of 1, so arg y moves by less than a right angle along a
-tail and needs no sum: the seed's own sign holds.
+segment.  A tail to infinity takes no quadrature: beyond FAR_FACTOR
+times the root scale, y / x^(d/2) is +-sqrt(lead) / g(1/x) with
+g(s) = prod_j (1 - r_j s)^(-1/2), whose binomial series converges at a
+ratio of 1/FAR_FACTOR or less, so tail_integrals sums it term by term.
 
-Integrands are stacked, not looped: all pieces of many paths, a fan of
-tails, or a whole period build (its loop segments, its far ray with the
-run into a branch point, and its far tail: period_integrals) go through
-one integrate_01 call.  _integrate_group takes the integrals of one
-kind, narrowing their sheet to those still open, so each is integrated
-at the level it needs alone; _integrate_stack stacks groups of
-different kinds as one such group, padding the components a group lacks
-with zeros.  Only the integrands
-run on arrays, a row per quadrature node.  Path geometry and sheet
-chaining are scalar passes in complex arithmetic: line_with_detours
+Every integrand is n_k(x)/y dx on a sheet returning (x, dx/du, y)
+(_piece_values), and integrands are stacked, not looped: all pieces of
+many paths, or a whole period build (its loop segments and its far ray
+with the run into a branch point: period_integrals), go through one
+integrate_01 call.  _integrate_group takes the integrals of one kind,
+narrowing their sheet to those still open, so each is integrated at the
+level it needs alone; _integrate_stack stacks groups of different
+kinds, padding the components a group lacks with zeros.  Only the
+integrands run on arrays, a row per quadrature node.  Path geometry and
+sheet chaining are scalar passes in complex arithmetic: line_with_detours
 loops over the roots of one path, and continue_sqrt over the pieces of
 a stack, each with a few operations per root, where numpy calls on
 5- or 6-element arrays would cost more than the arithmetic.
@@ -57,11 +57,10 @@ import cmath
 import math
 from bisect import bisect_left
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, count
 
 import numpy as np
 
-from .curve import poly_eval
 from .errors import DegenerateGeometryError, SheetTrackingError
 from .quadrature import integrate_01
 
@@ -229,79 +228,70 @@ def piece_sheet(f, roots, pieces, y0):
     return rows
 
 
-def _integrate_group(rows, n, values, width):
-    """One integrate_01 call over n integrals of one kind: rows(k) the
-    sheet of those with indices k, values(sheet, u, d0, d1) their
-    integrand on it, shape (len(u), len(k), width).  The sheet is
-    narrowed to the integrals still open.  Returns the integrals, shape
-    (n, width)."""
+def _piece_values(sheet, numerators, u, d1):
+    """The integrands n_k(x)/y dx/du at u, shape (len(u), P,
+    len(numerators)), on the sheet of P pieces or segments of piece_sheet
+    or segment_sheet."""
+    x, dx, y = sheet(u[:, None], d1[:, None])
+    return np.stack([nf(x) * dx / y for nf in numerators], axis=2)
+
+
+def _integrate_group(rows, n, numerators):
+    """One integrate_01 call over the n integrals of n_k(x)/y dx on one
+    kind of sheet: rows(k) the sheet of those with indices k, narrowed to
+    the integrals still open.  Returns the integrals, shape (n,
+    len(numerators))."""
     if not n:
-        return np.zeros((0, width), dtype=complex)
+        return np.zeros((0, len(numerators)), dtype=complex)
     live = [rows(np.arange(n))]
 
     def narrow(k):
         live[0] = rows(k)
 
     def g(u, d0, d1):
-        return values(live[0], u, d0, d1)
+        return _piece_values(live[0], numerators, u, d1)
 
     return integrate_01(g, narrow)[0]
 
 
-def _integrate_stack(groups, width):
-    """One integrate_01 call over stacked groups of integrals.
-
-    groups[i] = (rows, n, values) as _integrate_group takes them, but
-    with integrands of w <= width components; the components a group
-    lacks are zero.  Returns the integrals, shape (sum of n, width), in
-    group order.
-    """
+def _integrate_stack(groups):
+    """One integrate_01 call over stacked groups (rows, n, numerators) of
+    integrals, each as _integrate_group takes them, the numerators of a
+    group padded with zeros to the longest list.  Returns the integrals,
+    shape (sum of n, width), in group order."""
     ends = list(accumulate(n for _, n, _ in groups))
+    width = max(len(numerators) for _, _, numerators in groups)
 
     def open_sheets(k):
-        """(values, sheet) of the open integrals k, ascending stack
-        indices, group by group."""
+        """(sheet, padded numerators) of the open integrals k, ascending
+        stack indices, group by group."""
         parts, i, lo, ks = [], 0, 0, k.tolist()
-        for (rows, _, values), hi in zip(groups, ends):
+        for (rows, _, numerators), hi in zip(groups, ends):
             j = bisect_left(ks, hi, i)
             if j > i:
-                parts.append((values, rows(k[i:j] - lo if lo else k[i:j])))
+                parts.append((rows(k[i:j] - lo if lo else k[i:j]), numerators
+                              + [np.zeros_like] * (width - len(numerators))))
             i, lo = j, hi
         return parts
 
-    def stacked(parts, u, d0, d1):
-        vals = [values(sheet, u, d0, d1) for values, sheet in parts]
-        if len(vals) == 1 and vals[0].shape[2] == width:
-            return vals[0]
-        out = np.zeros((len(u), sum(v.shape[1] for v in vals), width),
-                       dtype=complex)
-        j = 0
-        for v in vals:
-            out[:, j:j + v.shape[1], :v.shape[2]] = v
-            j += v.shape[1]
-        return out
+    live = [open_sheets(np.arange(ends[-1]))]
 
-    return _integrate_group(open_sheets, ends[-1], stacked, width)
+    def narrow(k):
+        live[0] = open_sheets(k)
 
+    def g(u, d0, d1):
+        return np.concatenate([_piece_values(*part, u, d1)
+                               for part in live[0]], axis=1)
 
-def _piece_values(numerators):
-    """The integrand of n_k(x)/y dx on a piece_sheet's sheet."""
-    def values(sheet, u, d0, d1):
-        x, dx, y = sheet(u[:, None], d1[:, None])
-        w = dx / y
-        return np.stack([nf(x) * w for nf in numerators], axis=2)
-
-    return values
+    return integrate_01(g, narrow)[0]
 
 
 def integrate_forms(f, roots, pieces, y0, numerators):
     """Integrals of n_k(x)/y dx over each piece of a stack, one row per
     piece, piece k on the sheet that starts it at y0[k]; all pieces share
     one quadrature."""
-    if not len(pieces):
-        return np.zeros((0, len(numerators)), dtype=complex)
     return _integrate_group(piece_sheet(f, roots, pieces, y0), len(pieces),
-                            _piece_values(numerators), len(numerators))
+                            numerators)
 
 
 def holomorphic_numerators():
@@ -485,9 +475,10 @@ def path_between(f, roots, P0, P1):
 def segment_sheet(f, roots, pairs):
     """The straight segments from roots[i] to roots[j], (i, j) = pairs[p]:
     rows(p) is the sheet of segments p, a function of parameters u, shape
-    (N, 1), returning (x, dx/du, s) at u on those segments, x = roots[i]
-    + u (roots[j] - roots[i]), with s the root of the cofactor G on the
-    sheet of its principal root at u = 0.
+    (N, 1), and of d1 = 1 - u, computed stably, returning (x, dx/du, y) at
+    u on those segments, x = roots[i] + u (roots[j] - roots[i]), with
+    y = s sqrt(u d1) and s the root of the cofactor G on the sheet of its
+    principal root at u = 0.
 
     With x(u) = b_i + u (b_j - b_i) the polynomial factors through
     y = s(u) sqrt(u (1-u)), where s^2 = G(u) = -lc d^2 prod(x(u) - r_k)
@@ -521,25 +512,15 @@ def segment_sheet(f, roots, pairs):
     def rows(p):
         b, dp, r, c, ph = bi[p], d[p], others[:, p], c0[:, p], phase0[p]
 
-        def sheet(u):
+        def sheet(u, d1):
             x = b + u * dp
             psi = ph + 0.5 * _turn(x - r[:, None], c)
-            return x, dp, _signed(np.sqrt(G(x, dp, r)), psi)
+            s = _signed(np.sqrt(G(x, dp, r)), psi)
+            return x, dp, s * np.sqrt(u * d1)
 
         return sheet
 
     return rows
-
-
-def _segment_values(numerators):
-    """The integrand of n_k(x)/y dx on a segment_sheet's sheet, y = s
-    sqrt(u (1 - u)) from the stable distances to the ends."""
-    def values(sheet, u, d0, d1):
-        x, dx, s = sheet(u[:, None])
-        y = s * np.sqrt(d0 * d1)[:, None]
-        return np.stack([nf(x) * dx / y for nf in numerators], axis=2)
-
-    return values
 
 
 def segment_period_integrals(f, roots, pairs):
@@ -552,85 +533,70 @@ def segment_period_integrals(f, roots, pairs):
 
 # -- tails to infinity --------------------------------------------------------
 
-def tail_sheet(f, x_far, y_far):
-    """The tails from the far points (x_far[k], y_far[k]) out to infinity,
-    in the chart t = 1/x (t^2 = 1/x on degree 5): rows(k) is the sheet of
-    tails k, a function of tau in [0, 1], shape (N,), where tail k is at
-    t = (1 - tau) t1[k], returning the integrands (N, len(k), 2) of dx/y
-    and x dx/y in tau and the root s of h = t^6 f(1/t) (Q(t^2) =
-    t^10 f(1/t^2) on degree 5) on the sheet of y_far[k] t1^3 (t1^5).
-    Every factor 1 - r t of h stays within 1/FAR_FACTOR of 1 on a tail
-    from beyond FAR_FACTOR times the root scale, so arg h moves by less
-    than a radian along it, and s is the root of h nearer the seed.
-    """
-    x_far = np.asarray(x_far, dtype=complex)
-    y_far = np.asarray(y_far, dtype=complex)
-    if f.degree == 6:
-        t1 = 1.0 / x_far
-        asc = f.coeffs[::-1]          # t^6 f(1/t), ascending in t
-        seeds = y_far * t1 ** 3
-
-        def h(tau, t):
-            return poly_eval(asc, (1.0 - tau) * t)
-
-        def forms(tau, t, s):
-            return [t ** 2 * (1.0 - tau)[:, None] / s, t / s]
-    else:
-        t1 = 1.0 / np.sqrt(x_far)
-        asc = f.coeffs[5::-1]         # Q(s) = f5 + f4 s + ... + f0 s^5
-        seeds = y_far * t1 ** 5
-
-        def h(tau, t):
-            return poly_eval(asc, ((1.0 - tau) * t) ** 2)
-
-        def forms(tau, t, s):
-            return [2 * t ** 3 * ((1.0 - tau) ** 2)[:, None] / s,
-                    2 * t / s]
-
-    phase0 = np.angle(seeds)
-
-    def rows(k):
-        t, ph = t1[k], phase0[k]
-
-        def sheet(tau):
-            s = _signed(np.sqrt(h(tau[:, None], t)), ph)
-            return np.stack(forms(tau, t, s), axis=2), s
-
-        return sheet
-
-    return rows
+TAIL_TOL = 1e-17        # bound on a tail series' dropped terms, of c_0
 
 
-def _lands_plus(f, rows, n):
-    """Whether each of the n tails of a tail_sheet arrives at the infinite
-    point labelled 1 (y/x^3 -> +sqrt(f6) principal; always True on
-    degree-5 curves)."""
-    if f.degree == 5:
-        return np.ones(n, dtype=bool)
-    s_end = rows(np.arange(n))(np.ones(1))[1][0]
-    pr = np.sqrt(complex(f.coeffs[6]))
-    return np.abs(s_end - pr) <= np.abs(s_end + pr)
+def _dropped_bound(K, rho):
+    """sum_{k >= K} C(k+2, 2) rho^k, in closed form: the bound on the
+    terms from s^K on of g(s) = prod_j (1 - r_j s)^(-1/2) where every
+    |r_j s| <= rho, since (1 - rho)^(-3) majorizes g's at most 6 factors."""
+    a = 1.0 / (1.0 - rho)
+    return rho ** K * a * (math.comb(K + 2, 2) + (K + 2) * rho * a
+                           + (rho * a) ** 2)
 
 
-def _tail_values(sheet, tau, d0, d1):
-    """The integrand of (dx/y, x dx/y) on a tail_sheet's sheet."""
-    return sheet(tau)[0]
+TAIL_TERMS = next(K for K in count()
+                  if _dropped_bound(K, 1.0 / FAR_FACTOR) < TAIL_TOL)
+# C(2k, k) / 4^k, the binomial series of (1 - s)^(-1/2)
+_HALF_BINOMIAL = np.cumprod([1.0] + [(k - 0.5) / k
+                                     for k in range(1, TAIL_TERMS)])
+
+
+def _tail_coeffs(roots):
+    """c_0 .. c_{TAIL_TERMS-1} of g(s) = prod_j (1 - r_j s)^(-1/2): the
+    factors' binomial series, multiplied out and truncated."""
+    series = _HALF_BINOMIAL * (np.asarray(roots, dtype=complex)[:, None]
+                               ** np.arange(TAIL_TERMS))
+    c = series[0]
+    for b in series[1:]:
+        c = np.convolve(c, b)[:TAIL_TERMS]
+    return c
 
 
 def tail_integrals(f, x_far, y_far):
-    """Integrals of (dx/y, x dx/y) from far points out to infinity.
+    """(T, landed_plus): the integrals T, shape (N, 2), of (dx/y, x dx/y)
+    from the far points (x_far[i], y_far[i]) out to infinity, and whether
+    each tail lands on the infinite point labelled 1, where y/x^3 ->
+    +sqrt(f6) principal (always True on degree 5).
 
-    x_far and y_far are equal-length sequences of far points, beyond
-    FAR_FACTOR times the root scale; their tails share one quadrature.
-    Returns (T, landed_plus): T of shape (N, 2), the two integrals along
-    each ray to infinity in the compactifying chart, and a bool array,
-    whether each tail arrives at the infinite point labelled 1 (see
-    _lands_plus).
+    In the chart x = t^-q (q = 1 on degree 6, 2 on degree 5), s = 1/x,
+    y = s0 t^(-d q/2) / g(s), where s0 = +-sqrt(lead), its sign the
+    landing label.  So at t1 = x_far^(-1/q), s1 = 1/x_far, with c_k the
+    TAIL_TERMS coefficients of g,
+        T0 = q t1^(q+1) sum_k c_k s1^k / (q k + q + 1) / s0,
+        T1 = q t1 sum_k c_k s1^k / (q k + 1) / s0.
+    A far point nearer than FAR_FACTOR times the largest root modulus
+    raises ValueError.
     """
-    rows = tail_sheet(f, x_far, y_far)
-    n = len(x_far)
-    return (_integrate_group(rows, n, _tail_values, 2),
-            _lands_plus(f, rows, n))
+    x_far = np.asarray(x_far, dtype=complex)
+    y_far = np.asarray(y_far, dtype=complex)
+    s1 = 1.0 / x_far
+    if np.abs(s1).max(initial=0.0) * max(map(abs, f.roots)) > (
+            1.0 + 1e-12) / FAR_FACTOR:
+        raise ValueError("a far point lies within FAR_FACTOR times the "
+                         "largest root modulus")
+    q = 1 if f.degree == 6 else 2
+    t1 = s1 if q == 1 else np.sqrt(s1)
+    c = _tail_coeffs(f.roots)
+    V = s1[:, None] ** np.arange(TAIL_TERMS)
+    s0 = y_far * t1 ** (f.degree * q // 2) * (V @ c)
+    root = np.sqrt(complex(f.leading))
+    plus = np.abs(s0 - root) <= np.abs(s0 + root)
+    k = np.arange(TAIL_TERMS)[:, None]
+    T = (V @ (c[:, None] / (q * k + [q + 1, 1]))
+         * (q * t1[:, None] ** [q + 1, 1])
+         / np.where(plus, root, -root)[:, None])
+    return T, plus | (f.degree == 5)
 
 
 def point_infinity_integrals(f, roots, P, scale, z_star):
@@ -638,8 +604,9 @@ def point_infinity_integrals(f, roots, P, scale, z_star):
     point at infinity on degree 5) to each affine point of the sequence P,
     one row per point, along a tail from infinity to a far point and a
     radial run with detours.  The radial runs share one chain and one
-    quadrature, and so do the tails; a tail that lands on label 1 is
-    moved to label 2 by z_star, the integral from 2 to 1 (None on degree 5).
+    quadrature, and the tails are summed in closed form (tail_integrals);
+    a tail that lands on label 1 is moved to label 2 by z_star, the
+    integral from 2 to 1 (None on degree 5).
     """
     radii = detour_radii(roots)
     runs, x_far = [], []
@@ -678,35 +645,28 @@ def period_integrals(f, roots, pairs, scale=None, radii=None):
     without them J and z_star are None.
 
     The ray runs on to x_far = far_point(scale), and one tail from there
-    serves every point.  Its seed y_far is the root of f(x_far) whose
-    tail lands on label 2: the landing label of the tail from the
-    principal root is read off its sheet at infinity (_lands_plus), and
-    if it is label 1, y_far and that tail's integral T are negated, since
-    the tail from -y_far is the same with every y negated.  y_far fixes
-    the sheet of the ray's points: the one on which the ray reaches
-    y_far.  Every detour disc lies within (1 + 2 DETOUR_FACTOR) scale of
-    0, so a ray from beyond that radius is plain lines between its
-    points.  On degree 6 a sheet-flip loop at x_far about its nearest
-    branch point e runs from y_far to -y_far; the tail from there is the
-    first with every y negated, exactly -T, and lands on label 1, so
-    z_star = -T + I_loop - T, where I_loop is twice the run from x_far
-    into e on the sheet of y_far (run_into_branch_point).  The ray and
-    the run into e are one chain.  Every sheet is so fixed before the
-    quadrature, and the segments, the ray with the run and the tail are
-    one integrate_01 stack.
+    (tail_integrals) serves every point.  Its seed y_far is the root of
+    f(x_far) whose tail lands on label 2: the tail from -y_far is the
+    same with every y negated, so the principal root and its T are
+    negated if that tail lands on label 1.  The ray's points are on the
+    sheet on which the ray reaches y_far; every detour disc lies within
+    (1 + 2 DETOUR_FACTOR) scale of 0, so the ray is plain lines.  On
+    degree 6 a sheet-flip loop at x_far about its nearest branch point
+    runs from y_far to -y_far, whose tail, exactly -T, lands on label 1,
+    so z_star = -T + I_loop - T, I_loop twice the run from x_far into
+    that point (run_into_branch_point).  The ray and the run are one
+    sheet chain, and with the segments one integrate_01 stack.
     """
-    groups = [(segment_sheet(f, roots, pairs), len(pairs),
-               _segment_values(all_numerators(f)))]
+    segments = (segment_sheet(f, roots, pairs), len(pairs), all_numerators(f))
     if scale is None:
-        return _integrate_group(*groups[0], 4), None, None
+        return _integrate_group(*segments), None, None
     x_far = far_point(scale)
-    xs = np.append(np.asarray(radii) * np.exp(1j * FAR_ARG), x_far)
     y_far = complex(np.sqrt(f(x_far)))
-    tail = tail_sheet(f, [x_far], [y_far])
-    flip = bool(f.degree == 6 and _lands_plus(f, tail, 1)[0])
-    if flip:
-        y_far = -y_far
+    (T,), (landed_plus,) = tail_integrals(f, [x_far], [y_far])
+    if f.degree == 6 and landed_plus:
+        y_far, T = -y_far, -T
     n = len(radii)
+    xs = np.append(np.asarray(radii) * np.exp(1j * FAR_ARG), x_far)
     pieces = np.stack([xs[:-1], np.diff(xs), np.zeros(n)], axis=1)
     seeds = [np.sqrt(f(xs[0]))] + [None] * (n - 1)
     if f.degree == 6:
@@ -716,13 +676,10 @@ def period_integrals(f, roots, pairs, scale=None, radii=None):
     y0, y1 = continue_sqrt(f, roots, pieces, seeds)
     if abs(y1[n - 1] - y_far) > abs(y1[n - 1] + y_far):
         y0[:n] = -y0[:n]
-    groups += [(piece_sheet(f, roots, pieces, y0), len(pieces),
-                _piece_values(holomorphic_numerators())),
-               (tail, 1, _tail_values)]
-    vals = _integrate_stack(groups, 4)
-    W, I, T = vals[:len(pairs)], vals[len(pairs):-1, :2], vals[-1, :2]
-    if flip:
-        T = -T
+    ray = (piece_sheet(f, roots, pieces, y0), len(pieces),
+           holomorphic_numerators())
+    vals = _integrate_stack([segments, ray])
+    W, I = vals[:len(pairs)], vals[len(pairs):, :2]
     # each point's integral out to x_far: the lines beyond it
     J = -T - np.cumsum(I[n - 1::-1], axis=0)[::-1]
     if f.degree == 5:

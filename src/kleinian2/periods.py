@@ -19,12 +19,12 @@ shift.  One theta call certifies that theta(u - Delta) vanishes on the
 Abel images u of ABEL_SAMPLES points.  The points lie on one ray out to
 the far point where z_star changes sheets, by the run from there into
 its nearest branch point, so one chain of sheets and one tail to
-infinity give both.  Every sheet is fixed before any quadrature, so the
-loop segments, the ray with that run and the tail are one stack of one
-quadrature (cycle_and_ray_integrals, integration.period_integrals): a
-build takes one.  Neither the samples nor z_star depends on the branch
-ordering, so a re-ordered build reuses them (compute_period_data's
-like=) and the same function integrates its loop segments only.
+infinity, summed as a series, give both.  Every sheet is fixed before
+any quadrature, so the loop segments, the ray and that run are one
+stack of one quadrature (cycle_and_ray_integrals,
+integration.period_integrals).  Neither the samples nor z_star depends
+on the branch ordering, so a re-ordered build reuses them
+(compute_period_data's like=) and integrates its loop segments only.
 
 Lattice points are named by one integer convention throughout: k = (n1,
 n2, m1, m2) stands for u = n + Omega m in the normalized coordinates
@@ -125,10 +125,11 @@ class PeriodData:
     abel_samples holds the Abel images of the far-ray points that
     certified Delta (None for data read from JSON).  tp holds the checked
     ThetaParams of Omega, made with the data; the Delta certificate and
-    the context built on the data take it.  A build integrates
-    the loops behind A, B, etaA, etaB and the paths behind abel_samples
-    and z_star in one quadrature (cycle_and_ray_integrals).  Array
-    fields are stored as read-only copies, however the data was made.
+    the context built on the data take it.  A build integrates the loops
+    behind A, B, etaA, etaB and the affine paths behind abel_samples and
+    z_star in one quadrature, and sums their one tail to infinity as a
+    series (cycle_and_ray_integrals).  Array fields are stored as
+    read-only copies, however the data was made.
     """
     A: np.ndarray
     B: np.ndarray
@@ -158,7 +159,8 @@ class PeriodData:
 
 
 def cycle_and_ray_integrals(f, roots, scale=None):
-    """(W, samples, z_star) in one quadrature (integration.period_integrals).
+    """(W, samples, z_star) in one quadrature and one tail series
+    (integration.period_integrals).
 
     Row k of W holds the integrals of (omega1, omega2, r1, r2) over loop
     k; a loop doubles its segment integral (out on one sheet, back on the

@@ -579,12 +579,26 @@ def test_a_batch_is_two_continuations_and_one_quadrature(ctx, n,
 
 def test_divisors_that_meet_infinity_share_one_fan(ctx, abel_calls):
     """The affine points of every divisor that meets infinity go through
-    one radial fan and one tail fan, beside the affine pairs' paths."""
+    one radial fan, beside the affine pairs' paths, and their tails are
+    summed in closed form."""
     for n in (7, 20):
         abel_calls.clear()
         k2.abel_forward(ctx, _divisor_kinds(ctx, n, seed=n + 700))
         assert abel_calls.count("continue_sqrt") <= 4
-        assert abel_calls.count("integrate_01") == 3
+        assert abel_calls.count("integrate_01") == 2
+
+
+def test_divisors_that_meet_infinity_are_one_quadrature(ctx, abel_calls):
+    """A batch of divisors that all meet infinity, with one or both of
+    their points affine, integrates in one quadrature: the radial fan;
+    the tails take none."""
+    inf1, inf2 = k2.CurvePoint.at_infinity(1), k2.CurvePoint.at_infinity(2)
+    Ds = []
+    for k, D in enumerate(_affine_divisors(ctx, 9, seed=900)):
+        Ds.append(k2.Divisor(D.p, (inf1, inf2)[k % 2]) if k % 3
+                  else k2.Divisor(inf1, D.q))
+    k2.abel_forward(ctx, Ds)
+    assert abel_calls.count("integrate_01") == 1
 
 
 def test_detour_radii_are_computed_once_per_root_set(ctx):

@@ -343,33 +343,32 @@ def test_z_star_invariant_mod_lattice():
 def test_z_star_continues_one_tail(coeffs, monkeypatch):
     """The tail back to infinity from the sheet flip at x_far, at -y_far,
     is the first tail with every y negated, so z_star = 2 (I_e - T), I_e
-    the run from x_far into its nearest root, builds one tail, the one
-    the Abel samples share, seeded at the principal root.  It matches the
-    route that integrates both tails to 1e-15, and with the flip loop for
-    2 I_e (out, a full turn about the root, back) to 1e-13."""
+    the run from x_far into its nearest root, sums one tail in closed
+    form, the one the Abel samples share, seeded at the principal root.
+    It matches the route that sums both tails to 1e-15, and with the flip
+    loop for 2 I_e (out, a full turn about the root, back) to 1e-13."""
     f = k2.validate_polynomial(coeffs)
     roots = branch_points(f)
     scale = max(1.0, max(abs(r) for r in roots))
     calls = []
-    tail_sheet = integration.tail_sheet
+    tail_integrals = integration.tail_integrals
 
     def recording(f, x_far, y_far):
         calls.append((list(x_far), list(y_far)))
-        return tail_sheet(f, x_far, y_far)
+        return tail_integrals(f, x_far, y_far)
 
-    monkeypatch.setattr(integration, "tail_sheet", recording)
+    monkeypatch.setattr(integration, "tail_integrals", recording)
     _, z_star = _samples(f, roots, scale)
     monkeypatch.undo()
     x_far = integration.FAR_FACTOR * scale * np.exp(0.7310j)
     y_far = complex(np.sqrt(f(x_far)))
     (tail_x, tail_y), = calls
-    assert tail_x == [x_far] and abs(tail_y[0]) == abs(y_far)
+    assert tail_x == [x_far] and tail_y == [y_far]
 
-    # both tails, each integrated
+    # both tails, each summed
     T, landed_plus = integration.tail_integrals(f, [x_far], [y_far])
     if landed_plus[0]:
         y_far, T = -y_far, -T
-    assert tail_y[0] == y_far
     radii = integration.detour_radii(roots)
     dive = integration.run_into_branch_point(roots, radii, x_far)
     for pieces, weight, rel in ((dive, 2.0, 1e-15),
@@ -389,11 +388,11 @@ def test_z_star_continues_one_tail(coeffs, monkeypatch):
 @pytest.mark.parametrize("coeffs", [c for _, c in FRAME_CURVES],
                          ids=[name for name, _ in FRAME_CURVES])
 def test_one_quadrature_build_matches_separate_integrals(coeffs):
-    """The loop segments, the far ray with its run into the nearest
-    branch point and the far tail, integrated as one stack, against each
-    integrated in a quadrature of its own, with the same sheets: the
-    segment integrals, and so A, B, etaA and etaB, bit for bit; the Abel
-    samples and z_star to 1e-15 relative."""
+    """The loop segments and the far ray with its run into the nearest
+    branch point, integrated as one stack, against each integrated in a
+    quadrature of its own, with the same sheets and the far tail summed
+    in closed form: the segment integrals, and so A, B, etaA and etaB,
+    bit for bit; the Abel samples and z_star to 1e-15 relative."""
     f = k2.validate_polynomial(coeffs)
     roots = branch_points(f)
     scale = max(1.0, max(abs(r) for r in roots))

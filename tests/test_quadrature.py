@@ -1,6 +1,9 @@
-"""Tanh-sinh quadrature against closed forms and an mpmath oracle, and the
+"""Tanh-sinh quadrature against closed forms and an mpmath oracle, the
 closed-form square-root sheet on paths that wind around roots, checked
-against a dense-step continuation at the quadrature's nodes."""
+against a dense-step continuation at the quadrature's nodes, and the
+tails to infinity, summed as series, against mpmath."""
+
+import math
 
 import mpmath
 import numpy as np
@@ -13,7 +16,7 @@ from kleinian2.curve import branch_points
 from kleinian2.integration import (continue_sqrt, detour_radii,
                                    line_with_detours, piece_sheet,
                                    run_into_branch_point, segment_sheet,
-                                   tail_sheet, x_dx)
+                                   tail_integrals, x_dx)
 from kleinian2.quadrature import (BASE_LEVEL, MAX_LEVEL, TOL, _nodes,
                                   integrate_01)
 
@@ -493,7 +496,8 @@ def _fan(f):
 def _check_segments():
     """The period segments of x^6 - 1, and a segment from -1 to 1 that
     passes 0.02 below a root, where the cofactor root turns by more than a
-    right angle."""
+    right angle: the cofactor root s = y / sqrt(u d1), the sheet given
+    d1 = 1 and read at u = 1e-300 for u = 0."""
     f = _g6()
     near = k2.validate_polynomial(list(np.poly([-1, 1, 0.02j, 0.6j, -3j,
                                                 4])[::-1]))
@@ -504,25 +508,38 @@ def _check_segments():
         rows = segment_sheet(g, roots, pairs)
         for p in range(len(pairs)):
             def s_at(u, sheet=rows(np.array([p]))):
-                return sheet(u[:, None])[2][:, 0]
+                u = np.maximum(u, 1e-300)[:, None]
+                return (sheet(u, np.ones_like(u))[2] / np.sqrt(u))[:, 0]
             want, _ = _dense_step(s_at, s_at(np.zeros(1))[0])
             assert np.all(np.abs(s_at(NODES) - want)
                           <= 1e-13 * np.abs(want))
 
 
 def _check_tail(f):
-    """Two tails from the same far point on opposite sheets: each is the
-    dense-step continuation of its seed."""
+    """Two tails from the same far point on opposite sheets, in the chart
+    x = t^-q (q = 1 on degree 6, 2 on degree 5): each lands where the
+    dense-step continuation of its seed y t^(d q/2), the root of
+    t^(d q) f(t^-q), arrives at t = 0 (on degree 6, label 1 if that is
+    nearer +sqrt(f6) than -sqrt(f6)), and the two integrals are
+    negatives."""
     x_far = 12.0 * np.exp(0.731j)
     y_far = np.sqrt(f(x_far)) * np.array([1, -1])
-    rows = tail_sheet(f, [x_far, x_far], y_far)
-    t1 = 1.0 / (x_far if f.degree == 6 else np.sqrt(x_far))
+    T, landed_plus = tail_integrals(f, [x_far, x_far], y_far)
+    assert np.array_equal(T[1], -T[0])
+    d, q = f.degree, 1 if f.degree == 6 else 2
+    t1 = 1.0 / (x_far if q == 1 else np.sqrt(x_far))
+
+    def h_root(tau):
+        t = (1.0 - tau) * t1
+        return np.sqrt(sum(c * t ** (q * (d - i))
+                           for i, c in enumerate(f.coeffs[:d + 1])))
+
+    lead = np.sqrt(complex(f.leading))
     for k in range(2):
-        seed = y_far[k] * t1 ** (3 if f.degree == 6 else 5)
-        sheet = rows(np.array([k]))
-        want, _ = _dense_step(lambda tau: sheet(tau)[1][:, 0], seed)
-        got = sheet(NODES)[1][:, 0]
-        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+        _, end = _dense_step(h_root, y_far[k] * t1 ** (d * q // 2))
+        assert abs(abs(end) - abs(lead)) <= 1e-3 * abs(lead)
+        plus = d == 5 or abs(end - lead) <= abs(end + lead)
+        assert landed_plus[k] == plus
 
 
 CONTINUATIONS = {
@@ -540,9 +557,10 @@ CONTINUATIONS = {
 
 @pytest.mark.parametrize("name", sorted(CONTINUATIONS))
 def test_batched_continuation_matches_depth_first(name):
-    """The closed-form sheet of every piece of a stack, period segment and
-    tail at the quadrature's nodes is the dense-step continuation of that
-    piece alone."""
+    """The closed-form sheet of every piece of a stack and period segment
+    at the quadrature's nodes is the dense-step continuation of that
+    piece alone, and a tail lands where the continuation of its seed
+    does."""
     CONTINUATIONS[name]()
 
 
@@ -829,3 +847,97 @@ def test_empty_straight_run_is_a_stack_of_no_rows():
     dive = run_into_branch_point(roots, detour_radii(roots), x)
     assert np.array_equal(pieces, dive)
     assert y0[0] == P.y and np.all(path == 0) and np.all(weight == 2)
+
+
+# -- tails to infinity in closed form -----------------------------------------
+
+def _tail_oracle(f, x_far, y_far):
+    """The integrals of (dx/y, x dx/y) from (x_far, y_far) out to infinity
+    by mpmath.quad at 30 digits, in the chart x = t^-q along t = (1 - tau)
+    t1, with y t^(d q/2) the root of t^(d q) f(t^-q) within a right angle
+    of the seed (arg of that polynomial moves by under a radian beyond
+    FAR_FACTOR times the roots), and the landing label read off it at
+    t = 0."""
+    d, q = f.degree, 1 if f.degree == 6 else 2
+    with mpmath.workdps(30):
+        coeffs = [mpmath.mpc(c) for c in f.coeffs[:d + 1]]
+        x1 = mpmath.mpc(x_far)
+        t1 = 1 / x1 if q == 1 else 1 / mpmath.sqrt(x1)
+        seed = mpmath.mpc(y_far) * t1 ** (d * q // 2)
+
+        def root(tau):
+            t = (1 - tau) * t1
+            h = mpmath.sqrt(sum(c * t ** (q * (d - i))
+                                for i, c in enumerate(coeffs)))
+            return h if mpmath.re(h * mpmath.conj(seed)) > 0 else -h
+
+        forms = [lambda tau: q * t1 * ((1 - tau) * t1) ** q / root(tau),
+                 lambda tau: q * t1 / root(tau)]
+        T = [complex(mpmath.quad(g, [0, 1])) for g in forms]
+        end = complex(root(mpmath.mpf(1)))
+    lead = np.sqrt(complex(f.leading))
+    return np.array(T), d == 5 or abs(end - lead) <= abs(end + lead)
+
+
+@pytest.mark.parametrize("degree", [5, 6])
+@pytest.mark.parametrize("scale", [0.01, 0.3, 1.0, 7.0, 100.0])
+def test_tail_integrals_match_mpmath(degree, scale):
+    """The closed-form tails from a far point 12-36 times the root scale
+    out, on both sheets, against mpmath at 30 digits: each integral to
+    1e-14 relative, and the landing labels alike."""
+    rng = np.random.default_rng([degree, int(100 * scale)])
+    roots = scale * (rng.normal(size=degree) + 1j * rng.normal(size=degree))
+    lead = rng.normal() + 1j * rng.normal()
+    f = k2.validate_polynomial(list(lead * np.poly(roots)[::-1]))
+    R = max(1.0, max(abs(r) for r in f.roots)) * rng.uniform(12, 36)
+    x_far = R * np.exp(2j * np.pi * rng.random())
+    y_far = np.sqrt(f(x_far)) * np.array([1, -1])
+    T, landed_plus = tail_integrals(f, [x_far, x_far], y_far)
+    for k in range(2):
+        want, plus = _tail_oracle(f, x_far, y_far[k])
+        assert np.all(np.abs(T[k] - want) <= 1e-14 * np.abs(want))
+        assert landed_plus[k] == plus
+
+
+def test_tail_series_length_follows_its_truncation_bound():
+    """The TAIL_TERMS coefficients of prod_j (1 - r_j s)^(-1/2) leave out
+    terms bounded by C(k+2, 2) rho^k, rho = 1/FAR_FACTOR: the closed form
+    of that bound's sum from K on matches the sum, TAIL_TERMS is the least
+    K that puts it below TAIL_TOL, and the coefficients of random root
+    sets keep to the bound, so the truncated series equals the product at
+    the far radius to rounding."""
+    rho = 1.0 / integration.FAR_FACTOR
+    for K in (0, 5, 18, 30):
+        direct = math.fsum(math.comb(k + 2, 2) * rho ** k
+                           for k in range(K, K + 600))
+        assert abs(integration._dropped_bound(K, rho) - direct) <= (
+            1e-13 * direct)
+    K = integration.TAIL_TERMS
+    assert (integration._dropped_bound(K, rho) < integration.TAIL_TOL
+            <= integration._dropped_bound(K - 1, rho))
+    rng = np.random.default_rng(31)
+    k = np.arange(K)
+    bound = np.array([math.comb(j + 2, 2) for j in k], dtype=float)
+    for n in (5, 6) * 20:
+        roots = rng.normal(size=n) + 1j * rng.normal(size=n)
+        top = np.max(np.abs(roots))
+        c = integration._tail_coeffs(roots)
+        assert np.all(np.abs(c) <= (1 + 1e-12) * bound * top ** k)
+        s = rho / top * np.exp(2j * np.pi * rng.random())
+        g = np.prod((1 - roots * s) ** -0.5)
+        assert abs(np.sum(c * s ** k) - g) <= 1e-15 * abs(g)
+
+
+def test_tail_integrals_of_no_points():
+    for f in (_w5(), _g6()):
+        T, landed_plus = tail_integrals(f, [], [])
+        assert T.shape == (0, 2) and landed_plus.shape == (0,)
+
+
+def test_a_tail_from_within_the_far_radius_raises():
+    """The series converges to double precision only beyond FAR_FACTOR
+    times the largest root modulus; a nearer start is refused."""
+    f = _g6()
+    x = 0.9 * integration.FAR_FACTOR
+    with pytest.raises(ValueError):
+        tail_integrals(f, [x], [np.sqrt(f(x))])
