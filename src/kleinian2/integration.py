@@ -537,9 +537,9 @@ TAIL_TOL = 1e-17        # bound on a tail series' dropped terms, of c_0
 
 
 def _dropped_bound(K, rho):
-    """sum_{k >= K} C(k+2, 2) rho^k, in closed form: the bound on the
-    terms from s^K on of g(s) = prod_j (1 - r_j s)^(-1/2) where every
-    |r_j s| <= rho, since (1 - rho)^(-3) majorizes g's at most 6 factors."""
+    """sum_{k >= K} C(k+2, 2) rho^k, in closed form: a bound on the terms
+    from s^K on of g(s) = prod_j (1 - r_j s)^(-1/2) where every |r_j s| <=
+    rho, since (1 - max|r_j| s)^(-3) majorizes g's at most six factors."""
     a = 1.0 / (1.0 - rho)
     return rho ** K * a * (math.comb(K + 2, 2) + (K + 2) * rho * a
                            + (rho * a) ** 2)
@@ -587,13 +587,12 @@ def tail_integrals(f, x_far, y_far):
                          "largest root modulus")
     q = 1 if f.degree == 6 else 2
     t1 = s1 if q == 1 else np.sqrt(s1)
-    c = _tail_coeffs(f.roots)
-    V = s1[:, None] ** np.arange(TAIL_TERMS)
+    c, k = _tail_coeffs(f.roots), np.arange(TAIL_TERMS)
+    V = s1[:, None] ** k
     s0 = y_far * t1 ** (f.degree * q // 2) * (V @ c)
     root = np.sqrt(complex(f.leading))
     plus = np.abs(s0 - root) <= np.abs(s0 + root)
-    k = np.arange(TAIL_TERMS)[:, None]
-    T = (V @ (c[:, None] / (q * k + [q + 1, 1]))
+    T = (V @ (c[:, None] / (q * k[:, None] + [q + 1, 1]))
          * (q * t1[:, None] ** [q + 1, 1])
          / np.where(plus, root, -root)[:, None])
     return T, plus | (f.degree == 5)
