@@ -39,15 +39,15 @@ Every integrand is n_k(x)/y dx on a sheet returning (x, dx/du, y)
 (_piece_values), and integrands are stacked, not looped: all pieces of
 many paths, or a whole period build (its loop segments and its far ray
 with the run into a branch point: period_integrals), go through one
-integrate_01 call.  _integrate_group takes the integrals of one kind,
-narrowing their sheet to those still open, so each is integrated at the
-level it needs alone; _integrate_stack stacks groups of different
-kinds, padding the components a group lacks with zeros.  Only the
-integrands run on arrays, a row per quadrature node.  Path geometry and
-sheet chaining are scalar passes in complex arithmetic: line_with_detours
-loops over the roots of one path, and continue_sqrt over the pieces of
-a stack, each with a few operations per root, where numpy calls on
-5- or 6-element arrays would cost more than the arithmetic.
+integrate_01 call.  _integrate_stack takes groups of integrals, each of
+one kind, narrows each group's sheet to the integrals still open, so
+each is integrated at the level it needs alone, and pads the components
+a group lacks with zeros.  Only the integrands run on arrays, a row per
+quadrature node.  Path geometry and sheet chaining are scalar passes in
+complex arithmetic: line_with_detours loops over the roots of one path,
+and continue_sqrt over the pieces of a stack, each with a few operations
+per root, where numpy calls on 5- or 6-element arrays would cost more
+than the arithmetic.
 path_between chains the straight runs of all its paths in one
 continue_sqrt call and the runs into a branch point that some of them
 need, when one has several pieces, in a second.
@@ -236,31 +236,16 @@ def _piece_values(sheet, numerators, u, d1):
     return np.stack([nf(x) * dx / y for nf in numerators], axis=2)
 
 
-def _integrate_group(rows, n, numerators):
-    """One integrate_01 call over the n integrals of n_k(x)/y dx on one
-    kind of sheet: rows(k) the sheet of those with indices k, narrowed to
-    the integrals still open.  Returns the integrals, shape (n,
-    len(numerators))."""
-    if not n:
-        return np.zeros((0, len(numerators)), dtype=complex)
-    live = [rows(np.arange(n))]
-
-    def narrow(k):
-        live[0] = rows(k)
-
-    def g(u, d0, d1):
-        return _piece_values(live[0], numerators, u, d1)
-
-    return integrate_01(g, narrow)[0]
-
-
 def _integrate_stack(groups):
-    """One integrate_01 call over stacked groups (rows, n, numerators) of
-    integrals, each as _integrate_group takes them, the numerators of a
-    group padded with zeros to the longest list.  Returns the integrals,
-    shape (sum of n, width), in group order."""
+    """One integrate_01 call over stacked groups (rows, n, numerators).
+    A group holds n integrals of n_k(x)/y dx on one kind of sheet, rows(k)
+    the sheet of those with indices k, narrowed to the integrals still
+    open, and its numerators are padded with zeros to the longest list.
+    Returns the integrals, shape (sum of n, width), in group order."""
     ends = list(accumulate(n for _, n, _ in groups))
     width = max(len(numerators) for _, _, numerators in groups)
+    if not ends[-1]:
+        return np.zeros((0, width), dtype=complex)
 
     def open_sheets(k):
         """(sheet, padded numerators) of the open integrals k, ascending
@@ -280,6 +265,8 @@ def _integrate_stack(groups):
         live[0] = open_sheets(k)
 
     def g(u, d0, d1):
+        if len(live[0]) == 1:
+            return _piece_values(*live[0][0], u, d1)
         return np.concatenate([_piece_values(*part, u, d1)
                                for part in live[0]], axis=1)
 
@@ -290,8 +277,8 @@ def integrate_forms(f, roots, pieces, y0, numerators):
     """Integrals of n_k(x)/y dx over each piece of a stack, one row per
     piece, piece k on the sheet that starts it at y0[k]; all pieces share
     one quadrature."""
-    return _integrate_group(piece_sheet(f, roots, pieces, y0), len(pieces),
-                            numerators)
+    return _integrate_stack([(piece_sheet(f, roots, pieces, y0),
+                              len(pieces), numerators)])
 
 
 def holomorphic_numerators():
@@ -658,7 +645,7 @@ def period_integrals(f, roots, pairs, scale=None, radii=None):
     """
     segments = (segment_sheet(f, roots, pairs), len(pairs), all_numerators(f))
     if scale is None:
-        return _integrate_group(*segments), None, None
+        return _integrate_stack([segments]), None, None
     x_far = far_point(scale)
     y_far = complex(np.sqrt(f(x_far)))
     (T,), (landed_plus,) = tail_integrals(f, [x_far], [y_far])

@@ -9,8 +9,7 @@ relation makes (eta(g).omega(h) - omega(g).eta(h)) / (2 pi i) the
 intersection number of loops g and h (Buchstaber, Enolski, Leykin,
 Kleinian functions, hyperelliptic Jacobians and applications, 1997), so
 the signs of adjacent-loop pairings fix every orientation relative to
-the first loop.  The frame is then certified once by the Riemann-matrix
-and Legendre checks.
+the first loop.
 
 The base-point constant Delta comes in closed form: the odd half-period
 of the branch point e that z_star's path runs into (_BASE_CHARS[e]),
@@ -21,10 +20,17 @@ the far point where z_star changes sheets, by the run from there into
 its nearest branch point, so one chain of sheets and one tail to
 infinity, summed as a series, give both.  Every sheet is fixed before
 any quadrature, so the loop segments, the ray and that run are one
-stack of one quadrature (cycle_and_ray_integrals,
-integration.period_integrals).  Neither the samples nor z_star depends
-on the branch ordering, so a re-ordered build reuses them
-(compute_period_data's like=) and integrates its loop segments only.
+stack of one quadrature (integration.period_integrals).  Neither the
+samples nor z_star depends on the branch ordering, so a re-ordered
+build reuses them (compute_period_data's like=) and integrates its loop
+segments only.
+
+PeriodData certifies itself when it is made, whether by a build, a JSON
+load or a dataclasses.replace copy: the Riemann-matrix, Legendre and
+conditioning residuals (_residuals, _certified), Omega = A^{-1} B,
+Delta's lattice form (2 Delta - A^{-1} z_star a lattice point, on
+degree 5 the one delta_char names), and, given Abel samples, theta's
+vanishing on them (_certify_delta).  Data that fails is never returned.
 
 Lattice points are named by one integer convention throughout: k = (n1,
 n2, m1, m2) stands for u = n + Omega m in the normalized coordinates
@@ -123,13 +129,18 @@ class PeriodData:
     (degree 6), used by the Abel map.  transform holds the integer rows
     (a1, a2, b1, b2) in the coordinates of the LOOP_PAIRS loops.
     abel_samples holds the Abel images of the far-ray points that
-    certified Delta (None for data read from JSON).  tp holds the checked
-    ThetaParams of Omega, made with the data; the Delta certificate and
-    the context built on the data take it.  A build integrates the loops
-    behind A, B, etaA, etaB and the affine paths behind abel_samples and
-    z_star in one quadrature, and sums their one tail to infinity as a
-    series (cycle_and_ray_integrals).  Array fields are stored as
-    read-only copies, however the data was made.
+    certify Delta (None for data read from JSON, and for a copy whose
+    Delta is shifted by a period, which multiplies theta at the samples
+    by its quasi-periodicity factor).  tp holds the checked ThetaParams
+    of Omega, made with the data; the Delta certificate and the context
+    built on the data take it.  Array fields are stored as read-only
+    copies, however the data was made.
+
+    Making the data certifies it (the module docstring lists the
+    checks): RiemannMatrixError if the periods or Delta's lattice form
+    fail, NormalizationError if theta does not vanish on the samples.
+    The residuals are recomputed on demand (residuals), not stored, so
+    the data weighs no more for being certified.
     """
     A: np.ndarray
     B: np.ndarray
@@ -155,23 +166,30 @@ class PeriodData:
                 value = np.array(value)
                 value.setflags(write=False)
                 object.__setattr__(self, spec.name, value)
+        Omega, r = _residuals(self.A, self.B, self.etaA, self.etaB)
+        if (not _certified(r) or np.max(np.abs(Omega - self.Omega))
+                > TOL_SYM * max(1.0, np.max(np.abs(Omega)))):
+            raise RiemannMatrixError(
+                "period data fails the Riemann-matrix, Legendre or "
+                "conditioning certificates")
         object.__setattr__(self, "tp", ThetaParams.build(self.Omega))
+        v = 2 * self.Delta - (0 if self.z_star is None
+                              else np.linalg.solve(self.A, self.z_star))
+        n, m, v0 = lattice_reduce(self.Omega, v)
+        if (np.max(np.abs(v0)) > TOL_SYM or (
+                self.f.degree == 5
+                and (tuple(n), tuple(m)) != self.delta_char)):
+            raise RiemannMatrixError(
+                "Delta is not a half-period shifted by (1/2) A^-1 z_star, "
+                "or not the half-period of delta_char")
+        if self.abel_samples is not None:
+            _certify_delta(self.tp, self.A, self.abel_samples, self.Delta)
 
-
-def cycle_and_ray_integrals(f, roots, scale=None):
-    """(W, samples, z_star) in one quadrature and one tail series
-    (integration.period_integrals).
-
-    Row k of W holds the integrals of (omega1, omega2, r1, r2) over loop
-    k; a loop doubles its segment integral (out on one sheet, back on the
-    other, where dx/y picks up the same value).  Given scale, samples
-    holds the Abel images of the far-ray points at radii SAMPLE_RADII
-    times scale, and z_star is the between-infinities integral (None on
-    degree 5); without it both are None."""
-    W, samples, z_star = period_integrals(
-        f, roots, LOOP_PAIRS, scale,
-        None if scale is None else SAMPLE_RADII * scale)
-    return 2.0 * W, samples, z_star
+    @property
+    def residuals(self):
+        """The certificate's residuals, by name (_residuals), computed
+        afresh: the data keeps no copy."""
+        return _residuals(self.A, self.B, self.etaA, self.etaB)[1]
 
 
 def _residuals(A, B, etaA, etaB):
@@ -220,7 +238,7 @@ def _loop_signs(W):
 
 
 def compute_period_data(f, ordering=None, like=None):
-    """Full period data for the curve, certified before return.
+    """Full period data for the curve, certified as PeriodData is made.
 
     ordering optionally permutes the canonical branch-point order, which
     produces a different (but equally valid) symplectic basis; the
@@ -230,7 +248,7 @@ def compute_period_data(f, ordering=None, like=None):
     out to the same far point, the same run into its nearest root), so
     the build then integrates its loop segments only.  An ordering that
     is no permutation of range(f.degree), or like of another curve,
-    raises ValueError.
+    raises ValueError, and singular a-periods RiemannMatrixError.
     """
     roots = branch_points(f)
     if ordering is not None:
@@ -246,31 +264,28 @@ def compute_period_data(f, ordering=None, like=None):
                       "precision certificates may degrade", stacklevel=2)
     _check_geometry(roots, scale)
     reuse = like is not None and like.abel_samples is not None
-    W, samples, z_star = cycle_and_ray_integrals(
-        f, roots, None if reuse else scale)
+    W, samples, z_star = period_integrals(
+        f, roots, LOOP_PAIRS, None if reuse else scale,
+        None if reuse else SAMPLE_RADII * scale)
     if reuse:
         samples, z_star = like.abel_samples, like.z_star
+    # a loop doubles its segment integral (out on one sheet, back on the
+    # other, where dx/y picks up the same value)
+    W = 2.0 * W
     T = _FRAME @ np.diag(_loop_signs(W))
     P = T @ W
     A = P[:2, :2].T
     B = P[2:, :2].T
-    etaA = -P[:2, 2:].T
-    etaB = -P[2:, 2:].T
-    Omega, r = _residuals(A, B, etaA, etaB)
-    if not _certified(r):
-        raise RiemannMatrixError(
-            "the loop orientations read off the Legendre pairing do not "
-            "yield a certified, well-conditioned Riemann matrix for this "
-            "curve")
-
+    try:
+        Omega = np.linalg.solve(A, B)
+    except np.linalg.LinAlgError:
+        raise RiemannMatrixError("the a-periods are singular") from None
     e = 5 if z_star is None else nearest_branch_point(roots, far_point(scale))
     Delta, char = _riemann_constant(A, Omega, z_star, e)
-    pd = PeriodData(A=A, B=B, etaA=etaA, etaB=etaB, Omega=Omega,
-                    Delta=Delta, delta_char=char, transform=T, f=f,
-                    roots=tuple(roots), scale=scale, z_star=z_star,
-                    abel_samples=samples)
-    _certify_delta(pd.tp, A, samples, Delta)
-    return pd
+    return PeriodData(A=A, B=B, etaA=-P[:2, 2:].T, etaB=-P[2:, 2:].T,
+                      Omega=Omega, Delta=Delta, delta_char=char,
+                      transform=T, f=f, roots=tuple(roots), scale=scale,
+                      z_star=z_star, abel_samples=samples)
 
 
 # -- eta homomorphism and lattice coordinates ---------------------------------

@@ -3,7 +3,8 @@
 Complex numbers are [re, im] pairs; complex matrices are row-major nested
 lists of pairs.  Field order is fixed so equal inputs produce
 byte-identical output.  Optional fields are omitted when absent, never
-null.
+null.  Parsing only parses: period data read back is certified by
+PeriodData itself, as it is made.
 """
 
 import dataclasses
@@ -12,11 +13,9 @@ import json
 import numpy as np
 
 from .curve import CurvePoint, Divisor, branch_points, validate_polynomial
-from .errors import RiemannMatrixError
 from .kleinian import EvalBundle
-from .periods import (J, LOOP_PAIRS, TOL_LEG, TOL_SYM, PeriodData,
-                      _certified, _residuals)
-from .theta import EPS_TARGET, lattice_reduce
+from .periods import J, LOOP_PAIRS, TOL_LEG, TOL_SYM, PeriodData
+from .theta import EPS_TARGET
 
 
 def cnum(z):
@@ -156,13 +155,11 @@ def period_data_to_json(pd):
 
 
 def period_data_from_json(obj):
-    """PeriodData from its JSON form, certified as compute_period_data
-    certifies it: the Riemann-matrix, Legendre and conditioning checks on
-    A, B, etaA, etaB, with Omega equal to A^-1 B, and 2 Delta - A^-1
-    z_star (z_star = 0 on degree 5) a lattice point n + Omega m, (n, m) =
-    delta_char on degree 5.  Raises RiemannMatrixError otherwise, and
-    ValueError unless the roots are the curve's branch points (in any
-    order) and scale is max(1, max |root|)."""
+    """PeriodData from its JSON form, certified as every PeriodData is
+    when it is made (PeriodData.__post_init__), so data that fails the
+    certificate raises RiemannMatrixError.  Raises ValueError unless the
+    roots are the curve's branch points (in any order) and scale is
+    max(1, max |root|)."""
     keys = ("curve", "roots", "scale", "transform", "A", "B", "etaA", "etaB",
             "Omega", "Delta")
     if not isinstance(obj, dict) or any(k not in obj for k in keys):
@@ -186,7 +183,7 @@ def period_data_from_json(obj):
             or not abs(obj["scale"] - scale) <= 1e-8 * scale):
         raise ValueError("scale must be the number max(1, max |root|)")
     z_star = parse_cvec(obj["z_star"], 2) if "z_star" in obj else None
-    pd = PeriodData(
+    return PeriodData(
         A=parse_cmat(obj["A"], (2, 2)),
         B=parse_cmat(obj["B"], (2, 2)),
         etaA=parse_cmat(obj["etaA"], (2, 2)),
@@ -199,20 +196,6 @@ def period_data_from_json(obj):
         roots=tuple(roots),
         scale=float(obj["scale"]),
         z_star=z_star)
-    Omega, r = _residuals(pd.A, pd.B, pd.etaA, pd.etaB)
-    if (not _certified(r) or np.max(np.abs(Omega - pd.Omega))
-            > TOL_SYM * max(1.0, np.max(np.abs(Omega)))):
-        raise RiemannMatrixError(
-            "period data fails the Riemann-matrix, Legendre or "
-            "conditioning certificates")
-    v = 2 * pd.Delta - (0 if z_star is None else np.linalg.solve(pd.A, z_star))
-    n, m, v0 = lattice_reduce(pd.Omega, v)
-    if (np.max(np.abs(v0)) > TOL_SYM
-            or (f.degree == 5 and (tuple(n), tuple(m)) != char)):
-        raise RiemannMatrixError(
-            "Delta is not a half-period shifted by (1/2) A^-1 z_star, or "
-            "not the half-period of delta_char")
-    return pd
 
 
 # -- evaluation bundle --------------------------------------------------------

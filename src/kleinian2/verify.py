@@ -22,7 +22,9 @@ are missing, rejects afterwards and redraws the rest, so its samples are
 those of a one-by-one loop.  The checks that sample cell points draw them
 through _sample_groups the same way: addition_formula keeps pairs (u, v)
 clear of the divisor at u + v and u - v, duplication points z clear at
-2z, and basis_independence points clear on the second context.
+2z, and basis_independence points clear on the second context.  Every
+such loop is one _draw_kept, which gives up with KleinianError after
+SAMPLE_TRIES rejections in a row.
 """
 
 import math
@@ -37,8 +39,8 @@ from .kleinian import (JET_TARGETS, S_eval, TOL_ID, _quad, _scaled,
                        divisor_clearance, jacobi_invert, log_S_gradient,
                        make_context, quartic_residual, rho_lambda_eval,
                        sigma_eval, sigma_jets, wp_eval)
-from .periods import (_residuals, compute_period_data, eta_of_lattice,
-                      lattice_vector, nearest_lattice_residual)
+from .periods import (compute_period_data, eta_of_lattice, lattice_vector,
+                      nearest_lattice_residual)
 
 TINY = 1e-300
 SAMPLE_TRIES = 300      # draws before a sampler gives up
@@ -53,46 +55,52 @@ def _rng(seed, index):
     return np.random.default_rng(seed * 1000 + index)
 
 
-def _sample_z(ctx, rng, n, clearance=1e-3):
-    """n points of the period cell, shape (n, 2), each with a divisor
-    clearance of at least `clearance`.  A block draws as many candidates
-    as points are still missing and tests them in one clearance call, so
-    the stream is read as a point-by-point loop reads it: the same
-    points, and no draw after the last one kept.  SAMPLE_TRIES misses in
-    a row raise."""
-    A, B = ctx.pd.A, ctx.pd.B
-    points, misses = [], 0
-    while len(points) < n:
-        t = rng.random((n - len(points), 4))
-        z = (A @ t[:, :2, None] + B @ t[:, 2:, None])[..., 0]
-        for zi, clear in zip(z, divisor_clearance(ctx, z) >= clearance):
-            if clear:
-                points.append(zi)
+def _draw_kept(n, draw, what):
+    """The first n candidates that draw keeps, in the order drawn:
+    draw(k) returns k candidates and a (k,) mask of those it keeps, and
+    is asked for as many as are still missing, so the stream is read as a
+    loop that draws and tests one candidate at a time reads it: the same
+    candidates, and no draw after the last one kept.  SAMPLE_TRIES
+    rejections in a row raise KleinianError."""
+    kept, misses = [], 0
+    while len(kept) < n:
+        candidates, keep = draw(n - len(kept))
+        for c, ok in zip(candidates, keep):
+            if ok:
+                kept.append(c)
                 misses = 0
             else:
                 misses += 1
                 if misses == SAMPLE_TRIES:
-                    raise KleinianError(
-                        "could not sample a point clear of the divisor")
-    return np.array(points)
+                    raise KleinianError(f"could not sample {what}")
+    return kept
+
+
+def _sample_z(ctx, rng, n, clearance=1e-3):
+    """n points of the period cell, shape (n, 2), each with a divisor
+    clearance of at least `clearance`, drawn in blocks tested in one
+    clearance call each (_draw_kept)."""
+    A, B = ctx.pd.A, ctx.pd.B
+
+    def draw(k):
+        t = rng.random((k, 4))
+        z = (A @ t[:, :2, None] + B @ t[:, 2:, None])[..., 0]
+        return z, divisor_clearance(ctx, z) >= clearance
+
+    return np.array(_draw_kept(n, draw, "a point clear of the divisor"))
 
 
 def _sample_groups(ctx, rng, n, size=1, keep=None, clearance=1e-3):
     """n groups of `size` consecutive points of the _sample_z stream,
     shape (n, size, 2), each group passing `keep` when it is given: a
     function of a (g, size, 2) array of groups that returns a (g,) bool
-    mask, the check's own test of a group.  A block draws as many groups
-    as are still missing and tests them in one call, so the stream is
-    read as a loop that draws and tests one group at a time reads it:
-    the same groups, and no draw after the last one kept."""
-    kept = np.empty((0, size, 2), dtype=complex)
-    while len(kept) < n:
-        groups = _sample_z(ctx, rng, (n - len(kept)) * size,
-                           clearance).reshape(-1, size, 2)
-        if keep is not None:
-            groups = groups[keep(groups)]
-        kept = np.concatenate([kept, groups])
-    return kept
+    mask, the check's own test of a group.  Groups are drawn in blocks
+    tested in one call each (_draw_kept)."""
+    def draw(k):
+        groups = _sample_z(ctx, rng, k * size, clearance).reshape(-1, size, 2)
+        return groups, (np.ones(k, bool) if keep is None else keep(groups))
+
+    return np.array(_draw_kept(n, draw, "a group its check keeps"))
 
 
 def _sample_lattice(rng):
@@ -205,8 +213,7 @@ def _fd_log_hessian(ctx, z, h):
 # -- individual checks --------------------------------------------------------
 
 def _check_legendre(ctx, rng, tol):
-    pd = ctx.pd
-    r = _residuals(pd.A, pd.B, pd.etaA, pd.etaB)[1]
+    r = ctx.pd.residuals
     worst = max(r["leg1"], r["leg2"], r["sym_ab"], r["sym_a"], r["sym_b"])
     return 1, worst, worst <= tol
 
@@ -225,8 +232,7 @@ def _check_eta_integrality(ctx, rng, tol):
 
 
 def _check_riemann_matrix(ctx, rng, tol):
-    pd = ctx.pd
-    r = _residuals(pd.A, pd.B, pd.etaA, pd.etaB)[1]
+    r = ctx.pd.residuals
     return 1, r["sym"], r["sym"] <= tol and r["lam_min"] > 0
 
 
@@ -280,7 +286,10 @@ def _check_delta_shift(ctx, rng, tol):
     if char is not None:
         char = (tuple(np.asarray(char[0]) + 2 * n),
                 tuple(np.asarray(char[1]) + 2 * m))
-    pd2 = replace(pd, Delta=pd.Delta + shift, delta_char=char)
+    # the shift multiplies theta at the Abel samples by its
+    # quasi-periodicity factor, so the copy is certified without them
+    pd2 = replace(pd, Delta=pd.Delta + shift, delta_char=char,
+                  abel_samples=None)
     ctx2 = make_context(ctx.f, pd2)
     z = _sample_z(ctx, rng, 10)
     worst = np.max(_gap(S_eval(ctx, z), S_eval(ctx2, z)))
@@ -324,16 +333,14 @@ def _check_taylor_jets(ctx, rng, tol):
 
 
 def _check_diff1(ctx, rng, tol):
-    # divisors are drawn in blocks of as many as are still missing and
-    # rejected on clearance afterwards, so the samples are those of a
-    # one-by-one loop
-    kept = []
-    while len(kept) < 10:
-        divisors = [_sample_divisor(ctx, rng) for _ in range(10 - len(kept))]
+    def draw(k):
+        divisors = [_sample_divisor(ctx, rng) for _ in range(k)]
         r1, r2, lam, z = rho_lambda_eval(ctx, divisors)
-        clear = divisor_clearance(ctx, z) >= 1e-4
-        kept += [row for row, c in zip(zip(r1, r2, lam, z), clear) if c]
-    r1, r2, lam, z = (np.array(a) for a in zip(*kept))
+        return (list(zip(r1, r2, lam, z)),
+                divisor_clearance(ctx, z) >= 1e-4)
+
+    r1, r2, lam, z = (np.array(a) for a in zip(*_draw_kept(
+        10, draw, "divisors clear of the zero set of S")))
     g = log_S_gradient(ctx, z)
     ref = np.maximum(np.maximum(1.0, np.max(np.abs(g), axis=1)), abs(lam))
     worst = np.max(np.maximum(abs(g[:, 0] + 2 * r1 - lam),

@@ -5,7 +5,8 @@ The curves: the sextics with roots s {0, 1, 2i, -1+i, 3, -2-i} for s from
 0.01 to 100, the quintics on the first five of those roots with leading
 coefficient 4, sextics with one root pair 1e-3, 1e-5 and 1e-7 apart, an
 ordinary sextic that once failed basis_independence, and the sextics with
-two 1e-4 root pairs.  Each is built as np.poly(roots)[::-1], as the rest
+two 1e-4 root pairs.  The sextics at s = 300 and 1000, and the 1e-7 pair,
+are build cases only.  Each is built as np.poly(roots)[::-1], as the rest
 of the tests build curves; the curve on 3 + 1e-4i is also built by
 polyfromroots, since the two builds' coefficient rounding brackets its
 quasi_periodicity tolerance.
@@ -160,3 +161,12 @@ def test_panel_case(curve, check, cell):
 def test_panel_pair_1e_7_builds():
     k2.make_context(k2.validate_polynomial(
         list(np.poly([0, 1e-7] + BASE[2:])[::-1])))
+
+
+@pytest.mark.xfail(strict=True, raises=k2.RiemannMatrixError,
+                   reason="sym_ab, sym_a and sym_b are absolute residuals "
+                          "of matrices of mixed weights (ROADMAP item 5)")
+@pytest.mark.parametrize("s", [300, 1000])
+def test_panel_wide_sextic_builds(s):
+    k2.make_context(k2.validate_polynomial(
+        list(np.poly([s * r for r in BASE])[::-1])))

@@ -2,7 +2,7 @@
 lattice arithmetic, invariance under re-orderings of the branch points, and
 the closed-form base-point constant."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 import itertools
 
 import mpmath
@@ -168,6 +168,12 @@ def test_eta_is_additive(w5_ctx):
 
 # -- symplectic frame ----------------------------------------------------------
 
+def _loop_integrals(f, roots):
+    """Row k: the integrals of (omega1, omega2, r1, r2) over loop k, twice
+    those over its segment."""
+    return 2.0 * integration.period_integrals(f, roots, periods.LOOP_PAIRS)[0]
+
+
 def _loop_pairing(W):
     """(eta(g).omega(h) - omega(g).eta(h)) / (2 pi i) over the loop rows."""
     w, e = W[:, :2], -W[:, 2:]
@@ -177,7 +183,7 @@ def _loop_pairing(W):
 def test_transform_takes_loop_pairing_to_standard_form(w5_ctx, g6_ctx):
     for ctx in (w5_ctx, g6_ctx):
         pd = ctx.pd
-        W = periods.cycle_and_ray_integrals(ctx.f, pd.roots)[0]
+        W = _loop_integrals(ctx.f, pd.roots)
         T = pd.transform
         assert np.max(np.abs(T @ _loop_pairing(W) @ T.T - periods.J)) < 1e-8
     want = np.block([[np.zeros((2, 2)), np.eye(2)],
@@ -199,7 +205,7 @@ def _searched_transform(f, ordering):
     roots = branch_points(f)
     if ordering is not None:
         roots = [roots[k] for k in ordering]
-    W = periods.cycle_and_ray_integrals(f, roots)[0]
+    W = _loop_integrals(f, roots)
     for signs in itertools.product([1], [1, -1], [1, -1], [1, -1]):
         for swap in (False, True):
             T = periods._FRAME @ np.diag(signs)
@@ -278,14 +284,14 @@ def test_transform_matches_orientation_search(coeffs):
 def test_inconsistent_loop_orientation_raises(monkeypatch):
     """A second-kind part that contradicts the pairing of the first-kind
     part leaves no certified frame, and no period data is returned."""
-    exact = periods.cycle_and_ray_integrals
+    exact = periods.period_integrals
 
     def flipped(*args):
         W, samples, z_star = exact(*args)
         W[1, 2:] *= -1
         return W, samples, z_star
 
-    monkeypatch.setattr(periods, "cycle_and_ray_integrals", flipped)
+    monkeypatch.setattr(periods, "period_integrals", flipped)
     with pytest.raises(k2.RiemannMatrixError):
         k2.compute_period_data(k2.validate_polynomial(W5_COEFFS))
 
@@ -453,8 +459,8 @@ def test_a_build_makes_one_quadrature(monkeypatch):
 
 def test_a_build_checks_omega_once(monkeypatch):
     """A context build makes one ThetaParams of Omega, with the period
-    data: the Delta certificate and the context share it, and a copy of
-    the data with another Omega gets its own."""
+    data: the Delta certificate and the context share it.  A copy of the
+    data with an Omega that is not A^-1 B is refused when it is made."""
     calls = []
     build = ThetaParams.build.__func__
 
@@ -470,13 +476,14 @@ def test_a_build_checks_omega_once(monkeypatch):
         assert np.array_equal(ctx.tp.Omega, 0.5 * (ctx.pd.Omega
                                                    + ctx.pd.Omega.T))
         calls.clear()
-    pd = replace(ctx.pd, Omega=2.0 * ctx.pd.Omega)
-    assert np.array_equal(pd.tp.Omega, 2.0 * ctx.tp.Omega)
+    with pytest.raises(k2.RiemannMatrixError):
+        replace(ctx.pd, Omega=2.0 * ctx.pd.Omega)
 
 
 def _samples(f, roots, scale):
     """(J, z_star): the Abel samples certifying Delta, and z_star."""
-    return periods.cycle_and_ray_integrals(f, roots, scale)[1:]
+    return integration.period_integrals(f, roots, periods.LOOP_PAIRS, scale,
+                                        periods.SAMPLE_RADII * scale)[1:]
 
 
 def _dive_index(pd):
@@ -551,12 +558,66 @@ def test_hard_sextic_delta_in_closed_form():
 
 
 def test_inconsistent_z_star_has_no_certified_delta(g6_ctx):
-    """A z_star off by a non-period moves Delta off the theta divisor:
-    the certificate fails, and no Delta is returned."""
+    """A z_star off by a non-period: a copy of the data with it is
+    refused when it is made, since 2 Delta - A^-1 z_star is then no
+    lattice point, and the Delta it gives lies off the theta divisor, so
+    the certificate on the Abel samples fails."""
     pd = g6_ctx.pd
-    bad = replace(pd, z_star=pd.z_star + 0.1 * (pd.A[:, 0] + pd.B[:, 1]))
+    z_star = pd.z_star + 0.1 * (pd.A[:, 0] + pd.B[:, 1])
+    with pytest.raises(k2.RiemannMatrixError, match="Delta"):
+        replace(pd, z_star=z_star)
+    Delta = periods._riemann_constant(pd.A, pd.Omega, z_star,
+                                      _dive_index(pd))[0]
     with pytest.raises(k2.NormalizationError, match="does not vanish"):
-        _recompute_delta(g6_ctx.f, bad)
+        periods._certify_delta(pd.tp, pd.A, pd.abel_samples, Delta)
+
+
+def _moved(pd, name):
+    """pd's field `name` with its first and last rows (or entries) moved
+    by 1e-3."""
+    value = np.array(getattr(pd, name))
+    value[0] += 1e-3
+    value[-1] += 1e-3
+    return value
+
+
+@pytest.mark.parametrize("name", ["B", "Omega", "z_star", "Delta"])
+def test_period_data_is_certified_when_made(w5_ctx, g6_ctx, name):
+    """PeriodData(...) and a dataclasses.replace copy both run the
+    certificate: a moved B or Omega fails the Riemann-matrix and Legendre
+    residuals, a moved z_star or Delta the lattice form of Delta, and
+    each raises RiemannMatrixError."""
+    for ctx in (w5_ctx, g6_ctx):
+        pd = ctx.pd
+        if getattr(pd, name) is None:
+            continue
+        given = {spec.name: getattr(pd, spec.name)
+                 for spec in fields(pd) if spec.init}
+        bad = _moved(pd, name)
+        with pytest.raises(k2.RiemannMatrixError):
+            k2.PeriodData(**{**given, name: bad})
+        with pytest.raises(k2.RiemannMatrixError):
+            replace(pd, **{name: bad})
+
+
+def test_abel_samples_off_the_theta_divisor_are_refused(w5_ctx, g6_ctx):
+    """Given Abel samples, the data certifies Delta on them: samples moved
+    by a non-period leave theta(u - Delta) nonzero, and the copy raises
+    NormalizationError; the same copy without samples is certified."""
+    for ctx in (w5_ctx, g6_ctx):
+        pd = ctx.pd
+        moved = pd.abel_samples + 0.1 * pd.A[:, 0]
+        with pytest.raises(k2.NormalizationError, match="does not vanish"):
+            replace(pd, abel_samples=moved)
+        assert replace(pd, abel_samples=None).abel_samples is None
+
+
+def test_residuals_are_those_the_data_was_certified_on(any_ctx):
+    """pd.residuals recomputes the residuals the data passed when made."""
+    pd = any_ctx.pd
+    assert pd.residuals == periods._residuals(pd.A, pd.B, pd.etaA,
+                                              pd.etaB)[1]
+    assert periods._certified(pd.residuals)
 
 
 def test_base_chars_are_the_six_odd_characteristics():

@@ -181,6 +181,24 @@ def test_block_sampler_draws_the_points_of_a_point_by_point_loop(
     assert a.random() == b.random()
 
 
+def test_a_keep_that_rejects_every_group_raises(w5_ctx):
+    """SAMPLE_TRIES rejected groups in a row raise KleinianError instead
+    of drawing forever."""
+    rng = np.random.default_rng(3)
+    with pytest.raises(k2.KleinianError, match="could not sample"):
+        verify._sample_groups(w5_ctx, rng, 1,
+                              keep=lambda g: np.zeros(len(g), bool))
+
+
+def test_diff1_gives_up_on_divisors_never_clear(w5_ctx, monkeypatch):
+    """diff1 redraws divisors whose images lie near the zero set of S
+    SAMPLE_TRIES times in a row at most, then reports the error."""
+    monkeypatch.setattr(verify, "divisor_clearance",
+                        lambda ctx, z: np.zeros(len(z)))
+    (entry,) = k2.run_suite(w5_ctx, checks=["diff1"]).checks
+    assert entry["pass"] is False and "could not sample" in entry["error"]
+
+
 # -- the batched checks against their one-point loops -------------------------
 #
 # Each reference below is the check as it was written point by point,
