@@ -265,8 +265,6 @@ def _integrate_stack(groups):
         live[0] = open_sheets(k)
 
     def g(u, d0, d1):
-        if len(live[0]) == 1:
-            return _piece_values(*live[0][0], u, d1)
         return np.concatenate([_piece_values(*part, u, d1)
                                for part in live[0]], axis=1)
 

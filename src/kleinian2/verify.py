@@ -24,7 +24,7 @@ through _sample_groups the same way: addition_formula keeps pairs (u, v)
 clear of the divisor at u + v and u - v, duplication points z clear at
 2z, and basis_independence points clear on the second context.  Every
 such loop is one _draw_kept, which gives up with KleinianError after
-SAMPLE_TRIES rejections in a row.
+SAMPLE_TRIES rejections of any kind in a row.
 """
 
 import math
@@ -57,50 +57,59 @@ def _rng(seed, index):
 
 def _draw_kept(n, draw, what):
     """The first n candidates that draw keeps, in the order drawn:
-    draw(k) returns k candidates and a (k,) mask of those it keeps, and
-    is asked for as many as are still missing, so the stream is read as a
-    loop that draws and tests one candidate at a time reads it: the same
-    candidates, and no draw after the last one kept.  SAMPLE_TRIES
-    rejections in a row raise KleinianError."""
+    draw(k) returns the at most k candidates it keeps and its verdicts in
+    order, True for one kept, False for a rejection of any kind.  Asked
+    for as many as are missing, it reads the stream as a one-at-a-time
+    loop would: the same candidates, and no draw after the last one kept.
+    SAMPLE_TRIES rejections in a row raise KleinianError."""
     kept, misses = [], 0
     while len(kept) < n:
-        candidates, keep = draw(n - len(kept))
-        for c, ok in zip(candidates, keep):
-            if ok:
-                kept.append(c)
-                misses = 0
-            else:
-                misses += 1
-                if misses == SAMPLE_TRIES:
-                    raise KleinianError(f"could not sample {what}")
+        candidates, verdicts = draw(n - len(kept))
+        for ok in verdicts:
+            misses = 0 if ok else misses + 1
+            if misses == SAMPLE_TRIES:
+                raise KleinianError(f"could not sample {what}")
+        kept.extend(candidates)
     return kept
+
+
+def _cell_draw(ctx, rng, size, keep, clearance):
+    """The draw of _draw_kept for groups of `size` consecutive points of
+    the period cell with a divisor clearance of at least `clearance`,
+    each passing `keep` when it is given: a function of a (g, size, 2)
+    array of groups that returns their (g,) bool mask.  In the order
+    drawn, a point that misses is a rejection, and one that completes a
+    group takes the group's verdict."""
+    A, B, held = ctx.pd.A, ctx.pd.B, np.zeros((0, 2), dtype=complex)
+
+    def draw(k):
+        nonlocal held
+        t = rng.random((k * size - len(held), 4))
+        z = (A @ t[:, :2, None] + B @ t[:, 2:, None])[..., 0]
+        clear = divisor_clearance(ctx, z) >= clearance
+        last = clear & ((len(held) + np.cumsum(clear)) % size == 0)
+        points = np.concatenate([held, z[clear]])
+        m = len(points) // size
+        groups, held = points[:m * size].reshape(m, size, 2), points[m * size:]
+        verdicts = np.zeros(len(z), bool)
+        verdicts[last] = True if keep is None or not m else keep(groups)
+        return groups[verdicts[last]], verdicts[~clear | last]
+
+    return draw
 
 
 def _sample_z(ctx, rng, n, clearance=1e-3):
     """n points of the period cell, shape (n, 2), each with a divisor
-    clearance of at least `clearance`, drawn in blocks tested in one
-    clearance call each (_draw_kept)."""
-    A, B = ctx.pd.A, ctx.pd.B
-
-    def draw(k):
-        t = rng.random((k, 4))
-        z = (A @ t[:, :2, None] + B @ t[:, 2:, None])[..., 0]
-        return z, divisor_clearance(ctx, z) >= clearance
-
-    return np.array(_draw_kept(n, draw, "a point clear of the divisor"))
+    clearance of at least `clearance` (_cell_draw)."""
+    return np.array(_draw_kept(n, _cell_draw(ctx, rng, 1, None, clearance),
+                               "a point clear of the divisor"))[:, 0]
 
 
 def _sample_groups(ctx, rng, n, size=1, keep=None, clearance=1e-3):
     """n groups of `size` consecutive points of the _sample_z stream,
-    shape (n, size, 2), each group passing `keep` when it is given: a
-    function of a (g, size, 2) array of groups that returns a (g,) bool
-    mask, the check's own test of a group.  Groups are drawn in blocks
-    tested in one call each (_draw_kept)."""
-    def draw(k):
-        groups = _sample_z(ctx, rng, k * size, clearance).reshape(-1, size, 2)
-        return groups, (np.ones(k, bool) if keep is None else keep(groups))
-
-    return np.array(_draw_kept(n, draw, "a group its check keeps"))
+    shape (n, size, 2), each passing `keep` (_cell_draw)."""
+    return np.array(_draw_kept(n, _cell_draw(ctx, rng, size, keep, clearance),
+                               "a group its check keeps"))
 
 
 def _sample_lattice(rng):
@@ -336,8 +345,8 @@ def _check_diff1(ctx, rng, tol):
     def draw(k):
         divisors = [_sample_divisor(ctx, rng) for _ in range(k)]
         r1, r2, lam, z = rho_lambda_eval(ctx, divisors)
-        return (list(zip(r1, r2, lam, z)),
-                divisor_clearance(ctx, z) >= 1e-4)
+        rows, clear = zip(r1, r2, lam, z), divisor_clearance(ctx, z) >= 1e-4
+        return [row for row, ok in zip(rows, clear) if ok], clear
 
     r1, r2, lam, z = (np.array(a) for a in zip(*_draw_kept(
         10, draw, "divisors clear of the zero set of S")))

@@ -181,13 +181,28 @@ def test_block_sampler_draws_the_points_of_a_point_by_point_loop(
     assert a.random() == b.random()
 
 
-def test_a_keep_that_rejects_every_group_raises(w5_ctx):
-    """SAMPLE_TRIES rejected groups in a row raise KleinianError instead
-    of drawing forever."""
-    rng = np.random.default_rng(3)
+@pytest.mark.parametrize("size, interleaved",
+                         [(1, False), (1, True), (2, True)])
+def test_a_keep_that_rejects_every_group_raises(
+        w5_ctx, monkeypatch, size, interleaved):
+    """SAMPLE_TRIES rejections in a row raise KleinianError instead of
+    drawing forever.  Interleaved, every other point also misses the
+    clearance: misses and rejected groups are one count, so the sampler
+    draws no more than size * SAMPLE_TRIES points, where a count of
+    misses nested in one of groups draws more."""
+    tested, clearance = [], verify.divisor_clearance
+
+    def recorded(ctx, z):
+        tested.extend(z)
+        if not interleaved:
+            return clearance(ctx, z)
+        return (np.arange(len(tested) - len(z), len(tested)) % 2) * 1.0
+
+    monkeypatch.setattr(verify, "divisor_clearance", recorded)
     with pytest.raises(k2.KleinianError, match="could not sample"):
-        verify._sample_groups(w5_ctx, rng, 1,
+        verify._sample_groups(w5_ctx, np.random.default_rng(3), 1, size,
                               keep=lambda g: np.zeros(len(g), bool))
+    assert len(tested) <= size * verify.SAMPLE_TRIES
 
 
 def test_diff1_gives_up_on_divisors_never_clear(w5_ctx, monkeypatch):
