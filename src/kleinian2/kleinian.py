@@ -96,14 +96,15 @@ def _weight2_basis(pd, tp, Ainv, C):
     E11, E12, E22 in u: by theta(u + v) theta(u - v) = sum_eps
     Theta[eps](2u) Theta[eps](2v) (Mumford, Tata Lectures on Theta I,
     ch. II 6) at v = Delta, and its second v-derivatives there.  The
-    theta call takes tp.doubled(), the params of 2 Omega, tp those of
-    Omega, so its term list is filtered from Omega's."""
+    theta call sums over the params of 2 Omega, tp those of Omega: twice
+    a checked Riemann matrix needs no check, and its term list is cached
+    as any other."""
     Om = pd.Omega
     # rows 0-3 at w = 0 and rows 4-7 at w = 2 Delta, eps in the same order
     eps = np.tile([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], (2, 1))
     w = np.zeros((8, 2), dtype=complex)
     w[4:] = 2.0 * pd.Delta
-    s, jet = theta_jet(tp.doubled(), w + eps @ Om, 2)
+    s, jet = theta_jet(ThetaParams(Omega=2.0 * tp.Omega), w + eps @ Om, 2)
     mu = 1j * np.pi * eps
     fac = np.exp(0.5j * np.pi * np.einsum("ri,ij,rj->r", eps, Om, eps)
                  + np.einsum("ri,ri->r", mu, w) + s)
@@ -181,10 +182,6 @@ def make_context(f, pd=None):
 
     c_sigma = None
     if f.weierstrass_form:
-        if pd.delta_char is None:
-            raise NormalizationError(
-                "no half-integer characteristic stored for a degree-5 "
-                "curve; sigma normalization unavailable")
         c_sigma = np.exp(-s[1]) / v[0]
         if abs(c_sigma ** 2 + c_S) > TOL_JET * abs(c_S):
             raise NormalizationError(

@@ -25,12 +25,15 @@ samples nor z_star depends on the branch ordering, so a re-ordered
 build reuses them (compute_period_data's like=) and integrates its loop
 segments only.
 
-PeriodData certifies itself when it is made, whether by a build, a JSON
-load or a dataclasses.replace copy: the Riemann-matrix, Legendre and
-conditioning residuals (_residuals, _certified), Omega = A^{-1} B,
-Delta's lattice form (2 Delta - A^{-1} z_star a lattice point, on
-degree 5 the one delta_char names), and, given Abel samples, theta's
-vanishing on them (_certify_delta).  Data that fails is never returned.
+PeriodData derives what its integrals determine and certifies itself
+when it is made, whether by a build, a JSON load or a
+dataclasses.replace copy.  Omega = A^{-1} B comes from the solve of the
+Riemann-matrix, Legendre and conditioning residuals (_residuals,
+_certified).  A build leaves Delta out, and the data writes the closed
+form; a load or a copy passes Delta in, and its lattice form is checked
+(2 Delta - A^{-1} z_star a lattice point, on degree 5 an odd one, whose
+characteristic is delta_char).  Given Abel samples, theta must vanish
+on them (_certify_delta).  Data that fails is never returned.
 
 Lattice points are named by one integer convention throughout: k = (n1,
 n2, m1, m2) stands for u = n + Omega m in the normalized coordinates
@@ -119,22 +122,30 @@ class PeriodData:
     """Certified period data of a symplectic basis.
 
     Columns of A, B hold integrals of (dx/y, x dx/y) over the a- and
-    b-cycles; etaA, etaB hold minus the integrals of (r1, r2).  Delta is
-    the base-point constant making theta vanish on the Abel image of the
-    curve, certified by that vanishing: the odd half-period of a branch
-    point, plus (1/2) A^{-1} z_star on degree 6.  On degree 5 Delta is
-    the half-period itself, and delta_char stores its characteristic
-    (n0, m0).  On degree 6 Delta is no half-period, and delta_char is
-    None.  z_star is the between-infinities integral
-    (degree 6), used by the Abel map.  transform holds the integer rows
-    (a1, a2, b1, b2) in the coordinates of the LOOP_PAIRS loops.
-    abel_samples holds the Abel images of the far-ray points that
-    certify Delta (None for data read from JSON, and for a copy whose
-    Delta is shifted by a period, which multiplies theta at the samples
-    by its quasi-periodicity factor).  tp holds the checked ThetaParams
-    of Omega, made with the data; the Delta certificate and the context
-    built on the data take it.  Array fields are stored as read-only
+    b-cycles; etaA, etaB hold minus the integrals of (r1, r2).  z_star is
+    the between-infinities integral (degree 6), used by the Abel map.
+    transform holds the integer rows (a1, a2, b1, b2) in the coordinates
+    of the LOOP_PAIRS loops.  Array fields are stored as read-only
     copies, however the data was made.
+
+    Omega = A^{-1} B, delta_char and tp are derived, never passed.  Delta
+    is the base-point constant making theta vanish on the Abel image of
+    the curve: the odd half-period K_e of a branch point e plus the Abel
+    integral from e to infinity.  On degree 5 e is infinity (e = 5) and
+    the integral zero; on degree 6 e is the branch point nearest the far
+    point, into which z_star's path runs, and by div(x - e) = 2e - inf_1
+    - inf_2 the integral is (1/2) A^{-1} z_star.  Left out (None), as a
+    build leaves it, Delta is that closed form; passed in, as by a JSON
+    load or a copy shifted by a period, it must have that lattice form,
+    on degree 5 an odd half-period.  On degree 5 delta_char is the
+    characteristic (n0, m0) of Delta = (n0 + Omega m0) / 2; on degree 6
+    Delta is no half-period, and delta_char is None.  abel_samples holds
+    the Abel images of the far-ray points that certify Delta (None for
+    data read from JSON, and for a copy whose Delta is shifted by a
+    period, which multiplies theta at the samples by its
+    quasi-periodicity factor).  tp holds the checked ThetaParams of
+    Omega; the Delta certificate and the context built on the data take
+    it.
 
     Making the data certifies it (the module docstring lists the
     checks): RiemannMatrixError if the periods or Delta's lattice form
@@ -146,20 +157,20 @@ class PeriodData:
     B: np.ndarray
     etaA: np.ndarray
     etaB: np.ndarray
-    Omega: np.ndarray
-    Delta: np.ndarray
-    delta_char: tuple
     transform: np.ndarray
     f: object
     roots: tuple
     scale: float
     z_star: np.ndarray
+    Delta: np.ndarray = None
     abel_samples: np.ndarray = None
+    Omega: np.ndarray = field(init=False)
+    delta_char: tuple = field(init=False)
     tp: ThetaParams = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for spec in fields(self):
-            if spec.type is not np.ndarray:
+            if not spec.init or spec.type is not np.ndarray:
                 continue
             value = getattr(self, spec.name)
             if value is not None:
@@ -167,21 +178,33 @@ class PeriodData:
                 value.setflags(write=False)
                 object.__setattr__(self, spec.name, value)
         Omega, r = _residuals(self.A, self.B, self.etaA, self.etaB)
-        if (not _certified(r) or np.max(np.abs(Omega - self.Omega))
-                > TOL_SYM * max(1.0, np.max(np.abs(Omega)))):
+        if not _certified(r):
             raise RiemannMatrixError(
                 "period data fails the Riemann-matrix, Legendre or "
                 "conditioning certificates")
-        object.__setattr__(self, "tp", ThetaParams.build(self.Omega))
-        v = 2 * self.Delta - (0 if self.z_star is None
-                              else np.linalg.solve(self.A, self.z_star))
-        n, m, v0 = lattice_reduce(self.Omega, v)
-        if (np.max(np.abs(v0)) > TOL_SYM or (
-                self.f.degree == 5
-                and (tuple(n), tuple(m)) != self.delta_char)):
-            raise RiemannMatrixError(
-                "Delta is not a half-period shifted by (1/2) A^-1 z_star, "
-                "or not the half-period of delta_char")
+        Omega.setflags(write=False)
+        object.__setattr__(self, "Omega", Omega)
+        object.__setattr__(self, "tp", ThetaParams.build(Omega))
+        shift = (0.0 if self.z_star is None
+                 else np.linalg.solve(self.A, self.z_star))
+        quintic = self.f.degree == 5
+        if self.Delta is None:
+            e = (5 if quintic else
+                 nearest_branch_point(self.roots, far_point(self.scale)))
+            k = _BASE_CHARS[e]
+            Delta = _half_period(Omega, k) + 0.5 * shift
+            Delta.setflags(write=False)
+            object.__setattr__(self, "Delta", Delta)
+            char = (k[:2], k[2:])
+        else:
+            n, m, v0 = lattice_reduce(Omega, 2 * self.Delta - shift)
+            char = (tuple(int(t) for t in n), tuple(int(t) for t in m))
+            if (np.max(np.abs(v0)) > TOL_SYM
+                    or quintic and (n @ m) % 2 != 1):
+                raise RiemannMatrixError(
+                    "Delta is not a half-period shifted by (1/2) A^-1 "
+                    "z_star, or on degree 5 not an odd one")
+        object.__setattr__(self, "delta_char", char if quintic else None)
         if self.abel_samples is not None:
             _certify_delta(self.tp, self.A, self.abel_samples, self.Delta)
 
@@ -248,7 +271,8 @@ def compute_period_data(f, ordering=None, like=None):
     out to the same far point, the same run into its nearest root), so
     the build then integrates its loop segments only.  An ordering that
     is no permutation of range(f.degree), or like of another curve,
-    raises ValueError, and singular a-periods RiemannMatrixError.
+    raises ValueError; data that fails its certificate, singular
+    a-periods among them, raises as PeriodData does.
     """
     roots = branch_points(f)
     if ordering is not None:
@@ -276,14 +300,7 @@ def compute_period_data(f, ordering=None, like=None):
     P = T @ W
     A = P[:2, :2].T
     B = P[2:, :2].T
-    try:
-        Omega = np.linalg.solve(A, B)
-    except np.linalg.LinAlgError:
-        raise RiemannMatrixError("the a-periods are singular") from None
-    e = 5 if z_star is None else nearest_branch_point(roots, far_point(scale))
-    Delta, char = _riemann_constant(A, Omega, z_star, e)
     return PeriodData(A=A, B=B, etaA=-P[:2, 2:].T, etaB=-P[2:, 2:].T,
-                      Omega=Omega, Delta=Delta, delta_char=char,
                       transform=T, f=f, roots=tuple(roots), scale=scale,
                       z_star=z_star, abel_samples=samples)
 
@@ -334,20 +351,6 @@ def _half_period(Omega, k):
 # characteristics, one per branch point.
 _BASE_CHARS = ((1, 1, 0, 1), (0, 1, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1),
                (1, 0, 1, 0), (1, 1, 1, 0))
-
-
-def _riemann_constant(A, Omega, z_star, e):
-    """Delta = K_e + (1/2) A^{-1} z_star and, on degree 5 (z_star None),
-    its characteristic (n0, m0); _certify_delta certifies it.
-
-    The shift is the Abel integral from e to infinity: zero on degree 5,
-    where e is infinity, and on degree 6, by div(x - e) = 2e - inf_1 -
-    inf_2, (1/2) A^{-1} z_star for the e that z_star's path runs into.
-    """
-    k = _BASE_CHARS[e]
-    Delta = _half_period(Omega, k) + (
-        0.0 if z_star is None else 0.5 * np.linalg.solve(A, z_star))
-    return Delta, ((k[:2], k[2:]) if z_star is None else None)
 
 
 def _certify_delta(tp, A, samples, Delta):

@@ -13,6 +13,7 @@ import json
 import numpy as np
 
 from .curve import CurvePoint, Divisor, branch_points, validate_polynomial
+from .errors import RiemannMatrixError
 from .kleinian import EvalBundle
 from .periods import J, LOOP_PAIRS, TOL_LEG, TOL_SYM, PeriodData
 from .theta import EPS_TARGET
@@ -157,9 +158,10 @@ def period_data_to_json(pd):
 def period_data_from_json(obj):
     """PeriodData from its JSON form, certified as every PeriodData is
     when it is made (PeriodData.__post_init__), so data that fails the
-    certificate raises RiemannMatrixError.  Raises ValueError unless the
-    roots are the curve's branch points (in any order) and scale is
-    max(1, max |root|)."""
+    certificate raises RiemannMatrixError, as does a file whose Omega or
+    delta_char is not the one its periods and Delta derive.  Raises
+    ValueError unless the roots are the curve's branch points (in any
+    order) and scale is max(1, max |root|)."""
     keys = ("curve", "roots", "scale", "transform", "A", "B", "etaA", "etaB",
             "Omega", "Delta")
     if not isinstance(obj, dict) or any(k not in obj for k in keys):
@@ -183,19 +185,25 @@ def period_data_from_json(obj):
             or not abs(obj["scale"] - scale) <= 1e-8 * scale):
         raise ValueError("scale must be the number max(1, max |root|)")
     z_star = parse_cvec(obj["z_star"], 2) if "z_star" in obj else None
-    return PeriodData(
+    Omega = parse_cmat(obj["Omega"], (2, 2))
+    pd = PeriodData(
         A=parse_cmat(obj["A"], (2, 2)),
         B=parse_cmat(obj["B"], (2, 2)),
         etaA=parse_cmat(obj["etaA"], (2, 2)),
         etaB=parse_cmat(obj["etaB"], (2, 2)),
-        Omega=parse_cmat(obj["Omega"], (2, 2)),
-        Delta=parse_cvec(obj["Delta"], 2),
-        delta_char=char,
         transform=transform,
         f=f,
         roots=tuple(roots),
         scale=float(obj["scale"]),
-        z_star=z_star)
+        z_star=z_star,
+        Delta=parse_cvec(obj["Delta"], 2))
+    moved = np.max(np.abs(Omega - pd.Omega))
+    if (char != pd.delta_char
+            or moved > TOL_SYM * max(1.0, np.max(np.abs(pd.Omega)))):
+        raise RiemannMatrixError(
+            "the file's Omega or delta_char is not the one its periods and "
+            "Delta derive")
+    return pd
 
 
 # -- evaluation bundle --------------------------------------------------------

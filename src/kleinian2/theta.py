@@ -14,15 +14,12 @@ The list is the union over the cell of their ellipsoids pi (n + c).Y.(n
 + c) < X + pi c.Y.c, widened by the factor exp(pi c.Y.c) the shift
 carries, X from the tail bound of their Thm 2 with g = 2 and three
 derivatives: every row and order is summed to within EPS_TARGET by the
-same terms.  A bounded cache keyed by Omega's bytes holds the lists; one
-reaching past RADIUS_CAP raises TruncationRadiusError.  The list of 2
-Omega, which the weight-2 basis sums, is filtered from Omega's
-(ThetaParams.doubled, _doubled_terms), not built: its points are a
-subset of Omega's, with exponents doubled and phases squared.  A term
-is one real exp, its exponent floored at EXP_FLOOR so nothing is
-subnormal, times unit factors from cos/sin tables per row, in blocks of
-at most TERM_BUDGET (row, term) pairs so that a call's memory is
-bounded.
+same terms.  A bounded cache keyed by Omega's bytes holds the lists, that
+of 2 Omega, which the weight-2 basis sums, like any other; one reaching
+past RADIUS_CAP raises TruncationRadiusError.  A term is one real exp,
+its exponent floored at EXP_FLOOR so nothing is subnormal, times unit
+factors from cos/sin tables per row, in blocks of at most TERM_BUDGET
+(row, term) pairs so that a call's memory is bounded.
 """
 
 import math
@@ -90,21 +87,6 @@ class ThetaParams:
         """The term list theta_jet sums, from the cache keyed by Omega."""
         return _terms(self.Omega.tobytes())
 
-    def doubled(self):
-        """The params of 2 Omega, whose term list is filtered from this
-        one's (_doubled_terms) rather than built."""
-        Om = 2.0 * self.Omega
-        Om.setflags(write=False)
-        return _Doubled(Omega=Om)
-
-
-class _Doubled(ThetaParams):
-    """Params of twice a checked Riemann matrix, made by
-    ThetaParams.doubled."""
-
-    def terms(self):
-        return _doubled_terms(self.Omega)
-
 
 def lam_min(a, b, d):
     """The least eigenvalue of the real symmetric matrix [[a, b], [b, d]],
@@ -115,14 +97,13 @@ def lam_min(a, b, d):
 class _TermList(NamedTuple):
     """A term list: (-2 pi n1, -2 pi n2, -pi n.Y.n), shape (K, 3); n,
     shape (2, K); the weights, rows as _K1, _K2; 2 pi n for n = 0..H,
-    -H..-1; X, such that a term left out has modulus below exp(-X); and
-    each point's excess n.Y.n - |Y n|_1, which is below X / pi."""
+    -H..-1; and X, such that a term left out has modulus below
+    exp(-X)."""
     lin: np.ndarray
     n: np.ndarray
     weights: np.ndarray
     freq: np.ndarray
     X: float
-    excess: np.ndarray
 
 
 def _reach(a, b, d):
@@ -193,8 +174,7 @@ def _terms(key):
     np.multiply(forms[:, 0], grid[0], out=grid[2:])
     forms[:, 1] *= grid[1]
     grid[2:] += forms[:, 1]     # n.Y.n, n.hi.n, n.lo.n
-    excess = grid[2] - margin[0]
-    keep = np.flatnonzero(excess < X / math.pi)
+    keep = np.flatnonzero(grid[2] - margin[0] < X / math.pi)
     taken = grid.take(keep, 1)
     # exp(i pi n.Re(Omega).n) = i^k exp(i pi r): k exact, |r| about 1/4 at most
     hi = np.fmod(taken[3], 2.0)
@@ -206,36 +186,11 @@ def _terms(key):
     weights *= np.exp(r) * _I.take(k.astype(np.intp), mode="wrap")
     terms = _TermList(
         (taken[:3] * [[-2 * math.pi], [-2 * math.pi], [-math.pi]]).T, n,
-        weights, np.concatenate((_FREQ[:H + 1], _FREQ[len(_FREQ) - H:])), X,
-        excess[keep])
+        weights, np.concatenate((_FREQ[:H + 1], _FREQ[len(_FREQ) - H:])), X)
     for t in terms:
         if isinstance(t, np.ndarray):
             t.setflags(write=False)
     return terms
-
-
-def _doubled_terms(Om2):
-    """The term list of theta( . ; 2 Omega), Om2 = 2 Omega, filtered from
-    Omega's cached list, as _terms would build it: 2 Y doubles each
-    point's excess, exactly, and the list of 2 Omega keeps the points
-    whose doubled excess is below X' / pi, all of them in Omega's list
-    when X' <= 2 X, which is checked.  Their exponents are Omega's with
-    the last column doubled, and their weights Omega's times row 0, the
-    phase exp(i pi n.Re(Omega).n), which 2 Omega squares."""
-    base = _terms((0.5 * Om2).tobytes())
-    (a, b), (_, d) = Om2.imag.tolist()
-    X, _ = _reach(a, b, d)
-    if X > 2.0 * base.X:
-        raise TruncationRadiusError(
-            f"the list of 2 Omega reaches exp(-{X:.4g}), past the list of "
-            f"Omega it is filtered from (exp(-{2.0 * base.X:.4g}))")
-    # 2 excess < X / pi, halved exactly
-    keep = np.flatnonzero(base.excess < 0.5 * X / math.pi)
-    lin = base.lin[keep]
-    lin[:, 2] *= 2.0
-    return _TermList(lin, base.n[:, keep],
-                     base.weights[:, keep] * base.weights[0, keep],
-                     base.freq, X, 2.0 * base.excess[keep])
 
 
 def lattice_reduce(Omega, u):

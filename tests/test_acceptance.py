@@ -237,14 +237,9 @@ def test_09_robustness_rebuilds(w5_ctx, g6_ctx):
         m, n_ = rng.integers(-1, 2, 2), rng.integers(-1, 2, 2)
         if not (m.any() or n_.any()):
             m = np.array([1, 0])
-        shift = n_ + ctx.pd.Omega @ m
-        char = ctx.pd.delta_char
-        if char is not None:
-            char = (tuple(np.asarray(char[0]) + 2 * n_),
-                    tuple(np.asarray(char[1]) + 2 * m))
         # the shift moves theta at the Abel samples by its quasi-periodicity
         # factor, so the copy drops them, as the suite's copy does
-        pd3 = replace(ctx.pd, Delta=ctx.pd.Delta + shift, delta_char=char,
+        pd3 = replace(ctx.pd, Delta=ctx.pd.Delta + (n_ + ctx.pd.Omega @ m),
                       abel_samples=None)
         ctx3 = k2.make_context(ctx.f, pd=pd3)
         worst = 0.0

@@ -459,8 +459,9 @@ def test_a_build_makes_one_quadrature(monkeypatch):
 
 def test_a_build_checks_omega_once(monkeypatch):
     """A context build makes one ThetaParams of Omega, with the period
-    data: the Delta certificate and the context share it.  A copy of the
-    data with an Omega that is not A^-1 B is refused when it is made."""
+    data: the Delta certificate and the context share it.  Omega is
+    derived, never passed: a copy cannot be given one, and a file whose
+    Omega is not A^-1 B is refused when it is loaded."""
     calls = []
     build = ThetaParams.build.__func__
 
@@ -476,8 +477,19 @@ def test_a_build_checks_omega_once(monkeypatch):
         assert np.array_equal(ctx.tp.Omega, 0.5 * (ctx.pd.Omega
                                                    + ctx.pd.Omega.T))
         calls.clear()
-    with pytest.raises(k2.RiemannMatrixError):
+    with pytest.raises(ValueError, match="init=False"):
         replace(ctx.pd, Omega=2.0 * ctx.pd.Omega)
+    with pytest.raises(k2.RiemannMatrixError):
+        ser.period_data_from_json(
+            _json_with(ctx.pd, Omega=2.0 * ctx.pd.Omega))
+
+
+def _json_with(pd, **moved):
+    """pd's JSON form with the arrays `moved` written in place of its own."""
+    obj = ser.period_data_to_json(pd)
+    obj.update({name: (ser.cmat if np.ndim(value) == 2 else ser.cvec)(value)
+                for name, value in moved.items()})
+    return obj
 
 
 def _samples(f, roots, scale):
@@ -496,12 +508,11 @@ def _dive_index(pd):
 
 
 def _recompute_delta(f, pd):
-    """Delta for existing period data, certificate included."""
+    """Delta for existing period data, certificate included: the closed
+    form the data derives when it is not given Delta, certified on
+    freshly integrated samples."""
     samples, _ = _samples(f, list(pd.roots), pd.scale)
-    Delta = periods._riemann_constant(pd.A, pd.Omega, pd.z_star,
-                                      _dive_index(pd))[0]
-    periods._certify_delta(pd.tp, pd.A, samples, Delta)
-    return Delta
+    return replace(pd, Delta=None, abel_samples=samples).Delta
 
 
 def test_riemann_constant_recompute(any_ctx):
@@ -560,16 +571,14 @@ def test_hard_sextic_delta_in_closed_form():
 def test_inconsistent_z_star_has_no_certified_delta(g6_ctx):
     """A z_star off by a non-period: a copy of the data with it is
     refused when it is made, since 2 Delta - A^-1 z_star is then no
-    lattice point, and the Delta it gives lies off the theta divisor, so
-    the certificate on the Abel samples fails."""
+    lattice point, and the Delta it derives lies off the theta divisor,
+    so the certificate on the Abel samples fails."""
     pd = g6_ctx.pd
     z_star = pd.z_star + 0.1 * (pd.A[:, 0] + pd.B[:, 1])
     with pytest.raises(k2.RiemannMatrixError, match="Delta"):
         replace(pd, z_star=z_star)
-    Delta = periods._riemann_constant(pd.A, pd.Omega, z_star,
-                                      _dive_index(pd))[0]
     with pytest.raises(k2.NormalizationError, match="does not vanish"):
-        periods._certify_delta(pd.tp, pd.A, pd.abel_samples, Delta)
+        replace(pd, z_star=z_star, Delta=None)
 
 
 def _moved(pd, name):
@@ -584,20 +593,121 @@ def _moved(pd, name):
 @pytest.mark.parametrize("name", ["B", "Omega", "z_star", "Delta"])
 def test_period_data_is_certified_when_made(w5_ctx, g6_ctx, name):
     """PeriodData(...) and a dataclasses.replace copy both run the
-    certificate: a moved B or Omega fails the Riemann-matrix and Legendre
+    certificate: a moved B fails the Riemann-matrix and Legendre
     residuals, a moved z_star or Delta the lattice form of Delta, and
-    each raises RiemannMatrixError."""
+    each raises RiemannMatrixError.  Omega is derived, so a moved one
+    can only come from a file, whose load raises it."""
     for ctx in (w5_ctx, g6_ctx):
         pd = ctx.pd
         if getattr(pd, name) is None:
             continue
-        given = {spec.name: getattr(pd, spec.name)
-                 for spec in fields(pd) if spec.init}
         bad = _moved(pd, name)
+        if name == "Omega":
+            with pytest.raises(k2.RiemannMatrixError):
+                ser.period_data_from_json(_json_with(pd, Omega=bad))
+            continue
         with pytest.raises(k2.RiemannMatrixError):
-            k2.PeriodData(**{**given, name: bad})
+            k2.PeriodData(**{**_given(pd), name: bad})
         with pytest.raises(k2.RiemannMatrixError):
             replace(pd, **{name: bad})
+
+
+def _given(pd):
+    """The fields pd was made from, by name."""
+    return {spec.name: getattr(pd, spec.name)
+            for spec in fields(pd) if spec.init}
+
+
+def test_period_data_derives_omega_delta_and_its_characteristic(any_ctx):
+    """Omega, delta_char and tp are derived, not passed: the data made
+    from the integrals alone holds the build's Omega, Delta and
+    delta_char, and a copy given Delta back reads the same."""
+    pd = any_ctx.pd
+    given = _given(pd)
+    assert {"Omega", "delta_char", "tp"}.isdisjoint(given)
+    for made in (k2.PeriodData(**{**given, "Delta": None}),
+                 k2.PeriodData(**given)):
+        assert np.array_equal(made.Omega, pd.Omega)
+        assert np.array_equal(made.Delta, pd.Delta)
+        assert made.delta_char == pd.delta_char
+        assert not made.Omega.flags.writeable
+
+
+def test_singular_a_periods_raise_riemann_matrix_error(any_ctx):
+    """Data with a rank-1 A is refused as failing the certificate, not
+    left to raise LinAlgError from a solve."""
+    pd = any_ctx.pd
+    with pytest.raises(k2.RiemannMatrixError):
+        k2.PeriodData(**{**_given(pd), "A": pd.A * [1.0, 0.0]})
+    with pytest.raises(k2.RiemannMatrixError):
+        k2.PeriodData(**{**_given(pd), "A": pd.A * [1.0, 0.0],
+                         "Delta": None})
+
+
+def test_delta_of_degree_5_must_be_an_odd_half_period(w5_ctx):
+    """On degree 5 a Delta passed in must be an odd half-period: moved by
+    (1/2, 0) it is an even one, and refused.  A shift by a period keeps
+    the parity: the suite's shifted copy is certified, and its
+    characteristic is the old one plus twice the shift."""
+    pd = w5_ctx.pd
+    with pytest.raises(k2.RiemannMatrixError, match="odd"):
+        replace(pd, Delta=pd.Delta + [0.5, 0.0])
+    n, m = np.array([1, -2]), np.array([-1, 1])
+    shifted = replace(pd, Delta=pd.Delta + (n + pd.Omega @ m),
+                      abel_samples=None)
+    n0, m0 = pd.delta_char
+    assert shifted.delta_char == (tuple(n0 + 2 * n), tuple(m0 + 2 * m))
+
+
+def test_a_file_whose_delta_char_is_not_its_deltas_is_refused(w5_ctx):
+    """A degree-5 file whose Delta was shifted by a period but whose
+    delta_char was not: both are odd, but delta_char is not Delta's, and
+    the load raises RiemannMatrixError.  With delta_char shifted too the
+    file loads."""
+    pd = w5_ctx.pd
+    n, m = np.array([1, 0]), np.array([0, 1])
+    obj = _json_with(pd, Delta=pd.Delta + (n + pd.Omega @ m))
+    with pytest.raises(k2.RiemannMatrixError, match="delta_char"):
+        ser.period_data_from_json(obj)
+    n0, m0 = pd.delta_char
+    obj["delta_char"] = [[int(t) for t in n0 + 2 * n],
+                         [int(t) for t in m0 + 2 * m]]
+    assert ser.period_data_from_json(obj).delta_char == tuple(
+        map(tuple, obj["delta_char"]))
+
+
+def _counted(monkeypatch, module, name, keep=lambda *args: True):
+    """Replace module.name by a wrapper that records the arguments of each
+    call for which keep(*args) holds; returns the record."""
+    calls = []
+    call = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        if keep(*args):
+            calls.append(args)
+        return call(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("coeffs", [W5_COEFFS, G6_COEFFS], ids=["w5", "g6"])
+def test_a_build_solves_with_a_once_per_need(monkeypatch, coeffs):
+    """A build solves with A for Omega, for A^-1 z_star on degree 6 and
+    for the Abel samples' images: 2 solves on degree 5, 3 on degree 6,
+    and no lattice reduction in periods (theta_jet's own does not
+    count), since the closed-form Delta has its lattice form by
+    construction.  A copy given Delta reduces it once."""
+    f = k2.validate_polynomial(coeffs)
+    A = k2.compute_period_data(f).A
+    solves = _counted(monkeypatch, np.linalg, "solve",
+                      lambda a, b: np.array_equal(a, A))
+    reductions = _counted(monkeypatch, periods, "lattice_reduce")
+    pd = k2.compute_period_data(f)
+    assert (len(solves), len(reductions)) == (f.degree - 3, 0)
+    solves.clear()
+    replace(pd, Delta=pd.Delta + (pd.Omega @ [1, 0]), abel_samples=None)
+    assert (len(solves), len(reductions)) == (f.degree - 4, 1)
 
 
 def test_abel_samples_off_the_theta_divisor_are_refused(w5_ctx, g6_ctx):

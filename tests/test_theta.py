@@ -275,8 +275,7 @@ def curve_tp(request, w5_ctx, g6_ctx, clustered_tp):
 
 
 def _term_points(tp):
-    """The lattice points n of tp's term list, shape (K, 2): the list of
-    the cache, or for tp.doubled() params the one filtered from it."""
+    """The lattice points n of tp's term list, shape (K, 2)."""
     return tp.terms().n.T
 
 
@@ -345,10 +344,10 @@ def test_box_sum_matches_the_per_term_sum(curve_tp, order):
 
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
 def test_doubled_list_jets_match_the_per_term_sum(curve_tp, order):
-    """The list of 2 Omega filtered from Omega's, against the per-term sum
-    over the same points, at the row counts of the test above: the jets
-    V within 1e-14 of each row's scale."""
-    tp = curve_tp.doubled()
+    """The list of 2 Omega, which the weight-2 basis sums, against the
+    per-term sum over the same points, at the row counts of the test
+    above: the jets V within 1e-14 of each row's scale."""
+    tp = ThetaParams.build(2.0 * curve_tp.Omega)
     u = _cell_points(tp, 1000, seed=33)
     block = theta.TERM_BUDGET // len(_term_points(tp))
     assert 2 < block < 1000
@@ -358,75 +357,6 @@ def test_doubled_list_jets_match_the_per_term_sum(curve_tp, order):
         scale = np.maximum(np.max(np.abs(want), axis=(1, 2)), 1.0)
         err = np.max(np.abs(got - want), axis=(1, 2))
         assert np.all(err <= 1e-14 * scale), n
-
-
-def _ring_coeffs(rng, n, lead):
-    """lead prod (x - r) over n unit-ring roots, ascending coefficients,
-    drawn as bench/workloads.py draws them (roots first, then lead)."""
-    radii = 0.75 + 0.5 * rng.random(n)
-    jitter = 0.3 * (2 * rng.random(n) - 1)
-    angles = 2 * np.pi * (np.arange(n) + jitter) / n + 2 * np.pi * rng.random()
-    roots = radii * np.exp(1j * angles)
-    return tuple(lead(rng) * np.poly(roots)[::-1])
-
-
-def _unit_lead(rng):
-    return (0.5 + rng.random()) * np.exp(2j * np.pi * rng.random())
-
-
-def _context_build_panel(seed):
-    """The 59 curves of the benchmark's context_build op list at `seed`:
-    the two reference curves, 8 Weierstrass and 8 general quintics, 40
-    sextics drawn from a seeded pool of 200, and one fixed sextic."""
-    rng = np.random.default_rng([seed, 0])
-    curves = [(0, -4, 0, 0, 0, 4), (-1, 0, 0, 0, 0, 0, 1)]
-    curves += [_ring_coeffs(rng, 5, lambda r: 4.0) for _ in range(8)]
-    curves += [_ring_coeffs(rng, 5, _unit_lead) for _ in range(8)]
-    pool_rng = np.random.default_rng(2026)
-    pool = [_ring_coeffs(pool_rng, 6, _unit_lead) for _ in range(200)]
-    curves += [pool[i] for i in rng.choice(200, 40, replace=False)]
-    roots = (-1.059 - 0.498j, -0.947 + 0.419j, -0.272 - 0.789j,
-             0.352 + 1.108j, 0.999 - 0.52j, 1.145 + 0.206j)
-    return curves + [tuple((-0.593 + 0.184j) * np.poly(roots)[::-1])]
-
-
-def test_doubled_list_is_the_direct_list():
-    """On the context_build panels of seeds 1-3 (177 builds) and the
-    clustered pairs, the list of 2 Omega filtered from Omega's holds the
-    points and exponents of a direct build of 2 Omega's list, bit for
-    bit and in the same order, and its weights to 1e-15 relative.  Its
-    X' is under half of 2 X, far inside the X' <= 2 X the filter needs;
-    it read 0.4897-0.4915 when this test was written."""
-    curves = [c for seed in (1, 2, 3) for c in _context_build_panel(seed)]
-    assert len(curves) == 177
-    curves += [np.poly([0, eps, 2j, -1 + 1j, 3, -2 - 1j])[::-1]
-               for eps in (1e-3, 1e-5)]
-    ratios = []
-    for coeffs in curves:
-        f = k2.validate_polynomial(coeffs)
-        tp = ThetaParams.build(k2.compute_period_data(f).Omega)
-        got = tp.doubled().terms()
-        want = ThetaParams.build(2.0 * tp.Omega).terms()
-        assert np.array_equal(got.n, want.n)
-        assert np.array_equal(got.lin, want.lin)
-        assert np.all(np.abs(got.weights - want.weights)
-                      <= 1e-15 * np.abs(want.weights))
-        assert got.X == want.X
-        ratios.append(got.X / (2.0 * tp.terms().X))
-    assert max(ratios) < 0.5
-
-
-def test_a_doubled_list_past_its_source_raises(monkeypatch):
-    """Where 2 Omega would need a list reaching past Omega's, the filter
-    raises rather than build one."""
-    tp = ThetaParams.build(np.array([[1.1j, 0.3 + 0.2j], [0.3 + 0.2j, 1.3j]]))
-    tp.terms()
-    reach = theta._reach
-    monkeypatch.setattr(theta, "_reach",
-                        lambda a, b, d: (3.0 * tp.terms().X, 0.0)
-                        if a == 2.0 * tp.Omega[0, 0].imag else reach(a, b, d))
-    with pytest.raises(k2.TruncationRadiusError, match="filtered from"):
-        theta_jet(tp.doubled(), np.zeros(2), 0)
 
 
 _entry = st.floats(-10.0, 10.0)
@@ -533,8 +463,8 @@ def test_a_large_call_sums_in_bounded_memory(clustered_tp):
 
 def test_phase_tables_are_bounded_and_not_kept_on_theta_params():
     """The term lists live in one bounded module-level cache, keyed by
-    Omega's bytes, and 2 Omega's is filtered from it on each call; a
-    ThetaParams holds Omega only, so contexts do not grow with them."""
+    Omega's bytes, 2 Omega's among them; a ThetaParams holds Omega only,
+    so contexts do not grow with them."""
     assert [f.name for f in fields(ThetaParams)] == ["Omega"]
     z = np.array([0.17 - 0.05j, -0.29 + 0.08j])
     for k in range(theta.PHASE_TABLES + 5):
