@@ -40,15 +40,18 @@ class AdmissiblePolynomial:
     """Validated curve polynomial.  Build with validate_polynomial().
 
     roots holds the Newton-polished roots in branch_points' order, solved
-    for once when the polynomial is made; branch_points returns them."""
+    for once when the polynomial is made; branch_points returns them,
+    and scale = max(1, max |root|) is set with them."""
     coeffs: tuple
     degree: int
     weierstrass_form: bool
     roots: tuple = field(init=False, compare=False, repr=False)
+    scale: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "roots", tuple(
-            _polished_roots(self.coeffs, self.degree)))
+        roots = tuple(_polished_roots(self.coeffs, self.degree))
+        object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "scale", max(1.0, max(map(abs, roots))))
 
     def __call__(self, x):
         return poly_eval(self.coeffs, x)
@@ -109,7 +112,7 @@ def validate_polynomial(coeffs):
 
     Raises ValueError for a NaN or infinite coefficient, DegreeError when
     f5 = f6 = 0 and RepeatedRootError when the minimal pairwise root
-    distance falls below SEP_FACTOR * max(1, root scale).
+    distance falls below SEP_FACTOR * f.scale.
     """
     c = [complex(v) for v in coeffs]
     if not np.isfinite(c).all():
@@ -126,8 +129,7 @@ def validate_polynomial(coeffs):
     wform = degree == 5 and c[5] == 4
     f = AdmissiblePolynomial(tuple(c), degree, wform)
     roots = f.roots
-    scale = max(1.0, max(abs(r) for r in roots))
-    min_sep = SEP_FACTOR * scale
+    min_sep = SEP_FACTOR * f.scale
     for i in range(len(roots)):
         for j in range(i + 1, len(roots)):
             if abs(roots[i] - roots[j]) <= min_sep:

@@ -583,7 +583,7 @@ def tail_integrals(f, x_far, y_far):
     return T, plus | (f.degree == 5)
 
 
-def point_infinity_integrals(f, roots, P, scale, z_star):
+def point_infinity_integrals(f, roots, P, z_star):
     """Holomorphic integrals from the infinite point labelled 2 (the one
     point at infinity on degree 5) to each affine point of the sequence P,
     one row per point, along a tail from infinity to a far point and a
@@ -595,8 +595,8 @@ def point_infinity_integrals(f, roots, P, scale, z_star):
     radii = detour_radii(roots)
     runs, x_far = [], []
     for Q in P:
-        R = max(FAR_FACTOR * scale, 2.5 * abs(Q.x))
-        phi = float(np.angle(Q.x)) if abs(Q.x) > 1e-12 * scale else FAR_ARG
+        R = max(FAR_FACTOR * f.scale, 2.5 * abs(Q.x))
+        phi = float(np.angle(Q.x)) if abs(Q.x) > 1e-12 * f.scale else FAR_ARG
         x_far.append(R * np.exp(1j * phi))
         runs.append(line_with_detours(roots, radii, Q.x, x_far[-1]))
     pieces, y0, y_far = _continue_runs(f, roots, runs, [Q.y for Q in P])

@@ -42,7 +42,7 @@ from .integration import (all_numerators, holomorphic_numerators,
                           integrate_forms, path_between,
                           point_infinity_integrals)
 from .periods import compute_period_data
-from .theta import ThetaParams, theta_jet
+from .theta import theta_jet
 
 ZERO_FACTOR = 1e-6     # on-divisor guard, relative to the theta scale
 # the logs of the least normal double and of the largest
@@ -64,7 +64,6 @@ class KleinianContext:
     exp(z^T C z) sjk_coeffs @ (pq, E11, E12, E22)."""
     f: object
     pd: object
-    tp: ThetaParams
     c_S: complex
     c_sigma: Optional[complex]
     Ainv: np.ndarray
@@ -87,7 +86,7 @@ _EVEN_JETS = ("00", "20", "11", "02")
 _HESS_ENTRIES = ((0, 0), (0, 1), (1, 1))
 
 
-def _weight2_basis(pd, tp, Ainv, C):
+def _weight2_basis(pd, Ainv, C):
     """Jets of the basis Theta[eps](w) = exp(i pi eps.Omega.eps / 2 +
     i pi eps.w) theta(w + Omega eps; 2 Omega), eps in {0, 1}^2.
 
@@ -95,16 +94,14 @@ def _weight2_basis(pd, tp, Ainv, C):
     Theta[eps](2 A^-1 z).  The rows of M are the Theta-coefficients of pq,
     E11, E12, E22 in u: by theta(u + v) theta(u - v) = sum_eps
     Theta[eps](2u) Theta[eps](2v) (Mumford, Tata Lectures on Theta I,
-    ch. II 6) at v = Delta, and its second v-derivatives there.  The
-    theta call sums over the params of 2 Omega, tp those of Omega: twice
-    a checked Riemann matrix needs no check, and its term list is cached
-    as any other."""
+    ch. II 6) at v = Delta, and its second v-derivatives there, in one
+    theta call on 2 Omega."""
     Om = pd.Omega
     # rows 0-3 at w = 0 and rows 4-7 at w = 2 Delta, eps in the same order
     eps = np.tile([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], (2, 1))
     w = np.zeros((8, 2), dtype=complex)
     w[4:] = 2.0 * pd.Delta
-    s, jet = theta_jet(ThetaParams(Omega=2.0 * tp.Omega), w + eps @ Om, 2)
+    s, jet = theta_jet(2.0 * Om, w + eps @ Om, 2)
     mu = 1j * np.pi * eps
     fac = np.exp(0.5j * np.pi * np.einsum("ri,ij,rj->r", eps, Om, eps)
                  + np.einsum("ri,ri->r", mu, w) + s)
@@ -152,13 +149,12 @@ def make_context(f, pd=None):
         pd = compute_period_data(f)
     elif pd.f.coeffs != f.coeffs:
         raise ValueError("period data was computed for a different curve")
-    tp = pd.tp
     Ainv = np.linalg.inv(pd.A)
     C = pd.etaA @ Ainv
     C = 0.5 * (C + C.T)
 
     rows = np.stack([np.zeros(2), -pd.Delta, pd.Delta])
-    s, (j0, jm, jp) = theta_jet(tp, rows, 1)
+    s, (j0, jm, jp) = theta_jet(pd.Omega, rows, 1)
     theta_ref = abs(j0[0, 0])       # the row z = 0 is not shifted: s = 0
     # Gate the vanishing against the local gradient as well as the global
     # reference: a lattice translate of Delta scales theta and its gradient
@@ -190,7 +186,7 @@ def make_context(f, pd=None):
 
     T = np.array([[want[key] for key in _EVEN_JETS]
                   for want in JET_TARGETS.values()], dtype=complex)
-    B, M = _weight2_basis(pd, tp, Ainv, C)
+    B, M = _weight2_basis(pd, Ainv, C)
     try:
         R = np.linalg.solve(M.T, np.linalg.solve(B.T, T.T)).T
     except np.linalg.LinAlgError:
@@ -205,7 +201,7 @@ def make_context(f, pd=None):
     jet_scale = 0.5 * sigma_min(pd.A)
     for arr in (Ainv, C, sjk_coeffs):
         arr.setflags(write=False)
-    return KleinianContext(f=f, pd=pd, tp=tp, c_S=c_S, c_sigma=c_sigma,
+    return KleinianContext(f=f, pd=pd, c_S=c_S, c_sigma=c_sigma,
                            Ainv=Ainv, C=C, theta_ref=theta_ref,
                            jet_scale=jet_scale, sjk_coeffs=sjk_coeffs)
 
@@ -289,7 +285,7 @@ def _theta_pair(ctx, z, order=0):
     and jets at u -+ Delta, from one kernel call on all those rows."""
     u = _u(ctx, z)
     rows = np.stack([u - ctx.pd.Delta, u + ctx.pd.Delta])
-    s, V = theta_jet(ctx.tp, rows.reshape(-1, 2), order)
+    s, V = theta_jet(ctx.pd.Omega, rows.reshape(-1, 2), order)
     jm, jp = V.reshape(rows.shape[:-1] + (order + 1, order + 1))
     return u, s.reshape(rows.shape[:-1]), jm, jp
 
@@ -607,12 +603,7 @@ def _sigma_twist(ctx, quad, u, s):
 def sigma_eval(ctx, z):
     """The odd entire sigma function with unit jet dsigma/dz1(0) = 1.  A
     complex number, or shape (N,) for a batch z."""
-    _require_weierstrass(ctx)
-    z = _as_zs(z)
-    u = _u(ctx, z)
-    s, jm = theta_jet(ctx.tp, u - ctx.pd.Delta, 0)
-    return _scaled(ctx.c_sigma * _at(jm, 0, 0),
-                   _sigma_twist(ctx, _quad(ctx, z), u, s), "sigma")
+    return sigma_jets(ctx, z, 0)[(0, 0)]
 
 
 def sigma_jets(ctx, z, order=2):
@@ -622,7 +613,7 @@ def sigma_jets(ctx, z, order=2):
     _require_weierstrass(ctx)
     z = _as_zs(z)
     u = _u(ctx, z)
-    s, jm = theta_jet(ctx.tp, u - ctx.pd.Delta, order)
+    s, jm = theta_jet(ctx.pd.Omega, u - ctx.pd.Delta, order)
     d1, d2, d3 = _pullback_jets(ctx, jm, order)
     n0, m0 = ctx.pd.delta_char
     g1 = (ctx.C @ z.T).T - 1j * np.pi * (ctx.Ainv.T @ np.asarray(m0))
@@ -702,8 +693,7 @@ def abel_forward(ctx, D):
         affine = [i for i, P in enumerate(ends) if P.is_affine]
         if affine:
             A[affine] = point_infinity_integrals(
-                f, list(pd.roots), [ends[i] for i in affine], pd.scale,
-                pd.z_star)
+                f, list(pd.roots), [ends[i] for i in affine], pd.z_star)
         for i, P in enumerate(ends):
             if P.infinity == 1 and pd.z_star is not None:
                 A[i] = pd.z_star
@@ -755,7 +745,7 @@ def rho_lambda_eval(ctx, D):
     shape (N,) and z (N, 2); the first divisor that is not admissible
     raises its error."""
     Ds, one = _divisors(D)
-    f, scale = ctx.f, ctx.pd.scale
+    f, scale = ctx.f, ctx.f.scale
     for d in Ds:
         if not (d.p.is_affine and d.q.is_affine):
             raise InfinitePointError(

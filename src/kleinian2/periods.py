@@ -29,11 +29,13 @@ PeriodData derives what its integrals determine and certifies itself
 when it is made, whether by a build, a JSON load or a
 dataclasses.replace copy.  Omega = A^{-1} B comes from the solve of the
 Riemann-matrix, Legendre and conditioning residuals (_residuals,
-_certified).  A build leaves Delta out, and the data writes the closed
-form; a load or a copy passes Delta in, and its lattice form is checked
-(2 Delta - A^{-1} z_star a lattice point, on degree 5 an odd one, whose
-characteristic is delta_char).  Given Abel samples, theta must vanish
-on them (_certify_delta).  Data that fails is never returned.
+_certified), and is stored exactly symmetric, (Omega + Omega^T) / 2: the
+one Riemann matrix that Delta, the lattice maps and theta read.  A build
+leaves Delta out, and the data writes the closed form; a load or a copy
+passes Delta in, and its lattice form is checked (2 Delta - A^{-1}
+z_star a lattice point, on degree 5 an odd one, whose characteristic is
+delta_char).  Given Abel samples, theta must vanish on them
+(_certify_delta).  Data that fails is never returned.
 
 Lattice points are named by one integer convention throughout: k = (n1,
 n2, m1, m2) stands for u = n + Omega m in the normalized coordinates
@@ -51,9 +53,8 @@ from .curve import branch_points
 from .errors import (DegenerateGeometryError, NormalizationError,
                      RiemannMatrixError)
 from .integration import far_point, nearest_branch_point, period_integrals
-from .theta import ThetaParams, lam_min, lattice_reduce, theta_jet
+from .theta import TOL_SYM, lam_min, lattice_reduce, theta_jet
 
-TOL_SYM = 1e-8
 TOL_LEG = 1e-8
 COND_CAP = 1e12         # of the real generator matrix [Re; Im] [A B]
 SCALE_BAND = (0.1, 10.0)
@@ -128,24 +129,22 @@ class PeriodData:
     of the LOOP_PAIRS loops.  Array fields are stored as read-only
     copies, however the data was made.
 
-    Omega = A^{-1} B, delta_char and tp are derived, never passed.  Delta
-    is the base-point constant making theta vanish on the Abel image of
-    the curve: the odd half-period K_e of a branch point e plus the Abel
-    integral from e to infinity.  On degree 5 e is infinity (e = 5) and
-    the integral zero; on degree 6 e is the branch point nearest the far
-    point, into which z_star's path runs, and by div(x - e) = 2e - inf_1
-    - inf_2 the integral is (1/2) A^{-1} z_star.  Left out (None), as a
-    build leaves it, Delta is that closed form; passed in, as by a JSON
-    load or a copy shifted by a period, it must have that lattice form,
-    on degree 5 an odd half-period.  On degree 5 delta_char is the
-    characteristic (n0, m0) of Delta = (n0 + Omega m0) / 2; on degree 6
-    Delta is no half-period, and delta_char is None.  abel_samples holds
-    the Abel images of the far-ray points that certify Delta (None for
-    data read from JSON, and for a copy whose Delta is shifted by a
-    period, which multiplies theta at the samples by its
-    quasi-periodicity factor).  tp holds the checked ThetaParams of
-    Omega; the Delta certificate and the context built on the data take
-    it.
+    Omega = A^{-1} B, stored exactly symmetric, and delta_char are
+    derived, never passed.  Delta is the base-point constant making theta
+    vanish on the Abel image of the curve: the odd half-period K_e of a
+    branch point e plus the Abel integral from e to infinity.  On degree
+    5 e is infinity (e = 5) and the integral zero; on degree 6 e is the
+    branch point nearest the far point, into which z_star's path runs,
+    and by div(x - e) = 2e - inf_1 - inf_2 the integral is (1/2) A^{-1}
+    z_star.  Left out (None), as a build leaves it, Delta is that closed
+    form; passed in, as by a JSON load or a copy shifted by a period, it
+    must have that lattice form, on degree 5 an odd half-period.  On
+    degree 5 delta_char is the characteristic (n0, m0) of Delta = (n0 +
+    Omega m0) / 2; on degree 6 Delta is no half-period, and delta_char
+    is None.  abel_samples holds the Abel images of the far-ray points
+    that certify Delta (None for data read from JSON, and for a copy
+    whose Delta is shifted by a period, which multiplies theta at the
+    samples by its quasi-periodicity factor).
 
     Making the data certifies it (the module docstring lists the
     checks): RiemannMatrixError if the periods or Delta's lattice form
@@ -160,13 +159,11 @@ class PeriodData:
     transform: np.ndarray
     f: object
     roots: tuple
-    scale: float
     z_star: np.ndarray
     Delta: np.ndarray = None
     abel_samples: np.ndarray = None
     Omega: np.ndarray = field(init=False)
     delta_char: tuple = field(init=False)
-    tp: ThetaParams = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for spec in fields(self):
@@ -182,15 +179,15 @@ class PeriodData:
             raise RiemannMatrixError(
                 "period data fails the Riemann-matrix, Legendre or "
                 "conditioning certificates")
+        Omega = 0.5 * (Omega + Omega.T)
         Omega.setflags(write=False)
         object.__setattr__(self, "Omega", Omega)
-        object.__setattr__(self, "tp", ThetaParams.build(Omega))
         shift = (0.0 if self.z_star is None
                  else np.linalg.solve(self.A, self.z_star))
         quintic = self.f.degree == 5
         if self.Delta is None:
             e = (5 if quintic else
-                 nearest_branch_point(self.roots, far_point(self.scale)))
+                 nearest_branch_point(self.roots, far_point(self.f.scale)))
             k = _BASE_CHARS[e]
             Delta = _half_period(Omega, k) + 0.5 * shift
             Delta.setflags(write=False)
@@ -206,7 +203,7 @@ class PeriodData:
                     "z_star, or on degree 5 not an odd one")
         object.__setattr__(self, "delta_char", char if quintic else None)
         if self.abel_samples is not None:
-            _certify_delta(self.tp, self.A, self.abel_samples, self.Delta)
+            _certify_delta(Omega, self.A, self.abel_samples, self.Delta)
 
     @property
     def residuals(self):
@@ -282,15 +279,14 @@ def compute_period_data(f, ordering=None, like=None):
         roots = [roots[k] for k in ordering]
     if like is not None and like.f.coeffs != f.coeffs:
         raise ValueError("period data was computed for a different curve")
-    scale = max(1.0, max(abs(r) for r in roots))
     if not SCALE_BAND[0] <= max(abs(r) for r in roots) <= SCALE_BAND[1]:
         warnings.warn("branch points far outside unit scale; double "
                       "precision certificates may degrade", stacklevel=2)
-    _check_geometry(roots, scale)
+    _check_geometry(roots, f.scale)
     reuse = like is not None and like.abel_samples is not None
     W, samples, z_star = period_integrals(
-        f, roots, LOOP_PAIRS, None if reuse else scale,
-        None if reuse else SAMPLE_RADII * scale)
+        f, roots, LOOP_PAIRS, None if reuse else f.scale,
+        None if reuse else SAMPLE_RADII * f.scale)
     if reuse:
         samples, z_star = like.abel_samples, like.z_star
     # a loop doubles its segment integral (out on one sheet, back on the
@@ -301,7 +297,7 @@ def compute_period_data(f, ordering=None, like=None):
     A = P[:2, :2].T
     B = P[2:, :2].T
     return PeriodData(A=A, B=B, etaA=-P[:2, 2:].T, etaB=-P[2:, 2:].T,
-                      transform=T, f=f, roots=tuple(roots), scale=scale,
+                      transform=T, f=f, roots=tuple(roots),
                       z_star=z_star, abel_samples=samples)
 
 
@@ -353,13 +349,13 @@ _BASE_CHARS = ((1, 1, 0, 1), (0, 1, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1),
                (1, 0, 1, 0), (1, 1, 1, 0))
 
 
-def _certify_delta(tp, A, samples, Delta):
-    """NormalizationError unless |theta(u - Delta)| < 1e-8 theta_ref at
-    the normalized Abel images u = A^{-1} z of the samples z, theta_ref
-    the largest of |theta| at 0 and at the samples, in one theta call on
-    the params tp of Omega."""
+def _certify_delta(Omega, A, samples, Delta):
+    """NormalizationError unless |theta(u - Delta; Omega)| < 1e-8
+    theta_ref at the normalized Abel images u = A^{-1} z of the samples
+    z, theta_ref the largest of |theta| at 0 and at the samples, in one
+    theta call."""
     us = np.linalg.solve(A, samples.T).T
-    s, V = theta_jet(tp, np.concatenate(
+    s, V = theta_jet(Omega, np.concatenate(
         [np.zeros((1, 2)), us, us - Delta]), 0)
     vals = np.exp(s.real) * np.abs(V[:, 0, 0])
     if not np.all(vals[len(us) + 1:] < 1e-8 * np.max(vals[:len(us) + 1])):

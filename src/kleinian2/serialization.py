@@ -12,11 +12,11 @@ import json
 
 import numpy as np
 
-from .curve import CurvePoint, Divisor, branch_points, validate_polynomial
+from .curve import CurvePoint, Divisor, validate_polynomial
 from .errors import RiemannMatrixError
 from .kleinian import EvalBundle
-from .periods import J, LOOP_PAIRS, TOL_LEG, TOL_SYM, PeriodData
-from .theta import EPS_TARGET
+from .periods import J, LOOP_PAIRS, TOL_LEG, PeriodData
+from .theta import EPS_TARGET, TOL_SYM
 
 
 def cnum(z):
@@ -134,7 +134,7 @@ def period_data_to_json(pd):
     out = {
         "curve": [cnum(c) for c in pd.f.coeffs],
         "roots": cvec(pd.roots),
-        "scale": pd.scale,
+        "scale": pd.f.scale,
         "pairs": [list(p) for p in LOOP_PAIRS],
         "transform": [[int(t) for t in row] for row in pd.transform],
         "intersection": [[int(t) for t in row] for row in J],
@@ -159,9 +159,10 @@ def period_data_from_json(obj):
     """PeriodData from its JSON form, certified as every PeriodData is
     when it is made (PeriodData.__post_init__), so data that fails the
     certificate raises RiemannMatrixError, as does a file whose Omega or
-    delta_char is not the one its periods and Delta derive.  Raises
-    ValueError unless the roots are the curve's branch points (in any
-    order) and scale is max(1, max |root|)."""
+    delta_char is not the one its periods and Delta derive (Omega to
+    TOL_SYM, so the raw solve A^{-1} B loads too).  Raises ValueError
+    unless the roots are the curve's branch points (in any order) and
+    scale is the curve's."""
     keys = ("curve", "roots", "scale", "transform", "A", "B", "etaA", "etaB",
             "Omega", "Delta")
     if not isinstance(obj, dict) or any(k not in obj for k in keys):
@@ -174,15 +175,13 @@ def period_data_from_json(obj):
         char = tuple(map(tuple, parse_imat(obj["delta_char"], (2, 2),
                                            "delta_char").tolist()))
     roots = parse_cvec(obj["roots"], f.degree)
-    want = np.array(branch_points(f))
-    scale = max(1.0, float(np.max(np.abs(want))))
-    dist = np.abs(roots[:, None] - want)    # any order, one root each
-    if (not np.max(np.min(dist, axis=1)) <= 1e-8 * scale
+    dist = np.abs(roots[:, None] - np.array(f.roots))    # any order
+    if (not np.max(np.min(dist, axis=1)) <= 1e-8 * f.scale
             or len(set(np.argmin(dist, axis=1).tolist())) < f.degree):
         raise ValueError("roots must be the branch points of the curve")
     if (not isinstance(obj["scale"], (int, float))
             or isinstance(obj["scale"], bool)
-            or not abs(obj["scale"] - scale) <= 1e-8 * scale):
+            or not abs(obj["scale"] - f.scale) <= 1e-8 * f.scale):
         raise ValueError("scale must be the number max(1, max |root|)")
     z_star = parse_cvec(obj["z_star"], 2) if "z_star" in obj else None
     Omega = parse_cmat(obj["Omega"], (2, 2))
@@ -194,7 +193,6 @@ def period_data_from_json(obj):
         transform=transform,
         f=f,
         roots=tuple(roots),
-        scale=float(obj["scale"]),
         z_star=z_star,
         Delta=parse_cvec(obj["Delta"], 2))
     moved = np.max(np.abs(Omega - pd.Omega))

@@ -15,15 +15,16 @@ The list is the union over the cell of their ellipsoids pi (n + c).Y.(n
 carries, X from the tail bound of their Thm 2 with g = 2 and three
 derivatives: every row and order is summed to within EPS_TARGET by the
 same terms.  A bounded cache keyed by Omega's bytes holds the lists, that
-of 2 Omega, which the weight-2 basis sums, like any other; one reaching
-past RADIUS_CAP raises TruncationRadiusError.  A term is one real exp,
-its exponent floored at EXP_FLOOR so nothing is subnormal, times unit
-factors from cos/sin tables per row, in blocks of at most TERM_BUDGET
-(row, term) pairs so that a call's memory is bounded.
+of 2 Omega, which the weight-2 basis sums, like any other.  Making a list
+checks Omega once: RiemannMatrixError unless it is symmetric with Im
+Omega positive definite, TruncationRadiusError if the list reaches past
+RADIUS_CAP.  A term is one real exp, its exponent floored at EXP_FLOOR so
+nothing is subnormal, times unit factors from cos/sin tables per row, in
+blocks of at most TERM_BUDGET (row, term) pairs so that a call's memory
+is bounded.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -58,34 +59,6 @@ _FREQ = 2 * np.pi * np.fft.ifftshift(_RANGE)
 _MONO = np.stack([_K1, _K2])[:, :, None]
 _I = np.array([1, 1j, -1, -1j])    # i^k
 _MONO = _FREQ ** _MONO * _I[_MONO]
-
-
-@dataclass(frozen=True)
-class ThetaParams:
-    """Riemann matrix, checked symmetric with Im Omega positive definite."""
-    Omega: np.ndarray
-
-    @classmethod
-    def build(cls, Omega):
-        Om = np.array(Omega, dtype=complex)
-        if Om.shape != (2, 2):
-            raise ValueError("Omega must be 2x2")
-        asym = np.max(np.abs(Om - Om.T))
-        if asym > TOL_SYM * max(1.0, np.max(np.abs(Om))):
-            raise RiemannMatrixError(
-                f"Omega not symmetric: |Om - Om^T| = {asym:.2e}")
-        Om = 0.5 * (Om + Om.T)
-        (a, b), (_, d) = Om.imag.tolist()
-        lam = lam_min(a, b, d)
-        if lam <= 0:
-            raise RiemannMatrixError(
-                f"Im Omega not positive definite (lam_min={lam:.2e})")
-        Om.setflags(write=False)
-        return cls(Omega=Om)
-
-    def terms(self):
-        """The term list theta_jet sums, from the cache keyed by Omega."""
-        return _terms(self.Omega.tobytes())
 
 
 def lam_min(a, b, d):
@@ -149,9 +122,15 @@ def _terms(key):
     fixed point of `tail` in _reach, whose slope is below 1: iterates from
     above keep the bound.  A term left out has |v|^2 >= X + pi c.Y.c, X =
     R^2 - max pi c.Y.c, so its modulus is below exp(-X) all over the
-    cell."""
-    (A, B), (_, D) = np.frombuffer(key, dtype=complex).reshape(2, 2).tolist()
+    cell.  Omega is checked first, as theta_jet states."""
+    Om = np.frombuffer(key, dtype=complex).reshape(2, 2)
+    (A, B), (C, D) = Om.tolist()
     a, b, d = A.imag, B.imag, D.imag
+    asym, lam = abs(B - C), lam_min(a, b, d)
+    if not (asym <= TOL_SYM * max(1.0, np.max(np.abs(Om))) and lam > 0):
+        raise RiemannMatrixError(
+            "Omega is not symmetric with Im Omega positive definite: "
+            f"|Om - Om^T| = {asym:.2e}, lam_min(Im Om) = {lam:.2e}")
     X, top = _reach(a, b, d)
     h1, h2 = (int(math.sqrt((X + top) * t / (math.pi * (a * d - b * b)))
                   + 0.5) for t in (d, a))
@@ -215,25 +194,30 @@ def _lattice_round(c):
     return np.round(np.round(c * 2.0 ** 48) * 2.0 ** -48)
 
 
-def theta_jet(tp, z, order):
-    """All partial derivatives of theta at z up to total order `order`,
-    over the quasi-periodicity factor exp(s).
+def theta_jet(Omega, z, order):
+    """All partial derivatives of theta( . ; Omega) at z up to total order
+    `order`, over the quasi-periodicity factor exp(s).
 
-    z has shape (2,) or (N, 2).  Returns (s, V): s, a complex number or
-    shape (N,), is -i pi m.Omega.m - 2 pi i m.z0 for each row's lattice
-    translate (0 for a row not shifted), and V[..., k1, k2] = exp(-s)
-    d^(k1+k2) theta / dz1^k1 dz2^k2, shape (order+1, order+1) or (N,
-    order+1, order+1), valid for k1 + k2 <= order and zero elsewhere.
+    Omega must be 2x2, else ValueError, and symmetric to TOL_SYM with Im
+    Omega positive definite, else RiemannMatrixError before any
+    arithmetic on z.  z has shape (2,) or (N, 2).  Returns (s, V): s, a
+    complex number or shape (N,), is -i pi m.Omega.m - 2 pi i m.z0 for
+    each row's lattice translate (0 for a row not shifted), and V[...,
+    k1, k2] = exp(-s) d^(k1+k2) theta / dz1^k1 dz2^k2, shape (order+1,
+    order+1) or (N, order+1, order+1), valid for k1 + k2 <= order and
+    zero elsewhere.
     """
     if (isinstance(order, bool) or not isinstance(order, (int, np.integer))
             or not 0 <= order <= 3):
         raise ValueError("order must be an integer from 0 to 3")
+    Om = np.asarray(Omega, dtype=complex)
+    if Om.shape != (2, 2):
+        raise ValueError("Omega must be 2x2")
+    terms = _terms(Om.tobytes())
     z = np.asarray(z, dtype=complex)
     batch = z.ndim == 2
     Z = z.reshape(-1, 2)
-    Om = tp.Omega
     n, m, z0 = lattice_reduce(Om, Z)
-    terms = tp.terms()
     step = max(1, TERM_BUDGET // len(terms.lin))
     J = (_list_sum(terms, z0, order) if len(Z) <= step else np.concatenate(
         [_list_sum(terms, z0[i:i + step], order)

@@ -121,7 +121,7 @@ def _sample_lattice(rng):
 
 
 def _sample_divisor(ctx, rng):
-    f, scale = ctx.f, ctx.pd.scale
+    f, scale = ctx.f, ctx.f.scale
     roots = ctx.pd.roots
     for _ in range(SAMPLE_TRIES):
         xs = []
@@ -272,7 +272,7 @@ def _check_s_divisor_vanishing(ctx, rng, tol):
     d = 0.25 * ctx.jet_scale
     divisors = []
     for _ in range(5):
-        x = ctx.pd.scale * (1.2 + 0.4 * rng.random()) * np.exp(
+        x = ctx.f.scale * (1.2 + 0.4 * rng.random()) * np.exp(
             2j * np.pi * rng.random())
         y = float(rng.choice([-1.0, 1.0])) * np.sqrt(complex(ctx.f(x)))
         divisors.append(Divisor(CurvePoint.affine(x, y),

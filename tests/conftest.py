@@ -43,7 +43,7 @@ def sample_z(ctx, rng, clearance=1e-2):
 
 def sample_divisor(ctx, rng):
     """Random non-special affine divisor with well-separated x values."""
-    f, scale = ctx.f, ctx.pd.scale
+    f, scale = ctx.f, ctx.f.scale
     while True:
         xs = []
         for _ in range(2):

@@ -13,7 +13,7 @@ import pytest
 import kleinian2 as k2
 from kleinian2.kleinian import log_S_gradient, rho_lambda_eval
 from kleinian2.periods import eta_of_lattice, lattice_vector
-from kleinian2.theta import ThetaParams, theta_jet
+from kleinian2.theta import theta_jet
 
 from conftest import sample_divisor, sample_z
 
@@ -254,11 +254,10 @@ def test_10_theta_engine(g6_ctx):
     # quasi-periodicity at 1e-10
     rng = np.random.default_rng(110)
     Omega = g6_ctx.pd.Omega
-    tp = ThetaParams.build(Omega)
 
-    def jet(tp, z, order):
+    def jet(Omega, z, order):
         """The jet of theta: theta_jet's V times exp(s)."""
-        s, V = theta_jet(tp, z, order)
+        s, V = theta_jet(Omega, z, order)
         return np.exp(s) * V
 
     worst = 0.0
@@ -266,9 +265,9 @@ def test_10_theta_engine(g6_ctx):
         z = rng.uniform(-1, 1, 2) + 1j * rng.uniform(-0.5, 0.5, 2)
         n = rng.integers(-2, 3, 2)
         m = rng.integers(-2, 3, 2)
-        lhs = jet(tp, z + n + Omega @ m, 0)[0, 0]
+        lhs = jet(Omega, z + n + Omega @ m, 0)[0, 0]
         rhs = (np.exp(-1j * np.pi * m @ Omega @ m - 2j * np.pi * m @ z)
-               * jet(tp, z, 0)[0, 0])
+               * jet(Omega, z, 0)[0, 0])
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0))
     assert worst < 1e-10, f"theta quasi-periodicity {worst:.3e}"
 
@@ -288,15 +287,14 @@ def test_10_theta_engine(g6_ctx):
                 continue
             for _ in range(3):
                 z = rng.uniform(-0.5, 0.5, 2) + 1j * rng.uniform(-0.2, 0.2, 2)
-                fn = lambda w: jet(tp, w, k2_)[0, k2_]
+                fn = lambda w: jet(Omega, w, k2_)[0, k2_]
                 coarse, fine = fd(fn, z, k1, h), fd(fn, z, k1, h / 2)
                 est = (4 * fine - coarse) / 3 if k1 else fine
-                got = jet(tp, z, k1 + k2_)[k1, k2_]
+                got = jet(Omega, z, k1 + k2_)[k1, k2_]
                 worst = max(worst, abs(got - est) / max(1.0, abs(got)))
     assert worst < 1e-6, f"theta derivative vs finite differences {worst:.3e}"
 
     # factorized point against the classical 1-D series
-    tp0 = ThetaParams.build(1j * np.eye(2))
     one_d = sum(np.exp(-np.pi * k ** 2) for k in range(-40, 41))
-    resid = abs(jet(tp0, np.zeros(2), 0)[0, 0] - one_d ** 2)
+    resid = abs(jet(1j * np.eye(2), np.zeros(2), 0)[0, 0] - one_d ** 2)
     assert resid < 1e-12, f"theta(0; iI) vs 1-D series {resid:.3e}"

@@ -87,7 +87,7 @@ def test_one_point_is_computed_in_scalars(ctx):
     z = _points(ctx, 1, seed=5)[0]
     u = ctx.Ainv @ z
     (sm, sp), (jm, jp) = k2.theta.theta_jet(
-        ctx.tp, np.stack([u - ctx.pd.Delta, u + ctx.pd.Delta]), 2)
+        ctx.pd.Omega, np.stack([u - ctx.pd.Delta, u + ctx.pd.Delta]), 2)
     t = k2.kleinian._quad(ctx, z) + sm + sp
     p, q = jm[0, 0], jp[0, 0]
     e = np.array([p * q,
@@ -178,7 +178,8 @@ def test_one_point_sigma_jets_are_computed_in_scalars(w5_ctx):
         z = _points(ctx, 1, seed=seed + 950)[0]
         u = ctx.Ainv @ z
         for order in range(4):
-            s, jm = k2.theta.theta_jet(ctx.tp, u - ctx.pd.Delta, order)
+            s, jm = k2.theta.theta_jet(ctx.pd.Omega, u - ctx.pd.Delta,
+                                       order)
             d1, d2, d3 = kl._pullback_jets(ctx, jm, order)
             m0 = np.asarray(ctx.pd.delta_char[1])
             g1 = ctx.C @ z - 1j * np.pi * (ctx.Ainv.T @ m0)

@@ -138,7 +138,7 @@ def test_abel_infinite_points_differ_by_z_star(g6_ctx):
 def _affine_points(ctx, n, seed):
     rng = np.random.default_rng(seed)
     for _ in range(n):
-        x = ctx.pd.scale * rng.uniform(0.3, 1.5) * np.exp(
+        x = ctx.f.scale * rng.uniform(0.3, 1.5) * np.exp(
             2j * np.pi * rng.uniform())
         yield k2.CurvePoint(x, np.sqrt(ctx.f(x)) * rng.choice([-1.0, 1.0]))
 

@@ -14,7 +14,7 @@ from kleinian2 import integration, periods
 from kleinian2 import serialization as ser
 from kleinian2.curve import branch_points
 from kleinian2.integration import segment_period_integrals
-from kleinian2.theta import ThetaParams, theta_jet
+from kleinian2.theta import theta_jet
 
 from conftest import G6_COEFFS, W5_COEFFS, flip_loop_pieces
 
@@ -457,26 +457,21 @@ def test_a_build_makes_one_quadrature(monkeypatch):
         calls.clear()
 
 
-def test_a_build_checks_omega_once(monkeypatch):
-    """A context build makes one ThetaParams of Omega, with the period
-    data: the Delta certificate and the context share it.  Omega is
-    derived, never passed: a copy cannot be given one, and a file whose
-    Omega is not A^-1 B is refused when it is loaded."""
-    calls = []
-    build = ThetaParams.build.__func__
-
-    def counted(cls, Omega):
-        calls.append(1)
-        return build(cls, Omega)
-
-    monkeypatch.setattr(ThetaParams, "build", classmethod(counted))
+def test_a_build_checks_omega_once():
+    """theta checks a Riemann matrix as it makes the matrix's term list,
+    so a context build checks Omega once: it makes the lists of Omega
+    and of 2 Omega, and a second context on the same data makes none.
+    Omega is derived, never passed: a copy cannot be given one, and a
+    file whose Omega is not A^-1 B is refused when it is loaded."""
+    terms = k2.theta._terms
+    terms.cache_clear()
     for coeffs in (W5_COEFFS, G6_COEFFS):
-        ctx = k2.make_context(k2.validate_polynomial(coeffs))
-        assert len(calls) == 1
-        assert ctx.tp is ctx.pd.tp
-        assert np.array_equal(ctx.tp.Omega, 0.5 * (ctx.pd.Omega
-                                                   + ctx.pd.Omega.T))
-        calls.clear()
+        f = k2.validate_polynomial(coeffs)
+        misses = terms.cache_info().misses
+        ctx = k2.make_context(f)
+        assert terms.cache_info().misses == misses + 2
+        k2.make_context(f, ctx.pd)
+        assert terms.cache_info().misses == misses + 2
     with pytest.raises(ValueError, match="init=False"):
         replace(ctx.pd, Omega=2.0 * ctx.pd.Omega)
     with pytest.raises(k2.RiemannMatrixError):
@@ -504,14 +499,14 @@ def _dive_index(pd):
     if pd.z_star is None:
         return 5
     return integration.nearest_branch_point(
-        pd.roots, integration.far_point(pd.scale))
+        pd.roots, integration.far_point(pd.f.scale))
 
 
 def _recompute_delta(f, pd):
     """Delta for existing period data, certificate included: the closed
     form the data derives when it is not given Delta, certified on
     freshly integrated samples."""
-    samples, _ = _samples(f, list(pd.roots), pd.scale)
+    samples, _ = _samples(f, list(pd.roots), pd.f.scale)
     return replace(pd, Delta=None, abel_samples=samples).Delta
 
 
@@ -619,18 +614,46 @@ def _given(pd):
 
 
 def test_period_data_derives_omega_delta_and_its_characteristic(any_ctx):
-    """Omega, delta_char and tp are derived, not passed: the data made
-    from the integrals alone holds the build's Omega, Delta and
-    delta_char, and a copy given Delta back reads the same."""
+    """Omega and delta_char are derived, not passed, and the scale is the
+    curve's: the data made from the integrals alone holds the build's
+    Omega, Delta and delta_char, and a copy given Delta back reads the
+    same."""
     pd = any_ctx.pd
     given = _given(pd)
-    assert {"Omega", "delta_char", "tp"}.isdisjoint(given)
+    assert {"Omega", "delta_char", "scale"}.isdisjoint(given)
     for made in (k2.PeriodData(**{**given, "Delta": None}),
                  k2.PeriodData(**given)):
         assert np.array_equal(made.Omega, pd.Omega)
         assert np.array_equal(made.Delta, pd.Delta)
         assert made.delta_char == pd.delta_char
         assert not made.Omega.flags.writeable
+
+
+def test_omega_is_stored_symmetric(any_ctx):
+    """The data holds one Riemann matrix, exactly symmetric, whether made
+    by a build, a JSON load or a dataclasses.replace copy: (A^-1 B +
+    (A^-1 B)^T) / 2, which every theta call takes as it is."""
+    pd = any_ctx.pd
+    raw = np.linalg.solve(pd.A, pd.B)
+    for made in (pd, ser.period_data_from_json(ser.period_data_to_json(pd)),
+                 replace(pd)):
+        assert np.array_equal(made.Omega, made.Omega.T)
+        assert np.array_equal(made.Omega, 0.5 * (raw + raw.T))
+
+
+def test_a_file_holding_the_unsymmetrized_omega_loads(w5_ctx, g6_ctx):
+    """A periods file whose Omega is the raw solve A^-1 B, as files were
+    once written, loads, and the loaded data holds the symmetric Omega;
+    on at least one reference curve the solve is asymmetric in its last
+    bits."""
+    asymmetric = []
+    for pd in (w5_ctx.pd, g6_ctx.pd):
+        raw = np.linalg.solve(pd.A, pd.B)
+        asymmetric.append(not np.array_equal(raw, raw.T))
+        loaded = ser.period_data_from_json(_json_with(pd, Omega=raw))
+        assert np.array_equal(loaded.Omega, pd.Omega)
+        assert np.array_equal(loaded.Delta, pd.Delta)
+    assert any(asymmetric)
 
 
 def test_singular_a_periods_raise_riemann_matrix_error(any_ctx):
@@ -738,8 +761,8 @@ def test_base_chars_are_the_six_odd_characteristics():
 
 # -- the closed-form Delta against the per-candidate loop ---------------------
 
-def theta(tp, z):
-    s, V = theta_jet(tp, z, 0)
+def theta(Omega, z):
+    s, V = theta_jet(Omega, z, 0)
     return np.exp(s) * V[0, 0]
 
 
@@ -747,17 +770,17 @@ def _delta_by_candidate_loop(f, pd):
     """Reference: the certificate candidate by candidate, one scalar theta
     call per candidate and sample, each candidate dropped at its first
     failing sample.  Returns every passing (Delta, (n0, m0))."""
-    tp = ThetaParams.build(pd.Omega)
-    us = np.linalg.solve(pd.A, _samples(f, list(pd.roots), pd.scale)[0].T).T
-    theta_ref = max(abs(theta(tp, np.zeros(2))),
-                    max(abs(theta(tp, u)) for u in us))
+    us = np.linalg.solve(pd.A,
+                         _samples(f, list(pd.roots), pd.f.scale)[0].T).T
+    theta_ref = max(abs(theta(pd.Omega, np.zeros(2))),
+                    max(abs(theta(pd.Omega, u)) for u in us))
     shift = (0.0 if pd.z_star is None
              else 0.5 * np.linalg.solve(pd.A, pd.z_star))
     hits = []
     for n0 in itertools.product((0, 1), (0, 1)):
         for m0 in itertools.product((0, 1), (0, 1)):
             D = periods._half_period(pd.Omega, n0 + m0) + shift
-            if all(abs(theta(tp, u - D)) < 1e-8 * theta_ref
+            if all(abs(theta(pd.Omega, u - D)) < 1e-8 * theta_ref
                    for u in us):
                 hits.append((D, (n0, m0)))
     return hits

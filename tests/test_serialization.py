@@ -74,7 +74,7 @@ def test_period_data_round_trip_exact(g6_ctx):
 
 def test_tolerances_block_reads_the_module_constants(g6_ctx):
     block = ser.period_data_to_json(g6_ctx.pd)["tolerances"]
-    assert block == {"tol_sym": k2.periods.TOL_SYM,
+    assert block == {"tol_sym": k2.theta.TOL_SYM,
                      "tol_leg": k2.periods.TOL_LEG,
                      "eps_target": k2.theta.EPS_TARGET}
 

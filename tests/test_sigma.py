@@ -140,3 +140,36 @@ def test_sigma_requires_weierstrass_form(g6_ctx):
         k2.sigma_jets(g6_ctx, z, order=2)
     with pytest.raises(k2.NotWeierstrassFormError):
         k2.evaluate_bundle(g6_ctx, z, want_sigma=True)
+
+
+def _weierstrass_quintic(seed):
+    """A Weierstrass quintic 4 prod(x - r) with roots near the unit
+    circle."""
+    rng = np.random.default_rng(seed)
+    angles = 2 * np.pi * (np.arange(5) + 0.3 * rng.random(5)) / 5
+    roots = (0.75 + 0.5 * rng.random(5)) * np.exp(1j * angles)
+    return list(4.0 * np.poly(roots)[::-1]) + [0.0]
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_sigma_eval_is_the_order_0_sigma_jet(w5_ctx, k):
+    """sigma_eval is sigma_jets at order 0, bit for bit, and that is the
+    direct form c_sigma exp(twist) V(u - Delta) through the one exp of
+    _scaled: on 4x^5 - 4x and six seeded Weierstrass quintics, for a
+    batch and for each of its points alone, one point giving a
+    scalar."""
+    ctx = w5_ctx if k == 0 else k2.make_context(
+        k2.validate_polynomial(_weierstrass_quintic(seed=[71, k])))
+    kl = k2.kleinian
+    rng = np.random.default_rng(72 + k)
+    Z = np.array([sample_z(ctx, rng) for _ in range(5)])
+    for z in [Z] + list(Z):
+        got = k2.sigma_eval(ctx, z)
+        assert np.array_equal(got, k2.sigma_jets(ctx, z, 0)[(0, 0)])
+        u = kl._u(ctx, z)
+        s, V = k2.theta.theta_jet(ctx.pd.Omega, u - ctx.pd.Delta, 0)
+        want = kl._scaled(ctx.c_sigma * kl._at(V, 0, 0),
+                          kl._sigma_twist(ctx, kl._quad(ctx, z), u, s),
+                          "sigma")
+        assert np.array_equal(got, want)
+        assert np.shape(got) == np.shape(z)[:-1]

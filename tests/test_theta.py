@@ -11,21 +11,21 @@ import kleinian2 as k2
 from hypothesis import given, settings, strategies as st
 
 from kleinian2 import theta
-from kleinian2.theta import ThetaParams, lattice_reduce, theta_jet
+from kleinian2.theta import lattice_reduce, theta_jet
 
 MULTI_INDICES = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
                  (3, 0), (2, 1), (1, 2), (0, 3)]
 
 
-def _jet(tp, z, order):
+def _jet(Omega, z, order):
     """The jet of theta itself: theta_jet's V times exp(s)."""
-    s, V = theta_jet(tp, z, order)
+    s, V = theta_jet(Omega, z, order)
     return np.exp(s)[..., None, None] * V
 
 
-def _theta(tp, z):
+def _theta(Omega, z):
     """theta(z; Omega), the order-0 entry of the jet."""
-    return _jet(tp, z, 0)[0, 0]
+    return _jet(Omega, z, 0)[0, 0]
 
 
 def _brute_theta(Omega, z, N=12):
@@ -41,48 +41,45 @@ def _brute_theta(Omega, z, N=12):
 def test_identity_matrix_vs_1d_series():
     """Omega = i I factorizes, so theta(0) is the square of the 1-D sum
     sum_n exp(-pi n^2)."""
-    tp = ThetaParams.build(1j * np.eye(2))
     one_d = sum(np.exp(-np.pi * n ** 2) for n in range(-40, 41))
-    assert abs(_theta(tp, np.zeros(2)) - one_d ** 2) < 1e-12
+    assert abs(_theta(1j * np.eye(2), np.zeros(2)) - one_d ** 2) < 1e-12
 
 
 def test_matches_brute_force_sum(g6_ctx):
     Omega = g6_ctx.pd.Omega
-    tp = ThetaParams.build(Omega)
     rng = np.random.default_rng(21)
     for _ in range(5):
         z = rng.uniform(-1, 1, 2) + 1j * rng.uniform(-0.3, 0.3, 2)
         ref = _brute_theta(Omega, z)
-        assert abs(_theta(tp, z) - ref) < 1e-11 * max(1.0, abs(ref))
+        assert abs(_theta(Omega, z) - ref) < 1e-11 * max(1.0, abs(ref))
 
 
 def test_quasi_periodicity(w5_ctx, g6_ctx):
     for ctx in (w5_ctx, g6_ctx):
         Omega = ctx.pd.Omega
-        tp = ThetaParams.build(Omega)
         rng = np.random.default_rng(22)
         for _ in range(20):
             z = rng.uniform(-1, 1, 2) + 1j * rng.uniform(-0.5, 0.5, 2)
             n = rng.integers(-2, 3, 2)
             m = rng.integers(-2, 3, 2)
-            lhs = _theta(tp, z + n + Omega @ m)
+            lhs = _theta(Omega, z + n + Omega @ m)
             factor = np.exp(-1j * np.pi * m @ Omega @ m - 2j * np.pi * m @ z)
-            rhs = factor * _theta(tp, z)
+            rhs = factor * _theta(Omega, z)
             assert abs(lhs - rhs) < 1e-10 * max(abs(lhs), abs(rhs), 1.0)
 
 
 def test_evenness(g6_ctx):
-    tp = ThetaParams.build(g6_ctx.pd.Omega)
+    Omega = g6_ctx.pd.Omega
     rng = np.random.default_rng(23)
     for _ in range(10):
         z = rng.uniform(-1, 1, 2) + 1j * rng.uniform(-0.5, 0.5, 2)
-        a, b = _theta(tp, z), _theta(tp, -z)
+        a, b = _theta(Omega, z), _theta(Omega, -z)
         assert abs(a - b) < 1e-13 * max(1.0, abs(a))
 
 
 @pytest.mark.parametrize("multi_index", MULTI_INDICES)
 def test_derivatives_match_finite_differences(g6_ctx, multi_index):
-    tp = ThetaParams.build(g6_ctx.pd.Omega)
+    Omega = g6_ctx.pd.Omega
     rng = np.random.default_rng(sum(multi_index))
     h = 1e-2
 
@@ -99,40 +96,46 @@ def test_derivatives_match_finite_differences(g6_ctx, multi_index):
 
         def along_z2(w):
             # reduce to repeated z1 differences of z2 derivatives via jets
-            return _jet(tp, w, k2_)[0, k2_]
+            return _jet(Omega, w, k2_)[0, k2_]
 
         coarse = fd(along_z2, z, k1, h)
         fine = fd(along_z2, z, k1, h / 2)
         est = (4 * fine - coarse) / 3 if k1 > 0 else fine
-        got = _jet(tp, z, k1 + k2_)[k1, k2_]
+        got = _jet(Omega, z, k1 + k2_)[k1, k2_]
         assert abs(got - est) < 1e-6 * max(1.0, abs(got))
 
 
 def test_third_jet_table_is_consistent(g6_ctx):
     """The full order-3 table agrees with the tables of lower order: every
     order sums the same term list, so they differ by rounding alone."""
-    tp = ThetaParams.build(g6_ctx.pd.Omega)
+    Omega = g6_ctx.pd.Omega
     z = np.array([0.21 + 0.05j, -0.37 + 0.11j])
-    jet = _jet(tp, z, 3)
-    assert abs(jet[0, 0] - _theta(tp, z)) < 1e-14
+    jet = _jet(Omega, z, 3)
+    assert abs(jet[0, 0] - _theta(Omega, z)) < 1e-14
     for (a, b) in MULTI_INDICES:
-        one = _jet(tp, z, a + b)[a, b]
+        one = _jet(Omega, z, a + b)[a, b]
         assert abs(jet[a, b] - one) < 1e-12 * max(1.0, abs(one))
 
 
 def test_rejects_bad_riemann_matrix():
+    """theta_jet refuses an Omega that is not symmetric, or whose
+    imaginary part is not positive definite, with RiemannMatrixError
+    before any numpy warning (the tests turn warnings into errors), and
+    one that is not 2x2 with ValueError."""
+    z = np.zeros(2)
     with pytest.raises(k2.RiemannMatrixError):
-        ThetaParams.build(np.array([[1j, 0.3], [0.2, 1j]]))  # not symmetric
+        theta_jet(np.array([[1j, 0.3], [0.2, 1j]]), z, 0)  # not symmetric
     with pytest.raises(k2.RiemannMatrixError):
-        ThetaParams.build(np.array([[-1j, 0], [0, 1j]]))  # Im not posdef
+        theta_jet(np.array([[-1j, 0], [0, 1j]]), z, 0)  # Im not posdef
+    with pytest.raises(ValueError, match="2x2"):
+        theta_jet(1j * np.eye(3), z, 0)
 
 
 def test_order_cap(w5_ctx):
     """Only the integers 0-3 are orders; sigma_jets passes its order on."""
-    tp = ThetaParams.build(1j * np.eye(2))
     for order in (-1, 1.5, 4):
         with pytest.raises(ValueError):
-            theta_jet(tp, np.zeros(2), order)
+            theta_jet(1j * np.eye(2), np.zeros(2), order)
         with pytest.raises(ValueError):
             k2.sigma_jets(w5_ctx, np.full(2, 0.1), order)
 
@@ -140,10 +143,10 @@ def test_order_cap(w5_ctx):
 def test_nearly_singular_imaginary_part_exceeds_radius_cap():
     """With lam_min(Im Omega) = 1e-4 the ellipsoid of the tail bound
     reaches |n2| = 444, over RADIUS_CAP."""
-    tp = ThetaParams.build(np.array([[0.3 + 1j, 0.1], [0.1, 1e-4j]]))
-    assert np.linalg.eigvalsh(tp.Omega.imag)[0] < 2e-4
+    Omega = np.array([[0.3 + 1j, 0.1], [0.1, 1e-4j]])
+    assert np.linalg.eigvalsh(Omega.imag)[0] < 2e-4
     with pytest.raises(k2.TruncationRadiusError, match="444"):
-        theta_jet(tp, np.zeros(2), 0)
+        theta_jet(Omega, np.zeros(2), 0)
 
 
 # -- lattice_reduce ----------------------------------------------------------
@@ -207,7 +210,6 @@ def test_batched_jet_matches_rows(g6_ctx, order):
     s is each row's exponent -i pi m.Omega.m - 2 pi i m.z0, and exp(s) V
     is the jet of theta."""
     Omega = g6_ctx.pd.Omega
-    tp = ThetaParams.build(Omega)
     z0 = np.array([[0.11 + 0.02j, -0.23 + 0.01j],
                    [-0.31 + 0.25j, 0.07 - 0.20j],
                    [0.27 - 0.12j, 0.36 + 0.31j],
@@ -221,7 +223,7 @@ def test_batched_jet_matches_rows(g6_ctx, order):
     n_red, m_red, _ = lattice_reduce(Omega, Z)
     assert np.array_equal(m_red, m) and np.array_equal(n_red, n)
 
-    s, J = theta_jet(tp, Z, order)
+    s, J = theta_jet(Omega, Z, order)
     assert s.shape == (len(Z),)
     assert J.shape == (len(Z), order + 1, order + 1)
     want_s = (-1j * np.pi * np.einsum("ri,ij,rj->r", m, Omega, m)
@@ -229,7 +231,7 @@ def test_batched_jet_matches_rows(g6_ctx, order):
     assert np.all(np.abs(s - want_s) <= 1e-12 * np.abs(want_s))
     valid = np.add.outer(range(order + 1), range(order + 1)) <= order
     for si, row, z in zip(s, J, Z):
-        s_one, one = theta_jet(tp, z, order)
+        s_one, one = theta_jet(Omega, z, order)
         assert s_one == si
         assert np.all(row[~valid] == 0)
         assert np.all(np.abs(row - one)[valid]
@@ -243,16 +245,15 @@ def test_batched_jet_matches_rows(g6_ctx, order):
 
 def test_tables_do_not_leak_between_matrices():
     """Tables built for one Riemann matrix are never used for another, even
-    when the first ThetaParams is gone and its memory reused."""
+    when the first Omega is gone and its memory reused."""
     z = np.array([0.17 - 0.05j, -0.29 + 0.08j])
     for k in range(8):
         Omega = np.array([[0.1 * k + 1.1j, 0.3 - 0.05 * k + 0.2j],
                           [0.3 - 0.05 * k + 0.2j, -0.2 + 0.04 * k + 1.3j]])
-        tp = ThetaParams.build(Omega)
-        got = _theta(tp, z)
+        got = _theta(Omega, z)
         ref = _brute_theta(Omega, z)
         assert abs(got - ref) < 1e-11 * max(1.0, abs(ref))
-        del tp
+        del Omega
 
 
 # -- the term list against the per-term sum and the brute-force sum ---------
@@ -261,34 +262,33 @@ CLUSTERED_ROOTS = [0, 1e-5, 2j, -1 + 1j, 3, -2 - 1j]
 
 
 @pytest.fixture(scope="module")
-def clustered_tp():
+def clustered_omega():
     """A sextic with a 1e-5 root pair: lam_min(Im Omega) = 0.20 and a
     term list of 131 points reaching |n2| = 9."""
     f = k2.validate_polynomial(np.poly(CLUSTERED_ROOTS)[::-1])
-    return ThetaParams.build(k2.compute_period_data(f).Omega)
+    return k2.compute_period_data(f).Omega
 
 
 @pytest.fixture(params=["w5", "g6", "clustered"])
-def curve_tp(request, w5_ctx, g6_ctx, clustered_tp):
-    return {"w5": w5_ctx.tp, "g6": g6_ctx.tp,
-            "clustered": clustered_tp}[request.param]
+def curve_omega(request, w5_ctx, g6_ctx, clustered_omega):
+    return {"w5": w5_ctx.pd.Omega, "g6": g6_ctx.pd.Omega,
+            "clustered": clustered_omega}[request.param]
 
 
-def _term_points(tp):
-    """The lattice points n of tp's term list, shape (K, 2)."""
-    return tp.terms().n.T
+def _term_points(Omega):
+    """The lattice points n of Omega's term list, shape (K, 2)."""
+    return theta._terms(np.asarray(Omega, dtype=complex).tobytes()).n.T
 
 
-def _per_term_jet(tp, z, order):
+def _per_term_jet(Om, z, order):
     """theta_jet with the list summed term by term in extended precision:
     each term is exp of its real exponent times cos and sin of its phase,
     both formed in long double, and one matrix product with the monomials
     sums the list.  The reduction, the term points and the Leibniz step
     are the kernel's; rows are summed 100 at a time to bound the memory."""
     Z = np.asarray(z, dtype=complex).reshape(-1, 2)
-    Om = tp.Omega
     _, m, z0 = lattice_reduce(Om, Z)
-    n1, n2 = _term_points(tp).T.astype(np.longdouble)
+    n1, n2 = _term_points(Om).T.astype(np.longdouble)
     basis = np.stack([n1 * n1, 2 * n1 * n2, n2 * n2, n1, n2], axis=1)
     index = [(t - b, b) for t in range(order + 1) for b in range(t + 1)]
     two_pi = 2 * np.longdouble("3.141592653589793238462643383279502884")
@@ -311,16 +311,16 @@ def _per_term_jet(tp, z, order):
     return J
 
 
-def _cell_points(tp, n, seed):
+def _cell_points(Omega, n, seed):
     """n points u = a + Omega b with a, b in [-3/2, 3/2]^2: most are
     shifted by the range reduction."""
     rng = np.random.default_rng(seed)
     return (rng.uniform(-1.5, 1.5, (n, 2))
-            + rng.uniform(-1.5, 1.5, (n, 2)) @ tp.Omega.T)
+            + rng.uniform(-1.5, 1.5, (n, 2)) @ Omega.T)
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
-def test_box_sum_matches_the_per_term_sum(curve_tp, order):
+def test_box_sum_matches_the_per_term_sum(curve_omega, order):
     """The kernel's sum over the term list (the test is named for the box
     it once summed) against the per-term sum over the same list.  For 1
     and 2 rows, one row either side of a block and 1000 rows (so the last
@@ -331,29 +331,29 @@ def test_box_sum_matches_the_per_term_sum(curve_tp, order):
     largest entry and |e|, divided by |e|; |e| is at most the sum of the
     moduli of the row's terms, which bounds the rounding error of a sum
     whose terms cancel."""
-    u = _cell_points(curve_tp, 1000, seed=31)
-    block = theta.TERM_BUDGET // len(_term_points(curve_tp))
+    u = _cell_points(curve_omega, 1000, seed=31)
+    block = theta.TERM_BUDGET // len(_term_points(curve_omega))
     assert 2 < block < 1000
     for n in (1, 2, block - 1, block, block + 1, 1000):
-        got = theta_jet(curve_tp, u[:n], order)[1]
-        want = _per_term_jet(curve_tp, u[:n], order)
+        got = theta_jet(curve_omega, u[:n], order)[1]
+        want = _per_term_jet(curve_omega, u[:n], order)
         scale = np.maximum(np.max(np.abs(want), axis=(1, 2)), 1.0)
         err = np.max(np.abs(got - want), axis=(1, 2))
         assert np.all(err <= 1e-14 * scale), n
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
-def test_doubled_list_jets_match_the_per_term_sum(curve_tp, order):
+def test_doubled_list_jets_match_the_per_term_sum(curve_omega, order):
     """The list of 2 Omega, which the weight-2 basis sums, against the
     per-term sum over the same points, at the row counts of the test
     above: the jets V within 1e-14 of each row's scale."""
-    tp = ThetaParams.build(2.0 * curve_tp.Omega)
-    u = _cell_points(tp, 1000, seed=33)
-    block = theta.TERM_BUDGET // len(_term_points(tp))
+    Omega = 2.0 * curve_omega
+    u = _cell_points(Omega, 1000, seed=33)
+    block = theta.TERM_BUDGET // len(_term_points(Omega))
     assert 2 < block < 1000
     for n in (1, 2, block - 1, block, block + 1, 1000):
-        got = theta_jet(tp, u[:n], order)[1]
-        want = _per_term_jet(tp, u[:n], order)
+        got = theta_jet(Omega, u[:n], order)[1]
+        want = _per_term_jet(Omega, u[:n], order)
         scale = np.maximum(np.max(np.abs(want), axis=(1, 2)), 1.0)
         err = np.max(np.abs(got - want), axis=(1, 2))
         assert np.all(err <= 1e-14 * scale), n
@@ -393,26 +393,26 @@ def _left_out(points):
 
 
 @pytest.mark.parametrize("doubled", [False, True])
-def test_terms_left_out_stay_below_eps_target(curve_tp, doubled):
+def test_terms_left_out_stay_below_eps_target(curve_omega, doubled):
     """The terms that the list leaves out, summed with the absolute values
     of their order-3 weights over twice its bounding box, stay below
     EPS_TARGET times each row's scale (the larger of its largest jet
     entry and 1), on Omega and on 2 Omega, at the corners of the reduced
     cell (where the factor exp(pi c.Y.c) is largest) and at random rows
     in it."""
-    tp = ThetaParams.build(2 * curve_tp.Omega) if doubled else curve_tp
-    Y = tp.Omega.imag
+    Omega = 2 * curve_omega if doubled else curve_omega
+    Y = Omega.imag
     rng = np.random.default_rng(41)
     c = np.concatenate([[[0.5, 0.5], [0.5, -0.5], [-0.5, 0.5],
                          [-0.5, -0.5]], rng.uniform(-0.5, 0.5, (12, 2))])
     z0 = rng.uniform(-0.5, 0.5, c.shape) + 1j * c @ Y
-    n = _left_out(_term_points(tp)).astype(float)
+    n = _left_out(_term_points(Omega)).astype(float)
     modulus = np.exp(-np.pi * np.einsum("ki,ij,kj->k", n, Y, n)[:, None]
                      - 2 * np.pi * n @ z0.imag.T)
     weight = (2 * np.pi * np.abs(n)) ** 3
     left = np.maximum(weight.max(axis=1), 1.0) @ modulus
-    V = theta_jet(tp, z0, 3)[1]
-    assert np.all(lattice_reduce(tp.Omega, z0)[1] == 0)
+    V = theta_jet(Omega, z0, 3)[1]
+    assert np.all(lattice_reduce(Omega, z0)[1] == 0)
     scale = np.maximum(np.max(np.abs(V), axis=(1, 2)), 1.0)
     assert np.all(left <= theta.EPS_TARGET * scale)
 
@@ -434,43 +434,44 @@ def test_jets_match_a_brute_force_sum(re, lam, angle, order, rows):
                   [np.sin(angle), np.cos(angle)]])
     Y = R @ np.diag(lam) @ R.T
     a, b = np.sqrt(Y[0, 0]), np.sqrt(Y[1, 1])
-    tp = ThetaParams.build(_riemann_matrix(*re, Y[0, 0], Y[1, 1],
-                                           Y[0, 1] / (a * b)))
+    Omega = _riemann_matrix(*re, Y[0, 0], Y[1, 1], Y[0, 1] / (a * b))
     r = np.array(rows)
-    z0 = r[:, :2] + 1j * r[:, 2:] @ tp.Omega.imag
-    s, V = theta_jet(tp, z0, order)
-    N = 2 * int(np.max(np.abs(_term_points(tp))))
+    z0 = r[:, :2] + 1j * r[:, 2:] @ Omega.imag
+    s, V = theta_jet(Omega, z0, order)
+    N = 2 * int(np.max(np.abs(_term_points(Omega))))
     assert np.all(s == 0)
     for row, z in zip(V, z0):
-        want = _brute_jet(tp.Omega, z, order, N)
+        want = _brute_jet(Omega, z, order, N)
         scale = max(np.max(np.abs(want)), 1.0)
         assert np.max(np.abs(row - want)) <= 1e-13 * scale
 
 
-def test_a_large_call_sums_in_bounded_memory(clustered_tp):
+def test_a_large_call_sums_in_bounded_memory(clustered_omega):
     """4096 rows at order 3 on the clustered sextic: 131 terms per row,
     which summed in one piece would need about 26 MB of temporaries; in
     row blocks the call peaks under 16 MB."""
-    u = _cell_points(clustered_tp, 4096, seed=32)
+    u = _cell_points(clustered_omega, 4096, seed=32)
     tracemalloc.start()
     try:
-        theta_jet(clustered_tp, u, 3)
+        theta_jet(clustered_omega, u, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20
 
 
-def test_phase_tables_are_bounded_and_not_kept_on_theta_params():
+def test_phase_tables_are_bounded_and_not_kept_on_the_data(w5_ctx, g6_ctx):
     """The term lists live in one bounded module-level cache, keyed by
-    Omega's bytes, 2 Omega's among them; a ThetaParams holds Omega only,
-    so contexts do not grow with them."""
-    assert [f.name for f in fields(ThetaParams)] == ["Omega"]
+    Omega's bytes, 2 Omega's among them; neither the period data nor the
+    context holds one, so they do not grow with them."""
+    for data in (w5_ctx.pd, w5_ctx, g6_ctx.pd, g6_ctx):
+        held = [getattr(data, f.name) for f in fields(data)]
+        assert not any(isinstance(v, theta._TermList) for v in held)
     z = np.array([0.17 - 0.05j, -0.29 + 0.08j])
     for k in range(theta.PHASE_TABLES + 5):
         Omega = np.array([[0.01 * k + 1.1j, 0.3 + 0.2j],
                           [0.3 + 0.2j, 1.3j]])
-        theta_jet(ThetaParams.build(Omega), z, 0)
+        theta_jet(Omega, z, 0)
     info = theta._terms.cache_info()
     assert info.maxsize == theta.PHASE_TABLES
     assert info.currsize <= theta.PHASE_TABLES
@@ -520,12 +521,11 @@ def test_term_lists_hold_at_most_half_the_box():
     for coeffs in curves:
         Omega = k2.compute_period_data(k2.validate_polynomial(coeffs)).Omega
         for Om in (Omega, 2 * Omega):
-            tp = ThetaParams.build(Om)
-            Y = tp.Omega.imag
+            Y = Om.imag
             b = max(np.linalg.norm(Y @ [0.5, 0.5]),
                     np.linalg.norm(Y @ [0.5, -0.5]))
             R = _fixed_point_radius(np.linalg.eigvalsh(Y)[0], b, 3)
-            ratios.append(len(_term_points(tp)) / (2 * R + 1) ** 2)
+            ratios.append(len(_term_points(Om)) / (2 * R + 1) ** 2)
     assert len(ratios) == 100
     assert max(ratios) <= 0.5
 
