@@ -30,24 +30,25 @@ e.  That run's last piece factors y = sqrt(x - e) s(x) with
 x - e = -R d1, from the quadrature's stable distance to the end, as the
 period segments factor theirs: y = s(u) sqrt(u (1-u)) with s^2 = G(u),
 the cofactor, whose turn is the same sum over the roots off the
-segment.  A tail to infinity takes no quadrature: beyond FAR_FACTOR
-times the root scale, y / x^(d/2) is +-sqrt(lead) / g(1/x) with
-g(s) = prod_j (1 - r_j s)^(-1/2), whose binomial series converges at a
-ratio of 1/FAR_FACTOR or less, so tail_integrals sums it term by term.
+segment.  A tail to infinity takes no quadrature: from SERIES_FACTOR
+times the largest root modulus out, y / x^(d/2) is +-sqrt(lead) /
+g(1/x) with g(s) = prod_j (1 - r_j s)^(-1/2), whose binomial series
+converges at a ratio of 1/SERIES_FACTOR or less, so tail_integrals sums
+it term by term.
 
 Every integrand is n_k(x)/y dx on a sheet returning (x, dx/du, y)
 (_piece_values), and integrands are stacked, not looped: all pieces of
-many paths, or a whole period build (its loop segments and its far ray
-with the run into a branch point: period_integrals), go through one
-integrate_01 call.  _integrate_stack takes groups of integrals, each of
-one kind, narrows each group's sheet to the integrals still open, so
-each is integrated at the level it needs alone, and pads the components
-a group lacks with zeros.  Only the integrands run on arrays, a row per
-quadrature node.  Path geometry and sheet chaining are scalar passes in
-complex arithmetic: line_with_detours loops over the roots of one path,
-and continue_sqrt over the pieces of a stack, each with a few operations
-per root, where numpy calls on 5- or 6-element arrays would cost more
-than the arithmetic.
+many paths, or a whole period build (its loop segments and, on degree
+6, the run from its far point into a branch point: period_integrals),
+go through one integrate_01 call.  _integrate_stack takes groups of
+integrals, each of one kind, narrows each group's sheet to the integrals
+still open, so each is integrated at the level it needs alone, and pads
+the components a group lacks with zeros.  Only the integrands run on
+arrays, a row per quadrature node.  Path geometry and sheet chaining
+are scalar passes in complex arithmetic: line_with_detours loops over
+the roots of one path, and continue_sqrt over the pieces of a stack,
+each with a few operations per root, where numpy calls on 5- or
+6-element arrays would cost more than the arithmetic.
 path_between chains the straight runs of all its paths in one
 continue_sqrt call and the runs into a branch point that some of them
 need, when one has several pieces, in a second.
@@ -65,8 +66,9 @@ from .errors import DegenerateGeometryError, SheetTrackingError
 from .quadrature import integrate_01
 
 DETOUR_FACTOR = 0.45     # detour radius as a fraction of root clearance
-FAR_FACTOR = 12.0        # far-point radius for infinity tails, times scale
-FAR_ARG = 0.7310         # direction of the far ray of the period build
+SERIES_FACTOR = 2.0      # a tail is a series from this radius, times max|r|
+FAR_FACTOR = 12.0        # radius of the period build's far point, times scale
+FAR_ARG = 0.7310         # direction of the period build's far point
 
 
 def _steps(pieces, u):
@@ -397,8 +399,9 @@ def run_into_branch_point(roots, radii, x):
 
 def _continue_runs(f, roots, runs, y0):
     """Chains of x-plane pieces, run i from y0[i], in one continue_sqrt
-    call: (pieces, starts, y_end), the runs stacked, each piece's start
-    value, and each run's end value (y0[i] for a run of no pieces)."""
+    call, or none if no run has a piece: (pieces, starts, y_end), the
+    runs stacked, each piece's start value, and each run's end value
+    (y0[i] for a run of no pieces)."""
     pieces = np.concatenate(runs)
     y_end = np.array(y0, dtype=complex)
     seeds, last, full = [], [], []
@@ -407,6 +410,8 @@ def _continue_runs(f, roots, runs, y0):
             seeds += [y0[i]] + [None] * (len(run) - 1)
             last.append(len(seeds) - 1)
             full.append(i)
+    if not seeds:
+        return pieces, np.zeros(0, dtype=complex), y_end
     starts, ends = continue_sqrt(f, roots, pieces, seeds)
     y_end[full] = ends[last]
     return pieces, starts, y_end
@@ -531,7 +536,7 @@ def _dropped_bound(K, rho):
 
 
 TAIL_TERMS = next(K for K in count()
-                  if _dropped_bound(K, 1.0 / FAR_FACTOR) < TAIL_TOL)
+                  if _dropped_bound(K, 1.0 / SERIES_FACTOR) < TAIL_TOL)
 # C(2k, k) / 4^k, the binomial series of (1 - s)^(-1/2)
 _HALF_BINOMIAL = np.cumprod([1.0] + [(k - 0.5) / k
                                      for k in range(1, TAIL_TERMS)])
@@ -560,19 +565,21 @@ def tail_integrals(f, x_far, y_far):
     TAIL_TERMS coefficients of g,
         T0 = q t1^(q+1) sum_k c_k s1^k / (q k + q + 1) / s0,
         T1 = q t1 sum_k c_k s1^k / (q k + 1) / s0.
-    A far point nearer than FAR_FACTOR times the largest root modulus
+    A far point nearer than SERIES_FACTOR times the largest root modulus
     raises ValueError.
     """
     x_far = np.asarray(x_far, dtype=complex)
     y_far = np.asarray(y_far, dtype=complex)
     s1 = 1.0 / x_far
     if np.abs(s1).max(initial=0.0) * max(map(abs, f.roots)) > (
-            1.0 + 1e-12) / FAR_FACTOR:
-        raise ValueError("a far point lies within FAR_FACTOR times the "
+            1.0 + 1e-12) / SERIES_FACTOR:
+        raise ValueError("a far point lies within SERIES_FACTOR times the "
                          "largest root modulus")
     q = 1 if f.degree == 6 else 2
     t1 = s1 if q == 1 else np.sqrt(s1)
-    c, k = _tail_coeffs(f.roots), np.arange(TAIL_TERMS)
+    # summed from the smallest, last terms on, so that at a ratio of 1/2
+    # the rounding is that of the few largest terms, not of all of them
+    c, k = _tail_coeffs(f.roots)[::-1], np.arange(TAIL_TERMS)[::-1]
     V = s1[:, None] ** k
     s0 = y_far * t1 ** (f.degree * q // 2) * (V @ c)
     root = np.sqrt(complex(f.leading))
@@ -587,25 +594,31 @@ def point_infinity_integrals(f, roots, P, z_star):
     """Holomorphic integrals from the infinite point labelled 2 (the one
     point at infinity on degree 5) to each affine point of the sequence P,
     one row per point, along a tail from infinity to a far point and a
-    radial run with detours.  The radial runs share one chain and one
-    quadrature, and the tails are summed in closed form (tail_integrals);
-    a tail that lands on label 1 is moved to label 2 by z_star, the
-    integral from 2 to 1 (None on degree 5).
+    radial run with detours.  The far point is the point itself if it
+    lies SERIES_FACTOR times the root scale out or beyond, and takes no
+    run; else it lies at that radius, in its direction.  The radial runs
+    share one chain and one quadrature, and the tails are summed in
+    closed form (tail_integrals); a tail that lands on label 1 is moved
+    to label 2 by z_star, the integral from 2 to 1 (None on degree 5).
     """
     radii = detour_radii(roots)
+    R = SERIES_FACTOR * f.scale
     runs, x_far = [], []
     for Q in P:
-        R = max(FAR_FACTOR * f.scale, 2.5 * abs(Q.x))
-        phi = float(np.angle(Q.x)) if abs(Q.x) > 1e-12 * f.scale else FAR_ARG
-        x_far.append(R * np.exp(1j * phi))
+        if abs(Q.x) >= R:
+            x_far.append(Q.x)
+        else:
+            phi = (float(np.angle(Q.x)) if abs(Q.x) > 1e-12 * f.scale
+                   else FAR_ARG)
+            x_far.append(R * np.exp(1j * phi))
         runs.append(line_with_detours(roots, radii, Q.x, x_far[-1]))
     pieces, y0, y_far = _continue_runs(f, roots, runs, [Q.y for Q in P])
-    ends = np.cumsum([len(run) for run in runs])
-    I_aff = np.array([v.sum(axis=0) for v in np.split(
-        integrate_forms(f, roots, pieces, y0, holomorphic_numerators()),
-        ends[:-1])])
     T, landed_plus = tail_integrals(f, x_far, y_far)
-    J = -T - I_aff
+    J = -T
+    if len(pieces):
+        ends = np.cumsum([len(run) for run in runs])
+        J -= [v.sum(axis=0) for v in np.split(integrate_forms(
+            f, roots, pieces, y0, holomorphic_numerators()), ends[:-1])]
     if f.degree == 6:
         J = J + np.where(landed_plus[:, None], z_star, 0)
     return J
@@ -621,51 +634,47 @@ def period_integrals(f, roots, pairs, scale=None, radii=None):
 
     Row p of W holds the integrals of (dx/y, x dx/y, r1, r2) over the
     straight segment from roots[i] to roots[j], (i, j) = pairs[p], on the
-    sheet of segment_sheet.  Given scale and the increasing radii, J
-    holds the holomorphic integrals from the infinite point labelled 2
-    (the one point at infinity on degree 5) to the points on the far ray
-    arg x = FAR_ARG at those radii, one row per point, and z_star, on
-    degree 6, the integral from label 2 to label 1 (None on degree 5);
-    without them J and z_star are None.
+    sheet of segment_sheet.  Given scale and the radii, each at least
+    SERIES_FACTOR times scale, J holds the holomorphic integrals from the
+    infinite point labelled 2 (the one point at infinity on degree 5) to
+    the points at those radii in the direction of x_far =
+    far_point(scale), one row per point, and z_star, on degree 6, the
+    integral from label 2 to label 1 (None on degree 5); without them J
+    and z_star are None.
 
-    The ray runs on to x_far = far_point(scale), and one tail from there
-    (tail_integrals) serves every point.  Its seed y_far is the root of
+    Every point's integral is minus its tail, summed as a series in one
+    tail_integrals call with x_far's.  x_far's seed y_far is the root of
     f(x_far) whose tail lands on label 2: the tail from -y_far is the
-    same with every y negated, so the principal root and its T are
-    negated if that tail lands on label 1.  The ray's points are on the
-    sheet on which the ray reaches y_far; every detour disc lies within
-    (1 + 2 DETOUR_FACTOR) scale of 0, so the ray is plain lines.  On
-    degree 6 a sheet-flip loop at x_far about its nearest branch point
-    runs from y_far to -y_far, whose tail, exactly -T, lands on label 1,
-    so z_star = -T + I_loop - T, I_loop twice the run from x_far into
-    that point (run_into_branch_point).  The ray and the run are one
-    sheet chain, and with the segments one integrate_01 stack.
+    same with every y negated, so the principal root and every T are
+    negated if its tail lands on label 1.  The points are on the sheet of
+    y_far: the ray from x_far to each keeps clear of every root, so arg f
+    turns along it by the sum over the roots of Arg((x - r_j) / (x_far -
+    r_j)).  On degree 6 a sheet-flip loop at x_far about its nearest
+    branch point runs from y_far to -y_far, whose tail, exactly -T, lands
+    on label 1, so z_star = -T + I_loop - T, I_loop twice the run from
+    x_far into that point (run_into_branch_point): one sheet chain,
+    seeded at y_far, and with the segments one integrate_01 stack.  On
+    degree 5 the segments are the stack.
     """
     segments = (segment_sheet(f, roots, pairs), len(pairs), all_numerators(f))
     if scale is None:
         return _integrate_stack([segments]), None, None
     x_far = far_point(scale)
     y_far = complex(np.sqrt(f(x_far)))
-    (T,), (landed_plus,) = tail_integrals(f, [x_far], [y_far])
-    if f.degree == 6 and landed_plus:
-        y_far, T = -y_far, -T
-    n = len(radii)
     xs = np.append(np.asarray(radii) * np.exp(1j * FAR_ARG), x_far)
-    pieces = np.stack([xs[:-1], np.diff(xs), np.zeros(n)], axis=1)
-    seeds = [np.sqrt(f(xs[0]))] + [None] * (n - 1)
-    if f.degree == 6:
-        dive = run_into_branch_point(roots, detour_radii(roots), x_far)
-        pieces = np.concatenate([pieces, dive])
-        seeds += [y_far] + [None] * (len(dive) - 1)
-    y0, y1 = continue_sqrt(f, roots, pieces, seeds)
-    if abs(y1[n - 1] - y_far) > abs(y1[n - 1] + y_far):
-        y0[:n] = -y0[:n]
-    ray = (piece_sheet(f, roots, pieces, y0), len(pieces),
-           holomorphic_numerators())
-    vals = _integrate_stack([segments, ray])
-    W, I = vals[:len(pairs)], vals[len(pairs):, :2]
-    # each point's integral out to x_far: the lines beyond it
-    J = -T - np.cumsum(I[n - 1::-1], axis=0)[::-1]
+    r = np.asarray(roots, dtype=complex)[:, None]
+    d = xs - r
+    ys = _signed(np.sqrt(f.leading * d.prod(axis=0)),
+                 cmath.phase(y_far) + 0.5 * _turn(d, np.conj(x_far - r[:, 0])))
+    T, landed_plus = tail_integrals(f, xs, ys)
+    if f.degree == 6 and landed_plus[-1]:
+        y_far, T = -y_far, -T
+    J = -T[:-1]
     if f.degree == 5:
-        return W, J, None
-    return W, J, 2.0 * (I[n:].sum(axis=0) - T)
+        return _integrate_stack([segments]), J, None
+    dive = run_into_branch_point(roots, detour_radii(roots), x_far)
+    y0, _ = continue_sqrt(f, roots, dive, [y_far] + [None] * (len(dive) - 1))
+    vals = _integrate_stack([segments, (piece_sheet(f, roots, dive, y0),
+                                        len(dive), holomorphic_numerators())])
+    n = len(pairs)
+    return vals[:n], J, 2.0 * (vals[n:, :2].sum(axis=0) - T[-1])

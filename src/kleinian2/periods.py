@@ -15,15 +15,16 @@ The base-point constant Delta comes in closed form: the odd half-period
 of the branch point e that z_star's path runs into (_BASE_CHARS[e]),
 plus (1/2) A^{-1} z_star; on degree 5 e is infinity and there is no
 shift.  One theta call certifies that theta(u - Delta) vanishes on the
-Abel images u of ABEL_SAMPLES points.  The points lie on one ray out to
-the far point where z_star changes sheets, by the run from there into
-its nearest branch point, so one chain of sheets and one tail to
-infinity, summed as a series, give both.  Every sheet is fixed before
-any quadrature, so the loop segments, the ray and that run are one
-stack of one quadrature (integration.period_integrals).  Neither the
-samples nor z_star depends on the branch ordering, so a re-ordered
-build reuses them (compute_period_data's like=) and integrates its loop
-segments only.
+Abel images u of ABEL_SAMPLES points.  The points lie on the ray
+through the far point, where z_star changes sheets by the run from there
+into its nearest branch point, between integration.SERIES_FACTOR times
+the root scale and that point, so each point's Abel image is minus its
+own tail to infinity, summed as a series with the far point's in one
+call, and takes no quadrature.  Every sheet is fixed before any quadrature, so the
+loop segments and, on degree 6, that run are one stack of one quadrature
+(integration.period_integrals).  Neither the samples nor z_star depends
+on the branch ordering, so a re-ordered build reuses them
+(compute_period_data's like=) and integrates its loop segments only.
 
 PeriodData derives what its integrals determine and certifies itself
 when it is made, whether by a build, a JSON load or a
@@ -52,15 +53,17 @@ import numpy as np
 from .curve import branch_points
 from .errors import (DegenerateGeometryError, NormalizationError,
                      RiemannMatrixError)
-from .integration import far_point, nearest_branch_point, period_integrals
+from .integration import (SERIES_FACTOR, far_point, nearest_branch_point,
+                          period_integrals)
 from .theta import TOL_SYM, lam_min, lattice_reduce, theta_jet
 
 TOL_LEG = 1e-8
 COND_CAP = 1e12         # of the real generator matrix [Re; Im] [A B]
 SCALE_BAND = (0.1, 10.0)
 ABEL_SAMPLES = 8        # Abel images certifying Delta
-# radii of the sample points on the far ray, times the root scale
-SAMPLE_RADII = 2.0 * 1.25 ** np.arange(ABEL_SAMPLES)
+# radii of the sample points on the far point's ray, times the root scale,
+# from the radius where a tail is a series out
+SAMPLE_RADII = SERIES_FACTOR * 1.25 ** np.arange(ABEL_SAMPLES)
 
 # the standard symplectic form: a_i . b_j = delta_ij, in (a1, a2, b1, b2)
 J = np.array([[0, 0, 1, 0],
@@ -141,10 +144,11 @@ class PeriodData:
     must have that lattice form, on degree 5 an odd half-period.  On
     degree 5 delta_char is the characteristic (n0, m0) of Delta = (n0 +
     Omega m0) / 2; on degree 6 Delta is no half-period, and delta_char
-    is None.  abel_samples holds the Abel images of the far-ray points
-    that certify Delta (None for data read from JSON, and for a copy
-    whose Delta is shifted by a period, which multiplies theta at the
-    samples by its quasi-periodicity factor).
+    is None.  abel_samples holds the Abel images, series tails from
+    infinity, of the points on the far point's ray that certify Delta
+    (None for data read from JSON, and for a copy whose Delta is shifted
+    by a period, which multiplies theta at the samples by its
+    quasi-periodicity factor).
 
     Making the data certifies it (the module docstring lists the
     checks): RiemannMatrixError if the periods or Delta's lattice form
@@ -264,12 +268,12 @@ def compute_period_data(f, ordering=None, like=None):
     produces a different (but equally valid) symplectic basis; the
     functions built on top are invariant under this choice.  like
     optionally gives period data of the same curve whose Abel samples
-    and z_star are reused: neither depends on the ordering (the same ray
-    out to the same far point, the same run into its nearest root), so
-    the build then integrates its loop segments only.  An ordering that
-    is no permutation of range(f.degree), or like of another curve,
-    raises ValueError; data that fails its certificate, singular
-    a-periods among them, raises as PeriodData does.
+    and z_star are reused: neither depends on the ordering (the same
+    tails from the same points, the same run from the far point into its
+    nearest root), so the build then integrates its loop segments only.
+    An ordering that is no permutation of range(f.degree), or like of
+    another curve, raises ValueError; data that fails its certificate,
+    singular a-periods among them, raises as PeriodData does.
     """
     roots = branch_points(f)
     if ordering is not None:

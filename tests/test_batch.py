@@ -602,6 +602,37 @@ def test_divisors_that_meet_infinity_are_one_quadrature(ctx, abel_calls):
     assert abel_calls.count("integrate_01") == 1
 
 
+def test_points_beyond_the_series_radius_take_no_quadrature(ctx,
+                                                           abel_calls):
+    """A point SERIES_FACTOR times the root scale out or beyond is its own
+    far point: its integral from infinity is its tail alone, summed as a
+    series, with no sheet chain and no quadrature.  Against the route from
+    a point Q nearer in, on the same ray, whose run out to the series
+    radius and tail are integrated as before: the two differ by the
+    integral from Q out to the point, to 1e-13."""
+    f, roots = ctx.f, list(ctx.pd.roots)
+    radii = integration.detour_radii(roots)
+    direction = np.exp(0.4j)
+    xs = f.scale * direction * np.array([1.2, 2.0, 3.5])
+    Q = k2.CurvePoint.affine(xs[0], np.sqrt(f(xs[0])))
+    runs = [integration.line_with_detours(roots, radii, xs[0], x)
+            for x in xs[1:]]
+    pieces, y0, y_end = integration._continue_runs(f, roots, runs,
+                                                   [Q.y, Q.y])
+    out = [k2.CurvePoint.affine(x, y) for x, y in zip(xs[1:], y_end)]
+    ends = np.cumsum([len(run) for run in runs])
+    I = np.array([v.sum(axis=0) for v in np.split(
+        integration.integrate_forms(f, roots, pieces, y0,
+                                    integration.holomorphic_numerators()),
+        ends[:-1])])
+    abel_calls.clear()
+    J = integration.point_infinity_integrals(f, roots, out, ctx.pd.z_star)
+    assert abel_calls == []
+    J_Q = integration.point_infinity_integrals(f, roots, [Q], ctx.pd.z_star)
+    assert abel_calls.count("integrate_01") == 1
+    assert np.max(np.abs(J - J_Q - I)) <= 1e-13 * np.max(np.abs(J))
+
+
 def test_detour_radii_are_computed_once_per_root_set(ctx):
     """A batch of affine pairs, sheet flips and divisors that meet
     infinity asks for the detour radii in path_between and in

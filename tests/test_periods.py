@@ -349,10 +349,11 @@ def test_z_star_invariant_mod_lattice():
 def test_z_star_continues_one_tail(coeffs, monkeypatch):
     """The tail back to infinity from the sheet flip at x_far, at -y_far,
     is the first tail with every y negated, so z_star = 2 (I_e - T), I_e
-    the run from x_far into its nearest root, sums one tail in closed
-    form, the one the Abel samples share, seeded at the principal root.
-    It matches the route that sums both tails to 1e-15, and with the flip
-    loop for 2 I_e (out, a full turn about the root, back) to 1e-13."""
+    the run from x_far into its nearest root, sums x_far's one tail in
+    closed form, seeded at the principal root, in the one tail_integrals
+    call that also sums the Abel samples' tails.  It matches the route
+    that sums both tails to 1e-15, and with the flip loop for 2 I_e (out,
+    a full turn about the root, back) to 1e-13."""
     f = k2.validate_polynomial(coeffs)
     roots = branch_points(f)
     scale = max(1.0, max(abs(r) for r in roots))
@@ -369,7 +370,9 @@ def test_z_star_continues_one_tail(coeffs, monkeypatch):
     x_far = integration.FAR_FACTOR * scale * np.exp(0.7310j)
     y_far = complex(np.sqrt(f(x_far)))
     (tail_x, tail_y), = calls
-    assert tail_x == [x_far] and tail_y == [y_far]
+    assert tail_x == list(periods.SAMPLE_RADII * scale
+                          * np.exp(0.7310j)) + [x_far]
+    assert abs(tail_y[-1] - y_far) <= 1e-15 * abs(y_far)
 
     # both tails, each summed
     T, landed_plus = integration.tail_integrals(f, [x_far], [y_far])
@@ -394,11 +397,13 @@ def test_z_star_continues_one_tail(coeffs, monkeypatch):
 @pytest.mark.parametrize("coeffs", [c for _, c in FRAME_CURVES],
                          ids=[name for name, _ in FRAME_CURVES])
 def test_one_quadrature_build_matches_separate_integrals(coeffs):
-    """The loop segments and the far ray with its run into the nearest
-    branch point, integrated as one stack, against each integrated in a
-    quadrature of its own, with the same sheets and the far tail summed
-    in closed form: the segment integrals, and so A, B, etaA and etaB,
-    bit for bit; the Abel samples and z_star to 1e-15 relative."""
+    """The loop segments, on degree 6 with the run from the far point into
+    its nearest branch point, integrated as one stack, against each
+    integrated in a quadrature of its own with the same sheets: the
+    segment integrals, and so A, B, etaA and etaB, bit for bit, and
+    z_star to 1e-15 relative.  The Abel samples, each its own tail summed
+    as a series, match the far ray through them integrated piece by piece
+    out to the far point, and that point's tail, to 1e-15 relative."""
     f = k2.validate_polynomial(coeffs)
     roots = branch_points(f)
     scale = max(1.0, max(abs(r) for r in roots))
@@ -438,23 +443,40 @@ def test_one_quadrature_build_matches_separate_integrals(coeffs):
 
 def test_a_build_makes_one_quadrature(monkeypatch):
     """A context build integrates in one integrate_01 call on both
-    degrees, and a build reusing another's samples (like=) in one."""
-    calls = []
-    quad = integration.integrate_01
+    degrees, and a build reusing another's samples (like=) in one.  The
+    samples are series tails and take no sheet chain: a degree-5 build
+    makes no continue_sqrt call, and a degree-6 build one, over the run
+    from its far point into the nearest branch point."""
+    calls, chains = [], []
+    quad, chain = integration.integrate_01, integration.continue_sqrt
 
     def counted(*args, **kwargs):
         calls.append(1)
         return quad(*args, **kwargs)
 
+    def chained(f, roots, pieces, seeds):
+        chains.append(pieces)
+        return chain(f, roots, pieces, seeds)
+
     monkeypatch.setattr(integration, "integrate_01", counted)
+    monkeypatch.setattr(integration, "continue_sqrt", chained)
     for coeffs in (W5_COEFFS, G6_COEFFS):
         f = k2.validate_polynomial(coeffs)
         ctx = k2.make_context(f)
         assert len(calls) == 1
+        if f.degree == 5:
+            assert chains == []
+        else:
+            roots = list(ctx.pd.roots)
+            (pieces,) = chains
+            assert np.array_equal(pieces, integration.run_into_branch_point(
+                roots, integration.detour_radii(roots),
+                integration.far_point(f.scale)))
         k2.compute_period_data(f, ordering=(1, 0, 2, 4, 3) + (
             (5,) if f.degree == 6 else ()), like=ctx.pd)
-        assert len(calls) == 2
+        assert len(calls) == 2 and len(chains) == f.degree - 5
         calls.clear()
+        chains.clear()
 
 
 def test_a_build_checks_omega_once():

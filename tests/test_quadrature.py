@@ -854,22 +854,34 @@ def test_empty_straight_run_is_a_stack_of_no_rows():
 def _tail_oracle(f, x_far, y_far):
     """The integrals of (dx/y, x dx/y) from (x_far, y_far) out to infinity
     by mpmath.quad at 30 digits, in the chart x = t^-q along t = (1 - tau)
-    t1, with y t^(d q/2) the root of t^(d q) f(t^-q) within a right angle
-    of the seed (arg of that polynomial moves by under a radian beyond
-    FAR_FACTOR times the roots), and the landing label read off it at
-    t = 0."""
+    t1, with y t^(d q/2) the root of h(t) = t^(d q) f(t^-q) on the sheet
+    of the seed, and the landing label read off it at t = 0.  The sheet is
+    tracked in double precision on a grid of 1024 steps in tau, over each
+    of which arg h moves by under 0.02 radian, and a node
+    takes the root within a right angle of the grid value nearest it:
+    from twice the roots out arg h moves by up to a half turn, so the
+    root within a right angle of the seed itself need not be the
+    sheet's."""
     d, q = f.degree, 1 if f.degree == 6 else 2
+    grid = np.linspace(0.0, 1.0, 1025)
+    t = (1.0 - grid) * (1.0 / (x_far if q == 1 else np.sqrt(x_far)))
+    h = np.sqrt(sum(c * t ** (q * (d - i))
+                    for i, c in enumerate(f.coeffs[:d + 1])))
+    h[0] = y_far * t[0] ** (d * q // 2)
+    for i in range(1, len(h)):
+        if abs(h[i] - h[i - 1]) > abs(h[i] + h[i - 1]):
+            h[i] = -h[i]
     with mpmath.workdps(30):
         coeffs = [mpmath.mpc(c) for c in f.coeffs[:d + 1]]
         x1 = mpmath.mpc(x_far)
         t1 = 1 / x1 if q == 1 else 1 / mpmath.sqrt(x1)
-        seed = mpmath.mpc(y_far) * t1 ** (d * q // 2)
 
         def root(tau):
             t = (1 - tau) * t1
-            h = mpmath.sqrt(sum(c * t ** (q * (d - i))
+            r = mpmath.sqrt(sum(c * t ** (q * (d - i))
                                 for i, c in enumerate(coeffs)))
-            return h if mpmath.re(h * mpmath.conj(seed)) > 0 else -h
+            near = h[int(round(float(tau) * (len(h) - 1)))]
+            return r if mpmath.re(r * mpmath.conj(near)) > 0 else -r
 
         forms = [lambda tau: q * t1 * ((1 - tau) * t1) ** q / root(tau),
                  lambda tau: q * t1 / root(tau)]
@@ -882,31 +894,44 @@ def _tail_oracle(f, x_far, y_far):
 @pytest.mark.parametrize("degree", [5, 6])
 @pytest.mark.parametrize("scale", [0.01, 0.3, 1.0, 7.0, 100.0])
 def test_tail_integrals_match_mpmath(degree, scale):
-    """The closed-form tails from a far point 12-36 times the root scale
-    out, on both sheets, against mpmath at 30 digits: each integral to
-    1e-14 relative, and the landing labels alike."""
+    """The closed-form tails on both sheets, against mpmath at 30 digits,
+    from a far point 12-36 times the root scale out, each integral to
+    1e-14 relative, and from one 2-3 times the largest root modulus out,
+    at the ratio rho = max|r| / |x| up to 1/2 where the series starts,
+    to the rounding bound K u ((1 + rho) / (1 - rho))^3: a sum of K =
+    TAIL_TERMS terms rounds by at most K u times the sum of their moduli,
+    which the majorant (1 - rho)^-3 bounds, while each factor (1 -
+    r_j s)^(-1/2) of g is at least (1 + rho)^(-1/2) in modulus.  The
+    landing labels agree too."""
     rng = np.random.default_rng([degree, int(100 * scale)])
     roots = scale * (rng.normal(size=degree) + 1j * rng.normal(size=degree))
     lead = rng.normal() + 1j * rng.normal()
     f = k2.validate_polynomial(list(lead * np.poly(roots)[::-1]))
-    R = max(1.0, max(abs(r) for r in f.roots)) * rng.uniform(12, 36)
+    top = max(abs(r) for r in f.roots)
+    R = max(1.0, top) * rng.uniform(12, 36)
     x_far = R * np.exp(2j * np.pi * rng.random())
-    y_far = np.sqrt(f(x_far)) * np.array([1, -1])
-    T, landed_plus = tail_integrals(f, [x_far, x_far], y_far)
-    for k in range(2):
-        want, plus = _tail_oracle(f, x_far, y_far[k])
-        assert np.all(np.abs(T[k] - want) <= 1e-14 * np.abs(want))
-        assert landed_plus[k] == plus
+    R = top * rng.uniform(2, 3)
+    x_near = R * np.exp(2j * np.pi * rng.random())
+    rho = top / R
+    near_tol = (integration.TAIL_TERMS * np.finfo(float).eps / 2
+                * ((1 + rho) / (1 - rho)) ** 3)
+    for x, tol in ((x_far, 1e-14), (x_near, near_tol)):
+        y = np.sqrt(f(x)) * np.array([1, -1])
+        T, landed_plus = tail_integrals(f, [x, x], y)
+        for k in range(2):
+            want, plus = _tail_oracle(f, x, y[k])
+            assert np.all(np.abs(T[k] - want) <= tol * np.abs(want))
+            assert landed_plus[k] == plus
 
 
 def test_tail_series_length_follows_its_truncation_bound():
     """The TAIL_TERMS coefficients of prod_j (1 - r_j s)^(-1/2) leave out
-    terms bounded by C(k+2, 2) rho^k, rho = 1/FAR_FACTOR: the closed form
-    of that bound's sum from K on matches the sum, TAIL_TERMS is the least
-    K that puts it below TAIL_TOL, and the coefficients of random root
-    sets keep to the bound, so the truncated series equals the product at
-    the far radius to rounding."""
-    rho = 1.0 / integration.FAR_FACTOR
+    terms bounded by C(k+2, 2) rho^k, rho = 1/SERIES_FACTOR: the closed
+    form of that bound's sum from K on matches the sum, TAIL_TERMS is the
+    least K that puts it below TAIL_TOL, and the coefficients of random
+    root sets keep to the bound, so the truncated series equals the
+    product at the series radius to rounding."""
+    rho = 1.0 / integration.SERIES_FACTOR
     for K in (0, 5, 18, 30):
         direct = math.fsum(math.comb(k + 2, 2) * rho ** k
                            for k in range(K, K + 600))
@@ -935,9 +960,9 @@ def test_tail_integrals_of_no_points():
 
 
 def test_a_tail_from_within_the_far_radius_raises():
-    """The series converges to double precision only beyond FAR_FACTOR
-    times the largest root modulus; a nearer start is refused."""
+    """The series is summed to double precision from SERIES_FACTOR times
+    the largest root modulus out; a nearer start is refused."""
     f = _g6()
-    x = 0.9 * integration.FAR_FACTOR
+    x = 0.9 * integration.SERIES_FACTOR
     with pytest.raises(ValueError):
         tail_integrals(f, [x], [np.sqrt(f(x))])
