@@ -39,9 +39,10 @@ def poly_deriv_coeffs(coeffs, order=1):
 class AdmissiblePolynomial:
     """Validated curve polynomial.  Build with validate_polynomial().
 
-    roots holds the Newton-polished roots in branch_points' order, solved
-    for once when the polynomial is made; branch_points returns them,
-    and scale = max(1, max |root|) is set with them."""
+    roots holds the Newton-polished roots, in a deterministic order
+    (ascending real part, ties broken by imaginary part), solved for once
+    when the polynomial is made; scale = max(1, max |root|) is set with
+    them."""
     coeffs: tuple
     degree: int
     weierstrass_form: bool
@@ -139,16 +140,9 @@ def validate_polynomial(coeffs):
     return f
 
 
-def branch_points(f):
-    """All roots of f, Newton-polished, in a deterministic order
-    (ascending real part, ties broken by imaginary part), as a list: the
-    roots f was made with."""
-    return list(f.roots)
-
-
 def _polished_roots(coeffs, degree):
     """The roots of the polynomial of ascending coefficients coeffs and
-    the given degree, in branch_points' order.  ConvergenceError if a
+    the given degree, in the order f.roots keeps.  ConvergenceError if a
     polished residual misses its bound, or the bound is not finite."""
     roots = np.roots(coeffs[degree::-1])
     d1 = poly_deriv_coeffs(coeffs)

@@ -52,6 +52,11 @@ each with a few operations per root, where numpy calls on 5- or
 path_between chains the straight runs of all its paths in one
 continue_sqrt call and the runs into a branch point that some of them
 need, when one has several pieces, in a second.
+
+Paths read the branch points off the curve, f.roots, and their detour
+radii off detour_radii(f), once per curve.  The branch order is the
+period build's alone, naming its loop segments; line_with_detours,
+nearest_branch_point and run_into_branch_point take any root list.
 """
 
 import cmath
@@ -126,7 +131,7 @@ def _piece_frames(roots, pieces):
     return c0, off, np.where(off.all(axis=0), 0.0, b.imag), into
 
 
-def continue_sqrt(f, roots, pieces, seeds):
+def continue_sqrt(f, pieces, seeds):
     """Start and end values (y0, y1) of y = sqrt(f(x)) on each piece of a
     stack, continued in closed form.
 
@@ -142,7 +147,6 @@ def continue_sqrt(f, roots, pieces, seeds):
     n = len(seeds)
     if not n:
         return np.zeros(0, dtype=complex), np.zeros(0, dtype=complex)
-    roots = [complex(r) for r in roots]
     rows = pieces.tolist()
     seeded = [k for k in range(n) if k == 0 or seeds[k] is not None]
     f0 = f(np.array([c + R if b else c for c, R, b in
@@ -167,7 +171,7 @@ def continue_sqrt(f, roots, pieces, seeds):
         # r_j)) summed over the roots off the piece, and the arc's wind
         # if one root is its centre or the line's end (no turn: b = 0)
         turn, prod = 0.0, 1.0
-        for r in roots:
+        for r in f.roots:
             d = (c - r) + step      # x(1) - r_j, as piece_sheet has it
             prod *= d
             if (c == r) if b else (abs(x1 - r) <= tiny):
@@ -179,7 +183,7 @@ def continue_sqrt(f, roots, pieces, seeds):
             psi = cmath.phase(start)
         else:
             gap = abs(x0 - x_end)
-            if gap and gap > 1e-6 * min(abs(x0 - r) for r in roots):
+            if gap and gap > 1e-6 * min(abs(x0 - r) for r in f.roots):
                 raise SheetTrackingError(
                     f"piece {k} does not start where the piece before it "
                     "ends")
@@ -192,7 +196,7 @@ def continue_sqrt(f, roots, pieces, seeds):
     return np.array(y0, dtype=complex), np.array(y1, dtype=complex)
 
 
-def piece_sheet(f, roots, pieces, y0):
+def piece_sheet(f, pieces, y0):
     """y on a stack of pieces: rows(k) is the sheet of pieces k, a
     function of parameters u, shape (N, 1), and of d1 = 1 - u, computed
     stably, returning (x, dx/du, y) at u on those pieces, y the root of
@@ -202,7 +206,7 @@ def piece_sheet(f, roots, pieces, y0):
     into a branch point, so f carries no cancellation noise near a root
     and the endpoint singularity of a run into one none at all.  An
     integrand narrows by taking rows once per narrowing."""
-    r = np.asarray(roots, dtype=complex)[:, None]
+    r = np.array(f.roots)[:, None]
     c0, off, wind, into = _piece_frames(r[:, 0], pieces)
     phase0 = np.angle(y0)
     lead = f.leading
@@ -273,11 +277,11 @@ def _integrate_stack(groups):
     return integrate_01(g, narrow)[0]
 
 
-def integrate_forms(f, roots, pieces, y0, numerators):
+def integrate_forms(f, pieces, y0, numerators):
     """Integrals of n_k(x)/y dx over each piece of a stack, one row per
     piece, piece k on the sheet that starts it at y0[k]; all pieces share
     one quadrature."""
-    return _integrate_stack([(piece_sheet(f, roots, pieces, y0),
+    return _integrate_stack([(piece_sheet(f, pieces, y0),
                               len(pieces), numerators)])
 
 
@@ -305,16 +309,12 @@ def all_numerators(f):
     return holomorphic_numerators() + second_kind_numerators(f)
 
 
-def detour_radii(roots):
-    """Detour disc radius of each root: a fixed fraction of its distance
-    to the nearest other root.  Computed once per root set: every path
-    of a curve asks for the same radii."""
-    return _detour_radii(np.asarray(roots, dtype=complex).tobytes())
-
-
 @lru_cache(maxsize=64)
-def _detour_radii(key):
-    r = np.frombuffer(key, dtype=complex)
+def detour_radii(f):
+    """Detour disc radius of each of f.roots: a fixed fraction of its
+    distance to the nearest other root.  Computed once per curve: every
+    path of a curve asks for the same radii."""
+    r = np.array(f.roots)
     d = np.abs(r[:, None] - r)
     np.fill_diagonal(d, np.inf)
     radii = DETOUR_FACTOR * d.min(axis=1)
@@ -397,7 +397,7 @@ def run_into_branch_point(roots, radii, x):
     return line_with_detours(roots, radii, x, roots[e], e)
 
 
-def _continue_runs(f, roots, runs, y0):
+def _continue_runs(f, runs, y0):
     """Chains of x-plane pieces, run i from y0[i], in one continue_sqrt
     call, or none if no run has a piece: (pieces, starts, y_end), the
     runs stacked, each piece's start value, and each run's end value
@@ -412,12 +412,12 @@ def _continue_runs(f, roots, runs, y0):
             full.append(i)
     if not seeds:
         return pieces, np.zeros(0, dtype=complex), y_end
-    starts, ends = continue_sqrt(f, roots, pieces, seeds)
+    starts, ends = continue_sqrt(f, pieces, seeds)
     y_end[full] = ends[last]
     return pieces, starts, y_end
 
 
-def path_between(f, roots, P0, P1):
+def path_between(f, P0, P1):
     """Paths from the affine points P0[i] to P1[i] as (pieces, y0, path,
     weight): each is the straight run with detours, plus, when that run
     lands on -y1, a sheet flip; y0 holds each piece's start value,
@@ -428,7 +428,7 @@ def path_between(f, roots, P0, P1):
     2.  The straight runs of all paths are chained in one continue_sqrt
     call, and the runs into a branch point that are needed in a
     second."""
-    radii = detour_radii(roots)
+    roots, radii = f.roots, detour_radii(f)
     x1 = np.array([P.x for P in P1], dtype=complex)
     y1 = np.array([P.y for P in P1], dtype=complex)
     f1 = f(x1)
@@ -439,7 +439,7 @@ def path_between(f, roots, P0, P1):
             f"target y = {y1[np.argmax(miss)]:.6g} does not square to f(x)")
     runs = [line_with_detours(roots, radii, a.x, b)
             for a, b in zip(P0, x1)]
-    pieces, y0, y_end = _continue_runs(f, roots, runs, [P.y for P in P0])
+    pieces, y0, y_end = _continue_runs(f, runs, [P.y for P in P0])
     path = np.repeat(np.arange(len(runs)), [len(run) for run in runs])
     weight = np.ones(len(pieces))
     flip = np.flatnonzero(np.abs(y_end - y1) > np.abs(y_end + y1))
@@ -452,7 +452,7 @@ def path_between(f, roots, P0, P1):
         if lens.max() <= 1:
             dive, y0_dive = np.concatenate(dives), -y1[flip][lens == 1]
         else:
-            dive, y0_dive, _ = _continue_runs(f, roots, dives, -y1[flip])
+            dive, y0_dive, _ = _continue_runs(f, dives, -y1[flip])
         pieces = np.concatenate([pieces, dive])
         y0 = np.concatenate([y0, y0_dive])
         path = np.concatenate([path, np.repeat(flip, lens)])
@@ -542,14 +542,17 @@ _HALF_BINOMIAL = np.cumprod([1.0] + [(k - 0.5) / k
                                      for k in range(1, TAIL_TERMS)])
 
 
-def _tail_coeffs(roots):
-    """c_0 .. c_{TAIL_TERMS-1} of g(s) = prod_j (1 - r_j s)^(-1/2): the
-    factors' binomial series, multiplied out and truncated."""
-    series = _HALF_BINOMIAL * (np.asarray(roots, dtype=complex)[:, None]
+@lru_cache(maxsize=64)
+def _tail_coeffs(f):
+    """c_0 .. c_{TAIL_TERMS-1} of g(s) = prod_j (1 - r_j s)^(-1/2) over
+    the roots r_j of f: the factors' binomial series, multiplied out and
+    truncated, read-only.  Computed once per curve."""
+    series = _HALF_BINOMIAL * (np.array(f.roots)[:, None]
                                ** np.arange(TAIL_TERMS))
     c = series[0]
     for b in series[1:]:
         c = np.convolve(c, b)[:TAIL_TERMS]
+    c.setflags(write=False)
     return c
 
 
@@ -579,7 +582,7 @@ def tail_integrals(f, x_far, y_far):
     t1 = s1 if q == 1 else np.sqrt(s1)
     # summed from the smallest, last terms on, so that at a ratio of 1/2
     # the rounding is that of the few largest terms, not of all of them
-    c, k = _tail_coeffs(f.roots)[::-1], np.arange(TAIL_TERMS)[::-1]
+    c, k = _tail_coeffs(f)[::-1], np.arange(TAIL_TERMS)[::-1]
     V = s1[:, None] ** k
     s0 = y_far * t1 ** (f.degree * q // 2) * (V @ c)
     root = np.sqrt(complex(f.leading))
@@ -590,7 +593,7 @@ def tail_integrals(f, x_far, y_far):
     return T, plus | (f.degree == 5)
 
 
-def point_infinity_integrals(f, roots, P, z_star):
+def point_infinity_integrals(f, P, z_star):
     """Holomorphic integrals from the infinite point labelled 2 (the one
     point at infinity on degree 5) to each affine point of the sequence P,
     one row per point, along a tail from infinity to a far point and a
@@ -601,7 +604,7 @@ def point_infinity_integrals(f, roots, P, z_star):
     closed form (tail_integrals); a tail that lands on label 1 is moved
     to label 2 by z_star, the integral from 2 to 1 (None on degree 5).
     """
-    radii = detour_radii(roots)
+    roots, radii = f.roots, detour_radii(f)
     R = SERIES_FACTOR * f.scale
     runs, x_far = [], []
     for Q in P:
@@ -612,13 +615,13 @@ def point_infinity_integrals(f, roots, P, z_star):
                    else FAR_ARG)
             x_far.append(R * np.exp(1j * phi))
         runs.append(line_with_detours(roots, radii, Q.x, x_far[-1]))
-    pieces, y0, y_far = _continue_runs(f, roots, runs, [Q.y for Q in P])
+    pieces, y0, y_far = _continue_runs(f, runs, [Q.y for Q in P])
     T, landed_plus = tail_integrals(f, x_far, y_far)
     J = -T
     if len(pieces):
         ends = np.cumsum([len(run) for run in runs])
         J -= [v.sum(axis=0) for v in np.split(integrate_forms(
-            f, roots, pieces, y0, holomorphic_numerators()), ends[:-1])]
+            f, pieces, y0, holomorphic_numerators()), ends[:-1])]
     if f.degree == 6:
         J = J + np.where(landed_plus[:, None], z_star, 0)
     return J
@@ -629,18 +632,18 @@ def far_point(scale):
     return FAR_FACTOR * scale * np.exp(1j * FAR_ARG)
 
 
-def period_integrals(f, roots, pairs, scale=None, radii=None):
+def period_integrals(f, roots, pairs, radii=None):
     """(W, J, z_star) of a period build, in one quadrature.
 
     Row p of W holds the integrals of (dx/y, x dx/y, r1, r2) over the
     straight segment from roots[i] to roots[j], (i, j) = pairs[p], on the
-    sheet of segment_sheet.  Given scale and the radii, each at least
-    SERIES_FACTOR times scale, J holds the holomorphic integrals from the
-    infinite point labelled 2 (the one point at infinity on degree 5) to
-    the points at those radii in the direction of x_far =
-    far_point(scale), one row per point, and z_star, on degree 6, the
-    integral from label 2 to label 1 (None on degree 5); without them J
-    and z_star are None.
+    sheet of segment_sheet.  Given the radii, each at least SERIES_FACTOR
+    times f.scale, J holds the holomorphic integrals from the infinite
+    point labelled 2 (the one point at infinity on degree 5) to the
+    points at those radii in the direction of x_far = far_point(f.scale),
+    one row per point, and z_star, on degree 6, the integral from label 2
+    to label 1 (None on degree 5), both read off f.roots; without the
+    radii J and z_star are None.
 
     Every point's integral is minus its tail, summed as a series in one
     tail_integrals call with x_far's.  x_far's seed y_far is the root of
@@ -657,12 +660,12 @@ def period_integrals(f, roots, pairs, scale=None, radii=None):
     degree 5 the segments are the stack.
     """
     segments = (segment_sheet(f, roots, pairs), len(pairs), all_numerators(f))
-    if scale is None:
+    if radii is None:
         return _integrate_stack([segments]), None, None
-    x_far = far_point(scale)
+    x_far = far_point(f.scale)
     y_far = complex(np.sqrt(f(x_far)))
     xs = np.append(np.asarray(radii) * np.exp(1j * FAR_ARG), x_far)
-    r = np.asarray(roots, dtype=complex)[:, None]
+    r = np.array(f.roots)[:, None]
     d = xs - r
     ys = _signed(np.sqrt(f.leading * d.prod(axis=0)),
                  cmath.phase(y_far) + 0.5 * _turn(d, np.conj(x_far - r[:, 0])))
@@ -672,9 +675,9 @@ def period_integrals(f, roots, pairs, scale=None, radii=None):
     J = -T[:-1]
     if f.degree == 5:
         return _integrate_stack([segments]), J, None
-    dive = run_into_branch_point(roots, detour_radii(roots), x_far)
-    y0, _ = continue_sqrt(f, roots, dive, [y_far] + [None] * (len(dive) - 1))
-    vals = _integrate_stack([segments, (piece_sheet(f, roots, dive, y0),
+    dive = run_into_branch_point(f.roots, detour_radii(f), x_far)
+    y0, _ = continue_sqrt(f, dive, [y_far] + [None] * (len(dive) - 1))
+    vals = _integrate_stack([segments, (piece_sheet(f, dive, y0),
                                         len(dive), holomorphic_numerators())])
     n = len(pairs)
     return vals[:n], J, 2.0 * (vals[n:, :2].sum(axis=0) - T[-1])

@@ -42,7 +42,7 @@ from .integration import (all_numerators, holomorphic_numerators,
                           integrate_forms, path_between,
                           point_infinity_integrals)
 from .periods import compute_period_data
-from .theta import theta_jet
+from .theta import _leibniz, theta_jet
 
 ZERO_FACTOR = 1e-6     # on-divisor guard, relative to the theta scale
 # the logs of the least normal double and of the largest
@@ -83,7 +83,6 @@ JET_TARGETS = {
 }
 # the even jets (value, d11, d12, d22) that determine an even function
 _EVEN_JETS = ("00", "20", "11", "02")
-_HESS_ENTRIES = ((0, 0), (0, 1), (1, 1))
 
 
 def _weight2_basis(pd, Ainv, C):
@@ -102,23 +101,17 @@ def _weight2_basis(pd, Ainv, C):
     w = np.zeros((8, 2), dtype=complex)
     w[4:] = 2.0 * pd.Delta
     s, jet = theta_jet(2.0 * Om, w + eps @ Om, 2)
-    mu = 1j * np.pi * eps
     fac = np.exp(0.5j * np.pi * np.einsum("ri,ij,rj->r", eps, Om, eps)
-                 + np.einsum("ri,ri->r", mu, w) + s)
-    val = jet[:, 0, 0]
-    grad = np.stack([jet[:, 1, 0], jet[:, 0, 1]], axis=1)
-    hess = np.stack([jet[:, 2, 0], jet[:, 1, 1],
-                     jet[:, 1, 1], jet[:, 0, 2]], axis=1).reshape(8, 2, 2)
-    mg = mu[:, :, None] * grad[:, None, :]
-    theta = fac * val
-    hess = fac[:, None, None] * (hess + mg + mg.transpose(0, 2, 1)
-                                 + mu[:, :, None] * mu[:, None, :]
-                                 * val[:, None, None])
-    hz = 2.0 * C * theta[:4, None, None] + 4.0 * Ainv.T @ hess[:4] @ Ainv
-    B = np.column_stack([theta[:4]]
-                        + [hz[:, j, k] for j, k in _HESS_ENTRIES])
-    M = np.array([theta[4:]] + [4.0 * hess[4:, j, k]
-                                for j, k in _HESS_ENTRIES])
+                 + 1j * np.pi * np.einsum("ri,ri->r", eps, w) + s)
+    # exp(i pi eps.w) by theta's Leibniz step: mu = -2 pi i m = i pi eps
+    jet = fac[:, None, None] * _leibniz(-0.5 * eps, jet, 2)
+    theta = jet[:, 0, 0]
+    # d^2/dz^2 of Theta(2 A^-1 z) pulls back through 2 A^-1
+    hz = (2.0 * C * theta[:4, None, None]
+          + _pullback_jets(2.0 * Ainv, jet[:4], 2)[1])
+    # (value, d11, d12, d22): the z-Hessian's entries, and the u-jet's
+    B = np.column_stack([theta[:4], hz[:, [0, 0, 1], [0, 1, 1]]])
+    M = np.vstack([theta[4:], 4.0 * jet[4:, [2, 1, 0], [0, 1, 2]].T])
     return B, M
 
 
@@ -165,8 +158,8 @@ def make_context(f, pd=None):
             raise NormalizationError(
                 "theta does not vanish at +-Delta; base-point constant is "
                 "not on the theta divisor")
-    v = Ainv.T @ np.array([jm[1, 0], jm[0, 1]])
-    w = Ainv.T @ np.array([jp[1, 0], jp[0, 1]])
+    v = _pullback_jets(Ainv, jm, 1)[0]
+    w = _pullback_jets(Ainv, jp, 1)[0]
     if abs(v[0] * w[0]) < 1e-300:
         raise NormalizationError("degenerate gradient at Delta")
     c_S = np.exp(-s[1] - s[2]) / (v[0] * w[0])
@@ -280,6 +273,12 @@ def _quad(ctx, z):
     return (z[..., None, :] @ ctx.C @ z[..., :, None])[..., 0, 0][()]
 
 
+def _weight2_exponent(ctx, z, s):
+    """z^T C z + s_- + s_+, the exponent of S and S_jk over the jets at
+    u -+ Delta of lattice exponents s = (s_-, s_+)."""
+    return _quad(ctx, z) + s[0] + s[1]
+
+
 def _theta_pair(ctx, z, order=0):
     """(u, s, jm, jp): u = A^-1 z, and theta_jet's s, shape (2,) or (2, N),
     and jets at u -+ Delta, from one kernel call on all those rows."""
@@ -293,18 +292,14 @@ def _theta_pair(ctx, z, order=0):
 _K3 = np.indices((2, 2, 2)).sum(axis=0)   # u2-order of d^3/du_a du_b du_c
 
 
-def _pullback_jets(ctx, jet, order):
-    """Theta-factor derivative tensors in z coordinates, the first,
-    second and third for jets of shape (..., k, k)."""
-    Ai = ctx.Ainv
+def _pullback_jets(Ai, jet, order):
+    """The first, second and third derivative tensors in z of a function
+    of u = Ai z, from its u-jets of shape (..., k, k); None beyond
+    order."""
     d1 = d2 = d3 = None
     t = jet.T     # t[k2, k1] is _at(jet, k1, k2)
     if order >= 1:
-        g = np.array([t[0, 1], t[1, 0]])
-        # a batch sums with einsum, which rounds a row the same in a
-        # batch of any size; the matrix product does not
-        d1 = ((Ai.T @ g).T if jet.ndim == 2
-              else np.einsum("a...,aj->...j", g, Ai))
+        d1 = (Ai.T @ np.array([t[0, 1], t[1, 0]])).T
     if order >= 2:
         # .T also swaps the Hessian's own axes, which is symmetric
         Hu = np.array([[t[0, 2], t[1, 1]], [t[1, 1], t[2, 0]]]).T
@@ -320,14 +315,20 @@ def _sym3(a, b):
     return s + s.swapaxes(-1, -2) + s.swapaxes(-1, -3).swapaxes(-1, -2)
 
 
+def _log_clearance(s, jm, jp):
+    """log min |theta(u -+ Delta)|, min of log|V| + Re s over the jets
+    at u -+ Delta: shape () or (N,), -inf on the zero set of S."""
+    V = abs(np.array([_at(jm, 0, 0), _at(jp, 0, 0)]))
+    return (_log(V) + s.real).min(axis=0)
+
+
 def divisor_clearance(ctx, z):
     """min(|theta(u - Delta)|, |theta(u + Delta)|) over the theta scale;
     small values mean z sits near the zero set of S.  A float, or shape
     (N,) for a batch z."""
     _, s, jm, jp = _theta_pair(ctx, _as_zs(z), 0)
-    log = np.minimum(_log(abs(_at(jm, 0, 0))) + s[0].real,
-                     _log(abs(_at(jp, 0, 0))) + s[1].real)
-    return _scaled(1.0 / ctx.theta_ref, log, "the divisor clearance")
+    return _scaled(1.0 / ctx.theta_ref, _log_clearance(s, jm, jp),
+                   "the divisor clearance")
 
 
 def S_eval(ctx, z):
@@ -337,16 +338,15 @@ def S_eval(ctx, z):
     z = _as_zs(z)
     _, s, jm, jp = _theta_pair(ctx, z, 0)
     return _scaled(ctx.c_S * _at(jm, 0, 0) * _at(jp, 0, 0),
-                   _quad(ctx, z) + s[0] + s[1], "S")
+                   _weight2_exponent(ctx, z, s), "S")
 
 
 def _clear(ctx, s, jm, jp):
-    """|theta| >= ZERO_FACTOR theta_ref at every row of the jets at u -+
-    Delta, tested as |V| >= ZERO_FACTOR theta_ref exp(-Re s): Re s >=
-    -pi/4 sum |Im Omega|."""
-    lim = (ZERO_FACTOR * ctx.theta_ref) * np.exp(-s.real)
-    return bool((abs(_at(jm, 0, 0)) >= lim[0]).all()
-                and (abs(_at(jp, 0, 0)) >= lim[1]).all())
+    """divisor_clearance >= ZERO_FACTOR at every row of the jets at u -+
+    Delta, compared in logs (_log_clearance), so that no exp can
+    overflow."""
+    return bool((_log_clearance(s, jm, jp)
+                 >= math.log(ZERO_FACTOR * ctx.theta_ref)).all())
 
 
 def _require_off_divisor(ctx, s, jm, jp):
@@ -361,7 +361,7 @@ def _log_hessian_from_pair(ctx, jm, jp):
     L = 2.0 * ctx.C
     for jet in (jm, jp):
         p = _at(jet, 0, 0)
-        d1, d2, _ = _pullback_jets(ctx, jet, 2)
+        d1, d2, _ = _pullback_jets(ctx.Ainv, jet, 2)
         # the batch axis last, where p broadcasts, and back
         L = L + (d2.T / p - (d1[..., :, None] * d1[..., None, :]).T
                  / p ** 2).T
@@ -371,8 +371,8 @@ def _log_hessian_from_pair(ctx, jm, jp):
 def _log_gradient_from_pair(ctx, z, jm, jp):
     """2 C z + the z-space gradients of log theta at u -+ Delta, the
     gradient of log S, from jets of any order >= 1; shape (..., 2)."""
-    gp = _pullback_jets(ctx, jm, 1)[0] / jm[..., 0, 0, None]
-    gq = _pullback_jets(ctx, jp, 1)[0] / jp[..., 0, 0, None]
+    gp = _pullback_jets(ctx.Ainv, jm, 1)[0] / jm[..., 0, 0, None]
+    gq = _pullback_jets(ctx.Ainv, jp, 1)[0] / jp[..., 0, 0, None]
     return 2.0 * (ctx.C @ z.T).T + gp + gq
 
 
@@ -580,7 +580,7 @@ def S_jk_eval(ctx, z):
     _, s, jm, jp = _theta_pair(ctx, z, 2)
     # a batch axis is last in the product, and .T moves it first
     return _scaled(_weight2_from_pair(ctx, jm, jp)[1:],
-                   _quad(ctx, z) + s[0] + s[1], "S_jk").T
+                   _weight2_exponent(ctx, z, s), "S_jk").T
 
 
 # -- sigma family (degree 5, Weierstrass form) --------------------------------
@@ -614,7 +614,7 @@ def sigma_jets(ctx, z, order=2):
     z = _as_zs(z)
     u = _u(ctx, z)
     s, jm = theta_jet(ctx.pd.Omega, u - ctx.pd.Delta, order)
-    d1, d2, d3 = _pullback_jets(ctx, jm, order)
+    d1, d2, d3 = _pullback_jets(ctx.Ainv, jm, order)
     n0, m0 = ctx.pd.delta_char
     g1 = (ctx.C @ z.T).T - 1j * np.pi * (ctx.Ainv.T @ np.asarray(m0))
     # Leibniz for e V, e the exponential factor, whose log derivatives are
@@ -658,9 +658,8 @@ def _divisors(D):
 def _path_integrals(ctx, P0, P1, numerators):
     """Integrals of the forms n_k(x)/y dx from each P0[i] to P1[i], all
     affine, one row per pair, along the paths of path_between."""
-    f, roots = ctx.f, list(ctx.pd.roots)
-    pieces, y0, path, weight = path_between(f, roots, P0, P1)
-    vals = integrate_forms(f, roots, pieces, y0, numerators)
+    pieces, y0, path, weight = path_between(ctx.f, P0, P1)
+    vals = integrate_forms(ctx.f, pieces, y0, numerators)
     # W[i, k] is piece k's multiplicity on path i
     W = np.zeros((len(P0), len(pieces)))
     W[path, np.arange(len(pieces))] = weight
@@ -693,7 +692,7 @@ def abel_forward(ctx, D):
         affine = [i for i, P in enumerate(ends) if P.is_affine]
         if affine:
             A[affine] = point_infinity_integrals(
-                f, list(pd.roots), [ends[i] for i in affine], pd.z_star)
+                f, [ends[i] for i in affine], pd.z_star)
         for i, P in enumerate(ends):
             if P.infinity == 1 and pd.z_star is not None:
                 A[i] = pd.z_star
@@ -797,13 +796,12 @@ def evaluate_bundle(ctx, z, want_sigma=False):
     if want_sigma:
         _require_weierstrass(ctx)
     u, s, jm, jp = _theta_pair(ctx, z, 3 if want_sigma else 2)
-    quad = _quad(ctx, z)
-    w2 = _scaled(_weight2_from_pair(ctx, jm, jp), quad + s[0] + s[1],
-                 "S or S_jk")
+    w2 = _scaled(_weight2_from_pair(ctx, jm, jp),
+                 _weight2_exponent(ctx, z, s), "S or S_jk")
     fields = dict(z=z, S=w2[0], S11=w2[1], S12=w2[2], S22=w2[3])
     if want_sigma:
         fields["sigma"] = _scaled(ctx.c_sigma * jm[0, 0], _sigma_twist(
-            ctx, quad, u, s[0]), "sigma")
+            ctx, _quad(ctx, z), u, s[0]), "sigma")
     if _clear(ctx, s, jm, jp):
         L = _log_hessian_from_pair(ctx, jm, jp)
         wp = _wp_from_hessian(ctx, z[None], L[None])[0]

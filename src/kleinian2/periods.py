@@ -50,7 +50,6 @@ import warnings
 
 import numpy as np
 
-from .curve import branch_points
 from .errors import (DegenerateGeometryError, NormalizationError,
                      RiemannMatrixError)
 from .integration import (SERIES_FACTOR, far_point, nearest_branch_point,
@@ -275,7 +274,7 @@ def compute_period_data(f, ordering=None, like=None):
     another curve, raises ValueError; data that fails its certificate,
     singular a-periods among them, raises as PeriodData does.
     """
-    roots = branch_points(f)
+    roots = list(f.roots)
     if ordering is not None:
         if sorted(ordering) != list(range(f.degree)):
             raise ValueError(
@@ -289,8 +288,7 @@ def compute_period_data(f, ordering=None, like=None):
     _check_geometry(roots, f.scale)
     reuse = like is not None and like.abel_samples is not None
     W, samples, z_star = period_integrals(
-        f, roots, LOOP_PAIRS, None if reuse else f.scale,
-        None if reuse else SAMPLE_RADII * f.scale)
+        f, roots, LOOP_PAIRS, None if reuse else SAMPLE_RADII * f.scale)
     if reuse:
         samples, z_star = like.abel_samples, like.z_star
     # a loop doubles its segment integral (out on one sheet, back on the

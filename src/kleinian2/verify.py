@@ -23,8 +23,9 @@ those of a one-by-one loop.  The checks that sample cell points draw them
 through _sample_groups the same way: addition_formula keeps pairs (u, v)
 clear of the divisor at u + v and u - v, duplication points z clear at
 2z, and basis_independence points clear on the second context.  Every
-such loop is one _draw_kept, which gives up with KleinianError after
-SAMPLE_TRIES rejections of any kind in a row.
+sampler loop, of cell points, groups, lattice points or divisors, is one
+_draw_kept, which gives up with KleinianError after SAMPLE_TRIES
+rejections of any kind in a row.
 """
 
 import math
@@ -34,8 +35,8 @@ import numpy as np
 
 from .curve import DIAG_FACTOR, CurvePoint, Divisor, xi_eval
 from .errors import DegenerateGeometryError, KleinianError, QuadratureError
-from .kleinian import (JET_TARGETS, S_eval, TOL_ID, _quad, _scaled,
-                       _theta_pair, _weight2_from_pair, abel_forward,
+from .kleinian import (JET_TARGETS, S_eval, TOL_ID, _scaled, _theta_pair,
+                       _weight2_exponent, _weight2_from_pair, abel_forward,
                        divisor_clearance, jacobi_invert, log_S_gradient,
                        make_context, quartic_residual, rho_lambda_eval,
                        sigma_eval, sigma_jets, wp_eval)
@@ -98,45 +99,44 @@ def _cell_draw(ctx, rng, size, keep, clearance):
     return draw
 
 
-def _sample_z(ctx, rng, n, clearance=1e-3):
-    """n points of the period cell, shape (n, 2), each with a divisor
-    clearance of at least `clearance` (_cell_draw)."""
-    return np.array(_draw_kept(n, _cell_draw(ctx, rng, 1, None, clearance),
-                               "a point clear of the divisor"))[:, 0]
-
-
 def _sample_groups(ctx, rng, n, size=1, keep=None, clearance=1e-3):
-    """n groups of `size` consecutive points of the _sample_z stream,
-    shape (n, size, 2), each passing `keep` (_cell_draw)."""
+    """n groups of `size` consecutive points of the period cell, shape
+    (n, size, 2), each passing `keep` (_cell_draw); [:, 0] of one-point
+    groups is n points clear of the divisor."""
     return np.array(_draw_kept(n, _cell_draw(ctx, rng, size, keep, clearance),
                                "a group its check keeps"))
 
 
-def _sample_lattice(rng):
-    """A nonzero lattice point k = (n, m) with entries in [-2, 2]."""
-    while True:
-        k = rng.integers(-2, 3, size=4)
-        if np.any(k != 0):
-            return k
+def _sample_lattice(rng, n):
+    """n nonzero lattice points (n1, n2, m1, m2) with entries in [-2,
+    2], shape (n, 4), each four consecutive integers of the stream."""
+    def draw(want):
+        ks = rng.integers(-2, 3, size=(want, 4))
+        kept = ks.any(axis=1)
+        return ks[kept], kept
+
+    return np.array(_draw_kept(n, draw, "a nonzero lattice point"))
 
 
-def _sample_divisor(ctx, rng):
+def _sample_divisors(ctx, rng, n):
+    """n affine divisors, x at 0.3 to 1.5 times the root scale, clear of
+    the branch points and off the diagonal, y of random sign."""
     f, scale = ctx.f, ctx.f.scale
-    roots = ctx.pd.roots
-    for _ in range(SAMPLE_TRIES):
+
+    def draw(_):
         xs = []
         for _ in range(2):
             r = scale * (0.3 + 1.2 * rng.random())
             xs.append(r * np.exp(2j * np.pi * rng.random()))
-        if min(abs(x - r0) for x in xs for r0 in roots) < 0.05 * scale:
-            continue
-        if abs(xs[0] - xs[1]) < 10 * DIAG_FACTOR * scale:
-            continue
+        if (min(abs(x - r0) for x in xs for r0 in f.roots) < 0.05 * scale
+                or abs(xs[0] - xs[1]) < 10 * DIAG_FACTOR * scale):
+            return [], [False]
         ys = [float(rng.choice([-1.0, 1.0])) * np.sqrt(complex(f(x)))
               for x in xs]
-        return Divisor(CurvePoint.affine(xs[0], ys[0]),
-                       CurvePoint.affine(xs[1], ys[1]))
-    raise KleinianError("could not sample a generic divisor")
+        return [Divisor(CurvePoint.affine(xs[0], ys[0]),
+                        CurvePoint.affine(xs[1], ys[1]))], [True]
+
+    return _draw_kept(n, draw, "a generic divisor")
 
 
 def _rel(diff, *refs):
@@ -157,7 +157,7 @@ def _weight2_split(ctx, z):
     (N, 4), with t of shape (N, 1), from one theta call."""
     _, s, jm, jp = _theta_pair(ctx, z, 2)
     return (_weight2_from_pair(ctx, jm, jp).T,
-            (_quad(ctx, z) + s[0] + s[1])[:, None])
+            _weight2_exponent(ctx, z, s)[:, None])
 
 
 # -- finite-difference jets ---------------------------------------------------
@@ -230,7 +230,7 @@ def _check_legendre(ctx, rng, tol):
 def _check_eta_integrality(ctx, rng, tol):
     pd = ctx.pd
     # 20 pairs (kv, kw), drawn pair by pair
-    draws = np.array([_sample_lattice(rng) for _ in range(40)])
+    draws = _sample_lattice(rng, 40)
     kv, kw = draws[0::2], draws[1::2]
     v, w = lattice_vector(pd, kv), lattice_vector(pd, kw)
     r = (np.einsum("ri,ri->r", eta_of_lattice(pd, kw), v)
@@ -247,8 +247,8 @@ def _check_riemann_matrix(ctx, rng, tol):
 
 def _check_quasi_periodicity(ctx, rng, tol):
     pd = ctx.pd
-    z = _sample_z(ctx, rng, 20)
-    k = np.array([_sample_lattice(rng) for _ in range(20)])
+    z = _sample_groups(ctx, rng, 20)[:, 0]
+    k = _sample_lattice(rng, 20)
     w = lattice_vector(pd, k)
     mant, t = _weight2_split(ctx, np.concatenate([z + w, z]))
     # over exp(t) at z + w, exponents differenced before any exp
@@ -259,7 +259,7 @@ def _check_quasi_periodicity(ctx, rng, tol):
 
 
 def _check_evenness(ctx, rng, tol):
-    z = _sample_z(ctx, rng, 20)
+    z = _sample_groups(ctx, rng, 20)[:, 0]
     both = np.concatenate([z, -z])
     vals = np.column_stack([_scaled(*_weight2_split(ctx, both), "S or S_jk"),
                             wp_eval(ctx, both)])
@@ -288,25 +288,25 @@ def _check_delta_shift(ctx, rng, tol):
     pd = ctx.pd
     # any nonzero draw serves; read as (m, n), the order in which this
     # check's seeded reports were made
-    k = _sample_lattice(rng)
+    k = _sample_lattice(rng, 1)[0]
     n, m = k[2:], k[:2]
     # the shift multiplies theta at the Abel samples by its
     # quasi-periodicity factor, so the copy is certified without them
     pd2 = replace(pd, Delta=pd.Delta + (n + pd.Omega @ m), abel_samples=None)
     ctx2 = make_context(ctx.f, pd2)
-    z = _sample_z(ctx, rng, 10)
+    z = _sample_groups(ctx, rng, 10)[:, 0]
     worst = np.max(_gap(S_eval(ctx, z), S_eval(ctx2, z)))
     return 10, float(worst), worst <= tol
 
 
 def _check_quartic_determinant(ctx, rng, tol):
-    wp = wp_eval(ctx, _sample_z(ctx, rng, 20))
+    wp = wp_eval(ctx, _sample_groups(ctx, rng, 20)[:, 0])
     worst = float(np.max(quartic_residual(ctx.f, *wp.T)))
     return 20, worst, worst <= tol
 
 
 def _check_forward_consistency(ctx, rng, tol):
-    divisors = [_sample_divisor(ctx, rng) for _ in range(10)]
+    divisors = _sample_divisors(ctx, rng, 10)
     z = abel_forward(ctx, divisors)
     clear = divisor_clearance(ctx, z) >= 1e-4
     worst = 0.0
@@ -319,7 +319,7 @@ def _check_forward_consistency(ctx, rng, tol):
 
 
 def _check_round_trip(ctx, rng, tol):
-    z = _sample_z(ctx, rng, 20)
+    z = _sample_groups(ctx, rng, 20)[:, 0]
     za = abel_forward(ctx, jacobi_invert(ctx, z))
     resid = nearest_lattice_residual(ctx.pd, za - z)
     worst = np.max(resid / np.maximum(1.0, np.linalg.norm(z, axis=1)))
@@ -337,7 +337,7 @@ def _check_taylor_jets(ctx, rng, tol):
 
 def _check_diff1(ctx, rng, tol):
     def draw(k):
-        divisors = [_sample_divisor(ctx, rng) for _ in range(k)]
+        divisors = _sample_divisors(ctx, rng, k)
         r1, r2, lam, z = rho_lambda_eval(ctx, divisors)
         rows, clear = zip(r1, r2, lam, z), divisor_clearance(ctx, z) >= 1e-4
         return [row for row, ok in zip(rows, clear) if ok], clear
@@ -419,13 +419,13 @@ def _check_duplication(ctx, rng, tol):
 
 
 def _check_sigma_squared(ctx, rng, tol):
-    z = _sample_z(ctx, rng, 20)
+    z = _sample_groups(ctx, rng, 20)[:, 0]
     worst = np.max(_gap(sigma_eval(ctx, z) ** 2, S_eval(ctx, z)))
     return 20, float(worst), worst <= tol
 
 
 def _check_sigma_oddness(ctx, rng, tol):
-    z = _sample_z(ctx, rng, 20)
+    z = _sample_groups(ctx, rng, 20)[:, 0]
     s = sigma_eval(ctx, np.concatenate([z, -z]))
     worst = np.max(_gap(s[:20], -s[20:]))
     return 20, float(worst), worst <= tol
@@ -433,7 +433,7 @@ def _check_sigma_oddness(ctx, rng, tol):
 
 def _check_non_integrability(ctx, rng, tol):
     h = 1e-5
-    z = _sample_z(ctx, rng, 10, clearance=1e-2)
+    z = _sample_groups(ctx, rng, 10, clearance=1e-2)[:, 0]
     # z + h e2, z - h e2, z + h e1, z - h e1 for every sample
     steps = h * np.array([[0, 1.0], [0, -1.0], [1.0, 0], [-1.0, 0]])
     wp = wp_eval(ctx, (z[:, None, :] + steps).reshape(-1, 2)).reshape(10, 4, 3)
@@ -466,7 +466,8 @@ def _check_basis_independence(ctx, rng, tol):
 
 
 def _check_linear_independence(ctx, rng, tol):
-    rows = np.column_stack([np.ones(8), wp_eval(ctx, _sample_z(ctx, rng, 8))])
+    rows = np.column_stack([np.ones(8),
+                            wp_eval(ctx, _sample_groups(ctx, rng, 8)[:, 0])])
     sv = np.linalg.svd(rows, compute_uv=False)
     ratio = float(sv[-1] / sv[0])
     return 8, ratio, ratio > tol

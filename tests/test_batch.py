@@ -180,7 +180,7 @@ def test_one_point_sigma_jets_are_computed_in_scalars(w5_ctx):
         for order in range(4):
             s, jm = k2.theta.theta_jet(ctx.pd.Omega, u - ctx.pd.Delta,
                                        order)
-            d1, d2, d3 = kl._pullback_jets(ctx, jm, order)
+            d1, d2, d3 = kl._pullback_jets(ctx.Ainv, jm, order)
             m0 = np.asarray(ctx.pd.delta_char[1])
             g1 = ctx.C @ z - 1j * np.pi * (ctx.Ainv.T @ m0)
             t = kl._sigma_twist(ctx, kl._quad(ctx, z), u, s)
@@ -610,25 +610,24 @@ def test_points_beyond_the_series_radius_take_no_quadrature(ctx,
     a point Q nearer in, on the same ray, whose run out to the series
     radius and tail are integrated as before: the two differ by the
     integral from Q out to the point, to 1e-13."""
-    f, roots = ctx.f, list(ctx.pd.roots)
-    radii = integration.detour_radii(roots)
+    f, roots = ctx.f, list(ctx.f.roots)
+    radii = integration.detour_radii(f)
     direction = np.exp(0.4j)
     xs = f.scale * direction * np.array([1.2, 2.0, 3.5])
     Q = k2.CurvePoint.affine(xs[0], np.sqrt(f(xs[0])))
     runs = [integration.line_with_detours(roots, radii, xs[0], x)
             for x in xs[1:]]
-    pieces, y0, y_end = integration._continue_runs(f, roots, runs,
-                                                   [Q.y, Q.y])
+    pieces, y0, y_end = integration._continue_runs(f, runs, [Q.y, Q.y])
     out = [k2.CurvePoint.affine(x, y) for x, y in zip(xs[1:], y_end)]
     ends = np.cumsum([len(run) for run in runs])
     I = np.array([v.sum(axis=0) for v in np.split(
-        integration.integrate_forms(f, roots, pieces, y0,
+        integration.integrate_forms(f, pieces, y0,
                                     integration.holomorphic_numerators()),
         ends[:-1])])
     abel_calls.clear()
-    J = integration.point_infinity_integrals(f, roots, out, ctx.pd.z_star)
+    J = integration.point_infinity_integrals(f, out, ctx.pd.z_star)
     assert abel_calls == []
-    J_Q = integration.point_infinity_integrals(f, roots, [Q], ctx.pd.z_star)
+    J_Q = integration.point_infinity_integrals(f, [Q], ctx.pd.z_star)
     assert abel_calls.count("integrate_01") == 1
     assert np.max(np.abs(J - J_Q - I)) <= 1e-13 * np.max(np.abs(J))
 
@@ -637,11 +636,11 @@ def test_detour_radii_are_computed_once_per_root_set(ctx):
     """A batch of affine pairs, sheet flips and divisors that meet
     infinity asks for the detour radii in path_between and in
     point_infinity_integrals; the root-distance matrix behind them is
-    computed once."""
+    computed once per curve."""
     Ds = _divisor_kinds(ctx, 14, seed=1000)
-    integration._detour_radii.cache_clear()
+    integration.detour_radii.cache_clear()
     k2.abel_forward(ctx, Ds)
-    info = integration._detour_radii.cache_info()
+    info = integration.detour_radii.cache_info()
     assert info.misses == 1 and info.hits >= 1
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import kleinian2 as k2
-from kleinian2.curve import F_eval, branch_points, involution, is_special
+from kleinian2.curve import F_eval, involution, is_special
 
 from conftest import G6_COEFFS, W5_COEFFS
 
@@ -70,12 +70,12 @@ def test_polynomial_is_callable():
 
 def test_branch_points_deterministic_and_accurate():
     f = k2.validate_polynomial(W5_COEFFS)
-    roots = branch_points(f)
+    roots = f.roots
     want = sorted([-1, -1j, 0, 1j, 1], key=lambda r: (r.real, r.imag))
     assert len(roots) == 5
     for got, ref in zip(roots, want):
         assert abs(got - ref) < 1e-12
-    again = branch_points(f)
+    again = k2.validate_polynomial(W5_COEFFS).roots
     assert np.array_equal(np.asarray(roots), np.asarray(again))
 
 
@@ -167,7 +167,8 @@ def test_xi_rejects_special_divisor():
 def test_roots_are_solved_once_per_curve(monkeypatch):
     """validate_polynomial keeps its polished roots on the polynomial, so
     a validated curve and its context take one np.roots call between
-    them, and branch_points returns those roots."""
+    them, and the period build in the canonical order keeps those
+    roots."""
     calls = []
     roots = np.roots
 
@@ -178,9 +179,9 @@ def test_roots_are_solved_once_per_curve(monkeypatch):
     monkeypatch.setattr(np, "roots", counted)
     for coeffs in ([0, -4, 0, 0, 0, 4], [-1, 0, 0, 0, 0, 0, 1]):
         f = k2.validate_polynomial(coeffs)
-        k2.make_context(f)
+        ctx = k2.make_context(f)
         assert len(calls) == 1
-        assert branch_points(f) == list(f.roots)
+        assert ctx.pd.roots == f.roots
         calls.clear()
 
 

@@ -300,6 +300,129 @@ def test_corrupt_weight2_basis_fails_certificate(monkeypatch):
         k2.make_context(k2.validate_polynomial(G6_COEFFS))
 
 
+@pytest.fixture(scope="module")
+def ring_ctx():
+    """A seeded unit-ring sextic: roots near |x| = 1, jittered angles."""
+    rng = np.random.default_rng(2024)
+    angles = (2 * np.pi * (np.arange(6) + rng.uniform(-0.3, 0.3, 6)) / 6
+              + rng.uniform(0, 2 * np.pi))
+    roots = rng.uniform(0.75, 1.25, 6) * np.exp(1j * angles)
+    lead = rng.uniform(0.5, 1.5) * np.exp(2j * np.pi * rng.uniform())
+    return k2.make_context(k2.validate_polynomial(lead * np.poly(roots)[::-1]))
+
+
+def _weight2_basis_by_hand(pd, Ainv, C):
+    """Reference: _weight2_basis with the factor exp(i pi eps.w) carried
+    into the jets by the Leibniz rule written out, mu = i pi eps: the
+    Hessian of exp(mu.w) theta is exp(mu.w) (theta'' + mu theta'^T +
+    theta' mu^T + mu mu^T theta)."""
+    Om = pd.Omega
+    eps = np.tile([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], (2, 1))
+    w = np.zeros((8, 2), dtype=complex)
+    w[4:] = 2.0 * pd.Delta
+    s, jet = k2.theta.theta_jet(2.0 * Om, w + eps @ Om, 2)
+    mu = 1j * np.pi * eps
+    fac = np.exp(0.5j * np.pi * np.einsum("ri,ij,rj->r", eps, Om, eps)
+                 + np.einsum("ri,ri->r", mu, w) + s)
+    val = jet[:, 0, 0]
+    grad = np.stack([jet[:, 1, 0], jet[:, 0, 1]], axis=1)
+    hess = np.stack([jet[:, 2, 0], jet[:, 1, 1],
+                     jet[:, 1, 1], jet[:, 0, 2]], axis=1).reshape(8, 2, 2)
+    mg = mu[:, :, None] * grad[:, None, :]
+    theta = fac * val
+    hess = fac[:, None, None] * (hess + mg + mg.transpose(0, 2, 1)
+                                 + mu[:, :, None] * mu[:, None, :]
+                                 * val[:, None, None])
+    hz = 2.0 * C * theta[:4, None, None] + 4.0 * Ainv.T @ hess[:4] @ Ainv
+    entries = ((0, 0), (0, 1), (1, 1))
+    B = np.column_stack([theta[:4]] + [hz[:, j, k] for j, k in entries])
+    M = np.array([theta[4:]] + [4.0 * hess[4:, j, k] for j, k in entries])
+    return B, M
+
+
+@pytest.mark.parametrize("name", ["w5", "g6", "ring"])
+def test_weight2_basis_takes_thetas_leibniz_step(name, w5_ctx, g6_ctx,
+                                                 ring_ctx):
+    """The weight-2 basis, its factor exp(i pi eps.w) carried by theta's
+    Leibniz step at m = -eps/2 and its z-Hessian pulled back through
+    2 A^-1, equals the Leibniz rule written out, B and M each to 1e-14 of
+    their largest entry."""
+    ctx = {"w5": w5_ctx, "g6": g6_ctx, "ring": ring_ctx}[name]
+    got = k2.kleinian._weight2_basis(ctx.pd, ctx.Ainv, ctx.C)
+    want = _weight2_basis_by_hand(ctx.pd, ctx.Ainv, ctx.C)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w))
+
+
+def _clear_and_clearance(ctx, z):
+    """(_clear, clearance >= ZERO_FACTOR) at the one point z: _clear on
+    its theta pair, and divisor_clearance compared with ZERO_FACTOR, a
+    clearance past the largest double (NonFiniteValueError) counting as
+    one that is at least ZERO_FACTOR."""
+    kl = k2.kleinian
+    _, s, jm, jp = kl._theta_pair(ctx, z, 0)
+    try:
+        clear = k2.divisor_clearance(ctx, z) >= kl.ZERO_FACTOR
+    except k2.NonFiniteValueError:
+        assert kl._log_clearance(s, jm, jp) > kl._LOG_MAX
+        clear = True
+    return kl._clear(ctx, s, jm, jp), bool(clear)
+
+
+def test_clear_is_the_divisor_clearance_against_zero_factor(any_ctx):
+    """_clear is divisor_clearance >= ZERO_FACTOR: on cell points, on
+    points off the Abel image of (P) + (inf) whose clearance is within a
+    factor of 10 of ZERO_FACTOR, on either side, and on far lattice
+    translates of cell points, where exp(-Re s) underflows."""
+    ctx, zf = any_ctx, k2.kleinian.ZERO_FACTOR
+    rng = np.random.default_rng(61)
+    t = rng.random((200, 4))
+    cell = (ctx.pd.A @ t[:, :2].T + ctx.pd.B @ t[:, 2:].T).T
+    for z in cell:
+        got, want = _clear_and_clearance(ctx, z)
+        assert got == want
+    near = []
+    for x in (0.7 + 0.4j, -0.5 + 0.9j, 1.3 - 0.2j):
+        P = k2.CurvePoint.affine(x, np.sqrt(ctx.f(x)))
+        inf = k2.CurvePoint.at_infinity(1)
+        z0 = k2.abel_forward(ctx, k2.Divisor(P, inf))
+        for step in np.logspace(-9, -3, 61):
+            z = z0 + step * np.array([1.0, 0.3])
+            c = k2.divisor_clearance(ctx, z)
+            if zf / 10 <= c <= 10 * zf:
+                near.append(c >= zf)
+                got, want = _clear_and_clearance(ctx, z)
+                assert got == want
+    assert sum(near) >= 3 and len(near) - sum(near) >= 3
+    k = np.concatenate([np.zeros((20, 2)), rng.integers(40, 60, (20, 2))
+                        * rng.choice([-1, 1], (20, 2))], axis=1)
+    far = cell[:20] + k2.periods.lattice_vector(ctx.pd, k)
+    s = k2.kleinian._theta_pair(ctx, far, 0)[1]
+    assert np.all(np.exp(-s.real) == 0)
+    for z in far:
+        got, want = _clear_and_clearance(ctx, z)
+        assert got == want
+
+
+def test_clear_compares_in_logs_where_exp_overflows(w5_ctx, monkeypatch):
+    """Where exp(-Re s) overflows, |V| past exp(700) and Re s = -720,
+    _clear still reads the clearance |V| exp(Re s) / theta_ref against
+    ZERO_FACTOR as divisor_clearance gives it, with no overflow.  No
+    curve reaches there: Re s >= -pi/4 sum |Im Omega|."""
+    kl, ctx = k2.kleinian, w5_ctx
+    s = np.array([-720.0 + 0.3j, -720.0 - 0.2j])
+    for gap in (-2.0, -0.1, 0.1, 2.0):
+        V = np.exp(720.0 + np.log(kl.ZERO_FACTOR * ctx.theta_ref) + gap)
+        jm, jp = np.array([[V * 1j]]), np.array([[3.0 * V]])
+        monkeypatch.setattr(kl, "_theta_pair",
+                            lambda ctx, z, order: (None, s, jm, jp))
+        clearance = k2.divisor_clearance(ctx, np.zeros(2))
+        assert abs(clearance / (kl.ZERO_FACTOR * np.exp(gap)) - 1) < 1e-12
+        assert kl._clear(ctx, s, jm, jp) == (gap > 0)
+        monkeypatch.undo()
+
+
 def test_make_context_rejects_period_data_of_another_curve(w5_ctx):
     """Period data of 4x^5 - 4x paired with x^6 - 1 or with 3x^5 - 4x
     would give functions of neither curve, so make_context refuses it."""
@@ -716,8 +839,8 @@ def test_S_far_off_the_divisor_is_not_a_silent_zero(two_pair_ctx):
     ctx = two_pair_ctx
     index = k2.CHECK_NAMES.index("quasi_periodicity")
     rng = np.random.default_rng(1 * 1000 + index)
-    z = k2.verify._sample_z(ctx, rng, 20)
-    k = np.array([k2.verify._sample_lattice(rng) for _ in range(20)])
+    z = k2.verify._sample_groups(ctx, rng, 20)[:, 0]
+    k = k2.verify._sample_lattice(rng, 20)
     rows = [9, 16]
     z, k = z[rows], k[rows]
     w = lattice_vector(ctx.pd, k)

@@ -12,7 +12,6 @@ import pytest
 import kleinian2 as k2
 from kleinian2 import integration, periods
 from kleinian2 import serialization as ser
-from kleinian2.curve import branch_points
 from kleinian2.integration import segment_period_integrals
 from kleinian2.theta import theta_jet
 
@@ -26,7 +25,7 @@ def test_segment_integrals_match_mpmath_oracle():
     real axis, where f < 0; each basis form integral is i times a real
     integral that mpmath can do to 30 digits."""
     f = k2.validate_polynomial(W5_COEFFS)
-    roots = branch_points(f)
+    roots = list(f.roots)
     i0 = int(np.argmin([abs(r - 0) for r in roots]))
     i1 = int(np.argmin([abs(r - 1) for r in roots]))
     # numerators of (omega1, omega2, r1, r2), in the order the integrals
@@ -202,7 +201,7 @@ def _searched_transform(f, ordering):
     """Oracle: the first of 16 variants of the constant frame (8 sign
     patterns with loop 0 fixed, each without and with the a/b swap) whose
     periods pass the certificate."""
-    roots = branch_points(f)
+    roots = list(f.roots)
     if ordering is not None:
         roots = [roots[k] for k in ordering]
     W = _loop_integrals(f, roots)
@@ -355,8 +354,8 @@ def test_z_star_continues_one_tail(coeffs, monkeypatch):
     that sums both tails to 1e-15, and with the flip loop for 2 I_e (out,
     a full turn about the root, back) to 1e-13."""
     f = k2.validate_polynomial(coeffs)
-    roots = branch_points(f)
-    scale = max(1.0, max(abs(r) for r in roots))
+    roots = list(f.roots)
+    scale = f.scale
     calls = []
     tail_integrals = integration.tail_integrals
 
@@ -365,7 +364,7 @@ def test_z_star_continues_one_tail(coeffs, monkeypatch):
         return tail_integrals(f, x_far, y_far)
 
     monkeypatch.setattr(integration, "tail_integrals", recording)
-    _, z_star = _samples(f, roots, scale)
+    _, z_star = _samples(f, roots)
     monkeypatch.undo()
     x_far = integration.FAR_FACTOR * scale * np.exp(0.7310j)
     y_far = complex(np.sqrt(f(x_far)))
@@ -378,14 +377,14 @@ def test_z_star_continues_one_tail(coeffs, monkeypatch):
     T, landed_plus = integration.tail_integrals(f, [x_far], [y_far])
     if landed_plus[0]:
         y_far, T = -y_far, -T
-    radii = integration.detour_radii(roots)
+    radii = integration.detour_radii(f)
     dive = integration.run_into_branch_point(roots, radii, x_far)
     for pieces, weight, rel in ((dive, 2.0, 1e-15),
                                 (flip_loop_pieces(roots, radii, x_far), 1.0,
                                  1e-13)):
-        _, y0, _ = integration._continue_runs(f, roots, [pieces], [y_far])
+        _, y0, _ = integration._continue_runs(f, [pieces], [y_far])
         I = weight * integration.integrate_forms(
-            f, roots, pieces, y0, integration.holomorphic_numerators()
+            f, pieces, y0, integration.holomorphic_numerators()
         ).sum(axis=0)
         T_out, landed_plus = integration.tail_integrals(f, [x_far], [-y_far])
         assert landed_plus[0]
@@ -405,11 +404,11 @@ def test_one_quadrature_build_matches_separate_integrals(coeffs):
     as a series, match the far ray through them integrated piece by piece
     out to the far point, and that point's tail, to 1e-15 relative."""
     f = k2.validate_polynomial(coeffs)
-    roots = branch_points(f)
-    scale = max(1.0, max(abs(r) for r in roots))
+    roots = list(f.roots)
+    scale = f.scale
     radii = periods.SAMPLE_RADII * scale
     W, J, z_star = integration.period_integrals(
-        f, roots, periods.LOOP_PAIRS, scale, radii)
+        f, roots, periods.LOOP_PAIRS, radii)
     assert np.array_equal(
         W, integration.segment_period_integrals(f, roots, periods.LOOP_PAIRS))
     x_far = integration.far_point(scale)
@@ -421,11 +420,10 @@ def test_one_quadrature_build_matches_separate_integrals(coeffs):
     xs = np.append(radii * np.exp(1j * integration.FAR_ARG), x_far)
     n = len(radii)
     ray = np.stack([xs[:-1], np.diff(xs), np.zeros(n)], axis=1)
-    _, y0, y_end = integration._continue_runs(f, roots, [ray],
-                                              [np.sqrt(f(xs[0]))])
+    _, y0, y_end = integration._continue_runs(f, [ray], [np.sqrt(f(xs[0]))])
     if abs(y_end[0] - y_far) > abs(y_end[0] + y_far):
         y0 = -y0
-    I = integration.integrate_forms(f, roots, ray, y0,
+    I = integration.integrate_forms(f, ray, y0,
                                     integration.holomorphic_numerators())
     want = -T - np.cumsum(I[::-1], axis=0)[::-1]
     assert np.max(np.abs(J - want)) <= 1e-15 * np.max(np.abs(want))
@@ -433,9 +431,9 @@ def test_one_quadrature_build_matches_separate_integrals(coeffs):
         assert z_star is None
         return
     dive = integration.run_into_branch_point(
-        roots, integration.detour_radii(roots), x_far)
-    _, y0, _ = integration._continue_runs(f, roots, [dive], [y_far])
-    I = integration.integrate_forms(f, roots, dive, y0,
+        roots, integration.detour_radii(f), x_far)
+    _, y0, _ = integration._continue_runs(f, [dive], [y_far])
+    I = integration.integrate_forms(f, dive, y0,
                                     integration.holomorphic_numerators())
     want = 2.0 * (I.sum(axis=0) - T)
     assert np.max(np.abs(z_star - want)) <= 1e-15 * np.max(np.abs(want))
@@ -454,9 +452,9 @@ def test_a_build_makes_one_quadrature(monkeypatch):
         calls.append(1)
         return quad(*args, **kwargs)
 
-    def chained(f, roots, pieces, seeds):
+    def chained(f, pieces, seeds):
         chains.append(pieces)
-        return chain(f, roots, pieces, seeds)
+        return chain(f, pieces, seeds)
 
     monkeypatch.setattr(integration, "integrate_01", counted)
     monkeypatch.setattr(integration, "continue_sqrt", chained)
@@ -467,10 +465,9 @@ def test_a_build_makes_one_quadrature(monkeypatch):
         if f.degree == 5:
             assert chains == []
         else:
-            roots = list(ctx.pd.roots)
             (pieces,) = chains
             assert np.array_equal(pieces, integration.run_into_branch_point(
-                roots, integration.detour_radii(roots),
+                f.roots, integration.detour_radii(f),
                 integration.far_point(f.scale)))
         k2.compute_period_data(f, ordering=(1, 0, 2, 4, 3) + (
             (5,) if f.degree == 6 else ()), like=ctx.pd)
@@ -509,10 +506,10 @@ def _json_with(pd, **moved):
     return obj
 
 
-def _samples(f, roots, scale):
+def _samples(f, roots):
     """(J, z_star): the Abel samples certifying Delta, and z_star."""
-    return integration.period_integrals(f, roots, periods.LOOP_PAIRS, scale,
-                                        periods.SAMPLE_RADII * scale)[1:]
+    return integration.period_integrals(
+        f, roots, periods.LOOP_PAIRS, periods.SAMPLE_RADII * f.scale)[1:]
 
 
 def _dive_index(pd):
@@ -528,7 +525,7 @@ def _recompute_delta(f, pd):
     """Delta for existing period data, certificate included: the closed
     form the data derives when it is not given Delta, certified on
     freshly integrated samples."""
-    samples, _ = _samples(f, list(pd.roots), pd.f.scale)
+    samples, _ = _samples(f, list(pd.roots))
     return replace(pd, Delta=None, abel_samples=samples).Delta
 
 
@@ -793,7 +790,7 @@ def _delta_by_candidate_loop(f, pd):
     call per candidate and sample, each candidate dropped at its first
     failing sample.  Returns every passing (Delta, (n0, m0))."""
     us = np.linalg.solve(pd.A,
-                         _samples(f, list(pd.roots), pd.f.scale)[0].T).T
+                         _samples(f, list(pd.roots))[0].T).T
     theta_ref = max(abs(theta(pd.Omega, np.zeros(2))),
                     max(abs(theta(pd.Omega, u)) for u in us))
     shift = (0.0 if pd.z_star is None

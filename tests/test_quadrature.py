@@ -12,11 +12,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 import kleinian2 as k2
 from kleinian2 import integration, quadrature
-from kleinian2.curve import branch_points
-from kleinian2.integration import (continue_sqrt, detour_radii,
-                                   line_with_detours, piece_sheet,
-                                   run_into_branch_point, segment_sheet,
-                                   tail_integrals, x_dx)
+from kleinian2.integration import (continue_sqrt, line_with_detours,
+                                   piece_sheet, run_into_branch_point,
+                                   segment_sheet, tail_integrals, x_dx)
 from kleinian2.quadrature import (BASE_LEVEL, MAX_LEVEL, TOL, _nodes,
                                   integrate_01)
 
@@ -284,20 +282,19 @@ def test_two_level_first_call_is_bit_identical(coeffs, monkeypatch):
     want = _integrate_level_by_level(g, narrow)
     assert np.array_equal(got[0], want[0]) and got[1] == want[1]
     f = k2.validate_polynomial(coeffs)
-    roots = branch_points(f)
     P0 = k2.CurvePoint.affine(0.4 + 0.7j, np.sqrt(f(0.4 + 0.7j)))
     P1 = k2.CurvePoint.affine(-1.1 - 0.3j, np.sqrt(f(-1.1 - 0.3j)))
     # one of the two ends in a run into a branch point
     pieces, y0, _, weight = integration.path_between(
-        f, roots, [P0, P0], [P1, k2.CurvePoint.affine(P1.x, -P1.y)])
+        f, [P0, P0], [P1, k2.CurvePoint.affine(P1.x, -P1.y)])
     assert np.any(weight == 2)
     results = []
     for quad in (integrate_01, _integrate_level_by_level):
         monkeypatch.setattr(integration, "integrate_01", quad)
         results.append((
             integration.segment_period_integrals(
-                f, roots, k2.periods.LOOP_PAIRS),
-            integration.integrate_forms(f, roots, pieces, y0,
+                f, f.roots, k2.periods.LOOP_PAIRS),
+            integration.integrate_forms(f, pieces, y0,
                                         integration.all_numerators(f))))
     monkeypatch.undo()
     for a, b in zip(*results):
@@ -317,8 +314,8 @@ def _root_near(roots, x):
     return complex(roots[np.argmin(np.abs(roots - x))])
 
 
-def _ends(f, roots, pieces, seeds):
-    y0, y1 = continue_sqrt(f, roots, pieces, seeds)
+def _ends(f, pieces, seeds):
+    y0, y1 = continue_sqrt(f, pieces, seeds)
     return y0[0], y1[-1]
 
 
@@ -326,50 +323,48 @@ def test_continue_sqrt_closed_loop_winding():
     """A loop encircling one root of f an odd number of times must come back
     on the other sheet, even though f(x(1)) == f(x(0)) exactly."""
     f = _g6()
-    roots = branch_points(f)
+    roots = list(f.roots)
     loop = np.array([[_root_near(roots, 1.0), 0.3, 2j * np.pi]])
-    y0, y1 = _ends(f, roots, loop, [None])
+    y0, y1 = _ends(f, loop, [None])
     assert abs(y1 + y0) < 1e-12 * abs(y0)
     # the same circle around a point with no enclosed root
     null = np.array([[3.0, 0.3, 2j * np.pi]])
-    y0, y1 = _ends(f, roots, null, [None])
+    y0, y1 = _ends(f, null, [None])
     assert abs(y1 - y0) < 1e-12 * abs(y0)
 
 
 def test_continue_sqrt_double_winding_returns():
     f = _g6()
-    roots = branch_points(f)
+    roots = list(f.roots)
     loop = np.array([[_root_near(roots, 1.0), 0.3, 4j * np.pi]])
-    y0, y1 = _ends(f, roots, loop, [None])
+    y0, y1 = _ends(f, loop, [None])
     assert abs(y1 - y0) < 1e-12 * abs(y0)
 
 
 def test_continue_sqrt_seed_selects_branch():
     f = _g6()
-    roots = branch_points(f)
     x0, x1 = 2.0 + 0.5j, -1.5 + 0.8j
     line = np.array([[x0, x1 - x0, 0]])
     y = np.sqrt(f(x0))
-    y0, y1 = continue_sqrt(f, roots, line, [-y])
+    y0, y1 = continue_sqrt(f, line, [-y])
     assert y0[0] == -y
-    assert np.array_equal(continue_sqrt(f, roots, line, [y])[1], -y1)
+    assert np.array_equal(continue_sqrt(f, line, [y])[1], -y1)
     with pytest.raises(k2.SheetTrackingError):
-        continue_sqrt(f, roots, line, [1.5 * y])
+        continue_sqrt(f, line, [1.5 * y])
     # a seed later in the stack is checked too, and so is a junction
     both = np.concatenate([line, line])
     with pytest.raises(k2.SheetTrackingError):
-        continue_sqrt(f, roots, both, [y, 1.5 * y])
+        continue_sqrt(f, both, [y, 1.5 * y])
     with pytest.raises(k2.SheetTrackingError):
-        continue_sqrt(f, roots, both, [y, None])
+        continue_sqrt(f, both, [y, None])
 
 
 def test_sheet_path_consistency():
     """y stays on the curve and varies continuously along a line path."""
     f = _g6()
-    roots = branch_points(f)
     x0, x1 = 2.0 + 0.5j, -1.5 + 0.8j
     line = np.array([[x0, x1 - x0, 0]])
-    sheet = piece_sheet(f, roots, line, [np.sqrt(f(x0))])(np.arange(1))
+    sheet = piece_sheet(f, line, [np.sqrt(f(x0))])(np.arange(1))
     u = np.linspace(0.0, 1.0, 50)[:, None]
     x, _, y = sheet(u, 1.0 - u)
     x, y = x[:, 0], y[:, 0]
@@ -424,8 +419,8 @@ def _check_pieces_against_dense_step(f, roots, pieces, seeds):
     piece, from the reference's end of the piece before; and so are the
     start and end values continue_sqrt chains.  A run into a branch point
     is compared at the nodes up to 1 - 1e-6, with d1 = 1 - u."""
-    y0, y1 = continue_sqrt(f, roots, pieces, seeds)
-    rows = piece_sheet(f, roots, pieces, y0)
+    y0, y1 = continue_sqrt(f, pieces, seeds)
+    rows = piece_sheet(f, pieces, y0)
     dives = _ends_on_a_root(roots, pieces)
     y_end = None
     for k, seed in enumerate(seeds):
@@ -447,7 +442,7 @@ def _check_pieces_against_dense_step(f, roots, pieces, seeds):
 
 def _loop(turns):
     f = _g6()
-    roots = branch_points(f)
+    roots = list(f.roots)
     return f, roots, np.array([[_root_near(roots, 1.0), 0.3,
                                 2j * np.pi * turns]]), [None]
 
@@ -455,7 +450,7 @@ def _loop(turns):
 def _seeded():
     f = _g6()
     x0, x1 = 2.0 + 0.5j, -1.5 + 0.8j
-    return (f, branch_points(f), np.array([[x0, x1 - x0, 0]]),
+    return (f, list(f.roots), np.array([[x0, x1 - x0, 0]]),
             [-np.sqrt(f(x0))])
 
 
@@ -465,13 +460,12 @@ def _detour():
     run into a branch point after it."""
     f = _g6()
     x0, x1 = 1.0 - 0.5j, 1.0 + 0.5j
-    roots = branch_points(f)
-    assert np.any(
-        line_with_detours(roots, detour_radii(roots), x0, x1)[:, 2] != 0)
+    roots, radii = list(f.roots), integration.detour_radii(f)
+    assert np.any(line_with_detours(roots, radii, x0, x1)[:, 2] != 0)
     P0 = k2.CurvePoint.affine(x0, np.sqrt(f(x0)))
     P1 = k2.CurvePoint.affine(x1, np.sqrt(f(x1)))
     pieces, y0, path, weight = integration.path_between(
-        f, roots, [P0, P0], [P1, k2.CurvePoint.affine(x1, -P1.y)])
+        f, [P0, P0], [P1, k2.CurvePoint.affine(x1, -P1.y)])
     assert np.any(path == 1) and len(pieces) > 6
     assert np.any(weight == 2) and _ends_on_a_root(roots, pieces)[-1]
     first = np.concatenate([[True], path[1:] != path[:-1]])
@@ -482,8 +476,8 @@ def _detour():
 def _fan(f):
     """Radial runs of several points, seeded and chained pieces in one
     stack, as point_infinity_integrals builds them."""
-    roots = branch_points(f)
-    radii = detour_radii(roots)
+    roots = list(f.roots)
+    radii = integration.detour_radii(f)
     xs = [1.1 * np.exp(0.4j), 0.45 - 0.2j, -1.4 + 0.05j]
     seeds, runs = [], []
     for x in xs:
@@ -501,9 +495,9 @@ def _check_segments():
     f = _g6()
     near = k2.validate_polynomial(list(np.poly([-1, 1, 0.02j, 0.6j, -3j,
                                                 4])[::-1]))
-    roots = branch_points(near)
+    roots = list(near.roots)
     pair = [(int(np.argmin(np.abs(np.asarray(roots) - x)))) for x in (-1, 1)]
-    for g, roots, pairs in ((f, branch_points(f), k2.periods.LOOP_PAIRS),
+    for g, roots, pairs in ((f, list(f.roots), k2.periods.LOOP_PAIRS),
                             (near, roots, [tuple(pair)])):
         rows = segment_sheet(g, roots, pairs)
         for p in range(len(pairs)):
@@ -572,8 +566,8 @@ def test_closed_form_sheet_near_roots(coeffs):
     points near them: every piece's sheet is the dense-step
     continuation."""
     f = k2.validate_polynomial(coeffs)
-    roots = branch_points(f)
-    radii = detour_radii(roots)
+    roots = list(f.roots)
+    radii = integration.detour_radii(f)
     rng = np.random.default_rng(19)
     arcs_of_pi = 0
     for k, r in enumerate(roots):
@@ -612,8 +606,8 @@ def test_flip_loop_is_twice_the_run_into_its_root(make):
     to 1e-13 of the largest, from points on both sheets near every root,
     out at 1.5 its distance to the next, and beyond the roots."""
     f = make()
-    roots = branch_points(f)
-    radii = detour_radii(roots)
+    roots = list(f.roots)
+    radii = integration.detour_radii(f)
     nums = integration.all_numerators(f)
     rng = np.random.default_rng(23)
     # near every root, out to 1.5 times its distance to the next
@@ -626,13 +620,23 @@ def test_flip_loop_is_twice_the_run_into_its_root(make):
             totals = []
             for pieces in (flip_loop_pieces(roots, radii, x),
                            run_into_branch_point(roots, radii, x)):
-                _, y0, _ = integration._continue_runs(f, roots, [pieces],
-                                                      [y])
+                _, y0, _ = integration._continue_runs(f, [pieces], [y])
                 totals.append(integration.integrate_forms(
-                    f, roots, pieces, y0, nums).sum(axis=0))
+                    f, pieces, y0, nums).sum(axis=0))
             loop, run = totals
             assert np.max(np.abs(loop - 2 * run)) <= 1e-13 * np.max(
                 np.abs(loop))
+
+
+def detour_radii(roots):
+    """The detour radii of a root set that is no curve's, for the
+    pure-geometry tests of line_with_detours: each root's distance to the
+    nearest other, times DETOUR_FACTOR, as integration.detour_radii(f)
+    gives them for f.roots."""
+    r = np.asarray(roots, dtype=complex)
+    d = np.abs(r[:, None] - r)
+    np.fill_diagonal(d, np.inf)
+    return integration.DETOUR_FACTOR * d.min(axis=1)
 
 
 def _junction_gap(pieces):
@@ -724,8 +728,8 @@ def test_continue_sqrt_stack_equals_each_run_alone():
     run gives alone."""
     rng = np.random.default_rng(29)
     for f in (_w5(), _g6(), _ring_sextic()):
-        roots = branch_points(f)
-        radii = detour_radii(roots)
+        roots = list(f.roots)
+        radii = integration.detour_radii(f)
         runs, seeds = [], []
         for k in range(12):
             # aimed through a root, so the runs have detours
@@ -737,10 +741,10 @@ def test_continue_sqrt_stack_equals_each_run_alone():
                 y = np.sqrt(f(x_start)) * rng.choice([-1.0, 1.0])
                 runs.append(run)
                 seeds.append([y] + [None] * (len(run) - 1))
-        y0, y1 = continue_sqrt(f, roots, np.concatenate(runs), sum(seeds, []))
+        y0, y1 = continue_sqrt(f, np.concatenate(runs), sum(seeds, []))
         at = 0
         for run, seed in zip(runs, seeds):
-            alone = continue_sqrt(f, roots, run, seed)
+            alone = continue_sqrt(f, run, seed)
             assert np.array_equal(y0[at:at + len(run)], alone[0])
             assert np.array_equal(y1[at:at + len(run)], alone[1])
             at += len(run)
@@ -749,14 +753,14 @@ def test_continue_sqrt_stack_equals_each_run_alone():
 
 # -- whole-path quadrature against a per-piece loop --------------------------
 
-def _integrate_forms_piece_by_piece(f, roots, pieces, y0, numerators):
+def _integrate_forms_piece_by_piece(f, pieces, y0, numerators):
     """Reference: one adaptive quadrature per piece of the path, piece i
     on the sheet of that piece alone from y0[i], with x and dx/du from
     each piece's own formula: z0 + u (z1 - z0) on a line, and on an arc
     c + rho exp(i (phi0 + u dphi)), dx/du = i dphi (x - c)."""
     total = np.zeros(len(numerators), dtype=complex)
     for i, (c, R, b) in enumerate(pieces):
-        sheet = piece_sheet(f, roots, pieces[i:i + 1], y0[i:i + 1])(
+        sheet = piece_sheet(f, pieces[i:i + 1], y0[i:i + 1])(
             np.arange(1))
 
         def g(u, d0, d1, sheet=sheet, c=c, R=R, b=b):
@@ -781,8 +785,8 @@ def test_integrate_forms_matches_piece_by_piece(coeffs):
     chained on into a branch point: the one quadrature over all pieces
     gives the per-piece sum."""
     f = k2.validate_polynomial(coeffs)
-    roots = branch_points(f)
-    radii = detour_radii(roots)
+    roots = list(f.roots)
+    radii = integration.detour_radii(f)
     nums = integration.all_numerators(f)
     rng = np.random.default_rng(11)
     for k, r in enumerate(roots):
@@ -793,11 +797,9 @@ def test_integrate_forms_matches_piece_by_piece(coeffs):
         if k % 2:
             pieces = np.concatenate(
                 [pieces, run_into_branch_point(roots, radii, x1)])
-        _, y0, _ = integration._continue_runs(f, roots, [pieces],
-                                              [np.sqrt(f(x0))])
-        got = integration.integrate_forms(f, roots, pieces, y0,
-                                          nums).sum(axis=0)
-        want = _integrate_forms_piece_by_piece(f, roots, pieces, y0, nums)
+        _, y0, _ = integration._continue_runs(f, [pieces], [np.sqrt(f(x0))])
+        got = integration.integrate_forms(f, pieces, y0, nums).sum(axis=0)
+        want = _integrate_forms_piece_by_piece(f, pieces, y0, nums)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -836,15 +838,15 @@ def test_empty_straight_run_is_a_stack_of_no_rows():
     stack, so the path to the involution image is the run into the
     nearest branch point alone, of weight 2."""
     f = _g6()
-    roots = branch_points(f)
+    roots, radii = list(f.roots), integration.detour_radii(f)
     x = 0.4 + 0.7j
-    assert line_with_detours(roots, detour_radii(roots), x, x).shape == (0, 3)
+    assert line_with_detours(roots, radii, x, x).shape == (0, 3)
     P = k2.CurvePoint.affine(x, np.sqrt(f(x)))
-    pieces, _, _, _ = integration.path_between(f, roots, [P], [P])
+    pieces, _, _, _ = integration.path_between(f, [P], [P])
     assert pieces.shape == (0, 3)
     pieces, y0, path, weight = integration.path_between(
-        f, roots, [P], [k2.CurvePoint.affine(x, -P.y)])
-    dive = run_into_branch_point(roots, detour_radii(roots), x)
+        f, [P], [k2.CurvePoint.affine(x, -P.y)])
+    dive = run_into_branch_point(roots, radii, x)
     assert np.array_equal(pieces, dive)
     assert y0[0] == P.y and np.all(path == 0) and np.all(weight == 2)
 
@@ -944,9 +946,11 @@ def test_tail_series_length_follows_its_truncation_bound():
     k = np.arange(K)
     bound = np.array([math.comb(j + 2, 2) for j in k], dtype=float)
     for n in (5, 6) * 20:
-        roots = rng.normal(size=n) + 1j * rng.normal(size=n)
+        f = k2.validate_polynomial(np.poly(rng.normal(size=n)
+                                           + 1j * rng.normal(size=n))[::-1])
+        roots = np.array(f.roots)
         top = np.max(np.abs(roots))
-        c = integration._tail_coeffs(roots)
+        c = integration._tail_coeffs(f)
         assert np.all(np.abs(c) <= (1 + 1e-12) * bound * top ** k)
         s = rho / top * np.exp(2j * np.pi * rng.random())
         g = np.prod((1 - roots * s) ** -0.5)
@@ -966,3 +970,31 @@ def test_a_tail_from_within_the_far_radius_raises():
     x = 0.9 * integration.SERIES_FACTOR
     with pytest.raises(ValueError):
         tail_integrals(f, [x], [np.sqrt(f(x))])
+
+
+def test_tail_coefficients_are_computed_once_per_curve(monkeypatch):
+    """tail_integrals reads its series coefficients from a cache keyed by
+    the curve: a second call on the same curve, or on an equal one, forms
+    no convolution product, and the coefficients are read-only."""
+    products = []
+    convolve = np.convolve
+
+    def counted(a, b):
+        products.append(1)
+        return convolve(a, b)
+
+    f = _g6()
+    x = 12.0 * np.exp(0.731j) * np.array([1.0, 1.5])
+    y = np.sqrt(f(x))
+    integration._tail_coeffs.cache_clear()
+    monkeypatch.setattr(np, "convolve", counted)
+    first = tail_integrals(f, x, y)
+    assert len(products) == f.degree - 1
+    products.clear()
+    again = tail_integrals(f, x, y)
+    assert products == []
+    tail_integrals(_g6(), x[:1], y[:1])
+    assert products == []
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
+    assert integration._tail_coeffs.cache_info().misses == 1
+    assert not integration._tail_coeffs(f).flags.writeable

@@ -175,7 +175,7 @@ def test_block_sampler_draws_the_points_of_a_point_by_point_loop(
     the same points, and the stream left where the loop leaves it.  At
     clearance 0.5 many candidates are refused, so blocks repeat."""
     a, b = np.random.default_rng(8), np.random.default_rng(8)
-    got = verify._sample_z(any_ctx, a, 20, clearance)
+    got = verify._sample_groups(any_ctx, a, 20, clearance=clearance)[:, 0]
     want = _sample_point_by_point(any_ctx, b, 20, clearance)
     assert np.array_equal(got, want)
     assert a.random() == b.random()
@@ -205,6 +205,39 @@ def test_a_keep_that_rejects_every_group_raises(
     assert len(tested) <= size * verify.SAMPLE_TRIES
 
 
+def test_lattice_draws_read_the_stream_of_a_one_at_a_time_loop():
+    """_sample_lattice draws its points through _draw_kept in blocks and
+    keeps the points a loop over single draws of four integers keeps,
+    skipping zero, with the stream left where the loop leaves it."""
+    for seed in range(5):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = verify._sample_lattice(a, 700)
+        want = []
+        while len(want) < 700:
+            k = b.integers(-2, 3, size=4)
+            if k.any():
+                want.append(k)
+        assert np.array_equal(got, want)
+        assert a.random() == b.random()
+
+
+def test_a_lattice_draw_that_keeps_nothing_gives_up():
+    """A lattice draw that never yields a nonzero point raises
+    KleinianError after SAMPLE_TRIES rejections instead of drawing
+    forever."""
+    class Zeros:
+        drawn = 0
+
+        def integers(self, low, high, size):
+            self.drawn += size[0]
+            return np.zeros(size, dtype=np.int64)
+
+    rng = Zeros()
+    with pytest.raises(k2.KleinianError, match="could not sample"):
+        verify._sample_lattice(rng, 1)
+    assert rng.drawn == verify.SAMPLE_TRIES
+
+
 def test_diff1_gives_up_on_divisors_never_clear(w5_ctx, monkeypatch):
     """diff1 redraws divisors whose images lie near the zero set of S
     SAMPLE_TRIES times in a row at most, then reports the error."""
@@ -223,7 +256,7 @@ def test_diff1_gives_up_on_divisors_never_clear(w5_ctx, monkeypatch):
 # array loops round differently from scalar arithmetic).
 
 def _one(ctx, rng, clearance=1e-3):
-    return verify._sample_z(ctx, rng, 1, clearance)[0]
+    return _sample_point_by_point(ctx, rng, 1, clearance)[0]
 
 
 def _fd_log_hessian_one(ctx, z, h):
@@ -240,7 +273,7 @@ def _fd_log_hessian_one(ctx, z, h):
 def _loop_diff2(ctx, rng):
     f5, f6 = ctx.f.coeffs[5], ctx.f.coeffs[6]
     worst = 0.0
-    z = verify._sample_z(ctx, rng, 10, clearance=3e-2)
+    z = _sample_point_by_point(ctx, rng, 10, 3e-2)
     for zi, (p11, p12, p22) in zip(z, k2.wp_eval(ctx, z)):
         L = _fd_log_hessian_one(ctx, zi, 0.01 * ctx.jet_scale)
         rhs = np.array([
@@ -256,7 +289,7 @@ def _loop_diff2(ctx, rng):
 
 def _loop_log_der_p(ctx, rng):
     worst = 0.0
-    z = verify._sample_z(ctx, rng, 10)
+    z = _sample_point_by_point(ctx, rng, 10, 1e-3)
     if not ctx.f.weierstrass_form:
         return z[:, None], None
     for zi in z:
