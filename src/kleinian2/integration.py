@@ -27,23 +27,29 @@ the branch point e nearest x1.  The loop's way back is its way out on
 the other sheet, reversed, and its full turn about e is twice the
 radial run into e, so the loop integrates to twice the run from x1 into
 e.  That run's last piece factors y = sqrt(x - e) s(x) with
-x - e = -R d1, from the quadrature's stable distance to the end, as the
-period segments factor theirs: y = s(u) sqrt(u (1-u)) with s^2 = G(u),
-the cofactor, whose turn is the same sum over the roots off the
-segment.  A tail to infinity takes no quadrature: from SERIES_FACTOR
-times the largest root modulus out, y / x^(d/2) is +-sqrt(lead) /
-g(1/x) with g(s) = prod_j (1 - r_j s)^(-1/2), whose binomial series
-converges at a ratio of 1/SERIES_FACTOR or less, so tail_integrals sums
-it term by term.
+x - e = -R d1, from the quadrature's stable distance to the end.  A
+tail to infinity takes no quadrature: from SERIES_FACTOR times the
+largest root modulus out, y / x^(d/2) is +-sqrt(lead) / g(1/x) with
+g(s) = prod_j (1 - r_j s)^(-1/2), whose binomial series converges at a
+ratio of 1/SERIES_FACTOR or less, so tail_integrals sums it term by
+term.
 
-Every integrand is n_k(x)/y dx on a sheet returning (x, dx/du, y)
-(_piece_values), and integrands are stacked, not looped: all pieces of
-many paths, or a whole period build (its loop segments and, on degree
-6, the run from its far point into a branch point: period_integrals),
-go through one integrate_01 call.  _integrate_stack takes groups of
-integrals, each of one kind, narrows each group's sheet to the integrals
-still open, so each is integrated at the level it needs alone, and pads
-the components a group lacks with zeros.  Only the integrands run on
+A period build's loop segments take no tanh-sinh either.  A segment
+between two branch points factors y = s(u) sqrt(u (1-u)) with s^2 =
+G(u), the cofactor, whose turn is the same sum over the roots off the
+segment, so n_k(x)/y dx is the Chebyshev weight times the analytic
+n_k(x) d/s, and N-point Gauss-Chebyshev sums it to an error bounded a
+priori from the Bernstein ellipse through the nearest root off the
+segment (segment_period_integrals; Molin and Neurohr).  The node counts
+are fixed before the sum, and all segments of a build are one sheet
+call.
+
+Every other integrand is n_k(x)/y dx on a sheet of pieces returning
+(x, dx/du, y), and integrands are stacked, not looped: all pieces of
+many paths, or the run from a period build's far point into a branch
+point, go through one integrate_01 call, whose integrand narrows to the
+pieces still open (integrate_forms), so each is integrated at the level
+it needs alone.  Only the integrands run on
 arrays, a row per quadrature node.  Path geometry and sheet chaining
 are scalar passes in complex arithmetic: line_with_detours loops over
 the roots of one path, and continue_sqrt over the pieces of a stack,
@@ -61,14 +67,14 @@ nearest_branch_point and run_into_branch_point take any root list.
 
 import cmath
 import math
-from bisect import bisect_left
 from functools import lru_cache
-from itertools import accumulate, count
+from itertools import count
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, SheetTrackingError
-from .quadrature import integrate_01
+from .errors import (DegenerateGeometryError, QuadratureError,
+                     SheetTrackingError)
+from .quadrature import TOL, integrate_01
 
 DETOUR_FACTOR = 0.45     # detour radius as a fraction of root clearance
 SERIES_FACTOR = 2.0      # a tail is a series from this radius, times max|r|
@@ -234,55 +240,24 @@ def piece_sheet(f, pieces, y0):
     return rows
 
 
-def _piece_values(sheet, numerators, u, d1):
-    """The integrands n_k(x)/y dx/du at u, shape (len(u), P,
-    len(numerators)), on the sheet of P pieces or segments of piece_sheet
-    or segment_sheet."""
-    x, dx, y = sheet(u[:, None], d1[:, None])
-    return np.stack([nf(x) * dx / y for nf in numerators], axis=2)
-
-
-def _integrate_stack(groups):
-    """One integrate_01 call over stacked groups (rows, n, numerators).
-    A group holds n integrals of n_k(x)/y dx on one kind of sheet, rows(k)
-    the sheet of those with indices k, narrowed to the integrals still
-    open, and its numerators are padded with zeros to the longest list.
-    Returns the integrals, shape (sum of n, width), in group order."""
-    ends = list(accumulate(n for _, n, _ in groups))
-    width = max(len(numerators) for _, _, numerators in groups)
-    if not ends[-1]:
-        return np.zeros((0, width), dtype=complex)
-
-    def open_sheets(k):
-        """(sheet, padded numerators) of the open integrals k, ascending
-        stack indices, group by group."""
-        parts, i, lo, ks = [], 0, 0, k.tolist()
-        for (rows, _, numerators), hi in zip(groups, ends):
-            j = bisect_left(ks, hi, i)
-            if j > i:
-                parts.append((rows(k[i:j] - lo if lo else k[i:j]), numerators
-                              + [np.zeros_like] * (width - len(numerators))))
-            i, lo = j, hi
-        return parts
-
-    live = [open_sheets(np.arange(ends[-1]))]
-
-    def narrow(k):
-        live[0] = open_sheets(k)
-
-    def g(u, d0, d1):
-        return np.concatenate([_piece_values(*part, u, d1)
-                               for part in live[0]], axis=1)
-
-    return integrate_01(g, narrow)[0]
-
-
 def integrate_forms(f, pieces, y0, numerators):
     """Integrals of n_k(x)/y dx over each piece of a stack, one row per
     piece, piece k on the sheet that starts it at y0[k]; all pieces share
-    one quadrature."""
-    return _integrate_stack([(piece_sheet(f, pieces, y0),
-                              len(pieces), numerators)])
+    one quadrature, and the integrand narrows to the pieces still open."""
+    if not len(pieces):
+        return np.zeros((0, len(numerators)), dtype=complex)
+    rows = piece_sheet(f, pieces, y0)
+    live = [rows(np.arange(len(pieces)))]
+
+    def narrow(k):
+        live[0] = rows(k)
+
+    def g(u, d0, d1):
+        """n_k(x)/y dx/du at u, shape (len(u), open pieces, k)."""
+        x, dx, y = live[0](u[:, None], d1[:, None])
+        return np.stack([nf(x) * dx / y for nf in numerators], axis=2)
+
+    return integrate_01(g, narrow)[0]
 
 
 def holomorphic_numerators():
@@ -293,8 +268,12 @@ def holomorphic_numerators():
 
 def second_kind_numerators(f):
     """Numerators of the second-kind basis (poles only at infinity)."""
-    c = f.coeffs
+    return _second_kind(f.coeffs)
 
+
+def _second_kind(c):
+    """The second-kind numerators of the polynomial of ascending
+    coefficients c."""
     def n1(x):
         return (c[3] * x + 2 * c[4] * x ** 2 + 3 * c[5] * x ** 3
                 + 4 * c[6] * x ** 4) / 4.0
@@ -462,63 +441,183 @@ def path_between(f, P0, P1):
 
 # -- factored branch-point segments -----------------------------------------
 
+SEGMENT_MAX_NODES = 2 ** 16   # most Gauss-Chebyshev nodes on one segment
+# The error bound a node count aims at, of the integral's guessed size:
+# well below TOL, because the bound is on a segment's max-norm, and a
+# component 1e-4 of it (the second-kind parts on a curve scaled by 0.1)
+# must lose no digits to truncation either.  A decade costs about a node.
+SEGMENT_AIM = 1e-14
+# the ellipses E_r the error bound tries, as log r / log rho_min
+_ELLIPSES = np.linspace(0.05, 0.95, 19)[:, None]
+
+
+def _segment_frames(roots, pairs):
+    """(b_i, d, others) of the segments from roots[i] to roots[j], (i, j) =
+    pairs[p]: the start, the step d = roots[j] - roots[i], and the roots
+    off each segment, one column per segment."""
+    roots = [complex(r) for r in roots]
+    bi = np.array([roots[i] for i, _ in pairs])
+    d = np.array([roots[j] for _, j in pairs]) - bi
+    others = [[r for k, r in enumerate(roots) if k not in pair]
+              for pair in pairs]
+    return bi, d, np.array(others).T
+
+
 def segment_sheet(f, roots, pairs):
-    """The straight segments from roots[i] to roots[j], (i, j) = pairs[p]:
-    rows(p) is the sheet of segments p, a function of parameters u, shape
-    (N, 1), and of d1 = 1 - u, computed stably, returning (x, dx/du, y) at
-    u on those segments, x = roots[i] + u (roots[j] - roots[i]), with
-    y = s sqrt(u d1) and s the root of the cofactor G on the sheet of its
-    principal root at u = 0.
+    """The straight segments from roots[i] to roots[j], (i, j) = pairs[p],
+    as sheet(p, u, d1): at the parameters u, u[k] on segment p[k], and d1
+    = 1 - u, computed stably, (x, dx/du, s) with x = roots[i] + u
+    (roots[j] - roots[i]) and s the root of the cofactor G on the sheet of
+    its principal root at u = 0.  G's factors x - r_k are formed from the
+    nearer end, (b_i - r_k) + u d or (b_j - r_k) - d1 d, so a root just
+    off one end costs them no cancellation.
 
     With x(u) = b_i + u (b_j - b_i) the polynomial factors through
     y = s(u) sqrt(u (1-u)), where s^2 = G(u) = -lc d^2 prod(x(u) - r_k)
     over the roots other than i and j.  G never vanishes on the segment,
-    and its turn is the sum over those roots, so s is fixed in closed form
-    and the endpoint singularity is integrable by the doubly exponential
-    rule.
+    and its turn is the sum over those roots, so s is fixed in closed form,
+    and n_k(x)/y dx is the Chebyshev weight 1/sqrt(u (1-u)) times the
+    analytic n_k(x) d/s (segment_period_integrals).
     """
-    roots = np.asarray(roots, dtype=complex)
-    bi = np.array([roots[i] for i, _ in pairs])
-    d = np.array([roots[j] for _, j in pairs]) - bi
-    # the roots off each segment, one column per segment
-    others = np.array([np.delete(roots, [i, j]) for i, j in pairs]).T
+    bi, d, others = _segment_frames(roots, pairs)
     lead = f.leading
-
-    def G(x, d, others):
-        """Cofactor at points x on the segments of steps d and the given
-        other roots, segments along the last axis."""
-        acc = -lead * d * d
-        for r in others:
-            acc = acc * (x - r)
-        return acc
-
-    g0 = G(bi + 0.0 * d, d, others)
+    start, end = bi - others, bi + d - others      # b_i - r_k, b_j - r_k
+    g0 = -lead * d * d * start.prod(axis=0)
     ref = d * f.deriv(bi)
     if np.any(np.abs(g0 - ref) > 1e-8 * np.maximum(np.abs(g0), np.abs(ref))):
         raise SheetTrackingError("factored cofactor fails the endpoint check")
     phase0 = np.angle(np.sqrt(g0))
-    c0 = np.conj(bi - others)
+    c0 = np.conj(start)
 
-    def rows(p):
-        b, dp, r, c, ph = bi[p], d[p], others[:, p], c0[:, p], phase0[p]
+    def sheet(p, u, d1):
+        dp = d[p]
+        dr = np.where(u <= 0.5, start[:, p] + u * dp, end[:, p] - d1 * dp)
+        psi = phase0[p] + 0.5 * np.angle(dr * c0[:, p]).sum(axis=0)
+        s = _signed(np.sqrt(-lead * dp * dp * dr.prod(axis=0)), psi)
+        return bi[p] + u * dp, dp, s
 
-        def sheet(u, d1):
-            x = b + u * dp
-            psi = ph + 0.5 * _turn(x - r[:, None], c)
-            s = _signed(np.sqrt(G(x, dp, r)), psi)
-            return x, dp, s * np.sqrt(u * d1)
+    return sheet
 
-        return sheet
 
-    return rows
+def _segment_bounds(f, roots, pairs):
+    """(log_2piM, log_r, log_guess) of the segments of segment_sheet.
+
+    In t = 2u - 1 the integrand h_k = n_k(x) d/s of segment p is analytic
+    inside the Bernstein ellipse E_rho through the nearest root off it,
+    whose t is tau_k, rho_k = |tau_k +- sqrt(tau_k^2 - 1)| >= 1.
+    On E_r, r < rho_k, |t - tau_k| >= (rho_k - r)(1 - 1/(r rho_k))/2 and
+    |x| <= X = |x_mid| + |d| (r + 1/r)/4, so, with |s| = sqrt|lc| |d|
+    prod_k sqrt(|d|/2 |t - tau_k|), the largest |h_k| there is at most
+    M = max_k n_k+(X) / (sqrt|lc| prod_k sqrt(|d|/2 |t - tau_k|)), n_k+
+    the numerator n_k with its coefficients' moduli.  Rows of log_2piM =
+    log(2 pi M) and log_r are the trial ellipses _ELLIPSES, columns the
+    segments.  log_guess is log(pi max_k n_k+(|x_mid|) / |s/d|) at the
+    midpoint: the size of the integral that the node count aims at
+    before there is one.
+    """
+    bi, d, others = _segment_frames(roots, pairs)
+    tau = 2.0 * (others - bi) / d - 1.0
+    # the root of w^2 - 2 tau w + 1 outside the unit circle (the other is
+    # 1/w; a signed zero can make the principal roots pick it)
+    rho = np.abs(tau + np.sqrt(tau - 1.0) * np.sqrt(tau + 1.0))
+    rho = np.maximum(rho, 1.0 / rho)
+    log_r = _ELLIPSES * np.log(rho.min(axis=0))
+    r = np.exp(log_r)
+    R = r[:, None]
+    half = 0.5 * np.abs(d)
+    mid = np.abs(bi + 0.5 * d)
+    # prod_k |t - tau_k| on E_r, and at the midpoint t = 0, in the last row
+    gaps = np.vstack([(0.5 * (rho - R) * (1.0 - 1.0 / (R * rho))).prod(axis=1),
+                      np.abs(tau).prod(axis=0)])
+    X = np.vstack([mid + 0.5 * half * (r + 1.0 / r), mid])
+    sizes = np.maximum.reduce([np.ones_like(X), X] + [
+        n(X) for n in _second_kind(np.abs(f.coeffs))])
+    log_M = np.log(sizes) - 0.5 * (np.log(abs(f.leading) * gaps)
+                                   + len(others) * np.log(half))
+    return (math.log(2 * math.pi) + log_M[:-1], log_r,
+            math.log(math.pi) + log_M[-1])
+
+
+def _node_counts(log_2piM, log_r, log_target):
+    """The fewest nodes N, per segment and over the trial ellipses, with
+    2 pi M / (r^(2N) - 1) <= target, the aliasing bound of N-point
+    Gauss-Chebyshev on a function bounded by M on E_r; at most
+    SEGMENT_MAX_NODES + 1."""
+    n = np.logaddexp(0.0, log_2piM - log_target) / (2.0 * log_r)
+    return np.minimum(np.ceil(n).min(axis=0),
+                      SEGMENT_MAX_NODES + 1).astype(int)
+
+
+def _error_bounds(log_2piM, log_r, N):
+    """2 pi M / (r^(2N) - 1) at N nodes, per segment, the least over the
+    trial ellipses."""
+    return np.exp(log_2piM - np.log(np.expm1(2.0 * N * log_r))).min(axis=0)
+
+
+@lru_cache(maxsize=256)
+def _chebyshev_nodes(n):
+    """(u, d1) = (sin^2(theta/2), cos^2(theta/2)) at the n Gauss-Chebyshev
+    angles theta = (2k+1) pi / (2n), read-only: u and d1 = 1 - u with no
+    cancellation at either end, where (1 -+ cos theta)/2 would lose it."""
+    half = (2 * np.arange(n) + 1) * (0.25 * np.pi / n)
+    u, d1 = np.sin(half) ** 2, np.cos(half) ** 2
+    for a in (u, d1):
+        a.setflags(write=False)
+    return u, d1
+
+
+def _chebyshev_sums(sheet, numerators, p, N):
+    """Row k: the N[k]-point Gauss-Chebyshev sums (pi/N) sum n(x) d/s of
+    the numerators on segment p[k] of sheet, in one sheet call over the
+    nodes of every segment."""
+    u, d1 = (np.concatenate(a) for a in
+             zip(*(_chebyshev_nodes(int(n)) for n in N)))
+    x, dx, s = sheet(np.repeat(p, N), u, d1)
+    h = np.stack([nf(x) for nf in numerators], axis=1) * (dx / s)[:, None]
+    return np.add.reduceat(h, np.cumsum(N) - N, axis=0) * (np.pi / N)[:, None]
 
 
 def segment_period_integrals(f, roots, pairs):
-    """Row p holds the integrals of (dx/y, x dx/y, r1, r2) over the
-    straight segment from roots[i] to roots[j], (i, j) = pairs[p], on the
-    sheet of segment_sheet; all segments share one quadrature.  The
-    segments alone of period_integrals."""
-    return period_integrals(f, roots, pairs)[0]
+    """(W, N, err): row p of W holds the integrals of (dx/y, x dx/y, r1,
+    r2) over the straight segment from roots[i] to roots[j], (i, j) =
+    pairs[p], on the sheet of segment_sheet, by N[p]-point Gauss-Chebyshev
+    (Molin and Neurohr, Math. Comp. 88, 2019), and err[p] bounds its
+    error.
+
+    With u = sin^2(theta/2), each integral is the integral over (0, pi)
+    in theta of n_k(x) d/s, analytic in t = -cos theta inside a Bernstein
+    ellipse (_segment_bounds), so the error of the N-point rule, the
+    aliased Chebyshev coefficients, is at most 2 pi M / (r^(2N) - 1).
+    N is fixed beforehand from that bound at SEGMENT_AIM times the
+    integral's size guessed at the midpoint, and all segments are summed
+    in one sheet call.  The bound is then checked against TOL times each
+    row's own max-norm, as integrate_01 checks its change; a segment
+    that fails is summed again at the N that the bound now asks for.  A
+    segment asking for more than SEGMENT_MAX_NODES raises QuadratureError
+    naming it.
+    """
+    sheet = segment_sheet(f, roots, pairs)
+    numerators = all_numerators(f)
+    log_2piM, log_r, log_guess = _segment_bounds(f, roots, pairs)
+    N = np.minimum(_node_counts(log_2piM, log_r,
+                                math.log(SEGMENT_AIM) + log_guess),
+                   SEGMENT_MAX_NODES)
+    W = np.empty((len(pairs), len(numerators)), dtype=complex)
+    todo = np.arange(len(pairs))
+    while len(todo):
+        W[todo] = _chebyshev_sums(sheet, numerators, todo, N[todo])
+        scale = np.maximum(np.abs(W).max(axis=1), 1e-300)
+        need = _node_counts(log_2piM, log_r, np.log(TOL * scale))
+        todo = np.flatnonzero(need > N)
+        over = todo[need[todo] > SEGMENT_MAX_NODES]
+        if len(over):
+            p = int(over[0])
+            raise QuadratureError(
+                f"loop segment {p}, from branch point {pairs[p][0]} to "
+                f"{pairs[p][1]}, needs more than {SEGMENT_MAX_NODES} "
+                f"Gauss-Chebyshev nodes for rel. tol {TOL:g}")
+        N[todo] = need[todo]
+    return W, N, _error_bounds(log_2piM, log_r, N)
 
 
 # -- tails to infinity --------------------------------------------------------
@@ -633,11 +732,10 @@ def far_point(scale):
 
 
 def period_integrals(f, roots, pairs, radii=None):
-    """(W, J, z_star) of a period build, in one quadrature.
+    """(W, J, z_star) of a period build.
 
-    Row p of W holds the integrals of (dx/y, x dx/y, r1, r2) over the
-    straight segment from roots[i] to roots[j], (i, j) = pairs[p], on the
-    sheet of segment_sheet.  Given the radii, each at least SERIES_FACTOR
+    W holds the loop segments' integrals, segment_period_integrals' rows,
+    by Gauss-Chebyshev.  Given the radii, each at least SERIES_FACTOR
     times f.scale, J holds the holomorphic integrals from the infinite
     point labelled 2 (the one point at infinity on degree 5) to the
     points at those radii in the direction of x_far = far_point(f.scale),
@@ -656,12 +754,12 @@ def period_integrals(f, roots, pairs, radii=None):
     branch point runs from y_far to -y_far, whose tail, exactly -T, lands
     on label 1, so z_star = -T + I_loop - T, I_loop twice the run from
     x_far into that point (run_into_branch_point): one sheet chain,
-    seeded at y_far, and with the segments one integrate_01 stack.  On
-    degree 5 the segments are the stack.
+    seeded at y_far, and the one tanh-sinh quadrature of the build, whose
+    integrand dives into that point's endpoint singularity.
     """
-    segments = (segment_sheet(f, roots, pairs), len(pairs), all_numerators(f))
+    W = segment_period_integrals(f, roots, pairs)[0]
     if radii is None:
-        return _integrate_stack([segments]), None, None
+        return W, None, None
     x_far = far_point(f.scale)
     y_far = complex(np.sqrt(f(x_far)))
     xs = np.append(np.asarray(radii) * np.exp(1j * FAR_ARG), x_far)
@@ -674,10 +772,8 @@ def period_integrals(f, roots, pairs, radii=None):
         y_far, T = -y_far, -T
     J = -T[:-1]
     if f.degree == 5:
-        return _integrate_stack([segments]), J, None
+        return W, J, None
     dive = run_into_branch_point(f.roots, detour_radii(f), x_far)
     y0, _ = continue_sqrt(f, dive, [y_far] + [None] * (len(dive) - 1))
-    vals = _integrate_stack([segments, (piece_sheet(f, dive, y0),
-                                        len(dive), holomorphic_numerators())])
-    n = len(pairs)
-    return vals[:n], J, 2.0 * (vals[n:, :2].sum(axis=0) - T[-1])
+    I = integrate_forms(f, dive, y0, holomorphic_numerators())
+    return W, J, 2.0 * (I.sum(axis=0) - T[-1])

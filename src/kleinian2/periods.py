@@ -20,11 +20,13 @@ through the far point, where z_star changes sheets by the run from there
 into its nearest branch point, between integration.SERIES_FACTOR times
 the root scale and that point, so each point's Abel image is minus its
 own tail to infinity, summed as a series with the far point's in one
-call, and takes no quadrature.  Every sheet is fixed before any quadrature, so the
-loop segments and, on degree 6, that run are one stack of one quadrature
+call, and takes no quadrature.  Every sheet is fixed before any
+quadrature: the loop segments are Gauss-Chebyshev sums at node counts
+fixed beforehand from an error bound, all in one integrand call, and
+on degree 6 that run is the build's one tanh-sinh quadrature
 (integration.period_integrals).  Neither the samples nor z_star depends
 on the branch ordering, so a re-ordered build reuses them
-(compute_period_data's like=) and integrates its loop segments only.
+(compute_period_data's like=) and sums its loop segments only.
 
 PeriodData derives what its integrals determine and certifies itself
 when it is made, whether by a build, a JSON load or a
@@ -216,20 +218,36 @@ class PeriodData:
 
 
 def _residuals(A, B, etaA, etaB):
-    eye = 2j * np.pi * np.eye(2)
-    r = {}
+    """(Omega, r): Omega = A^{-1} B and the certificate's residuals r by
+    name, in 2x2 scalar arithmetic but for Omega's solve and cond's
+    singular values.  A matrix M - M^T vanishes on its diagonal, so
+    each symmetry residual is one off-diagonal difference."""
     try:
         Omega = np.linalg.solve(A, B)
     except np.linalg.LinAlgError:
         return None, {"singular": np.inf}
-    r["sym"] = float(np.max(np.abs(Omega - Omega.T)))
-    (a, b), (_, d) = (0.5 * (Omega + Omega.T)).imag.tolist()
-    r["lam_min"] = lam_min(a, b, d)
-    r["leg1"] = float(np.max(np.abs(etaA.T @ B - A.T @ etaB - eye)))
-    r["leg2"] = float(np.max(np.abs(B @ etaA.T - A @ etaB.T - eye)))
-    r["sym_ab"] = float(np.max(np.abs(etaA @ etaB.T - (etaA @ etaB.T).T)))
-    r["sym_a"] = float(np.max(np.abs(etaA.T @ A - (etaA.T @ A).T)))
-    r["sym_b"] = float(np.max(np.abs(etaB.T @ B - (etaB.T @ B).T)))
+    (o00, o01), (o10, o11) = Omega.tolist()
+    a, b, ea, eb = A.tolist(), B.tolist(), etaA.tolist(), etaB.tolist()
+
+    def tt(x, y, i, j):
+        """(x^T y)[i, j]"""
+        return x[0][i] * y[0][j] + x[1][i] * y[1][j]
+
+    def nt(x, y, i, j):
+        """(x y^T)[i, j]"""
+        return x[i][0] * y[j][0] + x[i][1] * y[j][1]
+
+    two_pi_i = 2j * np.pi
+    ij = ((0, 0), (0, 1), (1, 0), (1, 1))
+    r = {"sym": abs(o01 - o10),
+         "lam_min": lam_min(o00.imag, 0.5 * (o01 + o10).imag, o11.imag),
+         "leg1": max(abs(tt(ea, b, i, j) - tt(a, eb, i, j)
+                         - (two_pi_i if i == j else 0)) for i, j in ij),
+         "leg2": max(abs(nt(b, ea, i, j) - nt(a, eb, i, j)
+                         - (two_pi_i if i == j else 0)) for i, j in ij),
+         "sym_ab": abs(nt(ea, eb, 0, 1) - nt(ea, eb, 1, 0)),
+         "sym_a": abs(tt(ea, a, 0, 1) - tt(ea, a, 1, 0)),
+         "sym_b": abs(tt(eb, b, 0, 1) - tt(eb, b, 1, 0))}
     gens = np.hstack([A, B])
     r["cond"] = float(np.linalg.cond(np.vstack([gens.real, gens.imag])))
     return Omega, r

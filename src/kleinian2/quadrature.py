@@ -24,6 +24,12 @@ open, and the integrand evaluates only those, so a stack costs no more
 integrand columns than its members would alone.  The first convergence
 test compares levels BASE_LEVEL and BASE_LEVEL + 1, so the first
 integrand call takes the nodes of both.
+
+Paths and the run into a branch point use this rule.  A period build's
+loop segments, analytic after the factoring of their endpoint
+singularities, use Gauss-Chebyshev with node counts fixed beforehand
+from an error bound (integration.segment_period_integrals), which is
+checked against TOL as this rule checks its change.
 """
 
 from functools import lru_cache
@@ -37,7 +43,8 @@ from .errors import QuadratureError
 T_MAX = 4.5
 BASE_LEVEL = 3
 MAX_LEVEL = 12
-# relative tolerance on the max-norm of every integral the package takes
+# relative tolerance on the max-norm of every integral the package takes,
+# by this rule or by the loop segments' Gauss-Chebyshev
 TOL = 1e-12
 
 _node_cache = {}

@@ -15,6 +15,12 @@ from kleinian2.integration import line_with_detours, x_dx
 
 W5_COEFFS = [0.0, -4.0, 0.0, 0.0, 0.0, 4.0, 0.0]
 G6_COEFFS = [-1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
+# A sextic whose first basis_independence re-ordering, NEAR_MISS_ORDERING,
+# has a loop segment, loop 2 from 0.05 + 6.794i to 0.628 - 0.9077i, that
+# passes 2.8e-3 from the root 0.5104 + 0.6967i.
+NEAR_MISS_ROOTS = [-1.1341 + 0.3474j, -0.5144 - 0.5585j, 0.05 + 6.794j,
+                   0.5104 + 0.6967j, 0.628 - 0.9077j, 0.7315 - 0.1683j]
+NEAR_MISS_ORDERING = (1, 0, 2, 4, 3, 5)
 
 
 @pytest.fixture(scope="session")

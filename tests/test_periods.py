@@ -13,17 +13,81 @@ import kleinian2 as k2
 from kleinian2 import integration, periods
 from kleinian2 import serialization as ser
 from kleinian2.integration import segment_period_integrals
+from kleinian2.quadrature import TOL
 from kleinian2.theta import theta_jet
 
-from conftest import G6_COEFFS, W5_COEFFS, flip_loop_pieces
+from conftest import (G6_COEFFS, NEAR_MISS_ORDERING, NEAR_MISS_ROOTS,
+                      W5_COEFFS, flip_loop_pieces)
+from test_panel import CURVES as PANEL_CURVES
 
 
 # -- independent oracle for one branch segment ---------------------------------
 
+def _mp_segment(f, roots, p):
+    """Reference: the integrals of (dx/y, x dx/y, r1, r2) over loop segment
+    p of the branch order roots, on the sheet of segment_sheet, by mpmath
+    at 20 digits: over theta with u = sin^2(theta/2), where they are
+    integrals of n_k(x) d/s, split at and around the point of the segment
+    nearest the roots off it."""
+    i, j = periods.LOOP_PAIRS[p]
+    sheet = integration.segment_sheet(f, roots, periods.LOOP_PAIRS)
+    with mpmath.workdps(20):
+        c = [mpmath.mpc(v) for v in f.coeffs]
+        rs = [mpmath.mpc(r) for r in roots]
+        bi, d = rs[i], rs[j] - rs[i]
+        others = [r for k, r in enumerate(rs) if k not in (i, j)]
+        feet = [min(1, max(0, ((r - bi) * mpmath.conj(d)).real / abs(d) ** 2))
+                for r in others]
+        split = sorted({float(2 * mpmath.asin(mpmath.sqrt(t)) + e)
+                        for t in feet for e in (0, -1e-3, 1e-3, -1e-1, 1e-1)})
+        split = [0.0] + [t for t in split if 0 < t < np.pi] + [mpmath.pi]
+
+        def h(theta, k):
+            u = mpmath.sin(theta / 2) ** 2
+            x = bi + u * d
+            G = -mpmath.mpc(f.leading) * d * d
+            for r in others:
+                G *= x - r
+            s = mpmath.sqrt(G)
+            s0 = sheet(np.array([p]), np.array([float(u)]),
+                       np.array([float(1 - u)]))[2][0]
+            if abs(complex(s) - s0) > abs(complex(s) + s0):
+                s = -s
+            n = (1, x, (c[3] * x + 2 * c[4] * x ** 2 + 3 * c[5] * x ** 3
+                        + 4 * c[6] * x ** 4) / 4,
+                 (c[5] * x ** 2 + 2 * c[6] * x ** 3) / 4)[k]
+            return n * d / s
+
+        return np.array([complex(mpmath.quad(lambda t: h(t, k), split))
+                         for k in range(4)])
+
+
+def _segment_curves():
+    """(name, f, branch order) of FRAME_CURVES, the near miss in its
+    re-ordering and the clustered two-pair curves of the panel."""
+    curves = [(name, k2.validate_polynomial(c), None)
+              for name, c in FRAME_CURVES]
+    curves.append(("near_miss", k2.validate_polynomial(
+        np.poly(NEAR_MISS_ROOTS)[::-1]), NEAR_MISS_ORDERING))
+    curves += [(name, k2.validate_polynomial(list(PANEL_CURVES[name])), None)
+               for name in ("two_pairs_i", "two_pairs_r",
+                            "two_pairs_i_polyfromroots")]
+    return [(name, f, list(f.roots) if order is None
+             else [f.roots[k] for k in order]) for name, f, order in curves]
+
+
+@pytest.mark.filterwarnings("ignore:branch points far outside unit scale")
 def test_segment_integrals_match_mpmath_oracle():
     """For f = 4x^5 - 4x the segment [0, 1] joins two branch points along the
     real axis, where f < 0; each basis form integral is i times a real
-    integral that mpmath can do to 30 digits."""
+    integral that mpmath can do to 30 digits.
+
+    On FRAME_CURVES, the near miss and the clustered two-pair curves,
+    every loop segment's Gauss-Chebyshev sum lies within its stated error
+    bound of the sum at four times its nodes, and that bound is at most
+    TOL of the segment's max-norm.  The near miss's segment, 2.8e-3 from
+    a root, takes tens of thousands of nodes and matches mpmath to
+    1e-13 of its max-norm."""
     f = k2.validate_polynomial(W5_COEFFS)
     roots = list(f.roots)
     i0 = int(np.argmin([abs(r - 0) for r in roots]))
@@ -32,7 +96,7 @@ def test_segment_integrals_match_mpmath_oracle():
     # come back
     numerators = (lambda x: 1, lambda x: x, lambda x: 3 * x ** 3,
                   lambda x: x ** 2)
-    integrals = segment_period_integrals(f, roots, [(i0, i1)])[0]
+    integrals = segment_period_integrals(f, roots, [(i0, i1)])[0][0]
     with mpmath.workdps(30):
         for num, got in zip(numerators, integrals):
             got = complex(got)
@@ -42,6 +106,18 @@ def test_segment_integrals_match_mpmath_oracle():
             # pure-imaginariness separately
             assert abs(abs(got) - abs(complex(ref))) < 1e-10
             assert abs(got.real) < 1e-10 * abs(got)
+    for name, f, roots in _segment_curves():
+        W, N, err = segment_period_integrals(f, roots, periods.LOOP_PAIRS)
+        sheet = integration.segment_sheet(f, roots, periods.LOOP_PAIRS)
+        ref = integration._chebyshev_sums(
+            sheet, integration.all_numerators(f), np.arange(4), 4 * N)
+        scale = np.abs(W).max(axis=1)
+        assert np.all(np.abs(W - ref).max(axis=1) <= err), name
+        assert np.all(err <= TOL * scale), name
+        if name == "near_miss":
+            assert N[2] > 10000
+            got = np.abs(W[2] - _mp_segment(f, roots, 2)).max()
+            assert got <= 1e-13 * scale[2]
 
 
 def test_second_kind_numerators_convention():
@@ -396,21 +472,27 @@ def test_z_star_continues_one_tail(coeffs, monkeypatch):
 @pytest.mark.parametrize("coeffs", [c for _, c in FRAME_CURVES],
                          ids=[name for name, _ in FRAME_CURVES])
 def test_one_quadrature_build_matches_separate_integrals(coeffs):
-    """The loop segments, on degree 6 with the run from the far point into
-    its nearest branch point, integrated as one stack, against each
-    integrated in a quadrature of its own with the same sheets: the
-    segment integrals, and so A, B, etaA and etaB, bit for bit, and
-    z_star to 1e-15 relative.  The Abel samples, each its own tail summed
-    as a series, match the far ray through them integrated piece by piece
-    out to the far point, and that point's tail, to 1e-15 relative."""
+    """The loop segments, summed in one sheet call, against each summed
+    alone at its own node count on the same sheet: the segment
+    integrals, and so A, B, etaA and etaB, bit for bit.  On degree 6
+    z_star, from the run from the far point into its nearest branch
+    point, the build's one tanh-sinh quadrature, matches that run chained
+    and integrated apart to 1e-15 relative.  The Abel samples, each its
+    own tail summed as a series, match the far ray through them
+    integrated piece by piece out to the far point, and that point's
+    tail, to 1e-15 relative."""
     f = k2.validate_polynomial(coeffs)
     roots = list(f.roots)
     scale = f.scale
     radii = periods.SAMPLE_RADII * scale
     W, J, z_star = integration.period_integrals(
         f, roots, periods.LOOP_PAIRS, radii)
-    assert np.array_equal(
-        W, integration.segment_period_integrals(f, roots, periods.LOOP_PAIRS))
+    _, N, _ = segment_period_integrals(f, roots, periods.LOOP_PAIRS)
+    sheet = integration.segment_sheet(f, roots, periods.LOOP_PAIRS)
+    alone = [integration._chebyshev_sums(
+        sheet, integration.all_numerators(f), np.array([p]), N[p:p + 1])
+        for p in range(len(N))]
+    assert np.array_equal(W, np.concatenate(alone))
     x_far = integration.far_point(scale)
     y_far = complex(np.sqrt(f(x_far)))
     T, landed_plus = integration.tail_integrals(f, [x_far], [y_far])
@@ -440,13 +522,16 @@ def test_one_quadrature_build_matches_separate_integrals(coeffs):
 
 
 def test_a_build_makes_one_quadrature(monkeypatch):
-    """A context build integrates in one integrate_01 call on both
-    degrees, and a build reusing another's samples (like=) in one.  The
-    samples are series tails and take no sheet chain: a degree-5 build
-    makes no continue_sqrt call, and a degree-6 build one, over the run
-    from its far point into the nearest branch point."""
-    calls, chains = [], []
+    """A context build sums its loop segments in one Gauss-Chebyshev sheet
+    call, and a build reusing another's samples (like=) in one, and
+    neither takes a tanh-sinh quadrature on degree 5; on degree 6 the
+    first takes one integrate_01 call, over the run from its far point
+    into the nearest branch point.  The samples are series tails and
+    take no sheet chain: a degree-5 build makes no continue_sqrt call,
+    and a degree-6 build one, over that run."""
+    calls, sums, chains = [], [], []
     quad, chain = integration.integrate_01, integration.continue_sqrt
+    summed = integration._chebyshev_sums
 
     def counted(*args, **kwargs):
         calls.append(1)
@@ -456,12 +541,17 @@ def test_a_build_makes_one_quadrature(monkeypatch):
         chains.append(pieces)
         return chain(f, pieces, seeds)
 
+    def sum_counted(*args):
+        sums.append(1)
+        return summed(*args)
+
     monkeypatch.setattr(integration, "integrate_01", counted)
     monkeypatch.setattr(integration, "continue_sqrt", chained)
+    monkeypatch.setattr(integration, "_chebyshev_sums", sum_counted)
     for coeffs in (W5_COEFFS, G6_COEFFS):
         f = k2.validate_polynomial(coeffs)
         ctx = k2.make_context(f)
-        assert len(calls) == 1
+        assert len(sums) == 1 and len(calls) == f.degree - 5
         if f.degree == 5:
             assert chains == []
         else:
@@ -471,8 +561,10 @@ def test_a_build_makes_one_quadrature(monkeypatch):
                 integration.far_point(f.scale)))
         k2.compute_period_data(f, ordering=(1, 0, 2, 4, 3) + (
             (5,) if f.degree == 6 else ()), like=ctx.pd)
-        assert len(calls) == 2 and len(chains) == f.degree - 5
+        assert len(sums) == 2 and len(calls) == f.degree - 5
+        assert len(chains) == f.degree - 5
         calls.clear()
+        sums.clear()
         chains.clear()
 
 

@@ -275,7 +275,10 @@ def _integrate_level_by_level(g, narrow):
 def test_two_level_first_call_is_bit_identical(coeffs, monkeypatch):
     """The first integrand call covers levels BASE_LEVEL and BASE_LEVEL +
     1 together; every result is bit for bit the level-by-level one: the
-    stack of EASY_TO_HARD, the period segments, and a path's pieces."""
+    stack of EASY_TO_HARD, a path's pieces, and on degree 6 a period
+    build's z_star, whose run from the far point into a branch point is
+    the build's one tanh-sinh quadrature (its loop segments take
+    Gauss-Chebyshev)."""
     g, narrow, _ = _recording_stack(EASY_TO_HARD, True)
     got = integrate_01(g, narrow)
     g, narrow, _ = _recording_stack(EASY_TO_HARD, True)
@@ -291,12 +294,15 @@ def test_two_level_first_call_is_bit_identical(coeffs, monkeypatch):
     results = []
     for quad in (integrate_01, _integrate_level_by_level):
         monkeypatch.setattr(integration, "integrate_01", quad)
+        _, _, z_star = integration.period_integrals(
+            f, f.roots, k2.periods.LOOP_PAIRS,
+            k2.periods.SAMPLE_RADII * f.scale)
         results.append((
-            integration.segment_period_integrals(
-                f, f.roots, k2.periods.LOOP_PAIRS),
             integration.integrate_forms(f, pieces, y0,
-                                        integration.all_numerators(f))))
+                                        integration.all_numerators(f)),
+            np.zeros(2) if z_star is None else z_star))
     monkeypatch.undo()
+    assert (f.degree == 6) == bool(results[0][1].any())
     for a, b in zip(*results):
         assert np.array_equal(a, b)
 
@@ -490,22 +496,23 @@ def _fan(f):
 def _check_segments():
     """The period segments of x^6 - 1, and a segment from -1 to 1 that
     passes 0.02 below a root, where the cofactor root turns by more than a
-    right angle: the cofactor root s = y / sqrt(u d1), the sheet given
-    d1 = 1 and read at u = 1e-300 for u = 0."""
+    right angle: the cofactor root s of segment_sheet, at the tanh-sinh
+    nodes and at Gauss-Chebyshev nodes."""
     f = _g6()
     near = k2.validate_polynomial(list(np.poly([-1, 1, 0.02j, 0.6j, -3j,
                                                 4])[::-1]))
     roots = list(near.roots)
     pair = [(int(np.argmin(np.abs(np.asarray(roots) - x)))) for x in (-1, 1)]
+    cheb = integration._chebyshev_nodes(301)[0]
+    nodes = np.unique(np.concatenate([NODES, cheb]))
     for g, roots, pairs in ((f, list(f.roots), k2.periods.LOOP_PAIRS),
                             (near, roots, [tuple(pair)])):
-        rows = segment_sheet(g, roots, pairs)
+        sheet = segment_sheet(g, roots, pairs)
         for p in range(len(pairs)):
-            def s_at(u, sheet=rows(np.array([p]))):
-                u = np.maximum(u, 1e-300)[:, None]
-                return (sheet(u, np.ones_like(u))[2] / np.sqrt(u))[:, 0]
-            want, _ = _dense_step(s_at, s_at(np.zeros(1))[0])
-            assert np.all(np.abs(s_at(NODES) - want)
+            def s_at(u, p=p):
+                return sheet(np.full(len(u), p), u, 1.0 - u)[2]
+            want, _ = _dense_step(s_at, s_at(np.zeros(1))[0], nodes)
+            assert np.all(np.abs(s_at(nodes) - want)
                           <= 1e-13 * np.abs(want))
 
 

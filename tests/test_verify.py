@@ -9,6 +9,8 @@ from kleinian2 import verify
 from kleinian2.kleinian import log_S_gradient
 from kleinian2.serialization import dumps, report_to_json
 
+from conftest import NEAR_MISS_ORDERING, NEAR_MISS_ROOTS
+
 W5_ONLY = {"log_der_p", "addition_formula", "duplication",
            "sigma_squared", "sigma_oddness"}
 TOL_ID_CHECKS = {"quartic_determinant", "forward_consistency",
@@ -376,29 +378,37 @@ def test_basis_independence_builds_with_one_quadrature(any_ctx,
                                                        monkeypatch):
     """The re-ordered build reuses the Abel samples and z_star of the
     curve's own period data, which do not depend on the ordering, and
-    integrates only its loop segments: one quadrature for the whole
-    check.  Period data read from JSON carries no samples, and the build
-    integrates them as well, to the same values to 1e-13, in the same
-    one quadrature as its loop segments."""
-    calls = []
+    sums only its loop segments: one Gauss-Chebyshev sheet call and no
+    tanh-sinh quadrature for the whole check.  Period data read from
+    JSON carries no samples, and the build makes them as well, to the
+    same values to 1e-13, with the same one sum of its loop segments
+    and, on degree 6, one tanh-sinh quadrature for z_star's run into a
+    branch point."""
+    calls, sums = [], []
     quad = k2.integration.integrate_01
+    summed = k2.integration._chebyshev_sums
 
     def counted(*args, **kwargs):
         calls.append(1)
         return quad(*args, **kwargs)
 
+    def sum_counted(*args):
+        sums.append(1)
+        return summed(*args)
+
     monkeypatch.setattr(k2.integration, "integrate_01", counted)
+    monkeypatch.setattr(k2.integration, "_chebyshev_sums", sum_counted)
     index = k2.CHECK_NAMES.index("basis_independence")
     _, _, ok = verify._check_basis_independence(
         any_ctx, verify._rng(1, index), 1e-7)
-    assert ok and len(calls) == 1
-    calls.clear()
+    assert ok and len(sums) == 1 and calls == []
+    sums.clear()
     loaded = k2.serialization.period_data_from_json(
         k2.serialization.period_data_to_json(any_ctx.pd))
     assert loaded.abel_samples is None
     pd2 = k2.compute_period_data(any_ctx.f, ordering=(1, 0, 2, 4, 3) + (
         (5,) if any_ctx.f.degree == 6 else ()), like=loaded)
-    assert len(calls) == 1
+    assert len(sums) == 1 and len(calls) == any_ctx.f.degree - 5
     for got, want in ((pd2.abel_samples, any_ctx.pd.abel_samples),
                       (pd2.z_star, any_ctx.pd.z_star)):
         if want is not None:
@@ -406,22 +416,28 @@ def test_basis_independence_builds_with_one_quadrature(any_ctx,
 
 
 def test_basis_independence_moves_on_after_a_quadrature_error():
-    """On this sextic the first re-ordering's loop segment from 0.05 +
-    6.794i to 0.628 - 0.9077i passes 2.8e-3 from 0.5104 + 0.6967i, and
-    its build raises QuadratureError; the check then builds the reversed
-    ordering, as it does after DegenerateGeometryError, and passes.  The
-    error names the segment, loop 2, as the worst integral still open,
-    whether the build integrates its four segments alone or with the run
-    from its far point into a branch point, one piece here, in one stack
-    (the Abel samples and the tails are series and take no quadrature)."""
-    roots = [-1.1341 + 0.3474j, -0.5144 - 0.5585j, 0.05 + 6.794j,
-             0.5104 + 0.6967j, 0.628 - 0.9077j, 0.7315 - 0.1683j]
+    """The near miss's first re-ordering has a loop segment 2.8e-3 from a
+    root, which Gauss-Chebyshev sums in tens of thousands of nodes, and
+    the check passes on that build.  With the root moved to 1e-4 from
+    the segment, the segment asks for more than SEGMENT_MAX_NODES, and
+    its build raises QuadratureError naming loop 2, whether it reuses
+    the curve's Abel samples or makes its own; the check then builds the
+    reversed ordering, as it does after DegenerateGeometryError, and
+    passes."""
+    f = k2.validate_polynomial(np.poly(NEAR_MISS_ROOTS)[::-1])
+    ctx = k2.make_context(f)
+    pd2 = k2.compute_period_data(f, ordering=NEAR_MISS_ORDERING, like=ctx.pd)
+    assert pd2.roots == tuple(f.roots[k] for k in NEAR_MISS_ORDERING)
+    (check,) = k2.run_suite(ctx, seed=1, checks=["basis_independence"]).checks
+    assert check["pass"] is True, check
+    a, b, r = NEAR_MISS_ROOTS[2], NEAR_MISS_ROOTS[4], NEAR_MISS_ROOTS[3]
+    foot = a + ((r - a) * np.conj(b - a)).real / abs(b - a) ** 2 * (b - a)
+    roots = list(NEAR_MISS_ROOTS)
+    roots[3] = foot + 1e-4 * (r - foot) / abs(r - foot)
     ctx = k2.make_context(k2.validate_polynomial(np.poly(roots)[::-1]))
-    for like, stack in ((ctx.pd, 4), (None, 5)):
-        with pytest.raises(k2.QuadratureError,
-                           match=f"1 of the {stack} integrals of the stack "
-                                 "still open, the worst at stack index 2"):
-            k2.compute_period_data(ctx.f, ordering=(1, 0, 2, 4, 3, 5),
+    for like in (ctx.pd, None):
+        with pytest.raises(k2.QuadratureError, match="loop segment 2,"):
+            k2.compute_period_data(ctx.f, ordering=NEAR_MISS_ORDERING,
                                    like=like)
     (check,) = k2.run_suite(ctx, seed=1, checks=["basis_independence"]).checks
     assert check["pass"] is True, check
