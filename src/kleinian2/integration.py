@@ -34,22 +34,28 @@ g(s) = prod_j (1 - r_j s)^(-1/2), whose binomial series converges at a
 ratio of 1/SERIES_FACTOR or less, so tail_integrals sums it term by
 term.
 
-A period build's loop segments take no tanh-sinh either.  A segment
-between two branch points factors y = s(u) sqrt(u (1-u)) with s^2 =
-G(u), the cofactor, whose turn is the same sum over the roots off the
-segment, so n_k(x)/y dx is the Chebyshev weight times the analytic
-n_k(x) d/s, and N-point Gauss-Chebyshev sums it to an error bounded a
-priori from the Bernstein ellipse through the nearest root off the
-segment (segment_period_integrals; Molin and Neurohr).  The node counts
-are fixed before the sum, and all segments of a build are one sheet
-call.
+A period build takes no tanh-sinh either.  A loop segment between two
+branch points factors y = s(u) sqrt(u (1-u)) with s^2 = G(u), the
+cofactor, whose turn is the same sum over the roots off the segment, so
+n_k(x)/y dx is the Chebyshev weight times the analytic n_k(x) d/s, and
+N-point Gauss-Chebyshev sums it to an error bounded a priori from the
+Bernstein ellipse through the nearest root off the segment
+(segment_period_integrals; Molin and Neurohr).  The node counts are
+fixed before the sum, and all segments of a build are one sheet call.
+On a sextic, z_star, the integral between the two points at infinity,
+is the half-segment from s = 0 to s = 1/e in the chart s = 1/x: there
+s = 0 is a regular point, and s = (1 - v^2)/e turns the root e's
+factor into v^2, so the integrand is even and analytic in v and
+N-point Gauss-Legendre sums it, N again fixed a priori from a Bernstein
+ellipse (half_segment_integrals; Trefethen, Approximation Theory and
+Approximation Practice, Thm 19.3).  e is the root whose ellipse is
+widest (z_star_root).
 
 Every other integrand is n_k(x)/y dx on a sheet of pieces returning
 (x, dx/du, y), and integrands are stacked, not looped: all pieces of
-many paths, or the run from a period build's far point into a branch
-point, go through one integrate_01 call, whose integrand narrows to the
-pieces still open (integrate_forms), so each is integrated at the level
-it needs alone.  Only the integrands run on
+many paths go through one integrate_01 call, whose integrand narrows
+to the pieces still open (integrate_forms), so each is integrated at
+the level it needs alone.  Only the integrands run on
 arrays, a row per quadrature node.  Path geometry and sheet chaining
 are scalar passes in complex arithmetic: line_with_detours loops over
 the roots of one path, and continue_sqrt over the pieces of a stack,
@@ -78,8 +84,7 @@ from .quadrature import TOL, integrate_01
 
 DETOUR_FACTOR = 0.45     # detour radius as a fraction of root clearance
 SERIES_FACTOR = 2.0      # a tail is a series from this radius, times max|r|
-FAR_FACTOR = 12.0        # radius of the period build's far point, times scale
-FAR_ARG = 0.7310         # direction of the period build's far point
+FAR_ARG = 0.7310         # direction of the Abel samples, and of a tail from 0
 
 
 def _steps(pieces, u):
@@ -499,6 +504,21 @@ def segment_sheet(f, roots, pairs):
     return sheet
 
 
+def _bernstein_rho(tau):
+    """The parameter rho >= 1 of the Bernstein ellipse through each tau:
+    the root of w^2 - 2 tau w + 1 outside the unit circle (the other is
+    1/w; a signed zero can make the principal roots pick it)."""
+    rho = np.abs(tau + np.sqrt(tau - 1.0) * np.sqrt(tau + 1.0))
+    return np.maximum(rho, 1.0 / rho)
+
+
+def _gaps(rho, R):
+    """(rho - R)(1 - 1/(R rho))/2, a lower bound on |t - tau| for t on the
+    Bernstein ellipse E_R and tau on E_rho, rho > R: with t = (w + 1/w)/2
+    and tau = (om + 1/om)/2, t - tau = (w - om)(1 - 1/(w om))/2."""
+    return 0.5 * (rho - R) * (1.0 - 1.0 / (R * rho))
+
+
 def _segment_bounds(f, roots, pairs):
     """(log_2piM, log_r, log_guess) of the segments of segment_sheet.
 
@@ -517,18 +537,14 @@ def _segment_bounds(f, roots, pairs):
     """
     bi, d, others = _segment_frames(roots, pairs)
     tau = 2.0 * (others - bi) / d - 1.0
-    # the root of w^2 - 2 tau w + 1 outside the unit circle (the other is
-    # 1/w; a signed zero can make the principal roots pick it)
-    rho = np.abs(tau + np.sqrt(tau - 1.0) * np.sqrt(tau + 1.0))
-    rho = np.maximum(rho, 1.0 / rho)
+    rho = _bernstein_rho(tau)
     log_r = _ELLIPSES * np.log(rho.min(axis=0))
     r = np.exp(log_r)
     R = r[:, None]
     half = 0.5 * np.abs(d)
     mid = np.abs(bi + 0.5 * d)
     # prod_k |t - tau_k| on E_r, and at the midpoint t = 0, in the last row
-    gaps = np.vstack([(0.5 * (rho - R) * (1.0 - 1.0 / (R * rho))).prod(axis=1),
-                      np.abs(tau).prod(axis=0)])
+    gaps = np.vstack([_gaps(rho, R).prod(axis=1), np.abs(tau).prod(axis=0)])
     X = np.vstack([mid + 0.5 * half * (r + 1.0 / r), mid])
     sizes = np.maximum.reduce([np.ones_like(X), X] + [
         n(X) for n in _second_kind(np.abs(f.coeffs))])
@@ -538,20 +554,21 @@ def _segment_bounds(f, roots, pairs):
             math.log(math.pi) + log_M[-1])
 
 
-def _node_counts(log_2piM, log_r, log_target):
+def _node_counts(log_K, log_r, log_target, cap=SEGMENT_MAX_NODES):
     """The fewest nodes N, per segment and over the trial ellipses, with
-    2 pi M / (r^(2N) - 1) <= target, the aliasing bound of N-point
-    Gauss-Chebyshev on a function bounded by M on E_r; at most
-    SEGMENT_MAX_NODES + 1."""
-    n = np.logaddexp(0.0, log_2piM - log_target) / (2.0 * log_r)
-    return np.minimum(np.ceil(n).min(axis=0),
-                      SEGMENT_MAX_NODES + 1).astype(int)
+    K / (r^(2N) - 1) <= target; at most cap + 1.  K = 2 pi M is the
+    aliasing bound of N-point Gauss-Chebyshev on a function bounded by M
+    on E_r, and K = 64 M r^2 / (15 (r^2 - 1)) bounds N-point
+    Gauss-Legendre by K r^(-2N) (Trefethen, Approximation Theory and
+    Approximation Practice, Thm 19.3)."""
+    n = np.logaddexp(0.0, log_K - log_target) / (2.0 * log_r)
+    return np.minimum(np.ceil(n).min(axis=0), cap + 1).astype(int)
 
 
-def _error_bounds(log_2piM, log_r, N):
-    """2 pi M / (r^(2N) - 1) at N nodes, per segment, the least over the
-    trial ellipses."""
-    return np.exp(log_2piM - np.log(np.expm1(2.0 * N * log_r))).min(axis=0)
+def _error_bounds(log_K, log_r, N):
+    """K / (r^(2N) - 1) at N nodes, per segment, the least over the trial
+    ellipses."""
+    return np.exp(log_K - np.log(np.expm1(2.0 * N * log_r))).min(axis=0)
 
 
 @lru_cache(maxsize=256)
@@ -618,6 +635,174 @@ def segment_period_integrals(f, roots, pairs):
                 f"Gauss-Chebyshev nodes for rel. tol {TOL:g}")
         N[todo] = need[todo]
     return W, N, _error_bounds(log_2piM, log_r, N)
+
+
+# -- z_star's half-segment in the chart s = 1/x -----------------------------
+
+# most Gauss-Legendre nodes on z_star's half-segment; _legendre_nodes takes
+# O(n^2) time, and the widest root's half-segment takes 28 to 42 nodes on
+# the benchmark's 218 sextics (24 to 40 on the tests' frame curves)
+HALF_SEGMENT_MAX_NODES = 2 ** 13
+
+
+@lru_cache(maxsize=64)
+def _half_segment_rho(f):
+    """rho[i, k], for the roots r of f: the Bernstein parameter, in v, of
+    the singularities v = +-sqrt(1 - r_i / r_k) that the factor 1 - r_k s
+    puts near the half-segment from s = 0 into s = 1/r_i, s = (1 - v^2)
+    / r_i.  inf where the factor never vanishes (k = i, or r_k = 0), and
+    row i all 0 where r_i = 0, which has no half-segment.  Read-only, and
+    computed once per curve."""
+    r = np.array(f.roots)
+    live = r != 0
+    ratio = r[:, None] / np.where(live, r, 1.0)
+    rho = _bernstein_rho(np.sqrt(1.0 - ratio))
+    rho[:, ~live] = np.inf
+    np.fill_diagonal(rho, np.inf)
+    rho[~live] = 0.0
+    rho.setflags(write=False)
+    return rho
+
+
+def z_star_root(f):
+    """Index in f.roots of the branch point e into which z_star's
+    half-segment runs (half_segment_integrals): the root whose ellipse in
+    v is widest, ties to the first in f.roots' canonical order, never a
+    root at 0.  It is read off f.roots alone, so the builds of a curve in
+    every branch order, and the Delta their data derive, share it."""
+    return int(np.argmax(_half_segment_rho(f).min(axis=1)))
+
+
+def _half_segment_bounds(f, end, others, rho):
+    """(log_K, log_r, log_guess) of z_star's half-segment into the root
+    end, for _node_counts, in the form _segment_bounds gives them: others
+    are the roots whose factor 1 - r_k s vanishes somewhere, and rho > 1
+    their ellipse parameters (_half_segment_rho).
+
+    The integrand h = -2 (s, 1) / (end c(v)) is analytic inside the
+    Bernstein ellipse through the nearest +-tau_k, tau_k^2 = 1 - end/r_k.
+    There 1 - r_k s = q_k (v^2 - tau_k^2), q_k = r_k / end, so on E_r
+    |c| >= sqrt|lead| prod_k sqrt|q_k| g_k, g_k = _gaps(rho_k, r), and
+    |s| <= (1 + V^2) / |end| with V = (r + 1/r)/2, which bound |h| by M;
+    K = 64 M r^2 / (15 (r^2 - 1)) is Gauss-Legendre's (_node_counts).
+    log_guess is log(2 |h(0)|), the size of the integral that the node
+    count aims at before there is one.
+    """
+    q = others / end
+    log_r = _ELLIPSES * math.log(rho.min())
+    R = np.exp(log_r)
+    size = abs(end)
+    lead = abs(f.leading)
+    log_c = 0.5 * math.log(lead * np.abs(q).prod()) + np.log(
+        _gaps(rho, R).prod(axis=1, keepdims=True))
+    log_M = np.log(2.0 / size * np.maximum(
+        1.0, (1.0 + 0.25 * (R + 1.0 / R) ** 2) / size)) - log_c
+    log_K = log_M + np.log(64.0 / 15.0 * R * R / np.expm1(2.0 * log_r))
+    log_guess = math.log(4.0 * max(1.0, 1.0 / size) / size) - 0.5 * math.log(
+        lead * np.abs(1.0 - q).prod())
+    return log_K, log_r, log_guess
+
+
+@lru_cache(maxsize=64)
+def _legendre_nodes(n):
+    """(d, w) at the n/2 positive nodes v of n-point Gauss-Legendre, n
+    even: d = 1 - v^2, formed as (1 - v)(1 + v), and twice the weights,
+    read-only, so that a sum over them alone is the rule on an even
+    integrand.  Newton's method on P_n from Tricomi's estimates, with
+    P_n and P_n' by the three-term recurrence, in O(n) memory."""
+    k = np.arange(n // 2)
+    v = ((1.0 - 1.0 / (8 * n * n) + 1.0 / (8 * n ** 3))
+         * np.cos(np.pi * (4 * k + 3) / (4 * n + 2)))
+    step = np.inf
+    for _ in range(20):
+        p0, p1 = np.ones_like(v), v
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * v * p1 - (j - 1) * p0) / j
+        d = (1.0 - v) * (1.0 + v)
+        dp = n * (p0 - v * p1) / d
+        # the weights take P_n' at the converged nodes: near v = 1 its
+        # relative change is 2 dv / d, 1e-11 for a step of 1e-15
+        if step <= 1e-15:
+            break
+        step = np.abs(p1 / dp).max()
+        v = v - p1 / dp
+    w = 4.0 / (d * dp * dp)
+    for a in (d, w):
+        a.setflags(write=False)
+    return d, w
+
+
+def _half_segment_sum(f, e, N):
+    """z_star by N-point Gauss-Legendre in v on the half-segment into
+    e = f.roots[e], summed over the positive nodes: -2 sum w (s, 1) /
+    (e c), s = (1 - v^2) / e and c = -sqrt(lead) prod_k sqrt(1 - r_k s)
+    over the other roots, in principal roots."""
+    d, w = _legendre_nodes(N)
+    roots = f.roots
+    end = complex(roots[e])
+    others = np.array([r for k, r in enumerate(roots) if k != e])
+    s = d / end
+    c = np.sqrt(1.0 - s[:, None] * others).prod(axis=1)
+    h = w / (-np.sqrt(complex(f.leading)) * end * c)
+    return -2.0 * np.array([h @ s, h.sum()])
+
+
+def half_segment_integrals(f, e):
+    """(z, N, err): z = (z1, z2), the integrals of (dx/y, x dx/y) from the
+    infinite point labelled 2 to the one labelled 1 on a sextic, over
+    the half-segment into the branch point f.roots[e], by N-point
+    Gauss-Legendre, and err bounds its error.
+
+    In the chart s = 1/x, w = y/x^3 has w^2 = lead prod_k (1 - r_k s),
+    s = 0 is a regular point where w = -sqrt(lead) on label 2 (+ on label
+    1), and dx/y = -s ds/w, x dx/y = -ds/w.  The path runs straight from
+    s = 0 to s = 1/e, where w vanishes, and back on the other sheet,
+    which doubles the integral.  With s = (1 - v^2)/e, 1 - e s = v^2, so
+    w = v c(v), c = -sqrt(lead) prod_{k != e} sqrt(1 - r_k s) in
+    principal roots, each continuous along the segment unless the root's
+    singularity lies on it, and z = -2 int_{-1}^{1} (s, 1) / (e c) dv of
+    an even integrand analytic on [-1, 1]: the sheet is fixed in closed
+    form, and the endpoint singularity is gone.
+
+    N is fixed beforehand from the bound of _half_segment_bounds at
+    SEGMENT_AIM times the integral's guessed size, then checked against
+    TOL times z's max-norm as segment_period_integrals checks its
+    segments, and summed again at the N the bound then asks for.  More
+    than HALF_SEGMENT_MAX_NODES raises QuadratureError naming the
+    half-segment, as does a segment that meets another root's
+    singularity; e at 0, where s = 1/e does not exist, raises ValueError.
+    """
+    r = np.array(f.roots)
+    if r[e] == 0:
+        raise ValueError("z_star's half-segment cannot end at a branch "
+                         "point at 0")
+    cap = HALF_SEGMENT_MAX_NODES
+    over = QuadratureError(
+        f"z_star's half-segment, from infinity into branch point {e}, "
+        f"needs more than {cap} Gauss-Legendre nodes for rel. tol {TOL:g}")
+    rho = _half_segment_rho(f)[e]
+    keep = np.isfinite(rho)
+    # |z| <= 2 M, so the re-check asks for at least log(2/TOL) / (2 log
+    # rho) nodes: more than the cap wherever rho is that near 1, and on
+    # a segment that meets another root's singularity (rho = 1)
+    if 2.0 * cap * math.log(rho[keep].min()) < math.log(2.0 / TOL):
+        raise over
+    log_K, log_r, log_guess = _half_segment_bounds(f, r[e], r[keep],
+                                                   rho[keep])
+
+    def nodes(log_target):
+        n = int(_node_counts(log_K, log_r, log_target, cap)[0])
+        return n + n % 2
+
+    N = min(nodes(math.log(SEGMENT_AIM) + log_guess), cap)
+    while True:
+        z = _half_segment_sum(f, e, N)
+        need = nodes(math.log(TOL * max(np.abs(z).max(), 1e-300)))
+        if need <= N:
+            return z, N, float(_error_bounds(log_K, log_r, N)[0])
+        if need > cap:
+            raise over
+        N = need
 
 
 # -- tails to infinity --------------------------------------------------------
@@ -726,11 +911,6 @@ def point_infinity_integrals(f, P, z_star):
     return J
 
 
-def far_point(scale):
-    """The period build's far point, where z_star changes sheets."""
-    return FAR_FACTOR * scale * np.exp(1j * FAR_ARG)
-
-
 def period_integrals(f, roots, pairs, radii=None):
     """(W, J, z_star) of a period build.
 
@@ -738,42 +918,31 @@ def period_integrals(f, roots, pairs, radii=None):
     by Gauss-Chebyshev.  Given the radii, each at least SERIES_FACTOR
     times f.scale, J holds the holomorphic integrals from the infinite
     point labelled 2 (the one point at infinity on degree 5) to the
-    points at those radii in the direction of x_far = far_point(f.scale),
-    one row per point, and z_star, on degree 6, the integral from label 2
-    to label 1 (None on degree 5), both read off f.roots; without the
-    radii J and z_star are None.
+    points at those radii on the ray of argument FAR_ARG, one row per
+    point, and z_star, on degree 6, the integral from label 2 to label 1
+    (None on degree 5), both read off f.roots; without the radii J and
+    z_star are None.
 
     Every point's integral is minus its tail, summed as a series in one
-    tail_integrals call with x_far's.  x_far's seed y_far is the root of
-    f(x_far) whose tail lands on label 2: the tail from -y_far is the
-    same with every y negated, so the principal root and every T are
-    negated if its tail lands on label 1.  The points are on the sheet of
-    y_far: the ray from x_far to each keeps clear of every root, so arg f
-    turns along it by the sum over the roots of Arg((x - r_j) / (x_far -
-    r_j)).  On degree 6 a sheet-flip loop at x_far about its nearest
-    branch point runs from y_far to -y_far, whose tail, exactly -T, lands
-    on label 1, so z_star = -T + I_loop - T, I_loop twice the run from
-    x_far into that point (run_into_branch_point): one sheet chain,
-    seeded at y_far, and the one tanh-sinh quadrature of the build, whose
-    integrand dives into that point's endpoint singularity.
+    tail_integrals call.  The points are on the sheet of the principal
+    root at the outermost one: the ray keeps clear of every root, so arg
+    f turns along it by the sum over the roots of Arg((x - r_j) / (x_out
+    - r_j)).  On degree 6 the tails are negated, with every y, if the
+    outermost lands on label 1, so that every tail lands on label 2.
+    z_star is the half-segment into the branch point z_star_root(f), by
+    Gauss-Legendre in the chart s = 1/x (half_segment_integrals): a
+    build takes no tanh-sinh quadrature and chains no sheet.
     """
     W = segment_period_integrals(f, roots, pairs)[0]
     if radii is None:
         return W, None, None
-    x_far = far_point(f.scale)
-    y_far = complex(np.sqrt(f(x_far)))
-    xs = np.append(np.asarray(radii) * np.exp(1j * FAR_ARG), x_far)
+    xs = np.asarray(radii) * np.exp(1j * FAR_ARG)
     r = np.array(f.roots)[:, None]
     d = xs - r
-    ys = _signed(np.sqrt(f.leading * d.prod(axis=0)),
-                 cmath.phase(y_far) + 0.5 * _turn(d, np.conj(x_far - r[:, 0])))
+    ys = np.sqrt(f.leading * d.prod(axis=0))
+    ys = _signed(ys, np.angle(ys[-1]) + 0.5 * _turn(d, np.conj(d[:, -1])))
     T, landed_plus = tail_integrals(f, xs, ys)
-    if f.degree == 6 and landed_plus[-1]:
-        y_far, T = -y_far, -T
-    J = -T[:-1]
     if f.degree == 5:
-        return W, J, None
-    dive = run_into_branch_point(f.roots, detour_radii(f), x_far)
-    y0, _ = continue_sqrt(f, dive, [y_far] + [None] * (len(dive) - 1))
-    I = integrate_forms(f, dive, y0, holomorphic_numerators())
-    return W, J, 2.0 * (I.sum(axis=0) - T[-1])
+        return W, -T, None
+    J = T if landed_plus[-1] else -T
+    return W, J, half_segment_integrals(f, z_star_root(f))[0]

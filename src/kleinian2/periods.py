@@ -14,16 +14,19 @@ the first loop.
 The base-point constant Delta comes in closed form: the odd half-period
 of the branch point e that z_star's path runs into (_BASE_CHARS[e]),
 plus (1/2) A^{-1} z_star; on degree 5 e is infinity and there is no
-shift.  One theta call certifies that theta(u - Delta) vanishes on the
-Abel images u of ABEL_SAMPLES points.  The points lie on the ray
-through the far point, where z_star changes sheets by the run from there
-into its nearest branch point, between integration.SERIES_FACTOR times
-the root scale and that point, so each point's Abel image is minus its
-own tail to infinity, summed as a series with the far point's in one
-call, and takes no quadrature.  Every sheet is fixed before any
-quadrature: the loop segments are Gauss-Chebyshev sums at node counts
-fixed beforehand from an error bound, all in one integrand call, and
-on degree 6 that run is the build's one tanh-sinh quadrature
+shift.  On degree 6 z_star's path is the half-segment in the chart s =
+1/x from infinity into the root e = integration.z_star_root(f), whose
+ellipse of analyticity is the widest, chosen from the curve's roots
+alone, and summed by Gauss-Legendre at a node count fixed beforehand
+from an error bound.  One theta call certifies that theta(u - Delta)
+vanishes on the Abel images u of ABEL_SAMPLES points.  The points lie
+on the ray of argument integration.FAR_ARG, from
+integration.SERIES_FACTOR times the root scale out, so each point's
+Abel image is minus its own tail to infinity, summed as a series in one
+call, and takes no quadrature.  Every sheet is fixed in closed form:
+the loop segments are Gauss-Chebyshev sums at node counts fixed
+beforehand from an error bound, all in one integrand call, and a build
+takes no tanh-sinh quadrature and chains no sheet
 (integration.period_integrals).  Neither the samples nor z_star depends
 on the branch ordering, so a re-ordered build reuses them
 (compute_period_data's like=) and sums its loop segments only.
@@ -54,15 +57,15 @@ import numpy as np
 
 from .errors import (DegenerateGeometryError, NormalizationError,
                      RiemannMatrixError)
-from .integration import (SERIES_FACTOR, far_point, nearest_branch_point,
-                          period_integrals)
+from .integration import (SERIES_FACTOR, nearest_branch_point,
+                          period_integrals, z_star_root)
 from .theta import TOL_SYM, lam_min, lattice_reduce, theta_jet
 
 TOL_LEG = 1e-8
 COND_CAP = 1e12         # of the real generator matrix [Re; Im] [A B]
 SCALE_BAND = (0.1, 10.0)
 ABEL_SAMPLES = 8        # Abel images certifying Delta
-# radii of the sample points on the far point's ray, times the root scale,
+# radii of the sample points on the FAR_ARG ray, times the root scale,
 # from the radius where a tail is a series out
 SAMPLE_RADII = SERIES_FACTOR * 1.25 ** np.arange(ABEL_SAMPLES)
 
@@ -138,15 +141,16 @@ class PeriodData:
     vanish on the Abel image of the curve: the odd half-period K_e of a
     branch point e plus the Abel integral from e to infinity.  On degree
     5 e is infinity (e = 5) and the integral zero; on degree 6 e is the
-    branch point nearest the far point, into which z_star's path runs,
-    and by div(x - e) = 2e - inf_1 - inf_2 the integral is (1/2) A^{-1}
-    z_star.  Left out (None), as a build leaves it, Delta is that closed
-    form; passed in, as by a JSON load or a copy shifted by a period, it
-    must have that lattice form, on degree 5 an odd half-period.  On
+    branch point into which z_star's half-segment runs, the curve's
+    integration.z_star_root(f) found in roots, and by div(x - e) = 2e -
+    inf_1 - inf_2 the integral is (1/2) A^{-1} z_star.  Left out
+    (None), as a build leaves it, Delta is that closed form; passed in,
+    as by a JSON load or a copy shifted by a period, it must have that
+    lattice form, on degree 5 an odd half-period.  On
     degree 5 delta_char is the characteristic (n0, m0) of Delta = (n0 +
     Omega m0) / 2; on degree 6 Delta is no half-period, and delta_char
     is None.  abel_samples holds the Abel images, series tails from
-    infinity, of the points on the far point's ray that certify Delta
+    infinity, of the points on the FAR_ARG ray that certify Delta
     (None for data read from JSON, and for a copy whose Delta is shifted
     by a period, which multiplies theta at the samples by its
     quasi-periodicity factor).
@@ -191,8 +195,8 @@ class PeriodData:
                  else np.linalg.solve(self.A, self.z_star))
         quintic = self.f.degree == 5
         if self.Delta is None:
-            e = (5 if quintic else
-                 nearest_branch_point(self.roots, far_point(self.f.scale)))
+            e = (5 if quintic else nearest_branch_point(
+                self.roots, self.f.roots[z_star_root(self.f)]))
             k = _BASE_CHARS[e]
             Delta = _half_period(Omega, k) + 0.5 * shift
             Delta.setflags(write=False)
@@ -286,8 +290,8 @@ def compute_period_data(f, ordering=None, like=None):
     functions built on top are invariant under this choice.  like
     optionally gives period data of the same curve whose Abel samples
     and z_star are reused: neither depends on the ordering (the same
-    tails from the same points, the same run from the far point into its
-    nearest root), so the build then integrates its loop segments only.
+    tails from the same points, the same half-segment into a root chosen
+    from f.roots), so the build then integrates its loop segments only.
     An ordering that is no permutation of range(f.degree), or like of
     another curve, raises ValueError; data that fails its certificate,
     singular a-periods among them, raises as PeriodData does.

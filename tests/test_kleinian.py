@@ -831,17 +831,21 @@ def two_pair_ctx():
 
 
 def test_S_far_off_the_divisor_is_not_a_silent_zero(two_pair_ctx):
-    """At rows 9 and 16 of the seed-1 quasi_periodicity sample z + w on
-    the two-pair sextic, S and S_jk once came out exactly 0, exp(z^T C z)
-    underflowing while theta was huge, though the divisor clearance there
-    is above 1e31.  They are nonzero now, and S(z + w) = S(z) exp(2
-    eta(w) . (z + w/2)) to 1e-8, compared as logarithms."""
+    """Far off the divisor on the two-pair sextic, S and S_jk once came
+    out exactly 0, exp(z^T C z) underflowing while theta was huge.  The
+    points: rows 0 and 14 of the seed-2 quasi_periodicity sample z + w,
+    whose divisor clearance, read at the unreduced u -+ Delta, is 6e35
+    and 1.9e32.  Seed 2 is the first seed whose sample has two rows above
+    1e30 under Delta's representative of the half-segment z_star; seed
+    1's rows 9 and 16, which once failed, read 1.8e27 and 1.3e32 there.
+    S and S_jk are nonzero there, and S(z + w) = S(z) exp(2 eta(w) . (z
+    + w/2)) to 1e-8, compared as logarithms."""
     ctx = two_pair_ctx
     index = k2.CHECK_NAMES.index("quasi_periodicity")
-    rng = np.random.default_rng(1 * 1000 + index)
+    rng = np.random.default_rng(2 * 1000 + index)
     z = k2.verify._sample_groups(ctx, rng, 20)[:, 0]
     k = k2.verify._sample_lattice(rng, 20)
-    rows = [9, 16]
+    rows = [0, 14]
     z, k = z[rows], k[rows]
     w = lattice_vector(ctx.pd, k)
     assert np.all(k2.divisor_clearance(ctx, z + w) > 1e30)

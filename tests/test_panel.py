@@ -54,9 +54,6 @@ REASONS = {
     "R": "RootSelectionAmbiguity: the cubic's roots are scored off the "
          "unit-scale model (ROADMAP item 3, one wp route and a graded "
          "residual)",
-    "I": "SignResolutionError: wp = S_jk/S carries the period error of "
-         "the two-pair curve (ROADMAP item 3, the ratio seeds the "
-         "log-Hessian cubic)",
     "S": "a statistic that is not scale-invariant (ROADMAP item 5)",
     "P": "period error on clustered roots puts quasi_periodicity over its "
          "tolerance (ROADMAP item 4)",
@@ -111,7 +108,7 @@ MEASURED = {
         R 5.41e-11 3.77e-09 3.61e-12 3.94e-12 7.26e-14 - - - - - 4.64e+00
         T 5.16e-04""",
     "two_pairs_i_polyfromroots": """8.38e-10 6.20e-09 3.39e-14 P R 1.01e-11
-        4.39e-12 R 5.17e-10 I 1.73e-11 3.81e-11 8.18e-14 - - - - -
+        4.39e-12 R 5.17e-10 1.09e-10 1.73e-11 3.81e-11 8.18e-14 - - - - -
         3.83e+00 T 5.11e-04""",
 }
 WITNESSES = {"non_integrability", "linear_independence"}

@@ -4,6 +4,7 @@ the closed-form base-point constant."""
 
 from dataclasses import fields, replace
 import itertools
+import warnings
 
 import mpmath
 import numpy as np
@@ -118,6 +119,121 @@ def test_segment_integrals_match_mpmath_oracle():
             assert N[2] > 10000
             got = np.abs(W[2] - _mp_segment(f, roots, 2)).max()
             assert got <= 1e-13 * scale[2]
+
+
+def _mp_half_segment(f, e):
+    """Reference: z_star's half-segment into f.roots[e] by mpmath at 30
+    digits: twice the integral over v in [0, 1] of the even integrand
+    -2 (s, 1) / (e c), s = (1 - v^2) / e, c = -sqrt(lead) prod_k
+    sqrt(1 - r_k s) in principal roots, split at and around the real
+    parts of the singularities +-sqrt(1 - e / r_k)."""
+    with mpmath.workdps(30):
+        rs = [mpmath.mpc(r) for r in f.roots]
+        end = rs[e]
+        others = [r for k, r in enumerate(rs) if k != e]
+        feet = [abs(mpmath.re(mpmath.sqrt(1 - end / r)))
+                for r in others if r != 0]
+        split = sorted({float(t + d) for t in feet
+                        for d in (0, -1e-3, 1e-3, -1e-1, 1e-1)})
+        split = [0.0] + [t for t in split if 0 < t < 1] + [1.0]
+
+        def h(v, k):
+            s = (1 - v * v) / end
+            c = -mpmath.sqrt(mpmath.mpc(f.leading))
+            for r in others:
+                c *= mpmath.sqrt(1 - r * s)
+            return -2 * (s, 1)[k] / (end * c)
+
+        return np.array([complex(2 * mpmath.quad(lambda v: h(v, k), split))
+                         for k in range(2)])
+
+
+def _half_segment_curves():
+    """(name, f): x^6 - 1, the near miss, the two two-pair curves of the
+    panel and its sextic s {0, 1, 2i, -1+i, 3, -2-i} at s = 0.01 and 100,
+    whose root 0 has no half-segment."""
+    curves = [("g6", G6_COEFFS), ("near_miss", np.poly(NEAR_MISS_ROOTS)[::-1]),
+              ("two_pairs_i", PANEL_CURVES["two_pairs_i"]),
+              ("two_pairs_r", PANEL_CURVES["two_pairs_r"]),
+              ("deg6_s0.01", PANEL_CURVES["deg6_s0.01"]),
+              ("deg6_s100", PANEL_CURVES["deg6_s100"])]
+    return [(name, k2.validate_polynomial(list(c))) for name, c in curves]
+
+
+@pytest.mark.parametrize("name, f", _half_segment_curves(),
+                         ids=[name for name, _ in _half_segment_curves()])
+def test_half_segment_matches_mpmath_oracle(name, f):
+    """z_star's half-segment into z_star_root(f), never the root at 0,
+    matches a 30-digit mpmath quadrature to 1e-13 of its max-norm; the
+    sum at twice its nodes lies within its stated a priori bound, which
+    is at most TOL of that max-norm, plus the rounding of the two sums,
+    1e-15 of it.  Handed the root with the narrowest ellipse wider than
+    1.001, the sum takes more nodes (as many on x^6 - 1, whose roots tie)
+    and still matches mpmath; both are z_star, so they agree modulo the
+    lattice.  (On the two-pair curves that root is one of the pair {3,
+    3 + 1e-4}, at 1.004, which takes 6270 nodes; a thinner one raises,
+    test_half_segment_refuses_an_end_it_cannot_take.)"""
+    widths = _half_segment_widths(f.roots)
+    narrow = min((k for k, w in enumerate(widths) if w > 1.001),
+                 key=lambda k: widths[k])
+    e = integration.z_star_root(f)
+    assert f.roots[e] != 0
+    got = {}
+    for k in (e, narrow):
+        z, N, err = integration.half_segment_integrals(f, k)
+        ref = _mp_half_segment(f, k)
+        size = np.max(np.abs(ref))
+        assert np.max(np.abs(z - ref)) <= 1e-13 * size, (name, k)
+        twice = integration._half_segment_sum(f, k, 2 * N)
+        assert np.max(np.abs(z - twice)) <= err + 1e-15 * size, (name, k)
+        assert err <= TOL * size, (name, k)
+        got[k] = z, N
+    (z, N), (z_narrow, N_narrow) = got[e], got[narrow]
+    if widths[narrow] < (1 - 1e-12) * widths[e]:
+        assert N_narrow > N
+    else:
+        assert N_narrow == N
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        pd = k2.compute_period_data(f)
+    assert np.array_equal(pd.z_star, z)
+    assert (k2.nearest_lattice_residual(pd, z_narrow - z)
+            <= 1e-8 * np.max(np.abs(z)))
+
+
+def test_half_segment_refuses_an_end_it_cannot_take():
+    """On the panel sextic {0, 1, 2i, -1+i, 3, -2-i} the root 0 has no
+    half-segment (s = 1/0), and the one into 1 passes through s = 1/3,
+    where the factor 1 - 3 s vanishes: the first raises ValueError, the
+    second QuadratureError naming the half-segment, since no node count
+    reaches the singularity on it.  On the two-pair curve {0, 1e-4, 2i,
+    -1+i, 3, 3 + 1e-4i} the half-segment into 1e-4 passes within rounding
+    of s = 1/3 (its ellipse is 1 + 1e-14 wide) and raises as well."""
+    def index(f, x):
+        return integration.nearest_branch_point(f.roots, x)
+
+    f = k2.validate_polynomial(list(PANEL_CURVES["deg6_s1"]))
+    with pytest.raises(ValueError, match="at 0"):
+        integration.half_segment_integrals(f, index(f, 0))
+    with pytest.raises(k2.QuadratureError,
+                       match="half-segment.*more than 8192"):
+        integration.half_segment_integrals(f, index(f, 1))
+    f = k2.validate_polynomial(list(PANEL_CURVES["two_pairs_i"]))
+    with pytest.raises(k2.QuadratureError,
+                       match="half-segment.*more than 8192"):
+        integration.half_segment_integrals(f, index(f, 1e-4))
+
+
+@pytest.mark.parametrize("n", [2, 24, 400])
+def test_legendre_nodes_integrate_polynomials_exactly(n):
+    """The cached n-point Gauss-Legendre rule, over its positive nodes
+    with doubled weights, integrates v^(2k) over [-1, 1] for every 2k <
+    2n to 1e-14, and its arrays are read-only."""
+    d, w = integration._legendre_nodes(n)
+    assert len(d) == n // 2 and not d.flags.writeable
+    assert not w.flags.writeable
+    k = np.arange(n)[:, None]
+    assert np.max(np.abs((1 - d) ** k @ w - 2 / (2 * k[:, 0] + 1))) <= 1e-14
 
 
 def test_second_kind_numerators_convention():
@@ -422,13 +538,15 @@ def test_z_star_invariant_mod_lattice():
 @pytest.mark.parametrize("coeffs", [G6_COEFFS, _ring_curve(
     np.random.default_rng(8), 6, 0.8 - 0.6j)], ids=["g6", "ring6"])
 def test_z_star_continues_one_tail(coeffs, monkeypatch):
-    """The tail back to infinity from the sheet flip at x_far, at -y_far,
-    is the first tail with every y negated, so z_star = 2 (I_e - T), I_e
-    the run from x_far into its nearest root, sums x_far's one tail in
-    closed form, seeded at the principal root, in the one tail_integrals
-    call that also sums the Abel samples' tails.  It matches the route
-    that sums both tails to 1e-15, and with the flip loop for 2 I_e (out,
-    a full turn about the root, back) to 1e-13."""
+    """z_star, the half-segment into z_star_root(f) in the chart s = 1/x,
+    matches modulo the lattice the route that continues a tail through a
+    far point x_far: the tail in from label 2 to x_far, a sheet flip at
+    x_far about its nearest root and the tail out to label 1, -T + I +
+    T_out, with I twice the run from x_far into that root to 1e-14 of
+    z_star's size, and with the flip loop (out, a full turn about the
+    root, back) to 1e-13.  The Abel samples' tails are the build's one
+    tail_integrals call, seeded at the principal root at the outermost
+    sample."""
     f = k2.validate_polynomial(coeffs)
     roots = list(f.roots)
     scale = f.scale
@@ -442,20 +560,21 @@ def test_z_star_continues_one_tail(coeffs, monkeypatch):
     monkeypatch.setattr(integration, "tail_integrals", recording)
     _, z_star = _samples(f, roots)
     monkeypatch.undo()
-    x_far = integration.FAR_FACTOR * scale * np.exp(0.7310j)
-    y_far = complex(np.sqrt(f(x_far)))
     (tail_x, tail_y), = calls
     assert tail_x == list(periods.SAMPLE_RADII * scale
-                          * np.exp(0.7310j)) + [x_far]
-    assert abs(tail_y[-1] - y_far) <= 1e-15 * abs(y_far)
+                          * np.exp(1j * integration.FAR_ARG))
+    assert abs(tail_y[-1] - np.sqrt(f(tail_x[-1]))) <= 1e-15 * abs(tail_y[-1])
+    pd = k2.compute_period_data(f)
+    assert np.array_equal(pd.z_star, z_star)
 
-    # both tails, each summed
+    x_far = 12.0 * scale * np.exp(0.7310j)
+    y_far = complex(np.sqrt(f(x_far)))
     T, landed_plus = integration.tail_integrals(f, [x_far], [y_far])
     if landed_plus[0]:
         y_far, T = -y_far, -T
     radii = integration.detour_radii(f)
     dive = integration.run_into_branch_point(roots, radii, x_far)
-    for pieces, weight, rel in ((dive, 2.0, 1e-15),
+    for pieces, weight, rel in ((dive, 2.0, 1e-14),
                                 (flip_loop_pieces(roots, radii, x_far), 1.0,
                                  1e-13)):
         _, y0, _ = integration._continue_runs(f, [pieces], [y_far])
@@ -464,8 +583,27 @@ def test_z_star_continues_one_tail(coeffs, monkeypatch):
         ).sum(axis=0)
         T_out, landed_plus = integration.tail_integrals(f, [x_far], [-y_far])
         assert landed_plus[0]
-        want = -T[0] + I + T_out[0]
-        assert np.max(np.abs(z_star - want)) <= rel * np.max(np.abs(want))
+        route = -T[0] + I + T_out[0]
+        assert (k2.nearest_lattice_residual(pd, z_star - route)
+                <= rel * np.max(np.abs(z_star)))
+
+
+def _half_segment_widths(roots):
+    """Reference: for each root e, the parameter of the Bernstein ellipse
+    in v through the nearest singularity +-sqrt(1 - e/r_k) of z_star's
+    half-segment into e, root by root in scalar arithmetic; 0 for a root
+    at 0, which has no half-segment."""
+    widths = []
+    for e in roots:
+        rho = [np.inf]
+        for r in roots:
+            if e == 0 or r in (0, e):
+                continue
+            tau = np.sqrt(1 - e / r)
+            w = abs(tau + np.sqrt(tau - 1) * np.sqrt(tau + 1))
+            rho.append(max(w, 1 / w))
+        widths.append(0.0 if e == 0 else min(rho))
+    return widths
 
 
 @pytest.mark.filterwarnings("ignore:branch points far outside unit scale")
@@ -475,12 +613,11 @@ def test_one_quadrature_build_matches_separate_integrals(coeffs):
     """The loop segments, summed in one sheet call, against each summed
     alone at its own node count on the same sheet: the segment
     integrals, and so A, B, etaA and etaB, bit for bit.  On degree 6
-    z_star, from the run from the far point into its nearest branch
-    point, the build's one tanh-sinh quadrature, matches that run chained
-    and integrated apart to 1e-15 relative.  The Abel samples, each its
-    own tail summed as a series, match the far ray through them
-    integrated piece by piece out to the far point, and that point's
-    tail, to 1e-15 relative."""
+    z_star is the half-segment's Gauss-Legendre sum into a root with the
+    widest ellipse in v, never a root at 0, bit for bit.  The Abel
+    samples, each its own tail summed as a series, match the ray through
+    them integrated piece by piece out to the outermost sample, and that
+    sample's tail, to 1e-15 relative."""
     f = k2.validate_polynomial(coeffs)
     roots = list(f.roots)
     scale = f.scale
@@ -493,45 +630,43 @@ def test_one_quadrature_build_matches_separate_integrals(coeffs):
         sheet, integration.all_numerators(f), np.array([p]), N[p:p + 1])
         for p in range(len(N))]
     assert np.array_equal(W, np.concatenate(alone))
-    x_far = integration.far_point(scale)
-    y_far = complex(np.sqrt(f(x_far)))
-    T, landed_plus = integration.tail_integrals(f, [x_far], [y_far])
+    xs = radii * np.exp(1j * integration.FAR_ARG)
+    y_out = complex(np.sqrt(f(xs[-1])))
+    T, landed_plus = integration.tail_integrals(f, xs[-1:], [y_out])
     T = T[0]
     if f.degree == 6 and landed_plus[0]:
-        y_far, T = -y_far, -T
-    xs = np.append(radii * np.exp(1j * integration.FAR_ARG), x_far)
-    n = len(radii)
+        y_out, T = -y_out, -T
+    n = len(radii) - 1
     ray = np.stack([xs[:-1], np.diff(xs), np.zeros(n)], axis=1)
     _, y0, y_end = integration._continue_runs(f, [ray], [np.sqrt(f(xs[0]))])
-    if abs(y_end[0] - y_far) > abs(y_end[0] + y_far):
+    if abs(y_end[0] - y_out) > abs(y_end[0] + y_out):
         y0 = -y0
     I = integration.integrate_forms(f, ray, y0,
                                     integration.holomorphic_numerators())
-    want = -T - np.cumsum(I[::-1], axis=0)[::-1]
+    want = -T - np.vstack([np.cumsum(I[::-1], axis=0)[::-1], np.zeros(2)])
     assert np.max(np.abs(J - want)) <= 1e-15 * np.max(np.abs(want))
     if f.degree == 5:
         assert z_star is None
         return
-    dive = integration.run_into_branch_point(
-        roots, integration.detour_radii(f), x_far)
-    _, y0, _ = integration._continue_runs(f, [dive], [y_far])
-    I = integration.integrate_forms(f, dive, y0,
-                                    integration.holomorphic_numerators())
-    want = 2.0 * (I.sum(axis=0) - T)
-    assert np.max(np.abs(z_star - want)) <= 1e-15 * np.max(np.abs(want))
+    e = integration.z_star_root(f)
+    widths = _half_segment_widths(roots)
+    assert roots[e] != 0 and widths[e] >= (1 - 1e-12) * max(widths)
+    z, N, _ = integration.half_segment_integrals(f, e)
+    assert np.array_equal(z_star, z)
+    assert np.array_equal(z, integration._half_segment_sum(f, e, N))
 
 
 def test_a_build_makes_one_quadrature(monkeypatch):
     """A context build sums its loop segments in one Gauss-Chebyshev sheet
-    call, and a build reusing another's samples (like=) in one, and
-    neither takes a tanh-sinh quadrature on degree 5; on degree 6 the
-    first takes one integrate_01 call, over the run from its far point
-    into the nearest branch point.  The samples are series tails and
-    take no sheet chain: a degree-5 build makes no continue_sqrt call,
-    and a degree-6 build one, over that run."""
-    calls, sums, chains = [], [], []
+    call, and a build reusing another's samples (like=) in one; on degree
+    6 the first sums z_star's half-segment by Gauss-Legendre once, and
+    the second reuses it.  Neither takes a tanh-sinh quadrature or
+    chains a sheet on either degree: no integrate_01 and no
+    continue_sqrt call."""
+    calls, sums, halves, chains = [], [], [], []
     quad, chain = integration.integrate_01, integration.continue_sqrt
     summed = integration._chebyshev_sums
+    half = integration._half_segment_sum
 
     def counted(*args, **kwargs):
         calls.append(1)
@@ -545,27 +680,24 @@ def test_a_build_makes_one_quadrature(monkeypatch):
         sums.append(1)
         return summed(*args)
 
+    def half_counted(*args):
+        halves.append(1)
+        return half(*args)
+
     monkeypatch.setattr(integration, "integrate_01", counted)
     monkeypatch.setattr(integration, "continue_sqrt", chained)
     monkeypatch.setattr(integration, "_chebyshev_sums", sum_counted)
+    monkeypatch.setattr(integration, "_half_segment_sum", half_counted)
     for coeffs in (W5_COEFFS, G6_COEFFS):
         f = k2.validate_polynomial(coeffs)
         ctx = k2.make_context(f)
-        assert len(sums) == 1 and len(calls) == f.degree - 5
-        if f.degree == 5:
-            assert chains == []
-        else:
-            (pieces,) = chains
-            assert np.array_equal(pieces, integration.run_into_branch_point(
-                f.roots, integration.detour_radii(f),
-                integration.far_point(f.scale)))
+        assert len(sums) == 1 and len(halves) == f.degree - 5
         k2.compute_period_data(f, ordering=(1, 0, 2, 4, 3) + (
             (5,) if f.degree == 6 else ()), like=ctx.pd)
-        assert len(sums) == 2 and len(calls) == f.degree - 5
-        assert len(chains) == f.degree - 5
-        calls.clear()
+        assert len(sums) == 2 and len(halves) == f.degree - 5
+        assert calls == [] and chains == []
         sums.clear()
-        chains.clear()
+        halves.clear()
 
 
 def test_a_build_checks_omega_once():
@@ -604,13 +736,13 @@ def _samples(f, roots):
         f, roots, periods.LOOP_PAIRS, periods.SAMPLE_RADII * f.scale)[1:]
 
 
-def _dive_index(pd):
-    """The row of periods._BASE_CHARS that Delta takes: the index of the
-    branch point the far point's run goes into, 5 (infinity) on degree 5."""
+def _delta_row(pd):
+    """The row of periods._BASE_CHARS that Delta takes: the index in the
+    build's order of the branch point z_star's half-segment runs into, 5
+    (infinity) on degree 5."""
     if pd.z_star is None:
         return 5
-    return integration.nearest_branch_point(
-        pd.roots, integration.far_point(pd.f.scale))
+    return list(pd.roots).index(pd.f.roots[integration.z_star_root(pd.f)])
 
 
 def _recompute_delta(f, pd):
@@ -912,7 +1044,8 @@ def _delta_curves():
 
 def _far_root_cases():
     """(name, coeffs, ordering): unit-ring sextics with their top root
-    moved to x0 + 4i (1 + U), nearest the far point, each in the default
+    moved to x0 + 4i (1 + U), where its ellipse in v is the widest, so
+    that z_star's half-segment runs into it, each in the default
     ordering and the two basis_independence tries.  At x0 = 0.05 the
     moved root sorts between ring roots and lands at index 2, 3 or 4;
     at x0 = -1.3 it sorts first and lands at 0, 1 and 5."""
@@ -960,14 +1093,15 @@ def test_batched_delta_certificate_matches_candidate_loop(coeffs, ordering,
     assert np.array_equal(D, pd.Delta)
     assert pd.delta_char == (char if f.degree == 5 else None)
     assert char == tuple(map(tuple, np.reshape(
-        periods._BASE_CHARS[_dive_index(pd)], (2, 2))))
+        periods._BASE_CHARS[_delta_row(pd)], (2, 2))))
 
 
 def test_delta_sextics_take_every_row_of_the_base_chars():
-    """The sextics of DELTA_CASES alone run into a branch point at every
-    index of the ordering, so each row is checked against the loop."""
+    """z_star's half-segments on the sextics of DELTA_CASES alone run into
+    a branch point at every index of the ordering, so each row is checked
+    against the loop."""
     fs = [(k2.validate_polynomial(coeffs), ordering)
           for _, coeffs, ordering in DELTA_CASES]
-    rows = {_dive_index(k2.compute_period_data(f, ordering=ordering))
+    rows = {_delta_row(k2.compute_period_data(f, ordering=ordering))
             for f, ordering in fs if f.degree == 6}
     assert rows == set(range(6))

@@ -275,10 +275,8 @@ def _integrate_level_by_level(g, narrow):
 def test_two_level_first_call_is_bit_identical(coeffs, monkeypatch):
     """The first integrand call covers levels BASE_LEVEL and BASE_LEVEL +
     1 together; every result is bit for bit the level-by-level one: the
-    stack of EASY_TO_HARD, a path's pieces, and on degree 6 a period
-    build's z_star, whose run from the far point into a branch point is
-    the build's one tanh-sinh quadrature (its loop segments take
-    Gauss-Chebyshev)."""
+    stack of EASY_TO_HARD, and a path's pieces, one of them a run into a
+    branch point."""
     g, narrow, _ = _recording_stack(EASY_TO_HARD, True)
     got = integrate_01(g, narrow)
     g, narrow, _ = _recording_stack(EASY_TO_HARD, True)
@@ -294,17 +292,10 @@ def test_two_level_first_call_is_bit_identical(coeffs, monkeypatch):
     results = []
     for quad in (integrate_01, _integrate_level_by_level):
         monkeypatch.setattr(integration, "integrate_01", quad)
-        _, _, z_star = integration.period_integrals(
-            f, f.roots, k2.periods.LOOP_PAIRS,
-            k2.periods.SAMPLE_RADII * f.scale)
-        results.append((
-            integration.integrate_forms(f, pieces, y0,
-                                        integration.all_numerators(f)),
-            np.zeros(2) if z_star is None else z_star))
+        results.append(integration.integrate_forms(
+            f, pieces, y0, integration.all_numerators(f)))
     monkeypatch.undo()
-    assert (f.degree == 6) == bool(results[0][1].any())
-    for a, b in zip(*results):
-        assert np.array_equal(a, b)
+    assert np.array_equal(*results)
 
 
 def _g6():
