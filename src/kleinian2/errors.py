@@ -40,11 +40,13 @@ class DiagonalError(KleinianError):
 
 # integration / periods
 class DegenerateGeometryError(KleinianError):
-    """Branch-point layout defeats the path heuristics."""
+    """A path endpoint coincides with a branch point."""
 
 
 class QuadratureError(KleinianError):
-    """Node doubling failed to converge."""
+    """An integral did not reach its tolerance: tanh-sinh by its last
+    level, or a Gauss rule within its node cap, whose a priori bound
+    refuses a branch point on or next to its segment."""
 
 
 class SheetTrackingError(KleinianError):

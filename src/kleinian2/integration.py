@@ -519,12 +519,14 @@ def _gaps(rho, R):
     return 0.5 * (rho - R) * (1.0 - 1.0 / (R * rho))
 
 
-def _segment_bounds(f, roots, pairs):
-    """(log_2piM, log_r, log_guess) of the segments of segment_sheet.
+def _segment_bounds(f, frames, tau, rho):
+    """(log_2piM, log_r, log_guess) of the segments of segment_sheet, of
+    frames (b_i, d, others) = _segment_frames(roots, pairs).
 
     In t = 2u - 1 the integrand h_k = n_k(x) d/s of segment p is analytic
     inside the Bernstein ellipse E_rho through the nearest root off it,
-    whose t is tau_k, rho_k = |tau_k +- sqrt(tau_k^2 - 1)| >= 1.
+    whose t is tau_k, rho_k = |tau_k +- sqrt(tau_k^2 - 1)| > 1 (tau and
+    rho, one column per segment, as segment_period_integrals passes them).
     On E_r, r < rho_k, |t - tau_k| >= (rho_k - r)(1 - 1/(r rho_k))/2 and
     |x| <= X = |x_mid| + |d| (r + 1/r)/4, so, with |s| = sqrt|lc| |d|
     prod_k sqrt(|d|/2 |t - tau_k|), the largest |h_k| there is at most
@@ -535,9 +537,7 @@ def _segment_bounds(f, roots, pairs):
     midpoint: the size of the integral that the node count aims at
     before there is one.
     """
-    bi, d, others = _segment_frames(roots, pairs)
-    tau = 2.0 * (others - bi) / d - 1.0
-    rho = _bernstein_rho(tau)
+    bi, d, others = frames
     log_r = _ELLIPSES * np.log(rho.min(axis=0))
     r = np.exp(log_r)
     R = r[:, None]
@@ -569,6 +569,21 @@ def _error_bounds(log_K, log_r, N):
     """K / (r^(2N) - 1) at N nodes, per segment, the least over the trial
     ellipses."""
     return np.exp(log_K - np.log(np.expm1(2.0 * N * log_r))).min(axis=0)
+
+
+def _reach(rho, cap, over):
+    """Refuse, before any sum, an integral that no rule of at most cap
+    nodes sums to TOL.  rho[k] is the narrowest Bernstein ellipse of
+    integral k, 1 where a root lies on its segment.  Either rule's K on
+    E_r is at least twice the integral (|I| <= pi M against K = 2 pi M
+    for Gauss-Chebyshev, |I| <= 2 M against K > 4 M for Gauss-Legendre),
+    so its re-check at TOL asks for more than log(2/TOL) / (2 log rho)
+    nodes; where that is more than cap, the QuadratureError over(k) of
+    the first such k is raised.  A root on or next to a segment is so
+    refused with no sum, and before a bound takes the log of a zero gap."""
+    short = np.flatnonzero(2.0 * cap * np.log(rho) < math.log(2.0 / TOL))
+    if len(short):
+        raise over(int(short[0]))
 
 
 @lru_cache(maxsize=256)
@@ -611,11 +626,24 @@ def segment_period_integrals(f, roots, pairs):
     row's own max-norm, as integrate_01 checks its change; a segment
     that fails is summed again at the N that the bound now asks for.  A
     segment asking for more than SEGMENT_MAX_NODES raises QuadratureError
-    naming it.
+    naming it, before any sum where a root lies on it or so near that
+    the cap cannot reach TOL (_reach).  A branch ordering whose segments
+    cross is not refused here: its periods fail the certificate.
     """
+    frames = bi, d, others = _segment_frames(roots, pairs)
+    tau = 2.0 * (others - bi) / d - 1.0
+    rho = _bernstein_rho(tau)
+
+    def over(p):
+        return QuadratureError(
+            f"loop segment {p}, from branch point {pairs[p][0]} to "
+            f"{pairs[p][1]}, needs more than {SEGMENT_MAX_NODES} "
+            f"Gauss-Chebyshev nodes for rel. tol {TOL:g}")
+
+    _reach(rho.min(axis=0), SEGMENT_MAX_NODES, over)
     sheet = segment_sheet(f, roots, pairs)
     numerators = all_numerators(f)
-    log_2piM, log_r, log_guess = _segment_bounds(f, roots, pairs)
+    log_2piM, log_r, log_guess = _segment_bounds(f, frames, tau, rho)
     N = np.minimum(_node_counts(log_2piM, log_r,
                                 math.log(SEGMENT_AIM) + log_guess),
                    SEGMENT_MAX_NODES)
@@ -626,13 +654,9 @@ def segment_period_integrals(f, roots, pairs):
         scale = np.maximum(np.abs(W).max(axis=1), 1e-300)
         need = _node_counts(log_2piM, log_r, np.log(TOL * scale))
         todo = np.flatnonzero(need > N)
-        over = todo[need[todo] > SEGMENT_MAX_NODES]
-        if len(over):
-            p = int(over[0])
-            raise QuadratureError(
-                f"loop segment {p}, from branch point {pairs[p][0]} to "
-                f"{pairs[p][1]}, needs more than {SEGMENT_MAX_NODES} "
-                f"Gauss-Chebyshev nodes for rel. tol {TOL:g}")
+        big = todo[need[todo] > SEGMENT_MAX_NODES]
+        if len(big):
+            raise over(int(big[0]))
         N[todo] = need[todo]
     return W, N, _error_bounds(log_2piM, log_r, N)
 
@@ -769,8 +793,9 @@ def half_segment_integrals(f, e):
     TOL times z's max-norm as segment_period_integrals checks its
     segments, and summed again at the N the bound then asks for.  More
     than HALF_SEGMENT_MAX_NODES raises QuadratureError naming the
-    half-segment, as does a segment that meets another root's
-    singularity; e at 0, where s = 1/e does not exist, raises ValueError.
+    half-segment, before any sum where it meets another root's
+    singularity or passes so near that the cap cannot reach TOL
+    (_reach); e at 0, where s = 1/e does not exist, raises ValueError.
     """
     r = np.array(f.roots)
     if r[e] == 0:
@@ -782,11 +807,7 @@ def half_segment_integrals(f, e):
         f"needs more than {cap} Gauss-Legendre nodes for rel. tol {TOL:g}")
     rho = _half_segment_rho(f)[e]
     keep = np.isfinite(rho)
-    # |z| <= 2 M, so the re-check asks for at least log(2/TOL) / (2 log
-    # rho) nodes: more than the cap wherever rho is that near 1, and on
-    # a segment that meets another root's singularity (rho = 1)
-    if 2.0 * cap * math.log(rho[keep].min()) < math.log(2.0 / TOL):
-        raise over
+    _reach(rho[keep].min(keepdims=True), cap, lambda _: over)
     log_K, log_r, log_guess = _half_segment_bounds(f, r[e], r[keep],
                                                    rho[keep])
 
@@ -911,17 +932,18 @@ def point_infinity_integrals(f, P, z_star):
     return J
 
 
-def period_integrals(f, roots, pairs, radii=None):
+def period_integrals(f, roots, pairs, radii):
     """(W, J, z_star) of a period build.
 
     W holds the loop segments' integrals, segment_period_integrals' rows,
-    by Gauss-Chebyshev.  Given the radii, each at least SERIES_FACTOR
+    by Gauss-Chebyshev.  With the radii each at least SERIES_FACTOR
     times f.scale, J holds the holomorphic integrals from the infinite
     point labelled 2 (the one point at infinity on degree 5) to the
     points at those radii on the ray of argument FAR_ARG, one row per
     point, and z_star, on degree 6, the integral from label 2 to label 1
-    (None on degree 5), both read off f.roots; without the radii J and
-    z_star are None.
+    (None on degree 5).  J and z_star are read off f.roots alone, so a
+    build of the curve in any branch order makes them bit for bit the
+    same.
 
     Every point's integral is minus its tail, summed as a series in one
     tail_integrals call.  The points are on the sheet of the principal
@@ -934,8 +956,6 @@ def period_integrals(f, roots, pairs, radii=None):
     build takes no tanh-sinh quadrature and chains no sheet.
     """
     W = segment_period_integrals(f, roots, pairs)[0]
-    if radii is None:
-        return W, None, None
     xs = np.asarray(radii) * np.exp(1j * FAR_ARG)
     r = np.array(f.roots)[:, None]
     d = xs - r

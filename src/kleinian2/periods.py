@@ -28,8 +28,15 @@ the loop segments are Gauss-Chebyshev sums at node counts fixed
 beforehand from an error bound, all in one integrand call, and a build
 takes no tanh-sinh quadrature and chains no sheet
 (integration.period_integrals).  Neither the samples nor z_star depends
-on the branch ordering, so a re-ordered build reuses them
-(compute_period_data's like=) and sums its loop segments only.
+on the branch ordering: a re-ordered build makes them bit for bit the
+same.
+
+A branch ordering is refused by the evidence the build computes, with
+no search of its layout: a root on or next to a loop segment by the
+segment rule's a priori node bound (QuadratureError naming the
+segment), and segments that cross by the certificate: the Legendre
+relation is the loops' intersection form, and crossing loops meet where
+the chain's do not (RiemannMatrixError).
 
 PeriodData derives what its integrals determine and certifies itself
 when it is made, whether by a build, a JSON load or a
@@ -55,8 +62,7 @@ import warnings
 
 import numpy as np
 
-from .errors import (DegenerateGeometryError, NormalizationError,
-                     RiemannMatrixError)
+from .errors import NormalizationError, RiemannMatrixError
 from .integration import (SERIES_FACTOR, nearest_branch_point,
                           period_integrals, z_star_root)
 from .theta import TOL_SYM, lam_min, lattice_reduce, theta_jet
@@ -88,41 +94,6 @@ _FRAME = np.array([[1, 0, 0, 0],
                    [0, 0, 0, 1]], dtype=int)
 J.setflags(write=False)
 _FRAME.setflags(write=False)
-
-
-def _segment_distance(p, a, b):
-    d = b - a
-    t = ((p - a) * d.conjugate()).real / abs(d) ** 2
-    t = min(1.0, max(0.0, t))
-    return abs(p - (a + t * d))
-
-
-def _segments_cross(a, b, c, d):
-    def orient(p, q, r):
-        v = ((q - p) * (r - p).conjugate()).imag
-        return (v > 0) - (v < 0)
-    return (orient(a, b, c) * orient(a, b, d) < 0
-            and orient(c, d, a) * orient(c, d, b) < 0)
-
-
-def _check_geometry(roots, scale):
-    """DegenerateGeometryError unless every LOOP_PAIRS segment keeps clear
-    of the other branch points and no two non-adjacent segments cross;
-    roots are Python complex numbers."""
-    segs = [(roots[i], roots[j]) for i, j in LOOP_PAIRS]
-    for k, (i, j) in enumerate(LOOP_PAIRS):
-        for m, r in enumerate(roots):
-            if m in (i, j):
-                continue
-            if _segment_distance(r, *segs[k]) < 1e-6 * scale:
-                raise DegenerateGeometryError(
-                    "a branch point lies on another pair's segment")
-    for k in range(len(segs)):
-        # loops further apart than neighbours share no branch point
-        for m in range(k + 2, len(segs)):
-            if _segments_cross(*segs[k], *segs[m]):
-                raise DegenerateGeometryError(
-                    "branch-pair segments cross; no planar loop layout")
 
 
 @dataclass(frozen=True)
@@ -282,19 +253,17 @@ def _loop_signs(W):
     return np.cumprod(np.concatenate([[1], adjacent]))
 
 
-def compute_period_data(f, ordering=None, like=None):
+def compute_period_data(f, ordering=None):
     """Full period data for the curve, certified as PeriodData is made.
 
     ordering optionally permutes the canonical branch-point order, which
     produces a different (but equally valid) symplectic basis; the
-    functions built on top are invariant under this choice.  like
-    optionally gives period data of the same curve whose Abel samples
-    and z_star are reused: neither depends on the ordering (the same
-    tails from the same points, the same half-segment into a root chosen
-    from f.roots), so the build then integrates its loop segments only.
-    An ordering that is no permutation of range(f.degree), or like of
-    another curve, raises ValueError; data that fails its certificate,
-    singular a-periods among them, raises as PeriodData does.
+    functions built on top are invariant under this choice.  An ordering
+    that is no permutation of range(f.degree) raises ValueError; one
+    that puts a root on or next to a loop segment raises QuadratureError
+    naming the segment (integration.segment_period_integrals), and data
+    that fails its certificate, singular a-periods and the crossing
+    segments of a bad ordering among them, raises as PeriodData does.
     """
     roots = list(f.roots)
     if ordering is not None:
@@ -302,17 +271,11 @@ def compute_period_data(f, ordering=None, like=None):
             raise ValueError(
                 f"ordering must be a permutation of range({f.degree})")
         roots = [roots[k] for k in ordering]
-    if like is not None and like.f.coeffs != f.coeffs:
-        raise ValueError("period data was computed for a different curve")
     if not SCALE_BAND[0] <= max(abs(r) for r in roots) <= SCALE_BAND[1]:
         warnings.warn("branch points far outside unit scale; double "
                       "precision certificates may degrade", stacklevel=2)
-    _check_geometry(roots, f.scale)
-    reuse = like is not None and like.abel_samples is not None
-    W, samples, z_star = period_integrals(
-        f, roots, LOOP_PAIRS, None if reuse else SAMPLE_RADII * f.scale)
-    if reuse:
-        samples, z_star = like.abel_samples, like.z_star
+    W, samples, z_star = period_integrals(f, roots, LOOP_PAIRS,
+                                          SAMPLE_RADII * f.scale)
     # a loop doubles its segment integral (out on one sheet, back on the
     # other, where dx/y picks up the same value)
     W = 2.0 * W

@@ -24,11 +24,20 @@ def cnum(z):
     return [z.real, z.imag]
 
 
+def _is_int(t):
+    return isinstance(t, int) and not isinstance(t, bool)
+
+
+def _is_real(t):
+    """Whether t is a JSON number: true and false are bools, not 0 and 1."""
+    return isinstance(t, (int, float)) and not isinstance(t, bool)
+
+
 def parse_cnum(obj):
-    if isinstance(obj, (int, float)):
+    if _is_real(obj):
         return complex(obj)
     if (isinstance(obj, (list, tuple)) and len(obj) == 2
-            and all(isinstance(t, (int, float)) for t in obj)):
+            and all(map(_is_real, obj))):
         return complex(obj[0], obj[1])
     raise ValueError(f"expected a number or [re, im] pair, got {obj!r}")
 
@@ -45,10 +54,6 @@ def parse_cvec(obj, n):
 
 def cmat(M):
     return [[cnum(t) for t in row] for row in np.asarray(M)]
-
-
-def _is_int(t):
-    return isinstance(t, int) and not isinstance(t, bool)
 
 
 def _rows(obj, shape, message, entry_ok=lambda t: True):
@@ -179,8 +184,7 @@ def period_data_from_json(obj):
     if (not np.max(np.min(dist, axis=1)) <= 1e-8 * f.scale
             or len(set(np.argmin(dist, axis=1).tolist())) < f.degree):
         raise ValueError("roots must be the branch points of the curve")
-    if (not isinstance(obj["scale"], (int, float))
-            or isinstance(obj["scale"], bool)
+    if (not _is_real(obj["scale"])
             or not abs(obj["scale"] - f.scale) <= 1e-8 * f.scale):
         raise ValueError("scale must be the number max(1, max |root|)")
     z_star = parse_cvec(obj["z_star"], 2) if "z_star" in obj else None

@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .curve import DIAG_FACTOR, CurvePoint, Divisor, xi_eval
-from .errors import DegenerateGeometryError, KleinianError, QuadratureError
+from .errors import KleinianError, QuadratureError, RiemannMatrixError
 from .kleinian import (JET_TARGETS, S_eval, TOL_ID, _scaled, _theta_pair,
                        _weight2_exponent, _weight2_from_pair, abel_forward,
                        divisor_clearance, jacobi_invert, log_S_gradient,
@@ -450,9 +450,9 @@ def _check_basis_independence(ctx, rng, tol):
     pd2 = None
     for perm in perms:
         try:
-            pd2 = compute_period_data(ctx.f, ordering=perm, like=ctx.pd)
+            pd2 = compute_period_data(ctx.f, ordering=perm)
             break
-        except (DegenerateGeometryError, QuadratureError):
+        except (QuadratureError, RiemannMatrixError):
             continue
     if pd2 is None:
         raise KleinianError("no alternative branch ordering is usable")

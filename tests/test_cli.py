@@ -77,6 +77,16 @@ def test_periods_unrepresentable_curve_exit_2(tmp_path, coeffs, code):
     assert r.stdout == ""
 
 
+def test_periods_boolean_coefficient_exit_2(tmp_path):
+    """A JSON true among the coefficients is an InputError, not 1."""
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"coeffs": [true, -4, 0, 0, 0, 4]}')
+    r = run_cli("periods", str(bad))
+    assert r.returncode == 2, r.stderr
+    assert json.loads(r.stderr)["code"] == "InputError"
+    assert r.stdout == ""
+
+
 def test_eval_at_origin_matches_expansions(files):
     r = run_cli("eval", "--curve", files["g6"], "--z", "0,0,0,0")
     assert r.returncode == 0

@@ -362,7 +362,7 @@ def test_eta_is_additive(w5_ctx):
 def _loop_integrals(f, roots):
     """Row k: the integrals of (omega1, omega2, r1, r2) over loop k, twice
     those over its segment."""
-    return 2.0 * integration.period_integrals(f, roots, periods.LOOP_PAIRS)[0]
+    return 2.0 * segment_period_integrals(f, roots, periods.LOOP_PAIRS)[0]
 
 
 def _loop_pairing(W):
@@ -382,11 +382,23 @@ def test_transform_takes_loop_pairing_to_standard_form(w5_ctx, g6_ctx):
     assert np.array_equal(periods.J, want.astype(int))
 
 
-def test_period_data_rejects_root_on_segment():
-    # ordering that joins i to -i straight through the root at 0
+def test_period_data_rejects_root_on_segment(monkeypatch):
+    """An ordering that joins i to -i straight through the root at 0 is
+    refused by the segment rule's reach test, before any sum: the root's
+    Bernstein ellipse is the segment itself (rho = 1), so no node count
+    reaches the tolerance, and no log of its zero gap is taken."""
+    sums = []
+    summed = integration._chebyshev_sums
+
+    def sum_counted(*args):
+        sums.append(1)
+        return summed(*args)
+
+    monkeypatch.setattr(integration, "_chebyshev_sums", sum_counted)
     f = k2.validate_polynomial(W5_COEFFS)
-    with pytest.raises(k2.DegenerateGeometryError):
+    with pytest.raises(k2.QuadratureError, match="loop segment 1,"):
         k2.compute_period_data(f, ordering=(0, 3, 1, 4, 2))
+    assert sums == []
 
 
 def _searched_transform(f, ordering):
@@ -455,8 +467,7 @@ FRAME_CURVES = _frame_curves()
 def test_transform_matches_orientation_search(coeffs):
     """The orientations read off the pairing are the ones the certificate
     search over all 16 variants accepts, in the canonical ordering and in
-    both re-orderings basis_independence uses (where their geometry is
-    admissible)."""
+    both re-orderings basis_independence uses (where they build)."""
     f = k2.validate_polynomial(coeffs)
     n = f.degree
     built = 0
@@ -464,12 +475,40 @@ def test_transform_matches_orientation_search(coeffs):
                      tuple(range(n - 1, -1, -1))):
         try:
             pd = k2.compute_period_data(f, ordering=ordering)
-        except k2.DegenerateGeometryError:
+        except (k2.QuadratureError, k2.RiemannMatrixError):
             assert ordering is not None
             continue
         assert np.array_equal(pd.transform, _searched_transform(f, ordering))
         built += 1
     assert built >= 2
+
+
+@pytest.mark.parametrize("coeffs, counts", [
+    (W5_COEFFS, {"built": 48, "QuadratureError": 72}),
+    (G6_COEFFS, {"built": 240, "RiemannMatrixError": 480})],
+    ids=["w5", "g6"])
+def test_every_ordering_builds_the_searched_transform_or_is_refused(
+        coeffs, counts):
+    """Every branch ordering either builds, with the transform the
+    certificate search accepts, or is refused by the evidence the build
+    computes: a root on a loop segment by the segment rule's reach test
+    (QuadratureError), and segments that cross by the certificate
+    (RiemannMatrixError), for which no variant of the frame passes."""
+    f = k2.validate_polynomial(coeffs)
+    seen = {}
+    for ordering in itertools.permutations(range(f.degree)):
+        try:
+            pd = k2.compute_period_data(f, ordering=ordering)
+        except (k2.QuadratureError, k2.RiemannMatrixError) as exc:
+            outcome = type(exc).__name__
+            if outcome == "RiemannMatrixError":
+                assert _searched_transform(f, ordering) is None
+        else:
+            outcome = "built"
+            assert np.array_equal(pd.transform,
+                                  _searched_transform(f, ordering))
+        seen[outcome] = seen.get(outcome, 0) + 1
+    assert seen == counts
 
 
 def test_inconsistent_loop_orientation_raises(monkeypatch):
@@ -502,13 +541,6 @@ def test_ordering_must_permute_the_branch_points(ordering):
     f = k2.validate_polynomial(G6_COEFFS)
     with pytest.raises(ValueError, match=r"permutation of range\(6\)"):
         k2.compute_period_data(f, ordering=ordering)
-
-
-def test_like_of_another_curve_raises(g6_ctx):
-    f = k2.validate_polynomial(_ring_curve(np.random.default_rng(8), 6,
-                                           0.8 - 0.6j))
-    with pytest.raises(ValueError, match="different curve"):
-        k2.compute_period_data(f, like=g6_ctx.pd)
 
 
 def test_permuted_ordering_spans_same_lattice():
@@ -658,11 +690,10 @@ def test_one_quadrature_build_matches_separate_integrals(coeffs):
 
 def test_a_build_makes_one_quadrature(monkeypatch):
     """A context build sums its loop segments in one Gauss-Chebyshev sheet
-    call, and a build reusing another's samples (like=) in one; on degree
-    6 the first sums z_star's half-segment by Gauss-Legendre once, and
-    the second reuses it.  Neither takes a tanh-sinh quadrature or
-    chains a sheet on either degree: no integrate_01 and no
-    continue_sqrt call."""
+    call, and so does a re-ordered build; on degree 6 each sums z_star's
+    half-segment by Gauss-Legendre once.  Neither takes a tanh-sinh
+    quadrature or chains a sheet on either degree: no integrate_01 and
+    no continue_sqrt call."""
     calls, sums, halves, chains = [], [], [], []
     quad, chain = integration.integrate_01, integration.continue_sqrt
     summed = integration._chebyshev_sums
@@ -693,8 +724,8 @@ def test_a_build_makes_one_quadrature(monkeypatch):
         ctx = k2.make_context(f)
         assert len(sums) == 1 and len(halves) == f.degree - 5
         k2.compute_period_data(f, ordering=(1, 0, 2, 4, 3) + (
-            (5,) if f.degree == 6 else ()), like=ctx.pd)
-        assert len(sums) == 2 and len(halves) == f.degree - 5
+            (5,) if f.degree == 6 else ()))
+        assert len(sums) == 2 and len(halves) == 2 * (f.degree - 5)
         assert calls == [] and chains == []
         sums.clear()
         halves.clear()

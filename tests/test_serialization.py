@@ -25,6 +25,35 @@ def test_parse_cnum_accepts_real_scalar():
     assert ser.parse_cnum([1.0, -3.0]) == 1.0 - 3.0j
 
 
+def test_json_booleans_are_not_numbers(g6_ctx):
+    """JSON true and false are refused wherever a complex number is read,
+    alone or in an [re, im] pair: in a curve, a divisor point and period
+    data, as a coefficient, an x, a root or a period entry, and as the
+    scale.  Before, true loaded as 1 and false as 0."""
+    for value in (True, False, [True, 0.0], [1.0, False], [True, False]):
+        with pytest.raises(ValueError, match="number or"):
+            ser.parse_cnum(value)
+    with pytest.raises(ValueError):
+        ser.curve_from_json({"coeffs": [True, -4, 0, 0, 0, 4]})
+    with pytest.raises(ValueError):
+        ser.point_from_json({"x": [True, False], "y": [1.0, 0.0]})
+    with pytest.raises(ValueError):
+        ser.divisor_from_json({"points": [{"x": 0.5, "y": True},
+                                          {"infinity": 1}]})
+    obj = json.loads(json.dumps(ser.period_data_to_json(g6_ctx.pd)))
+    for key, index in (("curve", 0), ("roots", 0), ("A", (0, 0)),
+                       ("Delta", 1), ("z_star", 0), ("scale", None)):
+        bad = copy.deepcopy(obj)
+        if index is None:
+            bad[key] = True
+        elif isinstance(index, tuple):
+            bad[key][index[0]][index[1]] = [True, 0.0]
+        else:
+            bad[key][index] = [bad[key][index][0], False]
+        with pytest.raises(ValueError):
+            ser.period_data_from_json(bad)
+
+
 def test_curve_round_trip():
     f = k2.validate_polynomial([0.5 + 0.25j, -4, 0, 1e-3, 0, 4.0, 2.0])
     f2 = ser.curve_from_json(json.loads(json.dumps(ser.curve_to_json(f))))
