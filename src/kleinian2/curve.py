@@ -65,7 +65,7 @@ class AdmissiblePolynomial:
         return self.coeffs[self.degree]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CurvePoint:
     """Affine point (x, y) with y^2 = f(x), or a point at infinity.
 
@@ -101,7 +101,7 @@ def involution(P):
     return CurvePoint.at_infinity(3 - P.infinity)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Divisor:
     """Unordered pair of curve points."""
     p: CurvePoint

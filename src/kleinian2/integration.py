@@ -1,6 +1,20 @@
 """Sheet-tracked contour integration on a hyperelliptic curve y^2 = f(x).
 
-A path in the x-plane is a stack of pieces, each parametrized over u in
+The Abel map takes no path.  An affine point P below the series radius
+is A(e) + the integral from a branch point e along the straight
+half-segment x = e + (x_P - e) v^2, on which y = v sqrt(x_P - e) c(x)
+with c fixed by y_P and turned in closed form by the other roots, so
+(dx/y, x dx/y) is an even integrand analytic in v, summed by
+Gauss-Legendre at a node count fixed beforehand from a Bernstein
+ellipse, all points of a call in one pass (abel_half_segments; Molin and
+Neurohr, Math. Comp. 88, 2019).  e is the root whose ellipse is widest;
+A(e) is a half-period read off the period data (periods.
+branch_point_images).  A point farther out is minus its tail to
+infinity, a series (abel_images).
+
+The path layer below serves rho_lambda_eval alone, whose second-kind
+integrals and Abel image must run along one concrete path.  A path in
+the x-plane is a stack of pieces, each parametrized over u in
 [0, 1] and stored as one row (c, R, b) of a complex (P, 3) array: a line
 x = c + R u has b = 0, and a circular arc x = c + R exp(b u), centred at
 c, has b = i dphi, its turning angle.  x_dx evaluates x and dx/du on
@@ -51,7 +65,7 @@ ellipse (half_segment_integrals; Trefethen, Approximation Theory and
 Approximation Practice, Thm 19.3).  e is the root whose ellipse is
 widest (z_star_root).
 
-Every other integrand is n_k(x)/y dx on a sheet of pieces returning
+Every path integrand is n_k(x)/y dx on a sheet of pieces returning
 (x, dx/du, y), and integrands are stacked, not looped: all pieces of
 many paths go through one integrate_01 call, whose integrand narrows
 to the pieces still open (integrate_forms), so each is integrated at
@@ -644,28 +658,51 @@ def segment_period_integrals(f, roots, pairs):
     sheet = segment_sheet(f, roots, pairs)
     numerators = all_numerators(f)
     log_2piM, log_r, log_guess = _segment_bounds(f, frames, tau, rho)
-    N = np.minimum(_node_counts(log_2piM, log_r,
-                                math.log(SEGMENT_AIM) + log_guess),
-                   SEGMENT_MAX_NODES)
-    W = np.empty((len(pairs), len(numerators)), dtype=complex)
-    todo = np.arange(len(pairs))
-    while len(todo):
-        W[todo] = _chebyshev_sums(sheet, numerators, todo, N[todo])
-        scale = np.maximum(np.abs(W).max(axis=1), 1e-300)
-        need = _node_counts(log_2piM, log_r, np.log(TOL * scale))
-        todo = np.flatnonzero(need > N)
-        big = todo[need[todo] > SEGMENT_MAX_NODES]
+    return _sums_to_tol(
+        lambda p, N: _chebyshev_sums(sheet, numerators, p, N),
+        log_2piM, log_r, log_guess, SEGMENT_MAX_NODES, over)
+
+
+def _sums_to_tol(sums, log_K, log_r, log_guess, cap, over, fit=None):
+    """(W, N, err) of integrals whose errors at N nodes are bounded by
+    _error_bounds(log_K, log_r, N), one column of the bounds per integral:
+    sums(k, N[k]) gives rows k of W, and fit(n), if given, the node counts
+    a rule takes at least n (fit(n) <= cap for n <= cap).
+
+    N is fixed beforehand from the bound at SEGMENT_AIM times the
+    integral's guessed size, exp(log_guess), and all integrals are summed
+    in one call.  The bound is then checked against TOL times each row's
+    own max-norm, as integrate_01 checks its change; a row that fails is
+    summed again at the N that the bound now asks for, and a row asking
+    for more than cap nodes raises over(k) of the first such k."""
+    fit = fit or (lambda n: n)
+    N = fit(np.minimum(_node_counts(log_K, log_r,
+                                    math.log(SEGMENT_AIM) + log_guess, cap),
+                       cap))
+    W = sums(np.arange(len(N)), N)
+    while True:
+        err = _error_bounds(log_K, log_r, N)
+        target = TOL * np.abs(W).max(axis=1)
+        todo = np.flatnonzero(err > target)
+        if not len(todo):
+            return W, N, err
+        need = _node_counts(log_K[:, todo], log_r[:, todo],
+                            np.log(np.maximum(target[todo], 1e-300)), cap)
+        big = np.flatnonzero(need > cap)
         if len(big):
-            raise over(int(big[0]))
-        N[todo] = need[todo]
-    return W, N, _error_bounds(log_2piM, log_r, N)
+            raise over(int(todo[big[0]]))
+        # at least one more node, should the logs round need down to N
+        N[todo] = fit(np.maximum(need, N[todo] + 1))
+        W[todo] = sums(todo, N[todo])
 
 
 # -- z_star's half-segment in the chart s = 1/x -----------------------------
 
-# most Gauss-Legendre nodes on z_star's half-segment; _legendre_nodes takes
-# O(n^2) time, and the widest root's half-segment takes 28 to 42 nodes on
-# the benchmark's 218 sextics (24 to 40 on the tests' frame curves)
+# most Gauss-Legendre nodes on z_star's half-segment or an Abel
+# half-segment; _legendre_nodes takes O(n^2) time, and the widest root's
+# half-segment takes 28 to 42 nodes on the benchmark's 218 sextics (24 to
+# 40 on the tests' frame curves), an Abel point's 12 to 48 on the
+# abel_invert divisors of seed 1
 HALF_SEGMENT_MAX_NODES = 2 ** 13
 
 
@@ -810,20 +847,10 @@ def half_segment_integrals(f, e):
     _reach(rho[keep].min(keepdims=True), cap, lambda _: over)
     log_K, log_r, log_guess = _half_segment_bounds(f, r[e], r[keep],
                                                    rho[keep])
-
-    def nodes(log_target):
-        n = int(_node_counts(log_K, log_r, log_target, cap)[0])
-        return n + n % 2
-
-    N = min(nodes(math.log(SEGMENT_AIM) + log_guess), cap)
-    while True:
-        z = _half_segment_sum(f, e, N)
-        need = nodes(math.log(TOL * max(np.abs(z).max(), 1e-300)))
-        if need <= N:
-            return z, N, float(_error_bounds(log_K, log_r, N)[0])
-        if need > cap:
-            raise over
-        N = need
+    z, N, err = _sums_to_tol(lambda _, N: _half_segment_sum(f, e, int(N[0]))[None],
+                             log_K, log_r, log_guess, cap, lambda _: over,
+                             lambda n: n + n % 2)
+    return z[0], int(N[0]), float(err[0])
 
 
 # -- tails to infinity --------------------------------------------------------
@@ -898,38 +925,218 @@ def tail_integrals(f, x_far, y_far):
     return T, plus | (f.degree == 5)
 
 
-def point_infinity_integrals(f, P, z_star):
-    """Holomorphic integrals from the infinite point labelled 2 (the one
-    point at infinity on degree 5) to each affine point of the sequence P,
-    one row per point, along a tail from infinity to a far point and a
-    radial run with detours.  The far point is the point itself if it
-    lies SERIES_FACTOR times the root scale out or beyond, and takes no
-    run; else it lies at that radius, in its direction.  The radial runs
-    share one chain and one quadrature, and the tails are summed in
-    closed form (tail_integrals); a tail that lands on label 1 is moved
-    to label 2 by z_star, the integral from 2 to 1 (None on degree 5).
+# -- Abel images: a half-segment from a branch point --------------------------
+
+# a point this near a branch point, times f.scale, integrates from it
+BRANCH_SNAP = 1e-7
+# the node counts an Abel half-segment is rounded up to, 8 to
+# HALF_SEGMENT_MAX_NODES in steps of 4/3 and 3/2: the rules in use stay
+# in _legendre_nodes' cache, where a new one costs O(n^2) Newton work
+LEGENDRE_LADDER = np.sort(np.concatenate([2 ** np.arange(3, 14),
+                                          3 * 2 ** np.arange(2, 12)]))
+
+
+def _on_ladder(n):
+    """The least count of LEGENDRE_LADDER at or above each of n."""
+    return LEGENDRE_LADDER[np.searchsorted(LEGENDRE_LADDER, n)]
+
+
+@lru_cache(maxsize=64)
+def _branch_frames(f):
+    """(r, others, steps, log_size, far): f.roots as an array, row j of
+    others the roots but r_j and of steps their steps r_k - r_j from it,
+    log_size[j] = log(2 max(1, |r_j|) / sqrt|lead prod_k (r_j - r_k)|),
+    the size of the integrand (1, x) / c at x = r_j that _abel_bounds
+    scales, and far = SERIES_FACTOR max |r_j|, less a rounding margin
+    well inside the one tail_integrals allows: the radius from which a
+    point takes a tail.  Read-only, and computed once per curve."""
+    r = np.array(f.roots)
+    others = np.array([np.delete(r, j) for j in range(len(r))])
+    steps = others - r[:, None]
+    log_size = np.log(2.0 * np.maximum(1.0, np.abs(r)) / np.sqrt(
+        abs(f.leading) * np.abs(steps).prod(axis=1)))
+    for a in (r, others, steps, log_size):
+        a.setflags(write=False)
+    return (r, others, steps, log_size,
+            (1.0 - 1e-13) * SERIES_FACTOR * np.abs(r).max())
+
+
+def _sheet_values(f, x, y, gap):
+    """y at the points (x[i], y[i]) formed from gap[i] = x[i] - f.roots as
+    +-sqrt(lead prod_j (x - r_j)), as piece_sheet forms it, with the sign
+    of the given y, which fixes the sheet and no more: a y taken from f's
+    coefficient form carries its rounding, relatively large next to a
+    root.  A branch point takes y = 0.  SheetTrackingError unless every
+    y[i]^2 is that f(x[i]) to 1e-8 of the larger of |f| and |y|^2, plus
+    1e-14 |lead| (|x| + f.scale)^n for that rounding."""
+    lead = f.leading
+    fx = lead * gap.prod(axis=1)
+    y2 = y * y
+    slack = 1e-14 * abs(lead) * (np.abs(x) + f.scale) ** f.degree
+    miss = np.abs(y2 - fx) > 1e-8 * np.maximum(np.abs(fx), np.abs(y2)) + slack
+    if miss.any():
+        raise SheetTrackingError(
+            f"y = {y[np.argmax(miss)]:.6g} does not square to f(x)")
+    root = np.sqrt(fx)
+    return root * np.sign((root * y.conj()).real)
+
+
+def _abel_ends(f, steps, gap):
+    """(e, rho): the index in f.roots of the branch point e from which
+    each point x[i] is integrated, gap[i] = x[i] - f.roots and steps from
+    _branch_frames, and rho[i, k] the Bernstein parameter in v of the
+    singularity that the root others[e[i], k] puts near that half-segment
+    (abel_half_segments).  e is the nearest root within BRANCH_SNAP times
+    f.scale, else the root whose narrowest ellipse is widest, ties to the
+    first in f.roots."""
+    dist = np.abs(gap)
+    # rho[i, j, k]: tau_k^2 = (r_k - r_j) / (x_i - r_j) from root j; a
+    # point on root j takes it, and its row j is not read
+    rho = _bernstein_rho(np.sqrt(
+        steps / np.where(gap == 0, 1.0, gap)[:, :, None]))
+    e = np.where(dist.min(axis=1) <= BRANCH_SNAP * f.scale,
+                 dist.argmin(axis=1), rho.min(axis=2).argmax(axis=1))
+    return e, rho[np.arange(len(e)), e]
+
+
+def _abel_bounds(f, frames, e, h, rho):
+    """(log_K, log_r, log_guess) of the half-segments from f.roots[e[i]]
+    to x[i] = f.roots[e[i]] + h[i], for _node_counts, in the form
+    _segment_bounds gives them, one column per point; rho from _abel_ends.
+
+    In v the integrand sqrt(h) (1, x) / c has c^2 = lead prod_k (x - r_k)
+    = lead h^(n-1) prod_k (v - tau_k)(v + tau_k), n the degree, so on the
+    Bernstein ellipse E_r inside the narrowest E_rho_k, |c| >= sqrt|lead|
+    |h|^((n-1)/2) prod_k g_k, g_k = _gaps(rho_k, r), and |x| <= |e| + |h|
+    V^2 with V = (r + 1/r)/2, which bound it by M; K = 64 M r^2 / (15 (r^2
+    - 1)) is Gauss-Legendre's (_node_counts).  log_guess is log(2 |g(0)|),
+    the integrand's size at x = e over the interval: the size of the
+    integral that the node count aims at before there is one."""
+    r, _, _, log_size, _ = frames
+    log_r = _ELLIPSES * np.log(rho.min(axis=1))
+    R = np.exp(log_r)
+    size = np.abs(h)
+    log_h = np.log(size)
+    X = np.abs(r[e]) + size * (0.5 * (R + 1.0 / R)) ** 2
+    log_K = (np.log(64.0 / 15.0 * np.maximum(1.0, X) / (1.0 - R ** -2.0))
+             - np.log(_gaps(rho[None], R[..., None])).sum(axis=2)
+             + (1.0 - 0.5 * f.degree) * log_h - 0.5 * math.log(abs(f.leading)))
+    return log_K, log_r, log_size[e] + 0.5 * log_h
+
+
+def _abel_sums(x, y, h, others, N):
+    """Row i: the N[i]-point Gauss-Legendre sum of the half-segment from
+    x[i] - h[i] to (x[i], y[i]), others[i] the other roots, over the
+    positive nodes of every point in one pass: (h / y) sum w (1, x) /
+    prod_k sqrt(1 - q_k d), d = 1 - v^2, x = x_P - h d and q_k = h / (x_P -
+    r_k), in principal roots."""
+    d, w = (np.concatenate(a) for a in
+            zip(*(_legendre_nodes(int(n)) for n in N)))
+    half = N // 2
+    at = np.repeat(np.arange(len(N)), half)
+    q = (h[:, None] / (x[:, None] - others))[at]
+    g = w / np.sqrt(1.0 - q * d[:, None]).prod(axis=1)
+    starts = np.cumsum(half) - half
+    s0, s1 = np.add.reduceat(g, starts), np.add.reduceat(g * d, starts)
+    c = h / y
+    return np.array([c * s0, c * (x * s0 - h * s1)]).T
+
+
+def _half_segments(f, frames, x, y, gap):
+    """(e, I, N, err) of abel_half_segments, from gap[i] = x[i] -
+    f.roots and frames = _branch_frames(f)."""
+    r, others, steps, _, _ = frames
+    e, rho = _abel_ends(f, steps, gap)
+    h = x - r[e]
+    if not (h.all() and y.all()):
+        I = np.zeros((len(x), 2), dtype=complex)
+        N = np.zeros(len(x), dtype=int)
+        err = np.zeros(len(x))
+        k = np.flatnonzero((h != 0) & (y != 0))
+        if len(k):
+            _, I[k], N[k], err[k] = _half_segments(
+                f, frames, x[k], y[k], gap[k])
+        return e, I, N, err
+    cap = HALF_SEGMENT_MAX_NODES
+
+    def over(k):
+        return QuadratureError(
+            f"the Abel half-segment from branch point {e[k]} to x = "
+            f"{x[k]:.6g} needs more than {cap} Gauss-Legendre nodes for "
+            f"rel. tol {TOL:g}")
+
+    _reach(rho.min(axis=1), cap, over)
+    return (e,) + _sums_to_tol(
+        lambda k, n: _abel_sums(x[k], y[k], h[k], others[e[k]], n),
+        *_abel_bounds(f, frames, e, h, rho), cap, over,
+        _on_ladder)
+
+
+def abel_half_segments(f, x, y):
+    """(e, I, N, err): I[i], the integrals of (dx/y, x dx/y) from the
+    branch point f.roots[e[i]] (_abel_ends) to the affine point (x[i],
+    y[i]) along the straight segment, by N[i]-point Gauss-Legendre, and
+    err[i] bounds its error.  A y that does not square to f(x) raises
+    SheetTrackingError.
+
+    On x = e + h v^2, h = x_P - e, y = v sqrt(h) c(x) with c(x_P) = y_P /
+    sqrt(h), and c turns by prod_k sqrt((x - r_k) / (x_P - r_k)) over the
+    other roots, in principal roots, each continuous along the segment
+    unless r_k lies on it (Molin and Neurohr, Math. Comp. 88, 2019).  So
+    dx/y = 2 sqrt(h) dv / c, and I = int_{-1}^{1} h (1, x) / (y_P prod_k
+    sqrt(1 - q_k d)) dv, q_k = h / (x_P - r_k), d = 1 - v^2: an even
+    integrand analytic on [-1, 1], with no sheet chain and no endpoint
+    singularity, whose nearest singularities are +-tau_k, tau_k^2 = (r_k
+    - e) / h.  A point on a branch point, x = e or y = 0, has I = 0 and
+    N = 0.
+
+    N is fixed beforehand from the bound of _abel_bounds, rounded up onto
+    LEGENDRE_LADDER, and checked against TOL as half_segment_integrals
+    checks z_star (_sums_to_tol); all points are summed in one pass.
+    More than HALF_SEGMENT_MAX_NODES raises QuadratureError naming the
+    point, before any sum where a root lies on its segment or so near
+    that the cap cannot reach TOL (_reach).
     """
-    roots, radii = f.roots, detour_radii(f)
-    R = SERIES_FACTOR * f.scale
-    runs, x_far = [], []
-    for Q in P:
-        if abs(Q.x) >= R:
-            x_far.append(Q.x)
-        else:
-            phi = (float(np.angle(Q.x)) if abs(Q.x) > 1e-12 * f.scale
-                   else FAR_ARG)
-            x_far.append(R * np.exp(1j * phi))
-        runs.append(line_with_detours(roots, radii, Q.x, x_far[-1]))
-    pieces, y0, y_far = _continue_runs(f, runs, [Q.y for Q in P])
-    T, landed_plus = tail_integrals(f, x_far, y_far)
-    J = -T
-    if len(pieces):
-        ends = np.cumsum([len(run) for run in runs])
-        J -= [v.sum(axis=0) for v in np.split(integrate_forms(
-            f, pieces, y0, holomorphic_numerators()), ends[:-1])]
-    if f.degree == 6:
-        J = J + np.where(landed_plus[:, None], z_star, 0)
-    return J
+    x = np.asarray(x, dtype=complex)
+    y = np.asarray(y, dtype=complex)
+    frames = _branch_frames(f)
+    gap = x[:, None] - frames[0]
+    return _half_segments(f, frames, x, _sheet_values(f, x, y, gap), gap)
+
+
+def abel_images(f, x, y, branch, z_star):
+    """A(P), the integrals of (dx/y, x dx/y) from the infinite point
+    labelled 2 (the one point at infinity on degree 5) to the affine
+    points P = (x[i], y[i]), one row per point, modulo the lattice;
+    branch[j] is A at the branch point f.roots[j], and z_star the integral
+    from label 2 to label 1 (None on degree 5).
+
+    A point SERIES_FACTOR times the largest root modulus out or beyond is
+    minus its tail to infinity (tail_integrals), moved to label 2 by
+    z_star where the tail lands on label 1: a branch point's Abel image
+    and a half-segment from it can be far larger than the point's own,
+    where the roots lie well inside the unit disc.  Every other point is A(e) plus the half-segment
+    from e (abel_half_segments), all in one sum.  A y that does not
+    square to f(x) raises SheetTrackingError.
+    """
+    x = np.asarray(x, dtype=complex)
+    y = np.asarray(y, dtype=complex)
+    frames = _branch_frames(f)
+    gap = x[:, None] - frames[0]
+    y = _sheet_values(f, x, y, gap)
+    far = np.abs(x) >= frames[4]
+    if not far.any():
+        e, I, _, _ = _half_segments(f, frames, x, y, gap)
+        return branch[e] + I
+    A = np.empty((len(x), 2), dtype=complex)
+    T, landed_plus = tail_integrals(f, x[far], y[far])
+    A[far] = -T if z_star is None else np.where(landed_plus[:, None],
+                                                z_star - T, -T)
+    near = ~far
+    if near.any():
+        e, I, _, _ = _half_segments(f, frames, x[near], y[near], gap[near])
+        A[near] = branch[e] + I
+    return A
 
 
 def period_integrals(f, roots, pairs, radii):

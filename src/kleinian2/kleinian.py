@@ -38,10 +38,9 @@ from .errors import (DiagonalError, InfinitePointError, NonFiniteValueError,
                      NormalizationError, NotWeierstrassFormError,
                      OnThetaDivisorError, RootSelectionAmbiguity,
                      SignResolutionError, SpecialDivisorError)
-from .integration import (all_numerators, holomorphic_numerators,
-                          integrate_forms, path_between,
-                          point_infinity_integrals)
-from .periods import compute_period_data
+from .integration import abel_images, all_numerators, integrate_forms, \
+    path_between
+from .periods import branch_point_images, compute_period_data
 from .theta import _leibniz, theta_jet
 
 ZERO_FACTOR = 1e-6     # on-divisor guard, relative to the theta scale
@@ -61,7 +60,8 @@ class KleinianContext:
     at the origin.  Ainv and C = etaA @ Ainv are cached for the theta
     pullbacks; theta_ref sets the scale for on-divisor guards; jet_scale
     is a safe step size for finite differences in z; (S11, S12, S22) =
-    exp(z^T C z) sjk_coeffs @ (pq, E11, E12, E22)."""
+    exp(z^T C z) sjk_coeffs @ (pq, E11, E12, E22); branch_abel[j] is the
+    Abel image of the branch point f.roots[j] (branch_point_images)."""
     f: object
     pd: object
     c_S: complex
@@ -71,6 +71,7 @@ class KleinianContext:
     theta_ref: float
     jet_scale: float
     sjk_coeffs: np.ndarray
+    branch_abel: np.ndarray
 
 
 # The paper's jets of S, S11, S12, S22 at z = 0, keyed "k1k2" by the
@@ -196,7 +197,8 @@ def make_context(f, pd=None):
         arr.setflags(write=False)
     return KleinianContext(f=f, pd=pd, c_S=c_S, c_sigma=c_sigma,
                            Ainv=Ainv, C=C, theta_ref=theta_ref,
-                           jet_scale=jet_scale, sjk_coeffs=sjk_coeffs)
+                           jet_scale=jet_scale, sjk_coeffs=sjk_coeffs,
+                           branch_abel=branch_point_images(pd))
 
 
 # -- evaluation at one point or a batch --------------------------------------
@@ -644,11 +646,13 @@ def sigma_jets(ctx, z, order=2):
 # -- Abel map and inversion ---------------------------------------------------
 #
 # abel_forward and rho_lambda_eval take a Divisor or a sequence of them,
-# and jacobi_invert z of shape (2,) or (N, 2).  A batch integrates along
-# all its paths at once: the affine pairs through one path_between and
-# one integrate_forms call, the affine points of divisors that meet
-# infinity through one point_infinity_integrals call.  One divisor is a
-# batch of one.  jacobi_invert reads its divisors off the theta jets.
+# and jacobi_invert z of shape (2,) or (N, 2).  abel_forward maps every
+# affine point of a batch through one abel_images call: a half-segment
+# from a branch point, all summed in one pass, or a tail series from far
+# out, with no path.  rho_lambda_eval integrates the second-kind forms
+# too, along one concrete path per divisor: the affine pairs through one
+# path_between and one integrate_forms call.  One divisor is a batch of
+# one.  jacobi_invert reads its divisors off the theta jets.
 
 def _divisors(D):
     """(divisors, one): D as a list, and whether it was one Divisor."""
@@ -667,37 +671,31 @@ def _path_integrals(ctx, P0, P1, numerators):
 
 
 def abel_forward(ctx, D):
-    """Abel image of the degree-2 divisor D = (p) + (q): the integral of
-    (dx/y, x dx/y) from the involution image ip of p to q, along one
-    concrete path when both are affine, else A(q) - A(ip) with A from
-    inf_2: A(inf_1) = z_star, A(inf_2) = 0 (A = 0 at the one infinite
-    point of degree 5).  Unordered-pair symmetry holds modulo periods
-    because the forms are odd under the involution.  Shape (2,), or
-    (N, 2) for a sequence of N divisors."""
+    """Abel image of the degree-2 divisor D = (p) + (q), modulo the
+    lattice: z = A(q) - A(ip), ip the involution image of p, with A the
+    integral of (dx/y, x dx/y) from inf_2, A(inf_1) = z_star and A(inf_2)
+    = 0 (A = 0 at the one infinite point of degree 5).  A of an affine
+    point is A(e) of a branch point e (ctx.branch_abel) plus the straight
+    half-segment from e, or from far out a tail series (abel_images), so
+    a branch point maps to its half-period.  Unordered-pair symmetry and
+    the involution's sign hold modulo periods.  Shape (2,), an array of
+    its own, or (N, 2) for a sequence of N divisors."""
     Ds, one = _divisors(D)
-    f, pd = ctx.f, ctx.pd
-    z = np.zeros((len(Ds), 2), dtype=complex)
-    pairs, rest = [], []
-    for k, d in enumerate(Ds):
-        (pairs if d.p.is_affine and d.q.is_affine else rest).append(k)
-    if pairs:
-        z[pairs] = _path_integrals(ctx, [involution(Ds[k].p) for k in pairs],
-                                   [Ds[k].q for k in pairs],
-                                   holomorphic_numerators())
-    if rest:
-        # A at q, then at ip, of every other divisor
-        ends = ([Ds[k].q for k in rest]
-                + [involution(Ds[k].p) for k in rest])
-        A = np.zeros((len(ends), 2), dtype=complex)
-        affine = [i for i, P in enumerate(ends) if P.is_affine]
+    # A at q, then at ip, of every divisor
+    ends = [d.q for d in Ds] + [involution(d.p) for d in Ds]
+    affine = [P for P in ends if P.is_affine]
+    if affine:
+        A = abel_images(ctx.f, [P.x for P in affine], [P.y for P in affine],
+                        ctx.branch_abel, ctx.pd.z_star)
+    if len(affine) < len(ends):
+        full = np.zeros((len(ends), 2), dtype=complex)
         if affine:
-            A[affine] = point_infinity_integrals(
-                f, [ends[i] for i in affine], pd.z_star)
-        for i, P in enumerate(ends):
-            if P.infinity == 1 and pd.z_star is not None:
-                A[i] = pd.z_star
-        z[rest] = A[:len(rest)] - A[len(rest):]
-    return z[0] if one else z
+            full[[P.is_affine for P in ends]] = A
+        if ctx.pd.z_star is not None:
+            full[[P.infinity == 1 for P in ends]] = ctx.pd.z_star
+        A = full
+    n = len(Ds)
+    return A[0] - A[1] if one else A[:n] - A[n:]
 
 
 def jacobi_invert(ctx, z):

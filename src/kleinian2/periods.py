@@ -336,6 +336,26 @@ _BASE_CHARS = ((1, 1, 0, 1), (0, 1, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1),
                (1, 0, 1, 0), (1, 1, 1, 0))
 
 
+def branch_point_images(pd):
+    """A(e), the Abel integral from the base point (the infinite point
+    labelled 2, the one point at infinity on degree 5) to each branch
+    point e of pd.f.roots, modulo the lattice: shape (n, 2), read-only,
+    from one _half_period call.
+
+    theta(u - Delta) vanishes on the Abel image u(P) of every point P,
+    and Delta = K_e + u(e) for each branch point e, K_e the odd
+    half-period of _BASE_CHARS[e], e found in pd.roots: so u(e) = Delta -
+    K_e.  On a build that is the half-period of char(e) + char(inf) on
+    degree 5, and on degree 6 (1/2) A^-1 z_star plus the half-period of
+    char(e) + char(z_star_root), since the integral from one branch point
+    to another is half a loop."""
+    e = np.abs(np.subtract.outer(pd.f.roots, pd.roots)).argmin(axis=1)
+    z = (pd.Delta - _half_period(pd.Omega, np.take(_BASE_CHARS, e, axis=0))
+         ) @ pd.A.T
+    z.setflags(write=False)
+    return z
+
+
 def _certify_delta(Omega, A, samples, Delta):
     """NormalizationError unless |theta(u - Delta; Omega)| < 1e-8
     theta_ref at the normalized Abel images u = A^{-1} z of the samples

@@ -541,10 +541,11 @@ def test_lattice_residual_batch_equals_points_one_at_a_time(ctx, n):
 
 @pytest.fixture
 def abel_calls(monkeypatch):
-    """Counts of continue_sqrt, _piece_frames and integrate_01 calls, by
-    name."""
+    """Counts of continue_sqrt, _piece_frames, integrate_01 and _abel_sums
+    calls, by name."""
     calls = []
-    for name in ("continue_sqrt", "_piece_frames", "integrate_01"):
+    for name in ("continue_sqrt", "_piece_frames", "integrate_01",
+                 "_abel_sums"):
         fn = getattr(integration, name)
 
         def counted(*args, fn=fn, name=name, **kwargs):
@@ -558,58 +559,60 @@ def abel_calls(monkeypatch):
 @pytest.mark.parametrize("n", [1, 7, 20])
 def test_a_batch_is_two_continuations_and_one_quadrature(ctx, n,
                                                          abel_calls):
-    """Affine pairs: the straight runs in one continuation, the runs into
-    a branch point in at most a second, every piece in one quadrature,
-    whatever n is, and the sheet frames of the stacked pieces built once,
-    for that quadrature (continue_sqrt forms its own piece by piece).
-    jacobi_invert reads its divisors off the theta jets and integrates
-    nothing."""
+    """rho_lambda_eval's affine pairs: the straight runs in one
+    continuation, the runs into a branch point in at most a second, every
+    piece in one quadrature, whatever n is, and the sheet frames of the
+    stacked pieces built once, for that quadrature (continue_sqrt forms
+    its own piece by piece).  abel_forward of the same divisors sums
+    half-segments from branch points in one pass, with no continuation
+    and no quadrature, and jacobi_invert reads its divisors off the theta
+    jets and integrates nothing."""
     Ds = _affine_divisors(ctx, n, seed=n + 500)
     z = _points(ctx, n, seed=n + 600)
-    for run in (lambda: k2.abel_forward(ctx, Ds),
-                lambda: rho_lambda_eval(ctx, Ds)):
-        abel_calls.clear()
-        run()
-        assert abel_calls.count("continue_sqrt") <= 2
-        assert abel_calls.count("_piece_frames") == 1
-        assert abel_calls.count("integrate_01") == 1
+    rho_lambda_eval(ctx, Ds)
+    assert abel_calls.count("continue_sqrt") <= 2
+    assert abel_calls.count("_piece_frames") == 1
+    assert abel_calls.count("integrate_01") == 1
+    abel_calls.clear()
+    k2.abel_forward(ctx, Ds)
+    assert abel_calls == ["_abel_sums"]
     abel_calls.clear()
     k2.jacobi_invert(ctx, z)
     assert abel_calls == []
 
 
 def test_divisors_that_meet_infinity_share_one_fan(ctx, abel_calls):
-    """The affine points of every divisor that meets infinity go through
-    one radial fan, beside the affine pairs' paths, and their tails are
-    summed in closed form."""
+    """The affine points of every divisor, paired or meeting infinity, go
+    through one sum of half-segments from branch points, and the points
+    at infinity take z_star or 0: no continuation and no quadrature."""
     for n in (7, 20):
         abel_calls.clear()
         k2.abel_forward(ctx, _divisor_kinds(ctx, n, seed=n + 700))
-        assert abel_calls.count("continue_sqrt") <= 4
-        assert abel_calls.count("integrate_01") == 2
+        assert abel_calls == ["_abel_sums"]
 
 
 def test_divisors_that_meet_infinity_are_one_quadrature(ctx, abel_calls):
     """A batch of divisors that all meet infinity, with one or both of
-    their points affine, integrates in one quadrature: the radial fan;
-    the tails take none."""
+    their points affine, sums its affine points' half-segments in one
+    pass; the infinite points take none."""
     inf1, inf2 = k2.CurvePoint.at_infinity(1), k2.CurvePoint.at_infinity(2)
     Ds = []
     for k, D in enumerate(_affine_divisors(ctx, 9, seed=900)):
         Ds.append(k2.Divisor(D.p, (inf1, inf2)[k % 2]) if k % 3
                   else k2.Divisor(inf1, D.q))
     k2.abel_forward(ctx, Ds)
-    assert abel_calls.count("integrate_01") == 1
+    assert abel_calls == ["_abel_sums"]
 
 
 def test_points_beyond_the_series_radius_take_no_quadrature(ctx,
                                                            abel_calls):
-    """A point SERIES_FACTOR times the root scale out or beyond is its own
-    far point: its integral from infinity is its tail alone, summed as a
-    series, with no sheet chain and no quadrature.  Against the route from
-    a point Q nearer in, on the same ray, whose run out to the series
-    radius and tail are integrated as before: the two differ by the
-    integral from Q out to the point, to 1e-13."""
+    """A point SERIES_FACTOR times the largest root modulus out or beyond
+    has its Abel image from its tail alone, summed as a series, with no
+    sheet chain, no quadrature and no half-segment.  Against the image of
+    a point Q nearer in, on the same ray, a branch point's image plus a
+    half-segment, and the integral from Q out to the point along the
+    path layer's runs: the two images differ by that integral modulo the
+    lattice, to 1e-13."""
     f, roots = ctx.f, list(ctx.f.roots)
     radii = integration.detour_radii(f)
     direction = np.exp(0.4j)
@@ -618,28 +621,33 @@ def test_points_beyond_the_series_radius_take_no_quadrature(ctx,
     runs = [integration.line_with_detours(roots, radii, xs[0], x)
             for x in xs[1:]]
     pieces, y0, y_end = integration._continue_runs(f, runs, [Q.y, Q.y])
-    out = [k2.CurvePoint.affine(x, y) for x, y in zip(xs[1:], y_end)]
     ends = np.cumsum([len(run) for run in runs])
     I = np.array([v.sum(axis=0) for v in np.split(
         integration.integrate_forms(f, pieces, y0,
                                     integration.holomorphic_numerators()),
         ends[:-1])])
     abel_calls.clear()
-    J = integration.point_infinity_integrals(f, out, ctx.pd.z_star)
+    J = integration.abel_images(f, xs[1:], y_end, ctx.branch_abel,
+                                ctx.pd.z_star)
     assert abel_calls == []
-    J_Q = integration.point_infinity_integrals(f, [Q], ctx.pd.z_star)
-    assert abel_calls.count("integrate_01") == 1
-    assert np.max(np.abs(J - J_Q - I)) <= 1e-13 * np.max(np.abs(J))
+    J_Q = integration.abel_images(f, [Q.x], [Q.y], ctx.branch_abel,
+                                  ctx.pd.z_star)
+    assert abel_calls == ["_abel_sums"]
+    assert np.all(k2.nearest_lattice_residual(ctx.pd, J - J_Q - I)
+                  <= 1e-13 * np.max(np.abs(J)))
 
 
 def test_detour_radii_are_computed_once_per_root_set(ctx):
-    """A batch of affine pairs, sheet flips and divisors that meet
-    infinity asks for the detour radii in path_between and in
-    point_infinity_integrals; the root-distance matrix behind them is
-    computed once per curve."""
-    Ds = _divisor_kinds(ctx, 14, seed=1000)
+    """rho_lambda_eval's paths, straight runs and runs into a branch point
+    alike, ask for the detour radii in path_between; the root-distance
+    matrix behind them is computed once per curve.  abel_forward takes
+    no path and asks for none."""
+    Ds = _affine_divisors(ctx, 14, seed=1000)
     integration.detour_radii.cache_clear()
-    k2.abel_forward(ctx, Ds)
+    k2.abel_forward(ctx, _divisor_kinds(ctx, 14, seed=1000))
+    assert integration.detour_radii.cache_info().currsize == 0
+    rho_lambda_eval(ctx, Ds[:7])
+    rho_lambda_eval(ctx, Ds[7:])
     info = integration.detour_radii.cache_info()
     assert info.misses == 1 and info.hits >= 1
 

@@ -171,6 +171,30 @@ def test_abel_accepts_infinity(files, tmp_path):
     assert "z" in json.loads(r.stdout)
 
 
+def test_abel_maps_a_branch_point(files, tmp_path):
+    """A divisor with a point (e, 0) at a branch point e of x^6 - 1 maps,
+    paired with an affine point or with infinity: to the image the
+    library gives, A(Q) - A(e) and z_star - A(e)."""
+    f = kleinian2.validate_polynomial(G6_COEFFS)
+    ctx = kleinian2.make_context(f)
+    e = f.roots[2]
+    P = kleinian2.CurvePoint.affine(e, 0)
+    x = 1.3 + 0.2j
+    Q = kleinian2.CurvePoint.affine(x, np.sqrt(f(x)))
+    for i, other in enumerate(({"x": [x.real, x.imag],
+                                "y": [Q.y.real, Q.y.imag]},
+                               {"infinity": 1})):
+        div = tmp_path / f"div_branch{i}.json"
+        div.write_text(json.dumps(
+            {"points": [{"x": [e.real, e.imag], "y": [0, 0]}, other]}))
+        r = run_cli("abel", "--curve", files["g6"], "--divisor", str(div))
+        assert r.returncode == 0, r.stderr
+        z = np.array([complex(*c) for c in json.loads(r.stdout)["z"]])
+        want = kleinian2.abel_forward(ctx, kleinian2.Divisor(
+            P, Q if i == 0 else kleinian2.CurvePoint.at_infinity(1)))
+        assert kleinian2.nearest_lattice_residual(ctx.pd, z - want) <= 1e-13
+
+
 def test_verify_exit_codes(files):
     assert run_cli("verify", "--curve", files["w5"], "--seed", "1",
                    "--checks", "legendre,sigma_squared").returncode == 0

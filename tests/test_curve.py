@@ -1,6 +1,7 @@
 """Curve admission, branch points, and the two-point building blocks."""
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -85,6 +86,28 @@ def test_involution_flips_y_and_infinity_label():
     assert J.x == P.x and J.y == -P.y
     assert involution(k2.CurvePoint.at_infinity(1)).infinity == 2
     assert involution(k2.CurvePoint.at_infinity(2)).infinity == 1
+
+
+def test_points_and_divisors_keep_equality_hashing_and_pickling():
+    """CurvePoint and Divisor hold their fields in slots, with no
+    __dict__; equal values compare and hash equal, and a pickle round
+    trip gives an equal object, affine or at infinity."""
+    P = k2.CurvePoint.affine(0.3 + 0.1j, 1.7 - 0.2j)
+    inf = k2.CurvePoint.at_infinity(2)
+    D = k2.Divisor(P, inf)
+    for obj, same in ((P, k2.CurvePoint(x=0.3 + 0.1j, y=1.7 - 0.2j)),
+                      (inf, k2.CurvePoint(infinity=2)),
+                      (D, k2.Divisor(k2.CurvePoint.affine(0.3 + 0.1j,
+                                                          1.7 - 0.2j),
+                                     k2.CurvePoint.at_infinity(2)))):
+        assert not hasattr(obj, "__dict__")
+        assert obj == same and hash(obj) == hash(same)
+        back = pickle.loads(pickle.dumps(obj))
+        assert back == obj and hash(back) == hash(obj)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, dataclasses.fields(obj)[0].name, None)
+    assert k2.Divisor(P, inf) != k2.Divisor(inf, P)
+    assert involution(P) != P and involution(involution(P)) == P
 
 
 def test_is_special():

@@ -472,7 +472,7 @@ def _detour():
 
 def _fan(f):
     """Radial runs of several points, seeded and chained pieces in one
-    stack, as point_infinity_integrals builds them."""
+    stack, as the Abel map's radial fan once built them."""
     roots = list(f.roots)
     radii = integration.detour_radii(f)
     xs = [1.1 * np.exp(0.4j), 0.45 - 0.2j, -1.4 + 0.05j]
