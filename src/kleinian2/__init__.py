@@ -12,7 +12,7 @@ capability; the layers' helpers stay importable from their modules
 
 from .curve import (AdmissiblePolynomial, CurvePoint, Divisor,
                     validate_polynomial, xi_eval)
-from .errors import (ConvergenceError, DegenerateGeometryError, DegreeError,
+from .errors import (ConvergenceError, DegreeError,
                      DiagonalError, InfinitePointError,
                      KleinianError, NonFiniteValueError, NormalizationError,
                      NotWeierstrassFormError, OnThetaDivisorError,
@@ -37,7 +37,7 @@ __all__ = [
     "xi_eval",
     "KleinianError", "DegreeError", "RepeatedRootError", "ConvergenceError",
     "SpecialDivisorError", "InfinitePointError", "DiagonalError",
-    "DegenerateGeometryError", "QuadratureError", "SheetTrackingError",
+    "QuadratureError", "SheetTrackingError",
     "RiemannMatrixError", "TruncationRadiusError",
     "NormalizationError", "OnThetaDivisorError", "NonFiniteValueError",
     "RootSelectionAmbiguity",

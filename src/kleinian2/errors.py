@@ -39,18 +39,15 @@ class DiagonalError(KleinianError):
 
 
 # integration / periods
-class DegenerateGeometryError(KleinianError):
-    """A path endpoint coincides with a branch point."""
-
-
 class QuadratureError(KleinianError):
-    """An integral did not reach its tolerance: tanh-sinh by its last
-    level, or a Gauss rule within its node cap, whose a priori bound
-    refuses a branch point on or next to its segment."""
+    """A Gauss rule cannot sum an integral to its tolerance within its node
+    cap; its a priori bound refuses a branch point on or next to the
+    segment before any sum."""
 
 
 class SheetTrackingError(KleinianError):
-    """Square-root continuation could not be kept unambiguous."""
+    """A y does not square to f(x), or a segment's factored cofactor
+    fails its endpoint check, so the sheet is not the one given."""
 
 
 class RiemannMatrixError(KleinianError):

@@ -1,10 +1,11 @@
-"""Sheet-tracked contour integration on a hyperelliptic curve y^2 = f(x).
+"""Integration on a hyperelliptic curve y^2 = f(x) along straight
+segments from branch points.
 
 The Abel map takes no path.  An affine point P below the series radius
 is A(e) + the integral from a branch point e along the straight
 half-segment x = e + (x_P - e) v^2, on which y = v sqrt(x_P - e) c(x)
 with c fixed by y_P and turned in closed form by the other roots, so
-(dx/y, x dx/y) is an even integrand analytic in v, summed by
+n_k(x) dx/y is an even integrand analytic in v, summed by
 Gauss-Legendre at a node count fixed beforehand from a Bernstein
 ellipse, all points of a call in one pass (abel_half_segments; Molin and
 Neurohr, Math. Comp. 88, 2019).  e is the root whose ellipse is widest;
@@ -12,45 +13,23 @@ A(e) is a half-period read off the period data (periods.
 branch_point_images).  A point farther out is minus its tail to
 infinity, a series (abel_images).
 
-The path layer below serves rho_lambda_eval alone, whose second-kind
-integrals and Abel image must run along one concrete path.  A path in
-the x-plane is a stack of pieces, each parametrized over u in
-[0, 1] and stored as one row (c, R, b) of a complex (P, 3) array: a line
-x = c + R u has b = 0, and a circular arc x = c + R exp(b u), centred at
-c, has b = i dphi, its turning angle.  x_dx evaluates x and dx/du on
-every row at once, with one exp per node where the stack has an arc.
+rho_lambda_eval's integrals of all four forms (dx/y, x dx/y, r1, r2)
+run along one route per divisor, P0 -> e0 -> e1 -> P1 through the
+branch points e0 and e1 (route_integrals).  The outer legs are
+half-segments from e0 and e1, summed as the Abel map sums its own; the
+middle leg, where e0 != e1, is the straight segment between them,
+summed as a period build sums its loop segments.  At a branch point
+both sheets meet, so the legs join into a path on the curve whichever
+sheet each takes, and two routes differ by a closed loop: by a lattice
+vector in the holomorphic integrals and by minus its eta in the
+second-kind ones.  (e0, e1) is the pair whose narrowest leg, by its
+Bernstein ellipse, is widest; the segments' ellipses are read off once
+per curve (_segment_rho).
 
-The sheet is fixed in closed form before any quadrature, with no
-continuation (Molin and Neurohr, Math. Comp. 88, 2019).  A line piece,
-or an arc inside the disc about its centre, lies in a convex set that
-excludes every branch point r_j but the arc's centre, so along it
-
-    arg f(x(u)) - arg f(x(0)) = sum_j Arg((x(u) - r_j) / (x(0) - r_j))
-
-in principal arguments, and an arc's own centre root adds exactly
-Im(b) u.  Half of that is the turn of y from the piece's start value.
-Every node keeps the value +-sqrt(f(x)), formed from the roots as
-lead prod_j (x - r_j) with x - r_j = (c - r_j) + (x - c), so f carries
-no cancellation noise near a root, and takes only its sign from the
-turn; y0 sqrt(f(x)/f(x0)) would carry the start value's rounding down
-the whole path.  continue_sqrt chains the turns of the pieces of a run,
-so every piece's start and end value is known before any quadrature.
-
-A path that must change sheets at its end x1 does so by a loop about
-the branch point e nearest x1.  The loop's way back is its way out on
-the other sheet, reversed, and its full turn about e is twice the
-radial run into e, so the loop integrates to twice the run from x1 into
-e.  That run's last piece factors y = sqrt(x - e) s(x) with
-x - e = -R d1, from the quadrature's stable distance to the end.  A
-tail to infinity takes no quadrature: from SERIES_FACTOR times the
-largest root modulus out, y / x^(d/2) is +-sqrt(lead) / g(1/x) with
-g(s) = prod_j (1 - r_j s)^(-1/2), whose binomial series converges at a
-ratio of 1/SERIES_FACTOR or less, so tail_integrals sums it term by
-term.
-
-A period build takes no tanh-sinh either.  A loop segment between two
-branch points factors y = s(u) sqrt(u (1-u)) with s^2 = G(u), the
-cofactor, whose turn is the same sum over the roots off the segment, so
+A segment between two branch points, a period build's loop segment or
+a route's middle leg, factors y = s(u) sqrt(u (1-u)) with s^2 = G(u), the
+cofactor, whose turn is the sum over the roots off the segment of
+Arg((x(u) - r_j) / (x(0) - r_j)) in principal arguments, so
 n_k(x)/y dx is the Chebyshev weight times the analytic n_k(x) d/s, and
 N-point Gauss-Chebyshev sums it to an error bounded a priori from the
 Bernstein ellipse through the nearest root off the segment
@@ -63,62 +42,29 @@ factor into v^2, so the integrand is even and analytic in v and
 N-point Gauss-Legendre sums it, N again fixed a priori from a Bernstein
 ellipse (half_segment_integrals; Trefethen, Approximation Theory and
 Approximation Practice, Thm 19.3).  e is the root whose ellipse is
-widest (z_star_root).
+widest (z_star_root).  A tail to infinity takes no sum over nodes:
+from SERIES_FACTOR times the largest root modulus out, y / x^(d/2) is
++-sqrt(lead) / g(1/x) with g(s) = prod_j (1 - r_j s)^(-1/2), whose
+binomial series converges at a ratio of 1/SERIES_FACTOR or less, so
+tail_integrals sums it term by term.
 
-Every path integrand is n_k(x)/y dx on a sheet of pieces returning
-(x, dx/du, y), and integrands are stacked, not looped: all pieces of
-many paths go through one integrate_01 call, whose integrand narrows
-to the pieces still open (integrate_forms), so each is integrated at
-the level it needs alone.  Only the integrands run on
-arrays, a row per quadrature node.  Path geometry and sheet chaining
-are scalar passes in complex arithmetic: line_with_detours loops over
-the roots of one path, and continue_sqrt over the pieces of a stack,
-each with a few operations per root, where numpy calls on 5- or
-6-element arrays would cost more than the arithmetic.
-path_between chains the straight runs of all its paths in one
-continue_sqrt call and the runs into a branch point that some of them
-need, when one has several pieces, in a second.
-
-Paths read the branch points off the curve, f.roots, and their detour
-radii off detour_radii(f), once per curve.  The branch order is the
-period build's alone, naming its loop segments; line_with_detours,
-nearest_branch_point and run_into_branch_point take any root list.
+The branch order is the period build's alone, naming its loop segments;
+nearest_branch_point takes any root list.
 """
 
-import cmath
 import math
 from functools import lru_cache
 from itertools import count
 
 import numpy as np
 
-from .errors import (DegenerateGeometryError, QuadratureError,
-                     SheetTrackingError)
-from .quadrature import TOL, integrate_01
+from .errors import QuadratureError, SheetTrackingError
 
-DETOUR_FACTOR = 0.45     # detour radius as a fraction of root clearance
 SERIES_FACTOR = 2.0      # a tail is a series from this radius, times max|r|
 FAR_ARG = 0.7310         # direction of the Abel samples, and of a tail from 0
-
-
-def _steps(pieces, u):
-    """x - c and dx/du on pieces, rows (c, R, b), at parameters u, the two
-    broadcast against each other: R u where b = 0, else R exp(b u)."""
-    R, b = pieces[..., 1], pieces[..., 2]
-    if not b.any():
-        step = R * u
-        return step, R * np.ones_like(step)
-    e = np.exp(b * u)
-    line = b == 0
-    return R * np.where(line, u, e), R * np.where(line, 1.0, b * e)
-
-
-def x_dx(pieces, u):
-    """x and dx/du on pieces, rows (c, R, b), at parameters u, the two
-    broadcast against each other: x = c + R u where b = 0, else
-    c + R exp(b u)."""
-    step, dx = _steps(pieces, u)
-    return pieces[..., 0] + step, dx
+# relative tolerance on the max-norm of every integral the package sums
+# over nodes, by Gauss-Chebyshev or Gauss-Legendre
+TOL = 1e-12
 
 
 def _signed(s, psi):
@@ -126,157 +72,11 @@ def _signed(s, psi):
     return s * np.copysign(1.0, np.cos(np.angle(s) - psi))
 
 
-def _turn(d, c0, off=None):
-    """The turn of arg f from x(0) to x, shape (N, P), on each of P
-    pieces, from d = x - r, shape (n, N, P), for the roots r: the sum over
-    the roots of the principal Arg(d_j c0_j), c0 = conj(x(0) - r) of shape
-    (n, P), over the roots where off is True if off is given."""
-    a = np.angle(d * c0[:, None])
-    if off is not None:
-        a *= off[:, None]
-    return a.sum(axis=0)
-
-
-def _piece_frames(roots, pieces):
-    """(c0, off, wind, into) of a stack of pieces for _turn, roots r
-    along the first axis: c0[j, k] = conj(x_k(0) - r_j), into[j, k]
-    True where line k ends on r_j (a run into a branch point), off[j, k]
-    False there and where arc k is centred on r_j, else True, and wind[k]
-    the turning rate Im(b) of an arc centred on a root, else 0.  Arcs
-    are centred exactly on a root, as line_with_detours builds them, or
-    on none; a line ends on a root if it ends within the tolerance at
-    which line_with_detours refuses any other end point."""
-    c, R, b = pieces.T
-    arc = b != 0
-    x1 = c + R
-    tiny = 1e-13 * np.maximum(1.0, np.maximum(np.abs(c), np.abs(x1)))
-    into = ~arc & (np.abs(x1 - roots[:, None]) <= tiny)
-    c0 = np.conj(np.where(arc, x1, c) - roots[:, None])
-    off = ((c != roots[:, None]) | ~arc) & ~into
-    return c0, off, np.where(off.all(axis=0), 0.0, b.imag), into
-
-
-def continue_sqrt(f, pieces, seeds):
-    """Start and end values (y0, y1) of y = sqrt(f(x)) on each piece of a
-    stack, continued in closed form.
-
-    seeds[k] must square to f at the start of piece k and fixes its
-    sheet; None chains piece k on from the end of piece k-1 (piece 0:
-    the principal root), where piece k must start, to well within its
-    distance from the nearest root.  Each end value is +-sqrt(f(x(1))),
-    formed from the roots as piece_sheet forms it, with the sign of the
-    seed of its run turned by the turns of the run's pieces up to it.
-    One scalar pass over the pieces: the frames of _piece_frames, piece
-    by piece, with no array work but f at the seeded starts.
-    """
-    n = len(seeds)
-    if not n:
-        return np.zeros(0, dtype=complex), np.zeros(0, dtype=complex)
-    rows = pieces.tolist()
-    seeded = [k for k in range(n) if k == 0 or seeds[k] is not None]
-    f0 = f(np.array([c + R if b else c for c, R, b in
-                     (rows[k] for k in seeded)], dtype=complex)).tolist()
-    y_seed = {}
-    for k, fx in zip(seeded, f0):
-        y = cmath.sqrt(fx) if seeds[k] is None else complex(seeds[k])
-        if abs(y * y - fx) > 1e-8 * max(abs(fx), abs(y) ** 2):
-            raise SheetTrackingError(
-                f"seed^2 does not match f(x) at the start of piece {k}")
-        y_seed[k] = y
-    lead = f.leading
-    y0, y1 = [], []
-    for k, (c, R, b) in enumerate(rows):
-        if b:
-            x0, step = c + R, R * cmath.exp(b)
-        else:
-            x0, step = c, R
-            x1 = c + R
-            tiny = 1e-13 * max(1.0, abs(c), abs(x1))
-        # the turn of arg f over the piece: Arg((x(1) - r_j) conj(x(0) -
-        # r_j)) summed over the roots off the piece, and the arc's wind
-        # if one root is its centre or the line's end (no turn: b = 0)
-        turn, prod = 0.0, 1.0
-        for r in f.roots:
-            d = (c - r) + step      # x(1) - r_j, as piece_sheet has it
-            prod *= d
-            if (c == r) if b else (abs(x1 - r) <= tiny):
-                turn += b.imag
-            else:
-                turn += cmath.phase(d * (x0 - r).conjugate())
-        if k in y_seed:
-            start = y_seed[k]
-            psi = cmath.phase(start)
-        else:
-            gap = abs(x0 - x_end)
-            if gap and gap > 1e-6 * min(abs(x0 - r) for r in f.roots):
-                raise SheetTrackingError(
-                    f"piece {k} does not start where the piece before it "
-                    "ends")
-            start = y1[-1]
-        psi += 0.5 * turn
-        y = cmath.sqrt(lead * prod)
-        y0.append(start)
-        y1.append(-y if math.cos(cmath.phase(y) - psi) < 0 else y)
-        x_end = c + step
-    return np.array(y0, dtype=complex), np.array(y1, dtype=complex)
-
-
-def piece_sheet(f, pieces, y0):
-    """y on a stack of pieces: rows(k) is the sheet of pieces k, a
-    function of parameters u, shape (N, 1), and of d1 = 1 - u, computed
-    stably, returning (x, dx/du, y) at u on those pieces, y the root of
-    f(x) on the sheet that starts piece k at y0[k].  y^2 is formed as
-    lead prod_j (x - r_j) with x - r_j = (c - r_j) + (x - c), exactly
-    R exp(b u) about an arc's own centre and -R d1 at the end of a run
-    into a branch point, so f carries no cancellation noise near a root
-    and the endpoint singularity of a run into one none at all.  An
-    integrand narrows by taking rows once per narrowing."""
-    r = np.array(f.roots)[:, None]
-    c0, off, wind, into = _piece_frames(r[:, 0], pieces)
-    phase0 = np.angle(y0)
-    lead = f.leading
-    offset = pieces[:, 0] - r      # c - r_j, (n, P)
-
-    def rows(k):
-        p, c, o, w, ph = pieces[k], c0[:, k], off[:, k], wind[k], phase0[k]
-        a, own = offset[:, k][:, None], into[:, k][:, None]
-        winds, dives = w.any(), own.any()
-
-        def sheet(u, d1):
-            step, dx = _steps(p, u)
-            d = a + step
-            if dives:
-                d = np.where(own, -p[:, 1] * d1, d)
-            if winds or dives:
-                turn = _turn(d, c, o) + w * u
-            else:
-                turn = _turn(d, c)
-            y = np.sqrt(lead * d.prod(axis=0))
-            return p[:, 0] + step, dx, _signed(y, ph + 0.5 * turn)
-
-        return sheet
-
-    return rows
-
-
-def integrate_forms(f, pieces, y0, numerators):
-    """Integrals of n_k(x)/y dx over each piece of a stack, one row per
-    piece, piece k on the sheet that starts it at y0[k]; all pieces share
-    one quadrature, and the integrand narrows to the pieces still open."""
-    if not len(pieces):
-        return np.zeros((0, len(numerators)), dtype=complex)
-    rows = piece_sheet(f, pieces, y0)
-    live = [rows(np.arange(len(pieces)))]
-
-    def narrow(k):
-        live[0] = rows(k)
-
-    def g(u, d0, d1):
-        """n_k(x)/y dx/du at u, shape (len(u), open pieces, k)."""
-        x, dx, y = live[0](u[:, None], d1[:, None])
-        return np.stack([nf(x) * dx / y for nf in numerators], axis=2)
-
-    return integrate_01(g, narrow)[0]
+def _turn(d, c0):
+    """The turn of arg f from x0 to x, shape (N,), from d = x - r, shape
+    (n, N), for the roots r: the sum over the roots of the principal
+    Arg(d_j c0_j), c0 = conj(x0 - r) of shape (n,)."""
+    return np.angle(d * c0[:, None]).sum(axis=0)
 
 
 def holomorphic_numerators():
@@ -307,155 +107,20 @@ def all_numerators(f):
     return holomorphic_numerators() + second_kind_numerators(f)
 
 
-@lru_cache(maxsize=64)
-def detour_radii(f):
-    """Detour disc radius of each of f.roots: a fixed fraction of its
-    distance to the nearest other root.  Computed once per curve: every
-    path of a curve asks for the same radii."""
-    r = np.array(f.roots)
-    d = np.abs(r[:, None] - r)
-    np.fill_diagonal(d, np.inf)
-    radii = DETOUR_FACTOR * d.min(axis=1)
-    radii.setflags(write=False)
-    return radii
-
-
-def line_with_detours(roots, radii, x0, x1, into=None):
-    """Pieces for a straight run x0 -> x1 with minor arcs around any root
-    whose detour disc the segment enters.  Disc radii are the roots'
-    radii, shrunk so the endpoints stay outside.  A run into the branch
-    point roots[into] ends at x1 = roots[into], which gets no disc."""
-    x0 = complex(x0)
-    x1 = complex(x1)
-    d = x1 - x0
-    L = abs(d)
-    tiny = 1e-13 * max(1.0, abs(x0), abs(x1))
-    if L <= tiny:
-        return np.zeros((0, 3), dtype=complex)
-    # the line enters disc k for t in tm -+ half, if disc > 0; endpoints
-    # are outside every disc by the radius cap, so such an interval that
-    # meets (0, 1) is interior
-    hits = []
-    for k, (r, radius) in enumerate(zip(map(complex, roots),
-                                        map(float, radii))):
-        if k == into:
-            continue
-        w = r - x0
-        a0 = abs(w)
-        near = min(a0, abs(r - x1))
-        if near <= tiny:
-            raise DegenerateGeometryError(
-                "path endpoint coincides with a branch point")
-        rho = min(radius, 0.8 * near)
-        tm = (d.conjugate() * w).real / L ** 2
-        disc = tm * tm - (a0 ** 2 - rho ** 2) / L ** 2
-        if disc > 0:
-            half = math.sqrt(disc)
-            if tm + half > 0 and tm - half < 1:
-                hits.append((tm - half, tm + half, r, rho))
-    if not hits:
-        return np.array([[x0, d, 0.0]])
-    hits.sort(key=lambda hit: hit[0])
-    arcs = []
-    for t_in, t_out, r, rho in hits:
-        a_in = x0 + t_in * d - r
-        dphi = cmath.phase((x0 + t_out * d - r) / a_in)
-        if abs(abs(dphi) - math.pi) < 1e-12:
-            dphi = math.pi
-        arcs.append((r, cmath.rect(rho, cmath.phase(a_in)), 1j * dphi))
-    # the lines meet the arcs at their own end points: x0 + t_in d lies
-    # off the circle by the rounding of t_in (1e-11 was seen), which is
-    # large against a small detour radius, where |f| is small; an arc
-    # starts at c + R exactly, and ends where x_dx puts it
-    ends = x_dx(np.array(arcs), 1.0)[0].tolist()
-    pieces, start = [], x0
-    for arc, arc_end in zip(arcs, ends):
-        arc_start = arc[0] + arc[1]
-        if abs(arc_start - start) > tiny:
-            pieces.append((start, arc_start - start, 0))
-        pieces.append(arc)
-        start = arc_end
-    if abs(x1 - start) > tiny:
-        pieces.append((start, x1 - start, 0))
-    return np.array(pieces, dtype=complex)
+def _majorant(f, X, n):
+    """max_k n_k+(X) over the first n numerators of all_numerators(f),
+    n_k+ the numerator with its coefficients' moduli: a bound on every
+    |n_k(x)| for |x| <= X."""
+    size = np.maximum(1.0, X)
+    if n > 2:
+        size = np.maximum.reduce(
+            [size] + [m(X) for m in _second_kind(np.abs(f.coeffs))])
+    return size
 
 
 def nearest_branch_point(roots, x):
     """Index of the branch point nearest x, where a run from x ends."""
     return int(np.argmin(np.abs(np.asarray(roots, dtype=complex) - x)))
-
-
-def run_into_branch_point(roots, radii, x):
-    """Pieces of the run from x into its nearest branch point e, with
-    detours about the others.  Twice its integral, on the sheet it
-    starts on, is that of the sheet-flip loop about e from x: the loop's
-    way back is its way out on the other sheet, reversed, and its full
-    turn about e is twice the radial run into e."""
-    e = nearest_branch_point(roots, x)
-    return line_with_detours(roots, radii, x, roots[e], e)
-
-
-def _continue_runs(f, runs, y0):
-    """Chains of x-plane pieces, run i from y0[i], in one continue_sqrt
-    call, or none if no run has a piece: (pieces, starts, y_end), the
-    runs stacked, each piece's start value, and each run's end value
-    (y0[i] for a run of no pieces)."""
-    pieces = np.concatenate(runs)
-    y_end = np.array(y0, dtype=complex)
-    seeds, last, full = [], [], []
-    for i, run in enumerate(runs):
-        if len(run):
-            seeds += [y0[i]] + [None] * (len(run) - 1)
-            last.append(len(seeds) - 1)
-            full.append(i)
-    if not seeds:
-        return pieces, np.zeros(0, dtype=complex), y_end
-    starts, ends = continue_sqrt(f, pieces, seeds)
-    y_end[full] = ends[last]
-    return pieces, starts, y_end
-
-
-def path_between(f, P0, P1):
-    """Paths from the affine points P0[i] to P1[i] as (pieces, y0, path,
-    weight): each is the straight run with detours, plus, when that run
-    lands on -y1, a sheet flip; y0 holds each piece's start value,
-    path[k] the index of the path piece k belongs to and weight[k] its
-    multiplicity.  The flip is the loop about the branch point nearest
-    x1, from -y1 back to y1, which integrates to twice the run from x1
-    into that point (run_into_branch_point): the run's pieces, of weight
-    2.  The straight runs of all paths are chained in one continue_sqrt
-    call, and the runs into a branch point that are needed in a
-    second."""
-    roots, radii = f.roots, detour_radii(f)
-    x1 = np.array([P.x for P in P1], dtype=complex)
-    y1 = np.array([P.y for P in P1], dtype=complex)
-    f1 = f(x1)
-    miss = np.abs(y1 * y1 - f1) > 1e-8 * np.maximum(np.abs(f1),
-                                                     np.abs(y1) ** 2)
-    if miss.any():
-        raise SheetTrackingError(
-            f"target y = {y1[np.argmax(miss)]:.6g} does not square to f(x)")
-    runs = [line_with_detours(roots, radii, a.x, b)
-            for a, b in zip(P0, x1)]
-    pieces, y0, y_end = _continue_runs(f, runs, [P.y for P in P0])
-    path = np.repeat(np.arange(len(runs)), [len(run) for run in runs])
-    weight = np.ones(len(pieces))
-    flip = np.flatnonzero(np.abs(y_end - y1) > np.abs(y_end + y1))
-    if len(flip):
-        dives = [run_into_branch_point(roots, radii, x1[i]) for i in flip]
-        # seeded at -y1 itself, not at the run's end value, which is
-        # sqrt(f) at the rounded end of the run; a run of one piece
-        # starts at its seed and needs no chain
-        lens = np.array([len(d) for d in dives])
-        if lens.max() <= 1:
-            dive, y0_dive = np.concatenate(dives), -y1[flip][lens == 1]
-        else:
-            dive, y0_dive, _ = _continue_runs(f, dives, -y1[flip])
-        pieces = np.concatenate([pieces, dive])
-        y0 = np.concatenate([y0, y0_dive])
-        path = np.concatenate([path, np.repeat(flip, lens)])
-        weight = np.concatenate([weight, np.full(len(dive), 2.0)])
-    return pieces, y0, path, weight
 
 
 # -- factored branch-point segments -----------------------------------------
@@ -560,9 +225,7 @@ def _segment_bounds(f, frames, tau, rho):
     # prod_k |t - tau_k| on E_r, and at the midpoint t = 0, in the last row
     gaps = np.vstack([_gaps(rho, R).prod(axis=1), np.abs(tau).prod(axis=0)])
     X = np.vstack([mid + 0.5 * half * (r + 1.0 / r), mid])
-    sizes = np.maximum.reduce([np.ones_like(X), X] + [
-        n(X) for n in _second_kind(np.abs(f.coeffs))])
-    log_M = np.log(sizes) - 0.5 * (np.log(abs(f.leading) * gaps)
+    log_M = np.log(_majorant(f, X, 4)) - 0.5 * (np.log(abs(f.leading) * gaps)
                                    + len(others) * np.log(half))
     return (math.log(2 * math.pi) + log_M[:-1], log_r,
             math.log(math.pi) + log_M[-1])
@@ -637,9 +300,8 @@ def segment_period_integrals(f, roots, pairs):
     N is fixed beforehand from that bound at SEGMENT_AIM times the
     integral's size guessed at the midpoint, and all segments are summed
     in one sheet call.  The bound is then checked against TOL times each
-    row's own max-norm, as integrate_01 checks its change; a segment
-    that fails is summed again at the N that the bound now asks for.  A
-    segment asking for more than SEGMENT_MAX_NODES raises QuadratureError
+    row's own max-norm (_sums_to_tol); a segment that fails is summed
+    again at the N that the bound now asks for.  A segment asking for more than SEGMENT_MAX_NODES raises QuadratureError
     naming it, before any sum where a root lies on it or so near that
     the cap cannot reach TOL (_reach).  A branch ordering whose segments
     cross is not refused here: its periods fail the certificate.
@@ -650,7 +312,7 @@ def segment_period_integrals(f, roots, pairs):
 
     def over(p):
         return QuadratureError(
-            f"loop segment {p}, from branch point {pairs[p][0]} to "
+            f"segment {p}, from branch point {pairs[p][0]} to "
             f"{pairs[p][1]}, needs more than {SEGMENT_MAX_NODES} "
             f"Gauss-Chebyshev nodes for rel. tol {TOL:g}")
 
@@ -672,8 +334,7 @@ def _sums_to_tol(sums, log_K, log_r, log_guess, cap, over, fit=None):
     N is fixed beforehand from the bound at SEGMENT_AIM times the
     integral's guessed size, exp(log_guess), and all integrals are summed
     in one call.  The bound is then checked against TOL times each row's
-    own max-norm, as integrate_01 checks its change; a row that fails is
-    summed again at the N that the bound now asks for, and a row asking
+    own max-norm; a row that fails is summed again at the N that the bound now asks for, and a row asking
     for more than cap nodes raises over(k) of the first such k."""
     fit = fit or (lambda n: n)
     N = fit(np.minimum(_node_counts(log_K, log_r,
@@ -963,12 +624,12 @@ def _branch_frames(f):
 
 def _sheet_values(f, x, y, gap):
     """y at the points (x[i], y[i]) formed from gap[i] = x[i] - f.roots as
-    +-sqrt(lead prod_j (x - r_j)), as piece_sheet forms it, with the sign
-    of the given y, which fixes the sheet and no more: a y taken from f's
-    coefficient form carries its rounding, relatively large next to a
-    root.  A branch point takes y = 0.  SheetTrackingError unless every
-    y[i]^2 is that f(x[i]) to 1e-8 of the larger of |f| and |y|^2, plus
-    1e-14 |lead| (|x| + f.scale)^n for that rounding."""
+    +-sqrt(lead prod_j (x - r_j)), with the sign of the given y, which
+    fixes the sheet and no more: a y taken from f's coefficient form
+    carries its rounding, relatively large next to a root.  A branch
+    point takes y = 0.  SheetTrackingError unless every y[i]^2 is that
+    f(x[i]) to 1e-8 of the larger of |f| and |y|^2, plus 1e-14 |lead|
+    (|x| + f.scale)^n for that rounding."""
     lead = f.leading
     fx = lead * gap.prod(axis=1)
     y2 = y * y
@@ -981,6 +642,32 @@ def _sheet_values(f, x, y, gap):
     return root * np.sign((root * y.conj()).real)
 
 
+def _points(f, x, y):
+    """(x, y, frames, gap) of affine points: x and y as arrays, y formed
+    by _sheet_values, frames = _branch_frames(f) and gap[i] = x[i] -
+    f.roots."""
+    x = np.asarray(x, dtype=complex)
+    frames = _branch_frames(f)
+    gap = x[:, None] - frames[0]
+    y = _sheet_values(f, x, np.asarray(y, dtype=complex), gap)
+    return x, y, frames, gap
+
+
+def _point_rho(f, steps, gap):
+    """(rho, snap): rho[i, j, k], the Bernstein parameter in v of the
+    singularity that the root others[j, k] puts near the half-segment
+    from root j to x[i] (abel_half_segments), gap[i] = x[i] - f.roots and
+    steps from _branch_frames, and snap[i] the index of the root within
+    BRANCH_SNAP times f.scale of x[i], from which alone it integrates,
+    else -1.  tau_k^2 = (r_k - r_j) / (x_i - r_j); a point on root j
+    takes it, and its row j means nothing."""
+    rho = _bernstein_rho(np.sqrt(
+        steps / np.where(gap == 0, 1.0, gap)[:, :, None]))
+    dist = np.abs(gap)
+    near = dist.argmin(axis=1)
+    return rho, np.where(dist.min(axis=1) <= BRANCH_SNAP * f.scale, near, -1)
+
+
 def _abel_ends(f, steps, gap):
     """(e, rho): the index in f.roots of the branch point e from which
     each point x[i] is integrated, gap[i] = x[i] - f.roots and steps from
@@ -989,47 +676,51 @@ def _abel_ends(f, steps, gap):
     (abel_half_segments).  e is the nearest root within BRANCH_SNAP times
     f.scale, else the root whose narrowest ellipse is widest, ties to the
     first in f.roots."""
-    dist = np.abs(gap)
-    # rho[i, j, k]: tau_k^2 = (r_k - r_j) / (x_i - r_j) from root j; a
-    # point on root j takes it, and its row j is not read
-    rho = _bernstein_rho(np.sqrt(
-        steps / np.where(gap == 0, 1.0, gap)[:, :, None]))
-    e = np.where(dist.min(axis=1) <= BRANCH_SNAP * f.scale,
-                 dist.argmin(axis=1), rho.min(axis=2).argmax(axis=1))
+    rho, snap = _point_rho(f, steps, gap)
+    e = np.where(snap >= 0, snap, rho.min(axis=2).argmax(axis=1))
     return e, rho[np.arange(len(e)), e]
 
 
-def _abel_bounds(f, frames, e, h, rho):
-    """(log_K, log_r, log_guess) of the half-segments from f.roots[e[i]]
-    to x[i] = f.roots[e[i]] + h[i], for _node_counts, in the form
-    _segment_bounds gives them, one column per point; rho from _abel_ends.
+def _abel_bounds(f, frames, e, h, rho, more=()):
+    """(log_K, log_r, log_guess) of the half-segments of (1, x) and the
+    numerators more (_abel_sums) from f.roots[e[i]] to x[i] = f.roots[e[i]]
+    + h[i], for _node_counts, in the form _segment_bounds gives them, one
+    column per point; rho from _abel_ends.
 
-    In v the integrand sqrt(h) (1, x) / c has c^2 = lead prod_k (x - r_k)
+    In v the integrand sqrt(h) n_k(x) / c has c^2 = lead prod_k (x - r_k)
     = lead h^(n-1) prod_k (v - tau_k)(v + tau_k), n the degree, so on the
     Bernstein ellipse E_r inside the narrowest E_rho_k, |c| >= sqrt|lead|
-    |h|^((n-1)/2) prod_k g_k, g_k = _gaps(rho_k, r), and |x| <= |e| + |h|
-    V^2 with V = (r + 1/r)/2, which bound it by M; K = 64 M r^2 / (15 (r^2
-    - 1)) is Gauss-Legendre's (_node_counts).  log_guess is log(2 |g(0)|),
-    the integrand's size at x = e over the interval: the size of the
-    integral that the node count aims at before there is one."""
+    |h|^((n-1)/2) prod_k g_k, g_k = _gaps(rho_k, r), and |x| <= X = |e| +
+    |h| V^2 with V = (r + 1/r)/2, where max_k n_k+(X) (_majorant) bounds
+    the numerators, which bound it by M; K = 64 M r^2 / (15 (r^2 - 1)) is
+    Gauss-Legendre's (_node_counts).  log_guess is log(2 |g(0)|), the
+    integrand's size at x = e over the interval (log_size, with the
+    numerators more sized as well): the size of the integral that the
+    node count aims at before there is one."""
     r, _, _, log_size, _ = frames
+    n = 2 + len(more)
     log_r = _ELLIPSES * np.log(rho.min(axis=1))
     R = np.exp(log_r)
     size = np.abs(h)
     log_h = np.log(size)
     X = np.abs(r[e]) + size * (0.5 * (R + 1.0 / R)) ** 2
-    log_K = (np.log(64.0 / 15.0 * np.maximum(1.0, X) / (1.0 - R ** -2.0))
+    log_K = (np.log(64.0 / 15.0 * _majorant(f, X, n) / (1.0 - R ** -2.0))
              - np.log(_gaps(rho[None], R[..., None])).sum(axis=2)
              + (1.0 - 0.5 * f.degree) * log_h - 0.5 * math.log(abs(f.leading)))
-    return log_K, log_r, log_size[e] + 0.5 * log_h
+    log_guess = log_size[e] + 0.5 * log_h
+    if more:
+        a = np.abs(r[e])
+        log_guess = log_guess + np.log(_majorant(f, a, n) / np.maximum(1.0, a))
+    return log_K, log_r, log_guess
 
 
-def _abel_sums(x, y, h, others, N):
-    """Row i: the N[i]-point Gauss-Legendre sum of the half-segment from
-    x[i] - h[i] to (x[i], y[i]), others[i] the other roots, over the
-    positive nodes of every point in one pass: (h / y) sum w (1, x) /
-    prod_k sqrt(1 - q_k d), d = 1 - v^2, x = x_P - h d and q_k = h / (x_P -
-    r_k), in principal roots."""
+def _abel_sums(x, y, h, others, N, more=()):
+    """Row i: the N[i]-point Gauss-Legendre sums of the numerators 1, x
+    and those of more on the half-segment from x[i] - h[i] to (x[i],
+    y[i]), others[i] the other roots, over the positive nodes of every
+    point in one pass: (h / y) sum w n(x) / prod_k sqrt(1 - q_k d), d = 1
+    - v^2, x = x_P - h d and q_k = h / (x_P - r_k), in principal roots.
+    x's sum is x_P s0 - h s1 from the sums s0 and s1 of 1 and d."""
     d, w = (np.concatenate(a) for a in
             zip(*(_legendre_nodes(int(n)) for n in N)))
     half = N // 2
@@ -1039,36 +730,42 @@ def _abel_sums(x, y, h, others, N):
     starts = np.cumsum(half) - half
     s0, s1 = np.add.reduceat(g, starts), np.add.reduceat(g * d, starts)
     c = h / y
-    return np.array([c * s0, c * (x * s0 - h * s1)]).T
+    sums = [c * s0, c * (x * s0 - h * s1)]
+    if more:
+        xs = x[at] - h[at] * d
+        sums += [c * np.add.reduceat(g * nf(xs), starts) for nf in more]
+    return np.array(sums).T
 
 
-def _half_segments(f, frames, x, y, gap):
-    """(e, I, N, err) of abel_half_segments, from gap[i] = x[i] -
-    f.roots and frames = _branch_frames(f)."""
-    r, others, steps, _, _ = frames
-    e, rho = _abel_ends(f, steps, gap)
+def _half_segments(f, frames, x, y, e, rho, more=()):
+    """(I, N, err) of the half-segments of dx/y, x dx/y and the forms of
+    the numerators more, one column each, from the branch points
+    f.roots[e[i]] to the points (x[i], y[i]), y from _sheet_values and
+    rho[i] the ellipses of _abel_ends of point i from e[i], frames =
+    _branch_frames(f): as abel_half_segments describes them."""
+    r, others = frames[:2]
     h = x - r[e]
     if not (h.all() and y.all()):
-        I = np.zeros((len(x), 2), dtype=complex)
+        I = np.zeros((len(x), 2 + len(more)), dtype=complex)
         N = np.zeros(len(x), dtype=int)
         err = np.zeros(len(x))
         k = np.flatnonzero((h != 0) & (y != 0))
         if len(k):
-            _, I[k], N[k], err[k] = _half_segments(
-                f, frames, x[k], y[k], gap[k])
-        return e, I, N, err
+            I[k], N[k], err[k] = _half_segments(f, frames, x[k], y[k], e[k],
+                                                rho[k], more)
+        return I, N, err
     cap = HALF_SEGMENT_MAX_NODES
 
     def over(k):
         return QuadratureError(
-            f"the Abel half-segment from branch point {e[k]} to x = "
-            f"{x[k]:.6g} needs more than {cap} Gauss-Legendre nodes for "
-            f"rel. tol {TOL:g}")
+            f"the half-segment from branch point {e[k]} to x = {x[k]:.6g} "
+            f"needs more than {cap} Gauss-Legendre nodes for rel. tol "
+            f"{TOL:g}")
 
     _reach(rho.min(axis=1), cap, over)
-    return (e,) + _sums_to_tol(
-        lambda k, n: _abel_sums(x[k], y[k], h[k], others[e[k]], n),
-        *_abel_bounds(f, frames, e, h, rho), cap, over,
+    return _sums_to_tol(
+        lambda k, n: _abel_sums(x[k], y[k], h[k], others[e[k]], n, more),
+        *_abel_bounds(f, frames, e, h, rho, more), cap, over,
         _on_ladder)
 
 
@@ -1097,11 +794,9 @@ def abel_half_segments(f, x, y):
     point, before any sum where a root lies on its segment or so near
     that the cap cannot reach TOL (_reach).
     """
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    frames = _branch_frames(f)
-    gap = x[:, None] - frames[0]
-    return _half_segments(f, frames, x, _sheet_values(f, x, y, gap), gap)
+    x, y, frames, gap = _points(f, x, y)
+    e, rho = _abel_ends(f, frames[2], gap)
+    return (e,) + _half_segments(f, frames, x, y, e, rho)
 
 
 def abel_images(f, x, y, branch, z_star):
@@ -1119,24 +814,87 @@ def abel_images(f, x, y, branch, z_star):
     from e (abel_half_segments), all in one sum.  A y that does not
     square to f(x) raises SheetTrackingError.
     """
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    frames = _branch_frames(f)
-    gap = x[:, None] - frames[0]
-    y = _sheet_values(f, x, y, gap)
+    x, y, frames, gap = _points(f, x, y)
     far = np.abs(x) >= frames[4]
     if not far.any():
-        e, I, _, _ = _half_segments(f, frames, x, y, gap)
-        return branch[e] + I
+        e, rho = _abel_ends(f, frames[2], gap)
+        return branch[e] + _half_segments(f, frames, x, y, e, rho)[0]
     A = np.empty((len(x), 2), dtype=complex)
     T, landed_plus = tail_integrals(f, x[far], y[far])
     A[far] = -T if z_star is None else np.where(landed_plus[:, None],
                                                 z_star - T, -T)
     near = ~far
     if near.any():
-        e, I, _, _ = _half_segments(f, frames, x[near], y[near], gap[near])
-        A[near] = branch[e] + I
+        e, rho = _abel_ends(f, frames[2], gap[near])
+        A[near] = branch[e] + _half_segments(f, frames, x[near], y[near],
+                                             e, rho)[0]
     return A
+
+
+# -- routes through branch points -------------------------------------------
+
+@lru_cache(maxsize=64)
+def _segment_rho(f):
+    """rho[j, k]: the narrowest Bernstein ellipse of the straight segment
+    between the roots r_j and r_k of f, through the other roots, as
+    segment_period_integrals finds it; inf on the diagonal.  Read-only,
+    and computed once per curve."""
+    n = len(f.roots)
+    j, k = np.triu_indices(n, 1)
+    bi, d, others = _segment_frames(f.roots, list(zip(j, k)))
+    rho = np.full((n, n), np.inf)
+    rho[j, k] = rho[k, j] = _bernstein_rho(
+        2.0 * (others - bi) / d - 1.0).min(axis=0)
+    rho.setflags(write=False)
+    return rho
+
+
+def route_integrals(f, x0, y0, x1, y1):
+    """(e0, e1, I): I[i], the integrals of (dx/y, x dx/y, r1, r2) from
+    the affine point (x0[i], y0[i]) to (x1[i], y1[i]) along the route
+    through the branch points f.roots[e0[i]] and f.roots[e1[i]]: minus
+    the half-segment from e0 to the first point, the segment from e0 to
+    e1 on the sheet of segment_sheet, none where e0 = e1, and the
+    half-segment from e1 to the second point.  The legs meet at branch
+    points, where both sheets do, so whichever sheet each leg takes, the
+    route is a path on the curve.
+
+    With rho_P[j] the narrowest ellipse of P's half-segment from root j
+    (_point_rho), a point within BRANCH_SNAP times f.scale of a root
+    taking that root alone, (e0, e1) maximizes min(rho_P0[e0],
+    rho_P1[e1], _segment_rho(f)[e0, e1]), ties to the first pair in
+    f.roots' order: a divisor's route is its own, whatever the batch.
+    Choosing each point's root alone could put a third root on the
+    segment between them.  The half-segments of every point are summed
+    in one pass (abel_half_segments), and the distinct segments in one
+    segment_period_integrals call.  A y that does not square to f(x)
+    raises SheetTrackingError, and a leg that no rule sums within its
+    node cap QuadratureError, naming it.
+    """
+    n = len(x0)
+    x, y, frames, gap = _points(f, np.concatenate([x0, x1]),
+                                np.concatenate([y0, y1]))
+    rho, snap = _point_rho(f, frames[2], gap)
+    width = rho.min(axis=2)
+    snapped = np.flatnonzero(snap >= 0)
+    width[snapped] = 0.0
+    width[snapped, snap[snapped]] = np.inf
+    m = len(f.roots)
+    score = np.minimum(np.minimum(width[:n, :, None], width[n:, None, :]),
+                       _segment_rho(f))
+    pair = score.reshape(n, m * m).argmax(axis=1)
+    e0, e1 = np.divmod(pair, m)
+    e = np.concatenate([e0, e1])
+    I = _half_segments(f, frames, x, y, e, rho[np.arange(2 * n), e],
+                       second_kind_numerators(f))[0]
+    I = I[n:] - I[:n]
+    cross = np.flatnonzero(e0 != e1)
+    if len(cross):
+        pairs, at = np.unique(pair[cross], return_inverse=True)
+        W = segment_period_integrals(f, f.roots,
+                                     list(zip(*np.divmod(pairs, m))))[0]
+        I[cross] += W[at]
+    return e0, e1, I
 
 
 def period_integrals(f, roots, pairs, radii):
@@ -1159,8 +917,7 @@ def period_integrals(f, roots, pairs, radii):
     - r_j)).  On degree 6 the tails are negated, with every y, if the
     outermost lands on label 1, so that every tail lands on label 2.
     z_star is the half-segment into the branch point z_star_root(f), by
-    Gauss-Legendre in the chart s = 1/x (half_segment_integrals): a
-    build takes no tanh-sinh quadrature and chains no sheet.
+    Gauss-Legendre in the chart s = 1/x (half_segment_integrals).
     """
     W = segment_period_integrals(f, roots, pairs)[0]
     xs = np.asarray(radii) * np.exp(1j * FAR_ARG)

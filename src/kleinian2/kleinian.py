@@ -38,10 +38,9 @@ from .errors import (DiagonalError, InfinitePointError, NonFiniteValueError,
                      NormalizationError, NotWeierstrassFormError,
                      OnThetaDivisorError, RootSelectionAmbiguity,
                      SignResolutionError, SpecialDivisorError)
-from .integration import abel_images, all_numerators, integrate_forms, \
-    path_between
-from .periods import branch_point_images, compute_period_data
-from .theta import _leibniz, theta_jet
+from .integration import abel_images, route_integrals
+from .periods import branch_point_images, compute_period_data, lattice_vector
+from .theta import _leibniz, lattice_reduce, theta_jet
 
 ZERO_FACTOR = 1e-6     # on-divisor guard, relative to the theta scale
 # the logs of the least normal double and of the largest
@@ -650,24 +649,13 @@ def sigma_jets(ctx, z, order=2):
 # affine point of a batch through one abel_images call: a half-segment
 # from a branch point, all summed in one pass, or a tail series from far
 # out, with no path.  rho_lambda_eval integrates the second-kind forms
-# too, along one concrete path per divisor: the affine pairs through one
-# path_between and one integrate_forms call.  One divisor is a batch of
-# one.  jacobi_invert reads its divisors off the theta jets.
+# too, along one route per divisor through two branch points, every
+# route of a batch in one route_integrals call.  One divisor is a batch
+# of one.  jacobi_invert reads its divisors off the theta jets.
 
 def _divisors(D):
     """(divisors, one): D as a list, and whether it was one Divisor."""
     return ([D], True) if isinstance(D, Divisor) else (list(D), False)
-
-
-def _path_integrals(ctx, P0, P1, numerators):
-    """Integrals of the forms n_k(x)/y dx from each P0[i] to P1[i], all
-    affine, one row per pair, along the paths of path_between."""
-    pieces, y0, path, weight = path_between(ctx.f, P0, P1)
-    vals = integrate_forms(ctx.f, pieces, y0, numerators)
-    # W[i, k] is piece k's multiplicity on path i
-    W = np.zeros((len(P0), len(pieces)))
-    W[path, np.arange(len(pieces))] = weight
-    return W @ vals
 
 
 def abel_forward(ctx, D):
@@ -735,12 +723,20 @@ def jacobi_invert(ctx, z):
 
 def rho_lambda_eval(ctx, D):
     """(rho1, rho2, lam, z) for a non-special affine divisor with distinct
-    x-coordinates: second-kind integrals along one concrete Abel path,
-    the chord slope lam = (y_p - y_q)/(x_p - x_q), and the Abel image z
-    of that same path, so the first-derivative identities hold exactly
-    as stated.  For a sequence of N divisors rho1, rho2 and lam have
-    shape (N,) and z (N, 2); the first divisor that is not admissible
-    raises its error."""
+    x-coordinates: the second-kind integrals from ip to q along one route
+    through branch points (integration.route_integrals), the chord slope
+    lam = (y_p - y_q)/(x_p - x_q), and the Abel image z of that same
+    route, so the first-derivative identities hold exactly as stated.
+    For a sequence of N divisors rho1, rho2 and lam have shape (N,) and
+    z (N, 2); the first divisor that is not admissible raises its error.
+
+    z is abel_forward(D) moved by the lattice vector L(k) that takes it
+    onto the route's own holomorphic integrals: where the points lie far
+    outside the roots, the route's legs are far larger than z and lose
+    digits as they cancel to it.  Any other route differs by a closed
+    loop, by some L(k') in z and -eta(k') in rho together, so the
+    identities hold on either.  A point on a branch point, y = 0, takes
+    a leg of length 0."""
     Ds, one = _divisors(D)
     f, scale = ctx.f, ctx.f.scale
     for d in Ds:
@@ -752,12 +748,17 @@ def rho_lambda_eval(ctx, D):
                 "divisor is special; second-kind integrals diverge")
         if abs(d.p.x - d.q.x) < DIAG_FACTOR * scale:
             raise DiagonalError("divisor points share an x-coordinate")
-    vals = _path_integrals(ctx, [involution(d.p) for d in Ds],
-                           [d.q for d in Ds], all_numerators(f))
+    ip = [involution(d.p) for d in Ds]
+    _, _, vals = route_integrals(f, [P.x for P in ip], [P.y for P in ip],
+                                 [d.q.x for d in Ds], [d.q.y for d in Ds])
+    z = abel_forward(ctx, Ds)
+    n, m, _ = lattice_reduce(ctx.pd.Omega, np.linalg.solve(
+        ctx.pd.A, (vals[:, :2] - z).T).T)
+    z = z + lattice_vector(ctx.pd, np.concatenate([n, m], axis=1))
     lam = [(d.p.y - d.q.y) / (d.p.x - d.q.x) for d in Ds]
     if one:
-        return vals[0, 2], vals[0, 3], lam[0], vals[0, :2]
-    return vals[:, 2], vals[:, 3], np.array(lam), vals[:, :2]
+        return vals[0, 2], vals[0, 3], lam[0], z[0]
+    return vals[:, 2], vals[:, 3], np.array(lam), z
 
 
 # -- bundled evaluation -------------------------------------------------------

@@ -23,10 +23,9 @@ vanishes on the Abel images u of ABEL_SAMPLES points.  The points lie
 on the ray of argument integration.FAR_ARG, from
 integration.SERIES_FACTOR times the root scale out, so each point's
 Abel image is minus its own tail to infinity, summed as a series in one
-call, and takes no quadrature.  Every sheet is fixed in closed form:
-the loop segments are Gauss-Chebyshev sums at node counts fixed
-beforehand from an error bound, all in one integrand call, and a build
-takes no tanh-sinh quadrature and chains no sheet
+call, and takes no sum over nodes.  Every sheet is fixed in closed
+form: the loop segments are Gauss-Chebyshev sums at node counts fixed
+beforehand from an error bound, all in one integrand call
 (integration.period_integrals).  Neither the samples nor z_star depends
 on the branch ordering: a re-ordered build makes them bit for bit the
 same.

@@ -1,6 +1,6 @@
 """The Abel map of an affine point as one Gauss-Legendre half-segment from
-a branch point: the sums against a 30-digit mpmath oracle, the node
-ladder, the branch points' own images against their closed form, and
+a branch point: the sums, of the second-kind forms too, against a
+30-digit mpmath oracle, the node ladder, the branch points' own images against their closed form, and
 points on and next to a branch point."""
 
 import importlib
@@ -8,16 +8,16 @@ from pathlib import Path
 import sys
 import warnings
 
-import mpmath
 import numpy as np
 import pytest
 
 import kleinian2 as k2
 from kleinian2 import integration, periods
 from kleinian2.curve import involution
-from kleinian2.quadrature import TOL
+from kleinian2.integration import TOL
 
-from conftest import G6_COEFFS, W5_COEFFS, sample_divisor
+from conftest import (G6_COEFFS, W5_COEFFS, mp_half_segment, mp_numerators,
+                      sample_divisor)
 from test_panel import TWO_PAIRS_I, TWO_PAIRS_R
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -43,34 +43,6 @@ def _sheet_y(f, x):
     return np.sqrt(f.leading * np.prod(np.subtract.outer(x, f.roots), axis=-1))
 
 
-def _mp_half_segment(f, e, x, y):
-    """Reference: the integrals of (dx/y, x dx/y) from f.roots[e] to (x,
-    y) by mpmath at 30 digits: twice the integral over v in [0, 1] of
-    h (1, x) / (y prod_k sqrt(1 - q_k (1 - v^2))), h = x - e, q_k = h /
-    (x - r_k), in principal roots, split at and around the real parts of
-    the singularities +-sqrt((r_k - e) / h)."""
-    with mpmath.workdps(30):
-        rs = [mpmath.mpc(r) for r in f.roots]
-        end, X, Y = rs[e], mpmath.mpc(x), mpmath.mpc(y)
-        h = X - end
-        others = [r for k, r in enumerate(rs) if k != e]
-        q = [h / (X - r) for r in others]
-        feet = [abs(mpmath.re(mpmath.sqrt((r - end) / h))) for r in others]
-        split = sorted({float(t + d) for t in feet
-                        for d in (0, -1e-3, 1e-3, -1e-1, 1e-1)})
-        split = [0.0] + [t for t in split if 0 < t < 1] + [1.0]
-
-        def g(v, k):
-            d = 1 - v * v
-            c = Y
-            for qk in q:
-                c *= mpmath.sqrt(1 - qk * d)
-            return h * (1, X - h * d)[k] / c
-
-        return np.array([complex(2 * mpmath.quad(lambda v: g(v, k), split))
-                         for k in range(2)])
-
-
 def _oracle_points(f, rng):
     """The three points of 200 in the annulus 0.3 to 1.5 times f.scale
     whose half-segments have the narrowest ellipses, and two points 1e-7
@@ -93,25 +65,40 @@ def test_half_segments_match_mpmath_oracle(name):
     """Every point's half-segment from its branch point matches a 30-digit
     mpmath quadrature to 1e-13 of its max-norm; the sum at twice its nodes
     lies within its stated a priori bound, plus the rounding of the two
-    sums, and that bound is at most TOL of the max-norm.  The points are
-    those with the narrowest ellipses of 200 in the annulus (rho down to
-    about 1.1 on the two-pair curves) and two 1e-7 times the scale off a
-    root, which take that root."""
+    sums, and that bound is at most TOL of the max-norm.  So do the
+    half-segments of all four forms (dx/y, x dx/y, r1, r2), as
+    rho_lambda_eval's routes sum them, from the same branch points, with
+    4e-15 of the max-norm for the rounding: their second-kind numerators,
+    of degree up to 4, are summed at the nodes, where 1 and x are summed
+    as the two moments of d (_abel_sums).  The
+    points are those with the narrowest ellipses of 200 in the annulus
+    (rho down to about 1.1 on the two-pair curves) and two 1e-7 times the
+    scale off a root, which take that root."""
     f = _curve(ORACLE_CURVES[name])
     x = _oracle_points(f, np.random.default_rng(7))
     y = _sheet_y(f, x) * np.array([1, -1, 1, -1, 1])
     e, I, N, err = integration.abel_half_segments(f, x, y)
     assert np.all(e[3:] == 1)
-    h = x - np.array(f.roots)[e]
-    others = integration._branch_frames(f)[1][e]
-    twice = integration._abel_sums(x, y, h, others, 2 * N)
-    for k in range(len(x)):
-        ref = _mp_half_segment(f, e[k], x[k], y[k])
-        size = np.max(np.abs(ref))
-        assert np.max(np.abs(I[k] - ref)) <= 1e-13 * size, (name, k)
-        assert np.max(np.abs(I[k] - twice[k])) <= err[k] + 1e-15 * size
-        assert err[k] <= TOL * size, (name, k)
-        assert N[k] in integration.LEGENDRE_LADDER
+    frames = integration._branch_frames(f)
+    h = x - frames[0][e]
+    others = frames[1][e]
+    rho = integration._abel_ends(f, frames[2], x[:, None] - frames[0])[1]
+    second = integration.second_kind_numerators(f)
+    refs = [mp_half_segment(f, e[k], x[k], y[k], mp_numerators(f))
+            for k in range(len(x))]
+    for more, rounding in (((), 1e-15), (second, 4e-15)):
+        if more:
+            I, N, err = integration._half_segments(f, frames, x, y, e, rho,
+                                                   more)
+        twice = integration._abel_sums(x, y, h, others, 2 * N, more)
+        for k in range(len(x)):
+            ref = refs[k][:2 + len(more)]
+            size = np.max(np.abs(ref))
+            assert np.max(np.abs(I[k] - ref)) <= 1e-13 * size, (name, k)
+            assert np.max(np.abs(I[k] - twice[k])) <= (err[k]
+                                                       + rounding * size)
+            assert err[k] <= TOL * size, (name, k)
+            assert N[k] in integration.LEGENDRE_LADDER
 
 
 def test_a_second_pass_makes_no_new_rule():

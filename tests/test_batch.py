@@ -17,7 +17,7 @@ from kleinian2.curve import involution
 from kleinian2.kleinian import log_S_gradient, rho_lambda_eval
 from kleinian2.theta import lattice_reduce
 
-from conftest import sample_divisor, sample_z
+from conftest import mp_between, sample_divisor, sample_z
 
 # (function, the shape of one point's value); sigma only on 4x^5 - 4x
 FUNCTIONS = [(k2.S_eval, ()), (k2.S_jk_eval, (3,)), (k2.wp_eval, (3,)),
@@ -457,10 +457,9 @@ def test_a_batch_with_a_wide_sextic_point_raises_as_the_point_does():
 # -- the Abel layer -----------------------------------------------------------
 
 def _divisor_kinds(ctx, n, seed):
-    """n divisors cycling through affine pairs whose path does and does
-    not need a sheet flip, (P) + (P) (an empty straight run and a run
-    into a branch point), (P) + (iP) (no path at all), and divisors with
-    points at infinity under both labels."""
+    """n divisors cycling through affine pairs (P) + (Q) and (P) + (iQ),
+    (P) + (P), (P) + (iP), and divisors with points at infinity under
+    both labels."""
     rng = np.random.default_rng(seed)
     inf1, inf2 = k2.CurvePoint.at_infinity(1), k2.CurvePoint.at_infinity(2)
     out = []
@@ -476,7 +475,7 @@ def _divisor_kinds(ctx, n, seed):
 
 def _affine_divisors(ctx, n, seed):
     """n admissible affine divisors, half of them (p) + (iq) of the other
-    half, so that paths with and without a sheet flip share a batch."""
+    half, so that a point and its involution image share a batch."""
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < n:
@@ -541,11 +540,11 @@ def test_lattice_residual_batch_equals_points_one_at_a_time(ctx, n):
 
 @pytest.fixture
 def abel_calls(monkeypatch):
-    """Counts of continue_sqrt, _piece_frames, integrate_01 and _abel_sums
-    calls, by name."""
+    """The calls of the sums over nodes, by name: _abel_sums (half-segments
+    from branch points), _chebyshev_sums (segments between them) and
+    _half_segment_sum (z_star), in call order."""
     calls = []
-    for name in ("continue_sqrt", "_piece_frames", "integrate_01",
-                 "_abel_sums"):
+    for name in ("_abel_sums", "_chebyshev_sums", "_half_segment_sum"):
         fn = getattr(integration, name)
 
         def counted(*args, fn=fn, name=name, **kwargs):
@@ -557,22 +556,23 @@ def abel_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [1, 7, 20])
-def test_a_batch_is_two_continuations_and_one_quadrature(ctx, n,
-                                                         abel_calls):
-    """rho_lambda_eval's affine pairs: the straight runs in one
-    continuation, the runs into a branch point in at most a second, every
-    piece in one quadrature, whatever n is, and the sheet frames of the
-    stacked pieces built once, for that quadrature (continue_sqrt forms
-    its own piece by piece).  abel_forward of the same divisors sums
-    half-segments from branch points in one pass, with no continuation
-    and no quadrature, and jacobi_invert reads its divisors off the theta
-    jets and integrates nothing."""
+def test_a_batch_is_one_pass_of_each_sum(ctx, n, abel_calls):
+    """rho_lambda_eval's routes, whatever n is: the half-segments of every
+    divisor's two points in one pass, the segments between branch points
+    of the routes that have one in one Gauss-Chebyshev call, and z's
+    abel_forward in one more pass.  abel_forward of the same divisors
+    sums its half-segments in one pass, and jacobi_invert reads its
+    divisors off the theta jets and sums nothing."""
     Ds = _affine_divisors(ctx, n, seed=n + 500)
     z = _points(ctx, n, seed=n + 600)
+    ip = [involution(D.p) for D in Ds]
+    e0, e1, _ = integration.route_integrals(
+        ctx.f, [P.x for P in ip], [P.y for P in ip], [D.q.x for D in Ds],
+        [D.q.y for D in Ds])
+    abel_calls.clear()
     rho_lambda_eval(ctx, Ds)
-    assert abel_calls.count("continue_sqrt") <= 2
-    assert abel_calls.count("_piece_frames") == 1
-    assert abel_calls.count("integrate_01") == 1
+    assert abel_calls == ["_abel_sums"] + ["_chebyshev_sums"] * int(
+        np.any(e0 != e1)) + ["_abel_sums"]
     abel_calls.clear()
     k2.abel_forward(ctx, Ds)
     assert abel_calls == ["_abel_sums"]
@@ -584,7 +584,7 @@ def test_a_batch_is_two_continuations_and_one_quadrature(ctx, n,
 def test_divisors_that_meet_infinity_share_one_fan(ctx, abel_calls):
     """The affine points of every divisor, paired or meeting infinity, go
     through one sum of half-segments from branch points, and the points
-    at infinity take z_star or 0: no continuation and no quadrature."""
+    at infinity take z_star or 0."""
     for n in (7, 20):
         abel_calls.clear()
         k2.abel_forward(ctx, _divisor_kinds(ctx, n, seed=n + 700))
@@ -608,26 +608,20 @@ def test_points_beyond_the_series_radius_take_no_quadrature(ctx,
                                                            abel_calls):
     """A point SERIES_FACTOR times the largest root modulus out or beyond
     has its Abel image from its tail alone, summed as a series, with no
-    sheet chain, no quadrature and no half-segment.  Against the image of
-    a point Q nearer in, on the same ray, a branch point's image plus a
-    half-segment, and the integral from Q out to the point along the
-    path layer's runs: the two images differ by that integral modulo the
-    lattice, to 1e-13."""
-    f, roots = ctx.f, list(ctx.f.roots)
-    radii = integration.detour_radii(f)
+    half-segment.  Against the image of a point Q nearer in, on the same
+    ray, a branch point's image plus a half-segment, and the integral from
+    Q out to the point by way of a branch point, by mpmath at 30 digits:
+    the two images differ by that integral modulo the lattice, to
+    1e-13."""
+    f = ctx.f
     direction = np.exp(0.4j)
     xs = f.scale * direction * np.array([1.2, 2.0, 3.5])
-    Q = k2.CurvePoint.affine(xs[0], np.sqrt(f(xs[0])))
-    runs = [integration.line_with_detours(roots, radii, xs[0], x)
-            for x in xs[1:]]
-    pieces, y0, y_end = integration._continue_runs(f, runs, [Q.y, Q.y])
-    ends = np.cumsum([len(run) for run in runs])
-    I = np.array([v.sum(axis=0) for v in np.split(
-        integration.integrate_forms(f, pieces, y0,
-                                    integration.holomorphic_numerators()),
-        ends[:-1])])
+    ys = np.sqrt(f(xs))
+    Q = k2.CurvePoint.affine(xs[0], ys[0])
+    e = integration.nearest_branch_point(f.roots, Q.x)
+    I = mp_between(f, e, (Q.x, Q.y), zip(xs[1:], ys[1:]))
     abel_calls.clear()
-    J = integration.abel_images(f, xs[1:], y_end, ctx.branch_abel,
+    J = integration.abel_images(f, xs[1:], ys[1:], ctx.branch_abel,
                                 ctx.pd.z_star)
     assert abel_calls == []
     J_Q = integration.abel_images(f, [Q.x], [Q.y], ctx.branch_abel,
@@ -637,19 +631,19 @@ def test_points_beyond_the_series_radius_take_no_quadrature(ctx,
                   <= 1e-13 * np.max(np.abs(J)))
 
 
-def test_detour_radii_are_computed_once_per_root_set(ctx):
-    """rho_lambda_eval's paths, straight runs and runs into a branch point
-    alike, ask for the detour radii in path_between; the root-distance
-    matrix behind them is computed once per curve.  abel_forward takes
-    no path and asks for none."""
+def test_segment_widths_are_computed_once_per_curve(ctx):
+    """rho_lambda_eval's routes read the ellipses of the segments between
+    branch points off one table per curve, made by the first call and
+    read-only.  abel_forward takes no route and asks for none."""
     Ds = _affine_divisors(ctx, 14, seed=1000)
-    integration.detour_radii.cache_clear()
+    integration._segment_rho.cache_clear()
     k2.abel_forward(ctx, _divisor_kinds(ctx, 14, seed=1000))
-    assert integration.detour_radii.cache_info().currsize == 0
+    assert integration._segment_rho.cache_info().currsize == 0
     rho_lambda_eval(ctx, Ds[:7])
     rho_lambda_eval(ctx, Ds[7:])
-    info = integration.detour_radii.cache_info()
+    info = integration._segment_rho.cache_info()
     assert info.misses == 1 and info.hits >= 1
+    assert not integration._segment_rho(ctx.f).flags.writeable
 
 
 def test_each_bad_divisor_raises_its_own_error(g6_ctx):

@@ -1,6 +1,8 @@
 """The weight-2 family S, S_jk, the wp extraction, and the Abel map."""
 
+import cmath
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -11,8 +13,11 @@ import kleinian2 as k2
 from kleinian2.curve import involution
 from kleinian2.kleinian import log_S_gradient, rho_lambda_eval
 from kleinian2.periods import eta_of_lattice, lattice_vector
+from kleinian2.theta import lattice_reduce
 
-from conftest import G6_COEFFS, sample_divisor, sample_z
+from conftest import (G6_COEFFS, mp_half_segment, mp_numerators,
+                      sample_divisor, sample_z)
+from test_panel import TWO_PAIRS_I, TWO_PAIRS_R
 
 
 def test_context_certificates(w5_ctx, g6_ctx):
@@ -105,10 +110,9 @@ def test_abel_unordered_and_involution(any_ctx):
 def test_abel_near_a_branch_point_in_either_order(any_ctx):
     """P = (e + delta, y) next to the branch point e, delta = 1e-6 ...
     1e-10, Q at 0.4 + 0.7i, all four sign choices: both orders of the
-    divisor integrate, and agree modulo the lattice.  A path that must
-    change sheets at P ends in the run into e, whose last piece factors
-    y = sqrt(x - e) s(x) with x - e from the quadrature's stable
-    distance to the end, so f near e carries no rounding noise."""
+    divisor integrate, and agree modulo the lattice.  P integrates from e
+    itself, within BRANCH_SNAP of it, along a half-segment that factors
+    y = v sqrt(x - e) c(x), so f near e carries no rounding noise."""
     ctx = any_ctx
     f = ctx.f
     e = ctx.pd.roots[1]
@@ -464,6 +468,98 @@ def test_rho_lambda_first_derivative_identities(any_ctx):
         done += 1
 
 
+def _route_gap(ctx, got, want):
+    """The largest gaps between (rho, z) = got and want, each scaled by
+    max(1, want's largest entry), after the lattice vector L(k) that
+    takes want's z nearest got's: z moved by L(k) and rho by -eta(k), as
+    two routes differ."""
+    n, m, _ = lattice_reduce(ctx.pd.Omega,
+                             np.linalg.solve(ctx.pd.A, got[1] - want[1]))
+    k = np.concatenate([n, m])
+    moved = (want[0] - eta_of_lattice(ctx.pd, k),
+             want[1] + lattice_vector(ctx.pd, k))
+    return [np.max(np.abs(a - b)) / max(1.0, np.max(np.abs(b)))
+            for a, b in zip(got, moved)]
+
+
+def test_rho_lambda_at_a_branch_point(any_ctx):
+    """P = (e, 0) on a branch point, in (P) + (Q) and (Q) + (P), for two
+    roots e: rho_lambda_eval returns, and d log S = -2 rho + (lam, 0)
+    holds to 1e-13 of the gradient's scale.  With P' 1e-9 f.scale off e
+    in P's place, the result is P's plus the integrals from e to P' (the
+    route from iP' reaches e by the half-segment from e to P', reversed
+    on the other sheet), by mpmath at 30 digits, to 1e-14 modulo the
+    lattice: z by L(k) and rho by -eta(k)."""
+    ctx, f = any_ctx, any_ctx.f
+    Q = sample_divisor(ctx, np.random.default_rng(51)).q
+    for j in (0, 2):
+        e = f.roots[j]
+        P = k2.CurvePoint.affine(e, 0)
+        x = e + 1e-9 * f.scale * np.exp(0.3j)
+        y = np.sqrt(f.leading * np.prod(x - np.array(f.roots)))
+        near = k2.CurvePoint.affine(x, y)
+        leg = mp_half_segment(f, j, x, y, mp_numerators(f))
+        for D, D_near in ((k2.Divisor(P, Q), k2.Divisor(near, Q)),
+                          (k2.Divisor(Q, P), k2.Divisor(Q, near))):
+            rho1, rho2, lam, z = rho_lambda_eval(ctx, D)
+            g = log_S_gradient(ctx, z)
+            ref = max(1.0, abs(g[0]), abs(g[1]))
+            assert abs(g[0] + 2 * rho1 - lam) <= 1e-13 * ref
+            assert abs(g[1] + 2 * rho2) <= 1e-13 * ref
+            r1, r2, _, z_near = rho_lambda_eval(ctx, D_near)
+            gap = _route_gap(ctx, (np.array([r1, r2]) - leg[2:],
+                                   z_near - leg[:2]),
+                             (np.array([rho1, rho2]), z))
+            assert max(gap) <= 1e-14, (j, gap)
+
+
+def _width(tau):
+    """The parameter of the Bernstein ellipse through tau, scalar."""
+    w = abs(tau + cmath.sqrt(tau - 1) * cmath.sqrt(tau + 1))
+    return max(w, 1 / w)
+
+
+@pytest.mark.filterwarnings("ignore:branch points far outside unit scale")
+@pytest.mark.parametrize("roots", [None, TWO_PAIRS_I, TWO_PAIRS_R],
+                         ids=["w5", "two_pairs_i", "two_pairs_r"])
+def test_routes_are_no_narrower_than_a_common_root(roots, w5_ctx):
+    """On 20 suite divisors of each curve, no route's narrowest ellipse,
+    over its half-segments from e0 to ip and from e1 to q and the segment
+    from e0 to e1, is narrower than the widest that both half-segments
+    from one common root allow, all found root by root in scalar
+    arithmetic; some routes take a middle segment; and d log S = -2 rho
+    + (lam, 0) holds on every route to 1e-10 of the gradient's scale."""
+    ctx = w5_ctx if roots is None else k2.make_context(
+        k2.validate_polynomial(np.poly(roots)[::-1]))
+    r = list(ctx.f.roots)
+    Ds = k2.verify._sample_divisors(ctx, np.random.default_rng(52), 20)
+    ip = [involution(D.p) for D in Ds]
+    e0, e1, _ = k2.integration.route_integrals(
+        ctx.f, [P.x for P in ip], [P.y for P in ip], [D.q.x for D in Ds],
+        [D.q.y for D in Ds])
+
+    def widths(x):
+        return [min(_width(cmath.sqrt((rk - rj) / (x - rj)))
+                    for rk in r if rk != rj) for rj in r]
+
+    def segment(a, b):
+        return min((_width(2 * (rk - r[a]) / (r[b] - r[a]) - 1)
+                    for k, rk in enumerate(r) if k not in (a, b)),
+                   default=math.inf) if a != b else math.inf
+
+    for P, D, a, b in zip(ip, Ds, e0, e1):
+        w0, w1 = widths(P.x), widths(D.q.x)
+        common = max(min(u, v) for u, v in zip(w0, w1))
+        assert min(w0[a], w1[b], segment(a, b)) >= (1 - 1e-12) * common
+    assert np.any(e0 != e1)
+    rho1, rho2, lam, z = rho_lambda_eval(ctx, Ds)
+    clear = k2.divisor_clearance(ctx, z) >= 1e-4
+    g = log_S_gradient(ctx, z[clear])
+    ref = np.maximum(1.0, np.abs(g).max(axis=1))
+    assert np.all(np.abs(g[:, 0] + 2 * rho1[clear] - lam[clear]) <= 1e-10 * ref)
+    assert np.all(np.abs(g[:, 1] + 2 * rho2[clear]) <= 1e-10 * ref)
+
+
 def test_rho_lambda_error_paths(g6_ctx):
     f = g6_ctx.f
     x = 1.4 + 0.3j
@@ -658,9 +754,10 @@ def test_flipped_divisor_has_image_minus_z(any_ctx):
 
 
 def test_jacobi_invert_integrates_nothing(monkeypatch, any_ctx):
-    """With the Abel map, the lattice residual, the continuation and the
-    quadrature all raising, jacobi_invert still inverts one point and a
-    batch, and afterwards their divisors map back to z."""
+    """With the Abel map, the lattice residual and every sum over nodes
+    (half-segments from branch points, segments between them and tails)
+    raising, jacobi_invert still inverts one point and a batch, and
+    afterwards their divisors map back to z."""
     ctx = any_ctx
     rng = np.random.default_rng(58)
     z = np.array([sample_z(ctx, rng) for _ in range(3)])
@@ -672,9 +769,9 @@ def test_jacobi_invert_integrates_nothing(monkeypatch, any_ctx):
     with monkeypatch.context() as m:
         for module, name in ((k2.kleinian, "abel_forward"),
                              (k2.periods, "nearest_lattice_residual"),
-                             (k2.integration, "continue_sqrt"),
-                             (k2.integration, "integrate_01"),
-                             (k2.quadrature, "integrate_01")):
+                             (k2.integration, "_abel_sums"),
+                             (k2.integration, "_chebyshev_sums"),
+                             (k2.integration, "tail_integrals")):
             m.setattr(module, name, refuse)
         one = [k2.jacobi_invert(ctx, w) for w in z]
         batch = k2.jacobi_invert(ctx, z)

@@ -13,12 +13,11 @@ import pytest
 import kleinian2 as k2
 from kleinian2 import integration, periods
 from kleinian2 import serialization as ser
-from kleinian2.integration import segment_period_integrals
-from kleinian2.quadrature import TOL
+from kleinian2.integration import TOL, segment_period_integrals
 from kleinian2.theta import theta_jet
 
 from conftest import (G6_COEFFS, NEAR_MISS_ORDERING, NEAR_MISS_ROOTS,
-                      W5_COEFFS, flip_loop_pieces)
+                      W5_COEFFS, mp_between)
 from test_panel import CURVES as PANEL_CURVES
 
 
@@ -396,7 +395,7 @@ def test_period_data_rejects_root_on_segment(monkeypatch):
 
     monkeypatch.setattr(integration, "_chebyshev_sums", sum_counted)
     f = k2.validate_polynomial(W5_COEFFS)
-    with pytest.raises(k2.QuadratureError, match="loop segment 1,"):
+    with pytest.raises(k2.QuadratureError, match="segment 1, from branch"):
         k2.compute_period_data(f, ordering=(0, 3, 1, 4, 2))
     assert sums == []
 
@@ -573,12 +572,12 @@ def test_z_star_continues_one_tail(coeffs, monkeypatch):
     """z_star, the half-segment into z_star_root(f) in the chart s = 1/x,
     matches modulo the lattice the route that continues a tail through a
     far point x_far: the tail in from label 2 to x_far, a sheet flip at
-    x_far about its nearest root and the tail out to label 1, -T + I +
-    T_out, with I twice the run from x_far into that root to 1e-14 of
-    z_star's size, and with the flip loop (out, a full turn about the
-    root, back) to 1e-13.  The Abel samples' tails are the build's one
-    tail_integrals call, seeded at the principal root at the outermost
-    sample."""
+    x_far through its nearest root e and the tail out to label 1, -T + I
+    + T_out, to 1e-14 of z_star's size.  I, from (x_far, y) to (x_far,
+    -y) by way of e, is the difference of the two points' integrals from
+    e, each by mpmath at 30 digits.  The Abel samples' tails are the
+    build's one tail_integrals call, seeded at the principal root at the
+    outermost sample."""
     f = k2.validate_polynomial(coeffs)
     roots = list(f.roots)
     scale = f.scale
@@ -604,20 +603,13 @@ def test_z_star_continues_one_tail(coeffs, monkeypatch):
     T, landed_plus = integration.tail_integrals(f, [x_far], [y_far])
     if landed_plus[0]:
         y_far, T = -y_far, -T
-    radii = integration.detour_radii(f)
-    dive = integration.run_into_branch_point(roots, radii, x_far)
-    for pieces, weight, rel in ((dive, 2.0, 1e-14),
-                                (flip_loop_pieces(roots, radii, x_far), 1.0,
-                                 1e-13)):
-        _, y0, _ = integration._continue_runs(f, [pieces], [y_far])
-        I = weight * integration.integrate_forms(
-            f, pieces, y0, integration.holomorphic_numerators()
-        ).sum(axis=0)
-        T_out, landed_plus = integration.tail_integrals(f, [x_far], [-y_far])
-        assert landed_plus[0]
-        route = -T[0] + I + T_out[0]
-        assert (k2.nearest_lattice_residual(pd, z_star - route)
-                <= rel * np.max(np.abs(z_star)))
+    e = integration.nearest_branch_point(roots, x_far)
+    I = mp_between(f, e, (x_far, y_far), [(x_far, -y_far)])[0]
+    T_out, landed_plus = integration.tail_integrals(f, [x_far], [-y_far])
+    assert landed_plus[0]
+    route = -T[0] + I + T_out[0]
+    assert (k2.nearest_lattice_residual(pd, z_star - route)
+            <= 1e-14 * np.max(np.abs(z_star)))
 
 
 def _half_segment_widths(roots):
@@ -647,9 +639,13 @@ def test_one_quadrature_build_matches_separate_integrals(coeffs):
     integrals, and so A, B, etaA and etaB, bit for bit.  On degree 6
     z_star is the half-segment's Gauss-Legendre sum into a root with the
     widest ellipse in v, never a root at 0, bit for bit.  The Abel
-    samples, each its own tail summed as a series, match the ray through
-    them integrated piece by piece out to the outermost sample, and that
-    sample's tail, to 1e-15 relative."""
+    samples, each its own tail summed as a series, match the outermost
+    sample's tail and the integral along the ray from each sample out to
+    it, to 1e-15 relative.  That integral is the difference of the two
+    points' integrals from a root e nearest the ray's line, each by
+    mpmath at 30 digits: no other root lies between e and the ray, so
+    the way through e is the ray's, on the sheet that a dense-step
+    continuation along the ray finds at each sample."""
     f = k2.validate_polynomial(coeffs)
     roots = list(f.roots)
     scale = f.scale
@@ -668,14 +664,20 @@ def test_one_quadrature_build_matches_separate_integrals(coeffs):
     T = T[0]
     if f.degree == 6 and landed_plus[0]:
         y_out, T = -y_out, -T
-    n = len(radii) - 1
-    ray = np.stack([xs[:-1], np.diff(xs), np.zeros(n)], axis=1)
-    _, y0, y_end = integration._continue_runs(f, [ray], [np.sqrt(f(xs[0]))])
-    if abs(y_end[0] - y_out) > abs(y_end[0] + y_out):
-        y0 = -y0
-    I = integration.integrate_forms(f, ray, y0,
-                                    integration.holomorphic_numerators())
-    want = -T - np.vstack([np.cumsum(I[::-1], axis=0)[::-1], np.zeros(2)])
+    # y along the ray, from y_out in, stepped on a grid fine enough that
+    # the nearer of +-sqrt(f) is the continuation at every step
+    t = ((xs[-1] - xs) / (xs[-1] - xs[0])).real
+    grid = np.union1d(np.linspace(0.0, 1.0, 4097), t)
+    ys = np.sqrt(f(xs[-1] + (xs[0] - xs[-1]) * grid))
+    ys[0] = y_out
+    for k in range(1, len(ys)):
+        if abs(ys[k] - ys[k - 1]) > abs(ys[k] + ys[k - 1]):
+            ys[k] = -ys[k]
+    y_at = np.sqrt(f(xs))
+    y_at *= np.sign((y_at * np.conj(ys[np.searchsorted(grid, t)])).real)
+    side = (np.array(roots) * np.exp(-1j * integration.FAR_ARG)).imag
+    e = int(np.argmin(np.abs(side)))
+    want = -T + mp_between(f, e, (xs[-1], y_at[-1]), zip(xs, y_at))
     assert np.max(np.abs(J - want)) <= 1e-15 * np.max(np.abs(want))
     if f.degree == 5:
         assert z_star is None
@@ -691,21 +693,16 @@ def test_one_quadrature_build_matches_separate_integrals(coeffs):
 def test_a_build_makes_one_quadrature(monkeypatch):
     """A context build sums its loop segments in one Gauss-Chebyshev sheet
     call, and so does a re-ordered build; on degree 6 each sums z_star's
-    half-segment by Gauss-Legendre once.  Neither takes a tanh-sinh
-    quadrature or chains a sheet on either degree: no integrate_01 and
-    no continue_sqrt call."""
-    calls, sums, halves, chains = [], [], [], []
-    quad, chain = integration.integrate_01, integration.continue_sqrt
+    half-segment by Gauss-Legendre once.  Neither sums a half-segment
+    from a branch point on either degree: no _abel_sums call."""
+    calls, sums, halves = [], [], []
+    abel = integration._abel_sums
     summed = integration._chebyshev_sums
     half = integration._half_segment_sum
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return quad(*args, **kwargs)
-
-    def chained(f, pieces, seeds):
-        chains.append(pieces)
-        return chain(f, pieces, seeds)
+        return abel(*args, **kwargs)
 
     def sum_counted(*args):
         sums.append(1)
@@ -715,8 +712,7 @@ def test_a_build_makes_one_quadrature(monkeypatch):
         halves.append(1)
         return half(*args)
 
-    monkeypatch.setattr(integration, "integrate_01", counted)
-    monkeypatch.setattr(integration, "continue_sqrt", chained)
+    monkeypatch.setattr(integration, "_abel_sums", counted)
     monkeypatch.setattr(integration, "_chebyshev_sums", sum_counted)
     monkeypatch.setattr(integration, "_half_segment_sum", half_counted)
     for coeffs in (W5_COEFFS, G6_COEFFS):
@@ -726,7 +722,7 @@ def test_a_build_makes_one_quadrature(monkeypatch):
         k2.compute_period_data(f, ordering=(1, 0, 2, 4, 3) + (
             (5,) if f.degree == 6 else ()))
         assert len(sums) == 2 and len(halves) == 2 * (f.degree - 5)
-        assert calls == [] and chains == []
+        assert calls == []
         sums.clear()
         halves.clear()
 

@@ -134,9 +134,9 @@ def test_measured_jets_shape(any_ctx):
      0.759 + 0.158j],
 ], ids=["clustered_quintic", "ring_quintic"])
 def test_round_trip_through_small_detours(roots):
-    """Inverted points land near a branch point, so the Abel paths take
-    detours where |f| is small (about 1.5e-5 and 1.1e-3 at the junction);
-    a line that stopped short of its arc failed the seed check there."""
+    """Inverted points land near a branch point, where |f| is small (about
+    1.5e-5 and 1.1e-3 where the Abel map's detour paths once failed their
+    seed check); the round trip still holds there."""
     coeffs = 4.0 * np.poly(roots)[::-1]
     ctx = k2.make_context(k2.validate_polynomial(coeffs))
     rep = k2.run_suite(ctx, seed=1, checks=["inversion_round_trip"])
@@ -380,11 +380,11 @@ def test_basis_independence_builds_with_one_quadrature(any_ctx,
     are read off the curve's roots alone and so come out bit for bit
     those of the curve's own period data: one Gauss-Chebyshev sheet call
     for its loop segments, one tail_integrals call for its samples, on
-    degree 6 one Gauss-Legendre half-segment, and no tanh-sinh
-    quadrature for the whole check."""
+    degree 6 one Gauss-Legendre half-segment, and no half-segment from a
+    branch point (no _abel_sums call) for the whole check."""
     calls, sums, tails, halves = [], [], [], []
     integration = k2.integration
-    quad, summed = integration.integrate_01, integration._chebyshev_sums
+    abel, summed = integration._abel_sums, integration._chebyshev_sums
     tail, half = integration.tail_integrals, integration._half_segment_sum
 
     def counted(log, fn):
@@ -393,7 +393,7 @@ def test_basis_independence_builds_with_one_quadrature(any_ctx,
             return fn(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(integration, "integrate_01", counted(calls, quad))
+    monkeypatch.setattr(integration, "_abel_sums", counted(calls, abel))
     monkeypatch.setattr(integration, "_chebyshev_sums", counted(sums, summed))
     monkeypatch.setattr(integration, "tail_integrals", counted(tails, tail))
     monkeypatch.setattr(integration, "_half_segment_sum",
@@ -430,7 +430,7 @@ def test_basis_independence_moves_on_after_a_quadrature_error():
     roots = list(NEAR_MISS_ROOTS)
     roots[3] = foot + 1e-4 * (r - foot) / abs(r - foot)
     ctx = k2.make_context(k2.validate_polynomial(np.poly(roots)[::-1]))
-    with pytest.raises(k2.QuadratureError, match="loop segment 2,"):
+    with pytest.raises(k2.QuadratureError, match="segment 2, from branch"):
         k2.compute_period_data(ctx.f, ordering=NEAR_MISS_ORDERING)
     (check,) = k2.run_suite(ctx, seed=1, checks=["basis_independence"]).checks
     assert check["pass"] is True, check
